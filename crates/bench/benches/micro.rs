@@ -89,6 +89,17 @@ fn bench_service(c: &mut Bench) {
         svc.append_path("/bench", black_box(&payload), AppendOpts::standard())
             .expect("append")
     });
+    // The same append after 1 000 blocks were sealed with no flush: a
+    // buffered append's cost must not depend on how much is unflushed.
+    let svc = mk();
+    while svc.report().blocks_sealed < 1_000 {
+        svc.append_path("/bench", &payload, AppendOpts::standard())
+            .expect("append");
+    }
+    c.bench("service/append_buffered_50B_after_1000_blocks", || {
+        svc.append_path("/bench", black_box(&payload), AppendOpts::standard())
+            .expect("append")
+    });
     let svc = mk();
     c.bench("service/append_forced_50B", || {
         svc.append_path("/bench", black_box(&payload), AppendOpts::forced())

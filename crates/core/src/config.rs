@@ -39,8 +39,9 @@ pub struct ServiceConfig {
     /// `Default` honours the `CLIO_GROUP_COMMIT` environment variable
     /// (`0` = off) so test suites can A/B without code changes.
     pub group_commit: bool,
-    /// Largest number of blocks one vectored commit write may carry;
-    /// longer sealed queues drain in several writes.
+    /// Largest number of blocks one vectored write may carry, and so the
+    /// deepest the in-memory sealed queue gets: the seal that fills a
+    /// batch drains it.
     pub max_batch_blocks: usize,
     /// How long (µs) a commit leader dallies before writing, so forced
     /// appends arriving nearly together share its batch. `0` commits

@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 
 use clio_device::{DeviceStats, InstrumentedDevice, SharedDevice};
 use clio_entrymap::LocateStats;
-use clio_obs::{Counter, Histogram, MetricsRegistry, SpanGuard, TraceRing};
+use clio_obs::{Counter, Gauge, Histogram, MetricsRegistry, SpanGuard, TraceRing};
 use clio_testkit::sync::Mutex;
 use clio_types::{LogFileId, Result};
 use clio_volume::DevicePool;
@@ -44,6 +44,10 @@ pub(crate) struct PerShard {
     pub leader_elections: Arc<Counter>,
     /// Blocks written per commit batch on this shard.
     pub commit_batch_blocks: Arc<Histogram>,
+    /// Blocks sealed in memory awaiting a device write
+    /// (`clio_core_shard<i>_sealed_queue_blocks`); set at seal and drain,
+    /// never per append.
+    pub sealed_queue_blocks: Arc<Gauge>,
 }
 
 /// The observability state of one service instance.
@@ -181,6 +185,9 @@ impl ServiceObs {
                     commit_batch_blocks: self
                         .registry
                         .histogram_with("clio_shard_commit_batch_blocks", labels),
+                    sealed_queue_blocks: self
+                        .registry
+                        .gauge(&format!("clio_core_shard{idx}_sealed_queue_blocks")),
                 })
             })
             .clone()
@@ -247,8 +254,8 @@ impl ServiceObs {
         );
     }
 
-    /// Counts one republication of the immutable read snapshot (every
-    /// mutating op republishes, so this tracks snapshot churn).
+    /// Counts one republication of the read snapshot (an op republishes
+    /// only when the snapshot would differ, so this tracks snapshot churn).
     pub fn note_view_publish(&self) {
         self.view_publishes.inc();
     }

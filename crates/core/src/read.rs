@@ -11,11 +11,14 @@
 //!
 //! The medium is write-once: every sealed block is immutable forever, so
 //! reads need no coordination with the appender at all. Every operation
-//! here runs against an immutable [`ReadView`] snapshot published by the
-//! append path — the append-side state mutex is **never** acquired, and no
-//! lock is held across device I/O. Cursors pin their snapshots at creation
-//! and refresh only on crossing a snapshot's watermark (reaching the end),
-//! which is also what lets cursors tail a growing log.
+//! here runs against a [`ReadView`] snapshot published by the append path
+//! — the append-side state mutex is **never** acquired, and no lock is
+//! held across device I/O. The one part of a snapshot that moves is the
+//! open block, shared with the appender and append-only: a read that lands
+//! on it materialises its image under that block's own leaf mutex (see
+//! [`SharedOpenBlock`]). Cursors pin their snapshots at creation, see the
+//! pinned open block grow, and refresh on crossing a snapshot's watermark
+//! (reaching the end), which is what lets cursors tail a growing log.
 //!
 //! # Sharding
 //!
@@ -34,7 +37,7 @@ use clio_format::{BlockView, FragKind};
 use clio_types::{BlockNo, ClioError, EntryAddr, LogFileId, Result, SeqNo, Timestamp};
 use clio_volume::Volume;
 
-use crate::service::{globalize_addr, LogService, ReadView, Shard};
+use crate::service::{globalize_addr, LogService, ReadView, SealedQueue, Shard, SharedOpenBlock};
 
 /// A fully reassembled log entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -64,55 +67,57 @@ impl Entry {
 }
 
 /// A per-volume [`BlockSource`] over one snapshot: the volume's sealed
-/// blocks plus (for the active volume) the snapshot's frozen open-block
-/// image and `data_end` watermark.
-pub(crate) struct VolSource {
+/// blocks plus (for the active volume) the snapshot's open block, sealed
+/// queue and `data_end` watermark, all borrowed from the snapshot.
+pub(crate) struct VolSource<'v> {
     vol: Arc<Volume>,
-    open: Option<(u64, Arc<Vec<u8>>)>,
+    /// The shared open block. Its image is materialised only when a read
+    /// actually lands on it.
+    open: Option<(u64, &'v SharedOpenBlock)>,
     /// Blocks sealed in memory but not yet written to the device (the
-    /// snapshot's group-commit queue), ordered by data block. Served like
-    /// sealed blocks; they sit past the device watermark.
-    queued: Vec<(u64, Arc<Vec<u8>>)>,
+    /// snapshot's group-commit queue). Served like sealed blocks; they sit
+    /// past the device watermark.
+    queued: Option<&'v SealedQueue>,
     /// The snapshot's sealed-data watermark for the active volume; sealed
     /// volumes read their (final, immutable) device value instead.
     watermark: Option<u64>,
     fanout: usize,
 }
 
-impl VolSource {
+impl VolSource<'_> {
     /// The open (unsealed) block's number, if this source covers one. Its
     /// entries are not yet reflected in any entrymap bitmap — the writer
     /// notes a block only when it seals — so scans must visit it
     /// explicitly.
     fn open_db(&self) -> Option<u64> {
-        self.open.as_ref().map(|(db, _)| *db)
+        self.open.map(|(db, _)| db)
     }
 }
 
-impl BlockSource for VolSource {
+impl BlockSource for VolSource<'_> {
     fn fanout(&self) -> usize {
         self.fanout
     }
 
     fn data_end(&self) -> u64 {
         let mut end = self.watermark.unwrap_or_else(|| self.vol.data_end());
-        if let Some((db, _)) = self.queued.last() {
-            end = end.max(db + 1);
+        if let Some(queue_end) = self.queued.and_then(SealedQueue::end_db) {
+            end = end.max(queue_end);
         }
-        match &self.open {
+        match self.open {
             Some((db, _)) => end.max(db + 1),
             None => end,
         }
     }
 
     fn read(&self, db: u64) -> Result<Arc<Vec<u8>>> {
-        if let Some((odb, img)) = &self.open {
-            if *odb == db {
-                return Ok(img.clone());
+        if let Some((odb, blk)) = self.open {
+            if odb == db {
+                return Ok(blk.image());
             }
         }
-        if let Ok(i) = self.queued.binary_search_by_key(&db, |(qdb, _)| *qdb) {
-            return Ok(self.queued[i].1.clone());
+        if let Some(img) = self.queued.and_then(|q| q.get(db)) {
+            return Ok(img.clone());
         }
         self.vol.read_data_block(db)
     }
@@ -121,16 +126,16 @@ impl BlockSource for VolSource {
 impl Shard {
     /// A block source over one volume of the snapshot, including the open
     /// block when the volume is active.
-    pub(crate) fn source_for(&self, view: &ReadView, vol_idx: u32) -> Result<VolSource> {
+    pub(crate) fn source_for<'v>(&self, view: &'v ReadView, vol_idx: u32) -> Result<VolSource<'v>> {
         let vol = self.seq.volume(vol_idx)?;
         let (open, queued, watermark) = if vol_idx == view.active_index {
             (
-                view.open.clone(),
-                view.queued.clone(),
+                view.open.as_ref().map(|(db, blk)| (*db, &**blk)),
+                Some(&*view.queued),
                 Some(view.active_data_end),
             )
         } else {
-            (None, Vec::new(), None)
+            (None, None, None)
         };
         Ok(VolSource {
             vol,
@@ -160,16 +165,11 @@ impl Shard {
     /// metrics.
     pub(crate) fn read_entry(&self, addr: EntryAddr) -> Result<Entry> {
         let start = clio_obs::clock::now();
-        let before = self.obs.device_stats.snapshot().reads;
+        let before = self.obs.device_stats.reads();
         let mut span = self.obs.span("read");
         let view = self.read_view();
         let r = self.read_entry_in(&view, addr);
-        let blocks = self
-            .obs
-            .device_stats
-            .snapshot()
-            .reads
-            .saturating_sub(before);
+        let blocks = self.obs.device_stats.reads().saturating_sub(before);
         if let Ok(e) = r.as_ref() {
             span.set_target(u64::from(e.id.0));
         }
@@ -212,8 +212,11 @@ impl Shard {
             // Reassemble continuation fragments from following blocks.
             // Continuations are written in the immediately following
             // blocks; unparseable blocks (invalidated, §2.3.2) are skipped
-            // within a small window, but a readable block without the next
-            // piece means the chain is torn — the entry does not exist.
+            // within a small window, and so is a block of nothing but
+            // entrymap records (the maps due at a boundary overflowed it,
+            // so the writer sealed it and continued in the next one). Any
+            // other readable block without the next piece means the chain
+            // is torn — the entry does not exist.
             let total = total_len as usize;
             let mut at = db + 1;
             let mut skipped = 0u32;
@@ -227,6 +230,7 @@ impl Shard {
                 match BlockView::parse(&ci) {
                     Ok(v) => {
                         let mut found = false;
+                        let mut maps_only = v.count() > 0;
                         for e in v.entries() {
                             let Ok(e) = e else { break };
                             if e.header.frag == (FragKind::Continuation { chain })
@@ -236,13 +240,15 @@ impl Shard {
                                 found = true;
                                 break;
                             }
+                            maps_only &= e.header.id == LogFileId::ENTRYMAP;
                         }
-                        if !found {
+                        if found {
+                            skipped = 0;
+                        } else if !maps_only {
                             return Err(ClioError::NotFound(format!(
                                 "fragment chain of entry {addr} broken at block {at}"
                             )));
                         }
-                        skipped = 0;
                     }
                     Err(_) => skipped += 1,
                 }
@@ -632,16 +638,10 @@ impl ShardCursor<'_> {
         op: impl FnOnce(&mut Self) -> Result<Option<Entry>>,
     ) -> Result<Option<Entry>> {
         let start = clio_obs::clock::now();
-        let before = self.svc.obs.device_stats.snapshot().reads;
+        let before = self.svc.obs.device_stats.reads();
         let mut span = self.svc.obs.span("read");
         let r = op(self);
-        let blocks = self
-            .svc
-            .obs
-            .device_stats
-            .snapshot()
-            .reads
-            .saturating_sub(before);
+        let blocks = self.svc.obs.device_stats.reads().saturating_sub(before);
         let target = r.as_ref().ok().and_then(|e| e.as_ref().map(|e| e.id));
         if let Some(id) = target {
             span.set_target(u64::from(id.0));
@@ -672,7 +672,8 @@ impl ShardCursor<'_> {
         }
         // The pinned snapshot is exhausted — the cursor crossed its
         // watermark. Refresh to the currently published snapshot and look
-        // again; this is the only point a cursor observes new appends.
+        // again; apart from the pinned open block growing, this is the
+        // only point a cursor observes new appends.
         let fresh = self.svc.read_view();
         if Arc::ptr_eq(&fresh, &self.view) {
             return Ok(None);

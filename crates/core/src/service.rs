@@ -21,7 +21,7 @@ use clio_testkit::sync::{ArcCell, Condvar, Mutex};
 use clio_cache::BlockCache;
 use clio_entrymap::{EntrymapWriter, Geometry, PendingMaps};
 use clio_format::records::{CatalogRecord, PERM_APPEND};
-use clio_format::{BlockBuilder, EntryForm, EntryHeader};
+use clio_format::{BlockBuilder, EntryForm, EntryHeader, PushOutcome};
 use clio_types::{ClioError, Clock, EntryAddr, LogFileId, Result, SeqNo, Timestamp, VolumeSeqId};
 use clio_volume::{DevicePool, VolumeSequence};
 
@@ -149,28 +149,182 @@ pub struct Receipt {
     pub timestamp: Timestamp,
 }
 
-/// The block currently being filled in server memory.
+/// The block currently being filled, as the appender and the readers
+/// share it: the [`BlockBuilder`] behind a leaf mutex.
+///
+/// The appender (holding the shard's state lock) pushes records into it;
+/// a reader that needs the block materialises the finished, CRC-carrying
+/// image itself and caches it here, keyed by the generation it was taken
+/// at, so an append costs neither a `finish()` nor a snapshot publish.
+/// Records are only ever added, so a pinned [`ReadView`]'s open block only
+/// grows; once the block seals, the final image stays cached and pinned
+/// views keep reading it.
+///
+/// Lock order is `state → open_block`; readers take only `open_block`. It
+/// is held for a copy of at most one block — never across device I/O,
+/// another lock, or the CRC: whoever needs the image takes a reference to
+/// the builder under the lock and finishes it outside, and only a push
+/// that finds such a reference outstanding copies the builder (once).
+///
+/// Public (hidden) so the protocol model and property tests drive the
+/// real object.
+#[doc(hidden)]
+pub struct SharedOpenBlock {
+    inner: Mutex<OpenInner>,
+}
+
+struct OpenInner {
+    /// Copy-on-write, so "copying the block out" is a refcount bump.
+    builder: Arc<BlockBuilder>,
+    /// Bumped by every mutation of `builder`; keys `image`.
+    gen: u64,
+    /// The finished image of `builder` as of generation `.0`.
+    image: Option<(u64, Arc<Vec<u8>>)>,
+}
+
+impl SharedOpenBlock {
+    /// Shares `builder` (which may already hold entrymap records).
+    #[must_use]
+    pub fn new(builder: BlockBuilder) -> SharedOpenBlock {
+        SharedOpenBlock {
+            inner: Mutex::with_class(
+                OpenInner {
+                    builder: Arc::new(builder),
+                    gen: 0,
+                    image: None,
+                },
+                "core.open_block",
+            ),
+        }
+    }
+
+    /// Appends a record; it is readable as soon as this returns.
+    pub fn push(&self, header: &EntryHeader, payload: &[u8]) -> PushOutcome {
+        let mut g = self.inner.lock();
+        let out = Arc::make_mut(&mut g.builder).push(header, payload);
+        if matches!(out, PushOutcome::Written(_)) {
+            g.gen += 1;
+        }
+        out
+    }
+
+    /// See [`BlockBuilder::payload_room`].
+    #[must_use]
+    pub fn payload_room(&self, header_len: usize) -> usize {
+        self.inner.lock().builder.payload_room(header_len)
+    }
+
+    /// Number of records pushed so far.
+    #[must_use]
+    pub fn count(&self) -> u16 {
+        self.inner.lock().builder.count()
+    }
+
+    /// Bytes of the block taken by records and their index slots.
+    pub(crate) fn used_bytes(&self) -> usize {
+        let g = self.inner.lock();
+        g.builder.data_len() + 2 * usize::from(g.builder.count())
+    }
+
+    /// Flags the block as sealed before it was full (§2.3.1).
+    pub(crate) fn mark_sealed_early(&self) {
+        let mut g = self.inner.lock();
+        Arc::make_mut(&mut g.builder).flags_mut().sealed_early = true;
+        g.gen += 1;
+    }
+
+    /// The exact device image of the records pushed so far.
+    ///
+    /// Served from the cache when nothing was pushed since it was taken;
+    /// otherwise the builder is referenced under the lock, finished (zero
+    /// fill, index, CRC) outside it, and the image installed unless the
+    /// block moved on meanwhile.
+    #[must_use]
+    pub fn image(&self) -> Arc<Vec<u8>> {
+        let (gen, builder) = {
+            let g = self.inner.lock();
+            if let Some((cached, img)) = &g.image {
+                if *cached == g.gen {
+                    return img.clone();
+                }
+            }
+            (g.gen, g.builder.clone())
+        };
+        let img = Arc::new(builder.finish());
+        // Released before relocking so the next push mutates in place.
+        drop(builder);
+        let mut g = self.inner.lock();
+        if g.gen != gen {
+            return img;
+        }
+        // First installer wins, so everyone who materialises this
+        // generation — the sealer included — shares one image.
+        match &g.image {
+            Some((cached, first)) if *cached == gen => first.clone(),
+            _ => {
+                g.image = Some((gen, img.clone()));
+                img
+            }
+        }
+    }
+}
+
+/// The appender's handle on the block currently being filled.
 pub(crate) struct OpenBlock {
     /// The data block this will become (may shift on verify-failure).
     pub db: u64,
-    /// The in-memory builder.
-    pub builder: BlockBuilder,
+    /// The builder, shared with readers through the [`ReadView`].
+    pub shared: Arc<SharedOpenBlock>,
     /// Ids of log files with entries in this block.
     pub ids: BTreeSet<LogFileId>,
     /// Whether the current contents are staged in the device's NV tail.
     pub staged: bool,
 }
 
-/// A block sealed in memory but not yet written to the device — the
-/// *seal* stage of the group-commit pipeline. Queued images are shared
-/// into read snapshots (so readers see them immediately) and drained onto
-/// the medium in one vectored write by the next commit.
-#[derive(Clone)]
-pub(crate) struct SealedBlock {
-    /// The data block this image will occupy.
-    pub db: u64,
-    /// The finished block image.
-    pub image: Arc<Vec<u8>>,
+/// Blocks sealed in memory but not yet written to the device — the
+/// *seal* stage of the group-commit pipeline. The queue is shared into
+/// read snapshots (so readers see sealed blocks immediately), replaced
+/// copy-on-write at each seal, and drained onto the medium in one vectored
+/// write when it reaches `max_batch_blocks`, or by the next commit.
+#[derive(Default)]
+pub(crate) struct SealedQueue {
+    /// The data block `images[0]` will occupy (meaningless when empty).
+    pub first_db: u64,
+    /// Finished block images for the contiguous run of data blocks from
+    /// `first_db`, which starts at the active volume's device end.
+    pub images: Vec<Arc<Vec<u8>>>,
+}
+
+impl SealedQueue {
+    /// The data block just past the queue, if anything is queued.
+    pub(crate) fn end_db(&self) -> Option<u64> {
+        (!self.images.is_empty()).then(|| self.first_db + self.images.len() as u64)
+    }
+
+    /// The queued image of data block `db`, if it is in the queue.
+    pub(crate) fn get(&self, db: u64) -> Option<&Arc<Vec<u8>>> {
+        self.images
+            .get(usize::try_from(db.checked_sub(self.first_db)?).ok()?)
+    }
+
+    /// This queue plus one more sealed block at its end.
+    pub(crate) fn with_pushed(&self, db: u64, image: Arc<Vec<u8>>) -> SealedQueue {
+        debug_assert!(
+            self.end_db().is_none_or(|end| end == db),
+            "gap in the sealed queue"
+        );
+        let mut images = Vec::with_capacity(self.images.len() + 1);
+        images.extend_from_slice(&self.images);
+        images.push(image);
+        SealedQueue {
+            first_db: if self.images.is_empty() {
+                db
+            } else {
+                self.first_db
+            },
+            images,
+        }
+    }
 }
 
 /// All append-side state of one shard, guarded by one lock. Reads never
@@ -187,32 +341,41 @@ pub(crate) struct State {
     /// Final pending maps of sealed (non-active) volumes, by volume index.
     pub sealed_pendings: Arc<Vec<PendingMaps>>,
     pub active_index: u32,
-    /// Frozen clone of `emap.pending()`, refreshed whenever a block seals
-    /// (the only time the pending maps change); shared into snapshots.
-    pub pending_snap: Arc<PendingMaps>,
+    /// Frozen clone of `emap.pending()` shared into snapshots. Dropped
+    /// whenever a block seals or opens (the only times the pending maps
+    /// change) and re-frozen by the next publish — under the same lock
+    /// hold, so a snapshot's pending maps always match its open block and
+    /// `data_end`.
+    pub pending_snap: Option<Arc<PendingMaps>>,
     /// Entrymap records displaced by invalidated blocks, to be written in
     /// the next opened block (§2.3.2).
     pub carryover: Vec<clio_format::EntrymapRecord>,
     /// Invalidated blocks awaiting a bad-block log record.
     pub pending_badblocks: Vec<u64>,
     pub stats: SpaceStats,
-    /// Blocks sealed in memory, awaiting the next commit's vectored write
-    /// (group commit only; always empty on the legacy path). Ordered by
-    /// `db`, contiguous from the active volume's device end.
-    pub sealed_queue: Vec<SealedBlock>,
+    /// Blocks sealed in memory, awaiting a vectored write (group commit
+    /// only; always empty on the legacy path); at most `max_batch_blocks`
+    /// deep. Shared into snapshots; replaced, never mutated.
+    pub sealed_queue: Arc<SealedQueue>,
     /// Forced appends staged since the last commit — what the commit
     /// "covers", for the forced-writes-saved metric.
     pub staged_forced: u64,
     /// Monotone commit sequence: bumped once per staged forced append (or
     /// forced batch); a commit makes every seq up to its snapshot durable.
     pub forced_seq: u64,
+    /// The snapshot most recently published (what the shard's view cell
+    /// holds), kept here so that deciding whether to republish never
+    /// touches the cell readers are taking their snapshots from.
+    pub published: Arc<ReadView>,
 }
 
-/// An immutable snapshot of everything the read path needs, published
-/// via an atomic-swap cell on every visible mutation. Because sealed
-/// blocks are write-once, a snapshot can never go stale *incorrectly* —
-/// at worst it lags by the contents of the open block until the next
-/// publish (bounded staleness; a forced append or flush republishes).
+/// A snapshot of everything the read path needs, published via an
+/// atomic-swap cell whenever one of its fields would differ. Everything
+/// in it is immutable except the open block, which is shared with the
+/// appender and only ever grows — so a buffered append that stays inside
+/// the open block is visible to readers without a publish, and an entry
+/// is readable no later than its receipt is returned (possibly earlier:
+/// a staged forced entry can be read before its commit).
 pub(crate) struct ReadView {
     /// The shard's catalog (full on shard 0, a slice elsewhere) as of the
     /// snapshot.
@@ -225,12 +388,11 @@ pub(crate) struct ReadView {
     pub active_pending: Arc<PendingMaps>,
     /// The active volume's sealed-data watermark at snapshot time.
     pub active_data_end: u64,
-    /// Frozen image of the non-empty open block, if any.
-    pub open: Option<(u64, Arc<Vec<u8>>)>,
-    /// Images of blocks sealed in memory but not yet on the device
-    /// (group-commit queue), ordered by data block. Readers serve these
-    /// exactly like sealed device blocks.
-    pub queued: Vec<(u64, Arc<Vec<u8>>)>,
+    /// The open block and its data block number, if one is open.
+    pub open: Option<(u64, Arc<SharedOpenBlock>)>,
+    /// Blocks sealed in memory but not yet on the device (group-commit
+    /// queue). Readers serve these exactly like sealed device blocks.
+    pub queued: Arc<SealedQueue>,
 }
 
 /// The leader/follower commit gate. A forced appender stages its entry
@@ -316,15 +478,16 @@ impl Shard {
         let catalog = Arc::new(catalog);
         let sealed_pendings = Arc::new(sealed_pendings);
         let pending_snap = Arc::new(emap.pending().clone());
-        let view = ArcCell::new(Arc::new(ReadView {
+        let published = Arc::new(ReadView {
             catalog: catalog.clone(),
             sealed_pendings: sealed_pendings.clone(),
             active_index,
             active_pending: pending_snap.clone(),
             active_data_end: active.data_end(),
             open: None,
-            queued: Vec::new(),
-        }));
+            queued: Arc::default(),
+        });
+        let view = ArcCell::new(published.clone());
         let pshard = obs.per_shard(idx);
         Shard {
             idx,
@@ -344,13 +507,14 @@ impl Shard {
                     open: None,
                     sealed_pendings,
                     active_index,
-                    pending_snap,
+                    pending_snap: Some(pending_snap),
                     carryover: Vec::new(),
                     pending_badblocks: Vec::new(),
                     stats: SpaceStats::default(),
-                    sealed_queue: Vec::new(),
+                    sealed_queue: Arc::default(),
                     staged_forced: 0,
                     forced_seq: 0,
+                    published,
                 },
                 state_class(idx),
             ),
@@ -376,34 +540,47 @@ impl Shard {
         self.cfg.group_commit && !self.cfg.verify_appends
     }
 
-    /// Publishes a fresh [`ReadView`] from the current append-side state.
-    /// Called (with the state lock held) at the end of every mutating
-    /// operation; readers pick it up via a cheap atomic-swap-cell `get`.
-    pub(crate) fn publish_view(&self, st: &State) {
-        let open = st
-            .open
-            .as_ref()
-            .filter(|ob| !ob.builder.is_empty())
-            .map(|ob| (ob.db, Arc::new(ob.builder.finish())));
+    /// Publishes a fresh [`ReadView`] if the current one no longer matches
+    /// the append-side state. Called (with the state lock held) at the end
+    /// of every mutating operation; every field is an `Arc` the state
+    /// replaces on change or a scalar, so the comparison is a handful of
+    /// pointer compares and a buffered append that stays inside the open
+    /// block publishes nothing.
+    pub(crate) fn publish_view(&self, st: &mut State) {
         let active_data_end = self
             .seq
             .volume(st.active_index)
             .map(|v| v.data_end())
             .unwrap_or(0);
-        let queued = st
-            .sealed_queue
-            .iter()
-            .map(|b| (b.db, b.image.clone()))
-            .collect();
-        self.view.set(Arc::new(ReadView {
+        let pending = st
+            .pending_snap
+            .get_or_insert_with(|| Arc::new(st.emap.pending().clone()));
+        let cur = &st.published;
+        let same_open = match (&cur.open, &st.open) {
+            (None, None) => true,
+            (Some((db, blk)), Some(ob)) => *db == ob.db && Arc::ptr_eq(blk, &ob.shared),
+            _ => false,
+        };
+        if same_open
+            && cur.active_data_end == active_data_end
+            && cur.active_index == st.active_index
+            && Arc::ptr_eq(&cur.queued, &st.sealed_queue)
+            && Arc::ptr_eq(&cur.active_pending, pending)
+            && Arc::ptr_eq(&cur.catalog, &st.catalog)
+            && Arc::ptr_eq(&cur.sealed_pendings, &st.sealed_pendings)
+        {
+            return;
+        }
+        st.published = Arc::new(ReadView {
             catalog: st.catalog.clone(),
             sealed_pendings: st.sealed_pendings.clone(),
             active_index: st.active_index,
-            active_pending: st.pending_snap.clone(),
+            active_pending: pending.clone(),
             active_data_end,
-            open,
-            queued,
-        }));
+            open: st.open.as_ref().map(|ob| (ob.db, ob.shared.clone())),
+            queued: st.sealed_queue.clone(),
+        });
+        self.view.set(st.published.clone());
         self.obs.note_view_publish();
     }
 
@@ -433,7 +610,7 @@ impl Shard {
             Arc::make_mut(&mut st.catalog).apply(&rec)?;
             Ok((id, rec))
         })();
-        self.publish_view(&st);
+        self.publish_view(&mut st);
         r
     }
 
@@ -452,7 +629,7 @@ impl Shard {
             Arc::make_mut(&mut st.catalog).apply(&rec)?;
             Ok(rec)
         })();
-        self.publish_view(&st);
+        self.publish_view(&mut st);
         r
     }
 
@@ -462,7 +639,7 @@ impl Shard {
     pub(crate) fn apply_replica(&self, rec: &CatalogRecord) -> Result<()> {
         let mut st = self.state.lock();
         let r = Arc::make_mut(&mut st.catalog).apply(rec);
-        self.publish_view(&st);
+        self.publish_view(&mut st);
         r
     }
 
@@ -473,14 +650,9 @@ impl Shard {
         span.attr("bytes", data.len() as u64);
         span.attr("shard", u64::from(self.idx));
         let start = clio_obs::clock::now();
-        let before = self.obs.device_stats.snapshot().accesses();
+        let before = self.obs.device_stats.accesses();
         let r = self.append_inner(id, data, opts);
-        let blocks = self
-            .obs
-            .device_stats
-            .snapshot()
-            .accesses()
-            .saturating_sub(before);
+        let blocks = self.obs.device_stats.accesses().saturating_sub(before);
         span.attr("blocks", blocks);
         if r.is_err() {
             span.fail("error");
@@ -508,7 +680,7 @@ impl Shard {
             // Republish even on failure: a failed append may still have
             // sealed blocks (fragmentation) the snapshot should reflect.
             if !(group_forced && r.is_ok()) {
-                self.publish_view(&st);
+                self.publish_view(&mut st);
             }
             (r, seq)
         };
@@ -558,10 +730,11 @@ impl Shard {
                 let target = st.forced_seq;
                 gate_span.attr("batch_forced", st.staged_forced);
                 let r = self.commit_locked(&mut st);
-                // Publish once per batch: every follower's entries become
-                // visible (and durable) with this single republish.
+                // Publish once per batch. (The followers' entries have been
+                // readable through the shared open block since they were
+                // staged; this exposes the sealed state they are durable in.)
                 let _publish = self.obs.span("publish");
-                self.publish_view(&st);
+                self.publish_view(&mut st);
                 (r, target)
             };
             let mut gate = self.commit.m.lock();
@@ -650,7 +823,7 @@ impl Shard {
             self.persist_all(&mut st)?;
             self.drain_badblocks(&mut st)
         })();
-        self.publish_view(&st);
+        self.publish_view(&mut st);
         r
     }
 
@@ -665,7 +838,7 @@ impl Shard {
             self.write_sealed_queue(&mut st)?;
             self.drain_badblocks(&mut st)
         })();
-        self.publish_view(&st);
+        self.publish_view(&mut st);
         r
     }
 
@@ -713,7 +886,7 @@ impl Shard {
             })();
             let seq = st.forced_seq;
             if !(group_forced && r.is_ok()) {
-                self.publish_view(&st);
+                self.publish_view(&mut st);
             }
             (r, seq)
         };

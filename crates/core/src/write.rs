@@ -2,6 +2,7 @@
 //! forced writes, volume switching, and corruption handling.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use clio_entrymap::Geometry;
 use clio_format::records::BadBlockRecord;
@@ -10,7 +11,7 @@ use clio_format::{
 };
 use clio_types::{BlockNo, ClioError, LogFileId, Result};
 
-use crate::service::{OpenBlock, SealedBlock, Shard, State};
+use crate::service::{OpenBlock, SealedQueue, Shard, SharedOpenBlock, State};
 use crate::stats::SpaceStats;
 
 /// Bound on seal retries after append-verification failures; repeated
@@ -56,7 +57,7 @@ impl Shard {
         let idx = st.active_index as usize;
         let pending = st.emap.pending().clone();
         // Copy-on-write: snapshots holding the old Vec are unaffected.
-        let sealed = std::sync::Arc::make_mut(&mut st.sealed_pendings);
+        let sealed = Arc::make_mut(&mut st.sealed_pendings);
         while sealed.len() < idx {
             sealed.push(clio_entrymap::PendingMaps::new(pending.geometry()));
         }
@@ -67,7 +68,7 @@ impl Shard {
         self.seq.extend(now)?;
         st.active_index += 1;
         st.emap = clio_entrymap::EntrymapWriter::new(Geometry::new(usize::from(self.cfg.fanout)));
-        st.pending_snap = std::sync::Arc::new(st.emap.pending().clone());
+        st.pending_snap = None;
         // Displaced maps belong to the finished volume's tree; they live on
         // in its preserved pending state, not on the new volume.
         st.carryover.clear();
@@ -92,8 +93,9 @@ impl Shard {
         // clone must advance in lockstep — otherwise the parent level hides
         // a completed sub-group whose notes the snapshot no longer holds,
         // and every entry in that sub-group goes unlocatable until the next
-        // seal (found by the whole-system simulator).
-        st.pending_snap = std::sync::Arc::new(st.emap.pending().clone());
+        // seal (found by the whole-system simulator). Dropping the clone
+        // here makes the publish that exposes this block re-freeze it.
+        st.pending_snap = None;
         r
     }
 
@@ -103,10 +105,7 @@ impl Shard {
         loop {
             // The next fresh block sits past any queued (sealed-in-memory)
             // blocks, which the device end does not yet reflect.
-            let db = st
-                .sealed_queue
-                .last()
-                .map_or_else(|| vol.data_end(), |b| b.db + 1);
+            let db = st.sealed_queue.end_db().unwrap_or_else(|| vol.data_end());
             if db >= vol.data_capacity() {
                 return self.switch_volume(st);
             }
@@ -124,7 +123,7 @@ impl Shard {
             }
             st.open = Some(OpenBlock {
                 db,
-                builder,
+                shared: Arc::new(SharedOpenBlock::new(builder)),
                 ids,
                 staged: false,
             });
@@ -152,11 +151,7 @@ impl Shard {
             });
         }
         let current = st.open.as_ref().map_or_else(
-            || {
-                st.sealed_queue
-                    .last()
-                    .map_or_else(|| vol.data_end(), |b| b.db + 1)
-            },
+            || st.sealed_queue.end_db().unwrap_or_else(|| vol.data_end()),
             |ob| ob.db,
         );
         if current + blocks_needed > vol.data_capacity() {
@@ -191,7 +186,7 @@ impl Shard {
                 .open
                 .as_mut()
                 .expect("invariant: ensure_open left an open block in state");
-            if let PushOutcome::Written(slot) = ob.builder.push(&header, payload) {
+            if let PushOutcome::Written(slot) = ob.shared.push(&header, payload) {
                 ob.ids.insert(header.id);
                 account(
                     &mut st.stats,
@@ -249,15 +244,14 @@ impl Shard {
                 } else {
                     &cont_header
                 };
-                let avail = ob.builder.payload_room(hdr.encoded_len());
+                let avail = ob.shared.payload_room(hdr.encoded_len());
                 let remaining = payload.len() - off;
                 if avail > 0 || (avail == 0 && remaining == 0) {
                     let take = avail.min(remaining);
                     // If everything still fits whole, avoid fragmenting.
                     let use_whole = is_first && take == remaining;
                     let h = if use_whole { &header } else { hdr };
-                    if let PushOutcome::Written(slot) =
-                        ob.builder.push(h, &payload[off..off + take])
+                    if let PushOutcome::Written(slot) = ob.shared.push(h, &payload[off..off + take])
                     {
                         ob.ids.insert(header.id);
                         overhead += h.encoded_len() + 2;
@@ -302,9 +296,9 @@ impl Shard {
             span.fail("error");
         }
         drop(span);
-        // The seal noted blocks in the entrymap writer; refresh the frozen
-        // pending clone that read snapshots share.
-        st.pending_snap = std::sync::Arc::new(st.emap.pending().clone());
+        // The seal noted blocks in the entrymap writer; the next publish
+        // re-freezes the pending clone that read snapshots share.
+        st.pending_snap = None;
         r
     }
 
@@ -317,15 +311,12 @@ impl Shard {
             .take()
             .ok_or_else(|| ClioError::Internal("seal with no open block".into()))?;
         let vol = self.seq.volume(st.active_index)?;
-        let img = ob.builder.finish();
-        let padding = self.cfg.block_size
-            - TRAILER_SIZE
-            - 2 * usize::from(ob.builder.count())
-            - ob.builder.data_len();
+        let img = ob.shared.image();
+        let padding = self.cfg.block_size - TRAILER_SIZE - ob.shared.used_bytes();
         let mut db = ob.db;
         let mut attempts = 0u32;
         loop {
-            if let Err(e) = vol.append_data_block(db, img.clone()) {
+            if let Err(e) = vol.append_data_block(db, img.to_vec()) {
                 // Keep the writer consistent on device failure: the block
                 // stays open (buffered entries preserved) at its current
                 // target, matching the entrymap writer's block sequence,
@@ -336,7 +327,7 @@ impl Shard {
             }
             if self.cfg.verify_appends {
                 let back = vol.read_data_block_direct(db)?;
-                if back != img {
+                if back != *img {
                     attempts += 1;
                     if attempts >= MAX_SEAL_ATTEMPTS {
                         ob.db = db;
@@ -371,28 +362,33 @@ impl Shard {
     }
 
     /// Group-commit seal: finishes the open block into the in-memory
-    /// sealed queue without touching the device. The entrymap and space
-    /// accounting advance exactly as for a device seal; the next commit's
-    /// batched write (or a flush/volume switch) lands it on the medium.
+    /// sealed queue. The entrymap and space accounting advance exactly as
+    /// for a device seal; the queue lands on the medium when it reaches a
+    /// full batch (here), or with the next commit, flush or volume switch.
     /// The block's address is final — group commit never runs with append
-    /// verification, so there is no re-placement.
+    /// verification, so there is no re-placement. A device error from the
+    /// full-batch drain is returned with the block sealed and the
+    /// unwritten suffix still queued.
     fn seal_open_queued(&self, st: &mut State) -> Result<u64> {
         let ob = st
             .open
             .take()
             .ok_or_else(|| ClioError::Internal("seal with no open block".into()))?;
-        let img = ob.builder.finish();
-        let padding = self.cfg.block_size
-            - TRAILER_SIZE
-            - 2 * usize::from(ob.builder.count())
-            - ob.builder.data_len();
+        // The final image stays cached in the shared block, so views
+        // pinned while it was open read exactly what the queue holds.
+        let image = ob.shared.image();
+        let padding = self.cfg.block_size - TRAILER_SIZE - ob.shared.used_bytes();
         let db = ob.db;
-        st.sealed_queue.push(SealedBlock {
-            db,
-            image: std::sync::Arc::new(img),
-        });
+        st.sealed_queue = Arc::new(st.sealed_queue.with_pushed(db, image));
         st.emap.note_block(db, ob.ids.iter().copied());
         st.stats.note_sealed_block(padding, TRAILER_SIZE);
+        // Bound the queue: a full batch goes out now, as the same vectored
+        // write a later flush or commit would have issued for it.
+        let depth = st.sealed_queue.images.len();
+        self.pshard.sealed_queue_blocks.set(depth as i64);
+        if depth >= self.cfg.max_batch_blocks.max(1) {
+            self.write_sealed_queue(st)?;
+        }
         Ok(db)
     }
 
@@ -402,20 +398,25 @@ impl Shard {
     /// resynchronised from the device end) is re-queued, so a later commit
     /// or flush retries it.
     pub(crate) fn write_sealed_queue(&self, st: &mut State) -> Result<(u64, u64)> {
-        if st.sealed_queue.is_empty() {
+        if st.sealed_queue.images.is_empty() {
             return Ok((0, 0));
         }
+        let r = self.write_sealed_queue_inner(st);
+        self.pshard
+            .sealed_queue_blocks
+            .set(st.sealed_queue.images.len() as i64);
+        r
+    }
+
+    fn write_sealed_queue_inner(&self, st: &mut State) -> Result<(u64, u64)> {
         let vol = self.seq.volume(st.active_index)?;
         let queue = std::mem::take(&mut st.sealed_queue);
-        let total = queue.len() as u64;
         let chunk_blocks = self.cfg.max_batch_blocks.max(1);
         let mut writes = 0u64;
         let mut written = 0usize;
-        for chunk in queue.chunks(chunk_blocks) {
-            let first_db = chunk[0].db;
-            let images: Vec<std::sync::Arc<Vec<u8>>> =
-                chunk.iter().map(|b| b.image.clone()).collect();
-            if let Err(e) = vol.append_data_blocks(first_db, &images) {
+        for chunk in queue.images.chunks(chunk_blocks) {
+            let first_db = queue.first_db + written as u64;
+            if let Err(e) = vol.append_data_blocks(first_db, chunk) {
                 // Torn batch: the volume resynchronised its end to what
                 // actually landed. (On a tail-staging device the end can
                 // overshoot by the staged block; in-tree pools never stack
@@ -424,13 +425,17 @@ impl Shard {
                     .data_end()
                     .saturating_sub(first_db)
                     .min(chunk.len() as u64) as usize;
-                st.sealed_queue = queue[written + landed..].to_vec();
+                let done = written + landed;
+                st.sealed_queue = Arc::new(SealedQueue {
+                    first_db: queue.first_db + done as u64,
+                    images: queue.images[done..].to_vec(),
+                });
                 return Err(e);
             }
             writes += 1;
             written += chunk.len();
         }
-        Ok((writes, total))
+        Ok((writes, written as u64))
     }
 
     /// The commit stage of the group-commit pipeline (state lock held):
@@ -444,10 +449,13 @@ impl Shard {
         let mut tail_stage = None;
         if let Some(ob) = st.open.as_mut() {
             if vol.supports_tail_rewrite() {
-                tail_stage = Some((ob.db, ob.builder.finish()));
-            } else if !ob.builder.is_empty() {
-                ob.builder.flags_mut().sealed_early = true;
-                self.seal_open(st)?;
+                tail_stage = Some((ob.db, ob.shared.image().to_vec()));
+            } else if ob.shared.count() > 0 {
+                ob.shared.mark_sealed_early();
+                if let Err(e) = self.seal_open(st) {
+                    st.staged_forced += covered;
+                    return Err(e);
+                }
             }
         }
         // Queue first, tail second: the tail rewrite targets the block
@@ -501,17 +509,16 @@ impl Shard {
         };
         let vol = self.seq.volume(st.active_index)?;
         if vol.supports_tail_rewrite() {
-            let img = ob.builder.finish();
-            vol.rewrite_tail_data(ob.db, img)?;
+            vol.rewrite_tail_data(ob.db, ob.shared.image().to_vec())?;
             ob.staged = true;
             return Ok(Some(ob.db));
         }
-        if ob.builder.is_empty() {
+        if ob.shared.count() == 0 {
             // Nothing buffered — sealing an empty block would only waste
             // write-once space.
             return Ok(Some(ob.db));
         }
-        ob.builder.flags_mut().sealed_early = true;
+        ob.shared.mark_sealed_early();
         Ok(Some(self.seal_open(st)?))
     }
 

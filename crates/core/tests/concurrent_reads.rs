@@ -74,8 +74,8 @@ fn readers_race_a_live_writer() {
                 };
                 let r = svc.append(id, &payload(i), opts).unwrap();
                 // The receipt must be readable immediately, before any
-                // flush: buffered entries live in the published snapshot's
-                // frozen open-block image.
+                // flush: buffered entries live in the open block the
+                // published snapshot shares with the appender.
                 let e = svc.read_entry(r.addr).unwrap();
                 assert_eq!(e.data, payload(i));
                 receipts.lock().push(r.addr);
@@ -160,6 +160,86 @@ fn readers_race_a_live_writer() {
     assert_eq!(hits, totals.hits);
     assert_eq!(misses, totals.misses);
     assert!(cache.len() <= svc.config().cache_blocks);
+}
+
+/// Readers hammer the newest receipts — entries still in the open block,
+/// or in a block that sealed a moment ago — while the writer fills and
+/// seals block after block with buffered appends. The open block is shared
+/// with the appender rather than republished per append, so this is the
+/// race the shared block's leaf mutex exists for: every read must return
+/// the intact entry, and the writer must not have published per append.
+#[test]
+fn readers_hammer_the_open_block_while_the_writer_fills_and_seals_it() {
+    const ENTRIES: u64 = 3000;
+    const READERS: usize = 3;
+
+    let svc = service();
+    svc.create_log("/hot").unwrap();
+    let receipts: Arc<Mutex<Vec<clio_types::EntryAddr>>> =
+        Arc::new(Mutex::new(Vec::with_capacity(ENTRIES as usize)));
+    let done = Arc::new(AtomicBool::new(false));
+    let start = Arc::new(std::sync::Barrier::new(READERS + 1));
+    let publishes = svc.metrics().counter("clio_core_view_publishes_total");
+    let publishes_before = publishes.get();
+    let sealed_before = svc.report().blocks_sealed;
+
+    let readers: Vec<_> = (0..READERS)
+        .map(|_| {
+            let (svc, receipts, done, start) =
+                (svc.clone(), receipts.clone(), done.clone(), start.clone());
+            std::thread::spawn(move || {
+                start.wait();
+                let mut newest_seen = 0u64;
+                let mut reads = 0u64;
+                loop {
+                    let finished = done.load(Ordering::Acquire);
+                    // The newest few receipts: the open block's entries.
+                    let tail: Vec<_> = {
+                        let g = receipts.lock();
+                        g.iter().rev().take(4).copied().collect()
+                    };
+                    for addr in &tail {
+                        let e = svc.read_entry(*addr).unwrap();
+                        check_payload(&e.data);
+                        assert_eq!(e.addr, *addr);
+                        reads += 1;
+                    }
+                    if let Some(addr) = tail.first() {
+                        let data = svc.read_entry(*addr).unwrap().data;
+                        let i = u64::from_le_bytes(data[..8].try_into().unwrap());
+                        assert!(i >= newest_seen, "newest receipt went backwards");
+                        newest_seen = i;
+                    }
+                    if finished {
+                        break;
+                    }
+                }
+                assert_eq!(newest_seen, ENTRIES - 1);
+                reads
+            })
+        })
+        .collect();
+
+    let id = svc.resolve("/hot").unwrap();
+    start.wait();
+    for i in 0..ENTRIES {
+        let r = svc.append(id, &payload(i), AppendOpts::standard()).unwrap();
+        receipts.lock().push(r.addr);
+    }
+    done.store(true, Ordering::Release);
+    for r in readers {
+        assert!(r.join().unwrap() > 0);
+    }
+
+    let sealed = svc.report().blocks_sealed - sealed_before;
+    assert!(sealed > 100, "the writer must fill and seal many blocks");
+    let published = publishes.get() - publishes_before;
+    assert!(
+        published <= sealed + 2,
+        "{published} publishes for {sealed} sealed blocks: readers were served by republishing"
+    );
+    let mut cur = svc.cursor("/hot").unwrap();
+    assert_eq!(cur.collect_remaining().unwrap().len() as u64, ENTRIES);
 }
 
 /// Readers make progress while the append-side state mutex is *held*: the

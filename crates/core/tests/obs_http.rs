@@ -226,6 +226,7 @@ fn metrics_exposition_is_valid_prometheus_with_per_log_labels() {
             format!("clio_shard_commits_total{{shard=\"{s}\"}}"),
             format!("clio_shard_leader_elections_total{{shard=\"{s}\"}}"),
             format!("clio_shard_commit_batch_blocks_bucket{{shard=\"{s}\""),
+            format!("clio_core_shard{s}_sealed_queue_blocks "),
         ] {
             assert!(body.contains(&series), "missing {series} in:\n{body}");
         }

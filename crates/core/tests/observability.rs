@@ -229,6 +229,17 @@ fn flush_republishes_when_only_the_sealed_queue_advanced() {
         svc.append_path("/q", &p, AppendOpts::standard()).unwrap();
     }
     let dev_end_before = svc.volumes().active().data_end();
+    // The queue-depth gauge shows exactly the blocks sealed but unwritten.
+    let queued = gauge(svc.metrics(), "clio_core_shard0_sealed_queue_blocks");
+    assert!(
+        queued > 0,
+        "whole blocks of buffered entries must be queued"
+    );
+    assert_eq!(
+        queued as u64,
+        svc.report().blocks_sealed - dev_end_before,
+        "gauge disagrees with sealed-but-unwritten blocks"
+    );
     let publishes_before = counter(svc.metrics(), "clio_core_view_publishes_total");
     let device_appends_before = counter(svc.metrics(), "clio_device_appends_total");
     // Read-your-writes from the in-memory queue, before any device write.
@@ -252,14 +263,26 @@ fn flush_republishes_when_only_the_sealed_queue_advanced() {
         "flush did not republish the read snapshot"
     );
     assert!(counter(svc.metrics(), "clio_device_appends_total") > device_appends_before);
+    // The drain emptied the queue, and the exposition says so.
+    assert_eq!(
+        gauge(svc.metrics(), "clio_core_shard0_sealed_queue_blocks"),
+        0
+    );
+    assert!(svc
+        .metrics_text()
+        .contains("clio_core_shard0_sealed_queue_blocks 0"));
     // Group-commit collectors saw the batch.
     assert!(counter(svc.metrics(), "clio_core_group_commit_batches_total") >= 1);
     assert!(histogram(svc.metrics(), "clio_core_group_commit_batch_blocks").count >= 1);
 
-    // An idempotent flush still republishes (watermark already current).
+    // An idempotent flush changes nothing a reader could see, so it
+    // publishes nothing.
     let publishes = counter(svc.metrics(), "clio_core_view_publishes_total");
     svc.flush().unwrap();
-    assert!(counter(svc.metrics(), "clio_core_view_publishes_total") > publishes);
+    assert_eq!(
+        counter(svc.metrics(), "clio_core_view_publishes_total"),
+        publishes
+    );
 
     // Everything reads back after the flush.
     let mut cur = svc.cursor("/q").unwrap();

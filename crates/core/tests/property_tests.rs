@@ -4,12 +4,13 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use clio_core::service::{AppendOpts, Durability, LogService};
+use clio_core::service::{AppendOpts, Durability, LogService, SharedOpenBlock};
 use clio_core::ServiceConfig;
+use clio_format::{BlockBuilder, BlockView, EntryForm, EntryHeader, PushOutcome};
 use clio_testkit::prop::{
-    any_u32, any_u64, bools, check, just, option_of, pair, u16s, u8s, vec_of, weighted, Gen,
+    any_u32, any_u64, bools, bytes, check, just, option_of, pair, u16s, u8s, vec_of, weighted, Gen,
 };
-use clio_types::{ManualClock, SeqNo, Timestamp, VolumeSeqId};
+use clio_types::{LogFileId, ManualClock, SeqNo, Timestamp, VolumeSeqId};
 use clio_volume::MemDevicePool;
 
 /// One modelled operation.
@@ -191,4 +192,43 @@ fn crash_never_loses_forced_prefix() {
             );
         }
     });
+}
+
+/// The shared open block defers `finish()` to whoever reads it; whatever
+/// the interleaving of pushes and reads, each materialised image must be
+/// what an eager `finish()` after the same pushes would have produced.
+#[test]
+fn materialised_open_block_images_equal_eager_finish() {
+    // (payload, timestamped header?, read the block after this push?)
+    let step = pair(&bytes(0..90), &pair(&bools(), &bools()));
+    let g = pair(&vec_of(&step, 0..40), &any_u64());
+    check(
+        "materialised_open_block_images_equal_eager_finish",
+        256,
+        &g,
+        |(steps, first_ts)| {
+            let mut eager = BlockBuilder::new(256, Timestamp(*first_ts));
+            let shared = SharedOpenBlock::new(eager.clone());
+            for (i, (payload, (timestamped, read))) in steps.iter().enumerate() {
+                let header = if *timestamped {
+                    let ts = Some(Timestamp(i as u64));
+                    EntryHeader::new(LogFileId(9), EntryForm::Timestamped, ts, None)
+                } else {
+                    EntryHeader::new(LogFileId(8), EntryForm::Minimal, None, None)
+                };
+                // Records that do not fit are refused by both, identically.
+                let out = shared.push(&header, payload);
+                assert_eq!(out, eager.push(&header, payload));
+                if *read || matches!(out, PushOutcome::NoSpace { .. }) {
+                    let img = shared.image();
+                    let view = BlockView::parse(&img).expect("image carries a valid CRC");
+                    assert_eq!(view.count(), eager.count());
+                    assert_eq!(*img, eager.finish());
+                    // An unchanged block is served from the cache.
+                    assert!(Arc::ptr_eq(&img, &shared.image()));
+                }
+            }
+            assert_eq!(*shared.image(), eager.finish());
+        },
+    );
 }

@@ -431,28 +431,31 @@ fn multi_volume_spanning() {
     assert!(svc.resolve("/span").is_ok());
 }
 
+/// A pool of in-memory write-once devices behind fault injectors; tests
+/// arm faults on the most recently handed-out device.
+#[derive(Default)]
+struct FaultyPool(clio_testkit::sync::Mutex<Option<Arc<FaultyDevice>>>);
+
+impl FaultyPool {
+    fn device(&self) -> Arc<FaultyDevice> {
+        self.0.lock().clone().expect("a device was handed out")
+    }
+}
+
+impl DevicePool for FaultyPool {
+    fn next_device(&self) -> clio_types::Result<SharedDevice> {
+        let base: SharedDevice = Arc::new(MemWormDevice::new(256, 4096));
+        let faulty = Arc::new(FaultyDevice::new(base, FaultPlan::default()));
+        *self.0.lock() = Some(faulty.clone());
+        Ok(faulty)
+    }
+}
+
 #[test]
 fn corruption_is_invalidated_and_other_data_survives() {
     // A fault injector corrupts one append; with verification on, the
     // service invalidates the block, re-places it, and logs a bad block.
-    struct OneShotPool {
-        dev: clio_testkit::sync::Mutex<Option<SharedDevice>>,
-        faulty: clio_testkit::sync::Mutex<Option<Arc<FaultyDevice>>>,
-    }
-    impl DevicePool for OneShotPool {
-        fn next_device(&self) -> clio_types::Result<SharedDevice> {
-            let base: SharedDevice = Arc::new(MemWormDevice::new(256, 4096));
-            let faulty = Arc::new(FaultyDevice::new(base, FaultPlan::default()));
-            *self.faulty.lock() = Some(faulty.clone());
-            let dev: SharedDevice = faulty;
-            *self.dev.lock() = Some(dev.clone());
-            Ok(dev)
-        }
-    }
-    let pool = Arc::new(OneShotPool {
-        dev: clio_testkit::sync::Mutex::new(None),
-        faulty: clio_testkit::sync::Mutex::new(None),
-    });
+    let pool = Arc::new(FaultyPool::default());
     let cfg = ServiceConfig::small().with_verified_appends();
     let svc = LogService::create(VolumeSeqId(6), pool.clone(), cfg.clone(), clock()).unwrap();
     svc.create_log("/d").unwrap();
@@ -460,7 +463,7 @@ fn corruption_is_invalidated_and_other_data_survives() {
         .unwrap();
 
     // Corrupt exactly the next device append.
-    pool.faulty.lock().as_ref().unwrap().corrupt_next_append();
+    pool.device().corrupt_next_append();
     let r = svc
         .append_path("/d", b"critical", AppendOpts::forced())
         .unwrap();
@@ -842,5 +845,179 @@ fn regression_entries_locatable_while_boundary_block_open() {
         let mut cur = svc.cursor("/sparse").unwrap();
         let got = cur.collect_remaining().unwrap().len();
         assert_eq!(got, sparse_written, "after append {i}: entry unlocatable");
+    }
+}
+
+/// PR 12's benchmark found `read_entry` answering `NotFound("fragment
+/// chain of entry … broken at block 4096")` at 576 logs: the entrymap
+/// records due at a boundary overflowed one block, so the writer sealed a
+/// block of nothing but map records and a fragmented entry's continuation
+/// landed one block further on — which the reader took for a torn chain.
+/// Here 120 logs overflow a 256-byte block at every 4-block boundary.
+#[test]
+fn regression_fragment_chain_skips_entrymap_overflow_block() {
+    use clio_format::{BlockView, FragKind};
+
+    let svc = small_service();
+    let names: Vec<String> = (0..120).map(|i| format!("/l{i}")).collect();
+    for n in &names {
+        svc.create_log(n).unwrap();
+    }
+    svc.create_log("/big").unwrap();
+    let mut big = Vec::new();
+    for round in 0..40u8 {
+        let payload = vec![round; 300];
+        let r = svc
+            .append_path("/big", &payload, AppendOpts::standard())
+            .unwrap();
+        big.push((r.addr, payload));
+        for n in &names {
+            svc.append_path(n, &[round], AppendOpts::minimal()).unwrap();
+        }
+    }
+    svc.flush().unwrap();
+
+    // The layout under test really occurred: a first fragment closing one
+    // block, then a block holding only entrymap records.
+    let vol = svc.volumes().active();
+    let records = |db: u64| -> Vec<(LogFileId, FragKind)> {
+        let img = vol.read_data_block(db).unwrap();
+        let blk = BlockView::parse(&img).unwrap();
+        blk.entries()
+            .map(|e| e.unwrap().header)
+            .map(|h| (h.id, h.frag))
+            .collect()
+    };
+    let straddles = (1..vol.data_end())
+        .filter(|&db| {
+            let maps_only = records(db).iter().all(|(id, _)| *id == LogFileId::ENTRYMAP);
+            let prev = records(db - 1);
+            maps_only && matches!(prev.last(), Some((_, FragKind::First { .. })))
+        })
+        .count();
+    assert!(straddles > 0, "no chain crossed a maps-only block");
+
+    for (addr, payload) in &big {
+        let e = svc.read_entry(*addr).unwrap();
+        assert_eq!(&e.data, payload, "entry {addr}");
+    }
+    let mut cur = svc.cursor("/big").unwrap();
+    assert_eq!(cur.collect_remaining().unwrap().len(), big.len());
+}
+
+/// A buffered append costs the same at any queue depth: it publishes no
+/// snapshot while it stays inside the open block, and the sealed queue is
+/// drained every `max_batch_blocks` seals instead of growing until the
+/// next flush. Counts only — no wall clock.
+#[test]
+fn publish_is_flat_in_queue_depth() {
+    let cfg = ServiceConfig {
+        block_size: 1024,
+        ..ServiceConfig::small().with_group_commit(true)
+    };
+    let batch = cfg.max_batch_blocks as u64;
+    let svc = LogService::create(
+        VolumeSeqId(1),
+        Arc::new(MemDevicePool::new(1024, 1 << 14)),
+        cfg,
+        clock(),
+    )
+    .unwrap();
+    let id = svc.create_log("/audit").unwrap();
+    let publishes = svc.metrics().counter("clio_core_view_publishes_total");
+    let queue_depth = svc.metrics().gauge("clio_core_shard0_sealed_queue_blocks");
+    let publishes_before = publishes.get();
+    let sealed_before = svc.report().blocks_sealed;
+    let dev_before = svc.obs().device_stats.snapshot();
+
+    for i in 0..20_000u32 {
+        let mut payload = i.to_le_bytes().to_vec();
+        payload.resize(64, b'a');
+        let r = svc.append(id, &payload, AppendOpts::standard()).unwrap();
+        // Readable no later than the receipt, with nothing flushed.
+        assert_eq!(svc.read_entry(r.addr).unwrap().data, payload);
+        assert!(queue_depth.get() < batch as i64, "queue over a full batch");
+    }
+
+    let sealed = svc.report().blocks_sealed - sealed_before;
+    assert!(sealed > 20 * batch, "the run must span many drains");
+    let published = publishes.get() - publishes_before;
+    assert!(
+        published <= sealed + 2,
+        "{published} publishes for {sealed} sealed blocks"
+    );
+    // Everything that reached the device went as full-batch vectored
+    // writes; the rest is still queued or open.
+    let dev = svc.obs().device_stats.snapshot();
+    let writes = dev.batch_appends - dev_before.batch_appends;
+    assert_eq!(writes, sealed / batch);
+    assert_eq!(dev.batch_blocks - dev_before.batch_blocks, writes * batch);
+    assert_eq!(dev.appends - dev_before.appends, writes * batch);
+    assert_eq!(queue_depth.get() as u64, sealed % batch);
+}
+
+/// A device error during the full-batch drain: the append that triggered
+/// it reports the error, the unwritten suffix stays queued (and readable),
+/// and a later flush lands every block exactly once.
+#[test]
+fn failed_threshold_drain_keeps_the_suffix_queued() {
+    let pool = Arc::new(FaultyPool::default());
+    let cfg = ServiceConfig {
+        max_batch_blocks: 4,
+        ..ServiceConfig::small().with_group_commit(true)
+    };
+    let svc = LogService::create(VolumeSeqId(1), pool.clone(), cfg, clock()).unwrap();
+    let id = svc.create_log("/d").unwrap();
+    let queue_depth = svc.metrics().gauge("clio_core_shard0_sealed_queue_blocks");
+    let payload = |i: u32| {
+        let mut p = i.to_le_bytes().to_vec();
+        p.resize(60, b'd');
+        p
+    };
+
+    // Queue three sealed blocks, then arm the tear: the drain of the
+    // fourth lands two blocks and fails.
+    let mut acked = Vec::new();
+    let mut i = 0u32;
+    while queue_depth.get() < 3 {
+        acked.push(svc.append(id, &payload(i), AppendOpts::standard()).unwrap());
+        i += 1;
+    }
+    let data_end = svc.volumes().active().data_end();
+    pool.device().tear_next_batch_after(2);
+    let err = loop {
+        match svc.append(id, &payload(i), AppendOpts::standard()) {
+            Ok(r) => acked.push(r),
+            Err(e) => break e,
+        }
+        i += 1;
+    };
+    assert!(matches!(err, ClioError::Io(_)), "{err:?}");
+    assert_eq!(svc.volumes().active().data_end(), data_end + 2);
+    assert_eq!(queue_depth.get(), 2, "the unwritten suffix stays queued");
+    for (n, r) in acked.iter().enumerate() {
+        assert_eq!(svc.read_entry(r.addr).unwrap().data, payload(n as u32));
+    }
+
+    // The service keeps going, and a flush retries the suffix.
+    for n in 0..10u32 {
+        acked.push(
+            svc.append(id, &payload(i + 1 + n), AppendOpts::standard())
+                .unwrap(),
+        );
+    }
+    svc.flush().unwrap();
+    assert_eq!(queue_depth.get(), 0);
+    assert_eq!(
+        svc.volumes().active().data_end(),
+        svc.report().blocks_sealed,
+        "every sealed block is on the write-once medium exactly once"
+    );
+    svc.cache().clear();
+    let mut cur = svc.cursor("/d").unwrap();
+    let got: Vec<_> = cur.collect_remaining().unwrap();
+    assert_eq!(got.len(), acked.len());
+    for (e, r) in got.iter().zip(&acked) {
+        assert_eq!(e.addr, r.addr);
     }
 }

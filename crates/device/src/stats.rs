@@ -136,6 +136,11 @@ impl std::fmt::Display for StatsSnapshot {
     }
 }
 
+/// A statistics counter's current value (publishes nothing: `Relaxed`).
+fn ld(counter: &AtomicU64) -> u64 {
+    counter.load(Ordering::Relaxed)
+}
+
 impl DeviceStats {
     /// Creates a fresh, zeroed stats block.
     #[must_use]
@@ -174,24 +179,41 @@ impl DeviceStats {
         }
     }
 
+    /// Block reads served so far.
+    ///
+    /// With [`DeviceStats::accesses`], the per-op span attributes read
+    /// just the counters they need instead of a whole
+    /// [`DeviceStats::snapshot`].
+    #[must_use]
+    pub fn reads(&self) -> u64 {
+        ld(&self.reads)
+    }
+
+    /// Total physical block accesses so far (reads + appends + probes);
+    /// see [`StatsSnapshot::accesses`].
+    #[must_use]
+    pub fn accesses(&self) -> u64 {
+        ld(&self.reads) + ld(&self.appends) + ld(&self.end_probes)
+    }
+
     /// Copies the counters.
     #[must_use]
     pub fn snapshot(&self) -> StatsSnapshot {
         StatsSnapshot {
-            reads: self.reads.load(Ordering::Relaxed),
-            appends: self.appends.load(Ordering::Relaxed),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
-            tail_rewrites: self.tail_rewrites.load(Ordering::Relaxed),
-            end_probes: self.end_probes.load(Ordering::Relaxed),
-            read_errors: self.read_errors.load(Ordering::Relaxed),
-            append_errors: self.append_errors.load(Ordering::Relaxed),
-            invalidate_errors: self.invalidate_errors.load(Ordering::Relaxed),
-            tail_rewrite_errors: self.tail_rewrite_errors.load(Ordering::Relaxed),
-            probe_errors: self.probe_errors.load(Ordering::Relaxed),
-            seeks: self.seeks.load(Ordering::Relaxed),
-            seek_distance: self.seek_distance.load(Ordering::Relaxed),
-            batch_appends: self.batch_appends.load(Ordering::Relaxed),
-            batch_blocks: self.batch_blocks.load(Ordering::Relaxed),
+            reads: ld(&self.reads),
+            appends: ld(&self.appends),
+            invalidations: ld(&self.invalidations),
+            tail_rewrites: ld(&self.tail_rewrites),
+            end_probes: ld(&self.end_probes),
+            read_errors: ld(&self.read_errors),
+            append_errors: ld(&self.append_errors),
+            invalidate_errors: ld(&self.invalidate_errors),
+            tail_rewrite_errors: ld(&self.tail_rewrite_errors),
+            probe_errors: ld(&self.probe_errors),
+            seeks: ld(&self.seeks),
+            seek_distance: ld(&self.seek_distance),
+            batch_appends: ld(&self.batch_appends),
+            batch_blocks: ld(&self.batch_blocks),
         }
     }
 

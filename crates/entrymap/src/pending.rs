@@ -8,16 +8,22 @@
 //! entrymap entries.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use clio_types::{LogFileId, SmallBitmap};
 
 use crate::geometry::Geometry;
 
 /// Per-level accumulating bitmaps for the current (incomplete) group.
+///
+/// Levels are copy-on-write: the log service freezes a clone into every
+/// read snapshot it publishes, and a clone shares each level until the
+/// writer next touches it — between two boundaries that is level 1 only,
+/// so a snapshot costs one level's maps, not the whole tree's.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PendingMaps {
     geo: Geometry,
-    levels: Vec<LevelPending>,
+    levels: Vec<Arc<LevelPending>>,
 }
 
 /// One level's in-progress group.
@@ -35,10 +41,10 @@ impl PendingMaps {
     pub fn new(geo: Geometry) -> PendingMaps {
         PendingMaps {
             geo,
-            levels: vec![LevelPending {
+            levels: vec![Arc::new(LevelPending {
                 group: 0,
                 maps: BTreeMap::new(),
-            }],
+            })],
         }
     }
 
@@ -55,18 +61,20 @@ impl PendingMaps {
     }
 
     pub(crate) fn level(&self, level: u8) -> Option<&LevelPending> {
-        self.levels.get(usize::from(level.checked_sub(1)?))
+        self.levels
+            .get(usize::from(level.checked_sub(1)?))
+            .map(|lp| &**lp)
     }
 
     pub(crate) fn level_mut(&mut self, level: u8) -> &mut LevelPending {
         let idx = usize::from(level - 1);
         while self.levels.len() <= idx {
-            self.levels.push(LevelPending {
+            self.levels.push(Arc::new(LevelPending {
                 group: 0,
                 maps: BTreeMap::new(),
-            });
+            }));
         }
-        &mut self.levels[idx]
+        Arc::make_mut(&mut self.levels[idx])
     }
 
     /// Sets bit `bit` for `id` in the current group at `level`.

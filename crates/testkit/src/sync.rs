@@ -447,9 +447,12 @@ impl<T> ArcCell<T> {
         self.inner.lock().clone()
     }
 
-    /// Publishes `value`, replacing the current snapshot.
+    /// Publishes `value`, replacing the current snapshot. The replaced
+    /// snapshot is dropped after the cell's lock is released: its
+    /// destructor may be arbitrary user code (a whole read view), and
+    /// every reader's `get` would wait behind it.
     pub fn set(&self, value: std::sync::Arc<T>) {
-        *self.inner.lock() = value;
+        drop(self.swap(value));
     }
 
     /// Publishes `value` and returns the snapshot it replaced.
@@ -659,6 +662,43 @@ mod tests {
         let c2 = cell.clone();
         let t = std::thread::spawn(move || *c2.get());
         assert!(matches!(t.join().unwrap(), 3));
+    }
+
+    #[test]
+    fn arc_cell_set_drops_the_replaced_snapshot_outside_the_lock() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::OnceLock;
+
+        /// A snapshot whose destructor checks whether its cell is locked.
+        struct Snap {
+            cell: OnceLock<Arc<ArcCell<Snap>>>,
+            cell_was_free: Arc<AtomicBool>,
+        }
+        impl Drop for Snap {
+            fn drop(&mut self) {
+                if let Some(cell) = self.cell.get() {
+                    let free = cell.inner.try_lock().is_some();
+                    self.cell_was_free.store(free, Ordering::SeqCst);
+                }
+            }
+        }
+        let cell_was_free = Arc::new(AtomicBool::new(false));
+        let snap = |flag: &Arc<AtomicBool>| {
+            Arc::new(Snap {
+                cell: OnceLock::new(),
+                cell_was_free: flag.clone(),
+            })
+        };
+        let first = snap(&cell_was_free);
+        let cell = Arc::new(ArcCell::new(first.clone()));
+        assert!(first.cell.set(cell.clone()).is_ok());
+        drop(first);
+        // The cell holds the last reference: `set` runs the destructor.
+        cell.set(snap(&Arc::new(AtomicBool::new(false))));
+        assert!(
+            cell_was_free.load(Ordering::SeqCst),
+            "the replaced snapshot was dropped under the cell's lock"
+        );
     }
 
     #[test]

@@ -71,9 +71,9 @@ CLIO_GROUP_COMMIT=0 cargo test -q --offline -p clio-core
 echo "==> CLIO_SIM_SEEDS=25 cargo test -q --release --offline -p clio-core --test simulation"
 CLIO_SIM_SEEDS=25 cargo test -q --release --offline -p clio-core --test simulation
 
-# Concurrency model checking: the four protocol models (commit gate,
-# ArcCell publish, single-flight, sealed-queue drain) plus the canary
-# suite under the larger release budget (2,000 DFS + 2,000 random
+# Concurrency model checking: the five protocol models (commit gate,
+# ArcCell publish, single-flight, sealed-queue drain, shared open block)
+# plus the canary suite under the larger release budget (2,000 DFS + 2,000 random
 # schedules per model). A failure prints both access sites and a
 # CLIO_CHECK_REPLAY=<seed>:<index> line that re-runs the exact schedule.
 # (The 1,000-schedule debug budget already ran in the workspace pass.)
@@ -81,7 +81,7 @@ echo "==> CLIO_MODEL_CHECK=1 cargo test -q --release --offline -p clio-core --te
 CLIO_MODEL_CHECK=1 cargo test -q --release --offline -p clio-core \
     --test model_commit_gate --test model_arccell_publish \
     --test model_single_flight --test model_sealed_queue \
-    --test model_canary
+    --test model_open_block_publish --test model_canary
 
 # The model checker's own scheduler is unsafe-free but relies on subtle
 # std primitives; run its crate under miri wherever the toolchain ships
