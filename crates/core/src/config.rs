@@ -21,9 +21,11 @@ pub struct ServiceConfig {
     /// concurrent readers; `1` restores the exact global-LRU behaviour
     /// the cache-behaviour experiments (Table 1, §4) were measured with.
     pub cache_shards: usize,
-    /// Read back and parse every appended block, invalidating and
-    /// re-writing it at the next block on failure (§2.3.2). Costs one
-    /// device read per append; required for the fault-injection tests.
+    /// Read back every block as it is appended, invalidating and
+    /// re-writing it at the next block on mismatch (§2.3.2). Each seal
+    /// then writes its block at once (one device write and one device
+    /// read per block, no batching across seals); required for the
+    /// fault-injection tests.
     pub verify_appends: bool,
     /// Maximum client/server clock skew (µs) tolerated when resolving a
     /// client-generated unique id (§2.1: "its correctness depends on the
@@ -32,12 +34,9 @@ pub struct ServiceConfig {
     pub unique_id_skew_us: u64,
     /// Capacity of the per-service op trace ring (0 disables tracing).
     pub trace_events: usize,
-    /// Group commit (§2.3.1 spirit, Hagmann-style): sealed blocks are
-    /// queued in memory and forced appends coalesce into one vectored
-    /// device write under a leader/follower protocol. Off restores the
-    /// legacy one-device-write-per-forced-append path for A/B runs.
-    /// `Default` honours the `CLIO_GROUP_COMMIT` environment variable
-    /// (`0` = off) so test suites can A/B without code changes.
+    /// Inert: group commit is the only append pipeline and nothing reads
+    /// this. The field survives solely because the `perf/` benchmark names
+    /// it in a struct literal; it goes with the next benchmark change.
     pub group_commit: bool,
     /// Largest number of blocks one vectored write may carry, and so the
     /// deepest the in-memory sealed queue gets: the seal that fills a
@@ -72,7 +71,7 @@ impl Default for ServiceConfig {
             verify_appends: false,
             unique_id_skew_us: 5_000_000,
             trace_events: 512,
-            group_commit: std::env::var("CLIO_GROUP_COMMIT").map_or(true, |v| v != "0"),
+            group_commit: true,
             max_batch_blocks: 64,
             commit_wait_us: 0,
             shards: 4,
@@ -139,14 +138,6 @@ impl ServiceConfig {
         self
     }
 
-    /// Enables or disables group commit (see
-    /// [`ServiceConfig::group_commit`]).
-    #[must_use]
-    pub fn with_group_commit(mut self, on: bool) -> ServiceConfig {
-        self.group_commit = on;
-        self
-    }
-
     /// Sets the HTTP observability bind address (see
     /// [`ServiceConfig::http_addr`]).
     #[must_use]
@@ -173,7 +164,6 @@ mod tests {
         assert_eq!(c.shards, 4);
         assert_eq!(ServiceConfig::small().shards, 1);
         assert_eq!(ServiceConfig::small().with_shards(8).shards, 8);
-        assert!(!ServiceConfig::small().with_group_commit(false).group_commit);
         assert!(c.http_addr.is_none());
         assert_eq!(
             ServiceConfig::small()

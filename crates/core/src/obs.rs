@@ -264,7 +264,7 @@ impl ServiceObs {
     /// staged forced appends it covered, and how many physical device
     /// writes it took. "Writes saved" is the forced appends covered beyond
     /// the device writes the batch actually issued (a lone forced append
-    /// commits with one write, saving nothing — exactly the legacy cost).
+    /// commits with one write, saving nothing).
     pub fn note_group_commit(&self, blocks: u64, forced_covered: u64, device_writes: u64) {
         self.group_commit_batches.inc();
         self.group_commit_batch_blocks.record(blocks);

@@ -38,6 +38,7 @@ use clio_types::{BlockNo, ClioError, EntryAddr, LogFileId, Result, SeqNo, Timest
 use clio_volume::Volume;
 
 use crate::service::{globalize_addr, LogService, ReadView, SealedQueue, Shard, SharedOpenBlock};
+use crate::write::MAX_SEAL_ATTEMPTS;
 
 /// A fully reassembled log entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -91,6 +92,30 @@ impl VolSource<'_> {
     /// explicitly.
     fn open_db(&self) -> Option<u64> {
         self.open.map(|(db, _)| db)
+    }
+
+    /// Reads block `db`, or its re-placement if `db` was invalidated after
+    /// addresses into it were issued: append verification re-places an
+    /// image, slots unchanged, within one seal's retries, behind nothing
+    /// but invalidated blocks, and stamps it with the distance (§2.3.2).
+    /// Blocks that merely follow an invalidated one (a torn tail recovery
+    /// burned, then unrelated entries) carry no such stamp, and the
+    /// invalidated image itself is the answer.
+    fn read_placed(&self, db: u64) -> Result<(u64, Arc<Vec<u8>>)> {
+        let img = self.read(db)?;
+        if BlockView::is_invalidated(&img) {
+            let window = db + u64::from(MAX_SEAL_ATTEMPTS);
+            for cand in db + 1..window.min(self.data_end()) {
+                let moved = self.read(cand)?;
+                if let Ok(v) = BlockView::parse(&moved) {
+                    if u64::from(v.flags().displaced_by) == cand - db {
+                        return Ok((cand, moved));
+                    }
+                    break;
+                }
+            }
+        }
+        Ok((db, img))
     }
 }
 
@@ -185,23 +210,9 @@ impl Shard {
 
     pub(crate) fn read_entry_in(&self, view: &ReadView, addr: EntryAddr) -> Result<Entry> {
         let src = self.source_for(view, addr.volume_index)?;
-        let mut db = addr.block.0;
-        let mut img = src.read(db)?;
+        let (db, img) = src.read_placed(addr.block.0)?;
         if BlockView::is_invalidated(&img) {
-            // The block was invalidated after this address was issued; with
-            // append verification its contents were re-placed in a following
-            // block at the same slot (best effort, §2.3.2).
-            let mut found = None;
-            for cand in db + 1..(db + 4).min(src.data_end()) {
-                let ci = src.read(cand)?;
-                if let Ok(v) = BlockView::parse(&ci) {
-                    if v.count() > addr.slot {
-                        found = Some((cand, ci));
-                        break;
-                    }
-                }
-            }
-            (db, img) = found.ok_or_else(|| ClioError::NotFound(format!("entry {addr}")))?;
+            return Err(ClioError::NotFound(format!("entry {addr}")));
         }
         let view_blk = BlockView::parse(&img)?;
         let first = view_blk.entry(addr.slot)?;
@@ -212,16 +223,16 @@ impl Shard {
             // Reassemble continuation fragments from following blocks.
             // Continuations are written in the immediately following
             // blocks; unparseable blocks (invalidated, §2.3.2) are skipped
-            // within a small window, and so is a block of nothing but
-            // entrymap records (the maps due at a boundary overflowed it,
-            // so the writer sealed it and continued in the next one). Any
-            // other readable block without the next piece means the chain
-            // is torn — the entry does not exist.
+            // as far as one seal can displace a block, and so is a block of
+            // nothing but entrymap records (the maps due at a boundary
+            // overflowed it, so the writer sealed it and continued in the
+            // next one). Any other readable block without the next piece
+            // means the chain is torn — the entry does not exist.
             let total = total_len as usize;
             let mut at = db + 1;
             let mut skipped = 0u32;
             while data.len() < total {
-                if at >= src.data_end() || skipped > 4 {
+                if at >= src.data_end() || skipped >= MAX_SEAL_ATTEMPTS {
                     return Err(ClioError::NotFound(format!(
                         "fragments of entry {addr} missing past block {at}"
                     )));
@@ -288,7 +299,10 @@ impl Shard {
             let src = self.source_for(view, vol_idx)?;
             let end = src.data_end();
             while db < end {
-                if let Ok(img) = src.read(db) {
+                // A position inside a block that verification has since
+                // re-placed is the same position in the re-placement.
+                if let Ok((at, img)) = src.read_placed(db) {
+                    db = at;
                     if let Ok(blk) = BlockView::parse(&img) {
                         for e in blk.entries() {
                             let Ok(e) = e else { break };
@@ -364,7 +378,8 @@ impl Shard {
                     slot_excl = u16::MAX;
                 }
                 loop {
-                    if let Ok(img) = src.read(db) {
+                    if let Ok((at, img)) = src.read_placed(db) {
+                        db = at;
                         if let Ok(blk) = BlockView::parse(&img) {
                             let mut best: Option<u16> = None;
                             for e in blk.entries() {

@@ -42,8 +42,7 @@ pub enum Request {
     },
     /// Append one entry to each of several log files in a single round
     /// trip; the reply carries every receipt. A forced batch pays one
-    /// durability point for all items (one group commit, or one device
-    /// write on the legacy path).
+    /// durability point (one group commit) for all items.
     AppendBatch {
         /// `(path, payload)` per entry, appended in order.
         items: Vec<(String, Vec<u8>)>,

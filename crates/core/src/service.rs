@@ -141,9 +141,9 @@ impl AppendOpts {
 /// consequence of the write operation").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Receipt {
-    /// The entry's address. Final for forced appends; provisional for
-    /// buffered appends when append verification is enabled (a block that
-    /// fails verification is re-written at the next address).
+    /// The entry's address. Provisional when append verification is
+    /// enabled: a block that fails verification is re-written at a
+    /// following address, and reads of the old address resolve to it.
     pub addr: EntryAddr,
     /// The service timestamp assigned to the entry.
     pub timestamp: Timestamp,
@@ -277,12 +277,10 @@ pub(crate) struct OpenBlock {
     pub shared: Arc<SharedOpenBlock>,
     /// Ids of log files with entries in this block.
     pub ids: BTreeSet<LogFileId>,
-    /// Whether the current contents are staged in the device's NV tail.
-    pub staged: bool,
 }
 
 /// Blocks sealed in memory but not yet written to the device — the
-/// *seal* stage of the group-commit pipeline. The queue is shared into
+/// *seal* stage of the append pipeline. The queue is shared into
 /// read snapshots (so readers see sealed blocks immediately), replaced
 /// copy-on-write at each seal, and drained onto the medium in one vectored
 /// write when it reaches `max_batch_blocks`, or by the next commit.
@@ -353,9 +351,9 @@ pub(crate) struct State {
     /// Invalidated blocks awaiting a bad-block log record.
     pub pending_badblocks: Vec<u64>,
     pub stats: SpaceStats,
-    /// Blocks sealed in memory, awaiting a vectored write (group commit
-    /// only; always empty on the legacy path); at most `max_batch_blocks`
-    /// deep. Shared into snapshots; replaced, never mutated.
+    /// Blocks sealed in memory, awaiting a vectored write; at most
+    /// `max_batch_blocks` deep (with append verification, empty outside a
+    /// seal). Shared into snapshots; replaced, never mutated.
     pub sealed_queue: Arc<SealedQueue>,
     /// Forced appends staged since the last commit — what the commit
     /// "covers", for the forced-writes-saved metric.
@@ -532,14 +530,6 @@ impl Shard {
         }
     }
 
-    /// Whether the group-commit pipeline is in effect. Verified appends
-    /// are incompatible with deferred batch writes (verification re-places
-    /// a block *before* its address is acknowledged, which a queued seal
-    /// cannot do), so `verify_appends` forces the legacy path.
-    pub(crate) fn group_commit_on(&self) -> bool {
-        self.cfg.group_commit && !self.cfg.verify_appends
-    }
-
     /// Publishes a fresh [`ReadView`] if the current one no longer matches
     /// the append-side state. Called (with the state lock held) at the end
     /// of every mutating operation; every field is an `Arc` the state
@@ -651,7 +641,9 @@ impl Shard {
         span.attr("shard", u64::from(self.idx));
         let start = clio_obs::clock::now();
         let before = self.obs.device_stats.accesses();
-        let r = self.append_inner(id, data, opts);
+        let r = self.stage_and_commit(opts.durability, 1, |st| {
+            self.append_locked(st, id, data, opts)
+        });
         let blocks = self.obs.device_stats.accesses().saturating_sub(before);
         span.attr("blocks", blocks);
         if r.is_err() {
@@ -665,32 +657,41 @@ impl Shard {
         r
     }
 
-    fn append_inner(&self, id: LogFileId, data: &[u8], opts: AppendOpts) -> Result<Receipt> {
-        let group_forced = self.group_commit_on() && matches!(opts.durability, Durability::Forced);
-        // Stage: encode the entry into the open block under the (short)
-        // state lock. A group-mode forced append defers both the device
-        // write and the snapshot republish to the commit leader.
+    /// The one append body, shared by single appends and batches: stage
+    /// `entries` entries into the open block under the (short) state lock,
+    /// republish the read snapshot, and — for a forced append — wait at
+    /// the commit gate until a leader has made them durable (a forced append
+    /// that staged cleanly leaves write and republish to its leader).
+    fn stage_and_commit<T>(
+        &self,
+        durability: Durability,
+        entries: u64,
+        stage: impl FnOnce(&mut State) -> Result<T>,
+    ) -> Result<T> {
+        let forced = matches!(durability, Durability::Forced);
         let (r, my_seq) = {
             // Declared before the lock guard: the stage span covers lock
             // acquisition and records only after the lock is released.
             let _stage = self.obs.span("stage");
             let mut st = self.state.lock();
-            let r = self.append_locked(&mut st, id, data, opts);
-            let seq = st.forced_seq;
-            // Republish even on failure: a failed append may still have
-            // sealed blocks (fragmentation) the snapshot should reflect.
-            if !(group_forced && r.is_ok()) {
+            let r = stage(&mut st);
+            if forced && r.is_ok() {
+                // One commit sequence number per durability point, however
+                // many entries it covers.
+                st.forced_seq += 1;
+                st.staged_forced += entries;
+            } else {
+                // Republish even on failure: a failed append may still have
+                // sealed blocks (fragmentation) the snapshot should reflect.
                 self.publish_view(&mut st);
             }
-            (r, seq)
+            (r, st.forced_seq)
         };
-        let receipt = r?;
-        if group_forced {
-            // Commit: wait for a leader to make our sequence number
-            // durable, or become the leader ourselves.
+        let out = r?;
+        if forced {
             self.commit_wait(my_seq)?;
         }
-        Ok(receipt)
+        Ok(out)
     }
 
     /// Leader/follower commit. Blocks until every forced append staged at
@@ -755,7 +756,9 @@ impl Shard {
         result
     }
 
-    pub(crate) fn append_locked(
+    /// Stages one client entry into the open block (state lock held).
+    /// Durability is the caller's business: see [`Shard::stage_and_commit`].
+    fn append_locked(
         &self,
         st: &mut State,
         id: LogFileId,
@@ -787,27 +790,7 @@ impl Shard {
             opts.seqno,
         );
         let (vol_idx, db, slot) = self.push_record(st, header, data, true)?;
-        let mut addr = EntryAddr::new(vol_idx, clio_types::BlockNo(db), slot);
-        if matches!(opts.durability, Durability::Forced) {
-            if self.group_commit_on() {
-                // Group mode: only *stage* here; the device write happens
-                // in commit_wait, batched with other forced appends. The
-                // address is final (no verification re-placement).
-                st.forced_seq += 1;
-                st.staged_forced += 1;
-            } else {
-                // If the entry sits in the still-open block, persisting may
-                // move that block (verification failures re-place it), so
-                // the final address is only known afterwards.
-                let in_open =
-                    vol_idx == st.active_index && st.open.as_ref().is_some_and(|ob| ob.db == db);
-                if let Some(final_db) = self.persist_open(st)? {
-                    if in_open {
-                        addr.block = clio_types::BlockNo(final_db);
-                    }
-                }
-            }
-        }
+        let addr = EntryAddr::new(vol_idx, clio_types::BlockNo(db), slot);
         self.drain_badblocks(st)?;
         Ok(Receipt {
             addr,
@@ -820,7 +803,7 @@ impl Shard {
         let _span = self.obs.span("flush");
         let mut st = self.state.lock();
         let r = (|| {
-            self.persist_all(&mut st)?;
+            self.commit_locked(&mut st)?;
             self.drain_badblocks(&mut st)
         })();
         self.publish_view(&mut st);
@@ -858,52 +841,25 @@ impl Shard {
         span.attr("entries", items.len() as u64);
         span.attr("shard", u64::from(self.idx));
         let start = clio_obs::clock::now();
-        let group_forced = self.group_commit_on() && matches!(opts.durability, Durability::Forced);
         let mut noted: Vec<LogFileId> = Vec::with_capacity(items.len());
-        let (r, my_seq) = {
-            let _stage = self.obs.span("stage");
-            let mut st = self.state.lock();
-            let r: Result<Vec<Receipt>> = (|| {
-                let mut receipts = Vec::with_capacity(items.len());
-                let staged_opts = AppendOpts {
-                    durability: Durability::Buffered,
-                    ..opts
-                };
-                for (path, data) in items {
-                    let id = st.catalog.resolve(path)?;
-                    noted.push(id);
-                    receipts.push(self.append_locked(&mut st, id, data, staged_opts)?);
-                }
-                if matches!(opts.durability, Durability::Forced) {
-                    if self.group_commit_on() {
-                        st.forced_seq += 1;
-                        st.staged_forced += items.len() as u64;
-                    } else {
-                        self.persist_open(&mut st)?;
-                    }
-                }
-                Ok(receipts)
-            })();
-            let seq = st.forced_seq;
-            if !(group_forced && r.is_ok()) {
-                self.publish_view(&mut st);
+        let r = self.stage_and_commit(opts.durability, items.len() as u64, |st| {
+            let mut receipts = Vec::with_capacity(items.len());
+            for (path, data) in items {
+                let id = st.catalog.resolve(path)?;
+                noted.push(id);
+                receipts.push(self.append_locked(st, id, data, opts)?);
             }
-            (r, seq)
-        };
+            Ok(receipts)
+        });
         for id in &noted {
             self.obs.note_append(*id, start.elapsed(), r.is_ok());
         }
         if r.is_ok() {
             self.pshard.appends.add(noted.len() as u64);
-        }
-        if r.is_err() {
+        } else {
             span.fail("error");
         }
-        let receipts = r?;
-        if group_forced {
-            self.commit_wait(my_seq)?;
-        }
-        Ok(receipts)
+        r
     }
 
     /// A clone of this shard's space accounting (merged by the router).
@@ -919,8 +875,7 @@ impl Shard {
         // Committed directly under the state lock (not through the gate):
         // catalog changes are rare and already serialized with any commit
         // leader by the lock itself.
-        self.persist_all(st)?;
-        Ok(())
+        self.commit_locked(st)
     }
 }
 

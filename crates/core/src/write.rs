@@ -7,16 +7,20 @@ use std::sync::Arc;
 use clio_entrymap::Geometry;
 use clio_format::records::BadBlockRecord;
 use clio_format::{
-    BlockBuilder, EntryForm, EntryHeader, EntrymapRecord, FragKind, PushOutcome, TRAILER_SIZE,
+    stamp_displaced, BlockBuilder, BlockFlags, EntryForm, EntryHeader, EntrymapRecord, FragKind,
+    PushOutcome, TRAILER_SIZE,
 };
 use clio_types::{BlockNo, ClioError, LogFileId, Result};
 
 use crate::service::{OpenBlock, SealedQueue, Shard, SharedOpenBlock, State};
 use crate::stats::SpaceStats;
 
-/// Bound on seal retries after append-verification failures; repeated
-/// failures indicate a dying device, not transient corruption.
-const MAX_SEAL_ATTEMPTS: u32 = 8;
+/// Bound on the writes one seal spends on a block that keeps reading back
+/// corrupt (a dying device, not transient corruption). A block is thus
+/// displaced by at most `MAX_SEAL_ATTEMPTS - 1` addresses: how far a reader
+/// looks past an invalidated block, and what the block's flag must hold.
+pub(crate) const MAX_SEAL_ATTEMPTS: u32 = 8;
+const _: () = assert!(MAX_SEAL_ATTEMPTS - 1 <= BlockFlags::MAX_DISPLACED as u32);
 
 /// Bound on blocks a single record may spread over before we declare a
 /// configuration bug (the fragmentation loop normally terminates long
@@ -125,7 +129,6 @@ impl Shard {
                 db,
                 shared: Arc::new(SharedOpenBlock::new(builder)),
                 ids,
-                staged: false,
             });
             if overflow.is_empty() {
                 return Ok(());
@@ -221,7 +224,6 @@ impl Shard {
         };
         let mut off = 0usize;
         let mut first: Option<(u64, u16)> = None;
-        let mut first_open = false; // first fragment's block is still open
         let mut overhead = 0usize;
         let mut spins = 0u32;
         loop {
@@ -257,7 +259,6 @@ impl Shard {
                         overhead += h.encoded_len() + 2;
                         if is_first {
                             first = Some((ob.db, slot));
-                            first_open = true;
                         }
                         off += take;
                         wrote = true;
@@ -268,15 +269,7 @@ impl Shard {
                 break;
             }
             // Block exhausted: seal it and continue in the next.
-            let sealed_db = self.seal_open(st)?;
-            if first_open {
-                // The block holding the first fragment just sealed; its
-                // final location is now known (it may have been displaced).
-                if let Some((_, slot)) = first {
-                    first = Some((sealed_db, slot));
-                }
-                first_open = false;
-            }
+            self.seal_open(st)?;
         }
         account(&mut st.stats, &header, payload.len(), overhead, is_client);
         let (db, slot) =
@@ -284,9 +277,14 @@ impl Shard {
         Ok((vol_idx, db, slot))
     }
 
-    /// Seals the open block onto the medium, verifying and re-placing it on
-    /// corruption (§2.3.2). Returns the data block it finally landed on.
-    pub(crate) fn seal_open(&self, st: &mut State) -> Result<u64> {
+    /// Seals the open block into the in-memory sealed queue (the *seal*
+    /// stage of the pipeline). The queue lands on the medium when it
+    /// reaches a full batch (here), or with the next commit, flush or
+    /// volume switch; a device error from the full-batch drain is returned
+    /// with the block sealed and the unwritten suffix still queued. With
+    /// append verification the seal drains and reads back its own block, so
+    /// it is re-placed before any later block has an address (§2.3.2).
+    pub(crate) fn seal_open(&self, st: &mut State) -> Result<()> {
         // Span guard declared inside the function: the state lock is already
         // held by the caller, and the trace ring is a leaf lock, so recording
         // on drop here adds only the benign state -> ring edge.
@@ -302,75 +300,8 @@ impl Shard {
         r
     }
 
-    fn seal_open_inner(&self, st: &mut State) -> Result<u64> {
-        if self.group_commit_on() {
-            return self.seal_open_queued(st);
-        }
+    fn seal_open_inner(&self, st: &mut State) -> Result<()> {
         let mut ob = st
-            .open
-            .take()
-            .ok_or_else(|| ClioError::Internal("seal with no open block".into()))?;
-        let vol = self.seq.volume(st.active_index)?;
-        let img = ob.shared.image();
-        let padding = self.cfg.block_size - TRAILER_SIZE - ob.shared.used_bytes();
-        let mut db = ob.db;
-        let mut attempts = 0u32;
-        loop {
-            if let Err(e) = vol.append_data_block(db, img.to_vec()) {
-                // Keep the writer consistent on device failure: the block
-                // stays open (buffered entries preserved) at its current
-                // target, matching the entrymap writer's block sequence,
-                // and the caller sees the error instead of a later panic.
-                ob.db = db;
-                st.open = Some(ob);
-                return Err(e);
-            }
-            if self.cfg.verify_appends {
-                let back = vol.read_data_block_direct(db)?;
-                if back != *img {
-                    attempts += 1;
-                    if attempts >= MAX_SEAL_ATTEMPTS {
-                        ob.db = db;
-                        st.open = Some(ob);
-                        return Err(ClioError::Internal(
-                            "append corruption persists; giving up on this device".into(),
-                        ));
-                    }
-                    // The block was "written with garbage": invalidate it,
-                    // note it for the bad-block log, and re-place the same
-                    // image at the next block. Any entrymap records due at
-                    // that next block are displaced forward (§2.3.2).
-                    vol.invalidate_data_block(db)?;
-                    st.pending_badblocks.push(db);
-                    st.emap.note_block(db, std::iter::empty());
-                    let recs = st.emap.begin_block(db + 1);
-                    st.carryover.extend(recs);
-                    db += 1;
-                    if db >= vol.data_capacity() {
-                        ob.db = db;
-                        st.open = Some(ob);
-                        return Err(ClioError::VolumeFull);
-                    }
-                    continue;
-                }
-            }
-            break;
-        }
-        st.emap.note_block(db, ob.ids.iter().copied());
-        st.stats.note_sealed_block(padding, TRAILER_SIZE);
-        Ok(db)
-    }
-
-    /// Group-commit seal: finishes the open block into the in-memory
-    /// sealed queue. The entrymap and space accounting advance exactly as
-    /// for a device seal; the queue lands on the medium when it reaches a
-    /// full batch (here), or with the next commit, flush or volume switch.
-    /// The block's address is final — group commit never runs with append
-    /// verification, so there is no re-placement. A device error from the
-    /// full-batch drain is returned with the block sealed and the
-    /// unwritten suffix still queued.
-    fn seal_open_queued(&self, st: &mut State) -> Result<u64> {
-        let ob = st
             .open
             .take()
             .ok_or_else(|| ClioError::Internal("seal with no open block".into()))?;
@@ -378,9 +309,19 @@ impl Shard {
         // pinned while it was open read exactly what the queue holds.
         let image = ob.shared.image();
         let padding = self.cfg.block_size - TRAILER_SIZE - ob.shared.used_bytes();
-        let db = ob.db;
-        st.sealed_queue = Arc::new(st.sealed_queue.with_pushed(db, image));
-        st.emap.note_block(db, ob.ids.iter().copied());
+        st.sealed_queue = Arc::new(st.sealed_queue.with_pushed(ob.db, image.clone()));
+        if self.cfg.verify_appends {
+            if let Err(e) = self.write_verified(st, &mut ob.db, &image) {
+                // Keep the writer consistent on device failure: the block
+                // goes back to being open (buffered entries preserved) at
+                // its current target, for a later seal to retry verified.
+                st.sealed_queue = Arc::default();
+                self.pshard.sealed_queue_blocks.set(0);
+                st.open = Some(ob);
+                return Err(e);
+            }
+        }
+        st.emap.note_block(ob.db, ob.ids.iter().copied());
         st.stats.note_sealed_block(padding, TRAILER_SIZE);
         // Bound the queue: a full batch goes out now, as the same vectored
         // write a later flush or commit would have issued for it.
@@ -389,7 +330,49 @@ impl Shard {
         if depth >= self.cfg.max_batch_blocks.max(1) {
             self.write_sealed_queue(st)?;
         }
-        Ok(db)
+        Ok(())
+    }
+
+    /// Append verification (§2.3.2): writes the one queued block and reads
+    /// it back. A block that does not read back as written is spent: it is
+    /// invalidated, noted for the bad-block log (entrymap records due past
+    /// it go to `carryover`), and the image re-placed at the next block,
+    /// stamped with how far it has moved so a reader of the old address
+    /// knows it. `db` follows the block; an error leaves it at an unburned
+    /// address, where the caller reopens the block for a later seal.
+    fn write_verified(&self, st: &mut State, db: &mut u64, image: &Arc<Vec<u8>>) -> Result<()> {
+        debug_assert_eq!(st.sealed_queue.images.len(), 1, "verified seals drain");
+        let vol = self.seq.volume(st.active_index)?;
+        let mut image = image.clone();
+        for moved in 1..=MAX_SEAL_ATTEMPTS {
+            // A failed write burned nothing: the block keeps its address.
+            self.write_sealed_queue(st)?;
+            let read_back = vol.read_data_block_direct(*db).map(|back| back == *image);
+            if matches!(read_back, Ok(true)) {
+                return Ok(());
+            }
+            let burned = vol.invalidate_data_block(*db);
+            st.pending_badblocks.push(*db);
+            st.emap.note_block(*db, std::iter::empty());
+            let due = st.emap.begin_block(*db + 1);
+            st.carryover.extend(due);
+            *db += 1;
+            read_back?;
+            burned?;
+            if *db >= vol.data_capacity() {
+                return Err(ClioError::VolumeFull);
+            }
+            if moved < MAX_SEAL_ATTEMPTS {
+                stamp_displaced(Arc::make_mut(&mut image).as_mut_slice(), moved as u8);
+                st.sealed_queue = Arc::new(SealedQueue {
+                    first_db: *db,
+                    images: vec![image.clone()],
+                });
+            }
+        }
+        Err(ClioError::Internal(
+            "append corruption persists; giving up on this device".into(),
+        ))
     }
 
     /// Drains the sealed queue onto the active volume in vectored writes of
@@ -438,88 +421,45 @@ impl Shard {
         Ok((writes, written as u64))
     }
 
-    /// The commit stage of the group-commit pipeline (state lock held):
-    /// stages the current partial block (NV tail rewrite where supported,
-    /// early seal otherwise), drains the sealed queue in batched writes,
-    /// and records the batch metrics. On error the covered forced count is
-    /// restored so a retrying leader accounts for the same appends.
+    /// The commit stage of the pipeline (state lock held): makes everything
+    /// buffered durable. The partial block is staged to the device's
+    /// battery-backed RAM tail where there is one, otherwise (unless empty)
+    /// sealed early with internal fragmentation (§2.3.1); the sealed queue
+    /// is drained in batched writes and the batch metrics recorded. On
+    /// error the covered forced count is restored so a retrying leader
+    /// accounts for the same appends.
     pub(crate) fn commit_locked(&self, st: &mut State) -> Result<()> {
         let covered = std::mem::take(&mut st.staged_forced);
-        let vol = self.seq.volume(st.active_index)?;
-        let mut tail_stage = None;
-        if let Some(ob) = st.open.as_mut() {
-            if vol.supports_tail_rewrite() {
-                tail_stage = Some((ob.db, ob.shared.image().to_vec()));
-            } else if ob.shared.count() > 0 {
-                ob.shared.mark_sealed_early();
-                if let Err(e) = self.seal_open(st) {
-                    st.staged_forced += covered;
-                    return Err(e);
+        let r = (|| {
+            let vol = self.seq.volume(st.active_index)?;
+            let mut tail_stage = None;
+            if let Some(ob) = st.open.as_ref() {
+                if vol.supports_tail_rewrite() {
+                    tail_stage = Some((ob.db, ob.shared.image().to_vec()));
+                } else if ob.shared.count() > 0 {
+                    ob.shared.mark_sealed_early();
+                    self.seal_open(st)?;
                 }
             }
-        }
-        // Queue first, tail second: the tail rewrite targets the block
-        // right after the queued ones, and the device only accepts a tail
-        // at its write-once end.
-        let (writes, blocks) = match self.write_sealed_queue(st) {
-            Ok(x) => x,
-            Err(e) => {
-                st.staged_forced += covered;
-                return Err(e);
+            // Queue first, tail second: the tail rewrite targets the block
+            // right after the queued ones, and the device only accepts a
+            // tail at its write-once end.
+            let (mut writes, blocks) = self.write_sealed_queue(st)?;
+            if let Some((db, img)) = tail_stage {
+                vol.rewrite_tail_data(db, img)?;
+                writes += 1;
             }
-        };
-        let mut tail_writes = 0u64;
-        if let Some((db, img)) = tail_stage {
-            if let Err(e) = vol.rewrite_tail_data(db, img) {
-                st.staged_forced += covered;
-                return Err(e);
+            if writes > 0 || covered > 0 {
+                self.obs.note_group_commit(blocks, covered, writes);
+                self.pshard.commits.inc();
+                self.pshard.commit_batch_blocks.record(blocks);
             }
-            if let Some(ob) = st.open.as_mut() {
-                ob.staged = true;
-            }
-            tail_writes = 1;
+            Ok(())
+        })();
+        if r.is_err() {
+            st.staged_forced += covered;
         }
-        if writes + tail_writes > 0 || covered > 0 {
-            self.obs
-                .note_group_commit(blocks, covered, writes + tail_writes);
-            self.pshard.commits.inc();
-            self.pshard.commit_batch_blocks.record(blocks);
-        }
-        Ok(())
-    }
-
-    /// Forces everything buffered to stable storage through whichever
-    /// pipeline is active: a full commit in group mode, `persist_open` on
-    /// the legacy path (where the sealed queue is always empty).
-    pub(crate) fn persist_all(&self, st: &mut State) -> Result<()> {
-        if self.group_commit_on() {
-            self.commit_locked(st)
-        } else {
-            self.persist_open(st).map(|_| ())
-        }
-    }
-
-    /// Makes the open block durable: staged to the device's battery-backed
-    /// RAM tail when available, otherwise sealed early with internal
-    /// fragmentation (§2.3.1). Returns the open/sealed block, or `None` if
-    /// nothing was open.
-    pub(crate) fn persist_open(&self, st: &mut State) -> Result<Option<u64>> {
-        let Some(ob) = st.open.as_mut() else {
-            return Ok(None);
-        };
-        let vol = self.seq.volume(st.active_index)?;
-        if vol.supports_tail_rewrite() {
-            vol.rewrite_tail_data(ob.db, ob.shared.image().to_vec())?;
-            ob.staged = true;
-            return Ok(Some(ob.db));
-        }
-        if ob.shared.count() == 0 {
-            // Nothing buffered — sealing an empty block would only waste
-            // write-once space.
-            return Ok(Some(ob.db));
-        }
-        ob.shared.mark_sealed_early();
-        Ok(Some(self.seal_open(st)?))
+        r
     }
 
     /// Logs queued bad-block records (§2.3.2: the corrupted block's

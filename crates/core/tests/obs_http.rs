@@ -15,13 +15,9 @@ use clio_types::{ManualClock, Timestamp, VolumeSeqId};
 use clio_volume::MemDevicePool;
 
 fn spawn_server() -> LogServer {
-    // Group commit pinned on (not left to the CLIO_GROUP_COMMIT A/B
-    // env): the span-tree acceptance below is about the commit-gate
-    // pipeline, which the legacy path doesn't have. Two append domains,
-    // so the per-shard series carry both labels.
+    // Two append domains, so the per-shard series carry both labels.
     let cfg = ServiceConfig::small()
         .with_shards(2)
-        .with_group_commit(true)
         .with_http_addr("127.0.0.1:0");
     let svc = LogService::create(
         VolumeSeqId(9),

@@ -211,8 +211,7 @@ fn tracing_can_be_disabled_by_config() {
 
 #[test]
 fn flush_republishes_when_only_the_sealed_queue_advanced() {
-    // Force the group path regardless of the CLIO_GROUP_COMMIT A/B env.
-    let cfg = ServiceConfig::small().with_group_commit(true);
+    let cfg = ServiceConfig::small();
     let svc = LogService::create(
         VolumeSeqId(1),
         Arc::new(MemDevicePool::new(256, 4096)),

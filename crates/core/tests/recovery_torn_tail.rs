@@ -99,6 +99,38 @@ fn torn_tail_block_is_invalidated_and_prefix_survives() {
     assert_eq!(got.last().unwrap().data, b"post-recovery");
 }
 
+/// The receipt of an entry lost with a torn tail must not resolve to a
+/// stranger. Recovery burns the torn block, and the blocks written after
+/// it hold unrelated entries at the same slots; the reader's
+/// displaced-address probe used to take the first of them for a verified
+/// re-placement and answer the old address with somebody else's entry.
+#[test]
+fn regression_address_into_a_burned_torn_tail_finds_no_stranger() {
+    let (pool, handles) = faulty_pool(256, 1 << 14);
+    let cfg = ServiceConfig::small();
+    let torn = {
+        let svc = LogService::create(VolumeSeqId(9), pool.clone(), cfg.clone(), clock()).unwrap();
+        svc.create_log("/t").unwrap();
+        svc.append_path("/t", b"durable", AppendOpts::forced())
+            .unwrap();
+        handles.lock().last().unwrap().corrupt_next_append();
+        svc.append_path("/t", b"torn entry", AppendOpts::forced())
+            .unwrap()
+    }; // crash
+
+    let (svc, report) = LogService::recover(pool.devices(), pool.clone(), cfg, clock()).unwrap();
+    assert_eq!(report.invalidated.len(), 1, "{report:?}");
+    for i in 0..8 {
+        let p = format!("stranger {i}");
+        svc.append_path("/t", p.as_bytes(), AppendOpts::forced())
+            .unwrap();
+    }
+    match svc.read_entry(torn.addr) {
+        Err(clio_types::ClioError::NotFound(_)) => {}
+        other => panic!("a lost entry's address answered {other:?}"),
+    }
+}
+
 /// Group-commit torn batches: buffered appends queue several sealed
 /// blocks in memory, a forced append drains them in one vectored device
 /// write, and the crash tears that write after `k` of its `n` blocks —
@@ -125,8 +157,7 @@ fn torn_group_commit_batch_recovers_a_consistent_prefix() {
     let mut saw_full_batch = false;
     for k in 0..=MAX_TEAR {
         let (pool, handles) = faulty_pool(256, 1 << 14);
-        // Force the group path regardless of the CLIO_GROUP_COMMIT A/B env.
-        let cfg = ServiceConfig::small().with_group_commit(true);
+        let cfg = ServiceConfig::small();
         let mut oracle: Vec<Vec<u8>> = Vec::new();
         let mut flushed_receipts = Vec::new();
         let torn = {

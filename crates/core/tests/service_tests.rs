@@ -497,6 +497,195 @@ fn corruption_is_invalidated_and_other_data_survives() {
     assert_eq!(bad_entries.len(), 1);
 }
 
+/// Entries of `/d` in log order, and how many bad-block records the
+/// service has logged.
+fn d_entries_and_bad_blocks(svc: &LogService) -> (Vec<Vec<u8>>, usize) {
+    svc.flush().unwrap();
+    let d = svc.resolve("/d").unwrap();
+    let all = svc.cursor("/").unwrap().collect_remaining().unwrap();
+    let bad = all.iter().filter(|e| e.id == LogFileId::BAD_BLOCK).count();
+    let data = all.into_iter().filter(|e| e.id == d).map(|e| e.data);
+    (data.collect(), bad)
+}
+
+/// Verified appends go through the commit gate like every other forced
+/// append: two forced appenders and a buffered entry share the block whose
+/// write is corrupted, and every one of them reads back by its receipt.
+#[test]
+fn corruption_under_the_commit_gate_is_replaced_for_every_sharer() {
+    let pool = Arc::new(FaultyPool::default());
+    let cfg = ServiceConfig {
+        // Long enough for the second appender to join the leader's batch;
+        // the assertions hold for either interleaving.
+        commit_wait_us: 2_000,
+        ..ServiceConfig::small().with_verified_appends()
+    };
+    let svc = LogService::create(VolumeSeqId(6), pool.clone(), cfg, clock()).unwrap();
+    svc.create_log("/d").unwrap();
+    svc.append_path("/d", b"before", AppendOpts::forced())
+        .unwrap();
+    let rider = svc
+        .append_path("/d", b"rider", AppendOpts::standard())
+        .unwrap();
+
+    pool.device().corrupt_next_append();
+    let barrier = std::sync::Barrier::new(2);
+    let receipts: Vec<_> = std::thread::scope(|s| {
+        let appenders: Vec<_> = [b"critical-a", b"critical-b"]
+            .into_iter()
+            .map(|data| {
+                let (svc, barrier) = (&svc, &barrier);
+                s.spawn(move || {
+                    barrier.wait();
+                    (
+                        data,
+                        svc.append_path("/d", data, AppendOpts::forced()).unwrap(),
+                    )
+                })
+            })
+            .collect();
+        appenders.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    assert_eq!(pool.device().corrupted_blocks().len(), 1);
+    for (data, r) in &receipts {
+        assert_eq!(svc.read_entry(r.addr).unwrap().data, *data);
+    }
+    assert_eq!(svc.read_entry(rider.addr).unwrap().data, b"rider");
+    svc.append_path("/d", b"after", AppendOpts::forced())
+        .unwrap();
+
+    let (mut all, bad) = d_entries_and_bad_blocks(&svc);
+    assert_eq!(bad, 1);
+    assert_eq!(all.len(), 5);
+    assert_eq!(all[..2], [b"before".to_vec(), b"rider".to_vec()]);
+    assert_eq!(all[4], b"after");
+    all[2..4].sort();
+    assert_eq!(all[2..4], [b"critical-a".to_vec(), b"critical-b".to_vec()]);
+}
+
+/// The writer re-places a corrupt block up to `MAX_SEAL_ATTEMPTS - 1`
+/// times, so the reader must look that far past an invalidated address —
+/// it used to stop after 3 blocks and report a receipt displaced by more
+/// as `NotFound`, and a fragment chain gave up after 5 unreadable blocks.
+#[test]
+fn regression_receipt_survives_repeated_replacement() {
+    const CORRUPTED: u32 = 5;
+    let pool = Arc::new(FaultyPool::default());
+    let cfg = ServiceConfig::small().with_verified_appends();
+    let svc = LogService::create(VolumeSeqId(6), pool.clone(), cfg, clock()).unwrap();
+    svc.create_log("/d").unwrap();
+    svc.append_path("/d", b"before", AppendOpts::forced())
+        .unwrap();
+    // Longer than a block: the first fragment fills (and seals) one block,
+    // the continuation shares the next with the two entries below — the
+    // block whose write then fails five times running.
+    let long = vec![b'L'; 300];
+    let chained = svc
+        .append_path("/d", &long, AppendOpts::standard())
+        .unwrap();
+    let buffered = svc
+        .append_path("/d", b"buffered", AppendOpts::standard())
+        .unwrap();
+    pool.device().corrupt_next_appends(CORRUPTED);
+    let forced = svc
+        .append_path("/d", b"forced", AppendOpts::forced())
+        .unwrap();
+    assert_eq!(
+        buffered.addr.block, forced.addr.block,
+        "both receipts must name the block that gets displaced"
+    );
+    assert_eq!(pool.device().corrupted_blocks().len(), CORRUPTED as usize);
+
+    assert_eq!(svc.read_entry(buffered.addr).unwrap().data, b"buffered");
+    let e = svc.read_entry(forced.addr).unwrap();
+    assert_eq!(e.data, b"forced");
+    assert_eq!(
+        e.addr.block.0,
+        forced.addr.block.0 + u64::from(CORRUPTED),
+        "the entry reports where it finally landed"
+    );
+    assert_eq!(svc.read_entry(chained.addr).unwrap().data, long);
+
+    let (all, bad) = d_entries_and_bad_blocks(&svc);
+    assert_eq!(bad, CORRUPTED as usize);
+    assert_eq!(
+        all,
+        [&b"before"[..], &long[..], &b"buffered"[..], &b"forced"[..]]
+    );
+}
+
+/// A seal that gives up (the block read back corrupt on every attempt)
+/// leaves the writer at the device end, not on the last garbage block: it
+/// used to reopen the block at an address already burned, and every later
+/// seal of it failed `NotAppendOnly`.
+#[test]
+fn regression_seal_that_gives_up_retries_at_the_device_end() {
+    let pool = Arc::new(FaultyPool::default());
+    let cfg = ServiceConfig::small().with_verified_appends();
+    let svc = LogService::create(VolumeSeqId(6), pool.clone(), cfg, clock()).unwrap();
+    svc.create_log("/d").unwrap();
+    svc.append_path("/d", b"before", AppendOpts::forced())
+        .unwrap();
+    svc.append_path("/d", b"buffered", AppendOpts::standard())
+        .unwrap();
+
+    pool.device().corrupt_next_appends(8);
+    let gave_up = svc.append_path("/d", b"unlucky", AppendOpts::forced());
+    assert!(
+        matches!(gave_up, Err(ClioError::Internal(_))),
+        "{gave_up:?}"
+    );
+    assert_eq!(pool.device().corrupted_blocks().len(), 8);
+
+    // The medium behaves again: the same block seals on the next try, and
+    // nothing staged in it was lost.
+    let after = svc
+        .append_path("/d", b"after", AppendOpts::forced())
+        .unwrap();
+    assert_eq!(svc.read_entry(after.addr).unwrap().data, b"after");
+    let (all, bad) = d_entries_and_bad_blocks(&svc);
+    assert_eq!(bad, 8);
+    assert_eq!(
+        all,
+        [&b"before"[..], b"buffered", b"unlucky", b"after"],
+        "the failed append was staged, so it rides the retry"
+    );
+}
+
+/// A cursor standing inside the open block when verification re-places
+/// that block resumes at the same slot of the re-placement — it used to
+/// hop to the re-placed block's first entry and replay it (found by the
+/// verifying simulation storm, seed 10).
+#[test]
+fn regression_cursor_resumes_inside_a_replaced_block() {
+    let pool = Arc::new(FaultyPool::default());
+    let cfg = ServiceConfig::small().with_verified_appends();
+    let svc = LogService::create(VolumeSeqId(6), pool.clone(), cfg, clock()).unwrap();
+    svc.create_log("/d").unwrap();
+    svc.append_path("/d", b"sealed", AppendOpts::forced())
+        .unwrap();
+    for data in [&b"one"[..], b"two"] {
+        svc.append_path("/d", data, AppendOpts::standard()).unwrap();
+    }
+    // Two cursors, both left standing on "two" in the open block.
+    let mut cur = svc.cursor("/d").unwrap();
+    let mut back = svc.cursor("/d").unwrap();
+    for c in [&mut cur, &mut back] {
+        let seen: Vec<_> = (0..3).map(|_| c.next().unwrap().unwrap().data).collect();
+        assert_eq!(seen, [&b"sealed"[..], b"one", b"two"]);
+    }
+    assert!(cur.next().unwrap().is_none());
+
+    pool.device().corrupt_next_appends(2);
+    svc.append_path("/d", b"three", AppendOpts::forced())
+        .unwrap();
+    assert_eq!(cur.next().unwrap().unwrap().data, b"three");
+    assert!(cur.next().unwrap().is_none());
+    // Backwards, `prev` yields the entries before the one stood on.
+    assert_eq!(back.prev().unwrap().unwrap().data, b"one");
+    assert_eq!(back.prev().unwrap().unwrap().data, b"sealed");
+}
+
 #[test]
 fn flush_is_idempotent_and_cheap_when_nothing_pending() {
     let svc = small_service();
@@ -913,7 +1102,7 @@ fn regression_fragment_chain_skips_entrymap_overflow_block() {
 fn publish_is_flat_in_queue_depth() {
     let cfg = ServiceConfig {
         block_size: 1024,
-        ..ServiceConfig::small().with_group_commit(true)
+        ..ServiceConfig::small()
     };
     let batch = cfg.max_batch_blocks as u64;
     let svc = LogService::create(
@@ -964,7 +1153,7 @@ fn failed_threshold_drain_keeps_the_suffix_queued() {
     let pool = Arc::new(FaultyPool::default());
     let cfg = ServiceConfig {
         max_batch_blocks: 4,
-        ..ServiceConfig::small().with_group_commit(true)
+        ..ServiceConfig::small()
     };
     let svc = LogService::create(VolumeSeqId(1), pool.clone(), cfg, clock()).unwrap();
     let id = svc.create_log("/d").unwrap();

@@ -16,7 +16,10 @@
 //! against the log model with per-append-domain durability: the service
 //! runs with two shards and the two top-level logs route to different
 //! domains, so per-shard recovery and cross-shard batch atomicity are
-//! both under test. The seed-sweep width is `CLIO_SIM_SEEDS` (default 5;
+//! both under test. Every seed runs in two configurations: the default,
+//! and `verify_appends` on a medium that also garbles a share of its
+//! appends, so verified seals, re-placement and displaced receipts meet
+//! the same crashes. The seed-sweep width is `CLIO_SIM_SEEDS` (default 5;
 //! CI's storm pass uses 25).
 
 use std::collections::HashMap;
@@ -96,6 +99,9 @@ fn err_text(e: &clio_types::ClioError) -> String {
     e.to_string()
 }
 
+/// Fault-injection handles on every device handed out so far.
+type FaultyDevices = Arc<clio_testkit::sync::Mutex<Vec<Arc<FaultyDevice>>>>;
+
 /// Driver state that survives crash/recovery epochs.
 struct Driver {
     history: History,
@@ -142,6 +148,7 @@ fn run_segment(
     cost: &CostModel,
     drv: &mut Driver,
     sw: &Arc<CrashSwitch>,
+    garble: Option<&FaultyDevices>,
     steps: usize,
 ) -> bool {
     let mut cursors: HashMap<u32, OpenCursor<'_>> = HashMap::new();
@@ -167,6 +174,18 @@ fn run_segment(
             } else {
                 (AppendOpts::standard(), None)
             };
+            if let Some(devices) = garble {
+                // Now and then the next few data appends of every volume
+                // mounted so far come out as garbage (a re-placed block's
+                // retries included). Volumes mounted later are spared, so
+                // a label is never garbled: labels are not verified.
+                if sched.rng().gen_bool(0.15) {
+                    let n = sched.rng().gen_range(1..4u32);
+                    for dev in devices.lock().iter() {
+                        dev.corrupt_next_appends(n);
+                    }
+                }
+            }
             let payload = encode_payload(value, len);
             let op = Op::Append {
                 log,
@@ -408,15 +427,22 @@ fn scan_all(svc: &LogService) -> Vec<LogScan> {
 
 /// Runs one fully seeded simulation and returns its recorded history
 /// plus the log→shard map the checker needs.
-fn run_sim(seed: u64) -> (History, std::collections::BTreeMap<u32, u32>) {
-    let (h, _, shards) = run_sim_traced(seed);
+fn run_sim(seed: u64, verify: bool) -> (History, std::collections::BTreeMap<u32, u32>) {
+    let (h, _, shards) = run_sim_traced(seed, verify);
     (h, shards)
 }
 
 /// [`run_sim`], also returning the final service's flight-recorder dump.
 /// The sim clock is installed as the span time source, so span start
 /// times are virtual microseconds, not host time.
-fn run_sim_traced(seed: u64) -> (History, String, std::collections::BTreeMap<u32, u32>) {
+///
+/// `verify` turns on `verify_appends` and makes the media write garbage
+/// now and then: verification catches each garbled block and re-places
+/// it, so the history must satisfy the same log model.
+fn run_sim_traced(
+    seed: u64,
+    verify: bool,
+) -> (History, String, std::collections::BTreeMap<u32, u32>) {
     let mut s = seed;
     let sched_seed = splitmix64(&mut s);
     let fault_seed = splitmix64(&mut s);
@@ -434,10 +460,13 @@ fn run_sim_traced(seed: u64) -> (History, String, std::collections::BTreeMap<u32
     let sw = CrashSwitch::new(fault_seed);
     let inner = Arc::new(MemDevicePool::new(512, 96));
     let sw_pool = sw.clone();
+    let faulty: FaultyDevices = Arc::default();
+    let faulty_pool = faulty.clone();
     let pool = Arc::new(RecordingPool::wrapping(inner, move |base| {
         // Corruption probabilities stay 0: mid-log garbage is a medium
         // defect, not a crash artifact, and would (correctly) break the
-        // prefix model. Crash-point torn tails come from the switch.
+        // prefix model. Crash-point torn tails come from the switch; the
+        // verifying configuration garbles data appends through `faulty`.
         let faulty = Arc::new(FaultyDevice::with_switch(
             base,
             FaultPlan {
@@ -445,7 +474,9 @@ fn run_sim_traced(seed: u64) -> (History, String, std::collections::BTreeMap<u32
                 ..FaultPlan::default()
             },
             sw_pool.clone(),
-        )) as SharedDevice;
+        ));
+        faulty_pool.lock().push(faulty.clone());
+        let faulty = faulty as SharedDevice;
         if ram_tail {
             Arc::new(RamTailDevice::new(faulty)) as SharedDevice
         } else {
@@ -457,6 +488,7 @@ fn run_sim_traced(seed: u64) -> (History, String, std::collections::BTreeMap<u32
         fanout: 4,
         cache_blocks: 128,
         shards: SHARDS,
+        verify_appends: verify,
         ..ServiceConfig::default()
     };
 
@@ -489,7 +521,12 @@ fn run_sim_traced(seed: u64) -> (History, String, std::collections::BTreeMap<u32
             sw.arm(u64::from(after), garbage);
         }
         let steps = sched.rng().gen_range(40..90usize);
-        run_segment(&svc, &mut sched, &cost, &mut drv, &sw, steps);
+        // Garbling is confined to pure write-once media. A RAM tail gives
+        // its block up when the block seals, so a seal that lands as
+        // garbage followed by a crash before the re-placement — a double
+        // fault — loses entries the tail had already made durable.
+        let garble = (verify && !ram_tail).then_some(&faulty);
+        run_segment(&svc, &mut sched, &cost, &mut drv, &sw, garble, steps);
         if last {
             break;
         }
@@ -531,14 +568,16 @@ fn storm_width() -> u64 {
 }
 
 fn check_seed(seed: u64) {
-    let (history, shards) = run_sim(seed);
-    if let Err(v) = check_history_with_shards(&history, &shards) {
-        panic!(
-            "simulation violated the log model: {v}\n\
-             history tail:\n{}\n\
-             reproduce with: CLIO_PROP_SEED={seed}",
-            tail(&history.render(), 30)
-        );
+    for verify in [false, true] {
+        let (history, shards) = run_sim(seed, verify);
+        if let Err(v) = check_history_with_shards(&history, &shards) {
+            panic!(
+                "simulation (verify_appends: {verify}) violated the log model: {v}\n\
+                 history tail:\n{}\n\
+                 reproduce with: CLIO_PROP_SEED={seed}",
+                tail(&history.render(), 30)
+            );
+        }
     }
 }
 
@@ -575,10 +614,10 @@ fn sim_storm() {
 /// a pure function of the seed: two runs render byte-identically.
 #[test]
 fn sim_replays_byte_identically() {
-    let a = run_sim(42).0.render();
-    let b = run_sim(42).0.render();
+    let a = run_sim(42, false).0.render();
+    let b = run_sim(42, false).0.render();
     assert_eq!(a, b, "same seed must replay byte-identically");
-    let c = run_sim(43).0.render();
+    let c = run_sim(43, false).0.render();
     assert_ne!(a, c, "different seeds must differ");
 }
 
@@ -607,8 +646,8 @@ fn sim_replays_byte_identically_with_tracing() {
             .collect::<Vec<_>>()
             .join("\n")
     }
-    let (ha, ta, _) = run_sim_traced(0xC110_5EED);
-    let (hb, tb, _) = run_sim_traced(0xC110_5EED);
+    let (ha, ta, _) = run_sim_traced(0xC110_5EED, false);
+    let (hb, tb, _) = run_sim_traced(0xC110_5EED, false);
     assert_eq!(
         ha.render(),
         hb.render(),
@@ -633,7 +672,7 @@ fn sim_replays_byte_identically_with_tracing() {
 #[test]
 fn sim_broken_double_is_caught_and_replays() {
     let sabotage = |seed: u64| -> (String, String) {
-        let (mut h, shards) = run_sim(seed);
+        let (mut h, shards) = run_sim(seed, false);
         // Drop the last surviving entry from the first recovery scan —
         // the kind of bug recovery exists to rule out. The last recovered
         // value is durable (forced or sealed+scanned), so the checker

@@ -203,8 +203,8 @@ pub struct FaultyDevice {
     plan: FaultPlan,
     rng: Mutex<StdRng>,
     corrupted: Mutex<Vec<BlockNo>>,
-    /// One-shot trigger: corrupt exactly the next append.
-    force_next: Mutex<bool>,
+    /// Countdown trigger: corrupt exactly this many of the next appends.
+    force_next: Mutex<u32>,
     /// One-shot trigger: tear the next `append_blocks` batch after this
     /// many blocks have landed.
     tear_after: Mutex<Option<usize>>,
@@ -222,7 +222,7 @@ impl FaultyDevice {
             plan,
             rng: Mutex::new(rng),
             corrupted: Mutex::new(Vec::new()),
-            force_next: Mutex::new(false),
+            force_next: Mutex::new(0),
             tear_after: Mutex::new(None),
             switch: None,
         }
@@ -245,7 +245,14 @@ impl FaultyDevice {
     /// Forces the next append to be written as garbage, regardless of the
     /// plan's probabilities. Useful for targeted tests.
     pub fn corrupt_next_append(&self) {
-        *self.force_next.lock() = true;
+        self.corrupt_next_appends(1);
+    }
+
+    /// Forces each of the next `n` appends to be written as garbage — a
+    /// re-placed block's retries included, so a verifying writer sees the
+    /// same block fail `n` times in a row.
+    pub fn corrupt_next_appends(&self, n: u32) {
+        *self.force_next.lock() = n;
     }
 
     /// Tears the next vectored `append_blocks` call after `k` blocks have
@@ -306,7 +313,12 @@ impl LogDevice for FaultyDevice {
             }
         }
         let mut rng = self.rng.lock();
-        let forced = std::mem::take(&mut *self.force_next.lock());
+        let forced = {
+            let mut left = self.force_next.lock();
+            let forced = *left > 0;
+            *left = left.saturating_sub(1);
+            forced
+        };
         if forced || rng.gen_bool(self.plan.garbage_append_prob.clamp(0.0, 1.0)) {
             let mut garbage = vec![0u8; data.len()];
             rng.fill(&mut garbage[..]);

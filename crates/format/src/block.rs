@@ -47,13 +47,24 @@ pub struct BlockFlags {
     /// The block was sealed before it was full by a forced (synchronous)
     /// write on a pure write-once device (§2.3.1).
     pub sealed_early: bool,
+    /// How many block addresses past the one it was first given this
+    /// image landed: append verification found the blocks before it
+    /// written with garbage, invalidated them and re-placed the image
+    /// (§2.3.2). 0 for a block written in place. This is what lets a
+    /// reader holding an address into an invalidated block tell its
+    /// re-placement from an unrelated block that merely follows it.
+    pub displaced_by: u8,
 }
 
 impl BlockFlags {
+    /// The farthest displacement the flags byte can record.
+    pub const MAX_DISPLACED: u8 = 7;
+
     fn to_byte(self) -> u8 {
         u8::from(self.has_entrymap)
             | u8::from(self.continues_prev) << 1
             | u8::from(self.sealed_early) << 2
+            | (self.displaced_by & Self::MAX_DISPLACED) << 3
     }
 
     fn from_byte(b: u8) -> BlockFlags {
@@ -61,6 +72,7 @@ impl BlockFlags {
             has_entrymap: b & 1 != 0,
             continues_prev: b & 2 != 0,
             sealed_early: b & 4 != 0,
+            displaced_by: (b >> 3) & Self::MAX_DISPLACED,
         }
     }
 }
@@ -199,6 +211,24 @@ impl BlockBuilder {
         out[self.block_size - 4..].copy_from_slice(&crc.to_le_bytes());
         out
     }
+}
+
+/// Re-stamps a finished block image as landing `by` block addresses past
+/// the one it was built for (see [`BlockFlags::displaced_by`]); entries
+/// and slots are untouched, only the flags byte and the CRC change.
+///
+/// # Panics
+///
+/// Panics if `by` exceeds [`BlockFlags::MAX_DISPLACED`] or `image` is
+/// shorter than a trailer — both are writer bugs.
+pub fn stamp_displaced(image: &mut [u8], by: u8) {
+    assert!(by <= BlockFlags::MAX_DISPLACED, "displacement {by} too far");
+    let n = image.len();
+    let mut flags = BlockFlags::from_byte(image[n - TRAILER_SIZE + 3]);
+    flags.displaced_by = by;
+    image[n - TRAILER_SIZE + 3] = flags.to_byte();
+    let crc = crc32(&image[..n - 4]);
+    image[n - 4..].copy_from_slice(&crc.to_le_bytes());
 }
 
 /// A decoded reference to one entry record inside a block.
@@ -523,6 +553,22 @@ mod tests {
         assert!(v.flags().has_entrymap);
         assert!(v.flags().sealed_early);
         assert!(!v.flags().continues_prev);
+        assert_eq!(v.flags().displaced_by, 0);
+    }
+
+    #[test]
+    fn stamp_displaced_keeps_entries_and_revalidates() {
+        let mut b = BlockBuilder::new(128, Timestamp(9));
+        b.flags_mut().sealed_early = true;
+        b.push(&hdr(8), b"moved");
+        let mut img = b.finish();
+        stamp_displaced(&mut img, 5);
+        let v = BlockView::parse(&img).expect("CRC covers the new flags");
+        assert_eq!(v.flags().displaced_by, 5);
+        assert!(v.flags().sealed_early);
+        assert_eq!(v.entry(0).unwrap().payload, b"moved");
+        stamp_displaced(&mut img, 0);
+        assert_eq!(img, b.finish(), "stamping back restores the image");
     }
 
     #[test]

@@ -27,7 +27,9 @@ pub mod header;
 pub mod records;
 pub mod volume_label;
 
-pub use block::{BlockBuilder, BlockFlags, BlockView, EntryRef, PushOutcome, TRAILER_SIZE};
+pub use block::{
+    stamp_displaced, BlockBuilder, BlockFlags, BlockView, EntryRef, PushOutcome, TRAILER_SIZE,
+};
 pub use entrymap_rec::EntrymapRecord;
 pub use header::{EntryForm, EntryHeader, FragKind};
 pub use records::{BadBlockRecord, CatalogRecord, LogFileAttrs};

@@ -22,6 +22,10 @@
 //! - `worm-writes` — inside `crates/device`, raw file primitives
 //!   (`OpenOptions`, seeks, `set_len`, …) are confined to `store.rs`,
 //!   the audited write surface of the write-once storage model.
+//! - `no-env-config` — `std::env::var*` only in `crates/testkit`,
+//!   `crates/bench`, `crates/lint` and the root `src/bin`: library
+//!   behaviour is a function of the configuration passed in, never of an
+//!   environment variable no call site shows.
 //! - `unwrap-ratchet` — per-crate counts of `.unwrap()` and undocumented
 //!   `.expect(...)` in library code, compared against the committed
 //!   baseline in `lint/ratchet.toml`, which may only go down.

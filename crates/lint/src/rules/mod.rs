@@ -3,6 +3,7 @@
 //! are individually testable against in-memory fixtures.
 
 pub mod atomics_ratchet;
+pub mod env_config;
 pub mod raw_locks;
 pub mod registry_deps;
 pub mod unwrap_ratchet;
@@ -18,4 +19,5 @@ pub fn check_source(sf: &SourceFile, out: &mut Vec<Diag>) {
     raw_locks::check(sf, out);
     wallclock::check(sf, out);
     worm_writes::check(sf, out);
+    env_config::check(sf, out);
 }

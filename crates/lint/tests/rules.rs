@@ -7,7 +7,7 @@
 use std::collections::BTreeMap;
 
 use clio_lint::rules::{
-    atomics_ratchet, raw_locks, registry_deps, unwrap_ratchet, wallclock, worm_writes,
+    atomics_ratchet, env_config, raw_locks, registry_deps, unwrap_ratchet, wallclock, worm_writes,
 };
 use clio_lint::{Diag, SourceFile};
 
@@ -142,6 +142,46 @@ fn wallclock_allows_the_sanctioned_funnels() {
         "crates/core/src/read.rs",
         include_str!("fixtures/wallclock/clean.rs"),
         wallclock::check,
+    );
+    assert!(diags.is_empty(), "{diags:?}");
+}
+
+#[test]
+fn env_config_flags_environment_reads_in_library_code() {
+    let bad = include_str!("fixtures/env_config/bad.rs");
+    let diags = lint("crates/core/src/config.rs", bad, env_config::check);
+    assert_eq!(diags.len(), 3, "{diags:?}");
+    for needle in ["env::var`", "env::var_os`", "env::vars`"] {
+        assert!(
+            diags.iter().any(|d| d.msg.contains(needle)),
+            "missing {needle} in {diags:?}"
+        );
+    }
+    assert!(diags
+        .iter()
+        .all(|d| d.line > 0 && d.rule == "no-env-config"));
+    // The root package's library is held to it too...
+    assert_eq!(lint("src/lib.rs", bad, env_config::check).len(), 3);
+    // ...but tooling, benchmark drivers, binaries and tests are where a
+    // seed or a switch legitimately enters.
+    for home in [
+        "crates/testkit/src/prop.rs",
+        "crates/bench/src/bin/x.rs",
+        "crates/lint/src/main.rs",
+        "src/bin/cliodump.rs",
+        "crates/core/tests/simulation.rs",
+        "tests/end_to_end.rs",
+    ] {
+        assert!(lint(home, bad, env_config::check).is_empty(), "{home}");
+    }
+}
+
+#[test]
+fn env_config_allows_args_prose_and_test_modules() {
+    let diags = lint(
+        "crates/core/src/config.rs",
+        include_str!("fixtures/env_config/clean.rs"),
+        env_config::check,
     );
     assert!(diags.is_empty(), "{diags:?}");
 }
