@@ -103,7 +103,7 @@ fn main() {
     // concurrency, not device speed.
     let cfg = ServiceConfig {
         cache_shards: shards,
-        trace_events: 0, // the trace ring is a mutex; keep the hot path atomic-only
+        trace_events: 0, // no span recording: the harness times the bare paths
         shards: 1,
         ..ServiceConfig::default()
     };

@@ -49,7 +49,7 @@ struct RoundResult {
 /// appends to their own log file on a fresh in-memory service.
 fn run_round(threads: usize, ops: u64) -> RoundResult {
     let cfg = ServiceConfig {
-        trace_events: 0, // the trace ring is a mutex; keep the hot path atomic-only
+        trace_events: 0, // no span recording: the harness times the bare paths
         commit_wait_us: 300,
         shards: 1,
         ..ServiceConfig::default()

@@ -39,7 +39,7 @@ struct RoundResult {
 /// over the domains.
 fn run_round(shards: usize, logs: usize, ops: u64) -> RoundResult {
     let cfg = ServiceConfig {
-        trace_events: 0, // the trace ring is a mutex; keep the hot path atomic-only
+        trace_events: 0, // no span recording: the harness times the bare paths
         shards,
         ..ServiceConfig::default()
     };

@@ -10,7 +10,7 @@
 //! and over the client/server channel via the `Stats` request.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use clio_device::{DeviceStats, InstrumentedDevice, SharedDevice};
@@ -31,6 +31,9 @@ struct PerLog {
     append_ns: Arc<Histogram>,
     read_ns: Arc<Histogram>,
 }
+
+/// The series of the 256 log ids sharing a high byte.
+type PerLogPage = Box<[OnceLock<PerLog>]>;
 
 /// Per-shard metric series (labeled `{shard="<i>"}`): one set per append
 /// domain, cached in the owning shard so the hot path never takes the
@@ -54,8 +57,11 @@ pub(crate) struct PerShard {
 pub struct ServiceObs {
     registry: Arc<MetricsRegistry>,
     trace: Arc<TraceRing>,
-    /// Per-log-file series, created lazily at first touch of each log id.
-    per_log: Mutex<BTreeMap<u16, Arc<PerLog>>>,
+    /// Per-log-file series, created lazily at first touch of each log id:
+    /// a two-level table over the 16-bit id (high byte picks a page, low
+    /// byte a series), so the per-op lookup is two loads — no lock, and no
+    /// reference count shared between a log's appender and its readers.
+    per_log: Box<[OnceLock<PerLogPage>]>,
     /// Per-shard series, created lazily at shard construction.
     per_shard: Mutex<BTreeMap<u32, Arc<PerShard>>>,
     /// Counters shared by every device the service touches (the volume
@@ -98,7 +104,7 @@ impl ServiceObs {
         }
         Arc::new(ServiceObs {
             trace,
-            per_log: Mutex::new(BTreeMap::new()),
+            per_log: (0..256).map(|_| OnceLock::new()).collect(),
             per_shard: Mutex::new(BTreeMap::new()),
             device_stats,
             append_latency: registry.histogram("clio_core_append_latency_ns"),
@@ -140,27 +146,24 @@ impl ServiceObs {
         self.trace.span(name)
     }
 
-    /// The per-log metric series for `id`, created on first touch. The
-    /// series mutex is a leaf: held only for the map lookup, never across
-    /// I/O or other locks.
-    fn per_log(&self, id: LogFileId) -> Arc<PerLog> {
-        let mut map = self.per_log.lock();
-        map.entry(id.0)
-            .or_insert_with(|| {
-                let label = id.0.to_string();
-                let labels: &[(&str, &str)] = &[("log", &label)];
-                Arc::new(PerLog {
-                    appends: self.registry.counter_with("clio_log_appends_total", labels),
-                    reads: self.registry.counter_with("clio_log_reads_total", labels),
-                    append_ns: self
-                        .registry
-                        .histogram_with("clio_log_append_latency_ns", labels),
-                    read_ns: self
-                        .registry
-                        .histogram_with("clio_log_read_latency_ns", labels),
-                })
-            })
-            .clone()
+    /// The per-log metric series for `id`, created on first touch.
+    fn per_log(&self, id: LogFileId) -> &PerLog {
+        let page = self.per_log[usize::from(id.0 >> 8)]
+            .get_or_init(|| (0..256).map(|_| OnceLock::new()).collect());
+        page[usize::from(id.0 & 0xFF)].get_or_init(|| {
+            let label = id.0.to_string();
+            let labels: &[(&str, &str)] = &[("log", &label)];
+            PerLog {
+                appends: self.registry.counter_with("clio_log_appends_total", labels),
+                reads: self.registry.counter_with("clio_log_reads_total", labels),
+                append_ns: self
+                    .registry
+                    .histogram_with("clio_log_append_latency_ns", labels),
+                read_ns: self
+                    .registry
+                    .histogram_with("clio_log_read_latency_ns", labels),
+            }
+        })
     }
 
     /// The per-shard metric series for append domain `idx`, created on

@@ -20,6 +20,21 @@
 //! pinned open block grow, and refresh on crossing a snapshot's watermark
 //! (reaching the end), which is what lets cursors tail a growing log.
 //!
+//! # One verification per block visit
+//!
+//! Every block image is CRC-checked before any entry of it is served, and
+//! a step through a scan parses the block it stands in once: the entry is
+//! reassembled from that parse, not looked up again by address. A cursor
+//! additionally carries the verified block its last entry came from (a
+//! [`ParsedBlock`], which only the check itself can construct), so the
+//! next entry of the same block costs a walk over its slots — no cache
+//! lookup, no CRC. It may carry only a block whose placement and content
+//! are final: any block of a sealed volume, or an active-volume block
+//! with `db + 1 < active_data_end` of the pinned snapshot. The open block
+//! grows, a block sealed in memory can still be displaced by append
+//! verification, and the last device block may be a rewriteable RAM tail
+//! (§2.3.1); those are read afresh on every call.
+//!
 //! # Sharding
 //!
 //! A log file's entries all live on one shard (routing is by top-level
@@ -29,11 +44,12 @@
 //! ascending shard order: entries come back shard by shard, in log order
 //! within each shard, with no global time ordering across shards.
 
+use std::cell::Cell;
 use std::sync::Arc;
 
 use clio_entrymap::tsearch;
 use clio_entrymap::{BlockSource, Locator, PendingMaps};
-use clio_format::{BlockView, FragKind};
+use clio_format::{BlockView, EntryRef, FragKind, ParsedBlock};
 use clio_types::{BlockNo, ClioError, EntryAddr, LogFileId, Result, SeqNo, Timestamp};
 use clio_volume::Volume;
 
@@ -67,6 +83,36 @@ impl Entry {
     }
 }
 
+/// What one read operation carries through its scans: how many blocks it
+/// loaded from a device itself, and — for a cursor, which keeps one of
+/// these across calls — the block its last entry came from.
+#[derive(Default)]
+pub(crate) struct ReadOp {
+    /// Blocks loaded from a device (cache misses this operation led).
+    device_loads: Cell<u64>,
+    held: Option<HeldBlock>,
+}
+
+/// A verified block a cursor carries between calls. Only a block whose
+/// placement and content are final is ever held (see
+/// [`VolSource::is_final`]), so serving the next entry from it is
+/// indistinguishable from re-reading its address.
+struct HeldBlock {
+    vol_idx: u32,
+    db: u64,
+    block: ParsedBlock,
+}
+
+impl ReadOp {
+    /// Keeps `block`, read from `(vol_idx, db)`, for the next call — if
+    /// the source it was fetched through found it final.
+    fn hold_if(&mut self, is_final: bool, (vol_idx, db): (u32, u64), block: ParsedBlock) {
+        if is_final {
+            self.held = Some(HeldBlock { vol_idx, db, block });
+        }
+    }
+}
+
 /// A per-volume [`BlockSource`] over one snapshot: the volume's sealed
 /// blocks plus (for the active volume) the snapshot's open block, sealed
 /// queue and `data_end` watermark, all borrowed from the snapshot.
@@ -83,6 +129,8 @@ pub(crate) struct VolSource<'v> {
     /// volumes read their (final, immutable) device value instead.
     watermark: Option<u64>,
     fanout: usize,
+    /// The owning operation's device-load count.
+    device_loads: &'v Cell<u64>,
 }
 
 impl VolSource<'_> {
@@ -94,28 +142,59 @@ impl VolSource<'_> {
         self.open.map(|(db, _)| db)
     }
 
-    /// Reads block `db`, or its re-placement if `db` was invalidated after
-    /// addresses into it were issued: append verification re-places an
-    /// image, slots unchanged, within one seal's retries, behind nothing
-    /// but invalidated blocks, and stamps it with the distance (§2.3.2).
-    /// Blocks that merely follow an invalidated one (a torn tail recovery
-    /// burned, then unrelated entries) carry no such stamp, and the
-    /// invalidated image itself is the answer.
-    fn read_placed(&self, db: u64) -> Result<(u64, Arc<Vec<u8>>)> {
-        let img = self.read(db)?;
-        if BlockView::is_invalidated(&img) {
-            let window = db + u64::from(MAX_SEAL_ATTEMPTS);
-            for cand in db + 1..window.min(self.data_end()) {
-                let moved = self.read(cand)?;
-                if let Ok(v) = BlockView::parse(&moved) {
-                    if u64::from(v.flags().displaced_by) == cand - db {
-                        return Ok((cand, moved));
+    /// Whether block `db`'s placement and content can no longer change, so
+    /// a verified copy may stand in for re-reading it: every block of a
+    /// sealed volume, and the active volume's device blocks short of the
+    /// last. The open block grows; a queued block can still be displaced
+    /// by append verification; and the last device block may be a
+    /// rewriteable RAM tail (§2.3.1) — those are read afresh every time.
+    fn is_final(&self, db: u64) -> bool {
+        self.watermark.is_none_or(|end| db + 1 < end)
+    }
+
+    /// Reads and verifies block `db`, or its re-placement if `db` was
+    /// invalidated after addresses into it were issued: append
+    /// verification re-places an image, slots unchanged, within one seal's
+    /// retries, behind nothing but invalidated blocks, and stamps it with
+    /// the distance (§2.3.2). Blocks that merely follow an invalidated one
+    /// (a torn tail recovery burned, then unrelated entries) carry no such
+    /// stamp, and the invalidated block itself is the answer.
+    fn fetch(&self, db: u64) -> Result<(u64, ParsedBlock)> {
+        match ParsedBlock::parse(self.read(db)?) {
+            Ok(block) => Ok((db, block)),
+            Err(ClioError::InvalidatedBlock(_)) => {
+                let window = db + u64::from(MAX_SEAL_ATTEMPTS);
+                for cand in db + 1..window.min(self.data_end()) {
+                    if let Ok(moved) = ParsedBlock::parse(self.read(cand)?) {
+                        if u64::from(moved.view().flags().displaced_by) == cand - db {
+                            return Ok((cand, moved));
+                        }
+                        break;
                     }
-                    break;
                 }
+                Err(ClioError::InvalidatedBlock(BlockNo(db)))
+            }
+            Err(e) => Err(e),
+        }
+    }
+
+    /// The verified block at `db` (or its re-placement) and whether it may
+    /// be carried past this call: the operation's held block if that is
+    /// the one asked for, a fresh [`VolSource::fetch`] otherwise. Finality
+    /// is decided here, against the snapshot the block was fetched under.
+    fn block(
+        &self,
+        held: &mut Option<HeldBlock>,
+        vol_idx: u32,
+        db: u64,
+    ) -> Result<(u64, ParsedBlock, bool)> {
+        match held.take() {
+            Some(h) if h.vol_idx == vol_idx && h.db == db => Ok((db, h.block, true)),
+            _ => {
+                let (at, block) = self.fetch(db)?;
+                Ok((at, block, self.is_final(at)))
             }
         }
-        Ok((db, img))
     }
 }
 
@@ -144,14 +223,158 @@ impl BlockSource for VolSource<'_> {
         if let Some(img) = self.queued.and_then(|q| q.get(db)) {
             return Ok(img.clone());
         }
-        self.vol.read_data_block(db)
+        self.vol.read_data_block_counted(db, self.device_loads)
     }
+}
+
+/// Whether a scan over `ids` stops at record `e`: one of ours, and the
+/// start of an entry rather than a continuation of one.
+fn is_entry_of(ids: &[LogFileId], e: &EntryRef<'_>) -> bool {
+    ids.contains(&e.header.id) && !matches!(e.header.frag, FragKind::Continuation { .. })
+}
+
+/// Builds the entry whose first (or only) record is `first`, a record of
+/// the already-verified block `blk` at `(vol_idx, db)`; a fragment chain
+/// is followed into the blocks after it.
+fn reassemble(
+    src: &VolSource<'_>,
+    (vol_idx, db): (u32, u64),
+    blk: &BlockView<'_>,
+    first: &EntryRef<'_>,
+) -> Result<Entry> {
+    let addr = EntryAddr::new(vol_idx, BlockNo(db), first.slot);
+    let header = first.header;
+    let mut data = first.payload.to_vec();
+    if let FragKind::First { total_len, chain } = header.frag {
+        // Reassemble continuation fragments from following blocks.
+        // Continuations are written in the immediately following
+        // blocks; unparseable blocks (invalidated, §2.3.2) are skipped
+        // as far as one seal can displace a block, and so is a block of
+        // nothing but entrymap records (the maps due at a boundary
+        // overflowed it, so the writer sealed it and continued in the
+        // next one). Any other readable block without the next piece
+        // means the chain is torn — the entry does not exist.
+        let total = total_len as usize;
+        let mut at = db + 1;
+        let mut skipped = 0u32;
+        while data.len() < total {
+            if at >= src.data_end() || skipped >= MAX_SEAL_ATTEMPTS {
+                return Err(ClioError::NotFound(format!(
+                    "fragments of entry {addr} missing past block {at}"
+                )));
+            }
+            let ci = src.read(at)?;
+            match BlockView::parse(&ci) {
+                Ok(v) => {
+                    let mut found = false;
+                    let mut maps_only = v.count() > 0;
+                    for e in v.entries() {
+                        let Ok(e) = e else { break };
+                        if e.header.frag == (FragKind::Continuation { chain })
+                            && e.header.id == header.id
+                        {
+                            data.extend_from_slice(e.payload);
+                            found = true;
+                            break;
+                        }
+                        maps_only &= e.header.id == LogFileId::ENTRYMAP;
+                    }
+                    if found {
+                        skipped = 0;
+                    } else if !maps_only {
+                        return Err(ClioError::NotFound(format!(
+                            "fragment chain of entry {addr} broken at block {at}"
+                        )));
+                    }
+                }
+                Err(_) => skipped += 1,
+            }
+            at += 1;
+        }
+        if data.len() != total {
+            return Err(ClioError::BadRecord("fragment reassembly size mismatch"));
+        }
+    } else if matches!(header.frag, FragKind::Continuation { .. }) {
+        return Err(ClioError::BadRecord(
+            "address points at a continuation fragment",
+        ));
+    }
+    Ok(Entry {
+        addr,
+        id: header.id,
+        timestamp: header.timestamp,
+        seqno: header.seqno,
+        block_ts: blk.first_ts(),
+        data,
+    })
+}
+
+/// The first entry of `ids` in block `blk` at slot `slot` or later,
+/// skipping entries timed before `floor`.
+fn next_in_block(
+    src: &VolSource<'_>,
+    at: (u32, u64),
+    blk: &BlockView<'_>,
+    slot: u16,
+    ids: &[LogFileId],
+    floor: Option<Timestamp>,
+) -> Result<Option<Entry>> {
+    for e in blk.entries_from(slot) {
+        let Ok(e) = e else { break };
+        if !is_entry_of(ids, &e) {
+            continue;
+        }
+        let eff = e.header.timestamp.unwrap_or_else(|| blk.first_ts());
+        if floor.is_some_and(|f| eff < f) {
+            continue;
+        }
+        match reassemble(src, at, blk, &e) {
+            Ok(entry) => return Ok(Some(entry)),
+            // A fragmented entry whose continuation was lost (torn by a
+            // crash, or destroyed by §2.3.2 corruption) is treated as
+            // absent.
+            Err(ClioError::NotFound(_)) => continue,
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(None)
+}
+
+/// The last entry of `ids` in block `blk` strictly before slot `slot_excl`.
+fn prev_in_block(
+    src: &VolSource<'_>,
+    at: (u32, u64),
+    blk: &BlockView<'_>,
+    slot_excl: u16,
+    ids: &[LogFileId],
+) -> Result<Option<Entry>> {
+    let ours: Vec<EntryRef<'_>> = blk
+        .entries()
+        .map_while(|e| e.ok())
+        .take_while(|e| e.slot < slot_excl)
+        .filter(|e| is_entry_of(ids, e))
+        .collect();
+    for e in ours.iter().rev() {
+        match reassemble(src, at, blk, e) {
+            Ok(entry) => return Ok(Some(entry)),
+            // Torn/lost fragments: fall back to the previous candidate.
+            Err(ClioError::NotFound(_)) => continue,
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(None)
 }
 
 impl Shard {
     /// A block source over one volume of the snapshot, including the open
-    /// block when the volume is active.
-    pub(crate) fn source_for<'v>(&self, view: &'v ReadView, vol_idx: u32) -> Result<VolSource<'v>> {
+    /// block when the volume is active; device loads made through it are
+    /// added to `device_loads`.
+    pub(crate) fn source_for<'v>(
+        &self,
+        view: &'v ReadView,
+        vol_idx: u32,
+        device_loads: &'v Cell<u64>,
+    ) -> Result<VolSource<'v>> {
         let vol = self.seq.volume(vol_idx)?;
         let (open, queued, watermark) = if vol_idx == view.active_index {
             (
@@ -168,6 +391,7 @@ impl Shard {
             queued,
             watermark,
             fanout: usize::from(self.cfg.fanout),
+            device_loads,
         })
     }
 
@@ -185,102 +409,52 @@ impl Shard {
         }
     }
 
-    /// Reads and reassembles the entry at the shard-local `addr` (lock-free:
-    /// operates on the current read snapshot). Records the read span and
-    /// metrics.
-    pub(crate) fn read_entry(&self, addr: EntryAddr) -> Result<Entry> {
+    /// Runs `op` as one read span: its latency, its outcome and the device
+    /// blocks it reports having loaded itself all land in the service
+    /// registry and the trace ring.
+    fn spanned<T>(
+        &self,
+        target: impl FnOnce(&T) -> Option<LogFileId>,
+        op: impl FnOnce() -> (Result<T>, u64),
+    ) -> Result<T> {
         let start = clio_obs::clock::now();
-        let before = self.obs.device_stats.reads();
         let mut span = self.obs.span("read");
-        let view = self.read_view();
-        let r = self.read_entry_in(&view, addr);
-        let blocks = self.obs.device_stats.reads().saturating_sub(before);
-        if let Ok(e) = r.as_ref() {
-            span.set_target(u64::from(e.id.0));
+        let (r, device_loads) = op();
+        let target = r.as_ref().ok().and_then(target);
+        if let Some(id) = target {
+            span.set_target(u64::from(id.0));
         }
-        span.attr("blocks", blocks);
+        span.attr("blocks", device_loads);
         if r.is_err() {
             span.fail("error");
         }
         drop(span);
-        self.obs
-            .note_read(r.as_ref().ok().map(|e| e.id), start.elapsed(), r.is_ok());
+        self.obs.note_read(target, start.elapsed(), r.is_ok());
         r
     }
 
-    pub(crate) fn read_entry_in(&self, view: &ReadView, addr: EntryAddr) -> Result<Entry> {
-        let src = self.source_for(view, addr.volume_index)?;
-        let (db, img) = src.read_placed(addr.block.0)?;
-        if BlockView::is_invalidated(&img) {
-            return Err(ClioError::NotFound(format!("entry {addr}")));
-        }
-        let view_blk = BlockView::parse(&img)?;
-        let first = view_blk.entry(addr.slot)?;
-        let header = first.header;
-        let block_ts = view_blk.first_ts();
-        let mut data = first.payload.to_vec();
-        if let FragKind::First { total_len, chain } = header.frag {
-            // Reassemble continuation fragments from following blocks.
-            // Continuations are written in the immediately following
-            // blocks; unparseable blocks (invalidated, §2.3.2) are skipped
-            // as far as one seal can displace a block, and so is a block of
-            // nothing but entrymap records (the maps due at a boundary
-            // overflowed it, so the writer sealed it and continued in the
-            // next one). Any other readable block without the next piece
-            // means the chain is torn — the entry does not exist.
-            let total = total_len as usize;
-            let mut at = db + 1;
-            let mut skipped = 0u32;
-            while data.len() < total {
-                if at >= src.data_end() || skipped >= MAX_SEAL_ATTEMPTS {
-                    return Err(ClioError::NotFound(format!(
-                        "fragments of entry {addr} missing past block {at}"
-                    )));
-                }
-                let ci = src.read(at)?;
-                match BlockView::parse(&ci) {
-                    Ok(v) => {
-                        let mut found = false;
-                        let mut maps_only = v.count() > 0;
-                        for e in v.entries() {
-                            let Ok(e) = e else { break };
-                            if e.header.frag == (FragKind::Continuation { chain })
-                                && e.header.id == header.id
-                            {
-                                data.extend_from_slice(e.payload);
-                                found = true;
-                                break;
-                            }
-                            maps_only &= e.header.id == LogFileId::ENTRYMAP;
-                        }
-                        if found {
-                            skipped = 0;
-                        } else if !maps_only {
-                            return Err(ClioError::NotFound(format!(
-                                "fragment chain of entry {addr} broken at block {at}"
-                            )));
-                        }
-                    }
-                    Err(_) => skipped += 1,
-                }
-                at += 1;
-            }
-            if data.len() != total {
-                return Err(ClioError::BadRecord("fragment reassembly size mismatch"));
-            }
-        } else if matches!(header.frag, FragKind::Continuation { .. }) {
-            return Err(ClioError::BadRecord(
-                "address points at a continuation fragment",
-            ));
-        }
-        Ok(Entry {
-            addr: EntryAddr::new(addr.volume_index, BlockNo(db), addr.slot),
-            id: header.id,
-            timestamp: header.timestamp,
-            seqno: header.seqno,
-            block_ts,
-            data,
-        })
+    /// Reads and reassembles the entry at the shard-local `addr` (lock-free:
+    /// operates on the current read snapshot). Records the read span and
+    /// metrics.
+    pub(crate) fn read_entry(&self, addr: EntryAddr) -> Result<Entry> {
+        self.spanned(
+            |e: &Entry| Some(e.id),
+            || {
+                let op = ReadOp::default();
+                let r = self.read_entry_in(&self.read_view(), addr, &op);
+                (r, op.device_loads.get())
+            },
+        )
+    }
+
+    fn read_entry_in(&self, view: &ReadView, addr: EntryAddr, op: &ReadOp) -> Result<Entry> {
+        let src = self.source_for(view, addr.volume_index, &op.device_loads)?;
+        let (db, blk) = src.fetch(addr.block.0).map_err(|e| match e {
+            ClioError::InvalidatedBlock(_) => ClioError::NotFound(format!("entry {addr}")),
+            e => e,
+        })?;
+        let blk = blk.view();
+        reassemble(&src, (addr.volume_index, db), &blk, &blk.entry(addr.slot)?)
     }
 
     /// Scans forward from `(vol, db, slot)` for the next entry of `ids`,
@@ -291,41 +465,23 @@ impl Shard {
         ids: &[LogFileId],
         start: (u32, u64, u16),
         floor: Option<Timestamp>,
+        op: &mut ReadOp,
     ) -> Result<Option<Entry>> {
         let (mut vol_idx, mut db, mut slot) = start;
         // The snapshot covers volumes 0..=active_index.
         let vol_count = view.active_index + 1;
         while vol_idx < vol_count {
-            let src = self.source_for(view, vol_idx)?;
+            let src = self.source_for(view, vol_idx, &op.device_loads)?;
             let end = src.data_end();
             while db < end {
                 // A position inside a block that verification has since
                 // re-placed is the same position in the re-placement.
-                if let Ok((at, img)) = src.read_placed(db) {
+                if let Ok((at, block, keep)) = src.block(&mut op.held, vol_idx, db) {
                     db = at;
-                    if let Ok(blk) = BlockView::parse(&img) {
-                        for e in blk.entries() {
-                            let Ok(e) = e else { break };
-                            if e.slot < slot
-                                || !ids.contains(&e.header.id)
-                                || matches!(e.header.frag, FragKind::Continuation { .. })
-                            {
-                                continue;
-                            }
-                            let eff = e.header.timestamp.unwrap_or_else(|| blk.first_ts());
-                            if floor.is_some_and(|f| eff < f) {
-                                continue;
-                            }
-                            let addr = EntryAddr::new(vol_idx, BlockNo(db), e.slot);
-                            match self.read_entry_in(view, addr) {
-                                Ok(entry) => return Ok(Some(entry)),
-                                // A fragmented entry whose continuation was
-                                // lost (torn by a crash, or destroyed by
-                                // §2.3.2 corruption) is treated as absent.
-                                Err(ClioError::NotFound(_)) => continue,
-                                Err(e) => return Err(e),
-                            }
-                        }
+                    let at = (vol_idx, db);
+                    if let Some(e) = next_in_block(&src, at, &block.view(), slot, ids, floor)? {
+                        op.hold_if(keep, at, block);
+                        return Ok(Some(e));
                     }
                 }
                 // Nothing (left) in this block: hop to the next block with
@@ -367,10 +523,11 @@ impl Shard {
         view: &ReadView,
         ids: &[LogFileId],
         before: (u32, u64, u16),
+        op: &mut ReadOp,
     ) -> Result<Option<Entry>> {
         let (mut vol_idx, mut db, mut slot_excl) = before;
         loop {
-            let src = self.source_for(view, vol_idx)?;
+            let src = self.source_for(view, vol_idx, &op.device_loads)?;
             let end = src.data_end();
             if end > 0 {
                 if db >= end {
@@ -378,43 +535,12 @@ impl Shard {
                     slot_excl = u16::MAX;
                 }
                 loop {
-                    if let Ok((at, img)) = src.read_placed(db) {
+                    if let Ok((at, block, keep)) = src.block(&mut op.held, vol_idx, db) {
                         db = at;
-                        if let Ok(blk) = BlockView::parse(&img) {
-                            let mut best: Option<u16> = None;
-                            for e in blk.entries() {
-                                let Ok(e) = e else { break };
-                                if e.slot < slot_excl
-                                    && ids.contains(&e.header.id)
-                                    && !matches!(e.header.frag, FragKind::Continuation { .. })
-                                {
-                                    best = Some(e.slot);
-                                }
-                            }
-                            while let Some(s) = best {
-                                let addr = EntryAddr::new(vol_idx, BlockNo(db), s);
-                                match self.read_entry_in(view, addr) {
-                                    Ok(entry) => return Ok(Some(entry)),
-                                    // Torn/lost fragments: fall back to the
-                                    // previous candidate in this block.
-                                    Err(ClioError::NotFound(_)) => {
-                                        best = blk
-                                            .entries()
-                                            .filter_map(|e| e.ok())
-                                            .filter(|e| {
-                                                e.slot < s
-                                                    && ids.contains(&e.header.id)
-                                                    && !matches!(
-                                                        e.header.frag,
-                                                        FragKind::Continuation { .. }
-                                                    )
-                                            })
-                                            .map(|e| e.slot)
-                                            .last();
-                                    }
-                                    Err(e) => return Err(e),
-                                }
-                            }
+                        let at = (vol_idx, db);
+                        if let Some(e) = prev_in_block(&src, at, &block.view(), slot_excl, ids)? {
+                            op.hold_if(keep, at, block);
+                            return Ok(Some(e));
                         }
                     }
                     if db == 0 {
@@ -456,6 +582,7 @@ impl Shard {
             ids,
             anchor: Anchor::Start,
             floor: None,
+            op: ReadOp::default(),
         }
     }
 
@@ -467,6 +594,7 @@ impl Shard {
             ids,
             anchor: Anchor::End,
             floor: None,
+            op: ReadOp::default(),
         }
     }
 
@@ -489,10 +617,11 @@ impl Shard {
                 break;
             }
         }
-        let src = self.source_for(&view, vol_pick)?;
+        let mut op = ReadOp::default();
+        let src = self.source_for(&view, vol_pick, &op.device_loads)?;
         let (db_opt, _) = tsearch::find_block_by_time(&src, ts)?;
         let start = (vol_pick, db_opt.unwrap_or(0), 0u16);
-        let anchor = match self.scan_forward(&view, &ids, start, Some(ts))? {
+        let anchor = match self.scan_forward(&view, &ids, start, Some(ts), &mut op)? {
             Some(e) => Anchor::BeforeEntry(e.addr),
             None => Anchor::End,
         };
@@ -502,6 +631,7 @@ impl Shard {
             ids,
             anchor,
             floor: None,
+            op,
         })
     }
 }
@@ -633,6 +763,8 @@ pub(crate) struct ShardCursor<'a> {
     ids: Vec<LogFileId>,
     anchor: Anchor,
     floor: Option<Timestamp>,
+    /// Carried across calls for the block the last entry came from.
+    op: ReadOp,
 }
 
 impl ShardCursor<'_> {
@@ -646,28 +778,18 @@ impl ShardCursor<'_> {
         self.spanned(Self::prev_inner)
     }
 
-    /// Times `op` as one read span: device blocks touched, latency and
-    /// outcome all land in the service registry and trace ring.
+    /// Runs one cursor movement as one read span.
     fn spanned(
         &mut self,
-        op: impl FnOnce(&mut Self) -> Result<Option<Entry>>,
+        step: impl FnOnce(&mut Self) -> Result<Option<Entry>>,
     ) -> Result<Option<Entry>> {
-        let start = clio_obs::clock::now();
-        let before = self.svc.obs.device_stats.reads();
-        let mut span = self.svc.obs.span("read");
-        let r = op(self);
-        let blocks = self.svc.obs.device_stats.reads().saturating_sub(before);
-        let target = r.as_ref().ok().and_then(|e| e.as_ref().map(|e| e.id));
-        if let Some(id) = target {
-            span.set_target(u64::from(id.0));
-        }
-        span.attr("blocks", blocks);
-        if r.is_err() {
-            span.fail("error");
-        }
-        drop(span);
-        self.svc.obs.note_read(target, start.elapsed(), r.is_ok());
-        r
+        self.svc.spanned(
+            |e: &Option<Entry>| e.as_ref().map(|e| e.id),
+            || {
+                let r = step(self);
+                (r, self.op.device_loads.take())
+            },
+        )
     }
 
     fn next_inner(&mut self) -> Result<Option<Entry>> {
@@ -677,10 +799,8 @@ impl ShardCursor<'_> {
             Anchor::At(a) => (a.volume_index, a.block.0, a.slot + 1),
             Anchor::BeforeEntry(a) => (a.volume_index, a.block.0, a.slot),
         };
-        if let Some(e) = self
-            .svc
-            .scan_forward(&self.view, &self.ids, start, self.floor)?
-        {
+        let svc = self.svc;
+        if let Some(e) = svc.scan_forward(&self.view, &self.ids, start, self.floor, &mut self.op)? {
             self.anchor = Anchor::At(e.addr);
             self.floor = None;
             return Ok(Some(e));
@@ -689,15 +809,12 @@ impl ShardCursor<'_> {
         // watermark. Refresh to the currently published snapshot and look
         // again; apart from the pinned open block growing, this is the
         // only point a cursor observes new appends.
-        let fresh = self.svc.read_view();
+        let fresh = svc.read_view();
         if Arc::ptr_eq(&fresh, &self.view) {
             return Ok(None);
         }
         self.view = fresh;
-        match self
-            .svc
-            .scan_forward(&self.view, &self.ids, start, self.floor)?
-        {
+        match svc.scan_forward(&self.view, &self.ids, start, self.floor, &mut self.op)? {
             Some(e) => {
                 self.anchor = Anchor::At(e.addr);
                 self.floor = None;
@@ -716,7 +833,10 @@ impl ShardCursor<'_> {
             }
             Anchor::At(a) | Anchor::BeforeEntry(a) => (a.volume_index, a.block.0, a.slot),
         };
-        match self.svc.scan_backward(&self.view, &self.ids, before)? {
+        match self
+            .svc
+            .scan_backward(&self.view, &self.ids, before, &mut self.op)?
+        {
             Some(e) => {
                 self.anchor = Anchor::BeforeEntry(e.addr);
                 Ok(Some(e))

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use clio_core::service::{AppendOpts, LogService};
 use clio_core::ServiceConfig;
-use clio_obs::{MetricValue, MetricsRegistry};
+use clio_obs::{AttrValue, MetricValue, MetricsRegistry, Span};
 use clio_types::{ManualClock, Timestamp, VolumeSeqId};
 use clio_volume::{MemDevicePool, RecordingPool};
 
@@ -286,4 +286,171 @@ fn flush_republishes_when_only_the_sealed_queue_advanced() {
     // Everything reads back after the flush.
     let mut cur = svc.cursor("/q").unwrap();
     assert_eq!(cur.collect_remaining().unwrap().len(), 12);
+}
+
+fn payload(i: u32) -> Vec<u8> {
+    format!("entry-{i:06}-{}", "x".repeat(24)).into_bytes()
+}
+
+/// The deterministic tripwire for "verify a block once per visit": a
+/// dense forward scan of E entries over B blocks asks the cache for about
+/// one block per block visited plus what its end-of-block locates read —
+/// it used to ask twice per *entry*. Device reads are what they always
+/// were: each block once.
+#[test]
+fn dense_scan_looks_each_block_up_once() {
+    const ENTRIES: u32 = 400;
+    let svc = LogService::create(
+        VolumeSeqId(1),
+        Arc::new(MemDevicePool::new(256, 4096)),
+        ServiceConfig {
+            cache_blocks: 1024,
+            ..ServiceConfig::small()
+        },
+        clock(),
+    )
+    .unwrap();
+    svc.create_log("/audit").unwrap();
+    for i in 0..ENTRIES {
+        svc.append_path("/audit", &payload(i), AppendOpts::standard())
+            .unwrap();
+    }
+    svc.flush().unwrap();
+    let blocks = svc.volumes().active().data_end();
+    assert!(
+        u64::from(ENTRIES) >= 4 * blocks,
+        "the scan must be dense: {ENTRIES} entries in {blocks} blocks"
+    );
+
+    // Cold cache, so device reads are countable too.
+    let reg = svc.metrics().clone();
+    svc.cache().clear();
+    svc.cache().reset_stats();
+    let device_before = counter(&reg, "clio_device_reads_total");
+    let locates_before = counter(&reg, "clio_core_locates_total");
+    let locate_blocks_before = histogram(&reg, "clio_core_locate_blocks").sum;
+
+    let mut cur = svc.cursor("/audit").unwrap();
+    let got = cur.collect_remaining().unwrap();
+    assert_eq!(got.len(), ENTRIES as usize);
+    assert!(got.iter().zip(0..).all(|(e, i)| e.data == payload(i)));
+
+    let cache = svc.cache().stats();
+    let lookups = cache.hits + cache.misses;
+    let locates = counter(&reg, "clio_core_locates_total") - locates_before;
+    let locate_blocks = histogram(&reg, "clio_core_locate_blocks").sum - locate_blocks_before;
+    println!(
+        "dense scan: {ENTRIES} entries, {blocks} blocks, {lookups} cache lookups, \
+         {locates} locates reading {locate_blocks} blocks"
+    );
+    assert!(
+        lookups <= 2 * blocks + locates + locate_blocks,
+        "{lookups} cache lookups for {blocks} blocks, {locates} locates reading {locate_blocks} blocks"
+    );
+    assert!(
+        lookups < u64::from(ENTRIES),
+        "{lookups} cache lookups for {ENTRIES} entries: the scan is back to per-entry lookups"
+    );
+    // Every block is loaded from the device exactly once, as before.
+    let device_reads = counter(&reg, "clio_device_reads_total") - device_before;
+    assert_eq!(device_reads, cache.misses);
+    assert!(
+        (blocks - 1..=blocks).contains(&device_reads),
+        "{device_reads} device reads for {blocks} blocks"
+    );
+}
+
+fn blocks_attr(span: &Span) -> u64 {
+    span.attrs
+        .iter()
+        .find_map(|(k, v)| match v {
+            AttrValue::U64(n) if *k == "blocks" => Some(*n),
+            _ => None,
+        })
+        .expect("a read span carries `blocks`")
+}
+
+/// A `read` span's `blocks` is what *that* read loaded from the device.
+/// It used to be a before/after difference of the service-wide device
+/// read counter, so a reader served entirely from memory was billed for
+/// whatever a concurrent reader fetched meanwhile.
+#[test]
+fn read_span_blocks_are_per_op_under_concurrent_readers() {
+    const COLD_READS: usize = 4000;
+    let svc = LogService::create(
+        VolumeSeqId(4),
+        Arc::new(MemDevicePool::new(256, 4096)),
+        ServiceConfig {
+            // One cached block: the cold reader below misses every time.
+            cache_blocks: 1,
+            cache_shards: 1,
+            trace_events: 1 << 16,
+            ..ServiceConfig::small()
+        },
+        clock(),
+    )
+    .unwrap();
+    let cold_log = svc.create_log("/cold").unwrap();
+    let hot_log = svc.create_log("/hot").unwrap();
+    // One entry per block, on the device.
+    let cold: Vec<_> = (0..64u32)
+        .map(|i| {
+            let r = svc
+                .append_path("/cold", &payload(i), AppendOpts::forced())
+                .unwrap();
+            r.addr
+        })
+        .collect();
+    // One entry in the open block: reading it touches no device, no cache.
+    let hot = svc
+        .append_path("/hot", b"in the open block", AppendOpts::standard())
+        .unwrap()
+        .addr;
+
+    let reg = svc.metrics().clone();
+    let device_before = counter(&reg, "clio_device_reads_total");
+    let first_seq = svc.obs().trace().total_recorded();
+    let done = std::sync::atomic::AtomicBool::new(false);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            for i in 0..COLD_READS {
+                // Stride 7 over 64 blocks: never the block just cached.
+                svc.read_entry(cold[(i * 7) % cold.len()]).unwrap();
+            }
+            done.store(true, std::sync::atomic::Ordering::Release);
+        });
+        s.spawn(|| {
+            while !done.load(std::sync::atomic::Ordering::Acquire) {
+                svc.read_entry(hot).unwrap();
+            }
+        });
+    });
+    let device_reads = counter(&reg, "clio_device_reads_total") - device_before;
+    assert_eq!(device_reads, COLD_READS as u64, "every cold read misses");
+
+    let spans: Vec<Span> = svc
+        .obs()
+        .trace()
+        .snapshot()
+        .into_iter()
+        .filter(|s| s.seq >= first_seq && s.name == "read")
+        .collect();
+    let of = |log: clio_types::LogFileId| {
+        let id = Some(u64::from(log.0));
+        spans.iter().filter(move |s| s.target == id)
+    };
+    assert!(of(hot_log).count() > 0, "the hot reader ran");
+    // The ring may have lapped under a fast hot reader; whatever cold
+    // spans survive must each own exactly their one load.
+    assert!(of(cold_log).count() > 0, "cold spans survive in the ring");
+    for s in of(cold_log) {
+        assert_eq!(blocks_attr(s), 1, "a cold read loads its one block");
+    }
+    for s in of(hot_log) {
+        assert_eq!(
+            blocks_attr(s),
+            0,
+            "a read served from the open block loaded nothing"
+        );
+    }
 }

@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use clio_core::service::{AppendOpts, Durability, LogService};
-use clio_core::{ServiceConfig, Uio, UioSeek};
+use clio_core::{LogCursor, ServiceConfig, Uio, UioSeek};
 use clio_device::{FaultPlan, FaultyDevice, MemWormDevice, RamTailDevice, SharedDevice};
 use clio_types::{ClioError, LogFileId, ManualClock, SeqNo, Timestamp, VolumeSeqId};
 use clio_volume::{DevicePool, MemDevicePool, RecordingPool};
@@ -1208,5 +1208,116 @@ fn failed_threshold_drain_keeps_the_suffix_queued() {
     assert_eq!(got.len(), acked.len());
     for (e, r) in got.iter().zip(&acked) {
         assert_eq!(e.addr, r.addr);
+    }
+}
+
+// ---------------------------------------------------------------------
+// What a cursor may carry across calls (DESIGN.md "Concurrency model").
+// ---------------------------------------------------------------------
+
+fn payload(i: u32) -> Vec<u8> {
+    format!("entry-{i:06}-{}", "x".repeat(24)).into_bytes()
+}
+
+fn seq_of(data: &[u8]) -> u32 {
+    std::str::from_utf8(&data[6..12])
+        .expect("ascii")
+        .parse()
+        .expect("number")
+}
+
+/// The next entry's sequence number, if there is one.
+fn next_seq(cur: &mut LogCursor<'_>) -> Option<u32> {
+    cur.next().unwrap().map(|e| seq_of(&e.data))
+}
+
+/// On a device with a battery-backed RAM tail the *last device block* is
+/// the staged open block and is rewritten by every forced append
+/// (§2.3.1), so a cursor that carried it across calls would serve a stale
+/// image and hop past the entries added since. Found by the simulation
+/// storm, seed 1 ("cursor-sequence … observed 16 at position 1, expected
+/// 2") against a prototype that held every block below `data_end`.
+#[test]
+fn regression_cursor_rereads_rewriteable_ram_tail_block() {
+    const ENTRIES: u32 = 60;
+    let pool = capturing_pool(256, 4096, true);
+    let svc = LogService::create(VolumeSeqId(2), pool, ServiceConfig::small(), clock()).unwrap();
+    svc.create_log("/wal").unwrap();
+    let mut cur = svc.cursor("/wal").unwrap();
+    for i in 0..ENTRIES {
+        svc.append_path("/wal", &payload(i), AppendOpts::forced())
+            .unwrap();
+        // No `next()` in between that comes back empty: that would make
+        // the cursor look the block up again anyway.
+        assert_eq!(next_seq(&mut cur), Some(i), "tailing cursor at entry {i}");
+    }
+    assert_eq!(next_seq(&mut cur), None);
+    // The staged tail really was rewritten in place: far fewer blocks
+    // than forced appends.
+    assert!(svc.volumes().active().data_end() < u64::from(ENTRIES) / 2);
+    // Backwards over the same blocks, tail block first.
+    let mut back = svc.cursor_from_end("/wal").unwrap();
+    let seen: Vec<u32> =
+        std::iter::from_fn(|| back.prev().unwrap().map(|e| seq_of(&e.data))).collect();
+    assert_eq!(seen, (0..ENTRIES).rev().collect::<Vec<_>>());
+}
+
+/// The open block grows and a block sealed in memory can still move, so
+/// neither may be carried across `next()` calls. A tailing cursor reads
+/// each entry the moment it is appended — through the open block, through
+/// blocks sealed into the in-memory queue, and (verifying configuration)
+/// through blocks that append verification displaces — while a second
+/// cursor trails a few blocks behind on sealed device blocks, the ones a
+/// cursor *does* carry. Neither skips or repeats an entry.
+#[test]
+fn regression_cursor_never_holds_open_or_queued_block() {
+    const ENTRIES: u32 = 240;
+    const LAG: u32 = 25;
+    for verify in [false, true] {
+        let pool = Arc::new(FaultyPool::default());
+        let cfg = if verify {
+            ServiceConfig::small().with_verified_appends()
+        } else {
+            ServiceConfig::small()
+        };
+        let svc = LogService::create(VolumeSeqId(3), pool.clone(), cfg, clock()).unwrap();
+        svc.create_log("/feed").unwrap();
+        let mut tail = svc.cursor("/feed").unwrap();
+        let mut trailing = svc.cursor("/feed").unwrap();
+        for i in 0..ENTRIES {
+            if verify && i % 11 == 5 {
+                // The next seal lands on garbage (twice, every other
+                // time) and is re-placed further on.
+                pool.device().corrupt_next_appends(1 + (i / 11) % 2);
+            }
+            // Buffered appends fill the open block and seal it into the
+            // in-memory queue; a forced one now and then drains the queue.
+            let opts = if i % 29 == 28 {
+                AppendOpts::forced()
+            } else {
+                AppendOpts::standard()
+            };
+            svc.append_path("/feed", &payload(i), opts).unwrap();
+            assert_eq!(next_seq(&mut tail), Some(i), "verify={verify}: tail");
+            if i >= LAG {
+                assert_eq!(
+                    next_seq(&mut trailing),
+                    Some(i - LAG),
+                    "verify={verify}: trailing cursor"
+                );
+            }
+        }
+        // The in-memory queue was really in play (plain configuration:
+        // sealed blocks wait for a batch or a forced append).
+        if !verify {
+            assert!(svc.volumes().active().data_end() > 10);
+        }
+        assert_eq!(next_seq(&mut tail), None);
+        let rest: Vec<u32> = std::iter::from_fn(|| next_seq(&mut trailing)).collect();
+        assert_eq!(rest, (ENTRIES - LAG..ENTRIES).collect::<Vec<_>>());
+        // Back down the whole log from where the tail stands.
+        let seen: Vec<u32> =
+            std::iter::from_fn(|| tail.prev().unwrap().map(|e| seq_of(&e.data))).collect();
+        assert_eq!(seen, (0..ENTRIES - 1).rev().collect::<Vec<_>>());
     }
 }

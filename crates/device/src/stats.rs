@@ -550,8 +550,8 @@ mod tests {
         assert_eq!(spans.len(), 3);
         assert!(spans.iter().all(|s| s.name == "device_write"));
         assert_eq!(
-            spans[1].attrs,
-            vec![("blocks", clio_obs::AttrValue::U64(2))]
+            &spans[1].attrs[..],
+            &[("blocks", clio_obs::AttrValue::U64(2))]
         );
         assert_eq!(spans[2].outcome, "io_error");
     }

@@ -21,6 +21,8 @@
 //! block") and a CRC32, which is how this implementation detects the
 //! garbage blocks §2.3.2 assumes detectable.
 
+use std::sync::Arc;
+
 use clio_types::crc::crc32;
 use clio_types::{ClioError, Result, Timestamp, INVALIDATED_BYTE, MIN_BLOCK_SIZE};
 
@@ -353,10 +355,20 @@ impl<'a> BlockView<'a> {
 
     /// Iterates over all records, front to back.
     pub fn entries(&self) -> impl Iterator<Item = Result<EntryRef<'a>>> + '_ {
-        let mut off = 0usize;
-        (0..self.count).map(move |slot| {
+        self.entries_from(0)
+    }
+
+    /// Iterates over the records from `first` on, front to back. The
+    /// records before `first` are stepped over by size alone (the index),
+    /// not decoded — a scan resuming mid-block pays for what it returns.
+    pub fn entries_from(&self, first: u16) -> impl Iterator<Item = Result<EntryRef<'a>>> + '_ {
+        let data_end = self.bytes.len() - TRAILER_SIZE - 2 * usize::from(self.count);
+        let first = first.min(self.count);
+        // In-range slots, so `record_size` cannot fail; an oversized sum
+        // fails the bounds check of the first record decoded.
+        let mut off: usize = (0..first).filter_map(|s| self.record_size(s).ok()).sum();
+        (first..self.count).map(move |slot| {
             let size = self.record_size(slot)?;
-            let data_end = self.bytes.len() - TRAILER_SIZE - 2 * usize::from(self.count);
             if off + size > data_end {
                 return Err(ClioError::BadRecord("record overruns data area"));
             }
@@ -408,6 +420,53 @@ impl<'a> BlockView<'a> {
                 payload: &rec[hlen..],
             })
         })
+    }
+}
+
+/// An owned block image that has passed [`BlockView::parse`] — magic,
+/// version, CRC and index geometry — together with the trailer fields
+/// that check decoded.
+///
+/// [`ParsedBlock::parse`] is the only constructor, so holding one *is* the
+/// proof that the image was verified: a reader that keeps it can hand out
+/// [`BlockView`]s of the same bytes any number of times without checking
+/// them again. The image is immutable behind its `Arc`; what a holder must
+/// still decide for itself is whether the *address* it read the image from
+/// can come to hold different bytes.
+#[derive(Debug, Clone)]
+pub struct ParsedBlock {
+    image: Arc<Vec<u8>>,
+    count: u16,
+    flags: BlockFlags,
+    first_ts: Timestamp,
+}
+
+impl ParsedBlock {
+    /// Validates `image` exactly as [`BlockView::parse`] does and keeps it.
+    pub fn parse(image: Arc<Vec<u8>>) -> Result<ParsedBlock> {
+        let BlockView {
+            count,
+            flags,
+            first_ts,
+            ..
+        } = BlockView::parse(&image)?;
+        Ok(ParsedBlock {
+            image,
+            count,
+            flags,
+            first_ts,
+        })
+    }
+
+    /// A view of the verified image. O(1): nothing is re-read.
+    #[must_use]
+    pub fn view(&self) -> BlockView<'_> {
+        BlockView {
+            bytes: &self.image,
+            count: self.count,
+            flags: self.flags,
+            first_ts: self.first_ts,
+        }
     }
 }
 
@@ -569,6 +628,56 @@ mod tests {
         assert_eq!(v.entry(0).unwrap().payload, b"moved");
         stamp_displaced(&mut img, 0);
         assert_eq!(img, b.finish(), "stamping back restores the image");
+    }
+
+    #[test]
+    fn entries_from_resumes_mid_block() {
+        let mut b = BlockBuilder::new(512, Timestamp(5));
+        for i in 0..10u16 {
+            b.push(&hdr(8 + i), &vec![i as u8; usize::from(i) * 3]);
+        }
+        let img = b.finish();
+        let v = BlockView::parse(&img).unwrap();
+        let all: Vec<_> = v.entries().map(|e| e.unwrap()).collect();
+        for first in 0..=12u16 {
+            let tail: Vec<_> = v.entries_from(first).map(|e| e.unwrap()).collect();
+            let want = all.get(usize::from(first)..).unwrap_or(&[]);
+            assert_eq!(tail, want, "from slot {first}");
+        }
+    }
+
+    #[test]
+    fn parsed_block_is_the_same_view_without_reparsing() {
+        let mut b = BlockBuilder::new(256, Timestamp(77));
+        b.flags_mut().sealed_early = true;
+        b.push(&hdr(8), b"alpha");
+        b.push(&hdr(9), b"beta");
+        let img = Arc::new(b.finish());
+        let parsed = ParsedBlock::parse(img.clone()).unwrap();
+        let (held, fresh) = (parsed.view(), BlockView::parse(&img).unwrap());
+        assert_eq!(held.count(), fresh.count());
+        assert_eq!(held.flags(), fresh.flags());
+        assert_eq!(held.first_ts(), fresh.first_ts());
+        assert_eq!(
+            held.entries().map(|e| e.unwrap()).collect::<Vec<_>>(),
+            fresh.entries().map(|e| e.unwrap()).collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn parsed_block_rejects_what_parse_rejects() {
+        let mut b = BlockBuilder::new(256, Timestamp(0));
+        b.push(&hdr(8), b"data");
+        let mut img = b.finish();
+        img[10] ^= 0x40;
+        assert!(matches!(
+            ParsedBlock::parse(Arc::new(img)).unwrap_err(),
+            ClioError::CorruptBlock(_)
+        ));
+        assert!(matches!(
+            ParsedBlock::parse(Arc::new(vec![INVALIDATED_BYTE; 256])).unwrap_err(),
+            ClioError::InvalidatedBlock(_)
+        ));
     }
 
     #[test]

@@ -28,7 +28,8 @@ pub mod records;
 pub mod volume_label;
 
 pub use block::{
-    stamp_displaced, BlockBuilder, BlockFlags, BlockView, EntryRef, PushOutcome, TRAILER_SIZE,
+    stamp_displaced, BlockBuilder, BlockFlags, BlockView, EntryRef, ParsedBlock, PushOutcome,
+    TRAILER_SIZE,
 };
 pub use entrymap_rec::EntrymapRecord;
 pub use header::{EntryForm, EntryHeader, FragKind};

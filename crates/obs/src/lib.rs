@@ -38,4 +38,4 @@ pub mod trace;
 pub use hist::{HistSnapshot, Histogram};
 pub use http::{ObsHttpServer, ObsProvider};
 pub use registry::{Counter, Gauge, MetricValue, MetricsRegistry, Sample};
-pub use trace::{AttrValue, Span, SpanGuard, SpanNode, TraceRing, TraceTree};
+pub use trace::{AttrValue, Attrs, Span, SpanGuard, SpanNode, TraceRing, TraceTree};

@@ -16,6 +16,15 @@
 //! Timestamps come from [`crate::clock::now_us`], so a simulator that
 //! installs a virtual time source gets byte-identical span trees for the
 //! same seed.
+//!
+//! # Recording cost
+//!
+//! Every operation of every thread records here, so recording must not
+//! make threads wait for — or clean up after — one another. A recorder
+//! claims a sequence number with one `fetch_add` and locks only the slot
+//! that number maps to; attributes are stored inline in the span
+//! ([`Attrs`]), so recording allocates nothing and overwriting a slot
+//! frees nothing another thread allocated.
 
 use clio_testkit::sync::atomic::{AtomicU64, Ordering};
 use std::cell::RefCell;
@@ -64,13 +73,69 @@ pub struct Span {
     /// `"ok"` or a short error tag.
     pub outcome: &'static str,
     /// Key/value attributes (leader/follower role, batch size, bytes, …).
-    pub attrs: Vec<(&'static str, AttrValue)>,
+    pub attrs: Attrs,
+}
+
+/// A span's key/value attributes, stored inline: at most
+/// [`Attrs::CAPACITY`] of them, in the order they were attached.
+/// Dereferences to a slice of `(key, value)` pairs. (Slots past `len`
+/// always hold the filler `new()` put there, so derived equality is
+/// equality of those slices.)
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct Attrs {
+    len: u8,
+    items: [(&'static str, AttrValue); Attrs::CAPACITY],
+}
+
+impl Attrs {
+    /// The most attributes one span can carry (the widest span recorded
+    /// today carries three).
+    pub const CAPACITY: usize = 4;
+
+    /// No attributes.
+    #[must_use]
+    pub const fn new() -> Attrs {
+        Attrs {
+            len: 0,
+            items: [("", AttrValue::U64(0)); Attrs::CAPACITY],
+        }
+    }
+
+    /// Attaches one more attribute. A span that is already full keeps
+    /// what it has: an attribute too many is dropped, never a reason to
+    /// allocate on the recording path.
+    pub fn push(&mut self, key: &'static str, value: AttrValue) {
+        if let Some(slot) = self.items.get_mut(usize::from(self.len)) {
+            *slot = (key, value);
+            self.len += 1;
+        }
+    }
+}
+
+impl Default for Attrs {
+    fn default() -> Attrs {
+        Attrs::new()
+    }
+}
+
+impl std::ops::Deref for Attrs {
+    type Target = [(&'static str, AttrValue)];
+
+    fn deref(&self) -> &Self::Target {
+        &self.items[..usize::from(self.len)]
+    }
+}
+
+impl std::fmt::Debug for Attrs {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
 }
 
 impl Span {
     fn attr_string(&self) -> String {
         let mut out = String::new();
-        for (k, v) in &self.attrs {
+        for (k, v) in self.attrs.iter() {
             out.push(' ');
             out.push_str(k);
             out.push('=');
@@ -86,23 +151,23 @@ thread_local! {
     static OPEN: RefCell<Vec<(u64, u64)>> = const { RefCell::new(Vec::new()) };
 }
 
-struct Ring {
-    spans: Vec<Span>,
-    next_seq: u64,
-    head: usize,
-}
-
 /// A bounded, overwrite-oldest buffer of finished [`Span`]s.
+///
+/// Record number `seq` lives in slot `seq % capacity` until record
+/// `seq + capacity` replaces it. Each slot has its own lock, held for one
+/// span-sized copy, so two recorders contend only when they are a whole
+/// lap apart on the same slot.
 pub struct TraceRing {
-    capacity: usize,
-    inner: Mutex<Ring>,
+    slots: Box<[Mutex<Option<Span>>]>,
+    /// The next record sequence number; also the total ever recorded.
+    next_seq: AtomicU64,
     next_id: AtomicU64,
 }
 
 impl std::fmt::Debug for TraceRing {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TraceRing")
-            .field("capacity", &self.capacity)
+            .field("capacity", &self.capacity())
             .finish_non_exhaustive()
     }
 }
@@ -113,12 +178,10 @@ impl TraceRing {
     #[must_use]
     pub fn new(capacity: usize) -> TraceRing {
         TraceRing {
-            capacity,
-            inner: Mutex::new(Ring {
-                spans: Vec::with_capacity(capacity.min(1024)),
-                next_seq: 0,
-                head: 0,
-            }),
+            slots: (0..capacity)
+                .map(|_| Mutex::with_class(None, "obs.trace_slot"))
+                .collect(),
+            next_seq: AtomicU64::new(0),
             next_id: AtomicU64::new(1),
         }
     }
@@ -129,7 +192,7 @@ impl TraceRing {
     /// [`SpanGuard::finish`]es).
     #[must_use]
     pub fn span<'a>(&'a self, name: &'static str) -> SpanGuard<'a> {
-        if self.capacity == 0 {
+        if self.slots.is_empty() {
             return SpanGuard {
                 ring: self,
                 span: None,
@@ -154,7 +217,7 @@ impl TraceRing {
                 start_us: crate::clock::now_us(),
                 dur_us: 0,
                 outcome: "ok",
-                attrs: Vec::new(),
+                attrs: Attrs::new(),
             }),
         }
     }
@@ -163,18 +226,17 @@ impl TraceRing {
     /// assigned). Used by tests needing deterministic contents and by
     /// [`TraceRing::record`]; live tracing goes through [`TraceRing::span`].
     pub fn record_span(&self, mut span: Span) {
-        if self.capacity == 0 {
+        if self.slots.is_empty() {
             return;
         }
-        let mut ring = self.inner.lock();
-        span.seq = ring.next_seq;
-        ring.next_seq += 1;
-        if ring.spans.len() < self.capacity {
-            ring.spans.push(span);
-        } else {
-            let head = ring.head;
-            ring.spans[head] = span;
-            ring.head = (head + 1) % self.capacity;
+        // Relaxed: the number only picks a slot and orders records; the
+        // span itself is published by the slot's lock.
+        span.seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
+        let mut slot = self.slots[(span.seq % self.slots.len() as u64) as usize].lock();
+        // A recorder descheduled between its claim and this lock for a
+        // whole lap finds a newer record already here; it must lose.
+        if slot.as_ref().is_none_or(|held| held.seq < span.seq) {
+            *slot = Some(span);
         }
     }
 
@@ -190,7 +252,7 @@ impl TraceRing {
         dur: std::time::Duration,
         outcome: &'static str,
     ) {
-        if self.capacity == 0 {
+        if self.slots.is_empty() {
             return;
         }
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
@@ -199,6 +261,10 @@ impl TraceRing {
             None => (id, None),
         };
         let dur_us = u64::try_from(dur.as_micros()).unwrap_or(u64::MAX);
+        let mut attrs = Attrs::new();
+        if blocks > 0 {
+            attrs.push("blocks", AttrValue::U64(blocks));
+        }
         self.record_span(Span {
             seq: 0,
             trace,
@@ -209,28 +275,25 @@ impl TraceRing {
             start_us: crate::clock::now_us().saturating_sub(dur_us),
             dur_us,
             outcome,
-            attrs: if blocks > 0 {
-                vec![("blocks", AttrValue::U64(blocks))]
-            } else {
-                Vec::new()
-            },
+            attrs,
         });
     }
 
-    /// The surviving spans, oldest first.
+    /// The surviving spans, oldest first (strictly increasing `seq`).
+    /// Taken slot by slot, so while recorders are running it is a
+    /// consistent copy of each span but not one instant of the whole ring:
+    /// a record claimed but not yet stored is simply absent.
     #[must_use]
     pub fn snapshot(&self) -> Vec<Span> {
-        let ring = self.inner.lock();
-        let mut out = Vec::with_capacity(ring.spans.len());
-        out.extend_from_slice(&ring.spans[ring.head..]);
-        out.extend_from_slice(&ring.spans[..ring.head]);
+        let mut out: Vec<Span> = self.slots.iter().filter_map(|s| s.lock().clone()).collect();
+        out.sort_unstable_by_key(|s| s.seq);
         out
     }
 
     /// Number of spans currently held.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.inner.lock().spans.len()
+        self.total_recorded().min(self.capacity() as u64) as usize
     }
 
     /// Whether no spans have been recorded (or capacity is 0).
@@ -242,13 +305,13 @@ impl TraceRing {
     /// Total spans ever recorded, including overwritten ones.
     #[must_use]
     pub fn total_recorded(&self) -> u64 {
-        self.inner.lock().next_seq
+        self.next_seq.load(Ordering::Relaxed)
     }
 
     /// Maximum spans held.
     #[must_use]
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.slots.len()
     }
 
     /// The surviving spans grouped into trees, one per trace, ordered by
@@ -268,7 +331,7 @@ impl TraceRing {
         let mut out = format!(
             "trace ring: {held} span(s) held, {} recorded, capacity {}\n",
             self.total_recorded(),
-            self.capacity
+            self.capacity()
         );
         for tree in build_trees(spans) {
             let _ = std::fmt::Write::write_fmt(&mut out, format_args!("trace {}\n", tree.trace));
@@ -445,14 +508,14 @@ impl SpanGuard<'_> {
     /// Attaches a numeric attribute.
     pub fn attr(&mut self, key: &'static str, value: u64) {
         if let Some(s) = &mut self.span {
-            s.attrs.push((key, AttrValue::U64(value)));
+            s.attrs.push(key, AttrValue::U64(value));
         }
     }
 
     /// Attaches a symbolic attribute.
     pub fn attr_str(&mut self, key: &'static str, value: &'static str) {
         if let Some(s) = &mut self.span {
-            s.attrs.push((key, AttrValue::Str(value)));
+            s.attrs.push(key, AttrValue::Str(value));
         }
     }
 

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use clio_obs::{AttrValue, Span, TraceRing};
+use clio_obs::{AttrValue, Attrs, Span, TraceRing};
 
 /// Builds a deterministic completed span (the `record_span` path used by
 /// golden tests — no clocks involved).
@@ -25,7 +25,7 @@ fn fixed_span(
         start_us,
         dur_us,
         outcome: "ok",
-        attrs: Vec::new(),
+        attrs: Attrs::new(),
     }
 }
 
@@ -127,10 +127,10 @@ fn trace_json_golden_shape() {
     let ring = TraceRing::new(8);
     let mut root = fixed_span(1, 1, None, "append", 100, 40);
     root.target = Some(3);
-    root.attrs.push(("bytes", AttrValue::U64(64)));
+    root.attrs.push("bytes", AttrValue::U64(64));
     ring.record_span(root);
     let mut gate = fixed_span(1, 2, Some(1), "commit_gate", 110, 25);
-    gate.attrs.push(("role", AttrValue::Str("leader")));
+    gate.attrs.push("role", AttrValue::Str("leader"));
     ring.record_span(gate);
     ring.record_span(fixed_span(1, 3, Some(2), "device_write", 120, 10));
     ring.record_span(fixed_span(7, 7, None, "read", 200, 5));
@@ -190,4 +190,117 @@ fn parentage_is_thread_local() {
         assert_eq!(t.roots[0].children.len(), 1);
         assert_eq!(t.roots[0].children[0].span.name, "stage");
     }
+}
+
+/// Records `count` prebuilt spans tagged `base..base + count` in `id`.
+fn record_tagged(ring: &TraceRing, base: u64, count: u64) {
+    for i in base..base + count {
+        ring.record_span(fixed_span(i, i, None, "read", 1, 1));
+    }
+}
+
+/// While the ring has room nothing is lost, whatever the interleaving:
+/// every recorder's every span is there, each under its own `seq`.
+#[test]
+fn concurrent_recorders_lose_nothing_below_capacity() {
+    const RECORDERS: u64 = 4;
+    const EACH: u64 = 200;
+    let ring = TraceRing::new((RECORDERS * EACH) as usize);
+    std::thread::scope(|s| {
+        for r in 0..RECORDERS {
+            let ring = &ring;
+            s.spawn(move || record_tagged(ring, r * EACH, EACH));
+        }
+    });
+    let snap = ring.snapshot();
+    assert_eq!(ring.total_recorded(), RECORDERS * EACH);
+    assert_eq!(snap.len() as u64, RECORDERS * EACH);
+    assert_eq!(ring.len() as u64, RECORDERS * EACH);
+    let seqs: Vec<u64> = snap.iter().map(|s| s.seq).collect();
+    assert_eq!(seqs, (0..RECORDERS * EACH).collect::<Vec<_>>());
+    let mut ids: Vec<u64> = snap.iter().map(|s| s.id).collect();
+    ids.sort_unstable();
+    assert_eq!(ids, (0..RECORDERS * EACH).collect::<Vec<_>>());
+    // Each recorder's own spans keep their program order.
+    for r in 0..RECORDERS {
+        let mine: Vec<u64> = snap
+            .iter()
+            .map(|s| s.id)
+            .filter(|id| id / EACH == r)
+            .collect();
+        assert!(mine.windows(2).all(|w| w[0] < w[1]), "recorder {r}");
+    }
+}
+
+/// Past capacity the ring keeps exactly the newest `capacity` records —
+/// the last `capacity` sequence numbers, no gaps, no stragglers — under
+/// concurrent recorders too.
+#[test]
+fn concurrent_recorders_keep_the_newest_capacity_across_a_wrap() {
+    const RECORDERS: u64 = 4;
+    const EACH: u64 = 2500;
+    const CAPACITY: u64 = 64;
+    let ring = TraceRing::new(CAPACITY as usize);
+    std::thread::scope(|s| {
+        for r in 0..RECORDERS {
+            let ring = &ring;
+            s.spawn(move || record_tagged(ring, r * EACH, EACH));
+        }
+        // A concurrent snapshot is strictly increasing in `seq` and never
+        // larger than the ring.
+        s.spawn(|| {
+            while ring.total_recorded() < RECORDERS * EACH {
+                let snap = ring.snapshot();
+                assert!(snap.len() as u64 <= CAPACITY);
+                assert!(snap.windows(2).all(|w| w[0].seq < w[1].seq));
+            }
+        });
+    });
+    let total = RECORDERS * EACH;
+    assert_eq!(ring.total_recorded(), total);
+    assert_eq!(ring.len() as u64, CAPACITY);
+    let seqs: Vec<u64> = ring.snapshot().iter().map(|s| s.seq).collect();
+    assert_eq!(seqs, (total - CAPACITY..total).collect::<Vec<_>>());
+}
+
+/// A span carrying as many attributes as a span can hold renders in the
+/// flight-recorder dump and the `/trace` document exactly as it did when
+/// attributes lived in a heap `Vec` (golden output taken from that code);
+/// one attribute too many is dropped, not an allocation.
+#[test]
+fn full_attribute_set_round_trips_through_dump_and_json() {
+    let mut span = fixed_span(9, 9, None, "commit_gate", 1000, 250);
+    span.target = Some(12);
+    span.outcome = "io_error";
+    span.attrs.push("shard", AttrValue::U64(3));
+    span.attrs
+        .push("batch_forced", AttrValue::U64(u64::MAX >> 1));
+    span.attrs.push("role", AttrValue::Str("leader"));
+    span.attrs.push("blocks", AttrValue::U64(0));
+    assert_eq!(span.attrs.len(), Attrs::CAPACITY);
+    span.attrs.push("one_too_many", AttrValue::U64(1));
+    assert_eq!(span.attrs.len(), Attrs::CAPACITY);
+
+    let ring = TraceRing::new(4);
+    ring.record_span(span.clone());
+    assert_eq!(ring.snapshot(), vec![span], "seq 0, attributes intact");
+    assert_eq!(
+        ring.dump(),
+        concat!(
+            "trace ring: 1 span(s) held, 1 recorded, capacity 4\n",
+            "trace 9\n",
+            "  commit_gate log:12 +1000us 250us io_error",
+            " shard=3 batch_forced=9223372036854775807 role=leader blocks=0\n",
+        )
+    );
+    assert_eq!(
+        ring.trace_json().encode(),
+        concat!(
+            "{\"traces\":[{\"trace\":9,\"spans\":[",
+            "{\"id\":9,\"parent\":null,\"name\":\"commit_gate\",\"target\":12,",
+            "\"start_us\":1000,\"dur_us\":250,\"outcome\":\"io_error\",",
+            "\"attrs\":{\"shard\":3,\"batch_forced\":9223372036854775807,",
+            "\"role\":\"leader\",\"blocks\":0}}]}]}",
+        )
+    );
 }

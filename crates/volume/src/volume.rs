@@ -1,5 +1,6 @@
 //! A single log volume: one write-once device plus its label.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -160,6 +161,18 @@ impl Volume {
 
     /// Reads data block `db` through the cache.
     pub fn read_data_block(&self, db: u64) -> Result<Arc<Vec<u8>>> {
+        self.read_data_block_counted(db, &Cell::new(0))
+    }
+
+    /// [`Volume::read_data_block`], adding one to `device_loads` when this
+    /// very call went to the medium (a cache miss it led) — so a caller can
+    /// attribute device reads to its own operation, not to whoever else is
+    /// reading the same devices.
+    pub fn read_data_block_counted(
+        &self,
+        db: u64,
+        device_loads: &Cell<u64>,
+    ) -> Result<Arc<Vec<u8>>> {
         if db >= self.data_end() {
             return Err(ClioError::UnwrittenBlock(BlockNo(db + 1)));
         }
@@ -168,6 +181,7 @@ impl Volume {
         // actual device read needs the medium.
         self.cache.get_or_load(self.key(db), || {
             self.check_online()?;
+            device_loads.set(device_loads.get() + 1);
             let mut buf = vec![0u8; self.device.block_size()];
             self.device.read_block(BlockNo(db + 1), &mut buf)?;
             Ok(buf)

@@ -35,6 +35,13 @@ run cargo build --release --offline --workspace
 run cargo test -q --offline --workspace
 run cargo test -q --offline --workspace -- --include-ignored
 
+# The benchmark package is frozen between benchmark PRs and compiles
+# against the product crates' public surface from outside the workspace:
+# build it and run its self-tests here, so drift against that surface
+# fails CI instead of failing the next benchmark run.
+run cargo build --release --offline --manifest-path perf/Cargo.toml
+run cargo test -q --offline --manifest-path perf/Cargo.toml
+
 # Lock-order validation: the whole core suite again with lockdep
 # recording every acquisition edge; any inversion or lock held across
 # blocking device I/O panics with both acquisition sites.
@@ -67,9 +74,9 @@ run cargo test -q --release --offline -p clio-core --test recovery_torn_tail
 echo "==> CLIO_SIM_SEEDS=25 cargo test -q --release --offline -p clio-core --test simulation"
 CLIO_SIM_SEEDS=25 cargo test -q --release --offline -p clio-core --test simulation
 
-# Concurrency model checking: the five protocol models (commit gate,
-# ArcCell publish, single-flight, sealed-queue drain, shared open block)
-# plus the canary suite under the larger release budget (2,000 DFS + 2,000 random
+# Concurrency model checking: the six protocol models (commit gate,
+# ArcCell publish, single-flight, sealed-queue drain, shared open block,
+# trace-ring slot claim) plus the canary suite under the larger release budget (2,000 DFS + 2,000 random
 # schedules per model). A failure prints both access sites and a
 # CLIO_CHECK_REPLAY=<seed>:<index> line that re-runs the exact schedule.
 # (The 1,000-schedule debug budget already ran in the workspace pass.)
@@ -78,6 +85,8 @@ CLIO_MODEL_CHECK=1 cargo test -q --release --offline -p clio-core \
     --test model_commit_gate --test model_arccell_publish \
     --test model_single_flight --test model_sealed_queue \
     --test model_open_block_publish --test model_canary
+echo "==> CLIO_MODEL_CHECK=1 cargo test -q --release --offline -p clio-obs --test model_trace_ring"
+CLIO_MODEL_CHECK=1 cargo test -q --release --offline -p clio-obs --test model_trace_ring
 
 # The model checker's own scheduler is unsafe-free but relies on subtle
 # std primitives; run its crate under miri wherever the toolchain ships
