@@ -14,6 +14,7 @@ use clio_core::ServiceConfig;
 use clio_entrymap::{EntrymapWriter, Geometry, Locator};
 use clio_format::{BlockBuilder, BlockView, EntryForm, EntryHeader};
 use clio_testkit::bench::{black_box, Bench};
+use clio_testkit::sync::{Condvar, Mutex};
 use clio_types::crc::crc32;
 use clio_types::{BlockNo, LogFileId, ManualClock, Timestamp, VolumeSeqId};
 use clio_volume::MemDevicePool;
@@ -140,10 +141,49 @@ fn bench_cache(c: &mut Bench) {
     });
 }
 
+/// What the commit gate's poll budget is sized against: one condvar round
+/// trip between two threads — this thread wakes the other and parks, the
+/// other wakes it back — which is what a follower that parks behind a
+/// commit, and the leader that has to wake it, pay between them.
+fn bench_sync(c: &mut Bench) {
+    #[derive(PartialEq)]
+    enum Turn {
+        Ping,
+        Pong,
+        Done,
+    }
+    let pair = Arc::new((Mutex::new(Turn::Ping), Condvar::new()));
+    let ponger = {
+        let pair = pair.clone();
+        std::thread::spawn(move || {
+            let (turn, cv) = &*pair;
+            loop {
+                let mut g = cv.wait_while(turn.lock(), |t| *t == Turn::Ping);
+                if *g == Turn::Done {
+                    return;
+                }
+                *g = Turn::Ping;
+                drop(g);
+                cv.notify_all();
+            }
+        })
+    };
+    let (turn, cv) = &*pair;
+    c.bench("sync/park_unpark", || {
+        *turn.lock() = Turn::Pong;
+        cv.notify_all();
+        drop(cv.wait_while(turn.lock(), |t| *t == Turn::Pong));
+    });
+    *turn.lock() = Turn::Done;
+    cv.notify_all();
+    ponger.join().expect("ponger thread");
+}
+
 fn main() {
     let mut c = Bench::from_env();
     bench_block_format(&mut c);
     bench_entrymap(&mut c);
     bench_service(&mut c);
     bench_cache(&mut c);
+    bench_sync(&mut c);
 }

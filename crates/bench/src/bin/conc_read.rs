@@ -73,8 +73,10 @@ fn run_threads(
             reader_work(&svc, &addrs, ops, t as u64 + 1, &total_reads);
         }));
     }
-    barrier.wait();
+    // Clock first: with more workers than cores this thread can sleep
+    // through the whole round once the barrier lets them go.
     let start = Instant::now();
+    barrier.wait();
     for h in handles {
         h.join().expect("reader thread");
     }

@@ -76,8 +76,10 @@ fn run_round(shards: usize, logs: usize, ops: u64) -> RoundResult {
             }
         }));
     }
-    barrier.wait();
+    // Clock first: with more workers than cores this thread can sleep
+    // through the whole round once the barrier lets them go.
     let start = Instant::now();
+    barrier.wait();
     for h in handles {
         h.join().expect("invariant: appender thread does not panic");
     }
@@ -134,8 +136,9 @@ fn main() {
         report.scalar("forced_append_us", per_append_us);
         report.note(&format!(
             "single-run mode at shards={shards}; forced_append_us is the mean wall-clock \
-             cost of one forced append per thread — diff two runs with --direction=up \
-             (cost must not rise as shards grow)."
+             cost of one forced append per thread — diff two runs with --direction=up, \
+             with no more appenders than cores (--logs): spreading appenders that each \
+             have a core over more domains must not raise it."
         ));
         report.emit();
         return;

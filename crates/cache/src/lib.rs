@@ -358,18 +358,15 @@ impl BlockCache {
                     }
                 }
                 drop(span);
-                let outcome = loaded.as_ref().ok().cloned().map(Arc::new);
-                if let Some(data) = &outcome {
+                // The loader's buffer becomes the cached block: no copy.
+                let loaded = loaded.map(Arc::new);
+                if let Ok(data) = &loaded {
                     self.put(key, data.clone());
                 }
                 self.inflight.lock().remove(&key);
-                *flight.state.lock() = FlightState::Done(outcome.clone());
+                *flight.state.lock() = FlightState::Done(loaded.as_ref().ok().cloned());
                 flight.cv.notify_all();
-                return match (outcome, loaded) {
-                    (Some(data), _) => Ok(data),
-                    (None, Err(e)) => Err(e),
-                    (None, Ok(_)) => unreachable!("outcome mirrors loaded"),
-                };
+                return loaded;
             }
             // Loser: without single-flight this would have been a second
             // load of the same block. The span drops after `g` releases
@@ -744,6 +741,24 @@ mod tests {
         let s = c.stats();
         assert_eq!(s.duplicate_loads, 1, "exactly one avoided load");
         assert_eq!(s.inserts, 1, "the block was loaded and inserted once");
+    }
+
+    /// A miss moves the loader's buffer into the cache: the block the
+    /// caller gets, and the one later hits get, is that allocation. (The
+    /// failed-load side of the same code is the retry test below.)
+    #[test]
+    fn a_miss_caches_the_loaders_buffer_without_copying() {
+        let c = BlockCache::with_shards(16, 4);
+        let mut loaded_at = std::ptr::null();
+        let got = c
+            .get_or_load(key(4), || {
+                let block = vec![9u8; 1024];
+                loaded_at = block.as_ptr();
+                Ok(block)
+            })
+            .unwrap();
+        assert_eq!(got.as_ptr(), loaded_at, "the miss copied the block");
+        assert_eq!(c.get(key(4)).unwrap().as_ptr(), loaded_at);
     }
 
     #[test]

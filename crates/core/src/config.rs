@@ -42,10 +42,6 @@ pub struct ServiceConfig {
     /// deepest the in-memory sealed queue gets: the seal that fills a
     /// batch drains it.
     pub max_batch_blocks: usize,
-    /// How long (µs) a commit leader dallies before writing, so forced
-    /// appends arriving nearly together share its batch. `0` commits
-    /// immediately (batching then comes only from genuine concurrency).
-    pub commit_wait_us: u64,
     /// Independent append domains the service is partitioned into (power
     /// of two, hash-picked by top-level log file id like the block cache's
     /// shards). Each shard owns its own state lock, commit gate, read
@@ -73,7 +69,6 @@ impl Default for ServiceConfig {
             trace_events: 512,
             group_commit: true,
             max_batch_blocks: 64,
-            commit_wait_us: 0,
             shards: 4,
             http_addr: None,
         }
@@ -160,7 +155,6 @@ mod tests {
         assert_eq!(c.cache_shards, 8);
         assert_eq!(ServiceConfig::small().with_cache_shards(1).cache_shards, 1);
         assert_eq!(c.max_batch_blocks, 64);
-        assert_eq!(c.commit_wait_us, 0);
         assert_eq!(c.shards, 4);
         assert_eq!(ServiceConfig::small().shards, 1);
         assert_eq!(ServiceConfig::small().with_shards(8).shards, 8);

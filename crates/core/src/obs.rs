@@ -47,6 +47,18 @@ pub(crate) struct PerShard {
     pub leader_elections: Arc<Counter>,
     /// Blocks written per commit batch on this shard.
     pub commit_batch_blocks: Arc<Histogram>,
+    /// Followers a commit released while they were still polling the gate.
+    pub followers_polled: Arc<Counter>,
+    /// Forced appends whose gate wait outlasted the poll budget and parked
+    /// (counted once per append, when it first parks).
+    pub followers_parked: Arc<Counter>,
+    /// Commit leaders that found an arrival announced and waited for it.
+    pub arrival_waits: Arc<Counter>,
+    /// Arrival waits that ran out of budget and committed without it.
+    pub arrival_timeouts: Arc<Counter>,
+    /// Forced appends announced but not yet staged
+    /// (`clio_core_shard<i>_arriving`) — the count commit leaders poll.
+    pub arriving: Arc<Gauge>,
     /// Blocks sealed in memory awaiting a device write
     /// (`clio_core_shard<i>_sealed_queue_blocks`); set at seal and drain,
     /// never per append.
@@ -188,6 +200,21 @@ impl ServiceObs {
                     commit_batch_blocks: self
                         .registry
                         .histogram_with("clio_shard_commit_batch_blocks", labels),
+                    followers_polled: self
+                        .registry
+                        .counter_with("clio_shard_followers_polled_total", labels),
+                    followers_parked: self
+                        .registry
+                        .counter_with("clio_shard_followers_parked_total", labels),
+                    arrival_waits: self
+                        .registry
+                        .counter_with("clio_shard_arrival_waits_total", labels),
+                    arrival_timeouts: self
+                        .registry
+                        .counter_with("clio_shard_arrival_timeouts_total", labels),
+                    arriving: self
+                        .registry
+                        .gauge(&format!("clio_core_shard{idx}_arriving")),
                     sealed_queue_blocks: self
                         .registry
                         .gauge(&format!("clio_core_shard{idx}_sealed_queue_blocks")),

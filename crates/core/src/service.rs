@@ -16,6 +16,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
+use clio_obs::{Gauge, SpanGuard};
+use clio_testkit::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use clio_testkit::sync::{ArcCell, Condvar, Mutex};
 
 use clio_cache::BlockCache;
@@ -361,6 +363,9 @@ pub(crate) struct State {
     /// Monotone commit sequence: bumped once per staged forced append (or
     /// forced batch); a commit makes every seq up to its snapshot durable.
     pub forced_seq: u64,
+    /// Blocks this shard has handed to the device so far. An operation's
+    /// own share is the difference across its lock hold.
+    pub device_blocks: u64,
     /// The snapshot most recently published (what the shard's view cell
     /// holds), kept here so that deciding whether to republish never
     /// touches the cell readers are taking their snapshots from.
@@ -393,22 +398,80 @@ pub(crate) struct ReadView {
     pub queued: Arc<SealedQueue>,
 }
 
-/// The leader/follower commit gate. A forced appender stages its entry
-/// under the state lock, then waits here: the first waiter to find no
-/// commit in flight becomes the *leader*, (optionally) dallies
-/// `commit_wait_us`, drains the sealed queue plus the partial block in one
-/// vectored device write, advances `committed` to the commit-seq snapshot,
-/// and wakes every follower whose sequence number it covered.
+/// The leader/follower commit gate. A forced appender announces itself
+/// ([`Arrival`]), stages its entry under the state lock, then waits here:
+/// the first waiter to find no commit in flight becomes the *leader*. It
+/// waits (lock-free, bounded) for every announced arrival to finish
+/// staging, drains the sealed queue plus the partial block in one vectored
+/// device write, advances `committed` to the commit-seq snapshot, and
+/// releases every follower whose sequence number it covered.
+///
+/// `committed` and `committing` are written only with `m` held — that is
+/// what keeps leaders exclusive and a parking follower's check race-free —
+/// but read without it: a follower polls them ([`GATE_POLL_BUDGET`]) before
+/// it pays for a park, and returns without the mutex once it is covered.
 pub(crate) struct CommitGate {
     pub m: Mutex<CommitClock>,
     pub cv: Condvar,
+    /// Highest forced-append sequence number made durable so far.
+    /// `Release`-stored after the device write returned; the `Acquire`
+    /// load that covers a follower's sequence number is its acknowledgement.
+    pub committed: AtomicU64,
+    /// Whether a leader is between its election and publishing its result.
+    pub committing: AtomicBool,
 }
 
 pub(crate) struct CommitClock {
-    /// Highest forced-append sequence number made durable so far.
-    pub committed: u64,
-    /// Whether a leader is currently writing.
-    pub committing: bool,
+    /// Followers inside `cv.wait`, bumped and dropped with `m` held. A
+    /// leader reads it in the same hold that clears `committing` and skips
+    /// `notify_all` (a futex syscall, waiter or not) at zero: a follower
+    /// parks only after seeing `committing` under `m`, so it either was
+    /// counted before that hold or finds the flag already clear.
+    pub waiters: usize,
+}
+
+/// Bound, in polls, on each of the gate's two lock-free waits: the leader's
+/// for announced arrivals and a follower's for the commit in flight. Sized
+/// to what parking instead would cost — the classic spin-then-park bound:
+/// polling for at most the price of a park is within 2x of optimal whatever
+/// device sits below. Here the budget runs about 25 us (256 spins of ~15 ns,
+/// then 64 yields of ~0.3 us) against a condvar round trip of 31-34 us
+/// between two vCPUs (`sync/park_unpark` in `benches/micro.rs`; 2-3 us when
+/// the scheduler keeps both threads on one). Counted in polls, not clock
+/// reads, so each wait is a finite sequence of scheduling points under the
+/// model checker.
+const GATE_POLL_BUDGET: u32 = 320;
+
+/// Polls that `spin_loop()`; each further one yields the CPU, so on a
+/// single-core host the thread being waited for gets to run.
+const GATE_SPIN_POLLS: u32 = 256;
+
+fn gate_pause(polls: u32) {
+    if polls < GATE_SPIN_POLLS {
+        std::hint::spin_loop();
+    } else {
+        std::thread::yield_now();
+    }
+}
+
+/// A forced append on its way to the state lock, counted in the shard's
+/// `arriving` gauge from before it queues on that lock until it has staged
+/// or failed. `arriving > 0` tells a commit leader that an entry is
+/// microseconds from the open block; it is a hint (`Relaxed`) that orders
+/// nothing — the state lock still decides what a commit covers.
+struct Arrival<'a>(&'a Gauge);
+
+impl<'a> Arrival<'a> {
+    fn announce(arriving: &'a Gauge) -> Arrival<'a> {
+        arriving.add(1);
+        Arrival(arriving)
+    }
+}
+
+impl Drop for Arrival<'_> {
+    fn drop(&mut self) {
+        self.0.add(-1);
+    }
 }
 
 /// One independent append domain: a full single-writer log engine — state
@@ -512,20 +575,17 @@ impl Shard {
                     sealed_queue: Arc::default(),
                     staged_forced: 0,
                     forced_seq: 0,
+                    device_blocks: 0,
                     published,
                 },
                 state_class(idx),
             ),
             view,
             commit: CommitGate {
-                m: Mutex::with_class(
-                    CommitClock {
-                        committed: 0,
-                        committing: false,
-                    },
-                    "core.commit_gate",
-                ),
+                m: Mutex::with_class(CommitClock { waiters: 0 }, "core.commit_gate"),
                 cv: Condvar::new(),
+                committed: AtomicU64::new(0),
+                committing: AtomicBool::new(false),
             },
         }
     }
@@ -640,12 +700,9 @@ impl Shard {
         span.attr("bytes", data.len() as u64);
         span.attr("shard", u64::from(self.idx));
         let start = clio_obs::clock::now();
-        let before = self.obs.device_stats.accesses();
-        let r = self.stage_and_commit(opts.durability, 1, |st| {
+        let r = self.stage_and_commit(&mut span, opts.durability, 1, |st| {
             self.append_locked(st, id, data, opts)
         });
-        let blocks = self.obs.device_stats.accesses().saturating_sub(before);
-        span.attr("blocks", blocks);
         if r.is_err() {
             span.fail("error");
         }
@@ -662,19 +719,29 @@ impl Shard {
     /// republish the read snapshot, and — for a forced append — wait at
     /// the commit gate until a leader has made them durable (a forced append
     /// that staged cleanly leaves write and republish to its leader).
+    /// `span` (the caller's root span) gets a `blocks` attribute: the
+    /// blocks this call itself wrote to the device, staging or leading.
     fn stage_and_commit<T>(
         &self,
+        span: &mut SpanGuard<'_>,
         durability: Durability,
         entries: u64,
         stage: impl FnOnce(&mut State) -> Result<T>,
     ) -> Result<T> {
         let forced = matches!(durability, Durability::Forced);
-        let (r, my_seq) = {
+        let (r, my_seq, mut blocks) = {
             // Declared before the lock guard: the stage span covers lock
             // acquisition and records only after the lock is released.
             let _stage = self.obs.span("stage");
+            // Announced before queueing on the lock, so a commit leader
+            // knows to wait for this entry rather than seal without it.
+            let arrival = forced.then(|| Arrival::announce(&self.pshard.arriving));
             let mut st = self.state.lock();
+            let before = st.device_blocks;
             let r = stage(&mut st);
+            // Still under the lock: a leader that reads zero and then takes
+            // the lock finds every announced entry staged.
+            drop(arrival);
             if forced && r.is_ok() {
                 // One commit sequence number per durability point, however
                 // many entries it covers.
@@ -685,52 +752,76 @@ impl Shard {
                 // sealed blocks (fragmentation) the snapshot should reflect.
                 self.publish_view(&mut st);
             }
-            (r, st.forced_seq)
+            (r, st.forced_seq, st.device_blocks - before)
         };
-        let out = r?;
-        if forced {
-            self.commit_wait(my_seq)?;
-        }
-        Ok(out)
+        let r = r.and_then(|out| {
+            if forced {
+                self.commit_wait(my_seq, &mut blocks)?;
+            }
+            Ok(out)
+        });
+        span.attr("blocks", blocks);
+        r
     }
 
     /// Leader/follower commit. Blocks until every forced append staged at
     /// or before `my_seq` is durable. The first waiter that finds no
-    /// commit in flight becomes the leader: it drains the sealed queue and
-    /// the current partial block in one batched device write, advances the
-    /// committed watermark to the staging sequence it observed, and wakes
-    /// all followers it covered.
-    pub(crate) fn commit_wait(&self, my_seq: u64) -> Result<()> {
+    /// commit in flight becomes the leader: it waits for announced arrivals
+    /// to stage, drains the sealed queue and the current partial block in
+    /// one batched device write (added to `blocks`), advances the committed
+    /// watermark to the staging sequence it observed, and releases all
+    /// followers it covered. A lone forced appender polls nothing and wakes
+    /// no one.
+    fn commit_wait(&self, my_seq: u64, blocks: &mut u64) -> Result<()> {
         // One commit_gate span per forced append, leader or follower: its
         // duration is the full time spent waiting for durability, and its
-        // role attribute says which side of the gate this thread took.
+        // role and wait attributes say which side of the gate this thread
+        // took and what the wait cost it.
         let mut gate_span = self.obs.span("commit_gate");
         gate_span.attr("shard", u64::from(self.idx));
-        let mut led = false;
+        let gate = &self.commit;
+        let covered = || gate.committed.load(Ordering::Acquire) >= my_seq;
+        let (mut led, mut polled, mut parked) = (false, false, false);
         let result = loop {
-            let mut gate = self.commit.m.lock();
-            if gate.committed >= my_seq {
+            // Follow without the mutex: while the commit in flight may
+            // cover us, poll for about as long as a park would cost.
+            let mut polls = 0;
+            while polls < GATE_POLL_BUDGET && !covered() && gate.committing.load(Ordering::Acquire)
+            {
+                gate_pause(polls);
+                polls += 1;
+            }
+            polled |= polls > 0;
+            if covered() {
                 break Ok(());
             }
-            if gate.committing {
-                // Follow: a leader is writing; its batch may cover us.
-                drop(self.commit.cv.wait(gate));
+            let mut clock = gate.m.lock();
+            if covered() {
+                break Ok(());
+            }
+            if gate.committing.load(Ordering::Acquire) {
+                // The commit outlasted the budget: park until it is done.
+                if !parked {
+                    parked = true;
+                    self.pshard.followers_parked.inc();
+                }
+                clock.waiters += 1;
+                clock = gate.cv.wait(clock);
+                clock.waiters -= 1;
                 continue;
             }
-            gate.committing = true;
-            drop(gate);
+            gate.committing.store(true, Ordering::Release);
+            drop(clock);
             led = true;
             self.pshard.leader_elections.inc();
-            // Lead. Dally (with no lock held) so forced appends arriving
-            // nearly together can join this batch.
-            if self.cfg.commit_wait_us > 0 {
-                std::thread::sleep(std::time::Duration::from_micros(self.cfg.commit_wait_us));
-            }
+            self.await_arrivals();
             let (result, target) = {
                 let mut st = self.state.lock();
                 let target = st.forced_seq;
                 gate_span.attr("batch_forced", st.staged_forced);
+                let before = st.device_blocks;
                 let r = self.commit_locked(&mut st);
+                *blocks += st.device_blocks - before;
                 // Publish once per batch. (The followers' entries have been
                 // readable through the shared open block since they were
                 // staged; this exposes the sealed state they are durable in.)
@@ -738,22 +829,55 @@ impl Shard {
                 self.publish_view(&mut st);
                 (r, target)
             };
-            let mut gate = self.commit.m.lock();
+            let clock = gate.m.lock();
             if result.is_ok() {
-                gate.committed = gate.committed.max(target);
+                // After the device write returned: durability precedes
+                // every acknowledgement read off this store.
+                gate.committed.fetch_max(target, Ordering::Release);
             }
-            gate.committing = false;
-            drop(gate);
-            self.commit.cv.notify_all();
-            if let Err(e) = result {
-                break Err(e);
+            gate.committing.store(false, Ordering::Release);
+            let parked = clock.waiters > 0;
+            drop(clock);
+            if parked {
+                gate.cv.notify_all();
             }
+            // `target` was read after this append staged, so it covers it.
+            break result;
         };
+        if polled && !parked && !led {
+            self.pshard.followers_polled.inc();
+        }
         gate_span.attr_str("role", if led { "leader" } else { "follower" });
+        let wait = match (parked, polled) {
+            (true, _) => "parked",
+            (false, true) => "polled",
+            (false, false) => "none",
+        };
+        gate_span.attr_str("wait", wait);
         if result.is_err() {
             gate_span.fail("error");
         }
         result
+    }
+
+    /// The leader's wait, with `committing` set and no lock held, for every
+    /// announced forced append to finish staging: those entries then ride
+    /// this commit's block instead of sealing one of their own. Returns at
+    /// once when nothing is announced; gives up after [`GATE_POLL_BUDGET`]
+    /// polls, so a descheduled arrival costs the batch a bounded delay.
+    fn await_arrivals(&self) {
+        let arriving = &self.pshard.arriving;
+        if arriving.get() == 0 {
+            return;
+        }
+        self.pshard.arrival_waits.inc();
+        for polls in 0..GATE_POLL_BUDGET {
+            gate_pause(polls);
+            if arriving.get() == 0 {
+                return;
+            }
+        }
+        self.pshard.arrival_timeouts.inc();
     }
 
     /// Stages one client entry into the open block (state lock held).
@@ -842,7 +966,7 @@ impl Shard {
         span.attr("shard", u64::from(self.idx));
         let start = clio_obs::clock::now();
         let mut noted: Vec<LogFileId> = Vec::with_capacity(items.len());
-        let r = self.stage_and_commit(opts.durability, items.len() as u64, |st| {
+        let r = self.stage_and_commit(&mut span, opts.durability, items.len() as u64, |st| {
             let mut receipts = Vec::with_capacity(items.len());
             for (path, data) in items {
                 let id = st.catalog.resolve(path)?;

@@ -409,6 +409,7 @@ impl Shard {
                     .saturating_sub(first_db)
                     .min(chunk.len() as u64) as usize;
                 let done = written + landed;
+                st.device_blocks += landed as u64;
                 st.sealed_queue = Arc::new(SealedQueue {
                     first_db: queue.first_db + done as u64,
                     images: queue.images[done..].to_vec(),
@@ -417,6 +418,7 @@ impl Shard {
             }
             writes += 1;
             written += chunk.len();
+            st.device_blocks += chunk.len() as u64;
         }
         Ok((writes, written as u64))
     }
@@ -448,6 +450,7 @@ impl Shard {
             if let Some((db, img)) = tail_stage {
                 vol.rewrite_tail_data(db, img)?;
                 writes += 1;
+                st.device_blocks += 1;
             }
             if writes > 0 || covered > 0 {
                 self.obs.note_group_commit(blocks, covered, writes);

@@ -117,6 +117,12 @@ fn forced_append_span_tree_is_served_over_http() {
         .and_then(Value::as_str)
         .expect("role attribution");
     assert_eq!(role, "leader", "a lone forced append leads its own batch");
+    // The leader's fourth attribute, so it also proves none was dropped.
+    assert_eq!(
+        gate_attrs.get("wait").and_then(Value::as_str),
+        Some("none"),
+        "a lone forced append neither polls nor parks"
+    );
     assert_eq!(
         gate_attrs.get("shard").and_then(Value::as_i64),
         Some(shard),

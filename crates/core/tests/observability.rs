@@ -367,7 +367,7 @@ fn blocks_attr(span: &Span) -> u64 {
             AttrValue::U64(n) if *k == "blocks" => Some(*n),
             _ => None,
         })
-        .expect("a read span carries `blocks`")
+        .expect("read and append spans carry `blocks`")
 }
 
 /// A `read` span's `blocks` is what *that* read loaded from the device.
@@ -452,5 +452,88 @@ fn read_span_blocks_are_per_op_under_concurrent_readers() {
             0,
             "a read served from the open block loaded nothing"
         );
+    }
+}
+
+/// An `append` span's `blocks` is what *that* append's own seal and commit
+/// wrote. It used to be a before/after difference of the service-wide
+/// device access counter (reads + appends + probes), so an append beside a
+/// reader was billed for the reader's device traffic.
+#[test]
+fn append_span_blocks_are_per_op_beside_a_reader() {
+    const APPENDS: u32 = 1500;
+    let svc = LogService::create(
+        VolumeSeqId(5),
+        Arc::new(MemDevicePool::new(256, 4096)),
+        ServiceConfig {
+            // One cached block: the reader below goes to the device.
+            cache_blocks: 1,
+            cache_shards: 1,
+            trace_events: 1 << 16,
+            ..ServiceConfig::small()
+        },
+        clock(),
+    )
+    .unwrap();
+    svc.create_log("/cold").unwrap();
+    let forced_log = svc.create_log("/forced").unwrap();
+    let buffered_log = svc.create_log("/buffered").unwrap();
+    let cold: Vec<_> = (0..64u32)
+        .map(|i| {
+            let r = svc
+                .append_path("/cold", &payload(i), AppendOpts::forced())
+                .unwrap();
+            r.addr
+        })
+        .collect();
+
+    let reg = svc.metrics().clone();
+    let device_reads_before = counter(&reg, "clio_device_reads_total");
+    let first_seq = svc.obs().trace().total_recorded();
+    let done = std::sync::atomic::AtomicBool::new(false);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            // A lone forced appender seals and writes one block per
+            // append; the buffered entry before it rides that block.
+            for i in 0..APPENDS {
+                svc.append(buffered_log, &payload(i), AppendOpts::standard())
+                    .unwrap();
+                svc.append(forced_log, &payload(i), AppendOpts::forced())
+                    .unwrap();
+            }
+            done.store(true, std::sync::atomic::Ordering::Release);
+        });
+        s.spawn(|| {
+            let mut i = 0;
+            while !done.load(std::sync::atomic::Ordering::Acquire) {
+                svc.read_entry(cold[(i * 7) % cold.len()]).unwrap();
+                i += 1;
+            }
+        });
+    });
+    assert!(
+        counter(&reg, "clio_device_reads_total") > device_reads_before,
+        "the reader went to the device beside the appender"
+    );
+
+    let spans: Vec<Span> = svc
+        .obs()
+        .trace()
+        .snapshot()
+        .into_iter()
+        .filter(|s| s.seq >= first_seq && s.name == "append")
+        .collect();
+    let of = |log: clio_types::LogFileId| {
+        let id = Some(u64::from(log.0));
+        spans.iter().filter(move |s| s.target == id)
+    };
+    // The ring may have lapped under the reader; whatever append spans
+    // survive must each own exactly their own writes.
+    assert!(of(forced_log).count() > 0 && of(buffered_log).count() > 0);
+    for s in of(forced_log) {
+        assert_eq!(blocks_attr(s), 1, "a lone forced append writes its block");
+    }
+    for s in of(buffered_log) {
+        assert_eq!(blocks_attr(s), 0, "a buffered append wrote nothing");
     }
 }

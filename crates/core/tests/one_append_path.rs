@@ -4,10 +4,10 @@
 //! (one device write per forced append, group commit switched off) at the
 //! commit just before it was deleted, running the script in this file. The
 //! surviving group-commit pipeline must reproduce them bit for bit: a lone
-//! client with `commit_wait_us: 0` is its own commit leader every time, so
-//! it issues the same device operations with the same images in the same
-//! order — this is the proof behind DESIGN.md's "identical device-op
-//! sequence" sentence.
+//! client is its own commit leader every time (no arrival announced, nothing
+//! to wait for), so it issues the same device operations with the same
+//! images in the same order — this is the proof behind DESIGN.md's
+//! "identical device-op sequence" sentence.
 
 use std::sync::Arc;
 
@@ -47,10 +47,7 @@ fn run_script() -> Outcome {
         BLOCK,
         VOLUME_BLOCKS,
     ))));
-    let cfg = ServiceConfig {
-        commit_wait_us: 0,
-        ..ServiceConfig::small()
-    };
+    let cfg = ServiceConfig::small();
     assert_eq!(cfg.shards, 1);
     let clock = Arc::new(ManualClock::starting_at(Timestamp::from_secs(1)));
     let svc = LogService::create(VolumeSeqId(14), pool.clone(), cfg, clock).unwrap();

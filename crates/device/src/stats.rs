@@ -179,23 +179,6 @@ impl DeviceStats {
         }
     }
 
-    /// Block reads served so far.
-    ///
-    /// With [`DeviceStats::accesses`], the per-op span attributes read
-    /// just the counters they need instead of a whole
-    /// [`DeviceStats::snapshot`].
-    #[must_use]
-    pub fn reads(&self) -> u64 {
-        ld(&self.reads)
-    }
-
-    /// Total physical block accesses so far (reads + appends + probes);
-    /// see [`StatsSnapshot::accesses`].
-    #[must_use]
-    pub fn accesses(&self) -> u64 {
-        ld(&self.reads) + ld(&self.appends) + ld(&self.end_probes)
-    }
-
     /// Copies the counters.
     #[must_use]
     pub fn snapshot(&self) -> StatsSnapshot {

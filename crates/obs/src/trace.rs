@@ -89,7 +89,7 @@ pub struct Attrs {
 
 impl Attrs {
     /// The most attributes one span can carry (the widest span recorded
-    /// today carries three).
+    /// today, a leader's `commit_gate`, carries all four).
     pub const CAPACITY: usize = 4;
 
     /// No attributes.

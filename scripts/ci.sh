@@ -58,6 +58,7 @@ fi
 # The concurrency stress tests race real threads; run them optimized so
 # the schedules they exercise resemble production interleavings.
 run cargo test -q --release --offline -p clio-core --test concurrent_reads
+run cargo test -q --release --offline -p clio-core --test concurrent_appends
 
 # Torn-batch crash recovery: the group-commit vectored write torn at
 # every prefix length must recover to a consistent prefix. Run released
@@ -123,7 +124,7 @@ run cargo build --release --offline -p clio-bench --bin conc_read
 run ./target/release/clio_json_check "$smoke_dir/BENCH_conc_read.json"
 
 # Smoke the group-commit harness: a shrunk run must complete and emit
-# valid JSON (the coalescing ratio itself is host-dependent).
+# valid JSON (its rounds are too short to say anything about coalescing).
 run cargo build --release --offline -p clio-bench --bin group_commit
 (cd "$smoke_dir" && run "$OLDPWD"/target/release/group_commit --json --quick > /dev/null)
 [ -f "$smoke_dir/BENCH_group_commit.json" ] || {
@@ -132,12 +133,19 @@ run cargo build --release --offline -p clio-bench --bin group_commit
 }
 run ./target/release/clio_json_check "$smoke_dir/BENCH_group_commit.json"
 
-# Smoke the multi-shard scaling harness, then guard the sharding win:
-# two single-configuration runs (1 shard vs 4 shards, same thread count)
-# are diffed on the forced-append cost scalar with --direction=up — the
-# per-append cost must not rise when appends spread over more domains.
-# On a 1-core host contention still drops but scheduling noise dominates,
-# so the diff only gates multi-core hosts (the sweep itself always runs).
+# Smoke the multi-shard scaling harness, then guard the sharded path:
+# two single-configuration runs (1 shard vs 4 shards) with one appender
+# per core are diffed on the forced-append cost scalar with
+# --direction=up. What that asserts: appenders that each have a core must
+# not pay more per forced append when they are spread over independent
+# domains than when they queue on one lock and one gate. It says nothing
+# about how much cheaper — since group commit shares writes, one shard on
+# a memory device is within reach of four — and nothing with more
+# appenders than cores, where "more domains" only changes who waits for a
+# core (8 threads on 2 cores read 24-61 us run to run). The rounds are
+# full-length (a --quick round ends before the threads are placed) and
+# still only tens of milliseconds, so one noisy pair is retried: the
+# guard fails when the sharded path is dearer three times running.
 run cargo build --release --offline -p clio-bench --bin multi_shard
 run cargo build --release --offline -p clio-bench --bin bench_diff
 (cd "$smoke_dir" && run "$OLDPWD"/target/release/multi_shard --json --quick > /dev/null)
@@ -147,11 +155,22 @@ run cargo build --release --offline -p clio-bench --bin bench_diff
 }
 run ./target/release/clio_json_check "$smoke_dir/BENCH_multi_shard.json"
 if [ "$(nproc)" -gt 1 ]; then
-    (cd "$smoke_dir" && run "$OLDPWD"/target/release/multi_shard --shards=1 --json --quick > /dev/null)
-    mv "$smoke_dir/BENCH_multi_shard.json" "$smoke_dir/BENCH_multi_shard.shards1.json"
-    (cd "$smoke_dir" && run "$OLDPWD"/target/release/multi_shard --shards=4 --json --quick > /dev/null)
-    run ./target/release/bench_diff "$smoke_dir/BENCH_multi_shard.shards1.json" \
-        "$smoke_dir/BENCH_multi_shard.json" --direction=up
+    guard_held=0
+    for attempt in 1 2 3; do
+        (cd "$smoke_dir" && run "$OLDPWD"/target/release/multi_shard --shards=1 --logs="$(nproc)" --json > /dev/null)
+        mv "$smoke_dir/BENCH_multi_shard.json" "$smoke_dir/BENCH_multi_shard.shards1.json"
+        (cd "$smoke_dir" && run "$OLDPWD"/target/release/multi_shard --shards=4 --logs="$(nproc)" --json > /dev/null)
+        if run ./target/release/bench_diff "$smoke_dir/BENCH_multi_shard.shards1.json" \
+                "$smoke_dir/BENCH_multi_shard.json" --direction=up; then
+            guard_held=1
+            break
+        fi
+        echo "==> shards=1 vs shards=4 guard: attempt $attempt did not hold"
+    done
+    [ "$guard_held" = 1 ] || {
+        echo "error: forced appends cost more over 4 shards than over 1, three times running" >&2
+        exit 1
+    }
 else
     echo "==> single-core host; skipping the shards=1 vs shards=4 bench_diff gate"
 fi
