@@ -106,6 +106,25 @@ fn bench_service(c: &mut Bench) {
         svc.append_path("/bench", black_box(&payload), AppendOpts::forced())
             .expect("append")
     });
+    // The router at one shard: an append by id and a 16-item batch take
+    // the same routing steps (catalog snapshot, mask 0) as at any shard
+    // count — `shards: 1` has no fork of its own.
+    let svc = mk();
+    let id = svc.resolve("/bench").expect("resolve");
+    c.bench("append/shards1", || {
+        svc.append(id, black_box(&payload), AppendOpts::standard())
+            .expect("append")
+    });
+    drop(svc);
+    let svc = mk();
+    let items: Vec<(String, Vec<u8>)> = (0..16)
+        .map(|_| ("/bench".to_owned(), payload.to_vec()))
+        .collect();
+    c.bench("append_batch16/shards1", || {
+        svc.append_batch(black_box(&items), AppendOpts::standard())
+            .expect("append_batch")
+    });
+    drop(svc);
     // Read path over a prebuilt log.
     let svc = mk();
     for i in 0..5_000u32 {

@@ -125,14 +125,6 @@ impl ServiceConfig {
         self
     }
 
-    /// Sets the block-cache shard count (see
-    /// [`ServiceConfig::cache_shards`]); `1` = exact global LRU.
-    #[must_use]
-    pub fn with_cache_shards(mut self, shards: usize) -> ServiceConfig {
-        self.cache_shards = shards;
-        self
-    }
-
     /// Sets the HTTP observability bind address (see
     /// [`ServiceConfig::http_addr`]).
     #[must_use]
@@ -153,7 +145,6 @@ mod tests {
         assert_eq!(c.fanout, 16);
         assert!(!c.verify_appends);
         assert_eq!(c.cache_shards, 8);
-        assert_eq!(ServiceConfig::small().with_cache_shards(1).cache_shards, 1);
         assert_eq!(c.max_batch_blocks, 64);
         assert_eq!(c.shards, 4);
         assert_eq!(ServiceConfig::small().shards, 1);

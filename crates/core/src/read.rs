@@ -53,6 +53,7 @@ use clio_format::{BlockView, EntryRef, FragKind, ParsedBlock};
 use clio_types::{BlockNo, ClioError, EntryAddr, LogFileId, Result, SeqNo, Timestamp};
 use clio_volume::Volume;
 
+use crate::obs::ServiceObs;
 use crate::service::{globalize_addr, LogService, ReadView, SealedQueue, Shard, SharedOpenBlock};
 use crate::write::MAX_SEAL_ATTEMPTS;
 
@@ -93,7 +94,7 @@ pub(crate) struct ReadOp {
     held: Option<HeldBlock>,
 }
 
-/// A verified block a cursor carries between calls. Only a block whose
+/// A verified block a scan carries between calls. Only a block whose
 /// placement and content are final is ever held (see
 /// [`VolSource::is_final`]), so serving the next entry from it is
 /// indistinguishable from re-reading its address.
@@ -103,21 +104,19 @@ struct HeldBlock {
     block: ParsedBlock,
 }
 
-impl ReadOp {
-    /// Keeps `block`, read from `(vol_idx, db)`, for the next call — if
-    /// the source it was fetched through found it final.
-    fn hold_if(&mut self, is_final: bool, (vol_idx, db): (u32, u64), block: ParsedBlock) {
-        if is_final {
-            self.held = Some(HeldBlock { vol_idx, db, block });
-        }
-    }
-}
-
-/// A per-volume [`BlockSource`] over one snapshot: the volume's sealed
-/// blocks plus (for the active volume) the snapshot's open block, sealed
-/// queue and `data_end` watermark, all borrowed from the snapshot.
+/// A per-volume [`BlockSource`], and the one reader of log entries: a
+/// volume's sealed blocks plus — for the active volume of a snapshot — the
+/// snapshot's open block, sealed queue and `data_end` watermark, all
+/// borrowed. Cursors and `read_entry` build one per volume they touch
+/// ([`Shard::source_for`]); recovery builds one per just-mounted volume
+/// ([`VolSource::bare`]) and reads the catalog log file through it.
 pub(crate) struct VolSource<'v> {
-    vol: Arc<Volume>,
+    vol: &'v Volume,
+    /// The volume's index in its shard's sequence, as entry addresses
+    /// carry it.
+    vol_idx: u32,
+    /// The in-memory entrymap state covering the volume's unmapped tail.
+    pending: Option<&'v PendingMaps>,
     /// The shared open block. Its image is materialised only when a read
     /// actually lands on it.
     open: Option<(u64, &'v SharedOpenBlock)>,
@@ -131,9 +130,36 @@ pub(crate) struct VolSource<'v> {
     fanout: usize,
     /// The owning operation's device-load count.
     device_loads: &'v Cell<u64>,
+    /// Where this source's entrymap searches are counted. Recovery's are
+    /// not: the service's locate series start at zero.
+    obs: Option<&'v ServiceObs>,
 }
 
-impl VolSource<'_> {
+impl<'v> VolSource<'v> {
+    /// A source over a just-mounted volume, as recovery reads it: no open
+    /// block and no queue (the crash destroyed them), so every written
+    /// block is final. `pending` is the volume's rebuilt entrymap state,
+    /// once recovery has rebuilt it.
+    pub(crate) fn bare(
+        vol: &'v Volume,
+        vol_idx: u32,
+        fanout: usize,
+        pending: Option<&'v PendingMaps>,
+        device_loads: &'v Cell<u64>,
+    ) -> VolSource<'v> {
+        VolSource {
+            vol,
+            vol_idx,
+            pending,
+            open: None,
+            queued: None,
+            watermark: None,
+            fanout,
+            device_loads,
+            obs: None,
+        }
+    }
+
     /// The open (unsealed) block's number, if this source covers one. Its
     /// entries are not yet reflected in any entrymap bitmap — the writer
     /// notes a block only when it seals — so scans must visit it
@@ -179,22 +205,97 @@ impl VolSource<'_> {
     }
 
     /// The verified block at `db` (or its re-placement) and whether it may
-    /// be carried past this call: the operation's held block if that is
-    /// the one asked for, a fresh [`VolSource::fetch`] otherwise. Finality
-    /// is decided here, against the snapshot the block was fetched under.
-    fn block(
-        &self,
-        held: &mut Option<HeldBlock>,
-        vol_idx: u32,
-        db: u64,
-    ) -> Result<(u64, ParsedBlock, bool)> {
+    /// be carried past this call: the scan's held block if that is the one
+    /// asked for, a fresh [`VolSource::fetch`] otherwise. Finality is
+    /// decided here, against the snapshot the block was fetched under.
+    fn block(&self, held: &mut Option<HeldBlock>, db: u64) -> Result<(u64, ParsedBlock, bool)> {
         match held.take() {
-            Some(h) if h.vol_idx == vol_idx && h.db == db => Ok((db, h.block, true)),
+            Some(h) if h.vol_idx == self.vol_idx && h.db == db => Ok((db, h.block, true)),
             _ => {
                 let (at, block) = self.fetch(db)?;
                 Ok((at, block, self.is_final(at)))
             }
         }
+    }
+
+    /// Keeps `block`, read from `db`, for the scan's next call — if
+    /// [`VolSource::block`] found it final.
+    fn hold(&self, held: &mut Option<HeldBlock>, keep: bool, db: u64, block: ParsedBlock) {
+        if keep {
+            *held = Some(HeldBlock {
+                vol_idx: self.vol_idx,
+                db,
+                block,
+            });
+        }
+    }
+
+    /// One entrymap search over this volume's tree and pending maps.
+    fn locate(
+        &self,
+        ids: &[LogFileId],
+        search: impl FnOnce(&mut Locator<'_, Self>) -> Result<Option<u64>>,
+    ) -> Result<Option<u64>> {
+        let mut loc = Locator::new(self, self.pending);
+        let Some(obs) = self.obs else {
+            return search(&mut loc);
+        };
+        let t = clio_obs::clock::now();
+        let hop = search(&mut loc)?;
+        obs.note_locate(ids.first().copied(), &loc.stats, t.elapsed());
+        Ok(hop)
+    }
+
+    /// The next entry of `ids` in this volume at or after `(db, slot)`,
+    /// honouring `floor` (skip entries before that time) when set.
+    fn scan_forward(
+        &self,
+        ids: &[LogFileId],
+        (mut db, mut slot): (u64, u16),
+        floor: Option<Timestamp>,
+        held: &mut Option<HeldBlock>,
+    ) -> Result<Option<Entry>> {
+        let end = self.data_end();
+        while db < end {
+            // A position inside a block that verification has since
+            // re-placed is the same position in the re-placement.
+            if let Ok((at, block, keep)) = self.block(held, db) {
+                db = at;
+                if let Some(e) = next_in_block(self, db, &block.view(), slot, ids, floor)? {
+                    self.hold(held, keep, db, block);
+                    return Ok(Some(e));
+                }
+            }
+            // Nothing (left) in this block: hop to the next block with
+            // entries of ours via the entrymap tree. The open block is
+            // invisible to the entrymap (it has not been noted yet), so
+            // visit it explicitly when the tree finds nothing.
+            match self.locate(ids, |loc| loc.locate_at_or_after(ids, db + 1))? {
+                Some(nb) => db = nb,
+                None => match self.open_db() {
+                    Some(odb) if odb > db => db = odb,
+                    _ => break,
+                },
+            }
+            slot = 0;
+        }
+        Ok(None)
+    }
+
+    /// Calls `each` with every entry of `ids` in this volume, in log
+    /// order.
+    pub(crate) fn for_each_entry(
+        &self,
+        ids: &[LogFileId],
+        mut each: impl FnMut(Entry),
+    ) -> Result<()> {
+        let mut held = None;
+        let mut at = (0, 0);
+        while let Some(e) = self.scan_forward(ids, at, None, &mut held)? {
+            at = (e.addr.block.0, e.addr.slot + 1);
+            each(e);
+        }
+        Ok(())
     }
 }
 
@@ -234,15 +335,15 @@ fn is_entry_of(ids: &[LogFileId], e: &EntryRef<'_>) -> bool {
 }
 
 /// Builds the entry whose first (or only) record is `first`, a record of
-/// the already-verified block `blk` at `(vol_idx, db)`; a fragment chain
-/// is followed into the blocks after it.
+/// the already-verified block `blk` at `db`; a fragment chain is followed
+/// into the blocks after it.
 fn reassemble(
     src: &VolSource<'_>,
-    (vol_idx, db): (u32, u64),
+    db: u64,
     blk: &BlockView<'_>,
     first: &EntryRef<'_>,
 ) -> Result<Entry> {
-    let addr = EntryAddr::new(vol_idx, BlockNo(db), first.slot);
+    let addr = EntryAddr::new(src.vol_idx, BlockNo(db), first.slot);
     let header = first.header;
     let mut data = first.payload.to_vec();
     if let FragKind::First { total_len, chain } = header.frag {
@@ -313,7 +414,7 @@ fn reassemble(
 /// skipping entries timed before `floor`.
 fn next_in_block(
     src: &VolSource<'_>,
-    at: (u32, u64),
+    db: u64,
     blk: &BlockView<'_>,
     slot: u16,
     ids: &[LogFileId],
@@ -328,7 +429,7 @@ fn next_in_block(
         if floor.is_some_and(|f| eff < f) {
             continue;
         }
-        match reassemble(src, at, blk, &e) {
+        match reassemble(src, db, blk, &e) {
             Ok(entry) => return Ok(Some(entry)),
             // A fragmented entry whose continuation was lost (torn by a
             // crash, or destroyed by §2.3.2 corruption) is treated as
@@ -343,7 +444,7 @@ fn next_in_block(
 /// The last entry of `ids` in block `blk` strictly before slot `slot_excl`.
 fn prev_in_block(
     src: &VolSource<'_>,
-    at: (u32, u64),
+    db: u64,
     blk: &BlockView<'_>,
     slot_excl: u16,
     ids: &[LogFileId],
@@ -355,7 +456,7 @@ fn prev_in_block(
         .filter(|e| is_entry_of(ids, e))
         .collect();
     for e in ours.iter().rev() {
-        match reassemble(src, at, blk, e) {
+        match reassemble(src, db, blk, e) {
             Ok(entry) => return Ok(Some(entry)),
             // Torn/lost fragments: fall back to the previous candidate.
             Err(ClioError::NotFound(_)) => continue,
@@ -366,47 +467,43 @@ fn prev_in_block(
 }
 
 impl Shard {
-    /// A block source over one volume of the snapshot, including the open
-    /// block when the volume is active; device loads made through it are
-    /// added to `device_loads`.
+    /// The reader over one volume of the snapshot — with the open block,
+    /// the sealed queue and the watermark when the volume is active.
+    /// Device loads made through it are added to `device_loads`, entrymap
+    /// searches counted in the service's locate series. Only an address a
+    /// client made up names a volume the snapshot does not have.
     pub(crate) fn source_for<'v>(
-        &self,
+        &'v self,
         view: &'v ReadView,
         vol_idx: u32,
         device_loads: &'v Cell<u64>,
     ) -> Result<VolSource<'v>> {
-        let vol = self.seq.volume(vol_idx)?;
-        let (open, queued, watermark) = if vol_idx == view.active_index {
+        let (vol, pending, open, queued, watermark) = if vol_idx == view.active_index {
             (
+                &*view.active,
+                &*view.active_pending,
                 view.open.as_ref().map(|(db, blk)| (*db, &**blk)),
                 Some(&*view.queued),
                 Some(view.active_data_end),
             )
         } else {
-            (None, None, None)
+            let sealed = view
+                .sealed
+                .get(vol_idx as usize)
+                .ok_or_else(|| ClioError::NotFound(format!("volume index {vol_idx}")))?;
+            (&*sealed.vol, &sealed.pending, None, None, None)
         };
         Ok(VolSource {
             vol,
+            vol_idx,
+            pending: Some(pending),
             open,
             queued,
             watermark,
             fanout: usize::from(self.cfg.fanout),
             device_loads,
+            obs: Some(&self.obs),
         })
-    }
-
-    /// The pending maps to search a volume's unmapped tail with, borrowed
-    /// from the snapshot (no clone, no lock).
-    pub(crate) fn pending_for<'v>(
-        &self,
-        view: &'v ReadView,
-        vol_idx: u32,
-    ) -> Option<&'v PendingMaps> {
-        if vol_idx == view.active_index {
-            Some(&view.active_pending)
-        } else {
-            view.sealed_pendings.get(vol_idx as usize)
-        }
     }
 
     /// Runs `op` as one read span: its latency, its outcome and the device
@@ -454,7 +551,7 @@ impl Shard {
             e => e,
         })?;
         let blk = blk.view();
-        reassemble(&src, (addr.volume_index, db), &blk, &blk.entry(addr.slot)?)
+        reassemble(&src, db, &blk, &blk.entry(addr.slot)?)
     }
 
     /// Scans forward from `(vol, db, slot)` for the next entry of `ids`,
@@ -467,50 +564,16 @@ impl Shard {
         floor: Option<Timestamp>,
         op: &mut ReadOp,
     ) -> Result<Option<Entry>> {
-        let (mut vol_idx, mut db, mut slot) = start;
+        let (mut vol_idx, db, slot) = start;
+        let mut from = (db, slot);
         // The snapshot covers volumes 0..=active_index.
-        let vol_count = view.active_index + 1;
-        while vol_idx < vol_count {
+        while vol_idx <= view.active_index {
             let src = self.source_for(view, vol_idx, &op.device_loads)?;
-            let end = src.data_end();
-            while db < end {
-                // A position inside a block that verification has since
-                // re-placed is the same position in the re-placement.
-                if let Ok((at, block, keep)) = src.block(&mut op.held, vol_idx, db) {
-                    db = at;
-                    let at = (vol_idx, db);
-                    if let Some(e) = next_in_block(&src, at, &block.view(), slot, ids, floor)? {
-                        op.hold_if(keep, at, block);
-                        return Ok(Some(e));
-                    }
-                }
-                // Nothing (left) in this block: hop to the next block with
-                // entries of ours via the entrymap tree. The open block is
-                // invisible to the entrymap (it has not been noted yet), so
-                // visit it explicitly when the tree finds nothing.
-                let pending = self.pending_for(view, vol_idx);
-                let mut loc = Locator::new(&src, pending);
-                let t = clio_obs::clock::now();
-                let hop = loc.locate_at_or_after(ids, db + 1)?;
-                self.obs
-                    .note_locate(ids.first().copied(), &loc.stats, t.elapsed());
-                match hop {
-                    Some(nb) => {
-                        db = nb;
-                        slot = 0;
-                    }
-                    None => match src.open_db() {
-                        Some(odb) if odb > db => {
-                            db = odb;
-                            slot = 0;
-                        }
-                        _ => break,
-                    },
-                }
+            if let Some(e) = src.scan_forward(ids, from, floor, &mut op.held)? {
+                return Ok(Some(e));
             }
             vol_idx += 1;
-            db = 0;
-            slot = 0;
+            from = (0, 0);
         }
         Ok(None)
     }
@@ -535,24 +598,17 @@ impl Shard {
                     slot_excl = u16::MAX;
                 }
                 loop {
-                    if let Ok((at, block, keep)) = src.block(&mut op.held, vol_idx, db) {
+                    if let Ok((at, block, keep)) = src.block(&mut op.held, db) {
                         db = at;
-                        let at = (vol_idx, db);
-                        if let Some(e) = prev_in_block(&src, at, &block.view(), slot_excl, ids)? {
-                            op.hold_if(keep, at, block);
+                        if let Some(e) = prev_in_block(&src, db, &block.view(), slot_excl, ids)? {
+                            src.hold(&mut op.held, keep, db, block);
                             return Ok(Some(e));
                         }
                     }
                     if db == 0 {
                         break;
                     }
-                    let pending = self.pending_for(view, vol_idx);
-                    let mut loc = Locator::new(&src, pending);
-                    let t = clio_obs::clock::now();
-                    let hop = loc.locate_before(ids, db - 1)?;
-                    self.obs
-                        .note_locate(ids.first().copied(), &loc.stats, t.elapsed());
-                    match hop {
+                    match src.locate(ids, |loc| loc.locate_before(ids, db - 1))? {
                         Some(pb) => {
                             db = pb;
                             slot_excl = u16::MAX;
@@ -608,15 +664,14 @@ impl Shard {
         // Volumes are created in time order; start in the last volume whose
         // label predates ts, then refine with the in-volume timestamp
         // search (§2.1).
-        let vol_count = view.active_index + 1;
-        let mut vol_pick = 0;
-        for v in 0..vol_count {
-            if self.seq.volume(v)?.label().created <= ts {
-                vol_pick = v;
-            } else {
-                break;
-            }
-        }
+        let predating = view
+            .sealed
+            .iter()
+            .map(|s| &s.vol)
+            .chain([&view.active])
+            .take_while(|v| v.label().created <= ts)
+            .count();
+        let vol_pick = predating.saturating_sub(1) as u32;
         let mut op = ReadOp::default();
         let src = self.source_for(&view, vol_pick, &op.device_loads)?;
         let (db_opt, _) = tsearch::find_block_by_time(&src, ts)?;
@@ -661,9 +716,6 @@ impl LogService {
     /// Partitions a closure by shard (ascending shard order). A path below
     /// a top-level log file always lands in exactly one group.
     fn parts_for(&self, ids: Vec<LogFileId>) -> Vec<(u32, Vec<LogFileId>)> {
-        if self.shards.len() == 1 {
-            return vec![(0, ids)];
-        }
         let view = self.shards[0].read_view();
         let mask = self.route_mask();
         let mut groups: std::collections::BTreeMap<u32, Vec<LogFileId>> =

@@ -10,9 +10,11 @@
 //! 2. examine recently-written blocks to reconstruct missing entrymap
 //!    information — [`clio_entrymap::rebuild`]; corrupt blocks discovered
 //!    here are invalidated (§2.3.2);
-//! 3. read the catalog log file to rebuild the log-file descriptors —
-//!    each successor volume starts with a catalog checkpoint, so replay is
-//!    bounded to the newest volume that has one.
+//! 3. read the catalog log file to rebuild the log-file descriptors. It
+//!    is an ordinary log file (§2.2) and is read as one, through the
+//!    service's one log reader ([`VolSource`]). Each successor volume
+//!    starts with a catalog checkpoint, so the walk goes newest volume
+//!    first and stops at the first one that holds a checkpoint.
 //!
 //! # Sharding
 //!
@@ -27,19 +29,21 @@
 //! full catalog. The per-shard findings are joined into one
 //! [`RecoveryReport`] with shard-globalized volume indexes.
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use clio_cache::BlockCache;
 use clio_device::SharedDevice;
-use clio_entrymap::{rebuild_pending_with_findings, BlockSource, Locator, PendingMaps};
+use clio_entrymap::{rebuild_pending_with_findings, PendingMaps};
 use clio_format::records::CatalogRecord;
-use clio_format::{BlockView, FragKind, VolumeLabel};
+use clio_format::VolumeLabel;
 use clio_types::{BlockNo, Clock, LogFileId, Result};
-use clio_volume::{DevicePool, Volume, VolumeSequence};
+use clio_volume::{DevicePool, VolumeSequence};
 
 use crate::catalog::Catalog;
 use crate::config::ServiceConfig;
+use crate::read::VolSource;
 use crate::service::{
     LogService, Shard, ShardSeed, DEVICE_ID_SHIFT, LOCAL_VOLUME_MASK, SHARD_SHIFT,
 };
@@ -69,26 +73,6 @@ pub struct RecoveryReport {
     pub catalog_us: u64,
     /// Wall-clock µs for the whole recovery, phases included.
     pub total_us: u64,
-}
-
-/// A bare per-volume source (no open block — the crash destroyed it).
-struct RawSource {
-    vol: Arc<Volume>,
-    fanout: usize,
-}
-
-impl BlockSource for RawSource {
-    fn fanout(&self) -> usize {
-        self.fanout
-    }
-
-    fn data_end(&self) -> u64 {
-        self.vol.data_end()
-    }
-
-    fn read(&self, db: u64) -> Result<std::sync::Arc<Vec<u8>>> {
-        self.vol.read_data_block(db)
-    }
 }
 
 impl LogService {
@@ -151,16 +135,15 @@ impl LogService {
         // shard, invalidating corrupt blocks as they are discovered.
         let rebuild_start = clio_obs::clock::now();
         let rebuild_span = obs.span("rebuild");
+        // Recovery's device loads belong to no read operation.
+        let loads = Cell::new(0);
         let mut shard_pendings: Vec<Vec<PendingMaps>> = Vec::with_capacity(seqs.len());
         for (idx, seq) in seqs.iter().enumerate() {
             let mut pendings: Vec<PendingMaps> = Vec::new();
             for v in 0..seq.volume_count() {
                 let vol = seq.volume(v)?;
                 report.end_probes += vol.end_probes();
-                let src = RawSource {
-                    vol: vol.clone(),
-                    fanout,
-                };
+                let src = VolSource::bare(&vol, v, fanout, None, &loads);
                 let (pending, stats, findings) = rebuild_pending_with_findings(&src)?;
                 report.rebuild_blocks_read += stats.blocks_read;
                 for db in findings.corrupt {
@@ -176,37 +159,40 @@ impl LogService {
         drop(rebuild_span);
         report.rebuild_us = elapsed_us(rebuild_start);
 
-        // Step 3: rebuild the catalog from the catalog shard (the only
-        // durable catalog log). Find the newest volume whose catalog
-        // entries include a checkpoint and replay from there.
+        // Step 3: read the catalog log file on the catalog shard (the only
+        // durable catalog log), newest volume first, back to the first
+        // volume that holds a checkpoint, and replay from there forward.
+        // That is the newest volume unless the crash tore its checkpoint
+        // (a volume switch buffers it; it is durable with the volume's
+        // first commit): such a volume holds no catalog record at all, and
+        // its predecessor's checkpoint and records are the catalog.
         let catalog_start = clio_obs::clock::now();
         let catalog_span = obs.span("catalog");
-        let mut per_volume: Vec<Vec<CatalogRecord>> = Vec::new();
-        for v in 0..seqs[0].volume_count() {
+        let mut replay: Vec<CatalogRecord> = Vec::new();
+        for v in (0..seqs[0].volume_count()).rev() {
             let vol = seqs[0].volume(v)?;
-            let src = RawSource { vol, fanout };
-            per_volume.push(collect_catalog_records(
-                &src,
-                shard_pendings[0].get(v as usize),
-            )?);
-        }
-        let mut start = 0usize;
-        for (v, recs) in per_volume.iter().enumerate().rev() {
-            if recs
+            let pending = shard_pendings[0].get(v as usize);
+            let src = VolSource::bare(&vol, v, fanout, pending, &loads);
+            let mut recs = Vec::new();
+            src.for_each_entry(&[LogFileId::CATALOG], |e| {
+                if let Ok(rec) = CatalogRecord::decode(&e.data) {
+                    recs.push(rec);
+                }
+            })?;
+            let checkpointed = recs
                 .iter()
-                .any(|r| matches!(r, CatalogRecord::Checkpoint { .. }))
-            {
-                start = v;
+                .any(|r| matches!(r, CatalogRecord::Checkpoint { .. }));
+            recs.append(&mut replay);
+            replay = recs;
+            if checkpointed {
                 break;
             }
         }
         let mut catalog = Catalog::new();
-        for recs in &per_volume[start..] {
-            for rec in recs {
-                report.catalog_records += 1;
-                catalog.apply(rec)?;
-            }
+        for rec in &replay {
+            catalog.apply(rec)?;
         }
+        report.catalog_records = replay.len() as u64;
         drop(catalog_span);
         report.catalog_us = elapsed_us(catalog_start);
 
@@ -270,89 +256,4 @@ fn elapsed_us(start: std::time::Instant) -> u64 {
     u64::try_from(start.elapsed().as_micros())
         .unwrap_or(u64::MAX)
         .max(1)
-}
-
-/// Collects the decoded catalog records of one volume, in log order,
-/// reassembling fragmented records (checkpoints can span blocks).
-fn collect_catalog_records<S: BlockSource>(
-    src: &S,
-    pending: Option<&PendingMaps>,
-) -> Result<Vec<CatalogRecord>> {
-    let ids = [LogFileId::CATALOG];
-    let mut out = Vec::new();
-    let mut db = 0u64;
-    let end = src.data_end();
-    let mut loc = Locator::new(src, pending);
-    while db < end {
-        let Some(at) = loc.locate_at_or_after(&ids, db)? else {
-            break;
-        };
-        let img = src.read(at)?;
-        if let Ok(view) = BlockView::parse(&img) {
-            for e in view.entries() {
-                let Ok(e) = e else { break };
-                if e.header.id != LogFileId::CATALOG
-                    || matches!(e.header.frag, FragKind::Continuation { .. })
-                {
-                    continue;
-                }
-                let payload = match e.header.frag {
-                    FragKind::Whole => e.payload.to_vec(),
-                    FragKind::First { total_len, chain } => {
-                        match reassemble(src, at, e.header.id, chain, e.payload, total_len as usize)
-                        {
-                            Some(p) => p,
-                            None => continue, // fragments lost to corruption
-                        }
-                    }
-                    FragKind::Continuation { .. } => unreachable!("filtered above"),
-                };
-                if let Ok(rec) = CatalogRecord::decode(&payload) {
-                    out.push(rec);
-                }
-            }
-        }
-        db = at + 1;
-    }
-    Ok(out)
-}
-
-/// Reads continuation fragments following block `at` until `total` bytes.
-fn reassemble<S: BlockSource>(
-    src: &S,
-    at: u64,
-    id: LogFileId,
-    chain: u32,
-    first: &[u8],
-    total: usize,
-) -> Option<Vec<u8>> {
-    let mut data = first.to_vec();
-    let mut db = at + 1;
-    let mut skipped = 0u32;
-    while data.len() < total {
-        if db >= src.data_end() || skipped > 4 {
-            return None;
-        }
-        let img = src.read(db).ok()?;
-        match BlockView::parse(&img) {
-            Ok(view) => {
-                let mut found = false;
-                for e in view.entries() {
-                    let Ok(e) = e else { break };
-                    if e.header.frag == (FragKind::Continuation { chain }) && e.header.id == id {
-                        data.extend_from_slice(e.payload);
-                        found = true;
-                        break;
-                    }
-                }
-                if !found {
-                    return None; // torn chain
-                }
-                skipped = 0;
-            }
-            Err(_) => skipped += 1,
-        }
-        db += 1;
-    }
-    (data.len() == total).then_some(data)
 }

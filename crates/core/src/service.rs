@@ -25,7 +25,7 @@ use clio_entrymap::{EntrymapWriter, Geometry, PendingMaps};
 use clio_format::records::{CatalogRecord, PERM_APPEND};
 use clio_format::{BlockBuilder, EntryForm, EntryHeader, PushOutcome};
 use clio_types::{ClioError, Clock, EntryAddr, LogFileId, Result, SeqNo, Timestamp, VolumeSeqId};
-use clio_volume::{DevicePool, VolumeSequence};
+use clio_volume::{DevicePool, Volume, VolumeSequence};
 
 use crate::catalog::Catalog;
 use crate::config::ServiceConfig;
@@ -327,19 +327,34 @@ impl SealedQueue {
     }
 }
 
+/// A finished volume of a shard's sequence, read-only from here on, with
+/// the entrymap pending state it ended on: its final groups have no
+/// on-device maps (there is no block after them to carry one), so searches
+/// of it need this in-memory state (rebuilt from the device after a crash).
+#[derive(Clone)]
+pub(crate) struct SealedVolume {
+    pub vol: Arc<Volume>,
+    pub pending: PendingMaps,
+}
+
 /// All append-side state of one shard, guarded by one lock. Reads never
 /// touch this — they run against the published [`ReadView`] snapshot.
 ///
-/// The shareable pieces (`catalog`, `sealed_pendings`) live behind `Arc`s
-/// so publishing a snapshot is a refcount bump; mutations go through
+/// The shareable pieces (`catalog`, `sealed`) live behind `Arc`s so
+/// publishing a snapshot is a refcount bump; mutations go through
 /// [`Arc::make_mut`], copy-on-write, so an in-flight reader's snapshot is
 /// never modified underneath it.
 pub(crate) struct State {
     pub catalog: Arc<Catalog>,
     pub emap: EntrymapWriter,
     pub open: Option<OpenBlock>,
-    /// Final pending maps of sealed (non-active) volumes, by volume index.
-    pub sealed_pendings: Arc<Vec<PendingMaps>>,
+    /// The finished (non-active) volumes, by volume index; grows by one at
+    /// each volume switch.
+    pub sealed: Arc<Vec<SealedVolume>>,
+    /// The active volume. The appender reads it as a field: an append
+    /// takes neither the sequence's lock nor a reference count.
+    pub active: Arc<Volume>,
+    /// The active volume's index, `sealed.len()`.
     pub active_index: u32,
     /// Frozen clone of `emap.pending()` shared into snapshots. Dropped
     /// whenever a block seals or opens (the only times the pending maps
@@ -372,6 +387,17 @@ pub(crate) struct State {
     pub published: Arc<ReadView>,
 }
 
+impl State {
+    /// The data block the next opened block will occupy: past any queued
+    /// (sealed-in-memory) blocks, which the device end does not yet
+    /// reflect.
+    pub(crate) fn next_db(&self) -> u64 {
+        self.sealed_queue
+            .end_db()
+            .unwrap_or_else(|| self.active.data_end())
+    }
+}
+
 /// A snapshot of everything the read path needs, published via an
 /// atomic-swap cell whenever one of its fields would differ. Everything
 /// in it is immutable except the open block, which is shared with the
@@ -383,9 +409,12 @@ pub(crate) struct ReadView {
     /// The shard's catalog (full on shard 0, a slice elsewhere) as of the
     /// snapshot.
     pub catalog: Arc<Catalog>,
-    /// Final pending maps of sealed (non-active) volumes, by volume index.
-    pub sealed_pendings: Arc<Vec<PendingMaps>>,
-    /// Index of the active (writable) volume.
+    /// The finished (non-active) volumes, by volume index.
+    pub sealed: Arc<Vec<SealedVolume>>,
+    /// The active (writable) volume. Reads borrow their volume from the
+    /// snapshot — this one or a sealed one.
+    pub active: Arc<Volume>,
+    /// The active volume's index, `sealed.len()`.
     pub active_index: u32,
     /// The active volume's pending entrymap state.
     pub active_pending: Arc<PendingMaps>,
@@ -462,9 +491,16 @@ fn gate_pause(polls: u32) {
 struct Arrival<'a>(&'a Gauge);
 
 impl<'a> Arrival<'a> {
-    fn announce(arriving: &'a Gauge) -> Arrival<'a> {
-        arriving.add(1);
-        Arrival(arriving)
+    /// Counts a forced append in; a buffered one announces nothing. The
+    /// first thing an append does, ahead of its span bookkeeping: the time
+    /// from an appender's announcement to its own check of the gauge as
+    /// commit leader is the window in which the appenders beside it must
+    /// announce to ride its seal, so nothing that can wait goes before it.
+    fn announce(arriving: &'a Gauge, durability: Durability) -> Option<Arrival<'a>> {
+        matches!(durability, Durability::Forced).then(|| {
+            arriving.add(1);
+            Arrival(arriving)
+        })
     }
 }
 
@@ -532,16 +568,28 @@ impl Shard {
         let geo = Geometry::new(usize::from(cfg.fanout));
         let active = seq.active();
         let active_index = active.label().volume_index;
+        debug_assert_eq!(sealed_pendings.len(), active_index as usize);
+        let sealed: Arc<Vec<SealedVolume>> = Arc::new(
+            (0..active_index)
+                .zip(sealed_pendings)
+                .map(|(v, pending)| SealedVolume {
+                    vol: seq
+                        .volume(v)
+                        .expect("invariant: every index below the active volume's is mounted"),
+                    pending,
+                })
+                .collect(),
+        );
         let emap = match active_pending {
             Some(p) => EntrymapWriter::from_pending(p, active.data_end()),
             None => EntrymapWriter::new(geo),
         };
         let catalog = Arc::new(catalog);
-        let sealed_pendings = Arc::new(sealed_pendings);
         let pending_snap = Arc::new(emap.pending().clone());
         let published = Arc::new(ReadView {
             catalog: catalog.clone(),
-            sealed_pendings: sealed_pendings.clone(),
+            sealed: sealed.clone(),
+            active: active.clone(),
             active_index,
             active_pending: pending_snap.clone(),
             active_data_end: active.data_end(),
@@ -566,7 +614,8 @@ impl Shard {
                     catalog,
                     emap,
                     open: None,
-                    sealed_pendings,
+                    sealed,
+                    active,
                     active_index,
                     pending_snap: Some(pending_snap),
                     carryover: Vec::new(),
@@ -597,11 +646,7 @@ impl Shard {
     /// pointer compares and a buffered append that stays inside the open
     /// block publishes nothing.
     pub(crate) fn publish_view(&self, st: &mut State) {
-        let active_data_end = self
-            .seq
-            .volume(st.active_index)
-            .map(|v| v.data_end())
-            .unwrap_or(0);
+        let active_data_end = st.active.data_end();
         let pending = st
             .pending_snap
             .get_or_insert_with(|| Arc::new(st.emap.pending().clone()));
@@ -617,13 +662,14 @@ impl Shard {
             && Arc::ptr_eq(&cur.queued, &st.sealed_queue)
             && Arc::ptr_eq(&cur.active_pending, pending)
             && Arc::ptr_eq(&cur.catalog, &st.catalog)
-            && Arc::ptr_eq(&cur.sealed_pendings, &st.sealed_pendings)
+            && Arc::ptr_eq(&cur.sealed, &st.sealed)
         {
             return;
         }
         st.published = Arc::new(ReadView {
             catalog: st.catalog.clone(),
-            sealed_pendings: st.sealed_pendings.clone(),
+            sealed: st.sealed.clone(),
+            active: st.active.clone(),
             active_index: st.active_index,
             active_pending: pending.clone(),
             active_data_end,
@@ -695,12 +741,13 @@ impl Shard {
 
     /// Appends `data` as one entry of log file `id` on this shard.
     pub(crate) fn append(&self, id: LogFileId, data: &[u8], opts: AppendOpts) -> Result<Receipt> {
+        let arrival = Arrival::announce(&self.pshard.arriving, opts.durability);
         let mut span = self.obs.span("append");
         span.set_target(u64::from(id.0));
         span.attr("bytes", data.len() as u64);
         span.attr("shard", u64::from(self.idx));
         let start = clio_obs::clock::now();
-        let r = self.stage_and_commit(&mut span, opts.durability, 1, |st| {
+        let r = self.stage_and_commit(&mut span, arrival, 1, |st| {
             self.append_locked(st, id, data, opts)
         });
         if r.is_err() {
@@ -719,23 +766,22 @@ impl Shard {
     /// republish the read snapshot, and — for a forced append — wait at
     /// the commit gate until a leader has made them durable (a forced append
     /// that staged cleanly leaves write and republish to its leader).
+    /// `arrival` is the caller's announcement, `Some` exactly when the
+    /// append is forced; it is withdrawn under the lock, staged or failed.
     /// `span` (the caller's root span) gets a `blocks` attribute: the
     /// blocks this call itself wrote to the device, staging or leading.
     fn stage_and_commit<T>(
         &self,
         span: &mut SpanGuard<'_>,
-        durability: Durability,
+        arrival: Option<Arrival<'_>>,
         entries: u64,
         stage: impl FnOnce(&mut State) -> Result<T>,
     ) -> Result<T> {
-        let forced = matches!(durability, Durability::Forced);
+        let forced = arrival.is_some();
         let (r, my_seq, mut blocks) = {
             // Declared before the lock guard: the stage span covers lock
             // acquisition and records only after the lock is released.
             let _stage = self.obs.span("stage");
-            // Announced before queueing on the lock, so a commit leader
-            // knows to wait for this entry rather than seal without it.
-            let arrival = forced.then(|| Arrival::announce(&self.pshard.arriving));
             let mut st = self.state.lock();
             let before = st.device_blocks;
             let r = stage(&mut st);
@@ -961,12 +1007,13 @@ impl Shard {
         if items.is_empty() {
             return Ok(Vec::new());
         }
+        let arrival = Arrival::announce(&self.pshard.arriving, opts.durability);
         let mut span = self.obs.span("append_batch");
         span.attr("entries", items.len() as u64);
         span.attr("shard", u64::from(self.idx));
         let start = clio_obs::clock::now();
         let mut noted: Vec<LogFileId> = Vec::with_capacity(items.len());
-        let r = self.stage_and_commit(&mut span, opts.durability, items.len() as u64, |st| {
+        let r = self.stage_and_commit(&mut span, arrival, items.len() as u64, |st| {
             let mut receipts = Vec::with_capacity(items.len());
             for (path, data) in items {
                 let id = st.catalog.resolve(path)?;
@@ -1094,9 +1141,6 @@ impl LogService {
     /// The shard `id`'s entries route to, from the catalog shard's
     /// current snapshot (reserved and unknown ids answer shard 0).
     pub(crate) fn route_id(&self, id: LogFileId) -> usize {
-        if self.shards.len() == 1 {
-            return 0;
-        }
         self.shards[0]
             .read_view()
             .catalog
@@ -1159,17 +1203,10 @@ impl LogService {
     }
 
     /// The volume sequence backing shard 0 (the catalog shard) — with a
-    /// single-shard configuration, the service's only sequence. See
-    /// [`LogService::shard_volumes`] for the others.
+    /// single-shard configuration, the service's only sequence.
     #[must_use]
     pub fn volumes(&self) -> &Arc<VolumeSequence> {
         &self.shards[0].seq
-    }
-
-    /// The volume sequence backing shard `shard`, if it exists.
-    #[must_use]
-    pub fn shard_volumes(&self, shard: usize) -> Option<&Arc<VolumeSequence>> {
-        self.shards.get(shard).map(|s| &s.seq)
     }
 
     /// The shared block cache (exposed for cache-behaviour experiments).
@@ -1330,8 +1367,10 @@ impl LogService {
     /// Appends one entry per `(path, payload)` item, replying with all
     /// receipts in item order.
     ///
-    /// Within one shard the items are staged under a single state-lock
-    /// hold and a forced batch pays for **one** durability point covering
+    /// Every path is resolved before anything is staged, so a batch naming
+    /// an unknown path stages nothing — at any shard count. Within one
+    /// shard the items are staged under a single state-lock hold and a
+    /// forced batch pays for **one** durability point covering
     /// every item. A batch spanning shards is *per-shard atomic*: each
     /// shard's sub-batch commits as one unit, shards are processed in
     /// ascending index order (catalog shard first), and an error leaves
@@ -1344,9 +1383,6 @@ impl LogService {
     ) -> Result<Vec<Receipt>> {
         if items.is_empty() {
             return Ok(Vec::new());
-        }
-        if self.shards.len() == 1 {
-            return self.shards[0].append_batch(items, opts);
         }
         let view = self.shards[0].read_view();
         let mask = self.route_mask();

@@ -12,7 +12,7 @@ use clio_format::{
 };
 use clio_types::{BlockNo, ClioError, LogFileId, Result};
 
-use crate::service::{OpenBlock, SealedQueue, Shard, SharedOpenBlock, State};
+use crate::service::{OpenBlock, SealedQueue, SealedVolume, Shard, SharedOpenBlock, State};
 use crate::stats::SpaceStats;
 
 /// Bound on the writes one seal spends on a block that keeps reading back
@@ -37,8 +37,7 @@ impl Shard {
     }
 
     fn open_new_block(&self, st: &mut State) -> Result<()> {
-        let vol = self.seq.volume(st.active_index)?;
-        if vol.is_full() {
+        if st.active.is_full() {
             self.switch_volume(st)
         } else {
             self.open_block_at(st)
@@ -54,22 +53,13 @@ impl Shard {
         // The sealed queue belongs to the finishing volume; drain it onto
         // that volume's medium before the successor takes over.
         self.write_sealed_queue(st)?;
-        // Preserve the finished volume's pending maps: its final groups
-        // have no on-device maps (there is no block after them to carry
-        // one), so searches need this in-memory state (rebuilt from the
-        // device after a crash).
-        let idx = st.active_index as usize;
-        let pending = st.emap.pending().clone();
-        // Copy-on-write: snapshots holding the old Vec are unaffected.
-        let sealed = Arc::make_mut(&mut st.sealed_pendings);
-        while sealed.len() < idx {
-            sealed.push(clio_entrymap::PendingMaps::new(pending.geometry()));
-        }
-        sealed.push(pending);
-        debug_assert_eq!(st.sealed_pendings.len(), idx + 1);
-
         let now = self.clock.now();
-        self.seq.extend(now)?;
+        let finished = std::mem::replace(&mut st.active, self.seq.extend(now)?);
+        // Copy-on-write: snapshots holding the old list are unaffected.
+        Arc::make_mut(&mut st.sealed).push(SealedVolume {
+            vol: finished,
+            pending: st.emap.pending().clone(),
+        });
         st.active_index += 1;
         st.emap = clio_entrymap::EntrymapWriter::new(Geometry::new(usize::from(self.cfg.fanout)));
         st.pending_snap = None;
@@ -105,12 +95,9 @@ impl Shard {
 
     fn open_block_at_inner(&self, st: &mut State) -> Result<()> {
         debug_assert!(st.open.is_none(), "open_block_at with a block already open");
-        let vol = self.seq.volume(st.active_index)?;
         loop {
-            // The next fresh block sits past any queued (sealed-in-memory)
-            // blocks, which the device end does not yet reflect.
-            let db = st.sealed_queue.end_db().unwrap_or_else(|| vol.data_end());
-            if db >= vol.data_capacity() {
+            let db = st.next_db();
+            if db >= st.active.data_capacity() {
                 return self.switch_volume(st);
             }
             let mut records = std::mem::take(&mut st.carryover);
@@ -144,20 +131,17 @@ impl Shard {
     /// switching to a successor volume early if it cannot — entries never
     /// fragment across volumes.
     fn ensure_volume_room(&self, st: &mut State, bytes: usize) -> Result<()> {
-        let vol = self.seq.volume(st.active_index)?;
+        let capacity = st.active.data_capacity();
         let usable = self.cfg.block_size - TRAILER_SIZE - 4;
         let blocks_needed = (bytes / usable + 2) as u64;
-        if blocks_needed > vol.data_capacity() {
+        if blocks_needed > capacity {
             return Err(ClioError::EntryTooLarge {
                 size: bytes,
-                max: (vol.data_capacity() as usize).saturating_mul(usable),
+                max: (capacity as usize).saturating_mul(usable),
             });
         }
-        let current = st.open.as_ref().map_or_else(
-            || st.sealed_queue.end_db().unwrap_or_else(|| vol.data_end()),
-            |ob| ob.db,
-        );
-        if current + blocks_needed > vol.data_capacity() {
+        let current = st.open.as_ref().map_or_else(|| st.next_db(), |ob| ob.db);
+        if current + blocks_needed > capacity {
             self.switch_volume(st)?;
         }
         Ok(())
@@ -342,7 +326,7 @@ impl Shard {
     /// address, where the caller reopens the block for a later seal.
     fn write_verified(&self, st: &mut State, db: &mut u64, image: &Arc<Vec<u8>>) -> Result<()> {
         debug_assert_eq!(st.sealed_queue.images.len(), 1, "verified seals drain");
-        let vol = self.seq.volume(st.active_index)?;
+        let vol = st.active.clone();
         let mut image = image.clone();
         for moved in 1..=MAX_SEAL_ATTEMPTS {
             // A failed write burned nothing: the block keeps its address.
@@ -392,7 +376,7 @@ impl Shard {
     }
 
     fn write_sealed_queue_inner(&self, st: &mut State) -> Result<(u64, u64)> {
-        let vol = self.seq.volume(st.active_index)?;
+        let vol = &*st.active;
         let queue = std::mem::take(&mut st.sealed_queue);
         let chunk_blocks = self.cfg.max_batch_blocks.max(1);
         let mut writes = 0u64;
@@ -433,10 +417,9 @@ impl Shard {
     pub(crate) fn commit_locked(&self, st: &mut State) -> Result<()> {
         let covered = std::mem::take(&mut st.staged_forced);
         let r = (|| {
-            let vol = self.seq.volume(st.active_index)?;
             let mut tail_stage = None;
             if let Some(ob) = st.open.as_ref() {
-                if vol.supports_tail_rewrite() {
+                if st.active.supports_tail_rewrite() {
                     tail_stage = Some((ob.db, ob.shared.image().to_vec()));
                 } else if ob.shared.count() > 0 {
                     ob.shared.mark_sealed_early();
@@ -448,7 +431,7 @@ impl Shard {
             // tail at its write-once end.
             let (mut writes, blocks) = self.write_sealed_queue(st)?;
             if let Some((db, img)) = tail_stage {
-                vol.rewrite_tail_data(db, img)?;
+                st.active.rewrite_tail_data(db, img)?;
                 writes += 1;
                 st.device_blocks += 1;
             }

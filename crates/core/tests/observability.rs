@@ -138,6 +138,11 @@ fn one_service_lifetime_populates_every_layer() {
     );
     // The recovered service read blocks through its own instrumented pool.
     assert!(counter(&reg, "clio_device_reads_total") > 0);
+    // Recovery read the catalog log through the service's reader, but not
+    // as a service read: the op series start at zero.
+    assert_eq!(counter(&reg, "clio_core_reads_total"), 0);
+    assert_eq!(counter(&reg, "clio_core_locates_total"), 0);
+    assert_eq!(histogram(&reg, "clio_core_locate_blocks").count, 0);
 
     // Data survived; reads on the recovered service feed its registry.
     let mut cur = svc.cursor("/obs").unwrap();

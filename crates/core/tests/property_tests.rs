@@ -11,7 +11,7 @@ use clio_testkit::prop::{
     any_u32, any_u64, bools, bytes, check, just, option_of, pair, u16s, u8s, vec_of, weighted, Gen,
 };
 use clio_types::{LogFileId, ManualClock, SeqNo, Timestamp, VolumeSeqId};
-use clio_volume::MemDevicePool;
+use clio_volume::{MemDevicePool, RecordingPool};
 
 /// One modelled operation.
 #[derive(Debug, Clone)]
@@ -148,7 +148,6 @@ fn crash_never_loses_forced_prefix() {
     check("crash_never_loses_forced_prefix", 24, &g, |(lens, seed)| {
         // Deterministic single-log run with a crash at the end; the
         // survivors must be a prefix covering every forced append.
-        use clio_volume::RecordingPool;
         let pool = Arc::new(RecordingPool::new(Arc::new(MemDevicePool::new(
             256,
             1 << 14,
@@ -192,6 +191,173 @@ fn crash_never_loses_forced_prefix() {
             );
         }
     });
+}
+
+/// One step of a catalog history.
+#[derive(Debug, Clone)]
+enum CatalogOp {
+    /// One 1-byte append to every active log: fills blocks, and keeps the
+    /// entrymap records due at a boundary wider than one 256-byte block.
+    Round,
+    /// `create_log` under an existing log (`parent` picks one, or the
+    /// root) with a name of `len` bytes.
+    Create {
+        parent: u16,
+        len: u8,
+    },
+    Seal(u16),
+    Rename {
+        log: u16,
+        len: u8,
+    },
+    SetPerms {
+        log: u16,
+        perms: u8,
+    },
+}
+
+fn arb_catalog_op() -> Gen<CatalogOp> {
+    let (pick, len, perms) = (u16s(0..u16::MAX), u8s(1..181), u8s(0..4));
+    let create = {
+        let (pick, len) = (pick.clone(), len.clone());
+        Gen::new(move |src| CatalogOp::Create {
+            parent: pick.generate(src),
+            len: len.generate(src),
+        })
+    };
+    let rename = {
+        let pick = pick.clone();
+        Gen::new(move |src| CatalogOp::Rename {
+            log: pick.generate(src),
+            len: len.generate(src),
+        })
+    };
+    let set_perms = {
+        let pick = pick.clone();
+        Gen::new(move |src| CatalogOp::SetPerms {
+            log: pick.generate(src),
+            perms: perms.generate(src),
+        })
+    };
+    weighted(vec![
+        (6, just(CatalogOp::Round)),
+        (4, create),
+        (1, pick.map(CatalogOp::Seal)),
+        (1, rename),
+        (1, set_perms),
+    ])
+}
+
+/// Logs appended to every round; `seal`/`rename`/`set_perms` leave them be.
+const ACTIVE_LOGS: usize = 96;
+
+/// Runs `ops` on a fresh service of `shards` append domains, crashes it
+/// without a flush and recovers: every catalog change was acknowledged, so
+/// the recovered catalog must be the one the crash interrupted.
+fn catalog_round_trips_a_crash(shards: usize, ops: &[CatalogOp]) {
+    use clio_format::records::PERM_APPEND;
+
+    // 160-block volumes: long histories switch volumes, so recovery also
+    // replays from (multi-block) checkpoints.
+    let pool = Arc::new(RecordingPool::new(Arc::new(MemDevicePool::new(256, 160))));
+    let ck = Arc::new(ManualClock::starting_at(Timestamp::from_secs(1)));
+    let cfg = ServiceConfig::small().with_shards(shards);
+    let svc = LogService::create(VolumeSeqId(3), pool.clone(), cfg.clone(), ck.clone())
+        .expect("create service");
+    let active: Vec<LogFileId> = (0..ACTIVE_LOGS)
+        .map(|i| {
+            svc.create_log(&format!("/a{i}"))
+                .expect("create active log")
+        })
+        .collect();
+    // Logs the history created; the catalog operations pick among these.
+    let mut made: Vec<LogFileId> = Vec::new();
+    let mut names = 0u32;
+    let mut fresh_name = |len: u8| {
+        names += 1;
+        let mut name = format!("{names:x}");
+        while name.len() < usize::from(len) {
+            name.push('n');
+        }
+        name
+    };
+    for op in ops {
+        let pick = |i: u16| made.get(usize::from(i) % made.len().max(1)).copied();
+        match op {
+            CatalogOp::Round => {
+                for &id in &active {
+                    svc.append(id, b"r", AppendOpts::minimal()).expect("append");
+                }
+            }
+            CatalogOp::Create { parent, len } => {
+                let all = active.len() + made.len() + 1;
+                let parent = match usize::from(*parent) % all {
+                    0 => String::new(),
+                    i if i <= active.len() => svc.path_of(active[i - 1]).expect("path"),
+                    i => svc.path_of(made[i - 1 - active.len()]).expect("path"),
+                };
+                let path = format!("{parent}/{}", fresh_name(*len));
+                made.push(svc.create_log(&path).expect("create_log"));
+            }
+            CatalogOp::Seal(log) => {
+                if let Some(id) = pick(*log) {
+                    svc.seal_log(id).expect("seal_log");
+                }
+            }
+            CatalogOp::Rename { log, len } => {
+                if let Some(id) = pick(*log) {
+                    svc.rename(id, &fresh_name(*len)).expect("rename");
+                }
+            }
+            CatalogOp::SetPerms { log, perms } => {
+                if let Some(id) = pick(*log) {
+                    svc.set_perms(id, u16::from(*perms)).expect("set_perms");
+                }
+            }
+        }
+    }
+    let before: Vec<_> = active
+        .iter()
+        .chain(&made)
+        .map(|&id| {
+            (
+                svc.path_of(id).expect("path"),
+                svc.attrs(id).expect("attrs"),
+            )
+        })
+        .collect();
+    drop(svc); // crash, nothing flushed
+
+    let (svc, _) = LogService::recover(pool.devices(), pool.clone(), cfg, ck).expect("recover");
+    for (path, attrs) in &before {
+        let id = svc.resolve(path).expect("an acknowledged log file is lost");
+        assert_eq!(id, attrs.id, "{path}");
+        assert_eq!(&svc.attrs(id).expect("attrs"), attrs, "{path}");
+        // The shard the log routes to holds the same descriptor.
+        let appendable = !attrs.sealed && attrs.perms & PERM_APPEND != 0;
+        let r = svc.append(id, b"after", AppendOpts::standard());
+        assert_eq!(r.is_ok(), appendable, "{path}: {r:?}");
+    }
+    // No id is handed out twice.
+    let fresh = svc.create_log("/fresh").expect("create after recovery");
+    assert!(
+        before.iter().all(|(_, a)| a.id < fresh),
+        "{fresh} re-issued"
+    );
+}
+
+#[test]
+fn recovered_catalog_equals_the_pre_crash_catalog() {
+    let g = vec_of(&arb_catalog_op(), 1..80);
+    check(
+        "recovered_catalog_equals_the_pre_crash_catalog",
+        16,
+        &g,
+        |ops| {
+            catalog_round_trips_a_crash(1, ops);
+            catalog_round_trips_a_crash(4, ops);
+        },
+    );
 }
 
 /// The shared open block defers `finish()` to whoever reads it; whatever

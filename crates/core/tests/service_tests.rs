@@ -949,6 +949,82 @@ fn long_volume_chains_recover() {
     assert_eq!(n, total as usize);
 }
 
+/// A volume switch buffers the successor's catalog checkpoint: until the
+/// new volume's first commit, the newest volume is a label and nothing
+/// else. Recovery reads the catalog newest volume first, so it has to fall
+/// back to the predecessor there — and keep replaying across both volumes
+/// for as long as the newest has records but no checkpoint of its own.
+#[test]
+fn recovery_falls_back_a_volume_when_the_newest_checkpoint_is_torn() {
+    let pool = capturing_pool(256, 24, false);
+    let ck = clock();
+    let cfg = ServiceConfig::small();
+    let svc = LogService::create(VolumeSeqId(13), pool.clone(), cfg.clone(), ck.clone()).unwrap();
+    svc.create_log("/first").unwrap();
+    while svc.volumes().volume_count() == 1 {
+        svc.append_path("/first", &[7u8; 100], AppendOpts::standard())
+            .unwrap();
+    }
+    // The checkpoint sits in the open block, not on the medium.
+    assert_eq!(svc.volumes().active().data_end(), 0);
+    drop(svc);
+
+    let (svc, report) =
+        LogService::recover(pool.devices(), pool.clone(), cfg.clone(), ck.clone()).unwrap();
+    assert_eq!(report.volumes, 2);
+    assert_eq!(report.catalog_records, 1, "volume 0's one Create");
+    svc.resolve("/first").unwrap();
+    // The recovered service carries on in the checkpoint-less volume.
+    svc.create_log("/second").unwrap();
+    drop(svc);
+
+    let (svc, report) = LogService::recover(pool.devices(), pool.clone(), cfg, ck).unwrap();
+    assert_eq!(report.catalog_records, 2, "one Create from each volume");
+    let first = svc.resolve("/first").unwrap();
+    assert!(svc.resolve("/second").unwrap() > first);
+}
+
+/// A batch is routed before it is staged — at one shard like at four — so
+/// an unknown path anywhere in it fails the batch with nothing appended.
+#[test]
+fn append_batch_with_an_unknown_path_stages_nothing() {
+    for shards in [1, 4] {
+        let svc = LogService::create(
+            VolumeSeqId(14),
+            Arc::new(MemDevicePool::new(256, 4096)),
+            ServiceConfig::small().with_shards(shards),
+            clock(),
+        )
+        .unwrap();
+        svc.create_log("/a").unwrap();
+        svc.create_log("/b").unwrap();
+        let item = |path: &str, data: &[u8]| (path.to_owned(), data.to_vec());
+        let mut items = vec![
+            item("/a", b"one"),
+            item("/b", b"two"),
+            item("/missing", b"three"),
+            item("/a", b"four"),
+        ];
+        let err = svc
+            .append_batch(&items, AppendOpts::standard())
+            .unwrap_err();
+        assert!(
+            matches!(err, ClioError::NoSuchLogFile(_)),
+            "{shards}: {err}"
+        );
+        let count = |path: &str| {
+            let mut cur = svc.cursor(path).unwrap();
+            cur.collect_remaining().unwrap().len()
+        };
+        assert_eq!((count("/a"), count("/b")), (0, 0), "{shards} shard(s)");
+        // Without the unknown path the same batch lands whole.
+        items.remove(2);
+        let receipts = svc.append_batch(&items, AppendOpts::standard()).unwrap();
+        assert_eq!(receipts.len(), 3);
+        assert_eq!((count("/a"), count("/b")), (2, 1), "{shards} shard(s)");
+    }
+}
+
 #[test]
 fn server_admin_requests() {
     use clio_core::server::{LogServer, Request, Response};
@@ -1034,6 +1110,30 @@ fn regression_entries_locatable_while_boundary_block_open() {
     }
 }
 
+/// The log files of the fragment chains, on the service's active volume,
+/// that cross a block of nothing but entrymap records: a block whose last
+/// record is a first fragment, followed by a maps-only block.
+fn chains_across_maps_only_blocks(svc: &LogService) -> Vec<LogFileId> {
+    use clio_format::{BlockView, FragKind};
+
+    let vol = svc.volumes().active();
+    let records = |db: u64| -> Vec<(LogFileId, FragKind)> {
+        let img = vol.read_data_block(db).unwrap();
+        let blk = BlockView::parse(&img).unwrap();
+        blk.entries()
+            .map(|e| e.unwrap().header)
+            .map(|h| (h.id, h.frag))
+            .collect()
+    };
+    (1..vol.data_end())
+        .filter(|&db| records(db).iter().all(|(id, _)| *id == LogFileId::ENTRYMAP))
+        .filter_map(|db| match records(db - 1).last() {
+            Some((id, FragKind::First { .. })) => Some(*id),
+            _ => None,
+        })
+        .collect()
+}
+
 /// PR 12's benchmark found `read_entry` answering `NotFound("fragment
 /// chain of entry … broken at block 4096")` at 576 logs: the entrymap
 /// records due at a boundary overflowed one block, so the writer sealed a
@@ -1042,8 +1142,6 @@ fn regression_entries_locatable_while_boundary_block_open() {
 /// Here 120 logs overflow a 256-byte block at every 4-block boundary.
 #[test]
 fn regression_fragment_chain_skips_entrymap_overflow_block() {
-    use clio_format::{BlockView, FragKind};
-
     let svc = small_service();
     let names: Vec<String> = (0..120).map(|i| format!("/l{i}")).collect();
     for n in &names {
@@ -1065,23 +1163,10 @@ fn regression_fragment_chain_skips_entrymap_overflow_block() {
 
     // The layout under test really occurred: a first fragment closing one
     // block, then a block holding only entrymap records.
-    let vol = svc.volumes().active();
-    let records = |db: u64| -> Vec<(LogFileId, FragKind)> {
-        let img = vol.read_data_block(db).unwrap();
-        let blk = BlockView::parse(&img).unwrap();
-        blk.entries()
-            .map(|e| e.unwrap().header)
-            .map(|h| (h.id, h.frag))
-            .collect()
-    };
-    let straddles = (1..vol.data_end())
-        .filter(|&db| {
-            let maps_only = records(db).iter().all(|(id, _)| *id == LogFileId::ENTRYMAP);
-            let prev = records(db - 1);
-            maps_only && matches!(prev.last(), Some((_, FragKind::First { .. })))
-        })
-        .count();
-    assert!(straddles > 0, "no chain crossed a maps-only block");
+    assert!(
+        !chains_across_maps_only_blocks(&svc).is_empty(),
+        "no chain crossed a maps-only block"
+    );
 
     for (addr, payload) in &big {
         let e = svc.read_entry(*addr).unwrap();
@@ -1089,6 +1174,63 @@ fn regression_fragment_chain_skips_entrymap_overflow_block() {
     }
     let mut cur = svc.cursor("/big").unwrap();
     assert_eq!(cur.collect_remaining().unwrap().len(), big.len());
+}
+
+/// The same layout under the catalog log: recovery used to read it with a
+/// private copy of the reader that predated the maps-only rule, took a
+/// `Create` record whose continuation sat past an entrymap-overflow block
+/// for torn, and came back without the log file — and with a `next_id`
+/// that handed the lost file's id out again. 120 logs overflow a 256-byte
+/// block at every 4-block boundary; a 120-character name fragments every
+/// `Create`.
+#[test]
+fn regression_catalog_record_across_entrymap_overflow_block_survives_recovery() {
+    let pool = capturing_pool(256, 1 << 15, false);
+    let ck = clock();
+    let svc = LogService::create(
+        VolumeSeqId(11),
+        pool.clone(),
+        ServiceConfig::small(),
+        ck.clone(),
+    )
+    .unwrap();
+    let names: Vec<String> = (0..120).map(|i| format!("/l{i}")).collect();
+    for n in &names {
+        svc.create_log(n).unwrap();
+    }
+    let mut created = Vec::new();
+    for round in 0..200u32 {
+        for n in &names {
+            svc.append_path(n, &[round as u8], AppendOpts::minimal())
+                .unwrap();
+        }
+        let path = format!("/{round:0>120}");
+        let id = svc.create_log(&path).unwrap();
+        created.push((path, svc.attrs(id).unwrap()));
+    }
+
+    // The layout under test really occurred: a catalog record's first
+    // fragment closing one block, then a block of nothing but map records.
+    assert!(
+        chains_across_maps_only_blocks(&svc).contains(&LogFileId::CATALOG),
+        "no catalog record crossed a maps-only block"
+    );
+    drop(svc); // crash: every create_log above was acknowledged
+
+    let (svc, _) =
+        LogService::recover(pool.devices(), pool.clone(), ServiceConfig::small(), ck).unwrap();
+    for (path, attrs) in &created {
+        let id = svc
+            .resolve(path)
+            .unwrap_or_else(|e| panic!("acknowledged log file lost at recovery: {e}"));
+        assert_eq!(&svc.attrs(id).unwrap(), attrs);
+    }
+    let highest = created.iter().map(|(_, a)| a.id).max().unwrap();
+    let fresh = svc.create_log("/fresh").unwrap();
+    assert!(
+        fresh > highest,
+        "{fresh} re-issues an id at or below {highest}"
+    );
 }
 
 /// A buffered append costs the same at any queue depth: it publishes no

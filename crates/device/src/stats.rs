@@ -92,12 +92,6 @@ pub struct StatsSnapshot {
 }
 
 impl StatsSnapshot {
-    /// Total physical block accesses (reads + appends + probes).
-    #[must_use]
-    pub fn accesses(&self) -> u64 {
-        self.reads + self.appends + self.end_probes
-    }
-
     /// Physical write operations to the device: single-block appends plus
     /// one per vectored batch, however many blocks the batch carried. The
     /// group-commit benchmark's appends-per-device-write ratio divides
@@ -198,31 +192,6 @@ impl DeviceStats {
             batch_appends: ld(&self.batch_appends),
             batch_blocks: ld(&self.batch_blocks),
         }
-    }
-
-    /// Zeroes all counters (and forgets the head position). Latency
-    /// histograms are reset too.
-    pub fn reset(&self) {
-        self.reads.store(0, Ordering::Relaxed);
-        self.appends.store(0, Ordering::Relaxed);
-        self.invalidations.store(0, Ordering::Relaxed);
-        self.tail_rewrites.store(0, Ordering::Relaxed);
-        self.end_probes.store(0, Ordering::Relaxed);
-        self.read_errors.store(0, Ordering::Relaxed);
-        self.append_errors.store(0, Ordering::Relaxed);
-        self.invalidate_errors.store(0, Ordering::Relaxed);
-        self.tail_rewrite_errors.store(0, Ordering::Relaxed);
-        self.probe_errors.store(0, Ordering::Relaxed);
-        self.seeks.store(0, Ordering::Relaxed);
-        self.seek_distance.store(0, Ordering::Relaxed);
-        self.last_pos.store(-1, Ordering::Relaxed);
-        self.batch_appends.store(0, Ordering::Relaxed);
-        self.batch_blocks.store(0, Ordering::Relaxed);
-        self.read_latency_ns.reset();
-        self.append_latency_ns.reset();
-        self.probe_latency_ns.reset();
-        self.append_batch_blocks.reset();
-        self.append_batch_latency_ns.reset();
     }
 
     /// Registers every counter and latency histogram into `reg` under the
@@ -455,7 +424,6 @@ mod tests {
         let s = stats.snapshot();
         assert_eq!(s.appends, 4);
         assert_eq!(s.reads, 2);
-        assert_eq!(s.accesses(), 6);
         assert_eq!(s.errors(), 0);
         // Every successful op also recorded a latency sample.
         assert_eq!(stats.append_latency_ns.snapshot().count, 4);
@@ -484,26 +452,17 @@ mod tests {
         let (dev, stats) = instrumented();
         let blk = vec![0u8; 32];
         for i in 0..10 {
-            dev.append_block(BlockNo(i), &blk).unwrap();
+            dev.append_block(BlockNo(i), &blk).unwrap(); // first access, then sequential
         }
-        stats.reset();
+        assert_eq!(stats.snapshot().seeks, 0);
         let mut buf = vec![0u8; 32];
-        dev.read_block(BlockNo(0), &mut buf).unwrap(); // first access: no seek
+        dev.read_block(BlockNo(0), &mut buf).unwrap(); // seek of 9, back from the end
         dev.read_block(BlockNo(1), &mut buf).unwrap(); // sequential
         dev.read_block(BlockNo(9), &mut buf).unwrap(); // seek of 8
         dev.read_block(BlockNo(2), &mut buf).unwrap(); // seek of 7
         let s = stats.snapshot();
-        assert_eq!(s.seeks, 2);
-        assert_eq!(s.seek_distance, 15);
-    }
-
-    #[test]
-    fn reset_zeroes_everything() {
-        let (dev, stats) = instrumented();
-        dev.append_block(BlockNo(0), &[0u8; 32]).unwrap();
-        stats.reset();
-        assert_eq!(stats.snapshot(), StatsSnapshot::default());
-        assert!(stats.append_latency_ns.snapshot().is_empty());
+        assert_eq!(s.seeks, 3);
+        assert_eq!(s.seek_distance, 24);
     }
 
     #[test]

@@ -26,6 +26,10 @@
 //!   `crates/bench`, `crates/lint` and the root `src/bin`: library
 //!   behaviour is a function of the configuration passed in, never of an
 //!   environment variable no call site shows.
+//! - `one-log-reader` — inside `crates/core/src`, `BlockView::parse`,
+//!   `ParsedBlock::parse` and `impl BlockSource` are confined to
+//!   `read.rs`: recovery and everything else read log entries through
+//!   the one reader, so a reader fix cannot miss a private copy.
 //! - `unwrap-ratchet` — per-crate counts of `.unwrap()` and undocumented
 //!   `.expect(...)` in library code, compared against the committed
 //!   baseline in `lint/ratchet.toml`, which may only go down.

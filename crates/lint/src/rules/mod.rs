@@ -4,6 +4,7 @@
 
 pub mod atomics_ratchet;
 pub mod env_config;
+pub mod one_log_reader;
 pub mod raw_locks;
 pub mod registry_deps;
 pub mod unwrap_ratchet;
@@ -20,4 +21,5 @@ pub fn check_source(sf: &SourceFile, out: &mut Vec<Diag>) {
     wallclock::check(sf, out);
     worm_writes::check(sf, out);
     env_config::check(sf, out);
+    one_log_reader::check(sf, out);
 }

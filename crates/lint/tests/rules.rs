@@ -7,7 +7,8 @@
 use std::collections::BTreeMap;
 
 use clio_lint::rules::{
-    atomics_ratchet, env_config, raw_locks, registry_deps, unwrap_ratchet, wallclock, worm_writes,
+    atomics_ratchet, env_config, one_log_reader, raw_locks, registry_deps, unwrap_ratchet,
+    wallclock, worm_writes,
 };
 use clio_lint::{Diag, SourceFile};
 
@@ -182,6 +183,44 @@ fn env_config_allows_args_prose_and_test_modules() {
         "crates/core/src/config.rs",
         include_str!("fixtures/env_config/clean.rs"),
         env_config::check,
+    );
+    assert!(diags.is_empty(), "{diags:?}");
+}
+
+#[test]
+fn one_log_reader_flags_block_parsing_and_sources_outside_read_rs() {
+    let bad = include_str!("fixtures/one_log_reader/bad.rs");
+    let diags = lint("crates/core/src/recovery.rs", bad, one_log_reader::check);
+    assert_eq!(diags.len(), 4, "{diags:?}");
+    for (needle, want) in [
+        ("`impl BlockSource`", 2),
+        ("`BlockView::parse`", 1),
+        ("`ParsedBlock::parse`", 1),
+    ] {
+        let got = diags.iter().filter(|d| d.msg.contains(needle)).count();
+        assert_eq!(got, want, "{needle} in {diags:?}");
+    }
+    assert!(diags
+        .iter()
+        .all(|d| d.line > 0 && d.rule == "one-log-reader"));
+    // The reader itself is the one home; so is anything outside clio-core
+    // (the entrymap searches, cliodump, the experiment harness).
+    for home in [
+        "crates/core/src/read.rs",
+        "crates/entrymap/src/locate.rs",
+        "crates/core/tests/service_tests.rs",
+        "src/bin/cliodump.rs",
+    ] {
+        assert!(lint(home, bad, one_log_reader::check).is_empty(), "{home}");
+    }
+}
+
+#[test]
+fn one_log_reader_allows_generic_bounds_prose_and_test_modules() {
+    let diags = lint(
+        "crates/core/src/recovery.rs",
+        include_str!("fixtures/one_log_reader/clean.rs"),
+        one_log_reader::check,
     );
     assert!(diags.is_empty(), "{diags:?}");
 }

@@ -95,18 +95,6 @@ impl Histogram {
             max: self.max.load(Ordering::Relaxed),
         }
     }
-
-    /// Zeroes the histogram. Not linearizable against concurrent
-    /// recorders — intended for between-phase resets in benches and tests.
-    pub fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-        self.min.store(u64::MAX, Ordering::Relaxed);
-        self.max.store(0, Ordering::Relaxed);
-    }
 }
 
 /// A point-in-time copy of a [`Histogram`].
@@ -283,15 +271,5 @@ mod tests {
         let mut m = a.snapshot();
         m.merge(&b.snapshot());
         assert_eq!(m, all.snapshot());
-    }
-
-    #[test]
-    fn reset_empties() {
-        let h = Histogram::new();
-        h.record(42);
-        h.reset();
-        assert!(h.snapshot().is_empty());
-        h.record(7);
-        assert_eq!(h.snapshot().min, 7);
     }
 }

@@ -21,8 +21,6 @@ pub struct TimedDevice {
     model: CostModel,
     /// Head position; -1 = unknown (first access always seeks).
     head: AtomicI64,
-    /// Optional distribution of modelled per-access cost in µs.
-    latency_us: Option<Arc<clio_obs::Histogram>>,
 }
 
 impl TimedDevice {
@@ -34,17 +32,7 @@ impl TimedDevice {
             clock,
             model,
             head: AtomicI64::new(-1),
-            latency_us: None,
         }
-    }
-
-    /// Also records every access's modelled cost (µs) into `hist`, so
-    /// benches can report the *distribution* of modelled latency (seek vs.
-    /// sequential) rather than just the total.
-    #[must_use]
-    pub fn with_latency_histogram(mut self, hist: Arc<clio_obs::Histogram>) -> TimedDevice {
-        self.latency_us = Some(hist);
-        self
     }
 
     fn charge_access(&self, block: BlockNo) {
@@ -57,9 +45,6 @@ impl TimedDevice {
             cost += self.model.optical_seek_us;
         }
         self.clock.charge(cost);
-        if let Some(h) = &self.latency_us {
-            h.record(cost);
-        }
     }
 }
 
@@ -130,24 +115,6 @@ mod tests {
         // One initial seek + 10 transfers.
         let want = model.optical_seek_us + 10 * model.optical_transfer_us;
         assert_eq!(elapsed, want, "elapsed {elapsed} µs");
-    }
-
-    #[test]
-    fn latency_histogram_separates_seeks_from_sequential() {
-        let clock = Arc::new(CostClock::starting_at(Timestamp::ZERO));
-        let model = CostModel::default();
-        let hist = Arc::new(clio_obs::Histogram::new());
-        let dev = TimedDevice::new(Arc::new(MemWormDevice::new(64, 32)), clock, model)
-            .with_latency_histogram(hist.clone());
-        let blk = vec![0u8; 64];
-        for i in 0..8 {
-            dev.append_block(BlockNo(i), &blk).unwrap();
-        }
-        let s = hist.snapshot();
-        assert_eq!(s.count, 8);
-        // 7 sequential transfers plus 1 initial seek+transfer.
-        assert_eq!(s.min, model.optical_transfer_us);
-        assert_eq!(s.max, model.optical_seek_us + model.optical_transfer_us);
     }
 
     #[test]

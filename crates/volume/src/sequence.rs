@@ -305,7 +305,9 @@ mod tests {
             .unwrap();
             s.extend(Timestamp(2)).unwrap();
             s.extend(Timestamp(3)).unwrap();
-            s.active().append_data_block(0, vec![1u8; 256]).unwrap();
+            s.active()
+                .append_data_blocks(0, &[Arc::new(vec![1u8; 256])])
+                .unwrap();
             devices = out.lock().clone();
         }
         // Shuffle the devices; open must sort and validate.

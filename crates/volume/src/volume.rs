@@ -201,34 +201,17 @@ impl Volume {
         Ok(buf)
     }
 
-    /// Appends data block `db`, write-through.
-    ///
-    /// `db` must be the current end, or — when the device stages its tail
-    /// in rewriteable RAM — the staged tail block itself, in which case the
-    /// append *seals* it onto the write-once medium (§2.3.1).
-    pub fn append_data_block(&self, db: u64, image: Vec<u8>) -> Result<()> {
-        let end = self.data_end();
-        if db != end && db + 1 != end {
-            return Err(ClioError::NotAppendOnly {
-                attempted: BlockNo(db + 1),
-                end: BlockNo(end + 1),
-            });
-        }
-        self.device.append_block(BlockNo(db + 1), &image)?;
-        self.cache.put(self.key(db), Arc::new(image));
-        self.data_end.store((db + 1).max(end), Ordering::Release);
-        Ok(())
-    }
-
     /// Appends a run of data blocks starting at `first_db` in one vectored
     /// device write, write-through.
     ///
-    /// As with [`Volume::append_data_block`], `first_db` may be the staged
-    /// tail block (sealing it with the batch's first image). On error the
-    /// device may have landed a prefix of the batch (a torn batch); the
-    /// volume resynchronises `data_end` from the device and caches exactly
-    /// the blocks that landed, so the caller can tell how far the write got
-    /// from `data_end()` and recovery sees a consistent medium.
+    /// `first_db` must be the current end, or — when the device stages its
+    /// tail in rewriteable RAM — the staged tail block itself, in which
+    /// case the batch's first image *seals* it onto the write-once medium
+    /// (§2.3.1). On error the device may have landed a prefix of the batch
+    /// (a torn batch); the volume resynchronises `data_end` from the device
+    /// and caches exactly the blocks that landed, so the caller can tell
+    /// how far the write got from `data_end()` and recovery sees a
+    /// consistent medium.
     pub fn append_data_blocks(&self, first_db: u64, images: &[Arc<Vec<u8>>]) -> Result<()> {
         if images.is_empty() {
             return Ok(());
@@ -320,6 +303,11 @@ mod tests {
         Volume::format(dev, 0, cache, label).unwrap()
     }
 
+    /// Appends one block of `fill` bytes at `db`.
+    fn put(v: &Volume, db: u64, fill: u8) -> Result<()> {
+        v.append_data_blocks(db, &[Arc::new(vec![fill; 256])])
+    }
+
     #[test]
     fn format_writes_label_and_starts_empty() {
         let v = fresh(10);
@@ -332,12 +320,12 @@ mod tests {
     #[test]
     fn append_then_read_via_cache() {
         let v = fresh(10);
-        v.append_data_block(0, vec![7u8; 256]).unwrap();
-        v.append_data_block(1, vec![8u8; 256]).unwrap();
+        put(&v, 0, 7).unwrap();
+        put(&v, 1, 8).unwrap();
         assert_eq!(v.read_data_block(1).unwrap()[0], 8);
         assert_eq!(v.data_end(), 2);
         // Out-of-order appends are rejected.
-        assert!(v.append_data_block(5, vec![0u8; 256]).is_err());
+        assert!(put(&v, 5, 0).is_err());
     }
 
     #[test]
@@ -347,8 +335,8 @@ mod tests {
         let label = Volume::first_label(VolumeId(1), VolumeSeqId(2), 256, 16, Timestamp(0));
         {
             let v = Volume::format(dev.clone(), 0, cache.clone(), label).unwrap();
-            v.append_data_block(0, vec![1u8; 256]).unwrap();
-            v.append_data_block(1, vec![2u8; 256]).unwrap();
+            put(&v, 0, 1).unwrap();
+            put(&v, 1, 2).unwrap();
         }
         // "Crash": new cache, remount from the device alone.
         let cache = Arc::new(BlockCache::new(64));
@@ -370,20 +358,17 @@ mod tests {
     #[test]
     fn fills_up() {
         let v = fresh(3);
-        v.append_data_block(0, vec![0u8; 256]).unwrap();
+        put(&v, 0, 0).unwrap();
         assert!(!v.is_full());
-        v.append_data_block(1, vec![0u8; 256]).unwrap();
+        put(&v, 1, 0).unwrap();
         assert!(v.is_full());
-        assert!(matches!(
-            v.append_data_block(2, vec![0u8; 256]).unwrap_err(),
-            ClioError::VolumeFull
-        ));
+        assert!(matches!(put(&v, 2, 0).unwrap_err(), ClioError::VolumeFull));
     }
 
     #[test]
     fn invalidate_drops_cache() {
         let v = fresh(10);
-        v.append_data_block(0, vec![9u8; 256]).unwrap();
+        put(&v, 0, 9).unwrap();
         assert_eq!(v.read_data_block(0).unwrap()[0], 9);
         v.invalidate_data_block(0).unwrap();
         let back = v.read_data_block(0).unwrap();
@@ -393,7 +378,7 @@ mod tests {
     #[test]
     fn batch_append_writes_through_and_advances_end() {
         let v = fresh(10);
-        v.append_data_block(0, vec![1u8; 256]).unwrap();
+        put(&v, 0, 1).unwrap();
         let images: Vec<Arc<Vec<u8>>> = (2u8..5).map(|i| Arc::new(vec![i; 256])).collect();
         v.append_data_blocks(1, &images).unwrap();
         assert_eq!(v.data_end(), 4);
@@ -444,7 +429,7 @@ mod tests {
         assert_eq!(v.data_end(), 1);
         assert_eq!(v.read_data_block(0).unwrap()[0], 2);
         // Sealing via append retires the tail.
-        v.append_data_block(0, vec![3u8; 256]).unwrap();
+        put(&v, 0, 3).unwrap();
         assert_eq!(v.read_data_block(0).unwrap()[0], 3);
     }
 }

@@ -27,8 +27,9 @@ fi
 
 # Workspace policy rules: retired registry deps, raw std locks, host
 # clock reads, environment reads in library code, the device-layer WORM
-# write surface, and the unwrap ratchet. clio-lint lexes real token streams, so comments and strings
-# don't trip it the way they tripped the old grep.
+# write surface, the one log reader in clio-core, and the unwrap ratchet.
+# clio-lint lexes real token streams, so comments and strings don't trip
+# it the way they tripped the old grep.
 run cargo run --release --offline -p clio-lint
 
 run cargo build --release --offline --workspace
