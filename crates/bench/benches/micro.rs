@@ -11,9 +11,11 @@ use clio_bench::synth::{SyntheticSource, SYNTH_FILE};
 use clio_cache::{BlockCache, CacheKey};
 use clio_core::service::{AppendOpts, LogService};
 use clio_core::ServiceConfig;
+use clio_entrymap::harness::build_log;
 use clio_entrymap::{EntrymapWriter, Geometry, Locator};
 use clio_format::{BlockBuilder, BlockView, EntryForm, EntryHeader};
 use clio_testkit::bench::{black_box, Bench};
+use clio_testkit::rng::StdRng;
 use clio_testkit::sync::{Condvar, Mutex};
 use clio_types::crc::crc32;
 use clio_types::{BlockNo, LogFileId, ManualClock, Timestamp, VolumeSeqId};
@@ -70,6 +72,34 @@ fn bench_entrymap(c: &mut Bench) {
                 .expect("synthetic reads cannot fail"),
         )
     });
+    // The shape of the benchmark's `multilog_sparse` volumes: 4 096
+    // blocks, 128 log files drawn with a cubic skew, about 7 entries a
+    // block, so a level-1 map lists some 50 files and a level-2 map all of
+    // them. One forward search for the rarest file per iteration, each
+    // from where the last one hit, with no memo: this times what one
+    // search decodes.
+    let mut rng = StdRng::seed_from_u64(20);
+    let plan: Vec<Vec<u16>> = (0..4096)
+        .map(|_| (0..7).map(|_| 8 + skewed(&mut rng, 128) as u16).collect())
+        .collect();
+    let (src, pending) = build_log(16, 1024, &plan);
+    let rare = [LogFileId(8 + 127)];
+    let mut from = 0u64;
+    c.bench("entrymap/locate_sparse_128ids", || {
+        let mut loc = Locator::new(&src, Some(&pending));
+        let hit = loc
+            .locate_at_or_after(black_box(&rare), from)
+            .expect("in-memory reads cannot fail");
+        from = hit.map_or(0, |db| db + 1);
+        black_box(hit)
+    });
+}
+
+/// An index below `n`, cubically skewed towards 0 (as the benchmark's
+/// `multilog_sparse` picks its log files).
+fn skewed(rng: &mut StdRng, n: usize) -> usize {
+    let u = rng.gen_range(0u32..1 << 24) as f64 / f64::from(1u32 << 24);
+    (u * u * u * n as f64) as usize
 }
 
 fn bench_service(c: &mut Bench) {
@@ -134,6 +164,34 @@ fn bench_service(c: &mut Bench) {
     svc.flush().expect("flush");
     c.bench("service/cursor_scan_5k", || {
         let mut cur = svc.cursor("/bench").expect("cursor");
+        let mut n = 0u64;
+        while let Some(e) = cur.next().expect("next") {
+            n += e.data.len() as u64;
+        }
+        black_box(n)
+    });
+    drop(svc);
+    // A sparse scan: 64 top-level logs of 8 sublogs each, 60 000 skewed
+    // appends, and one pass over the rarest sublog per iteration.
+    let svc = mk();
+    let mut subs = Vec::new();
+    for top in 0..64 {
+        svc.create_log(&format!("/p{top}")).expect("create log");
+        for sub in 0..8 {
+            let path = format!("/p{top}/s{sub}");
+            subs.push((svc.create_log(&path).expect("create log"), path));
+        }
+    }
+    let mut rng = StdRng::seed_from_u64(21);
+    for _ in 0..60_000 {
+        let (id, _) = subs[skewed(&mut rng, subs.len())];
+        svc.append(id, &[0x42u8; 64], AppendOpts::standard())
+            .expect("append");
+    }
+    svc.flush().expect("flush");
+    let (_, rarest) = &subs[subs.len() - 1];
+    c.bench("service/cursor_sparse_scan", || {
+        let mut cur = svc.cursor(rarest).expect("cursor");
         let mut n = 0u64;
         while let Some(e) = cur.next().expect("next") {
             n += e.data.len() as u64;

@@ -94,6 +94,9 @@ pub struct ServiceObs {
     reads: Arc<Counter>,
     read_errors: Arc<Counter>,
     locates: Arc<Counter>,
+    /// Maps a locate search was answered from its cursor's memo instead of
+    /// reading them again.
+    locate_memo_hits: Arc<Counter>,
     creates: Arc<Counter>,
     view_publishes: Arc<Counter>,
     group_commit_batches: Arc<Counter>,
@@ -129,6 +132,7 @@ impl ServiceObs {
             reads: registry.counter("clio_core_reads_total"),
             read_errors: registry.counter("clio_core_read_errors_total"),
             locates: registry.counter("clio_core_locates_total"),
+            locate_memo_hits: registry.counter("clio_core_locate_memo_hits_total"),
             creates: registry.counter("clio_core_creates_total"),
             view_publishes: registry.counter("clio_core_view_publishes_total"),
             group_commit_batches: registry.counter("clio_core_group_commit_batches_total"),
@@ -258,6 +262,7 @@ impl ServiceObs {
     /// Records one entrymap locate search from its [`LocateStats`].
     pub fn note_locate(&self, target: Option<LogFileId>, stats: &LocateStats, dur: Duration) {
         self.locates.inc();
+        self.locate_memo_hits.add(stats.memo_hits);
         self.locate_latency.record_duration(dur);
         self.locate_blocks.record(stats.blocks_read);
         self.locate_depth.record(stats.max_level);
@@ -401,6 +406,7 @@ mod tests {
         let stats = LocateStats {
             blocks_read: 4,
             map_entries_examined: 3,
+            memo_hits: 2,
             fallbacks: 0,
             max_level: 2,
         };
@@ -411,6 +417,7 @@ mod tests {
         assert!(text.contains("clio_core_reads_total 1"));
         assert!(text.contains("clio_core_locates_total 1"));
         assert!(text.contains("clio_core_locate_blocks_count 1"));
+        assert!(text.contains("clio_core_locate_memo_hits_total 2"));
         // Per-log labeled series appear alongside the service-wide ones.
         assert!(text.contains("clio_log_appends_total{log=\"8\"} 1"));
         assert!(text.contains("clio_log_reads_total{log=\"8\"} 1"));

@@ -35,6 +35,14 @@
 //! verification, and the last device block may be a rewriteable RAM tail
 //! (§2.3.1); those are read afresh on every call.
 //!
+//! The same holds across the hop from one block to the next. The entrymap
+//! search that names the next block has read and verified it to answer,
+//! and hands it over ([`Locator::take_block`]): the scan serves from that
+//! block within the call, and carries it further only if it is final. And
+//! the maps the search read on the way — complete, on the device, in final
+//! blocks — the cursor remembers ([`MapMemo`]), because its next step
+//! starts by asking for the same ones.
+//!
 //! # Sharding
 //!
 //! A log file's entries all live on one shard (routing is by top-level
@@ -48,7 +56,7 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use clio_entrymap::tsearch;
-use clio_entrymap::{BlockSource, Locator, PendingMaps};
+use clio_entrymap::{BlockSource, Locator, MapMemo, PendingMaps};
 use clio_format::{BlockView, EntryRef, FragKind, ParsedBlock};
 use clio_types::{BlockNo, ClioError, EntryAddr, LogFileId, Result, SeqNo, Timestamp};
 use clio_volume::Volume;
@@ -86,17 +94,31 @@ impl Entry {
 
 /// What one read operation carries through its scans: how many blocks it
 /// loaded from a device itself, and — for a cursor, which keeps one of
-/// these across calls — the block its last entry came from.
+/// these across calls — what its scans have already read and verified.
 #[derive(Default)]
 pub(crate) struct ReadOp {
     /// Blocks loaded from a device (cache misses this operation led).
     device_loads: Cell<u64>,
+    scan: ScanState,
+}
+
+/// What a scan over **one fixed id set** keeps from call to call: the
+/// block its last entry came from, and the entrymap maps it has read on
+/// the volume it stands in. Both hold only what was read from blocks that
+/// are final ([`VolSource::final_end`]), so using them is indistinguishable
+/// from reading the same addresses again.
+#[derive(Default)]
+pub(crate) struct ScanState {
     held: Option<HeldBlock>,
+    /// Map answers over the scan's ids on volume `maps_vol`; dropped when
+    /// the scan moves to another volume.
+    maps: MapMemo,
+    maps_vol: u32,
 }
 
 /// A verified block a scan carries between calls. Only a block whose
 /// placement and content are final is ever held (see
-/// [`VolSource::is_final`]), so serving the next entry from it is
+/// [`VolSource::final_end`]), so serving the next entry from it is
 /// indistinguishable from re-reading its address.
 struct HeldBlock {
     vol_idx: u32,
@@ -168,14 +190,20 @@ impl<'v> VolSource<'v> {
         self.open.map(|(db, _)| db)
     }
 
-    /// Whether block `db`'s placement and content can no longer change, so
-    /// a verified copy may stand in for re-reading it: every block of a
-    /// sealed volume, and the active volume's device blocks short of the
-    /// last. The open block grows; a queued block can still be displaced
-    /// by append verification; and the last device block may be a
-    /// rewriteable RAM tail (§2.3.1) — those are read afresh every time.
+    /// The first block whose placement or content can still change; what
+    /// was read and verified below it may stand in for reading it again.
+    /// Every block of a sealed volume is final, and so are the active
+    /// volume's device blocks short of the last. The open block grows; a
+    /// queued block can still be displaced by append verification; and the
+    /// last device block may be a rewriteable RAM tail (§2.3.1) — those are
+    /// read afresh every time.
+    fn final_end(&self) -> u64 {
+        self.watermark.map_or(u64::MAX, |end| end.saturating_sub(1))
+    }
+
+    /// Whether block `db` lies below [`VolSource::final_end`].
     fn is_final(&self, db: u64) -> bool {
-        self.watermark.is_none_or(|end| db + 1 < end)
+        db < self.final_end()
     }
 
     /// Reads and verifies block `db`, or its re-placement if `db` was
@@ -205,11 +233,21 @@ impl<'v> VolSource<'v> {
     }
 
     /// The verified block at `db` (or its re-placement) and whether it may
-    /// be carried past this call: the scan's held block if that is the one
-    /// asked for, a fresh [`VolSource::fetch`] otherwise. Finality is
-    /// decided here, against the snapshot the block was fetched under.
-    fn block(&self, held: &mut Option<HeldBlock>, db: u64) -> Result<(u64, ParsedBlock, bool)> {
-        match held.take() {
+    /// be carried past this call: the block the entrymap search that named
+    /// `db` verified there (`handed`), the scan's held block if that is the
+    /// one asked for, a fresh [`VolSource::fetch`] otherwise. Finality is
+    /// decided here, against the snapshot the block was read under.
+    fn block(
+        &self,
+        held: &mut Option<HeldBlock>,
+        handed: Option<ParsedBlock>,
+        db: u64,
+    ) -> Result<(u64, ParsedBlock, bool)> {
+        let carried = held.take();
+        if let Some(block) = handed {
+            return Ok((db, block, self.is_final(db)));
+        }
+        match carried {
             Some(h) if h.vol_idx == self.vol_idx && h.db == db => Ok((db, h.block, true)),
             _ => {
                 let (at, block) = self.fetch(db)?;
@@ -230,20 +268,27 @@ impl<'v> VolSource<'v> {
         }
     }
 
-    /// One entrymap search over this volume's tree and pending maps.
+    /// One entrymap search over this volume's tree and pending maps,
+    /// answering from the maps `scan` has already read here where it can.
+    /// Returns the block found together with its verified image — the
+    /// search read it to answer — for [`VolSource::block`] to use.
     fn locate(
         &self,
         ids: &[LogFileId],
+        scan: &mut ScanState,
         search: impl FnOnce(&mut Locator<'_, Self>) -> Result<Option<u64>>,
-    ) -> Result<Option<u64>> {
-        let mut loc = Locator::new(self, self.pending);
-        let Some(obs) = self.obs else {
-            return search(&mut loc);
-        };
-        let t = clio_obs::clock::now();
+    ) -> Result<Option<(u64, Option<ParsedBlock>)>> {
+        if scan.maps_vol != self.vol_idx {
+            scan.maps.clear();
+            scan.maps_vol = self.vol_idx;
+        }
+        let mut loc = Locator::new(self, self.pending).with_memo(&mut scan.maps, self.final_end());
+        let t = self.obs.map(|_| clio_obs::clock::now());
         let hop = search(&mut loc)?;
-        obs.note_locate(ids.first().copied(), &loc.stats, t.elapsed());
-        Ok(hop)
+        if let (Some(obs), Some(t)) = (self.obs, t) {
+            obs.note_locate(ids.first().copied(), &loc.stats, t.elapsed());
+        }
+        Ok(hop.map(|db| (db, loc.take_block())))
     }
 
     /// The next entry of `ids` in this volume at or after `(db, slot)`,
@@ -253,16 +298,17 @@ impl<'v> VolSource<'v> {
         ids: &[LogFileId],
         (mut db, mut slot): (u64, u16),
         floor: Option<Timestamp>,
-        held: &mut Option<HeldBlock>,
+        scan: &mut ScanState,
     ) -> Result<Option<Entry>> {
         let end = self.data_end();
+        let mut handed = None;
         while db < end {
             // A position inside a block that verification has since
             // re-placed is the same position in the re-placement.
-            if let Ok((at, block, keep)) = self.block(held, db) {
+            if let Ok((at, block, keep)) = self.block(&mut scan.held, handed.take(), db) {
                 db = at;
                 if let Some(e) = next_in_block(self, db, &block.view(), slot, ids, floor)? {
-                    self.hold(held, keep, db, block);
+                    self.hold(&mut scan.held, keep, db, block);
                     return Ok(Some(e));
                 }
             }
@@ -270,8 +316,8 @@ impl<'v> VolSource<'v> {
             // entries of ours via the entrymap tree. The open block is
             // invisible to the entrymap (it has not been noted yet), so
             // visit it explicitly when the tree finds nothing.
-            match self.locate(ids, |loc| loc.locate_at_or_after(ids, db + 1))? {
-                Some(nb) => db = nb,
+            match self.locate(ids, scan, |loc| loc.locate_at_or_after(ids, db + 1))? {
+                Some((nb, block)) => (db, handed) = (nb, block),
                 None => match self.open_db() {
                     Some(odb) if odb > db => db = odb,
                     _ => break,
@@ -289,9 +335,9 @@ impl<'v> VolSource<'v> {
         ids: &[LogFileId],
         mut each: impl FnMut(Entry),
     ) -> Result<()> {
-        let mut held = None;
+        let mut scan = ScanState::default();
         let mut at = (0, 0);
-        while let Some(e) = self.scan_forward(ids, at, None, &mut held)? {
+        while let Some(e) = self.scan_forward(ids, at, None, &mut scan)? {
             at = (e.addr.block.0, e.addr.slot + 1);
             each(e);
         }
@@ -569,7 +615,7 @@ impl Shard {
         // The snapshot covers volumes 0..=active_index.
         while vol_idx <= view.active_index {
             let src = self.source_for(view, vol_idx, &op.device_loads)?;
-            if let Some(e) = src.scan_forward(ids, from, floor, &mut op.held)? {
+            if let Some(e) = src.scan_forward(ids, from, floor, &mut op.scan)? {
                 return Ok(Some(e));
             }
             vol_idx += 1;
@@ -597,20 +643,21 @@ impl Shard {
                     db = end - 1;
                     slot_excl = u16::MAX;
                 }
+                let mut handed = None;
                 loop {
-                    if let Ok((at, block, keep)) = src.block(&mut op.held, db) {
+                    if let Ok((at, block, keep)) = src.block(&mut op.scan.held, handed.take(), db) {
                         db = at;
                         if let Some(e) = prev_in_block(&src, db, &block.view(), slot_excl, ids)? {
-                            src.hold(&mut op.held, keep, db, block);
+                            src.hold(&mut op.scan.held, keep, db, block);
                             return Ok(Some(e));
                         }
                     }
                     if db == 0 {
                         break;
                     }
-                    match src.locate(ids, |loc| loc.locate_before(ids, db - 1))? {
-                        Some(pb) => {
-                            db = pb;
+                    match src.locate(ids, &mut op.scan, |loc| loc.locate_before(ids, db - 1))? {
+                        Some((pb, block)) => {
+                            (db, handed) = (pb, block);
                             slot_excl = u16::MAX;
                         }
                         None => break,

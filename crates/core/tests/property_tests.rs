@@ -360,6 +360,241 @@ fn recovered_catalog_equals_the_pre_crash_catalog() {
     );
 }
 
+/// One step of a sparse-read history.
+#[derive(Debug, Clone)]
+enum SparseOp {
+    /// `count` appends over the 96 logs, skewed (a few busy logs, many
+    /// rare ones), one in 32 forced, all derived from `seed`.
+    Burst {
+        seed: u64,
+        count: u8,
+    },
+    Flush,
+    /// Opens a cursor over log `log` — a top-level log reads its seven
+    /// sublogs too — at the start, or at the end and stepped back once.
+    Open {
+        log: u16,
+        from_end: bool,
+    },
+    /// Moves open cursor `cursor` `times` steps one way.
+    Step {
+        cursor: u8,
+        forward: bool,
+        times: u8,
+    },
+}
+
+fn arb_sparse_op() -> Gen<SparseOp> {
+    let burst = {
+        let (seed, count) = (any_u64(), u8s(8..48));
+        Gen::new(move |src| SparseOp::Burst {
+            seed: seed.generate(src),
+            count: count.generate(src),
+        })
+    };
+    let open = {
+        let (log, from_end) = (u16s(0..u16::MAX), bools());
+        Gen::new(move |src| SparseOp::Open {
+            log: log.generate(src),
+            from_end: from_end.generate(src),
+        })
+    };
+    let step = {
+        let (cursor, forward, times) = (u8s(0..u8::MAX), bools(), u8s(1..12));
+        Gen::new(move |src| SparseOp::Step {
+            cursor: cursor.generate(src),
+            forward: forward.generate(src),
+            times: times.generate(src),
+        })
+    };
+    weighted(vec![
+        (6, burst),
+        (1, just(SparseOp::Flush)),
+        (2, open),
+        (6, step),
+    ])
+}
+
+/// Where a cursor stands in the list of its closure's entries, as
+/// `ShardCursor` defines it: *on* the entry it last returned going
+/// forward (`prev()` then yields the one before it), or just *before* the
+/// entry it last returned going backward.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum ModelPos {
+    Start,
+    On(usize),
+    Before(usize),
+}
+
+const SPARSE_TOPS: usize = 12;
+const SPARSE_SUBS: usize = 7;
+const SPARSE_APPENDS: usize = 2000;
+
+/// Runs `ops` on a fresh service of `shards` append domains — 96 logs on
+/// 256-byte blocks, so the entrymap records due at a boundary overflow a
+/// block and are read back as `continued` chains, over 128-block volumes —
+/// and checks every cursor movement against the model: cursors are opened
+/// mid-history and stepped between appends, so what they remember (held
+/// block, entrymap maps) is used while the log grows under them.
+fn sparse_cursors_follow_the_model(shards: usize, ops: &[SparseOp]) {
+    use clio_testkit::rng::StdRng;
+
+    let svc = LogService::create(
+        VolumeSeqId(5),
+        Arc::new(MemDevicePool::new(256, 128)),
+        ServiceConfig::small().with_shards(shards),
+        Arc::new(ManualClock::starting_at(Timestamp::from_secs(1))),
+    )
+    .expect("create service");
+    // logs[top * 8] is a top-level log, the seven after it its sublogs.
+    let mut logs: Vec<(String, LogFileId)> = Vec::new();
+    for top in 0..SPARSE_TOPS {
+        let path = format!("/t{top}");
+        logs.push((path.clone(), svc.create_log(&path).expect("create")));
+        for sub in 0..SPARSE_SUBS {
+            let path = format!("/t{top}/s{sub}");
+            logs.push((path.clone(), svc.create_log(&path).expect("create")));
+        }
+    }
+    // Every acknowledged append, in order: (index into `logs`, payload).
+    let mut history: Vec<(usize, Vec<u8>)> = Vec::new();
+    // The entries of cursor closure `log`, as indexes into `history`.
+    let closure = |history: &[(usize, Vec<u8>)], log: usize| -> Vec<usize> {
+        let covers = |l: usize| {
+            l == log
+                || (log.is_multiple_of(SPARSE_SUBS + 1)
+                    && l / (SPARSE_SUBS + 1) == log / (SPARSE_SUBS + 1))
+        };
+        (0..history.len())
+            .filter(|i| covers(history[*i].0))
+            .collect()
+    };
+    let burst = |history: &mut Vec<(usize, Vec<u8>)>, seed: u64, count: usize| {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for _ in 0..count {
+            let u = rng.gen_range(0u32..1 << 20) as f64 / f64::from(1u32 << 20);
+            let log = ((u * u * u) * logs.len() as f64) as usize;
+            let mut payload = format!("{}:", history.len()).into_bytes();
+            payload.resize(payload.len() + rng.gen_range(0usize..40), b's');
+            let opts = if rng.gen_range(0u32..32) == 0 {
+                AppendOpts::forced()
+            } else {
+                AppendOpts::standard()
+            };
+            svc.append(logs[log].1, &payload, opts).expect("append");
+            history.push((log, payload));
+        }
+    };
+    let mut cursors: Vec<(usize, ModelPos, clio_core::LogCursor<'_>)> = Vec::new();
+    let step = |history: &[(usize, Vec<u8>)],
+                (log, pos, cur): &mut (usize, ModelPos, clio_core::LogCursor<'_>),
+                forward: bool| {
+        let list = closure(history, *log);
+        let (want, next_pos) = if forward {
+            let i = match *pos {
+                ModelPos::Start => 0,
+                ModelPos::On(i) => i + 1,
+                ModelPos::Before(i) => i,
+            };
+            match list.get(i) {
+                Some(h) => (Some(*h), ModelPos::On(i)),
+                None => (None, *pos),
+            }
+        } else {
+            match *pos {
+                ModelPos::On(i) | ModelPos::Before(i) if i > 0 => {
+                    (Some(list[i - 1]), ModelPos::Before(i - 1))
+                }
+                _ => (None, ModelPos::Start),
+            }
+        };
+        let got = if forward { cur.next() } else { cur.prev() }.expect("cursor step");
+        let want = want.map(|h| (logs[history[h].0].1, history[h].1.clone()));
+        assert_eq!(
+            got.map(|e| (e.id, e.data)),
+            want,
+            "shards={shards} cursor over {} at {pos:?}, forward={forward}",
+            logs[*log].0
+        );
+        *pos = next_pos;
+    };
+    for op in ops {
+        match op {
+            SparseOp::Burst { seed, count } => burst(&mut history, *seed, usize::from(*count)),
+            SparseOp::Flush => svc.flush().expect("flush"),
+            SparseOp::Open { log, from_end } => {
+                let log = usize::from(*log) % logs.len();
+                // `prev()` from the end walks the snapshot pinned at
+                // creation, so take that step before the log grows. (The
+                // model's "past the end" is on a would-be next entry.)
+                let mut opened = if *from_end {
+                    let cur = svc.cursor_from_end(&logs[log].0).expect("cursor");
+                    (log, ModelPos::On(closure(&history, log).len()), cur)
+                } else {
+                    let cur = svc.cursor(&logs[log].0).expect("cursor");
+                    (log, ModelPos::Start, cur)
+                };
+                if *from_end {
+                    step(&history, &mut opened, false);
+                }
+                if cursors.len() == 8 {
+                    cursors.remove(0);
+                }
+                cursors.push(opened);
+            }
+            SparseOp::Step {
+                cursor,
+                forward,
+                times,
+            } => {
+                if !cursors.is_empty() {
+                    let at = usize::from(*cursor) % cursors.len();
+                    for _ in 0..*times {
+                        step(&history, &mut cursors[at], *forward);
+                    }
+                }
+            }
+        }
+    }
+    // Top the history up, every cursor moving between bursts, then run
+    // each cursor to the end and all the way back.
+    let mut round = 0u64;
+    while history.len() < SPARSE_APPENDS {
+        round += 1;
+        burst(&mut history, round, 32);
+        for c in &mut cursors {
+            step(&history, c, !round.is_multiple_of(3));
+        }
+    }
+    for c in &mut cursors {
+        let len = closure(&history, c.0).len();
+        for _ in 0..=len {
+            step(&history, c, true);
+        }
+        assert_eq!(
+            c.1,
+            if len == 0 {
+                ModelPos::Start
+            } else {
+                ModelPos::On(len - 1)
+            }
+        );
+        for _ in 0..=len {
+            step(&history, c, false);
+        }
+        assert_eq!(c.1, ModelPos::Start);
+    }
+}
+
+#[test]
+fn sparse_cursors_match_the_model() {
+    let g = vec_of(&arb_sparse_op(), 40..200);
+    check("sparse_cursors_match_the_model", 8, &g, |ops| {
+        sparse_cursors_follow_the_model(1, ops);
+        sparse_cursors_follow_the_model(4, ops);
+    });
+}
+
 /// The shared open block defers `finish()` to whoever reads it; whatever
 /// the interleaving of pushes and reads, each materialised image must be
 /// what an eager `finish()` after the same pushes would have produced.

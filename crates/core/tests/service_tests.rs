@@ -1460,3 +1460,169 @@ fn regression_cursor_never_holds_open_or_queued_block() {
         assert_eq!(seen, (0..ENTRIES - 1).rev().collect::<Vec<_>>());
     }
 }
+
+/// Entrymap maps this service's cursors were answered from memory, not
+/// from a block (`clio_core_locate_memo_hits_total`).
+fn memo_hits(svc: &LogService) -> u64 {
+    svc.metrics()
+        .gather()
+        .into_iter()
+        .find(|s| s.name == "clio_core_locate_memo_hits_total")
+        .map(|s| match s.value {
+            clio_obs::MetricValue::Counter(v) => v,
+            _ => panic!("not a counter"),
+        })
+        .expect("the service registers its memo-hit counter")
+}
+
+/// The previous entry's sequence number, if there is one.
+fn prev_seq(cur: &mut LogCursor<'_>) -> Option<u32> {
+    cur.prev().unwrap().map(|e| seq_of(&e.data))
+}
+
+/// A cursor remembers an entrymap map only if every block it read the map
+/// from is final — the rule its held block already obeys. On a RAM-tail
+/// device the boundary block that carries a group's map is, for a while,
+/// the staged tail: rewritten in place by every forced append. A cursor
+/// that tails into that block and steps back and forth across the boundary
+/// asks for the map again and again; each time it must come from the block
+/// as it then is, never from memory — and once the block is sealed and
+/// another has followed it, memory is where it does come from.
+#[test]
+fn regression_cursor_memo_holds_no_map_from_a_rewriteable_tail() {
+    let pool = capturing_pool(256, 4096, true);
+    let svc = LogService::create(VolumeSeqId(5), pool, ServiceConfig::small(), clock()).unwrap();
+    svc.create_log("/wal").unwrap();
+    let fanout = u64::from(ServiceConfig::small().fanout);
+    let mut cur = svc.cursor("/wal").unwrap();
+    let mut i = 0u32;
+    let append = |i: &mut u32| {
+        let r = svc
+            .append_path("/wal", &payload(*i), AppendOpts::forced())
+            .unwrap();
+        *i += 1;
+        r.addr.block.0
+    };
+    // Tail the log until an entry opens a boundary block well into it.
+    let boundary = loop {
+        let db = append(&mut i);
+        assert_eq!(next_seq(&mut cur), Some(i - 1));
+        if db >= 2 * fanout && db % fanout == 0 {
+            break db;
+        }
+    };
+    // That block — the group's map, then entry `first` — is the staged
+    // tail: the device ends with it, and it is still open.
+    assert_eq!(svc.volumes().active().data_end(), boundary + 1);
+    let first = i - 1;
+    let before = memo_hits(&svc);
+    // Back across the boundary: the search reads the map out of the tail.
+    assert_eq!(prev_seq(&mut cur), Some(first - 1));
+    // The tail is rewritten in place under the cursor ...
+    assert_eq!(append(&mut i), boundary, "the tail block takes another");
+    assert_eq!(next_seq(&mut cur), Some(first - 1));
+    assert_eq!(next_seq(&mut cur), Some(first));
+    assert_eq!(next_seq(&mut cur), Some(first + 1));
+    assert_eq!(next_seq(&mut cur), None);
+    // ... and the way back asks for the same map again.
+    assert_eq!(prev_seq(&mut cur), Some(first));
+    assert_eq!(prev_seq(&mut cur), Some(first - 1));
+    assert_eq!(
+        memo_hits(&svc) - before,
+        0,
+        "a map read out of the rewriteable tail was remembered"
+    );
+    for want in first - 1..i {
+        assert_eq!(next_seq(&mut cur), Some(want));
+    }
+    // Seal the block and put two more behind it: now it is final, and the
+    // same walk is answered from memory the second time round.
+    while append(&mut i) < boundary + 2 {}
+    while next_seq(&mut cur).is_some_and(|seq| seq > first + 1) {}
+    while prev_seq(&mut cur).is_some_and(|seq| seq >= first) {}
+    let before = memo_hits(&svc);
+    assert_eq!(next_seq(&mut cur), Some(first - 1));
+    assert_eq!(next_seq(&mut cur), Some(first));
+    assert_eq!(prev_seq(&mut cur), Some(first - 1));
+    assert!(
+        memo_hits(&svc) > before,
+        "a map read from final blocks is not read twice"
+    );
+    // Nothing was skipped or repeated along the way.
+    while prev_seq(&mut cur).is_some() {}
+    let all: Vec<u32> = std::iter::from_fn(|| next_seq(&mut cur)).collect();
+    assert_eq!(all, (0..i).collect::<Vec<_>>());
+}
+
+/// A cursor that has run dry has asked the entrymap "anything more?" and
+/// been told no — by the map in the device's last block and by the
+/// pending maps of the groups still filling. None of those answers may be
+/// remembered: the writer goes on to add entries to the very same level-1
+/// and level-2 groups, and `next()` must find them, in order.
+#[test]
+fn regression_tailing_cursor_finds_entries_appended_after_its_memo() {
+    let svc = small_service();
+    svc.create_log("/busy").unwrap();
+    svc.create_log("/rare").unwrap();
+    // A flush seals the open block, so an append and a flush make one
+    // block and a plan of blocks is a plan of appends. Fanout 4: block 24
+    // closes level-1 group 5 (blocks 20–23) and sits in level-1 group 6
+    // and level-2 group 1 (blocks 16–31).
+    let mut rare_seq = 0u32;
+    let mut put = |rare: bool| {
+        let r = if rare {
+            rare_seq += 1;
+            svc.append_path("/rare", &payload(rare_seq - 1), AppendOpts::standard())
+        } else {
+            svc.append_path("/busy", &payload(0), AppendOpts::standard())
+        };
+        r.unwrap().addr.block.0
+    };
+    // (The catalog records of the two `create_log`s come first.)
+    let mut next_block = put(false) + 1;
+    svc.flush().unwrap();
+    assert!(next_block <= 5);
+    let mut fill_to = |last: u64, rare_blocks: &[u64], flush_last: bool| {
+        while next_block <= last {
+            assert_eq!(put(rare_blocks.contains(&next_block)), next_block);
+            if next_block < last || flush_last {
+                svc.flush().unwrap();
+            }
+            next_block += 1;
+        }
+    };
+    fill_to(24, &[5, 9, 20, 21], true);
+    assert_eq!(svc.volumes().active().data_end(), 25);
+
+    let mut cur = svc.cursor("/rare").unwrap();
+    for want in 0..4 {
+        assert_eq!(next_seq(&mut cur), Some(want));
+    }
+    // The dry step asks three maps: group 5's, which sits in block 24 —
+    // the device's last block, so it was not remembered when the steps to
+    // blocks 20 and 21 read it either — and the pending maps of level-2
+    // group 1 and level-1 group 6.
+    let before = memo_hits(&svc);
+    assert_eq!(next_seq(&mut cur), None);
+    assert_eq!(
+        memo_hits(&svc) - before,
+        0,
+        "an answer about the log's tail was remembered"
+    );
+    // Into the same level-1 group, read while still in memory ...
+    fill_to(26, &[26], false);
+    assert_eq!(next_seq(&mut cur), Some(4));
+    assert_eq!(next_seq(&mut cur), None);
+    svc.flush().unwrap();
+    // ... on into the next group of the same level-2 group ...
+    fill_to(30, &[29, 30], true);
+    assert_eq!(next_seq(&mut cur), Some(5));
+    assert_eq!(next_seq(&mut cur), Some(6));
+    assert_eq!(next_seq(&mut cur), None);
+    // ... and past the level-2 boundary.
+    fill_to(34, &[33], true);
+    assert_eq!(next_seq(&mut cur), Some(7));
+    assert_eq!(next_seq(&mut cur), None);
+    let back: Vec<u32> = std::iter::from_fn(|| prev_seq(&mut cur)).collect();
+    assert_eq!(back, (0..7).rev().collect::<Vec<_>>());
+}

@@ -7,6 +7,8 @@
 //! precise control over entry placement without the full `clio-core`
 //! machinery.
 
+use std::sync::Arc;
+
 use clio_types::{LogFileId, Timestamp};
 
 use clio_format::{BlockBuilder, EntryForm, EntryHeader, PushOutcome};
@@ -53,7 +55,7 @@ pub fn build_log(n: usize, block_size: usize, plan: &[Vec<u16>]) -> (VecSource, 
             }
         }
         writer.note_block(db, present.iter().map(|&r| LogFileId(r)));
-        blocks.push(b.finish());
+        blocks.push(Arc::new(b.finish()));
     }
     (VecSource { fanout: n, blocks }, writer.pending().clone())
 }

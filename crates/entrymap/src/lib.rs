@@ -31,6 +31,7 @@
 //! `db` here is device block `db + 1` (device block 0 is the volume label).
 
 pub mod binary_tree;
+mod chain;
 pub mod geometry;
 pub mod harness;
 pub mod locate;
@@ -43,7 +44,7 @@ pub mod tsearch;
 pub mod writer;
 
 pub use geometry::Geometry;
-pub use locate::{LocateStats, Locator};
+pub use locate::{LocateStats, Locator, MapMemo};
 pub use pending::PendingMaps;
 pub use rebuild::{rebuild_pending, rebuild_pending_with_findings, RebuildFindings, RebuildStats};
 pub use source::BlockSource;

@@ -18,14 +18,12 @@
 
 use clio_types::{LogFileId, Result, SmallBitmap};
 
-use clio_format::{BlockView, EntrymapRecord};
+use clio_format::ParsedBlock;
 
+use crate::chain;
 use crate::geometry::Geometry;
 use crate::pending::PendingMaps;
 use crate::source::BlockSource;
-
-/// How many blocks after the nominal map block to look for displaced maps.
-const DISPLACEMENT_WINDOW: u64 = 4;
 
 /// Operation counts accumulated by a [`Locator`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -33,8 +31,11 @@ pub struct LocateStats {
     /// Device/cache block reads issued.
     pub blocks_read: u64,
     /// Entrymap log entries consulted (Table 1's "# of entrymap log
-    /// entries read").
+    /// entries read"): read from a block, or answered by the pending
+    /// state. A [`MapMemo`] answer is not one of these.
     pub map_entries_examined: u64,
+    /// Maps answered by the caller's [`MapMemo`], with nothing read.
+    pub memo_hits: u64,
     /// Times the search had to proceed without a map (missing or
     /// destroyed) and scan the level below instead.
     pub fallbacks: u64,
@@ -45,11 +46,54 @@ pub struct LocateStats {
     pub max_level: u64,
 }
 
+/// The maps a caller has already read, kept between searches: for each tree
+/// level, the union bitmap of the last complete map read there.
+///
+/// A memo answers for **one volume and one fixed id set** — its owner
+/// clears it when either changes. What makes a remembered answer equal to
+/// reading the map again is the medium: a map record sits in blocks that
+/// are written once, so the locator fills the memo only from records whose
+/// every block lies below the owner's finality boundary
+/// ([`Locator::with_memo`]), and never from [`PendingMaps`] (the tail's
+/// maps still change), from a chain it could not read to its end, or from
+/// a fallback scan.
+#[derive(Debug, Default)]
+pub struct MapMemo {
+    /// `levels[l - 1]`: the group of the level-`l` map held, and its union.
+    levels: Vec<Option<(u64, SmallBitmap)>>,
+}
+
+impl MapMemo {
+    /// Forgets every answer (the volume or the id set changed).
+    pub fn clear(&mut self) {
+        self.levels.clear();
+    }
+
+    fn get(&self, level: u8, group: u64) -> Option<&SmallBitmap> {
+        match self.levels.get(usize::from(level) - 1)? {
+            Some((g, bm)) if *g == group => Some(bm),
+            _ => None,
+        }
+    }
+
+    fn put(&mut self, level: u8, group: u64, bm: &SmallBitmap) {
+        let idx = usize::from(level) - 1;
+        if self.levels.len() <= idx {
+            self.levels.resize(idx + 1, None);
+        }
+        self.levels[idx] = Some((group, bm.clone()));
+    }
+}
+
 /// A search over one volume's entrymap tree.
 pub struct Locator<'a, S: BlockSource> {
     src: &'a S,
     pending: Option<&'a PendingMaps>,
     geo: Geometry,
+    /// The caller's memo, and the first block whose bytes may still change.
+    memo: Option<(&'a mut MapMemo, u64)>,
+    /// The verified block the last search answered with.
+    found: Option<ParsedBlock>,
     /// Accumulated operation counts.
     pub stats: LocateStats,
 }
@@ -63,29 +107,46 @@ impl<'a, S: BlockSource> Locator<'a, S> {
             geo: Geometry::new(src.fanout()),
             src,
             pending,
+            memo: None,
+            found: None,
             stats: LocateStats::default(),
         }
     }
 
-    fn read(&mut self, db: u64) -> Result<std::sync::Arc<Vec<u8>>> {
-        self.stats.blocks_read += 1;
-        self.src.read(db)
+    /// Lets the searches answer from, and add to, the maps `memo` holds.
+    /// Blocks `[0, final_end)` of the source are final — neither their
+    /// bytes nor their placement can change any more — and only a map read
+    /// entirely from those is remembered. The memo must have been filled
+    /// over this same volume, and every search must ask for the same ids.
+    #[must_use]
+    pub fn with_memo(mut self, memo: &'a mut MapMemo, final_end: u64) -> Locator<'a, S> {
+        self.memo = Some((memo, final_end));
+        self
+    }
+
+    /// The verified image of the block the last search returned (`None`
+    /// once taken, or if that search found nothing): the search read and
+    /// checked it to answer, so its caller need not do either again.
+    pub fn take_block(&mut self) -> Option<ParsedBlock> {
+        self.found.take()
     }
 
     /// Whether data block `db` holds an entry of any id in `ids`.
     /// Unreadable blocks count as empty — their data is lost (§2.3.2).
     pub fn block_contains(&mut self, db: u64, ids: &[LogFileId]) -> Result<bool> {
-        let img = self.read(db)?;
-        let Ok(view) = BlockView::parse(&img) else {
+        self.stats.blocks_read += 1;
+        let Ok(block) = ParsedBlock::parse(self.src.read(db)?) else {
             return Ok(false);
         };
-        for e in view.entries() {
-            let Ok(e) = e else { break };
-            if ids.contains(&e.header.id) {
-                return Ok(true);
-            }
+        let hit = block
+            .view()
+            .entries()
+            .map_while(|e| e.ok())
+            .any(|e| ids.contains(&e.header.id));
+        if hit {
+            self.found = Some(block);
         }
-        Ok(false)
+        Ok(hit)
     }
 
     /// The union bitmap over `ids` for group (`level`, `group`).
@@ -93,9 +154,11 @@ impl<'a, S: BlockSource> Locator<'a, S> {
     /// `Some` is authoritative (possibly all-zero); `None` means no map
     /// could be found and the caller must search the level below.
     fn get_map(&mut self, level: u8, group: u64, ids: &[LogFileId]) -> Result<Option<SmallBitmap>> {
-        let m = self.geo.map_block(level, group);
-        let end = self.src.data_end();
-        if m >= end {
+        if let Some(bm) = self.memo.as_ref().and_then(|(m, _)| m.get(level, group)) {
+            self.stats.memo_hits += 1;
+            return Ok(Some(bm.clone()));
+        }
+        if self.geo.map_block(level, group) >= self.src.data_end() {
             // The covering map has not been written; the in-memory pending
             // bitmaps stand in for it (§2.3.1).
             let ans = self.pending.and_then(|p| p.union_for(level, group, ids));
@@ -104,60 +167,32 @@ impl<'a, S: BlockSource> Locator<'a, S> {
             }
             return Ok(ans);
         }
-        let mut limit = m.saturating_add(DISPLACEMENT_WINDOW).min(end);
-        let mut acc: Option<SmallBitmap> = None;
-        let mut awaiting_more = false;
-        let mut cand = m;
-        while cand < limit {
-            let img = self.read(cand)?;
-            let Ok(view) = BlockView::parse(&img) else {
-                // Invalidated or corrupt: the map may be displaced into the
-                // next uncorrupted block (§2.3.2).
-                cand += 1;
-                continue;
-            };
-            let mut found_here = false;
-            let mut continued_here = false;
-            for e in view.entries() {
-                let Ok(e) = e else { break };
-                if e.header.id != LogFileId::ENTRYMAP {
-                    continue;
-                }
-                let Ok(rec) = EntrymapRecord::decode(e.payload) else {
-                    continue;
-                };
-                if rec.level == level
-                    && rec.group == group
-                    && u64::from(rec.bits) == self.geo.fanout()
-                {
-                    found_here = true;
-                    continued_here |= rec.continued;
-                    let a = acc.get_or_insert_with(|| SmallBitmap::new(self.geo.fanout() as usize));
-                    for id in ids {
-                        if let Some(bm) = rec.map_for(*id) {
-                            a.union_with(bm);
-                        }
+        let mut acc = SmallBitmap::new(self.geo.fanout() as usize);
+        let walk = chain::read_map(
+            self.src,
+            self.geo,
+            (level, group),
+            &mut self.stats.blocks_read,
+            |rec| {
+                for id in ids {
+                    if let Some(bytes) = rec.map_for(*id) {
+                        acc.union_with_bytes(bytes);
                     }
                 }
-            }
-            if found_here {
-                self.stats.map_entries_examined += 1;
-                if !continued_here {
-                    return Ok(acc);
-                }
-                // More pieces of this map were displaced forward; widen
-                // the search window past this block.
-                awaiting_more = true;
-                limit = (cand + 1).saturating_add(DISPLACEMENT_WINDOW).min(end);
-            }
-            cand += 1;
-        }
-        // A chain that never terminated is incomplete: answering from it
-        // could hide entries, so fall back to searching the level below.
-        if awaiting_more {
+            },
+        )?;
+        self.stats.map_entries_examined += walk.piece_blocks;
+        // No map, or a chain that never terminated: fall back to searching
+        // the level below.
+        let Some(last) = walk.complete_at else {
             return Ok(None);
+        };
+        if let Some((memo, final_end)) = &mut self.memo {
+            if last < *final_end {
+                memo.put(level, group, &acc);
+            }
         }
-        Ok(acc)
+        Ok(Some(acc))
     }
 
     /// Pending maps at level ≥ 2 reflect only *completed, propagated*
@@ -185,6 +220,7 @@ impl<'a, S: BlockSource> Locator<'a, S> {
 
     /// Finds the greatest data block `<= from` containing entries of `ids`.
     pub fn locate_before(&mut self, ids: &[LogFileId], from: u64) -> Result<Option<u64>> {
+        self.found = None;
         let end = self.src.data_end();
         if end == 0 {
             return Ok(None);
@@ -270,6 +306,7 @@ impl<'a, S: BlockSource> Locator<'a, S> {
 
     /// Finds the least data block `>= from` containing entries of `ids`.
     pub fn locate_at_or_after(&mut self, ids: &[LogFileId], from: u64) -> Result<Option<u64>> {
+        self.found = None;
         let end = self.src.data_end();
         if from >= end {
             return Ok(None);

@@ -9,10 +9,11 @@
 //! level-`i` map — in total up to `N·log_N b` block examinations, about
 //! half that on average (Figure 4).
 
-use clio_types::{LogFileId, Result};
+use clio_types::{LogFileId, Result, SmallBitmap};
 
-use clio_format::{BlockView, EntrymapRecord};
+use clio_format::BlockView;
 
+use crate::chain;
 use crate::geometry::Geometry;
 use crate::pending::PendingMaps;
 use crate::source::BlockSource;
@@ -103,15 +104,19 @@ pub fn rebuild_pending_with_findings<S: BlockSource>(
         for sub in first_sub..complete_subs {
             let map_block = geo.map_block(level - 1, sub);
             debug_assert!(map_block <= end);
-            if let Some(recs) = read_maps_at(src, geo, map_block, level - 1, sub, &mut stats)? {
-                for rec in recs {
-                    for (id, bm) in &rec.maps {
-                        if bm.any() {
-                            pending.set_bit(level, *id, (sub % n) as usize);
+            // Bits set from the pieces of a chain that then turns out
+            // unreadable stay set: each is a fact the writer recorded (a
+            // bit for entries lost since costs a search one descent, never
+            // an answer), and the scan below only adds to them.
+            let walk =
+                chain::read_map(src, geo, (level - 1, sub), &mut stats.blocks_read, |rec| {
+                    for (id, bytes) in rec.maps() {
+                        if SmallBitmap::any_in(usize::from(rec.bits), bytes) {
+                            pending.set_bit(level, id, (sub % n) as usize);
                         }
                     }
-                }
-            } else {
+                })?;
+            if walk.complete_at.is_none() {
                 // Map destroyed: recompute the sub-group's contribution the
                 // hard way, by scanning its blocks.
                 let start = geo.group_start(level - 1, sub);
@@ -126,55 +131,6 @@ pub fn rebuild_pending_with_findings<S: BlockSource>(
     }
     stats.distinct_blocks = seen.len() as u64;
     Ok((pending, stats, findings))
-}
-
-/// Reads the entrymap records for (`level`, `group`) at or displaced after
-/// `map_block`. `None` means the map is unrecoverable from maps alone.
-fn read_maps_at<S: BlockSource>(
-    src: &S,
-    geo: Geometry,
-    map_block: u64,
-    level: u8,
-    group: u64,
-    stats: &mut RebuildStats,
-) -> Result<Option<Vec<EntrymapRecord>>> {
-    let end = src.data_end();
-    let mut limit = map_block.saturating_add(4).min(end);
-    let mut found = Vec::new();
-    let mut cand = map_block;
-    while cand < limit {
-        stats.blocks_read += 1;
-        let img = src.read(cand)?;
-        let Ok(view) = BlockView::parse(&img) else {
-            cand += 1;
-            continue;
-        };
-        let mut found_here = false;
-        let mut continued_here = false;
-        for e in view.entries() {
-            let Ok(e) = e else { break };
-            if e.header.id != LogFileId::ENTRYMAP {
-                continue;
-            }
-            if let Ok(rec) = EntrymapRecord::decode(e.payload) {
-                if rec.level == level && rec.group == group && rec.bits == geo.fanout() as u16 {
-                    found_here = true;
-                    continued_here |= rec.continued;
-                    found.push(rec);
-                }
-            }
-        }
-        if found_here {
-            if !continued_here {
-                return Ok(Some(found));
-            }
-            // The map continues in a later block; widen the window.
-            limit = (cand + 1).saturating_add(4).min(end);
-        }
-        cand += 1;
-    }
-    // An unterminated chain is incomplete — recompute from raw blocks.
-    Ok(None)
 }
 
 /// The set of entrymapped ids with entries in blocks `[start, stop)`.

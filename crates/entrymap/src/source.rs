@@ -45,8 +45,8 @@ impl<T: BlockSource + ?Sized> BlockSource for &T {
 pub struct VecSource {
     /// The entrymap degree.
     pub fanout: usize,
-    /// One image per written data block.
-    pub blocks: Vec<Vec<u8>>,
+    /// One image per written data block, handed out without copying.
+    pub blocks: Vec<Arc<Vec<u8>>>,
 }
 
 impl BlockSource for VecSource {
@@ -61,7 +61,7 @@ impl BlockSource for VecSource {
     fn read(&self, db: u64) -> Result<Arc<Vec<u8>>> {
         self.blocks
             .get(db as usize)
-            .map(|b| Arc::new(b.clone()))
+            .cloned()
             .ok_or(clio_types::ClioError::UnwrittenBlock(clio_types::BlockNo(
                 db,
             )))
@@ -76,7 +76,7 @@ mod tests {
     fn vec_source_reads_prefix() {
         let src = VecSource {
             fanout: 4,
-            blocks: vec![vec![1], vec![2]],
+            blocks: vec![Arc::new(vec![1]), Arc::new(vec![2])],
         };
         assert_eq!(src.data_end(), 2);
         assert_eq!(*src.read(1).unwrap(), vec![2]);

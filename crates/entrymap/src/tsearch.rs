@@ -182,7 +182,7 @@ mod tests {
         let (mut srcv, _) = build_log(4, 512, &plan);
         // Destroy a band of blocks in the middle.
         for db in 30..34 {
-            srcv.blocks[db] = vec![0xFF; 512];
+            srcv.blocks[db] = std::sync::Arc::new(vec![0xFF; 512]);
         }
         let (got, _) = find_block_by_time(&srcv, Timestamp(31 * BLOCK_TIME_STEP)).unwrap();
         // The timestamps of 30..34 are lost; any answer in 29..=31 region

@@ -6,10 +6,12 @@
 //! checked-in regression seed entries live on as the explicit
 //! `regression_*` tests at the bottom.
 
+use std::sync::Arc;
+
 use clio_entrymap::harness::{build_log, BLOCK_TIME_STEP};
-use clio_entrymap::{naive, rebuild_pending, tsearch, Locator};
+use clio_entrymap::{naive, rebuild_pending, tsearch, Locator, MapMemo};
 use clio_testkit::prop::{
-    any_u64, check, check_case, just, one_of, pair, triple, u16s, vec_of, Gen,
+    any_u64, bools, check, check_case, just, one_of, pair, quad, triple, u16s, vec_of, Gen,
 };
 use clio_types::{LogFileId, Timestamp};
 
@@ -55,7 +57,7 @@ fn prop_locator_tolerates_invalidated_blocks(
     let (mut src, _) = build_log(n, 1024, plan);
     for h in holes {
         let at = (*h % plan.len() as u64) as usize;
-        src.blocks[at] = vec![0xFF; 1024];
+        src.blocks[at] = Arc::new(vec![0xFF; 1024]);
     }
     let (pending, _) = rebuild_pending(&src).expect("rebuild");
     let from = from % plan.len() as u64;
@@ -75,6 +77,108 @@ fn locator_tolerates_invalidated_blocks() {
         &g,
         |((n, plan), holes, from)| {
             prop_locator_tolerates_invalidated_blocks(*n, plan, holes, *from);
+        },
+    );
+}
+
+/// `(fanout, per-block file-id plan)` over many log files — up to 120,
+/// so that a map lists far more files than a search asks about. The id
+/// universe is what the deepest boundary block of a 300-block log can
+/// hold in one 1 KiB block at each degree (the harness writes no
+/// `continued` chains; `clio-core`'s writer does, and its own property
+/// covers them).
+fn arb_many_id_plan() -> Gen<(usize, Vec<Vec<u16>>)> {
+    one_of(
+        [(2usize, 40u16), (4, 120), (16, 120)]
+            .into_iter()
+            .map(|(n, universe)| {
+                pair(
+                    &just(n),
+                    &vec_of(&vec_of(&u16s(8..8 + universe), 0..3), 1..300),
+                )
+            })
+            .collect(),
+    )
+}
+
+/// One memo, carried over a walk of forward and backward searches the way
+/// a cursor carries it, must never change an answer and never cost a read.
+#[test]
+fn memo_carried_across_a_walk_changes_no_answer() {
+    let walk = vec_of(&triple(&bools(), &bools(), &any_u64()), 1..40);
+    let g = quad(
+        &arb_many_id_plan(),
+        &vec_of(&any_u64(), 0..8),
+        &pair(&vec_of(&any_u64(), 1..4), &any_u64()),
+        &walk,
+    );
+    check(
+        "memo_carried_across_a_walk_changes_no_answer",
+        48,
+        &g,
+        |((n, plan), holes, (id_picks, final_pick), walk)| {
+            let total = plan.len() as u64;
+            // Burn random blocks — map blocks among them — and search
+            // with the pending state recovered from the damaged log.
+            let (mut src, _) = build_log(*n, 1024, plan);
+            for h in holes {
+                src.blocks[(*h % total) as usize] = Arc::new(vec![0xFF; 1024]);
+            }
+            let (pending, _) = rebuild_pending(&src).expect("rebuild");
+            // The ids searched for: ones the log has, when it has any.
+            let present: Vec<u16> = plan.iter().flatten().copied().collect();
+            let ids: Vec<LogFileId> = id_picks
+                .iter()
+                .map(|p| match present.len() {
+                    0 => LogFileId(8),
+                    len => LogFileId(present[(*p % len as u64) as usize]),
+                })
+                .collect();
+            // Any boundary is sound over an immutable source; a random
+            // one makes the walk cross it.
+            let final_end = match final_pick % 3 {
+                0 => u64::MAX,
+                _ => final_pick % (total + 1),
+            };
+            let mut memo = MapMemo::default();
+            let mut at = 0u64;
+            for (forward, jump, pick) in walk {
+                if *jump {
+                    at = pick % total;
+                }
+                let mut with = Locator::new(&src, Some(&pending)).with_memo(&mut memo, final_end);
+                let mut without = Locator::new(&src, Some(&pending));
+                let (got, plain, want) = if *forward {
+                    (
+                        with.locate_at_or_after(&ids, at).expect("reads"),
+                        without.locate_at_or_after(&ids, at).expect("reads"),
+                        naive::locate_at_or_after(&src, &ids, at).expect("oracle").0,
+                    )
+                } else {
+                    (
+                        with.locate_before(&ids, at).expect("reads"),
+                        without.locate_before(&ids, at).expect("reads"),
+                        naive::locate_before(&src, &ids, at).expect("oracle").0,
+                    )
+                };
+                assert_eq!(got, want, "forward={forward} from {at}");
+                assert_eq!(plain, want, "memo-less, forward={forward} from {at}");
+                assert!(
+                    with.stats.blocks_read <= without.stats.blocks_read,
+                    "the memo cost reads: {:?} against {:?}",
+                    with.stats,
+                    without.stats
+                );
+                assert_eq!(without.stats.memo_hits, 0);
+                // The block a search names is the block it hands over.
+                assert_eq!(with.take_block().is_some(), got.is_some());
+                // Step past the hit as a cursor would, or stay put.
+                at = match (got, *forward) {
+                    (Some(db), true) => (db + 1).min(total - 1),
+                    (Some(db), false) => db.saturating_sub(1),
+                    (None, _) => at,
+                };
+            }
         },
     );
 }

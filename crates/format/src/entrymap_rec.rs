@@ -84,38 +84,23 @@ impl EntrymapRecord {
         out
     }
 
-    /// Parses a payload.
+    /// Parses a payload into an owned record: [`EntrymapRecordView::parse`]
+    /// (the one validator) plus one bitmap built per listed log file.
     pub fn decode(data: &[u8]) -> Result<EntrymapRecord> {
-        if data.len() < Self::HEADER_LEN {
-            return Err(ClioError::BadRecord("truncated entrymap record"));
-        }
-        let level = data[0];
-        let group = u64::from_le_bytes(data[1..9].try_into().expect("8 bytes"));
-        let bits = u16::from_le_bytes([data[9], data[10]]);
-        if bits == 0 || bits > 1024 {
-            return Err(ClioError::BadRecord("implausible entrymap width"));
-        }
-        let continued = data[11] != 0;
-        let count = usize::from(u16::from_le_bytes([data[12], data[13]]));
-        let per = Self::per_map_len(bits);
-        if data.len() < Self::HEADER_LEN + count * per {
-            return Err(ClioError::BadRecord("truncated entrymap bitmaps"));
-        }
-        let mut maps = Vec::with_capacity(count);
-        let mut off = Self::HEADER_LEN;
-        for _ in 0..count {
-            let id = u16::from_le_bytes([data[off], data[off + 1]]);
-            let id = LogFileId::new(id).ok_or(ClioError::BadRecord("entrymap id out of range"))?;
-            let bm = SmallBitmap::from_bytes(usize::from(bits), &data[off + 2..off + per])
-                .ok_or(ClioError::BadRecord("short bitmap"))?;
-            maps.push((id, bm));
-            off += per;
-        }
+        let view = EntrymapRecordView::parse(data)?;
+        let maps = view
+            .maps()
+            .map(|(id, bytes)| {
+                let bm = SmallBitmap::from_bytes(usize::from(view.bits), bytes)
+                    .expect("invariant: parse sized every map to the record's width");
+                (id, bm)
+            })
+            .collect();
         Ok(EntrymapRecord {
-            level,
-            group,
-            bits,
-            continued,
+            level: view.level,
+            group: view.group,
+            bits: view.bits,
+            continued: view.continued,
             maps,
         })
     }
@@ -127,6 +112,85 @@ impl EntrymapRecord {
             .binary_search_by_key(&id, |(i, _)| *i)
             .ok()
             .map(|at| &self.maps[at].1)
+    }
+}
+
+/// A validated entrymap record payload, borrowed: the header fields decoded,
+/// the per-file table left in place. Searches ask a record about the few
+/// ids they care about; this answers from the encoded bytes, where an owned
+/// [`EntrymapRecord`] would first build a bitmap for every log file listed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EntrymapRecordView<'a> {
+    /// Tree level; see [`EntrymapRecord::level`].
+    pub level: u8,
+    /// The level-`level` group covered; see [`EntrymapRecord::group`].
+    pub group: u64,
+    /// Bitmap width `N`.
+    pub bits: u16,
+    /// Whether further records for the same (`level`, `group`) follow in a
+    /// subsequent block; see [`EntrymapRecord::continued`].
+    pub continued: bool,
+    /// The per-file table: entries of [`EntrymapRecord::per_map_len`] bytes,
+    /// a 2-byte id then the bitmap, in the encoder's id order.
+    table: &'a [u8],
+}
+
+impl<'a> EntrymapRecordView<'a> {
+    /// Validates a payload — the header, the table's length against its
+    /// count, every id's range — without copying or allocating.
+    pub fn parse(data: &'a [u8]) -> Result<EntrymapRecordView<'a>> {
+        let Some((head, rest)) = data.split_first_chunk::<{ EntrymapRecord::HEADER_LEN }>() else {
+            return Err(ClioError::BadRecord("truncated entrymap record"));
+        };
+        let [level, g0, g1, g2, g3, g4, g5, g6, g7, b0, b1, continued, c0, c1] = *head;
+        let bits = u16::from_le_bytes([b0, b1]);
+        if bits == 0 || bits > 1024 {
+            return Err(ClioError::BadRecord("implausible entrymap width"));
+        }
+        let count = usize::from(u16::from_le_bytes([c0, c1]));
+        let per = EntrymapRecord::per_map_len(bits);
+        let Some(table) = rest.get(..count * per) else {
+            return Err(ClioError::BadRecord("truncated entrymap bitmaps"));
+        };
+        if table
+            .chunks_exact(per)
+            .any(|e| LogFileId::new(u16::from_le_bytes([e[0], e[1]])).is_none())
+        {
+            return Err(ClioError::BadRecord("entrymap id out of range"));
+        }
+        Ok(EntrymapRecordView {
+            level,
+            group: u64::from_le_bytes([g0, g1, g2, g3, g4, g5, g6, g7]),
+            bits,
+            continued: continued != 0,
+            table,
+        })
+    }
+
+    /// The listed log files and their bitmaps' bytes
+    /// ([`SmallBitmap::as_bytes`] form), in table order.
+    pub fn maps(&self) -> impl ExactSizeIterator<Item = (LogFileId, &'a [u8])> {
+        self.table
+            .chunks_exact(EntrymapRecord::per_map_len(self.bits))
+            .map(|e| (LogFileId(u16::from_le_bytes([e[0], e[1]])), &e[2..]))
+    }
+
+    /// The bytes of the bitmap for `id`, if the covered range contains its
+    /// entries: a binary search of the fixed-stride, id-sorted table.
+    #[must_use]
+    pub fn map_for(&self, id: LogFileId) -> Option<&'a [u8]> {
+        let per = EntrymapRecord::per_map_len(self.bits);
+        let (mut lo, mut hi) = (0, self.table.len() / per);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            let e = &self.table[mid * per..(mid + 1) * per];
+            match u16::from_le_bytes([e[0], e[1]]).cmp(&id.0) {
+                std::cmp::Ordering::Less => lo = mid + 1,
+                std::cmp::Ordering::Greater => hi = mid,
+                std::cmp::Ordering::Equal => return Some(&e[2..]),
+            }
+        }
+        None
     }
 }
 
@@ -187,6 +251,53 @@ mod tests {
         assert!(EntrymapRecord::decode(&bytes).is_err());
         // Zero-width bitmaps are implausible.
         assert!(EntrymapRecord::decode(&[1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]).is_err());
+    }
+
+    #[test]
+    fn view_answers_from_the_encoded_bytes() {
+        let mut rec = EntrymapRecord::new(
+            2,
+            31,
+            12,
+            vec![
+                (LogFileId(9), bm(12, &[0, 11])),
+                (LogFileId(2), bm(12, &[3])),
+                (LogFileId(700), bm(12, &[])),
+            ],
+        );
+        rec.continued = true;
+        let bytes = rec.encode();
+        let view = EntrymapRecordView::parse(&bytes).unwrap();
+        assert_eq!(
+            (view.level, view.group, view.bits, view.continued),
+            (2, 31, 12, true)
+        );
+        let listed: Vec<_> = view.maps().collect();
+        assert_eq!(listed.len(), 3);
+        for ((id, raw), (want_id, want)) in listed.iter().zip(&rec.maps) {
+            assert_eq!((id, *raw), (want_id, want.as_bytes()));
+        }
+        assert_eq!(
+            view.map_for(LogFileId(9)),
+            Some(bm(12, &[0, 11]).as_bytes())
+        );
+        assert_eq!(view.map_for(LogFileId(700)), Some(&[0u8, 0][..]));
+        for absent in [0u16, 3, 10, 701] {
+            assert_eq!(view.map_for(LogFileId(absent)), None);
+        }
+        // Bytes past the table are not the record's, as for `decode`.
+        let mut padded = bytes.clone();
+        padded.extend_from_slice(&[0xFF; 5]);
+        assert_eq!(EntrymapRecord::decode(&padded).unwrap(), rec);
+    }
+
+    #[test]
+    fn an_id_out_of_range_is_rejected() {
+        let rec = EntrymapRecord::new(1, 0, 16, vec![(LogFileId(8), bm(16, &[0]))]);
+        let mut bytes = rec.encode();
+        bytes[EntrymapRecord::HEADER_LEN + 1] = 0xFF;
+        assert!(EntrymapRecordView::parse(&bytes).is_err());
+        assert!(EntrymapRecord::decode(&bytes).is_err());
     }
 
     #[test]

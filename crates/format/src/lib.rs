@@ -31,7 +31,7 @@ pub use block::{
     stamp_displaced, BlockBuilder, BlockFlags, BlockView, EntryRef, ParsedBlock, PushOutcome,
     TRAILER_SIZE,
 };
-pub use entrymap_rec::EntrymapRecord;
+pub use entrymap_rec::{EntrymapRecord, EntrymapRecordView};
 pub use header::{EntryForm, EntryHeader, FragKind};
 pub use records::{BadBlockRecord, CatalogRecord, LogFileAttrs};
 pub use volume_label::VolumeLabel;

@@ -30,6 +30,11 @@
 //!   `ParsedBlock::parse` and `impl BlockSource` are confined to
 //!   `read.rs`: recovery and everything else read log entries through
 //!   the one reader, so a reader fix cannot miss a private copy.
+//! - `one-map-reader` — inside `crates/entrymap/src` and
+//!   `crates/core/src`, `EntrymapRecord::decode` and
+//!   `EntrymapRecordView::parse` are confined to `entrymap/src/chain.rs`:
+//!   the locator and the rebuild walk a map's displaced/`continued`
+//!   record chain with the same function, window and termination rule.
 //! - `unwrap-ratchet` — per-crate counts of `.unwrap()` and undocumented
 //!   `.expect(...)` in library code, compared against the committed
 //!   baseline in `lint/ratchet.toml`, which may only go down.

@@ -5,6 +5,7 @@
 pub mod atomics_ratchet;
 pub mod env_config;
 pub mod one_log_reader;
+pub mod one_map_reader;
 pub mod raw_locks;
 pub mod registry_deps;
 pub mod unwrap_ratchet;
@@ -22,4 +23,5 @@ pub fn check_source(sf: &SourceFile, out: &mut Vec<Diag>) {
     worm_writes::check(sf, out);
     env_config::check(sf, out);
     one_log_reader::check(sf, out);
+    one_map_reader::check(sf, out);
 }

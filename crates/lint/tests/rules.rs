@@ -7,8 +7,8 @@
 use std::collections::BTreeMap;
 
 use clio_lint::rules::{
-    atomics_ratchet, env_config, one_log_reader, raw_locks, registry_deps, unwrap_ratchet,
-    wallclock, worm_writes,
+    atomics_ratchet, env_config, one_log_reader, one_map_reader, raw_locks, registry_deps,
+    unwrap_ratchet, wallclock, worm_writes,
 };
 use clio_lint::{Diag, SourceFile};
 
@@ -221,6 +221,44 @@ fn one_log_reader_allows_generic_bounds_prose_and_test_modules() {
         "crates/core/src/recovery.rs",
         include_str!("fixtures/one_log_reader/clean.rs"),
         one_log_reader::check,
+    );
+    assert!(diags.is_empty(), "{diags:?}");
+}
+
+#[test]
+fn one_map_reader_flags_record_decoding_outside_the_chain_reader() {
+    let bad = include_str!("fixtures/one_map_reader/bad.rs");
+    for scope in ["crates/entrymap/src/rebuild.rs", "crates/core/src/read.rs"] {
+        let diags = lint(scope, bad, one_map_reader::check);
+        assert_eq!(diags.len(), 2, "{scope}: {diags:?}");
+        for needle in ["`EntrymapRecord::decode`", "`EntrymapRecordView::parse`"] {
+            let got = diags.iter().filter(|d| d.msg.contains(needle)).count();
+            assert_eq!(got, 1, "{needle} in {diags:?}");
+        }
+        assert!(diags
+            .iter()
+            .all(|d| d.line > 0 && d.rule == "one-map-reader"));
+    }
+    // The chain reader is the one home; the format crate (where `decode`
+    // *is* `parse` + collect), tests, cliodump and the harness are out of
+    // scope.
+    for home in [
+        "crates/entrymap/src/chain.rs",
+        "crates/format/src/entrymap_rec.rs",
+        "crates/entrymap/tests/entrymap_properties.rs",
+        "src/bin/cliodump.rs",
+        "crates/bench/src/bin/sec35_space.rs",
+    ] {
+        assert!(lint(home, bad, one_map_reader::check).is_empty(), "{home}");
+    }
+}
+
+#[test]
+fn one_map_reader_allows_prose_encoding_and_test_modules() {
+    let diags = lint(
+        "crates/entrymap/src/locate.rs",
+        include_str!("fixtures/one_map_reader/clean.rs"),
+        one_map_reader::check,
     );
     assert!(diags.is_empty(), "{diags:?}");
 }

@@ -35,13 +35,28 @@ impl SmallBitmap {
             bits,
             bytes: bytes[..bits.div_ceil(8)].to_vec(),
         };
-        // Mask stray bits above `bits` so equality is structural.
-        let spare = bm.bytes.len() * 8 - bits;
-        if spare > 0 {
-            let last = bm.bytes.len() - 1;
-            bm.bytes[last] &= 0xFF >> spare;
-        }
+        bm.mask_spare();
         Some(bm)
+    }
+
+    /// Clears stray bits above `bits` in the last byte, so equality is
+    /// structural.
+    fn mask_spare(&mut self) {
+        if let Some(last) = self.bytes.last_mut() {
+            *last &= spare_mask(self.bits);
+        }
+    }
+
+    /// Whether `bytes` — the byte representation of a `bits`-wide bitmap,
+    /// as [`SmallBitmap::as_bytes`] gives it — has any bit set. Answers
+    /// what `from_bytes(bits, bytes)` followed by [`SmallBitmap::any`]
+    /// would, without building the bitmap.
+    #[must_use]
+    pub fn any_in(bits: usize, bytes: &[u8]) -> bool {
+        match bytes.get(..bits.div_ceil(8)).and_then(<[u8]>::split_last) {
+            Some((last, full)) => full.iter().any(|&b| b != 0) || last & spare_mask(bits) != 0,
+            None => false,
+        }
     }
 
     /// Number of bits in the bitmap.
@@ -132,6 +147,27 @@ impl SmallBitmap {
             *a |= b;
         }
     }
+
+    /// In-place union with the byte representation of a bitmap of the same
+    /// width, as [`SmallBitmap::as_bytes`] gives it — what
+    /// `union_with(&from_bytes(len, bytes))` does, without building the
+    /// second bitmap.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bytes` is not exactly `as_bytes().len()` long.
+    pub fn union_with_bytes(&mut self, bytes: &[u8]) {
+        assert_eq!(self.bytes.len(), bytes.len(), "bitmap width mismatch");
+        for (a, b) in self.bytes.iter_mut().zip(bytes) {
+            *a |= b;
+        }
+        self.mask_spare();
+    }
+}
+
+/// The bits of a `bits`-wide bitmap's last byte that belong to it.
+fn spare_mask(bits: usize) -> u8 {
+    0xFF >> (bits.div_ceil(8) * 8 - bits)
 }
 
 impl fmt::Debug for SmallBitmap {
@@ -219,6 +255,39 @@ mod tests {
         b.set(6);
         a.union_with(&b);
         assert_eq!(a.iter_ones().collect::<Vec<_>>(), vec![1, 6]);
+    }
+
+    #[test]
+    fn byte_forms_agree_with_the_owned_bitmap() {
+        for bits in [1usize, 4, 8, 12, 16, 1024] {
+            let len = bits.div_ceil(8);
+            for fill in [0x00u8, 0x01, 0x80, 0xF0, 0xFF] {
+                let mut raw = vec![0u8; len];
+                raw[len - 1] = fill;
+                let owned = SmallBitmap::from_bytes(bits, &raw).unwrap();
+                assert_eq!(
+                    SmallBitmap::any_in(bits, &raw),
+                    owned.any(),
+                    "{bits} {fill:#x}"
+                );
+                let mut acc = SmallBitmap::new(bits);
+                acc.set(0);
+                let mut want = acc.clone();
+                want.union_with(&owned);
+                acc.union_with_bytes(&raw);
+                assert_eq!(acc, want, "{bits} {fill:#x}");
+            }
+        }
+        assert!(
+            !SmallBitmap::any_in(16, &[0xFF]),
+            "too short reads as empty"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "width mismatch")]
+    fn union_with_bytes_of_another_width_panics() {
+        SmallBitmap::new(16).union_with_bytes(&[0u8; 1]);
     }
 
     #[test]

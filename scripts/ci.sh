@@ -27,7 +27,8 @@ fi
 
 # Workspace policy rules: retired registry deps, raw std locks, host
 # clock reads, environment reads in library code, the device-layer WORM
-# write surface, the one log reader in clio-core, and the unwrap ratchet.
+# write surface, the one log reader in clio-core, the one entrymap
+# record reader (clio-entrymap's chain.rs), and the unwrap ratchet.
 # clio-lint lexes real token streams, so comments and strings don't trip
 # it the way they tripped the old grep.
 run cargo run --release --offline -p clio-lint
