@@ -17,8 +17,8 @@ use clio_bench::report::Report;
 use clio_bench::table;
 use clio_core::service::{AppendOpts, LogService};
 use clio_core::ServiceConfig;
+use clio_costmodel::workload::TxnWorkload;
 use clio_device::{RamTailDevice, SharedDevice};
-use clio_sim::workload::TxnWorkload;
 use clio_types::{ManualClock, Timestamp, VolumeSeqId};
 use clio_volume::{DevicePool, MemDevicePool};
 

@@ -14,7 +14,6 @@
 //! workload for CI smoke runs; `--shards=1` restores the single global
 //! LRU (the contention baseline).
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
@@ -22,6 +21,7 @@ use clio_bench::report::Report;
 use clio_bench::table;
 use clio_core::service::{AppendOpts, LogService};
 use clio_core::ServiceConfig;
+use clio_testkit::sync::atomic::{AtomicU64, Ordering};
 use clio_types::{EntryAddr, ManualClock, Timestamp, VolumeSeqId};
 use clio_volume::MemDevicePool;
 

@@ -69,7 +69,7 @@ fn run_round(threads: usize, ops: u64) -> RoundResult {
     }
     svc.flush().expect("flush setup");
 
-    let before = svc.obs().device_stats.snapshot();
+    let writes_before = svc.obs().device_stats.write_ops();
     let saved_before = counter(svc.metrics(), "clio_core_forced_writes_saved_total");
     let batches_before = counter(svc.metrics(), "clio_core_group_commit_batches_total");
     let barrier = Arc::new(Barrier::new(threads + 1));
@@ -95,10 +95,9 @@ fn run_round(threads: usize, ops: u64) -> RoundResult {
         h.join().expect("appender thread");
     }
     let secs = start.elapsed().as_secs_f64();
-    let after = svc.obs().device_stats.snapshot();
     RoundResult {
         appends: threads as u64 * ops,
-        device_writes: after.write_ops().saturating_sub(before.write_ops()),
+        device_writes: svc.obs().device_stats.write_ops() - writes_before,
         secs,
         writes_saved: counter(svc.metrics(), "clio_core_forced_writes_saved_total")
             .saturating_sub(saved_before),

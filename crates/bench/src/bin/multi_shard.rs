@@ -58,7 +58,7 @@ fn run_round(shards: usize, logs: usize, ops: u64) -> RoundResult {
     }
     svc.flush().expect("invariant: in-memory flush cannot fail");
 
-    let before = svc.obs().device_stats.snapshot();
+    let writes_before = svc.obs().device_stats.write_ops();
     let barrier = Arc::new(Barrier::new(logs + 1));
     let mut handles = Vec::new();
     for t in 0..logs {
@@ -84,10 +84,9 @@ fn run_round(shards: usize, logs: usize, ops: u64) -> RoundResult {
         h.join().expect("invariant: appender thread does not panic");
     }
     let secs = start.elapsed().as_secs_f64();
-    let after = svc.obs().device_stats.snapshot();
     RoundResult {
         appends: logs as u64 * ops,
-        device_writes: after.write_ops().saturating_sub(before.write_ops()),
+        device_writes: svc.obs().device_stats.write_ops() - writes_before,
         secs,
     }
 }

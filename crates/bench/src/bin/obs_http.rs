@@ -14,7 +14,6 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -23,6 +22,7 @@ use clio_bench::table;
 use clio_core::server::LogServer;
 use clio_core::service::LogService;
 use clio_core::ServiceConfig;
+use clio_testkit::sync::atomic::{AtomicBool, Ordering};
 use clio_types::{ManualClock, Timestamp, VolumeSeqId};
 use clio_volume::MemDevicePool;
 

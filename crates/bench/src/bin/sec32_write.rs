@@ -18,14 +18,16 @@ use clio_bench::table;
 use clio_core::server::LogServer;
 use clio_core::service::LogService;
 use clio_core::ServiceConfig;
-use clio_sim::CostModel;
+use clio_costmodel::CostModel;
 use clio_types::{Timestamp, VolumeSeqId};
 use clio_volume::MemDevicePool;
 
 fn main() {
     let mut report = Report::new("sec32_write", "§3.2 — synchronous log write cost");
     let model = CostModel::default();
-    let clock = Arc::new(clio_sim::CostClock::starting_at(Timestamp::from_secs(1)));
+    let clock = Arc::new(clio_costmodel::CostClock::starting_at(
+        Timestamp::from_secs(1),
+    ));
     let svc = LogService::create(
         VolumeSeqId(1),
         Arc::new(MemDevicePool::new(1024, 1 << 20)),

@@ -5,7 +5,7 @@
 //! search tree nor the log data itself can be expected to be cached. A
 //! read of this type is expected to cost several hundred milliseconds."
 //!
-//! Here the whole service runs on a [`clio_sim::TimedDevice`]: every
+//! Here the whole service runs on a [`clio_costmodel::TimedDevice`]: every
 //! physical access pays the optical-disk seek/transfer costs on a virtual
 //! clock, so the number below is *measured* by driving the real read path
 //! cold, not computed from a formula.
@@ -16,8 +16,8 @@ use clio_bench::report::Report;
 use clio_bench::table;
 use clio_core::service::{AppendOpts, LogService};
 use clio_core::ServiceConfig;
+use clio_costmodel::{CostClock, CostModel, TimedDevice};
 use clio_device::{MemWormDevice, SharedDevice};
-use clio_sim::{CostClock, CostModel, TimedDevice};
 use clio_types::{Timestamp, VolumeSeqId};
 use clio_volume::{DevicePool, MemDevicePool};
 
@@ -75,7 +75,7 @@ fn main() {
         if clear {
             svc.cache().clear();
         }
-        svc.cache().reset_stats();
+        let before = svc.cache().stats();
         let t0 = Timestamp(clock.elapsed_since(Timestamp::ZERO));
         let mut cur = svc.cursor_from_end("/needle").expect("cursor");
         let hit = cur.prev().expect("prev").expect("needle exists");
@@ -84,8 +84,8 @@ fn main() {
         let s = svc.cache().stats();
         rows.push(vec![
             label.to_owned(),
-            format!("{}", s.misses),
-            format!("{}", s.hits),
+            format!("{}", s.misses - before.misses),
+            format!("{}", s.hits - before.hits),
             table::ms(elapsed_us),
         ]);
     }

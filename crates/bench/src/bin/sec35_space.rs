@@ -15,9 +15,9 @@ use clio_bench::report::Report;
 use clio_bench::table;
 use clio_core::service::{AppendOpts, LogService};
 use clio_core::ServiceConfig;
+use clio_costmodel::LoginWorkload;
 use clio_entrymap::BlockSource as _;
 use clio_format::{BlockView, EntrymapRecord};
-use clio_sim::LoginWorkload;
 use clio_types::{LogFileId, ManualClock, Timestamp, VolumeSeqId};
 use clio_volume::MemDevicePool;
 

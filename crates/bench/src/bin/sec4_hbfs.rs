@@ -15,8 +15,8 @@
 use clio_bench::report::Report;
 use clio_bench::table;
 use clio_cache::{BlockCache, CacheKey};
-use clio_sim::workload::{TraceEvent, TraceWorkload};
-use clio_sim::CostModel;
+use clio_costmodel::workload::{TraceEvent, TraceWorkload};
+use clio_costmodel::CostModel;
 use clio_types::BlockNo;
 
 fn main() {

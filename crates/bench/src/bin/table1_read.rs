@@ -16,8 +16,8 @@ use std::collections::BTreeSet;
 use clio_bench::report::Report;
 use clio_bench::synth::{SyntheticSource, SYNTH_FILE};
 use clio_bench::table;
+use clio_costmodel::CostModel;
 use clio_entrymap::Locator;
-use clio_sim::CostModel;
 
 fn main() {
     let mut report = Report::new(

@@ -2,8 +2,9 @@
 //! The shared block cache (buffer pool).
 //!
 //! Clio "is able to use much of the existing mechanism of the file server,
-//! such as the buffer pool" (§2) — the same cache serves the conventional
-//! file system and the log service. Because log blocks are immutable once
+//! such as the buffer pool" (§2). Here it serves the log service — its
+//! volumes and readers; the conventional-FS baseline (`clio-fs`) does its
+//! own block I/O. Because log blocks are immutable once
 //! sealed (the medium is write-once), the cache is a pure read cache with
 //! write-through on append: there are no dirty pages and no write-back
 //! machinery. Hit/miss statistics feed the Table 1 and §4 cache analyses.
@@ -16,11 +17,10 @@
 //! [`BlockCache::new`] keeps the single-shard (exact global LRU)
 //! behaviour for cache-behaviour experiments that must stay reproducible.
 
-use clio_testkit::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
-use clio_obs::TraceRing;
+use clio_obs::{Counter, Gauge, MetricsRegistry, TraceRing};
 use clio_testkit::sync::{Condvar, Mutex};
 
 use clio_types::{BlockNo, Result};
@@ -55,16 +55,34 @@ impl CacheKey {
     }
 }
 
-/// Per-shard statistics counters (shared-cache totals are their sum).
+/// One shard's statistics handles (shared-cache totals are their sums).
+/// The cache creates them — its constructors take no registry — and
+/// [`BlockCache::register_into`] has a registry adopt them.
 #[derive(Debug, Default)]
 struct Counters {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    inserts: AtomicU64,
-    evictions: AtomicU64,
+    hits: Arc<Counter>,
+    misses: Arc<Counter>,
+    inserts: Arc<Counter>,
+    evictions: Arc<Counter>,
+    /// Blocks resident in the shard: moved with the shard's map, under its
+    /// lock, so [`BlockCache::len`] never takes one.
+    resident: Arc<Gauge>,
 }
 
-/// A point-in-time copy of the cache counters.
+impl Counters {
+    fn snapshot(&self) -> CacheSnapshot {
+        CacheSnapshot {
+            hits: self.hits.get(),
+            misses: self.misses.get(),
+            inserts: self.inserts.get(),
+            evictions: self.evictions.get(),
+            duplicate_loads: 0,
+        }
+    }
+}
+
+/// A point-in-time copy of the cache counters: a view derived from the
+/// per-shard handles, not a second set of counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheSnapshot {
     /// Lookups served from the cache.
@@ -181,10 +199,7 @@ pub struct BlockCache {
     /// `shards.len() - 1`; shard count is always a power of two.
     mask: u64,
     capacity: usize,
-    /// Total resident blocks, maintained alongside the per-shard maps so
-    /// [`BlockCache::len`] never takes a lock.
-    resident: AtomicUsize,
-    duplicate_loads: AtomicU64,
+    duplicate_loads: Arc<Counter>,
     inflight: Mutex<HashMap<CacheKey, Arc<Flight>>>,
     /// When attached, single-flight loads record `cache_load` /
     /// `cache_wait` spans, nesting under the reading operation's span.
@@ -232,8 +247,7 @@ impl BlockCache {
             shards: shards.into_boxed_slice(),
             mask: (n - 1) as u64,
             capacity: capacity_blocks,
-            resident: AtomicUsize::new(0),
-            duplicate_loads: AtomicU64::new(0),
+            duplicate_loads: Arc::default(),
             inflight: Mutex::with_class(HashMap::new(), "cache.inflight"),
             trace: OnceLock::new(),
         }
@@ -257,7 +271,8 @@ impl BlockCache {
     /// Number of blocks currently cached (lock-free).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.resident.load(Ordering::Relaxed)
+        let resident: i64 = self.shards.iter().map(|s| s.counters.resident.get()).sum();
+        usize::try_from(resident).unwrap_or(0)
     }
 
     /// Whether the cache is empty.
@@ -286,10 +301,10 @@ impl BlockCache {
         if let Some(e) = g.map.get(&key) {
             let data = e.data.clone();
             g.touch(key);
-            shard.counters.hits.fetch_add(1, Ordering::Relaxed);
+            shard.counters.hits.inc();
             Some(data)
         } else {
-            shard.counters.misses.fetch_add(1, Ordering::Relaxed);
+            shard.counters.misses.inc();
             None
         }
     }
@@ -304,18 +319,18 @@ impl BlockCache {
         if let Some(old) = g.map.insert(key, Entry { data, tick }) {
             g.by_tick.remove(&old.tick);
         } else {
-            self.resident.fetch_add(1, Ordering::Relaxed);
+            shard.counters.resident.add(1);
         }
         g.by_tick.insert(tick, key);
-        shard.counters.inserts.fetch_add(1, Ordering::Relaxed);
+        shard.counters.inserts.inc();
         while g.map.len() > shard.capacity {
             let Some((&t, &victim)) = g.by_tick.iter().next() else {
                 break;
             };
             g.by_tick.remove(&t);
             g.map.remove(&victim);
-            self.resident.fetch_sub(1, Ordering::Relaxed);
-            shard.counters.evictions.fetch_add(1, Ordering::Relaxed);
+            shard.counters.resident.add(-1);
+            shard.counters.evictions.inc();
         }
     }
 
@@ -372,7 +387,7 @@ impl BlockCache {
             // load of the same block. The span drops after `g` releases
             // the flight lock (reverse declaration order), so the ring
             // mutex is only ever taken with no other lock held here.
-            self.duplicate_loads.fetch_add(1, Ordering::Relaxed);
+            self.duplicate_loads.inc();
             let _span = self.load_span("cache_wait");
             let g = flight
                 .cv
@@ -392,7 +407,7 @@ impl BlockCache {
         let mut g = shard.inner.lock();
         if let Some(e) = g.map.remove(&key) {
             g.by_tick.remove(&e.tick);
-            self.resident.fetch_sub(1, Ordering::Relaxed);
+            shard.counters.resident.add(-1);
         }
     }
 
@@ -400,9 +415,9 @@ impl BlockCache {
     pub fn clear(&self) {
         for shard in &self.shards {
             let mut g = shard.inner.lock();
-            self.resident.fetch_sub(g.map.len(), Ordering::Relaxed);
             g.map.clear();
             g.by_tick.clear();
+            shard.counters.resident.set(0);
         }
     }
 
@@ -410,14 +425,15 @@ impl BlockCache {
     #[must_use]
     pub fn stats(&self) -> CacheSnapshot {
         let mut s = CacheSnapshot {
-            duplicate_loads: self.duplicate_loads.load(Ordering::Relaxed),
+            duplicate_loads: self.duplicate_loads.get(),
             ..CacheSnapshot::default()
         };
-        for shard in &self.shards {
-            s.hits += shard.counters.hits.load(Ordering::Relaxed);
-            s.misses += shard.counters.misses.load(Ordering::Relaxed);
-            s.inserts += shard.counters.inserts.load(Ordering::Relaxed);
-            s.evictions += shard.counters.evictions.load(Ordering::Relaxed);
+        for i in 0..self.shards.len() {
+            let shard = self.shard_stats(i);
+            s.hits += shard.hits;
+            s.misses += shard.misses;
+            s.inserts += shard.inserts;
+            s.evictions += shard.evictions;
         }
         s
     }
@@ -425,71 +441,40 @@ impl BlockCache {
     /// The statistics of one shard (for contention analysis).
     #[must_use]
     pub fn shard_stats(&self, index: usize) -> CacheSnapshot {
-        let shard = &self.shards[index];
-        CacheSnapshot {
-            hits: shard.counters.hits.load(Ordering::Relaxed),
-            misses: shard.counters.misses.load(Ordering::Relaxed),
-            inserts: shard.counters.inserts.load(Ordering::Relaxed),
-            evictions: shard.counters.evictions.load(Ordering::Relaxed),
-            duplicate_loads: 0,
-        }
+        self.shards[index].counters.snapshot()
     }
 
-    /// Resident blocks in one shard (takes that shard's lock only).
-    #[must_use]
-    pub fn shard_len(&self, index: usize) -> usize {
-        self.shards[index].inner.lock().map.len()
-    }
-
-    /// Registers the cache counters and occupancy into `reg` under the
-    /// `clio_cache_*` namespace, including a per-shard collector set
-    /// (`clio_cache_shard<i>_*`) when the cache has more than one shard.
-    pub fn register_into(self: &Arc<BlockCache>, reg: &clio_obs::MetricsRegistry) {
-        type Field = fn(&CacheSnapshot) -> u64;
-        let counters: [(&str, Field); 5] = [
-            ("clio_cache_hits_total", |s| s.hits),
-            ("clio_cache_misses_total", |s| s.misses),
-            ("clio_cache_inserts_total", |s| s.inserts),
-            ("clio_cache_evictions_total", |s| s.evictions),
-            ("clio_cache_duplicate_loads_total", |s| s.duplicate_loads),
-        ];
-        for (name, read) in counters {
-            let cache = self.clone();
-            reg.register_counter_fn(name, move || read(&cache.stats()));
-        }
-        let cache = self.clone();
-        reg.register_gauge_fn("clio_cache_resident_blocks", move || cache.len() as i64);
-        let cap = self.capacity() as i64;
-        reg.register_gauge_fn("clio_cache_capacity_blocks", move || cap);
-        let n = self.shard_count() as i64;
-        reg.register_gauge_fn("clio_cache_shards", move || n);
-        if self.shard_count() > 1 {
-            for i in 0..self.shard_count() {
-                let cache = self.clone();
-                reg.register_counter_fn(&format!("clio_cache_shard{i}_hits_total"), move || {
-                    cache.shard_stats(i).hits
-                });
-                let cache = self.clone();
-                reg.register_counter_fn(&format!("clio_cache_shard{i}_misses_total"), move || {
-                    cache.shard_stats(i).misses
-                });
-                let cache = self.clone();
-                reg.register_gauge_fn(&format!("clio_cache_shard{i}_resident_blocks"), move || {
-                    cache.shard_len(i) as i64
-                });
+    /// Has `reg` adopt the cache's handles under the `clio_cache_*`
+    /// namespace: each total is the sum of its per-shard stripes, and a
+    /// cache of more than one shard also serves the stripes themselves
+    /// (`clio_cache_shard<i>_*`).
+    pub fn register_into(&self, reg: &MetricsRegistry) {
+        for (i, shard) in self.shards.iter().enumerate() {
+            let c = &shard.counters;
+            reg.adopt("clio_cache_hits_total", c.hits.clone());
+            reg.adopt("clio_cache_misses_total", c.misses.clone());
+            reg.adopt("clio_cache_inserts_total", c.inserts.clone());
+            reg.adopt("clio_cache_evictions_total", c.evictions.clone());
+            reg.adopt("clio_cache_resident_blocks", c.resident.clone());
+            if self.shards.len() > 1 {
+                reg.adopt(&format!("clio_cache_shard{i}_hits_total"), c.hits.clone());
+                reg.adopt(
+                    &format!("clio_cache_shard{i}_misses_total"),
+                    c.misses.clone(),
+                );
+                reg.adopt(
+                    &format!("clio_cache_shard{i}_resident_blocks"),
+                    c.resident.clone(),
+                );
             }
         }
-    }
-
-    /// Zeroes the statistics counters (contents are untouched).
-    pub fn reset_stats(&self) {
-        for shard in &self.shards {
-            shard.counters.hits.store(0, Ordering::Relaxed);
-            shard.counters.misses.store(0, Ordering::Relaxed);
-            shard.counters.inserts.store(0, Ordering::Relaxed);
-            shard.counters.evictions.store(0, Ordering::Relaxed);
-        }
-        self.duplicate_loads.store(0, Ordering::Relaxed);
+        reg.adopt(
+            "clio_cache_duplicate_loads_total",
+            self.duplicate_loads.clone(),
+        );
+        reg.gauge("clio_cache_capacity_blocks")
+            .set(self.capacity as i64);
+        reg.gauge("clio_cache_shards").set(self.shards.len() as i64);
     }
 }
 
@@ -826,5 +811,14 @@ mod tests {
         assert!(text.contains("clio_cache_shard3_resident_blocks"));
         assert!(text.contains("clio_cache_duplicate_loads_total 0"));
         assert!(text.contains("clio_cache_hits_total 32"));
+        // The totals are the stripes' sums, and residency tracks the maps.
+        assert!(text.contains("clio_cache_resident_blocks 32"));
+        let resident: usize = c.shards.iter().map(|s| s.inner.lock().map.len()).sum();
+        assert_eq!(c.len(), resident);
+        c.invalidate(key(0));
+        c.put(key(1), data(2));
+        assert_eq!(c.len(), 31);
+        c.clear();
+        assert!(clio_obs::expo::render_prometheus(&reg).contains("clio_cache_resident_blocks 0"));
     }
 }

@@ -111,8 +111,7 @@ impl ServiceObs {
     #[must_use]
     pub fn new(trace_events: usize) -> Arc<ServiceObs> {
         let registry = Arc::new(MetricsRegistry::new());
-        let device_stats = DeviceStats::new();
-        device_stats.register_into(&registry);
+        let device_stats = DeviceStats::new(&registry);
         let trace = Arc::new(TraceRing::new(trace_events));
         if trace.capacity() > 0 {
             device_stats.attach_trace(trace.clone());
@@ -309,8 +308,9 @@ impl ServiceObs {
         }
     }
 
-    /// Registers the shared block cache's counters and, when tracing is
-    /// enabled, hooks the cache's single-flight loads into the trace ring.
+    /// Adopts the shared block cache's counters into the registry and, when
+    /// tracing is enabled, hooks the cache's single-flight loads into the
+    /// trace ring.
     pub fn attach_cache(&self, cache: &Arc<clio_cache::BlockCache>) {
         cache.register_into(&self.registry);
         if self.trace.capacity() > 0 {
@@ -448,6 +448,6 @@ mod tests {
         let pool = InstrumentingPool::new(Arc::new(MemDevicePool::new(64, 8)), obs.clone());
         let dev = pool.next_device().unwrap();
         dev.append_block(BlockNo(0), &[0u8; 64]).unwrap();
-        assert_eq!(obs.device_stats.snapshot().appends, 1);
+        assert_eq!(obs.device_stats.appends.get(), 1);
     }
 }

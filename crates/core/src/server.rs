@@ -5,7 +5,7 @@
 //! measurements decompose a synchronous log write into IPC, timestamping
 //! and block-cache work. [`LogServer`] runs a [`LogService`] on its own
 //! thread behind a message channel, and [`ClioClient`] issues synchronous
-//! requests, counting round trips so the `clio-sim` cost model can charge
+//! requests, counting round trips so the `clio-costmodel` cost model can charge
 //! the paper's measured per-IPC latency.
 
 use clio_testkit::sync::atomic::{AtomicU64, Ordering};

@@ -6,27 +6,12 @@
 //! header cost. The service counts every byte it writes so the §3.5 harness
 //! can report measured values of all these quantities.
 
-use std::collections::BTreeMap;
-
 use clio_types::LogFileId;
-
-/// Per-log-file byte accounting.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FileStats {
-    /// Entries appended.
-    pub entries: u64,
-    /// Client payload bytes.
-    pub client_bytes: u64,
-    /// In-data header bytes plus index slots.
-    pub overhead_bytes: u64,
-}
 
 /// Running space accounting for a service instance (session-scoped; it is
 /// not persisted and restarts from zero after recovery).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SpaceStats {
-    /// Per-file counters for client log files.
-    pub per_file: BTreeMap<LogFileId, FileStats>,
     /// Total client entries appended.
     pub entries: u64,
     /// Total client payload bytes.
@@ -51,11 +36,7 @@ pub struct SpaceStats {
 }
 
 impl SpaceStats {
-    pub(crate) fn note_client_entry(&mut self, id: LogFileId, payload: usize, overhead: usize) {
-        let f = self.per_file.entry(id).or_default();
-        f.entries += 1;
-        f.client_bytes += payload as u64;
-        f.overhead_bytes += overhead as u64;
+    pub(crate) fn note_client_entry(&mut self, payload: usize, overhead: usize) {
         self.entries += 1;
         self.client_bytes += payload as u64;
         self.header_bytes += overhead as u64;
@@ -82,12 +63,6 @@ impl SpaceStats {
     /// Folds another accounting into this one — how the sharded service
     /// derives whole-service totals from its per-shard accountants.
     pub fn merge(&mut self, other: &SpaceStats) {
-        for (id, f) in &other.per_file {
-            let e = self.per_file.entry(*id).or_default();
-            e.entries += f.entries;
-            e.client_bytes += f.client_bytes;
-            e.overhead_bytes += f.overhead_bytes;
-        }
         self.entries += other.entries;
         self.client_bytes += other.client_bytes;
         self.header_bytes += other.header_bytes;
@@ -189,7 +164,7 @@ mod tests {
     #[test]
     fn display_is_one_line() {
         let mut s = SpaceStats::default();
-        s.note_client_entry(LogFileId(8), 50, 4);
+        s.note_client_entry(50, 4);
         let line = format!("{}", s.report());
         assert!(line.contains("entries=1"));
         assert!(line.contains("client_bytes=50"));
@@ -199,13 +174,12 @@ mod tests {
     #[test]
     fn accounting_sums() {
         let mut s = SpaceStats::default();
-        s.note_client_entry(LogFileId(8), 50, 4);
-        s.note_client_entry(LogFileId(8), 30, 12);
-        s.note_client_entry(LogFileId(9), 20, 4);
+        s.note_client_entry(50, 4);
+        s.note_client_entry(30, 12);
+        s.note_client_entry(20, 4);
         assert_eq!(s.entries, 3);
         assert_eq!(s.client_bytes, 100);
         assert_eq!(s.header_bytes, 20);
-        assert_eq!(s.per_file[&LogFileId(8)].entries, 2);
         s.note_service_entry(LogFileId::ENTRYMAP, 40);
         s.note_service_entry(LogFileId::CATALOG, 25);
         s.note_sealed_block(100, 18);
@@ -222,7 +196,7 @@ mod tests {
         // §2.2: 4-byte overhead on 36 bytes of data is under 10%.
         let mut s = SpaceStats::default();
         for _ in 0..100 {
-            s.note_client_entry(LogFileId(8), 37, 4);
+            s.note_client_entry(37, 4);
         }
         assert!(s.report().header_overhead_pct() < 10.0 + 1e-9);
     }
@@ -230,12 +204,12 @@ mod tests {
     #[test]
     fn merge_sums_every_field() {
         let mut a = SpaceStats::default();
-        a.note_client_entry(LogFileId(8), 50, 4);
+        a.note_client_entry(50, 4);
         a.note_service_entry(LogFileId::ENTRYMAP, 40);
         a.note_sealed_block(10, 18);
         let mut b = SpaceStats::default();
-        b.note_client_entry(LogFileId(8), 30, 4);
-        b.note_client_entry(LogFileId(9), 20, 4);
+        b.note_client_entry(30, 4);
+        b.note_client_entry(20, 4);
         b.note_service_entry(LogFileId::CATALOG, 25);
         b.note_sealed_block(5, 18);
         let mut m = a.clone();
@@ -243,8 +217,6 @@ mod tests {
         assert_eq!(m.entries, 3);
         assert_eq!(m.client_bytes, 100);
         assert_eq!(m.header_bytes, 12);
-        assert_eq!(m.per_file[&LogFileId(8)].entries, 2);
-        assert_eq!(m.per_file[&LogFileId(9)].entries, 1);
         assert_eq!(m.blocks_sealed, 2);
         assert_eq!(
             m.report().device_bytes,

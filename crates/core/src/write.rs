@@ -474,7 +474,7 @@ fn account(
     is_client: bool,
 ) {
     if is_client {
-        stats.note_client_entry(header.id, payload, overhead);
+        stats.note_client_entry(payload, overhead);
     } else {
         stats.note_service_entry(header.id, payload + overhead);
     }

@@ -82,7 +82,7 @@ fn announced_arrivals_share_the_leaders_write() {
     const PAYLOADS: [&[u8]; 4] = [b"alpha", b"bravo", b"charlie", b"delta"];
     let svc = service(Arc::new(MemDevicePool::new(256, 4096)));
     svc.create_log("/txn").unwrap();
-    let writes_before = svc.obs().device_stats.snapshot().write_ops();
+    let writes_before = svc.obs().device_stats.write_ops();
 
     let receipts = release_together(&svc, &PAYLOADS, || {});
 
@@ -91,7 +91,7 @@ fn announced_arrivals_share_the_leaders_write() {
         0,
         "every announcement was withdrawn"
     );
-    let writes = svc.obs().device_stats.snapshot().write_ops() - writes_before;
+    let writes = svc.obs().device_stats.write_ops() - writes_before;
     let timeouts = metric(&svc, TIMEOUTS);
     println!(
         "{} announced appends: {writes} device write(s), {timeouts} timed-out arrival wait(s)",
@@ -231,7 +231,7 @@ fn contended_forced_appends_lose_nothing() {
     for t in 0..THREADS {
         svc.create_log(&format!("/txn/c{t}")).unwrap();
     }
-    let writes_before = svc.obs().device_stats.snapshot().write_ops();
+    let writes_before = svc.obs().device_stats.write_ops();
     let barrier = std::sync::Barrier::new(THREADS as usize);
     let receipts: Vec<Vec<Receipt>> = std::thread::scope(|s| {
         let appenders: Vec<_> = (0..THREADS)
@@ -251,7 +251,7 @@ fn contended_forced_appends_lose_nothing() {
             .collect();
         appenders.into_iter().map(|h| h.join().unwrap()).collect()
     });
-    let writes = svc.obs().device_stats.snapshot().write_ops() - writes_before;
+    let writes = svc.obs().device_stats.write_ops() - writes_before;
     assert!(
         writes <= THREADS * PER_THREAD,
         "{writes} device writes for {} forced appends",

@@ -333,7 +333,7 @@ fn dense_scan_looks_each_block_up_once() {
     // Cold cache, so device reads are countable too.
     let reg = svc.metrics().clone();
     svc.cache().clear();
-    svc.cache().reset_stats();
+    let cache_before = svc.cache().stats();
     let device_before = counter(&reg, "clio_device_reads_total");
     let locates_before = counter(&reg, "clio_core_locates_total");
     let locate_blocks_before = histogram(&reg, "clio_core_locate_blocks").sum;
@@ -344,7 +344,8 @@ fn dense_scan_looks_each_block_up_once() {
     assert!(got.iter().zip(0..).all(|(e, i)| e.data == payload(i)));
 
     let cache = svc.cache().stats();
-    let lookups = cache.hits + cache.misses;
+    let misses = cache.misses - cache_before.misses;
+    let lookups = cache.hits - cache_before.hits + misses;
     let locates = counter(&reg, "clio_core_locates_total") - locates_before;
     let locate_blocks = histogram(&reg, "clio_core_locate_blocks").sum - locate_blocks_before;
     println!(
@@ -371,7 +372,7 @@ fn dense_scan_looks_each_block_up_once() {
     );
     // Every block is loaded from the device exactly once, as before.
     let device_reads = counter(&reg, "clio_device_reads_total") - device_before;
-    assert_eq!(device_reads, cache.misses);
+    assert_eq!(device_reads, misses);
     assert!(
         (blocks - 1..=blocks).contains(&device_reads),
         "{device_reads} device reads for {blocks} blocks"
@@ -424,7 +425,7 @@ fn sparse_scan_reads_each_map_once() {
 
     let reg = svc.metrics().clone();
     svc.cache().clear();
-    svc.cache().reset_stats();
+    let cache_before = svc.cache().stats();
     let locates_before = counter(&reg, "clio_core_locates_total");
     let locate_blocks_before = histogram(&reg, "clio_core_locate_blocks").sum;
     let memo_hits_before = counter(&reg, "clio_core_locate_memo_hits_total");
@@ -435,7 +436,7 @@ fn sparse_scan_reads_each_map_once() {
     assert!(got.iter().zip(0..).all(|(e, i)| e.data == payload(i)));
 
     let cache = svc.cache().stats();
-    let lookups = cache.hits + cache.misses;
+    let lookups = cache.hits + cache.misses - cache_before.hits - cache_before.misses;
     let locates = counter(&reg, "clio_core_locates_total") - locates_before;
     let locate_blocks = histogram(&reg, "clio_core_locate_blocks").sum - locate_blocks_before;
     let memo_hits = counter(&reg, "clio_core_locate_memo_hits_total") - memo_hits_before;
@@ -637,4 +638,78 @@ fn append_span_blocks_are_per_op_beside_a_reader() {
     for s in of(buffered_log) {
         assert_eq!(blocks_attr(s), 0, "a buffered append wrote nothing");
     }
+}
+
+/// One line per series of `reg`, sorted by identity: the identity alone
+/// for wall-clock series, `identity value` for everything a
+/// single-threaded script decides (counters, gauges other than `_us`
+/// timings, and a histogram's sample count).
+fn surface(phase: &str, reg: &MetricsRegistry) -> String {
+    let mut out = String::new();
+    for s in reg.gather() {
+        let id = s.identity();
+        let line = match &s.value {
+            MetricValue::Counter(v) => format!("{phase} {id} {v}"),
+            MetricValue::Gauge(_) if s.name.ends_with("_us") => format!("{phase} {id}"),
+            MetricValue::Gauge(v) => format!("{phase} {id} {v}"),
+            MetricValue::Histogram(h) => format!("{phase} {id} count={}", h.count),
+        };
+        out.push_str(&line);
+        out.push('\n');
+    }
+    out
+}
+
+/// The `/metrics` surface is a contract: every series a scripted service
+/// lifetime serves, and every value the script decides, is pinned in
+/// `metrics_surface.txt`. A refactor of how things are counted must leave
+/// this file alone. (To re-pin after a deliberate change, replace the file
+/// with the "actual" text a failing run prints.)
+#[test]
+fn metrics_surface_is_pinned() {
+    let pool = Arc::new(RecordingPool::new(Arc::new(MemDevicePool::new(256, 4096))));
+    let clock = clock();
+    // A cache small enough (two blocks a shard) that the script evicts.
+    let cfg = ServiceConfig {
+        cache_blocks: 16,
+        ..ServiceConfig::small().with_shards(2)
+    };
+    let svc =
+        LogService::create(VolumeSeqId(40), pool.clone(), cfg.clone(), clock.clone()).unwrap();
+    let logs: Vec<_> = ["/a", "/b", "/c"]
+        .iter()
+        .map(|p| svc.create_log(p).unwrap())
+        .collect();
+    let mut receipts = Vec::new();
+    for i in 0..90u32 {
+        let opts = if i % 7 == 0 {
+            AppendOpts::forced()
+        } else {
+            AppendOpts::standard()
+        };
+        receipts.push(
+            svc.append(logs[(i % 3) as usize], &payload(i), opts)
+                .unwrap(),
+        );
+    }
+    svc.flush().unwrap();
+    let mut cur = svc.cursor("/b").unwrap();
+    assert_eq!(cur.collect_remaining().unwrap().len(), 30);
+    svc.cache().clear();
+    assert_eq!(svc.read_entry(receipts[41].addr).unwrap().data, payload(41));
+    let _ = svc.metrics_text();
+    let mut actual = surface("run", svc.metrics());
+
+    drop(svc);
+    let (svc, _) = LogService::recover(pool.devices(), pool.clone(), cfg, clock).unwrap();
+    let mut cur = svc.cursor("/c").unwrap();
+    assert_eq!(cur.collect_remaining().unwrap().len(), 30);
+    let _ = svc.metrics_text();
+    actual.push_str(&surface("recovered", svc.metrics()));
+
+    let pinned = include_str!("metrics_surface.txt");
+    assert!(
+        actual == pinned,
+        "the /metrics surface moved.\n--- actual ---\n{actual}--- pinned ---\n{pinned}"
+    );
 }

@@ -55,13 +55,13 @@ fn run_script() -> Outcome {
     svc.create_log("/audit").unwrap();
     svc.create_log("/audit/sub").unwrap();
 
-    let before = svc.obs().device_stats.snapshot().write_ops();
+    let before = svc.obs().device_stats.write_ops();
     for i in 0..FORCED_APPENDS {
         let len = 10 + (i as usize * 7) % 90;
         svc.append_path("/txn", &payload(i, len), AppendOpts::forced())
             .unwrap();
     }
-    let forced_phase_write_ops = svc.obs().device_stats.snapshot().write_ops() - before;
+    let forced_phase_write_ops = svc.obs().device_stats.write_ops() - before;
 
     let mut x = 0x14u32;
     for i in 0..BUFFERED_APPENDS {

@@ -1256,7 +1256,12 @@ fn publish_is_flat_in_queue_depth() {
     let queue_depth = svc.metrics().gauge("clio_core_shard0_sealed_queue_blocks");
     let publishes_before = publishes.get();
     let sealed_before = svc.report().blocks_sealed;
-    let dev_before = svc.obs().device_stats.snapshot();
+    let dev = svc.obs().device_stats.clone();
+    let (batches_before, batch_blocks_before, appends_before) = (
+        dev.batch_appends.get(),
+        dev.append_batch_blocks.sum(),
+        dev.appends.get(),
+    );
 
     for i in 0..20_000u32 {
         let mut payload = i.to_le_bytes().to_vec();
@@ -1276,11 +1281,13 @@ fn publish_is_flat_in_queue_depth() {
     );
     // Everything that reached the device went as full-batch vectored
     // writes; the rest is still queued or open.
-    let dev = svc.obs().device_stats.snapshot();
-    let writes = dev.batch_appends - dev_before.batch_appends;
+    let writes = dev.batch_appends.get() - batches_before;
     assert_eq!(writes, sealed / batch);
-    assert_eq!(dev.batch_blocks - dev_before.batch_blocks, writes * batch);
-    assert_eq!(dev.appends - dev_before.appends, writes * batch);
+    assert_eq!(
+        dev.append_batch_blocks.sum() - batch_blocks_before,
+        writes * batch
+    );
+    assert_eq!(dev.appends.get() - appends_before, writes * batch);
     assert_eq!(queue_depth.get() as u64, sealed % batch);
 }
 

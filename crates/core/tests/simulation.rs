@@ -20,15 +20,16 @@
 //! and `verify_appends` on a medium that also garbles a share of its
 //! appends, so verified seals, re-placement and displaced receipts meet
 //! the same crashes. The seed-sweep width is `CLIO_SIM_SEEDS` (default 5;
-//! CI's storm pass uses 25).
+//! CI's storm pass uses 25); every seed that ever failed is kept in
+//! `sim_seeds.txt` and replayed by every storm beside the fresh ones.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use clio_core::service::{AppendOpts, LogService};
 use clio_core::ServiceConfig;
+use clio_costmodel::CostModel;
 use clio_device::{CrashSwitch, FaultPlan, FaultyDevice, RamTailDevice, SharedDevice};
-use clio_sim::CostModel;
 use clio_testkit::rng::splitmix64;
 use clio_testkit::sim::{
     check_history, check_history_with_shards, Addr, EventKind, History, LogScan, Op, Outcome,
@@ -605,7 +606,10 @@ fn sim_storm() {
         check_seed(seed);
         return;
     }
-    for seed in 0..storm_width() {
+    let corpus = include_str!("sim_seeds.txt")
+        .lines()
+        .filter_map(|l| l.split('#').next()?.trim().parse::<u64>().ok());
+    for seed in corpus.chain(0..storm_width()) {
         check_seed(seed);
     }
 }

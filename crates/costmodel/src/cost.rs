@@ -1,7 +1,6 @@
 //! The paper's measured per-operation costs (§3.2, §3.3.2, §4).
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
+use clio_testkit::sync::atomic::{AtomicU64, Ordering};
 use clio_types::{Clock, Timestamp};
 
 /// Per-operation latencies in microseconds, defaulted to the paper's

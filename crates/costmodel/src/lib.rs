@@ -1,5 +1,7 @@
 #![warn(missing_docs)]
-//! Simulation substrate: the 1987 cost model and workload generators.
+//! The 1987 cost model and workload generators. (The deterministic
+//! whole-system *simulator* is `clio_testkit::sim`; this crate prices op
+//! counts, it schedules nothing.)
 //!
 //! We measure *operation counts* (block reads, cache hits, IPC round
 //! trips…) on the real implementation and convert them to the paper's

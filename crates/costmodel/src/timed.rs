@@ -6,10 +6,10 @@
 //! then *measure* modelled latency by driving the real service and reading
 //! the clock, instead of computing it from operation counts.
 
-use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
 use clio_device::{LogDevice, SharedDevice};
+use clio_testkit::sync::atomic::{AtomicI64, Ordering};
 use clio_types::{BlockNo, Result};
 
 use crate::cost::{CostClock, CostModel};

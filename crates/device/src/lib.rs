@@ -38,6 +38,6 @@ pub use file::FileWormDevice;
 pub use mem::MemWormDevice;
 pub use mirror::MirroredDevice;
 pub use ram_tail::RamTailDevice;
-pub use stats::{DeviceStats, InstrumentedDevice, StatsSnapshot};
+pub use stats::{DeviceStats, InstrumentedDevice};
 pub use store::{BlockStore, FileBlockStore, MemBlockStore};
 pub use traits::{LogDevice, SharedDevice};

@@ -23,7 +23,7 @@
 
 use std::collections::BTreeMap;
 
-use clio_testkit::sync::Mutex;
+use clio_testkit::sync::{Mutex, MutexGuard};
 
 use clio_types::{BlockNo, ClioError, Result, INVALIDATED_BYTE};
 
@@ -45,6 +45,21 @@ struct TailState {
     /// Images whose WORM burn was torn (the medium slot holds garbage):
     /// the battery-backed RAM serves them forever, keyed by block number.
     orphans: BTreeMap<u64, Vec<u8>>,
+    /// What a failed burn of the staged block meant to land, kept while the
+    /// medium cannot say what did land (it is down, or the slot does not
+    /// read). The staged image stays beside it; the next use of the device
+    /// on which the medium answers retires or orphans that image.
+    unsettled: Option<Vec<u8>>,
+}
+
+/// What the medium holds where a failed burn was aimed.
+enum Landed {
+    Nothing,
+    Intended,
+    Garbage,
+    /// The medium did not answer: *could not read* is not *read something
+    /// else*, and only the latter may orphan the staged image.
+    Unknown,
 }
 
 struct Tail {
@@ -64,6 +79,7 @@ impl RamTailDevice {
                 TailState {
                     tail: None,
                     orphans: BTreeMap::new(),
+                    unsettled: None,
                 },
                 "device.ram_tail",
             ),
@@ -81,14 +97,13 @@ impl RamTailDevice {
     /// Whether a tail buffer currently holds an unsealed block. Test hook.
     #[must_use]
     pub fn has_tail(&self) -> bool {
-        self.tail.lock().tail.is_some()
+        self.settled().tail.is_some()
     }
 
     /// Blocks pinned in NV RAM because their burn was torn. Test hook.
     #[must_use]
     pub fn orphaned_blocks(&self) -> Vec<BlockNo> {
-        self.tail
-            .lock()
+        self.settled()
             .orphans
             .keys()
             .copied()
@@ -96,55 +111,87 @@ impl RamTailDevice {
             .collect()
     }
 
-    /// True if the medium holds exactly `intended` at `block`.
-    fn medium_matches(&self, block: BlockNo, intended: &[u8]) -> bool {
+    /// Asks the medium what a failed burn of `intended` at `block` left.
+    fn landed(&self, block: BlockNo, intended: &[u8]) -> Landed {
+        match self.inner.is_written(block) {
+            Ok(true) => {}
+            Ok(false) => return Landed::Nothing,
+            Err(_) => return Landed::Unknown,
+        }
         let mut buf = vec![0u8; self.inner.block_size()];
-        self.inner
-            .read_block(block, &mut buf)
-            .map(|()| buf == intended)
-            .unwrap_or(false)
+        match self.inner.read_block(block, &mut buf) {
+            Ok(()) if buf == intended => Landed::Intended,
+            Ok(()) => Landed::Garbage,
+            Err(_) => Landed::Unknown,
+        }
     }
 
     /// Settles the staged image after a burn of `intended` at its block
-    /// failed. Three cases: nothing landed (keep the image staged for a
-    /// retry), the intended bytes landed despite the error (retire the
-    /// image), or the slot was torn with garbage (orphan the image — the
-    /// slot is unusable, the NV copy is now the authoritative content).
-    fn settle_failed_burn(&self, st: &mut TailState, block: BlockNo, intended: &[u8]) {
-        if !self.inner.is_written(block).unwrap_or(false) {
+    /// failed. Nothing landed: keep the image staged for a retry. The
+    /// intended bytes landed despite the error: retire the image. The slot
+    /// was torn with garbage: orphan the image — the slot is unusable, the
+    /// NV copy is now the authoritative content. The medium cannot say:
+    /// keep both and decide later (`settled`).
+    fn settle_failed_burn(&self, st: &mut TailState, intended: Vec<u8>) {
+        let Some(t) = &st.tail else {
             return;
-        }
-        let landed_ok = self.medium_matches(block, intended);
-        if let Some(t) = st.tail.take() {
-            if !landed_ok {
-                st.orphans.insert(t.block.0, t.data);
+        };
+        match self.landed(t.block, &intended) {
+            Landed::Nothing => {}
+            Landed::Intended => st.tail = None,
+            Landed::Garbage => {
+                if let Some(t) = st.tail.take() {
+                    st.orphans.insert(t.block.0, t.data);
+                }
             }
+            Landed::Unknown => st.unsettled = Some(intended),
         }
+    }
+
+    /// The tail state for an op that reads it, an unsettled burn decided
+    /// first if the medium now answers (if not, the staged image keeps
+    /// answering, as it did before the burn).
+    fn settled(&self) -> MutexGuard<'_, TailState> {
+        let mut g = self.tail.lock();
+        if let Some(intended) = g.unsettled.take() {
+            self.settle_failed_burn(&mut g, intended);
+        }
+        g
+    }
+
+    /// The tail state for an op that writes: a burn whose outcome is still
+    /// unknown must be decided before anything is built on that slot.
+    fn settled_for_write(&self) -> Result<MutexGuard<'_, TailState>> {
+        let g = self.settled();
+        if g.unsettled.is_some() {
+            return Err(ClioError::Io(
+                "RAM tail: the medium cannot yet say what a failed burn left".to_owned(),
+            ));
+        }
+        Ok(g)
     }
 
     /// Burns the staged image through to WORM (the "drain" when an append
     /// moves past a staged block). On a torn burn the image is orphaned
-    /// and draining counts as done; a burn that wrote nothing keeps the
-    /// image staged and surfaces the error.
+    /// and draining counts as done; a burn that wrote nothing, or whose
+    /// outcome the medium cannot report, keeps the image staged and
+    /// surfaces the error.
     fn drain_staged(&self, st: &mut TailState) -> Result<()> {
         let Some(t) = &st.tail else {
             return Ok(());
         };
-        let (block, r) = (t.block, self.inner.append_block(t.block, &t.data));
-        match r {
+        match self.inner.append_block(t.block, &t.data) {
             Ok(()) => {
                 st.tail = None;
                 Ok(())
             }
             Err(e) => {
-                if self.inner.is_written(block).unwrap_or(false) {
-                    let data = st.tail.take().map(|t| t.data).unwrap_or_default();
-                    if !self.medium_matches(block, &data) {
-                        st.orphans.insert(block.0, data);
-                    }
-                    Ok(())
-                } else {
+                let intended = t.data.clone();
+                self.settle_failed_burn(st, intended);
+                if st.tail.is_some() {
                     Err(e)
+                } else {
+                    Ok(())
                 }
             }
         }
@@ -162,7 +209,7 @@ impl LogDevice for RamTailDevice {
 
     fn query_end(&self) -> Option<BlockNo> {
         let end = self.inner.query_end()?;
-        let g = self.tail.lock();
+        let g = self.settled();
         Some(match &g.tail {
             Some(t) if t.block == end => end.next(),
             _ => end,
@@ -170,7 +217,7 @@ impl LogDevice for RamTailDevice {
     }
 
     fn is_written(&self, block: BlockNo) -> Result<bool> {
-        let g = self.tail.lock();
+        let g = self.settled();
         if let Some(t) = &g.tail {
             if t.block == block {
                 return Ok(true);
@@ -185,7 +232,7 @@ impl LogDevice for RamTailDevice {
 
     fn append_block(&self, expected: BlockNo, data: &[u8]) -> Result<()> {
         check_len(self.block_size(), data.len())?;
-        let mut g = self.tail.lock();
+        let mut g = self.settled_for_write()?;
         match &g.tail {
             // Sealing the staged block: the append burns the *new* (final)
             // contents through to WORM and retires the buffer — but only
@@ -197,7 +244,7 @@ impl LogDevice for RamTailDevice {
                     Ok(())
                 }
                 Err(e) => {
-                    self.settle_failed_burn(&mut g, expected, data);
+                    self.settle_failed_burn(&mut g, data.to_vec());
                     Err(e)
                 }
             },
@@ -223,7 +270,7 @@ impl LogDevice for RamTailDevice {
         for b in blocks {
             check_len(self.block_size(), b.len())?;
         }
-        let mut g = self.tail.lock();
+        let mut g = self.settled_for_write()?;
         match &g.tail {
             // The batch starts at the staged block: its first element is the
             // sealed (final) contents of the tail, so burn the whole batch
@@ -234,7 +281,7 @@ impl LogDevice for RamTailDevice {
                 let r = self.inner.append_blocks(expected, blocks);
                 match &r {
                     Ok(()) => g.tail = None,
-                    Err(_) => self.settle_failed_burn(&mut g, expected, blocks[0]),
+                    Err(_) => self.settle_failed_burn(&mut g, blocks[0].to_vec()),
                 }
                 r
             }
@@ -254,7 +301,7 @@ impl LogDevice for RamTailDevice {
 
     fn read_block(&self, block: BlockNo, buf: &mut [u8]) -> Result<()> {
         check_len(self.block_size(), buf.len())?;
-        let g = self.tail.lock();
+        let g = self.settled();
         if let Some(t) = &g.tail {
             if t.block == block {
                 buf.copy_from_slice(&t.data);
@@ -270,7 +317,7 @@ impl LogDevice for RamTailDevice {
     }
 
     fn invalidate_block(&self, block: BlockNo) -> Result<()> {
-        let mut g = self.tail.lock();
+        let mut g = self.settled_for_write()?;
         if let Some(t) = &mut g.tail {
             if t.block == block {
                 t.data.fill(INVALIDATED_BYTE);
@@ -290,7 +337,7 @@ impl LogDevice for RamTailDevice {
         if block.0 >= self.capacity_blocks() {
             return Err(ClioError::OutOfRange(block));
         }
-        let mut g = self.tail.lock();
+        let mut g = self.settled_for_write()?;
         // Opening the next tail while the previous one is still staged
         // (e.g. right after a crash recovery) drains the old buffer to the
         // WORM medium first.
@@ -496,6 +543,134 @@ mod seal_tests {
         let mut buf = vec![0u8; 32];
         worm.read_block(BlockNo(0), &mut buf).unwrap();
         assert_eq!(buf, staged);
+    }
+
+    /// Sim seed 794 (ROADMAP item 1(a), carried through six PRs): a batch
+    /// whose first block seals the staged tail lands that block, then the
+    /// crash fires further on. `is_written` still answers but the read
+    /// errors; folding *could not read* into *read something else*
+    /// orphaned the older staged image over the good sealed block, and
+    /// recovery lost an acknowledged entry from the middle of the log.
+    #[test]
+    fn regression_ram_tail_torn_batch_keeps_sealed_block() {
+        use crate::fault::{CrashSwitch, FaultPlan, FaultyDevice};
+
+        for garbage_tail in [false, true] {
+            let worm = Arc::new(MemWormDevice::new(32, 16));
+            let sw = CrashSwitch::new(794);
+            let faulty = Arc::new(FaultyDevice::with_switch(
+                worm.clone(),
+                FaultPlan::default(),
+                sw.clone(),
+            ));
+            let dev = RamTailDevice::new(faulty);
+
+            let staged = vec![0xC0; 32];
+            dev.rewrite_tail(BlockNo(0), &staged).unwrap();
+            // The batch's first write (the seal) lands; its second crashes.
+            sw.arm(2, garbage_tail);
+            let sealed = vec![0xC1; 32];
+            assert!(dev
+                .append_blocks(BlockNo(0), &[&sealed, &[0xC2; 32]])
+                .is_err());
+            // While the medium is down the staged image keeps answering,
+            // and nothing may be built on the undecided slot.
+            let mut buf = vec![0u8; 32];
+            dev.read_block(BlockNo(0), &mut buf).unwrap();
+            assert_eq!(buf, staged);
+            assert!(dev.rewrite_tail(BlockNo(0), &[0xC3; 32]).is_err());
+            sw.clear();
+
+            // The medium answers again: the seal landed, so the staged
+            // image retires and the sealed bytes are what block 0 holds.
+            assert!(dev.orphaned_blocks().is_empty(), "good block shadowed");
+            assert!(!dev.has_tail());
+            dev.read_block(BlockNo(0), &mut buf).unwrap();
+            assert_eq!(buf, sealed, "the sealed block was lost");
+            assert_eq!(dev.query_end(), worm.query_end());
+        }
+    }
+
+    /// A medium whose next append lands but loses its acknowledgement: the
+    /// write reports an error and the device is down, reads included, until
+    /// `up` — a crash between the burn and its completion interrupt.
+    struct LostAck {
+        inner: MemWormDevice,
+        /// `Some(false)`: armed; `Some(true)`: fired, device down.
+        down: Mutex<Option<bool>>,
+    }
+
+    impl LostAck {
+        fn check_up(&self) -> Result<()> {
+            match *self.down.lock() {
+                Some(true) => Err(ClioError::Io("lost ack: device down".to_owned())),
+                _ => Ok(()),
+            }
+        }
+    }
+
+    impl LogDevice for LostAck {
+        fn block_size(&self) -> usize {
+            self.inner.block_size()
+        }
+        fn capacity_blocks(&self) -> u64 {
+            self.inner.capacity_blocks()
+        }
+        fn query_end(&self) -> Option<BlockNo> {
+            self.inner.query_end()
+        }
+        fn is_written(&self, block: BlockNo) -> Result<bool> {
+            self.inner.is_written(block)
+        }
+        fn append_block(&self, expected: BlockNo, data: &[u8]) -> Result<()> {
+            self.check_up()?;
+            self.inner.append_block(expected, data)?;
+            let mut down = self.down.lock();
+            if *down == Some(false) {
+                *down = Some(true);
+                return Err(ClioError::Io("lost ack: crashed after the burn".to_owned()));
+            }
+            Ok(())
+        }
+        fn read_block(&self, block: BlockNo, buf: &mut [u8]) -> Result<()> {
+            self.check_up()?;
+            self.inner.read_block(block, buf)
+        }
+        fn invalidate_block(&self, block: BlockNo) -> Result<()> {
+            self.check_up()?;
+            self.inner.invalidate_block(block)
+        }
+    }
+
+    /// The same confusion on the drain path: the staged image burns intact
+    /// but the acknowledgement is lost and the medium will not read. The
+    /// old code orphaned the image over its own good burn — pinned in NV
+    /// RAM for the life of the volume; the burned block must simply stand.
+    #[test]
+    fn regression_ram_tail_torn_drain_keeps_burned_block() {
+        let medium = Arc::new(LostAck {
+            inner: MemWormDevice::new(32, 16),
+            down: Mutex::new(None),
+        });
+        let dev = RamTailDevice::new(medium.clone());
+
+        let staged = vec![0xD0; 32];
+        dev.rewrite_tail(BlockNo(0), &staged).unwrap();
+        // Appending past the staged block drains it first; that burn lands
+        // and then the device dies.
+        *medium.down.lock() = Some(false);
+        assert!(dev.append_blocks(BlockNo(1), &[&[0xD1; 32]]).is_err());
+        assert!(dev.append_block(BlockNo(1), &[0xD1; 32]).is_err());
+        *medium.down.lock() = None;
+
+        assert!(dev.orphaned_blocks().is_empty(), "good burn orphaned");
+        assert!(!dev.has_tail());
+        let mut buf = vec![0u8; 32];
+        dev.read_block(BlockNo(0), &mut buf).unwrap();
+        assert_eq!(buf, staged);
+        // The device carries on from the burned block.
+        dev.append_block(BlockNo(1), &[0xD1; 32]).unwrap();
+        assert_eq!(medium.inner.query_end(), Some(BlockNo(2)));
     }
 
     #[test]

@@ -12,6 +12,7 @@ use clio_device::{
     DeviceStats, FaultPlan, FaultyDevice, FileWormDevice, InstrumentedDevice, LogDevice,
     MemWormDevice, MirroredDevice, RamTailDevice, SharedDevice,
 };
+use clio_obs::MetricsRegistry;
 use clio_testkit::devcheck::{check_batch_append_conformance, BatchDevice};
 use clio_types::{BlockNo, ClioError, Result};
 
@@ -150,7 +151,7 @@ fn instrumented_device_conforms() {
     check_batch_append_conformance(BLOCK, || {
         adapt(Arc::new(InstrumentedDevice::new(
             Arc::new(MemWormDevice::new(BLOCK, CAPACITY)),
-            DeviceStats::new(),
+            DeviceStats::new(&MetricsRegistry::new()),
         )))
     });
 }
@@ -226,27 +227,29 @@ fn mirror_batch_skips_a_replica_that_has_it_all() {
 
 #[test]
 fn instrumented_batches_count_once_per_physical_write() {
-    let stats = DeviceStats::new();
+    let stats = DeviceStats::new(&MetricsRegistry::new());
     let dev = InstrumentedDevice::new(Arc::new(MemWormDevice::new(BLOCK, CAPACITY)), stats.clone());
     let images: Vec<Vec<u8>> = (0..5u8).map(|i| vec![i; BLOCK]).collect();
     let refs: Vec<&[u8]> = images.iter().map(Vec::as_slice).collect();
     dev.append_blocks(BlockNo(0), &refs).unwrap();
     dev.append_block(BlockNo(5), &[9u8; BLOCK]).unwrap();
-    let s = stats.snapshot();
-    assert_eq!(s.appends, 6, "logical appends: 5 batched + 1 single");
-    assert_eq!(s.batch_appends, 1);
-    assert_eq!(s.batch_blocks, 5);
-    assert_eq!(s.write_ops(), 2, "one batch write + one single write");
+    assert_eq!(
+        stats.appends.get(),
+        6,
+        "logical appends: 5 batched + 1 single"
+    );
+    assert_eq!(stats.batch_appends.get(), 1);
+    assert_eq!(stats.append_batch_blocks.sum(), 5);
+    assert_eq!(stats.write_ops(), 2, "one batch write + one single write");
     assert_eq!(stats.append_batch_blocks.snapshot().count, 1);
     assert_eq!(stats.append_batch_latency_ns.snapshot().count, 1);
     // An empty batch is a no-op, not a device write.
     dev.append_blocks(BlockNo(6), &[]).unwrap();
-    assert_eq!(stats.snapshot().batch_appends, 1);
+    assert_eq!(stats.batch_appends.get(), 1);
     // A failed batch counts one append error and no writes.
     assert!(dev.append_blocks(BlockNo(9), &refs).is_err());
-    let s = stats.snapshot();
-    assert_eq!(s.append_errors, 1);
-    assert_eq!(s.write_ops(), 2);
+    assert_eq!(stats.append_errors.get(), 1);
+    assert_eq!(stats.write_ops(), 2);
 }
 
 #[test]

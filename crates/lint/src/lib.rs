@@ -16,6 +16,10 @@
 //!   forbidden outside `crates/testkit`: everything else uses
 //!   `clio_testkit::sync`, which is poison-transparent and feeds the
 //!   lockdep lock-order validator.
+//! - `no-raw-std-atomics` — `std::sync::atomic` is forbidden in library
+//!   code outside `crates/testkit`: everything else uses
+//!   `clio_testkit::sync::atomic`, whose ordering annotations the
+//!   concurrency model checker validates.
 //! - `no-wallclock` — `Instant::now()` / `SystemTime::now()` only in the
 //!   approved timing modules; product code uses `clio_obs::clock::now()`
 //!   (observability) or `clio_types::time::Clock` (semantic time).
@@ -38,10 +42,6 @@
 //! - `unwrap-ratchet` — per-crate counts of `.unwrap()` and undocumented
 //!   `.expect(...)` in library code, compared against the committed
 //!   baseline in `lint/ratchet.toml`, which may only go down.
-//! - `raw-atomics-ratchet` — per-crate counts of direct
-//!   `std::sync::atomic` use outside `crates/testkit`, ratcheted the
-//!   same way: new code uses `clio_testkit::sync::atomic`, whose
-//!   ordering annotations the concurrency model checker validates.
 //!
 //! The binary lints the whole workspace: every `crates/*` member plus the
 //! root package's `src/`, `tests/` and `examples/`, and all `Cargo.toml`
@@ -279,8 +279,6 @@ pub struct Report {
     pub rust_files: usize,
     /// Per-crate library-code unwrap/expect counts for the ratchet.
     pub unwrap_counts: BTreeMap<String, u64>,
-    /// Per-crate raw `std::sync::atomic` use counts for the ratchet.
-    pub atomic_counts: BTreeMap<String, u64>,
 }
 
 /// Runs every rule over the workspace.
@@ -288,14 +286,10 @@ pub struct Report {
 pub fn check_workspace(ws: &Workspace) -> Report {
     let mut diags = Vec::new();
     let mut unwrap_counts: BTreeMap<String, u64> = BTreeMap::new();
-    let mut atomic_counts: BTreeMap<String, u64> = BTreeMap::new();
     for sf in &ws.rust {
         rules::check_source(sf, &mut diags);
         if let Some(key) = rules::unwrap_ratchet::crate_key(&sf.rel) {
             *unwrap_counts.entry(key).or_insert(0) += rules::unwrap_ratchet::count_file(sf);
-        }
-        if let Some(key) = rules::atomics_ratchet::crate_key(&sf.rel) {
-            *atomic_counts.entry(key).or_insert(0) += rules::atomics_ratchet::count_file(sf);
         }
     }
     for (rel, content) in &ws.tomls {
@@ -306,7 +300,6 @@ pub fn check_workspace(ws: &Workspace) -> Report {
         diags,
         rust_files: ws.rust.len(),
         unwrap_counts,
-        atomic_counts,
     }
 }
 

@@ -13,7 +13,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use clio_lint::rules::{atomics_ratchet, unwrap_ratchet};
+use clio_lint::rules::unwrap_ratchet;
 use clio_lint::{check_workspace, load_workspace, ratchet, Diag};
 
 fn main() -> ExitCode {
@@ -56,7 +56,7 @@ fn main() -> ExitCode {
 
     let ratchet_path = root.join(unwrap_ratchet::RATCHET_REL);
     if update_ratchet {
-        let text = ratchet::render(&report.atomic_counts, &report.unwrap_counts);
+        let text = ratchet::render(&report.unwrap_counts);
         if let Some(dir) = ratchet_path.parent() {
             if let Err(e) = std::fs::create_dir_all(dir) {
                 eprintln!("clio-lint: cannot create {}: {e}", dir.display());
@@ -68,10 +68,8 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
         let unwraps: u64 = report.unwrap_counts.values().sum();
-        let atomics: u64 = report.atomic_counts.values().sum();
         eprintln!(
-            "clio-lint: wrote {} ({} crates, {unwraps} ratcheted unwraps, \
-             {atomics} raw atomic uses)",
+            "clio-lint: wrote {} ({} crates, {unwraps} ratcheted unwraps)",
             ratchet_path.display(),
             report.unwrap_counts.len()
         );
@@ -79,7 +77,6 @@ fn main() -> ExitCode {
         match std::fs::read_to_string(&ratchet_path) {
             Ok(text) => {
                 unwrap_ratchet::compare(&report.unwrap_counts, &text, &mut diags);
-                atomics_ratchet::compare(&report.atomic_counts, &text, &mut diags);
             }
             Err(_) => diags.push(Diag {
                 rel: unwrap_ratchet::RATCHET_REL.to_string(),

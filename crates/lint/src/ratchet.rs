@@ -1,21 +1,22 @@
 //! The ratchet baseline file, `lint/ratchet.toml`.
 //!
 //! A deliberately tiny TOML subset — comments, a fixed set of named
-//! sections (`[raw_atomics]`, `[unwrap]`), `key = integer` pairs —
-//! parsed in-tree because the workspace takes no registry dependencies.
+//! sections (today just `[unwrap]`), `key = integer` pairs — parsed
+//! in-tree because the workspace takes no registry dependencies.
 //! [`render`] regenerates the file in canonical form so
 //! `--update-ratchet` output is always diff-stable.
 //!
-//! Both ratchet rules share [`compare`]: measured per-crate counts are
-//! checked against one section, and any drift — regression, unlocked
-//! improvement, missing crate, stale entry — is a diagnostic.
+//! [`compare`] checks measured per-crate counts against one section: any
+//! drift — regression, unlocked improvement, missing crate, stale entry
+//! — is a diagnostic.
 
 use std::collections::BTreeMap;
 
+use crate::rules::unwrap_ratchet;
 use crate::Diag;
 
 /// The sections a baseline file may contain, in file order.
-pub const SECTIONS: &[&str] = &["raw_atomics", "unwrap"];
+pub const SECTIONS: &[&str] = &["unwrap"];
 
 /// Per-crate entries of one section: `key -> (count, line)` (the line is
 /// kept so ratchet diagnostics point at the entry to edit).
@@ -68,55 +69,33 @@ pub fn parse(content: &str) -> Result<BTreeMap<String, Section>, String> {
 
 /// Renders measured counts as a canonical baseline file.
 #[must_use]
-pub fn render(raw_atomics: &BTreeMap<String, u64>, unwrap: &BTreeMap<String, u64>) -> String {
+pub fn render(unwrap: &BTreeMap<String, u64>) -> String {
     let mut s = String::from(
         "# clio-lint ratchet baselines: per-crate counts that may only go\n\
          # down. After an improvement, regenerate with:\n\
          #\n\
          #     cargo run --release --offline -p clio-lint -- --update-ratchet\n\
          #\n\
-         # [raw_atomics]: direct `std::sync::atomic` uses in library code\n\
-         # outside crates/testkit. New code uses clio_testkit::sync::atomic,\n\
-         # whose declared orderings the model checker validates.\n\
          # [unwrap]: `.unwrap()` and undocumented `.expect(...)` in library\n\
          # code (crates/*/src and the root src/); `expect(\"invariant: ...\")`\n\
          # is exempt.\n",
     );
-    for (name, counts) in [("raw_atomics", raw_atomics), ("unwrap", unwrap)] {
-        s.push_str(&format!("\n[{name}]\n"));
-        for (key, count) in counts {
-            s.push_str(&format!("{key} = {count}\n"));
-        }
+    s.push_str("\n[unwrap]\n");
+    for (key, count) in unwrap {
+        s.push_str(&format!("{key} = {count}\n"));
     }
     s
 }
 
-/// How one ratchet rule names itself in diagnostics; see [`compare`].
-pub struct RuleSpec {
-    /// Diagnostic rule name, e.g. `unwrap-ratchet`.
-    pub rule: &'static str,
-    /// Baseline section the rule compares against.
-    pub section: &'static str,
-    /// What the count measures, for the regression message.
-    pub what: &'static str,
-    /// How to fix a regression, for the regression message.
-    pub fix: &'static str,
-}
-
-/// Compares measured per-crate counts against one section of the
-/// baseline file, emitting a diagnostic for every regression,
-/// improvement (the baseline must then be lowered), missing crate, or
-/// stale entry.
-pub fn compare(
-    spec: &RuleSpec,
-    counts: &BTreeMap<String, u64>,
-    baseline_text: &str,
-    out: &mut Vec<Diag>,
-) {
+/// Compares measured per-crate unwrap counts against the `[unwrap]`
+/// section of the baseline file, emitting a diagnostic for every
+/// regression, improvement (the baseline must then be lowered), missing
+/// crate, or stale entry.
+pub fn compare(counts: &BTreeMap<String, u64>, baseline_text: &str, out: &mut Vec<Diag>) {
     let diag = |line: u32, msg: String| Diag {
-        rel: crate::rules::unwrap_ratchet::RATCHET_REL.to_string(),
+        rel: unwrap_ratchet::RATCHET_REL.to_string(),
         line,
-        rule: spec.rule,
+        rule: unwrap_ratchet::NAME,
         msg,
     };
     let sections = match parse(baseline_text) {
@@ -127,22 +106,19 @@ pub fn compare(
         }
     };
     let empty = Section::new();
-    let baseline = sections.get(spec.section).unwrap_or(&empty);
+    let baseline = sections.get("unwrap").unwrap_or(&empty);
     for (key, &count) in counts {
         match baseline.get(key) {
             None => out.push(diag(
                 0,
-                format!(
-                    "crate `{key}` has no [{}] baseline entry — run --update-ratchet",
-                    spec.section
-                ),
+                format!("crate `{key}` has no [unwrap] baseline entry — run --update-ratchet"),
             )),
             Some(&(base, line)) if count > base => out.push(diag(
                 line,
                 format!(
-                    "{} for `{key}` regressed: {base} -> {count} \
-                     (the ratchet only goes down; {})",
-                    spec.what, spec.fix
+                    "library unwrap/expect count for `{key}` regressed: {base} -> {count} \
+                     (the ratchet only goes down; handle the error or document the \
+                     impossibility as expect(\"invariant: ...\"))"
                 ),
             )),
             Some(&(base, line)) if count < base => out.push(diag(
@@ -174,14 +150,11 @@ mod tests {
         let mut unwrap = BTreeMap::new();
         unwrap.insert("core".to_string(), 7u64);
         unwrap.insert("device".to_string(), 0u64);
-        let mut atomics = BTreeMap::new();
-        atomics.insert("device".to_string(), 12u64);
-        let text = render(&atomics, &unwrap);
+        let text = render(&unwrap);
         let parsed = parse(&text).expect("canonical form parses");
         assert_eq!(parsed["unwrap"].len(), 2);
         assert_eq!(parsed["unwrap"]["core"].0, 7);
         assert_eq!(parsed["unwrap"]["device"].0, 0);
-        assert_eq!(parsed["raw_atomics"]["device"].0, 12);
     }
 
     #[test]
@@ -195,7 +168,7 @@ mod tests {
 
     #[test]
     fn missing_section_reads_as_empty() {
-        let parsed = parse("[unwrap]\ncore = 1\n").expect("single section parses");
-        assert!(!parsed.contains_key("raw_atomics"));
+        let parsed = parse("# no sections at all\n").expect("an empty baseline parses");
+        assert!(!parsed.contains_key("unwrap"));
     }
 }

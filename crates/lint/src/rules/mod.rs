@@ -2,10 +2,10 @@
 //! constant and a `check` entry point taking a [`SourceFile`], so rules
 //! are individually testable against in-memory fixtures.
 
-pub mod atomics_ratchet;
 pub mod env_config;
 pub mod one_log_reader;
 pub mod one_map_reader;
+pub mod raw_atomics;
 pub mod raw_locks;
 pub mod registry_deps;
 pub mod unwrap_ratchet;
@@ -19,6 +19,7 @@ use crate::{Diag, SourceFile};
 pub fn check_source(sf: &SourceFile, out: &mut Vec<Diag>) {
     registry_deps::check(sf, out);
     raw_locks::check(sf, out);
+    raw_atomics::check(sf, out);
     wallclock::check(sf, out);
     worm_writes::check(sf, out);
     env_config::check(sf, out);

@@ -13,10 +13,9 @@
 //! exempts it. Test code (`#[cfg(test)]` regions, `tests/`, `examples/`,
 //! `benches/`) is not counted at all.
 
-use std::collections::BTreeMap;
-
 use crate::lexer::Kind;
-use crate::{ratchet, Diag, SourceFile};
+pub use crate::ratchet::compare;
+use crate::SourceFile;
 
 /// Rule name used in diagnostics.
 pub const NAME: &str = "unwrap-ratchet";
@@ -66,18 +65,4 @@ pub fn count_file(sf: &SourceFile) -> u64 {
         }
     }
     n
-}
-
-/// This rule's [`ratchet::compare`] parameters.
-const SPEC: ratchet::RuleSpec = ratchet::RuleSpec {
-    rule: NAME,
-    section: "unwrap",
-    what: "library unwrap/expect count",
-    fix: "handle the error or document the impossibility as expect(\"invariant: ...\")",
-};
-
-/// Compares measured per-crate counts against the `[unwrap]` section of
-/// the baseline file; see [`ratchet::compare`].
-pub fn compare(counts: &BTreeMap<String, u64>, baseline_text: &str, out: &mut Vec<Diag>) {
-    ratchet::compare(&SPEC, counts, baseline_text, out);
 }

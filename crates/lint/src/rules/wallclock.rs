@@ -22,7 +22,7 @@ pub const NAME: &str = "no-wallclock";
 /// - `crates/types/src/time.rs` — `SystemClock`, the one production
 ///   implementation of the semantic `Clock` trait.
 ///
-/// `crates/sim/` is deliberately NOT approved: the cost models and the
+/// `crates/costmodel/` is deliberately NOT approved: the cost models and the
 /// whole-system simulator derive every instant from seeded state, and a
 /// stray host-clock read there would silently break seed replay.
 const APPROVED: &[&str] = &[

@@ -7,7 +7,7 @@
 use std::collections::BTreeMap;
 
 use clio_lint::rules::{
-    atomics_ratchet, env_config, one_log_reader, one_map_reader, raw_locks, registry_deps,
+    env_config, one_log_reader, one_map_reader, raw_atomics, raw_locks, registry_deps,
     unwrap_ratchet, wallclock, worm_writes,
 };
 use clio_lint::{Diag, SourceFile};
@@ -126,9 +126,9 @@ fn wallclock_flags_clock_reads_outside_approved_modules() {
     // The simulator is NOT exempt: virtual time must come from seeded
     // state, never the host clock, or seed replay silently breaks.
     assert_eq!(
-        lint("crates/sim/src/lib.rs", bad, wallclock::check).len(),
+        lint("crates/costmodel/src/lib.rs", bad, wallclock::check).len(),
         3,
-        "crates/sim must be held to the no-wallclock rule"
+        "crates/costmodel must be held to the no-wallclock rule"
     );
     assert_eq!(
         lint("crates/testkit/src/sim.rs", bad, wallclock::check).len(),
@@ -351,63 +351,31 @@ fn unwrap_ratchet_compare_reports_all_four_drifts() {
 }
 
 #[test]
-fn atomics_ratchet_counts_imports_uses_and_inline_paths() {
-    let sf = SourceFile::parse(
-        "crates/x/src/lib.rs",
-        include_str!("fixtures/atomics_ratchet/counted.rs"),
+fn raw_atomics_flags_every_way_in() {
+    let bad = include_str!("fixtures/raw_atomics/bad.rs");
+    let diags = lint("crates/core/src/lib.rs", bad, raw_atomics::check);
+    let lines: Vec<u32> = diags.iter().map(|d| d.line).collect();
+    assert_eq!(lines, vec![5, 6, 7, 11], "{diags:?}");
+    assert!(diags.iter().all(|d| d.rule == "no-raw-std-atomics"));
+    assert_eq!(
+        lint("src/bin/cliodump.rs", bad, raw_atomics::check).len(),
+        4
     );
-    assert_eq!(atomics_ratchet::count_file(&sf), 10);
 }
 
 #[test]
-fn atomics_ratchet_handles_self_and_glob_imports() {
-    // `self` binds the module name `atomic`; later uses count. One
-    // import + two `atomic` path uses = 3 (the unused `AtomicBool`
-    // binding never appears again).
-    let sf = SourceFile::parse(
-        "crates/x/src/lib.rs",
-        "use std::sync::atomic::{self, AtomicBool};\n\
-         fn f() { atomic::fence(atomic::Ordering::SeqCst); }\n",
-    );
-    assert_eq!(atomics_ratchet::count_file(&sf), 3);
-    // A glob import counts once; its uses cannot be resolved.
-    let sf = SourceFile::parse(
-        "crates/x/src/lib.rs",
-        "use std::sync::atomic::*;\nfn f(a: &AtomicU64) { let _ = a; }\n",
-    );
-    assert_eq!(atomics_ratchet::count_file(&sf), 1);
-}
-
-#[test]
-fn atomics_ratchet_exempts_testkit_and_nonlibrary_code() {
-    assert_eq!(
-        atomics_ratchet::crate_key("crates/device/src/file.rs").as_deref(),
-        Some("device")
-    );
-    assert_eq!(
-        atomics_ratchet::crate_key("src/bin/cliodump.rs").as_deref(),
-        Some("clio")
-    );
-    assert_eq!(
-        atomics_ratchet::crate_key("crates/testkit/src/sync/atomic.rs"),
-        None
-    );
-    assert_eq!(atomics_ratchet::crate_key("crates/device/tests/t.rs"), None);
-}
-
-#[test]
-fn atomics_ratchet_compares_against_its_own_section() {
-    let counts: BTreeMap<String, u64> = [("cache".to_string(), 3u64)].into_iter().collect();
-    let baseline = "[raw_atomics]\ncache = 2\n\n[unwrap]\ncache = 99\n";
-    let mut diags = Vec::new();
-    atomics_ratchet::compare(&counts, baseline, &mut diags);
-    assert_eq!(diags.len(), 1, "{diags:?}");
-    assert!(diags[0].msg.contains("regressed: 2 -> 3"), "{diags:?}");
-    assert_eq!(diags[0].rule, "raw-atomics-ratchet");
-    // A matching count is silent even though [unwrap] differs wildly.
-    let mut ok = Vec::new();
-    atomics_ratchet::compare(&counts, "[raw_atomics]\ncache = 3\n", &mut ok);
-    assert!(ok.is_empty(), "{ok:?}");
+fn raw_atomics_allows_the_wrappers_and_nonlibrary_code() {
+    let clean = include_str!("fixtures/raw_atomics/clean.rs");
+    assert!(lint("crates/core/src/lib.rs", clean, raw_atomics::check).is_empty());
+    let bad = include_str!("fixtures/raw_atomics/bad.rs");
+    for home in [
+        "crates/testkit/src/sync/atomic.rs",
+        "crates/types/src/time.rs",
+        "crates/device/tests/t.rs",
+        "tests/concurrency.rs",
+    ] {
+        assert!(lint(home, bad, raw_atomics::check).is_empty(), "{home}");
+    }
 }
 
 /// The shipped tree is lint-clean and matches its committed ratchet —
@@ -425,7 +393,6 @@ fn shipped_tree_is_clean() {
     let baseline = std::fs::read_to_string(root.join(unwrap_ratchet::RATCHET_REL))
         .expect("lint/ratchet.toml is committed");
     unwrap_ratchet::compare(&report.unwrap_counts, &baseline, &mut diags);
-    atomics_ratchet::compare(&report.atomic_counts, &baseline, &mut diags);
     assert!(
         diags.is_empty(),
         "tree has lint violations:\n{}",

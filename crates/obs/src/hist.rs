@@ -2,12 +2,13 @@
 //!
 //! A [`Histogram`] is an array of 65 atomic bucket counters: bucket 0
 //! counts the value 0, bucket `i` (1 ≤ i ≤ 64) counts values in
-//! `[2^(i-1), 2^i)`. Recording is a handful of relaxed atomic adds —
-//! cheap enough for the device read/append hot paths — and quantiles are
-//! estimated from the bucket boundaries, so a reported `p99` is an upper
-//! bound within a factor of two of the true value. That resolution is
-//! plenty for the paper's evaluation, where interesting effects (cache hit
-//! vs. optical seek) differ by orders of magnitude.
+//! `[2^(i-1), 2^i)`. Recording is four relaxed atomic updates — bucket,
+//! sum, min, max; the sample count is the bucket total, derived when a
+//! snapshot is taken — cheap enough for the device read/append hot paths,
+//! and quantiles are estimated from the bucket boundaries, so a reported
+//! `p99` is an upper bound within a factor of two of the true value. That
+//! resolution is plenty for the paper's evaluation, where interesting
+//! effects (cache hit vs. optical seek) differ by orders of magnitude.
 
 use clio_testkit::sync::atomic::{AtomicU64, Ordering};
 
@@ -17,13 +18,13 @@ pub const BUCKETS: usize = 65;
 /// A concurrent log₂-bucketed histogram of `u64` samples.
 ///
 /// All updates use relaxed atomics: a [`Histogram::snapshot`] taken while
-/// recorders are active may be off by in-flight samples (count/sum/bucket
-/// totals can each lag independently), but it never blocks and never sees
-/// torn per-counter values.
+/// recorders are active may be off by in-flight samples (sum, min/max
+/// and the buckets can each lag independently), but it never blocks, never
+/// sees torn per-counter values, and its `count` always equals its own
+/// bucket total.
 #[derive(Debug)]
 pub struct Histogram {
     buckets: [AtomicU64; BUCKETS],
-    count: AtomicU64,
     sum: AtomicU64,
     min: AtomicU64,
     max: AtomicU64,
@@ -33,9 +34,8 @@ impl Default for Histogram {
     fn default() -> Histogram {
         Histogram {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
-            min: AtomicU64::new(0),
+            min: AtomicU64::new(u64::MAX),
             max: AtomicU64::new(0),
         }
     }
@@ -61,15 +61,12 @@ impl Histogram {
     /// A fresh, empty histogram.
     #[must_use]
     pub fn new() -> Histogram {
-        let h = Histogram::default();
-        h.min.store(u64::MAX, Ordering::Relaxed);
-        h
+        Histogram::default()
     }
 
     /// Records one sample.
     pub fn record(&self, v: u64) {
         self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
         self.min.fetch_min(v, Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
@@ -78,6 +75,12 @@ impl Histogram {
     /// Records a [`std::time::Duration`] in nanoseconds (saturating).
     pub fn record_duration(&self, d: std::time::Duration) {
         self.record(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
+    }
+
+    /// Sum of all samples so far (wrapping on overflow).
+    #[must_use]
+    pub fn sum(&self) -> u64 {
+        self.sum.load(Ordering::Relaxed)
     }
 
     /// Copies the current state.
@@ -89,8 +92,8 @@ impl Histogram {
         }
         HistSnapshot {
             buckets,
-            count: self.count.load(Ordering::Relaxed),
-            sum: self.sum.load(Ordering::Relaxed),
+            count: buckets.iter().sum(),
+            sum: self.sum(),
             min: self.min.load(Ordering::Relaxed),
             max: self.max.load(Ordering::Relaxed),
         }

@@ -6,8 +6,8 @@
 //! is the substrate that lets every layer report those counts uniformly:
 //!
 //! - [`MetricsRegistry`]: a named registry of atomic [`Counter`]s,
-//!   [`Gauge`]s and [`Histogram`]s, plus closure-based collectors for
-//!   components that keep their own counters;
+//!   [`Gauge`]s and [`Histogram`]s — the handles a component counts with,
+//!   handed out by the registry or created by the component and adopted;
 //! - [`Histogram`]: lock-free log₂-bucketed latency/size distributions with
 //!   `p50/p90/p99/max` quantile estimates, snapshot and merge;
 //! - [`TraceRing`]: a fixed-capacity ring of causally linked [`Span`]s
@@ -37,5 +37,5 @@ pub mod trace;
 
 pub use hist::{HistSnapshot, Histogram};
 pub use http::{ObsHttpServer, ObsProvider};
-pub use registry::{Counter, Gauge, MetricValue, MetricsRegistry, Sample};
+pub use registry::{Counter, Gauge, Handle, MetricValue, MetricsRegistry, Sample};
 pub use trace::{AttrValue, Attrs, Span, SpanGuard, SpanNode, TraceRing, TraceTree};

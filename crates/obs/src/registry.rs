@@ -1,12 +1,12 @@
-//! The metrics registry: named counters, gauges, histograms, and
-//! closure-based collectors.
+//! The metrics registry: named counters, gauges and histograms.
 //!
-//! Components either ask the registry for a handle (`counter`, `gauge`,
-//! `histogram` — get-or-create, shared via `Arc`) and update it on their
-//! hot path, or keep their own atomics and register a collector closure
-//! that is polled at exposition time (`register_counter_fn`,
-//! `register_gauge_fn`). Both styles end up in the same sorted sample set,
-//! so the rendered output is one coherent view of the whole service.
+//! A component counts by holding handles (`Arc<Counter>`, `Arc<Gauge>`,
+//! `Arc<Histogram>`) and updating them on its hot path. It either asks the
+//! registry for them (`counter`, `gauge`, `histogram` — get-or-create) or,
+//! when it is built without a registry in reach, creates them itself and
+//! has a registry [`adopt`](MetricsRegistry::adopt) them later. Either way
+//! the registry reads the very words the component writes: there is no
+//! second copy to keep in step and nothing to poll.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -60,20 +60,73 @@ impl Gauge {
     }
 }
 
-enum Metric {
+/// A metric handle of any of the three kinds (what
+/// [`MetricsRegistry::adopt`] takes; `Arc<Counter>` etc. convert into it).
+#[derive(Debug, Clone)]
+pub enum Handle {
+    /// A counter.
     Counter(Arc<Counter>),
+    /// A gauge.
     Gauge(Arc<Gauge>),
+    /// A histogram.
     Histogram(Arc<Histogram>),
-    CounterFn(Box<dyn Fn() -> u64 + Send + Sync>),
-    GaugeFn(Box<dyn Fn() -> i64 + Send + Sync>),
 }
 
-/// A registered metric plus the label set it was created with. The map
-/// key is the full series identity (`name{k="v",...}`), so differently
-/// labeled series of one family are distinct entries that sort together.
+impl From<Arc<Counter>> for Handle {
+    fn from(c: Arc<Counter>) -> Handle {
+        Handle::Counter(c)
+    }
+}
+
+impl From<Arc<Gauge>> for Handle {
+    fn from(g: Arc<Gauge>) -> Handle {
+        Handle::Gauge(g)
+    }
+}
+
+impl From<Arc<Histogram>> for Handle {
+    fn from(h: Arc<Histogram>) -> Handle {
+        Handle::Histogram(h)
+    }
+}
+
+impl Handle {
+    fn read(&self) -> MetricValue {
+        match self {
+            Handle::Counter(c) => MetricValue::Counter(c.get()),
+            Handle::Gauge(g) => MetricValue::Gauge(g.get()),
+            Handle::Histogram(h) => MetricValue::Histogram(Box::new(h.snapshot())),
+        }
+    }
+}
+
+/// One series: the label set it was created with and the handles behind
+/// it, all of one kind — the one it was created with and, for a component
+/// that counts per shard, one more *stripe* per further shard (the series
+/// reads as their sum). The map key is the full series identity
+/// (`name{k="v",...}`), so differently labeled series of one family are
+/// distinct entries that sort together.
 struct Entry {
     labels: Vec<(String, String)>,
-    metric: Metric,
+    first: Handle,
+    more: Vec<Handle>,
+}
+
+impl Entry {
+    fn read(&self) -> MetricValue {
+        self.more
+            .iter()
+            .map(Handle::read)
+            .fold(self.first.read(), |a, b| match (a, b) {
+                (MetricValue::Counter(x), MetricValue::Counter(y)) => MetricValue::Counter(x + y),
+                (MetricValue::Gauge(x), MetricValue::Gauge(y)) => MetricValue::Gauge(x + y),
+                (MetricValue::Histogram(mut x), MetricValue::Histogram(y)) => {
+                    x.merge(&y);
+                    MetricValue::Histogram(x)
+                }
+                _ => unreachable!("invariant: the stripes of a series are of one kind"),
+            })
+    }
 }
 
 /// Renders `{k="v",...}` with Prometheus escaping, or `""` when empty.
@@ -174,6 +227,19 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
+    /// The first handle of series `name{labels…}`: `fresh()` if the series
+    /// did not exist.
+    fn get_or_create(&self, name: &str, labels: &[(&str, &str)], fresh: fn() -> Handle) -> Handle {
+        let labels = owned_labels(labels);
+        let mut m = self.metrics.lock();
+        let entry = m.entry(identity(name, &labels)).or_insert_with(|| Entry {
+            labels,
+            first: fresh(),
+            more: Vec::new(),
+        });
+        entry.first.clone()
+    }
+
     /// The counter named `name`, creating it if absent.
     ///
     /// # Panics
@@ -191,19 +257,9 @@ impl MetricsRegistry {
     /// Panics if the series is already registered as a different kind.
     #[must_use]
     pub fn counter_with(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Counter> {
-        let labels = owned_labels(labels);
-        let key = identity(name, &labels);
-        let mut m = self.metrics.lock();
-        match &m
-            .entry(key.clone())
-            .or_insert_with(|| Entry {
-                labels,
-                metric: Metric::Counter(Arc::new(Counter::default())),
-            })
-            .metric
-        {
-            Metric::Counter(c) => c.clone(),
-            _ => panic!("metric {key} is not a counter"),
+        match self.get_or_create(name, labels, || Handle::Counter(Arc::default())) {
+            Handle::Counter(c) => c,
+            _ => panic!("metric {name} is not a counter"),
         }
     }
 
@@ -213,16 +269,8 @@ impl MetricsRegistry {
     /// Panics if `name` is already registered as a different metric kind.
     #[must_use]
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut m = self.metrics.lock();
-        match &m
-            .entry(name.to_owned())
-            .or_insert_with(|| Entry {
-                labels: Vec::new(),
-                metric: Metric::Gauge(Arc::new(Gauge::default())),
-            })
-            .metric
-        {
-            Metric::Gauge(g) => g.clone(),
+        match self.get_or_create(name, &[], || Handle::Gauge(Arc::default())) {
+            Handle::Gauge(g) => g,
             _ => panic!("metric {name} is not a gauge"),
         }
     }
@@ -242,57 +290,41 @@ impl MetricsRegistry {
     /// Panics if the series is already registered as a different kind.
     #[must_use]
     pub fn histogram_with(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Histogram> {
-        let labels = owned_labels(labels);
-        let key = identity(name, &labels);
-        let mut m = self.metrics.lock();
-        match &m
-            .entry(key.clone())
-            .or_insert_with(|| Entry {
-                labels,
-                metric: Metric::Histogram(Arc::new(Histogram::new())),
-            })
-            .metric
-        {
-            Metric::Histogram(h) => h.clone(),
-            _ => panic!("metric {key} is not a histogram"),
+        match self.get_or_create(name, labels, || Handle::Histogram(Arc::default())) {
+            Handle::Histogram(h) => h,
+            _ => panic!("metric {name} is not a histogram"),
         }
     }
 
-    /// Registers an existing shared histogram under `name` (for components
-    /// that embed their histograms, like `DeviceStats`). Replaces any
-    /// previous registration of the name.
-    pub fn register_histogram(&self, name: &str, hist: Arc<Histogram>) {
-        self.metrics.lock().insert(
-            name.to_owned(),
-            Entry {
-                labels: Vec::new(),
-                metric: Metric::Histogram(hist),
-            },
-        );
-    }
-
-    /// Registers a counter collector polled at gather time. Replaces any
-    /// previous registration of the name.
-    pub fn register_counter_fn(&self, name: &str, f: impl Fn() -> u64 + Send + Sync + 'static) {
-        self.metrics.lock().insert(
-            name.to_owned(),
-            Entry {
-                labels: Vec::new(),
-                metric: Metric::CounterFn(Box::new(f)),
-            },
-        );
-    }
-
-    /// Registers a gauge collector polled at gather time. Replaces any
-    /// previous registration of the name.
-    pub fn register_gauge_fn(&self, name: &str, f: impl Fn() -> i64 + Send + Sync + 'static) {
-        self.metrics.lock().insert(
-            name.to_owned(),
-            Entry {
-                labels: Vec::new(),
-                metric: Metric::GaugeFn(Box::new(f)),
-            },
-        );
+    /// Adopts a handle its component created itself (a component built
+    /// with no registry in reach, like the block cache) as series `name`.
+    /// Adopting under a name that already has handles adds a stripe: the
+    /// series reads as the sum of its handles, which is how a component
+    /// that counts per shard serves its total without a second counter on
+    /// the hot path.
+    ///
+    /// # Panics
+    /// Panics if `name` already holds handles of a different kind.
+    pub fn adopt(&self, name: &str, handle: impl Into<Handle>) {
+        use std::collections::btree_map::Entry::{Occupied, Vacant};
+        let handle = handle.into();
+        match self.metrics.lock().entry(name.to_owned()) {
+            Vacant(slot) => {
+                slot.insert(Entry {
+                    labels: Vec::new(),
+                    first: handle,
+                    more: Vec::new(),
+                });
+            }
+            Occupied(mut series) => {
+                let series = series.get_mut();
+                assert!(
+                    std::mem::discriminant(&series.first) == std::mem::discriminant(&handle),
+                    "metric {name} adopted as two kinds"
+                );
+                series.more.push(handle);
+            }
+        }
     }
 
     /// Reads every metric, sorted by series identity (labeled series of
@@ -307,13 +339,7 @@ impl MetricsRegistry {
                     None => key.clone(),
                 },
                 labels: entry.labels.clone(),
-                value: match &entry.metric {
-                    Metric::Counter(c) => MetricValue::Counter(c.get()),
-                    Metric::Gauge(g) => MetricValue::Gauge(g.get()),
-                    Metric::Histogram(h) => MetricValue::Histogram(Box::new(h.snapshot())),
-                    Metric::CounterFn(f) => MetricValue::Counter(f()),
-                    Metric::GaugeFn(f) => MetricValue::Gauge(f()),
-                },
+                value: entry.read(),
             })
             .collect()
     }
@@ -352,16 +378,41 @@ mod tests {
     }
 
     #[test]
-    fn collector_fns_are_polled_at_gather() {
+    fn adopted_handles_are_read_in_place_and_stripes_sum() {
         let reg = MetricsRegistry::new();
-        let shared = Arc::new(Counter::default());
-        let s2 = shared.clone();
-        reg.register_counter_fn("clio_test_shadow_total", move || s2.get());
-        shared.add(7);
-        let samples = reg.gather();
-        assert_eq!(samples[0].value, MetricValue::Counter(7));
-        shared.add(1);
-        assert_eq!(reg.gather()[0].value, MetricValue::Counter(8));
+        let stripes = [Arc::new(Counter::default()), Arc::new(Counter::default())];
+        for (i, c) in stripes.iter().enumerate() {
+            reg.adopt(&format!("clio_test_shard{i}_total"), c.clone());
+            reg.adopt("clio_test_total", c.clone());
+        }
+        let depth = Arc::new(Gauge::default());
+        reg.adopt("clio_test_depth", depth.clone());
+        stripes[0].add(7);
+        stripes[1].add(2);
+        depth.set(-4);
+        let value = |name: &str| {
+            let samples = reg.gather();
+            samples
+                .iter()
+                .find(|s| s.name == name)
+                .map(|s| s.value.clone())
+        };
+        assert_eq!(
+            value("clio_test_shard0_total"),
+            Some(MetricValue::Counter(7))
+        );
+        assert_eq!(value("clio_test_total"), Some(MetricValue::Counter(9)));
+        assert_eq!(value("clio_test_depth"), Some(MetricValue::Gauge(-4)));
+        stripes[1].inc();
+        assert_eq!(value("clio_test_total"), Some(MetricValue::Counter(10)));
+    }
+
+    #[test]
+    #[should_panic(expected = "adopted as two kinds")]
+    fn adopting_a_second_kind_panics() {
+        let reg = MetricsRegistry::new();
+        reg.adopt("clio_test_x", Arc::new(Counter::default()));
+        reg.adopt("clio_test_x", Arc::new(Gauge::default()));
     }
 
     #[test]
@@ -370,7 +421,7 @@ mod tests {
         reg.histogram("clio_test_latency_ns").record(100);
         let external = Arc::new(Histogram::new());
         external.record(9);
-        reg.register_histogram("clio_test_ext_ns", external);
+        reg.adopt("clio_test_ext_ns", external);
         let samples = reg.gather();
         assert_eq!(samples.len(), 2);
         let MetricValue::Histogram(h) = &samples[0].value else {

@@ -124,3 +124,39 @@ fn concurrent_recorders_lose_nothing() {
         },
     );
 }
+
+/// A sample is counted once: `count` is the bucket total of the same
+/// snapshot — after any sequence of records, and in snapshots taken while
+/// recorders are still running, where it also never runs backwards.
+#[test]
+fn count_is_the_bucket_total_in_every_snapshot() {
+    check(
+        "count_is_the_bucket_total_in_every_snapshot",
+        16,
+        &values(4..400),
+        |vals| {
+            let h = Histogram::new();
+            for &v in vals {
+                h.record(v);
+                let s = h.snapshot();
+                assert_eq!(s.count, s.buckets.iter().sum::<u64>());
+            }
+            assert_eq!(h.snapshot().count, vals.len() as u64);
+
+            let h = Histogram::new();
+            std::thread::scope(|scope| {
+                for part in vals.chunks(vals.len().div_ceil(3)) {
+                    let h = &h;
+                    scope.spawn(move || part.iter().for_each(|&v| h.record(v)));
+                }
+                let mut last = 0;
+                while last < vals.len() as u64 {
+                    let s = h.snapshot();
+                    assert_eq!(s.count, s.buckets.iter().sum::<u64>());
+                    assert!(s.count >= last && s.count <= vals.len() as u64);
+                    last = s.count;
+                }
+            });
+        },
+    );
+}

@@ -10,9 +10,9 @@
 //! `Relaxed` accesses synchronize nothing, so data "published" over a
 //! relaxed flag stays racy and is reported.
 //!
-//! The `raw-atomics-ratchet` lint rule holds direct `std::sync::atomic`
-//! use per crate to a committed baseline; new code uses these wrappers
-//! so its ordering claims are model-checkable.
+//! The `no-raw-std-atomics` lint rule forbids direct `std::sync::atomic`
+//! use in library code outside this crate, so every ordering claim in the
+//! tree is model-checkable.
 
 pub use std::sync::atomic::Ordering;
 
@@ -190,6 +190,12 @@ atomic_int!(
     AtomicU64,
     AtomicU64,
     u64
+);
+atomic_int!(
+    /// An instrumented [`std::sync::atomic::AtomicU32`].
+    AtomicU32,
+    AtomicU32,
+    u32
 );
 atomic_int!(
     /// An instrumented [`std::sync::atomic::AtomicUsize`].

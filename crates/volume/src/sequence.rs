@@ -1,8 +1,8 @@
 //! Volume sequences: chains of volumes ordered by time of writing.
 
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
+use clio_testkit::sync::atomic::{AtomicU32, Ordering};
 use clio_testkit::sync::RwLock;
 
 use clio_cache::BlockCache;

@@ -1,9 +1,9 @@
 //! A single log volume: one write-once device plus its label.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use clio_testkit::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use clio_types::{BlockNo, ClioError, Result, Timestamp, VolumeId, VolumeSeqId};
 
 use clio_cache::{BlockCache, CacheKey, DeviceId};
@@ -30,7 +30,7 @@ pub struct Volume {
     /// Whether the medium is mounted. Older volumes of a sequence may be
     /// dismounted and "made available on demand" (§2.1); reads of an
     /// offline volume fail with [`ClioError::VolumeOffline`].
-    online: std::sync::atomic::AtomicBool,
+    online: AtomicBool,
 }
 
 impl Volume {
@@ -58,7 +58,7 @@ impl Volume {
             label,
             data_end: AtomicU64::new(0),
             end_probes: 0,
-            online: std::sync::atomic::AtomicBool::new(true),
+            online: AtomicBool::new(true),
         })
     }
 
@@ -87,7 +87,7 @@ impl Volume {
             label,
             data_end: AtomicU64::new(end.0 - 1),
             end_probes: probes,
-            online: std::sync::atomic::AtomicBool::new(true),
+            online: AtomicBool::new(true),
         })
     }
 

@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use clio::core::service::{AppendOpts, LogService};
 use clio::core::ServiceConfig;
-use clio::sim::LoginWorkload;
+use clio::costmodel::LoginWorkload;
 use clio::types::{ManualClock, Timestamp, VolumeSeqId};
 use clio::volume::MemDevicePool;
 

@@ -8,8 +8,8 @@ use std::sync::Arc;
 
 use clio::core::service::LogService;
 use clio::core::ServiceConfig;
+use clio::costmodel::MailWorkload;
 use clio::history::MailSystem;
-use clio::sim::MailWorkload;
 use clio::types::{ManualClock, Timestamp, VolumeSeqId};
 use clio::volume::MemDevicePool;
 

@@ -23,6 +23,7 @@ use clio::core::service::{AppendOpts, LogService};
 use clio::core::ServiceConfig;
 use clio::device::{FileWormDevice, SharedDevice};
 use clio::format::{BlockView, EntrymapRecord, VolumeLabel};
+use clio::testkit::sync::atomic::{AtomicU32, Ordering};
 use clio::types::{LogFileId, Result, SystemClock, VolumeSeqId};
 use clio::volume::{MemDevicePool, RecordingPool};
 
@@ -121,13 +122,13 @@ fn mkdemo(file: &str) -> Result<()> {
         ..ServiceConfig::default()
     };
     let path = file.to_owned();
-    let volumes = std::sync::atomic::AtomicU32::new(0);
+    let volumes = AtomicU32::new(0);
     let pool = Arc::new(RecordingPool::wrapping(
         Arc::new(MemDevicePool::new(512, 4096)),
         move |_ignored| {
             // Successor volumes get numbered siblings of the first file;
             // never re-create (and truncate) an existing volume.
-            let n = volumes.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            let n = volumes.fetch_add(1, Ordering::Relaxed);
             let p = if n == 0 {
                 path.clone()
             } else {
