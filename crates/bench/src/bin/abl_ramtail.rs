@@ -20,24 +20,16 @@ use clio_core::ServiceConfig;
 use clio_costmodel::workload::TxnWorkload;
 use clio_device::{RamTailDevice, SharedDevice};
 use clio_types::{ManualClock, Timestamp, VolumeSeqId};
-use clio_volume::{DevicePool, MemDevicePool};
-
-/// Wraps a pool's devices with RAM-tail staging.
-struct RamTailPool(MemDevicePool);
-
-impl DevicePool for RamTailPool {
-    fn next_device(&self) -> clio_types::Result<SharedDevice> {
-        Ok(Arc::new(RamTailDevice::new(self.0.next_device()?)))
-    }
-}
+use clio_volume::{DevicePool, MemDevicePool, RecordingPool};
 
 fn run(ram_tail: bool, txns: usize) -> (u64, u64, u64) {
     let cfg = ServiceConfig::default().with_shards(1);
-    let pool: Arc<dyn DevicePool> = if ram_tail {
-        Arc::new(RamTailPool(MemDevicePool::new(cfg.block_size, 1 << 20)))
-    } else {
-        Arc::new(MemDevicePool::new(cfg.block_size, 1 << 20))
-    };
+    let mut pool: Arc<dyn DevicePool> = Arc::new(MemDevicePool::new(cfg.block_size, 1 << 20));
+    if ram_tail {
+        pool = Arc::new(RecordingPool::wrapping(pool, |base| {
+            Arc::new(RamTailDevice::new(base)) as SharedDevice
+        }));
+    }
     let svc = LogService::create(
         VolumeSeqId(1),
         pool,

@@ -17,26 +17,9 @@ use clio_bench::table;
 use clio_core::service::{AppendOpts, LogService};
 use clio_core::ServiceConfig;
 use clio_costmodel::{CostClock, CostModel, TimedDevice};
-use clio_device::{MemWormDevice, SharedDevice};
+use clio_device::SharedDevice;
 use clio_types::{Timestamp, VolumeSeqId};
-use clio_volume::{DevicePool, MemDevicePool};
-
-struct TimedPool {
-    inner: MemDevicePool,
-    clock: Arc<CostClock>,
-    model: CostModel,
-}
-
-impl DevicePool for TimedPool {
-    fn next_device(&self) -> clio_types::Result<SharedDevice> {
-        let _shape = self.inner.next_device()?; // consume for accounting
-        Ok(Arc::new(TimedDevice::new(
-            Arc::new(MemWormDevice::new(1024, 1 << 20)),
-            self.clock.clone(),
-            self.model,
-        )))
-    }
-}
+use clio_volume::{MemDevicePool, RecordingPool};
 
 fn main() {
     let mut report = Report::new(
@@ -45,11 +28,11 @@ fn main() {
     );
     let model = CostModel::default();
     let clock = Arc::new(CostClock::starting_at(Timestamp::from_secs(1)));
-    let pool = Arc::new(TimedPool {
-        inner: MemDevicePool::new(1024, 1 << 20),
-        clock: clock.clone(),
-        model,
-    });
+    let timed_clock = clock.clone();
+    let pool = Arc::new(RecordingPool::wrapping(
+        Arc::new(MemDevicePool::new(1024, 1 << 20)),
+        move |base| Arc::new(TimedDevice::new(base, timed_clock.clone(), model)) as SharedDevice,
+    ));
     let svc = LogService::create(
         VolumeSeqId(1),
         pool,

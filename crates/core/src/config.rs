@@ -1,6 +1,9 @@
 //! Service configuration.
 
-use clio_types::{ClioError, Result, DEFAULT_BLOCK_SIZE, DEFAULT_FANOUT};
+use clio_types::{
+    ClioError, Result, DEFAULT_BLOCK_SIZE, DEFAULT_FANOUT, MAX_BLOCK_SIZE, MAX_FANOUT,
+    MIN_BLOCK_SIZE,
+};
 
 /// Largest supported shard count: shard indexes share the 32-bit volume
 /// coordinate of an `EntryAddr` with the per-shard volume index (8 bits of
@@ -27,21 +30,12 @@ pub struct ServiceConfig {
     /// read per block, no batching across seals); required for the
     /// fault-injection tests.
     pub verify_appends: bool,
-    /// Maximum client/server clock skew (µs) tolerated when resolving a
-    /// client-generated unique id (§2.1: "its correctness depends on the
-    /// sequence number not wrapping around within the maximum possible
-    /// time skew between the client and the server").
-    pub unique_id_skew_us: u64,
     /// Capacity of the per-service op trace ring (0 disables tracing).
     pub trace_events: usize,
     /// Inert: group commit is the only append pipeline and nothing reads
     /// this. The field survives solely because the `perf/` benchmark names
     /// it in a struct literal; it goes with the next benchmark change.
     pub group_commit: bool,
-    /// Largest number of blocks one vectored write may carry, and so the
-    /// deepest the in-memory sealed queue gets: the seal that fills a
-    /// batch drains it.
-    pub max_batch_blocks: usize,
     /// Independent append domains the service is partitioned into (power
     /// of two, hash-picked by top-level log file id like the block cache's
     /// shards). Each shard owns its own state lock, commit gate, read
@@ -65,10 +59,8 @@ impl Default for ServiceConfig {
             cache_blocks: 1024,
             cache_shards: 8,
             verify_appends: false,
-            unique_id_skew_us: 5_000_000,
             trace_events: 512,
             group_commit: true,
-            max_batch_blocks: 64,
             shards: 4,
             http_addr: None,
         }
@@ -98,8 +90,26 @@ impl ServiceConfig {
     }
 
     /// Validates the configuration, returning a typed error instead of
-    /// letting a bad shard count panic deep inside create/recover.
+    /// letting a bad geometry, cache size or shard count panic deep inside
+    /// create/recover.
     pub fn validate(&self) -> Result<()> {
+        if !(MIN_BLOCK_SIZE..=MAX_BLOCK_SIZE).contains(&self.block_size) {
+            return Err(ClioError::BadConfig(format!(
+                "block_size must be {MIN_BLOCK_SIZE}..={MAX_BLOCK_SIZE}, got {}",
+                self.block_size
+            )));
+        }
+        if !(2..=MAX_FANOUT).contains(&usize::from(self.fanout)) {
+            return Err(ClioError::BadConfig(format!(
+                "fanout must be 2..={MAX_FANOUT}, got {}",
+                self.fanout
+            )));
+        }
+        if self.cache_blocks == 0 || self.cache_shards == 0 {
+            return Err(ClioError::BadConfig(
+                "cache_blocks and cache_shards must be at least 1".into(),
+            ));
+        }
         if self.shards == 0 {
             return Err(ClioError::BadConfig("shards must be at least 1".into()));
         }
@@ -145,7 +155,6 @@ mod tests {
         assert_eq!(c.fanout, 16);
         assert!(!c.verify_appends);
         assert_eq!(c.cache_shards, 8);
-        assert_eq!(c.max_batch_blocks, 64);
         assert_eq!(c.shards, 4);
         assert_eq!(ServiceConfig::small().shards, 1);
         assert_eq!(ServiceConfig::small().with_shards(8).shards, 8);
@@ -164,19 +173,64 @@ mod tests {
     }
 
     #[test]
-    fn shard_count_is_validated() {
-        assert!(ServiceConfig::small().validate().is_ok());
-        assert!(ServiceConfig::default().validate().is_ok());
-        for bad in [0usize, 3, 6, MAX_SHARDS * 2] {
-            let e = ServiceConfig::small().with_shards(bad).validate();
-            assert!(
-                matches!(e, Err(ClioError::BadConfig(_))),
-                "shards={bad} should be rejected, got {e:?}"
-            );
+    fn every_field_that_can_panic_is_validated() {
+        fn row(field: &str, with: impl Fn(usize) -> ServiceConfig, bad: &[usize], good: &[usize]) {
+            for &v in bad {
+                let e = with(v).validate();
+                assert!(
+                    matches!(e, Err(ClioError::BadConfig(_))),
+                    "{field}={v} should be rejected, got {e:?}"
+                );
+            }
+            for &v in good {
+                with(v)
+                    .validate()
+                    .unwrap_or_else(|e| panic!("{field}={v} should be accepted: {e}"));
+            }
         }
-        assert!(ServiceConfig::small()
-            .with_shards(MAX_SHARDS)
-            .validate()
-            .is_ok());
+        assert!(ServiceConfig::default().validate().is_ok());
+        let small = ServiceConfig::small;
+        row(
+            "shards",
+            |shards| ServiceConfig { shards, ..small() },
+            &[0, 3, 6, MAX_SHARDS * 2],
+            &[1, MAX_SHARDS],
+        );
+        row(
+            "fanout",
+            |v| ServiceConfig {
+                fanout: v as u16,
+                ..small()
+            },
+            &[0, 1, MAX_FANOUT + 1, u16::MAX as usize],
+            &[2, MAX_FANOUT],
+        );
+        row(
+            "block_size",
+            |block_size| ServiceConfig {
+                block_size,
+                ..small()
+            },
+            &[0, MIN_BLOCK_SIZE - 1, MAX_BLOCK_SIZE + 1],
+            &[MIN_BLOCK_SIZE, MAX_BLOCK_SIZE],
+        );
+        row(
+            "cache_blocks",
+            |cache_blocks| ServiceConfig {
+                cache_blocks,
+                ..small()
+            },
+            &[0],
+            &[1],
+        );
+        row(
+            "cache_shards",
+            |cache_shards| ServiceConfig {
+                cache_shards,
+                ..small()
+            },
+            &[0],
+            &[1, 3],
+        );
     }
 }

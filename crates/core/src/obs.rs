@@ -11,7 +11,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use clio_device::{DeviceStats, InstrumentedDevice, SharedDevice};
 use clio_entrymap::LocateStats;
@@ -357,12 +357,6 @@ impl ServiceObs {
     #[must_use]
     pub fn instrument_device(&self, dev: SharedDevice) -> SharedDevice {
         Arc::new(InstrumentedDevice::new(dev, self.device_stats.clone()))
-    }
-
-    /// A timer for one traced span.
-    #[must_use]
-    pub fn start_span(&self) -> Instant {
-        clio_obs::clock::now()
     }
 }
 

@@ -65,6 +65,12 @@ use crate::obs::ServiceObs;
 use crate::service::{globalize_addr, LogService, ReadView, SealedQueue, Shard, SharedOpenBlock};
 use crate::write::MAX_SEAL_ATTEMPTS;
 
+/// Maximum client/server clock skew (µs) tolerated when resolving a
+/// client-generated unique id (§2.1: "its correctness depends on the
+/// sequence number not wrapping around within the maximum possible time
+/// skew between the client and the server").
+pub const UNIQUE_ID_SKEW_US: u64 = 5_000_000;
+
 /// A fully reassembled log entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Entry {
@@ -811,16 +817,15 @@ impl LogService {
 
     /// Resolves an asynchronously written entry by its client-generated
     /// unique id — approximate timestamp plus sequence number (§2.1). The
-    /// timestamp bounds the search window to ± the configured clock skew.
+    /// timestamp bounds the search window to ± [`UNIQUE_ID_SKEW_US`].
     pub fn find_by_unique_id(
         &self,
         path: &str,
         approx_ts: Timestamp,
         seqno: SeqNo,
     ) -> Result<Option<Entry>> {
-        let skew = self.cfg.unique_id_skew_us;
-        let from = Timestamp(approx_ts.0.saturating_sub(skew));
-        let limit = approx_ts.saturating_add_micros(skew);
+        let from = Timestamp(approx_ts.0.saturating_sub(UNIQUE_ID_SKEW_US));
+        let limit = approx_ts.saturating_add_micros(UNIQUE_ID_SKEW_US);
         // Search every shard of the closure: the window is per shard, so a
         // miss on one shard must not end the search on the others.
         for (shard, ids) in self.parts_for(self.closure_of(path)?) {

@@ -93,8 +93,6 @@ impl LogService {
             .map(|d| obs.instrument_device(d))
             .collect();
         let pool = Arc::new(crate::obs::InstrumentingPool::new(pool, obs.clone()));
-        let cache = Arc::new(BlockCache::with_shards(cfg.cache_blocks, cfg.cache_shards));
-        obs.attach_cache(&cache);
 
         // Step 1: regroup the devices into their shards' volume sequences
         // by label, then mount each sequence (which locates written ends).
@@ -109,6 +107,8 @@ impl LogService {
         let mut cfg = cfg;
         cfg.shards = groups.len().max(1);
         cfg.validate()?;
+        let cache = Arc::new(BlockCache::with_shards(cfg.cache_blocks, cfg.cache_shards));
+        obs.attach_cache(&cache);
         let mut seqs: Vec<Arc<VolumeSequence>> = Vec::with_capacity(groups.len());
         for (i, devs) in groups.into_values().enumerate() {
             seqs.push(Arc::new(VolumeSequence::open(

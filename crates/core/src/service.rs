@@ -285,7 +285,7 @@ pub(crate) struct OpenBlock {
 /// *seal* stage of the append pipeline. The queue is shared into
 /// read snapshots (so readers see sealed blocks immediately), replaced
 /// copy-on-write at each seal, and drained onto the medium in one vectored
-/// write when it reaches `max_batch_blocks`, or by the next commit.
+/// write when it reaches `MAX_BATCH_BLOCKS`, or by the next commit.
 #[derive(Default)]
 pub(crate) struct SealedQueue {
     /// The data block `images[0]` will occupy (meaningless when empty).
@@ -369,7 +369,7 @@ pub(crate) struct State {
     pub pending_badblocks: Vec<u64>,
     pub stats: SpaceStats,
     /// Blocks sealed in memory, awaiting a vectored write; at most
-    /// `max_batch_blocks` deep (with append verification, empty outside a
+    /// `MAX_BATCH_BLOCKS` deep (with append verification, empty outside a
     /// seal). Shared into snapshots; replaced, never mutated.
     pub sealed_queue: Arc<SealedQueue>,
     /// Forced appends staged since the last commit — what the commit

@@ -22,6 +22,10 @@ use crate::stats::SpaceStats;
 pub(crate) const MAX_SEAL_ATTEMPTS: u32 = 8;
 const _: () = assert!(MAX_SEAL_ATTEMPTS - 1 <= BlockFlags::MAX_DISPLACED as u32);
 
+/// Largest number of blocks one vectored write carries, and so the deepest
+/// the in-memory sealed queue gets: the seal that fills a batch drains it.
+pub const MAX_BATCH_BLOCKS: usize = 64;
+
 /// Bound on blocks a single record may spread over before we declare a
 /// configuration bug (the fragmentation loop normally terminates long
 /// before this).
@@ -311,7 +315,7 @@ impl Shard {
         // write a later flush or commit would have issued for it.
         let depth = st.sealed_queue.images.len();
         self.pshard.sealed_queue_blocks.set(depth as i64);
-        if depth >= self.cfg.max_batch_blocks.max(1) {
+        if depth >= MAX_BATCH_BLOCKS {
             self.write_sealed_queue(st)?;
         }
         Ok(())
@@ -360,7 +364,7 @@ impl Shard {
     }
 
     /// Drains the sealed queue onto the active volume in vectored writes of
-    /// at most `max_batch_blocks` blocks each. Returns `(device_writes,
+    /// at most [`MAX_BATCH_BLOCKS`] blocks each. Returns `(device_writes,
     /// blocks_written)`. On a device error the unwritten suffix (as
     /// resynchronised from the device end) is re-queued, so a later commit
     /// or flush retries it.
@@ -378,10 +382,9 @@ impl Shard {
     fn write_sealed_queue_inner(&self, st: &mut State) -> Result<(u64, u64)> {
         let vol = &*st.active;
         let queue = std::mem::take(&mut st.sealed_queue);
-        let chunk_blocks = self.cfg.max_batch_blocks.max(1);
         let mut writes = 0u64;
         let mut written = 0usize;
-        for chunk in queue.images.chunks(chunk_blocks) {
+        for chunk in queue.images.chunks(MAX_BATCH_BLOCKS) {
             let first_db = queue.first_db + written as u64;
             if let Err(e) = vol.append_data_blocks(first_db, chunk) {
                 // Torn batch: the volume resynchronised its end to what

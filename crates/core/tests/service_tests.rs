@@ -3,6 +3,7 @@
 use std::sync::Arc;
 
 use clio_core::service::{AppendOpts, Durability, LogService};
+use clio_core::write::MAX_BATCH_BLOCKS;
 use clio_core::{LogCursor, ServiceConfig, Uio, UioSeek};
 use clio_device::{FaultPlan, FaultyDevice, MemWormDevice, RamTailDevice, SharedDevice};
 use clio_types::{ClioError, LogFileId, ManualClock, SeqNo, Timestamp, VolumeSeqId};
@@ -20,6 +21,52 @@ fn small_service() -> LogService {
         clock(),
     )
     .unwrap()
+}
+
+/// `ServiceConfig::validate` promises a typed error "instead of a panic deep
+/// inside create/recover"; it used to check only `shards`, and each of
+/// these panicked (`Geometry::new`, `BlockBuilder::new`,
+/// `BlockCache::with_shards`).
+#[test]
+fn regression_a_bad_config_is_a_typed_error_not_a_panic() {
+    let small = ServiceConfig::small;
+    let bad = [
+        ServiceConfig {
+            fanout: 0,
+            ..small()
+        },
+        ServiceConfig {
+            fanout: 1025,
+            ..small()
+        },
+        ServiceConfig {
+            block_size: 64,
+            ..small()
+        },
+        ServiceConfig {
+            block_size: 1 << 17,
+            ..small()
+        },
+        ServiceConfig {
+            cache_blocks: 0,
+            ..small()
+        },
+    ];
+    for cfg in bad {
+        let pool = Arc::new(MemDevicePool::new(cfg.block_size.max(128), 64));
+        let r = LogService::create(VolumeSeqId(1), pool, cfg.clone(), clock());
+        assert!(matches!(r, Err(ClioError::BadConfig(_))), "{cfg:?}");
+    }
+    // Recovery takes its geometry from the labels but its cache from the
+    // configuration.
+    let pool = capturing_pool(256, 64, false);
+    drop(LogService::create(VolumeSeqId(1), pool.clone(), small(), clock()).unwrap());
+    let cfg = ServiceConfig {
+        cache_blocks: 0,
+        ..small()
+    };
+    let r = LogService::recover(pool.devices(), pool.clone(), cfg, clock());
+    assert!(matches!(r, Err(ClioError::BadConfig(_))));
 }
 
 #[test]
@@ -1235,7 +1282,7 @@ fn regression_catalog_record_across_entrymap_overflow_block_survives_recovery() 
 
 /// A buffered append costs the same at any queue depth: it publishes no
 /// snapshot while it stays inside the open block, and the sealed queue is
-/// drained every `max_batch_blocks` seals instead of growing until the
+/// drained every `MAX_BATCH_BLOCKS` seals instead of growing until the
 /// next flush. Counts only — no wall clock.
 #[test]
 fn publish_is_flat_in_queue_depth() {
@@ -1243,7 +1290,7 @@ fn publish_is_flat_in_queue_depth() {
         block_size: 1024,
         ..ServiceConfig::small()
     };
-    let batch = cfg.max_batch_blocks as u64;
+    let batch = MAX_BATCH_BLOCKS as u64;
     let svc = LogService::create(
         VolumeSeqId(1),
         Arc::new(MemDevicePool::new(1024, 1 << 14)),
@@ -1297,11 +1344,13 @@ fn publish_is_flat_in_queue_depth() {
 #[test]
 fn failed_threshold_drain_keeps_the_suffix_queued() {
     let pool = Arc::new(FaultyPool::default());
-    let cfg = ServiceConfig {
-        max_batch_blocks: 4,
-        ..ServiceConfig::small()
-    };
-    let svc = LogService::create(VolumeSeqId(1), pool.clone(), cfg, clock()).unwrap();
+    let svc = LogService::create(
+        VolumeSeqId(1),
+        pool.clone(),
+        ServiceConfig::small(),
+        clock(),
+    )
+    .unwrap();
     let id = svc.create_log("/d").unwrap();
     let queue_depth = svc.metrics().gauge("clio_core_shard0_sealed_queue_blocks");
     let payload = |i: u32| {
@@ -1310,11 +1359,11 @@ fn failed_threshold_drain_keeps_the_suffix_queued() {
         p
     };
 
-    // Queue three sealed blocks, then arm the tear: the drain of the
-    // fourth lands two blocks and fails.
+    // Queue one block short of a batch, then arm the tear: the drain the
+    // next seal triggers lands two blocks and fails.
     let mut acked = Vec::new();
     let mut i = 0u32;
-    while queue_depth.get() < 3 {
+    while queue_depth.get() < MAX_BATCH_BLOCKS as i64 - 1 {
         acked.push(svc.append(id, &payload(i), AppendOpts::standard()).unwrap());
         i += 1;
     }
@@ -1329,7 +1378,11 @@ fn failed_threshold_drain_keeps_the_suffix_queued() {
     };
     assert!(matches!(err, ClioError::Io(_)), "{err:?}");
     assert_eq!(svc.volumes().active().data_end(), data_end + 2);
-    assert_eq!(queue_depth.get(), 2, "the unwritten suffix stays queued");
+    assert_eq!(
+        queue_depth.get(),
+        MAX_BATCH_BLOCKS as i64 - 2,
+        "the unwritten suffix stays queued"
+    );
     for (n, r) in acked.iter().enumerate() {
         assert_eq!(svc.read_entry(r.addr).unwrap().data, payload(n as u32));
     }

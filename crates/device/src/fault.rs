@@ -411,7 +411,7 @@ mod tests {
     use std::sync::Arc;
 
     use super::*;
-    use crate::mem::MemWormDevice;
+    use crate::MemWormDevice;
 
     #[test]
     fn forced_corruption_garbles_exactly_one_block() {

@@ -9,9 +9,9 @@
 //! write-once storage") — this crate provides devices that *enforce* the
 //! append-only contract in software:
 //!
-//! - [`MemWormDevice`]: an in-memory write-once device, the workhorse for
-//!   tests and benchmarks;
-//! - [`FileWormDevice`]: a host-file-backed write-once device;
+//! - [`WormDevice`]: the write-once rule itself, stated once over a medium
+//!   that has none — memory ([`MemWormDevice`], the workhorse for tests and
+//!   benchmarks) or a host file ([`FileWormDevice`]);
 //! - [`RamTailDevice`]: a wrapper modelling battery-backed RAM at the tail of
 //!   the device, so the most recent partial block stays rewriteable until
 //!   sealed (§2.3.1);
@@ -21,23 +21,22 @@
 //!   exercise the recovery paths of §2.3.
 //!
 //! The crate also defines [`BlockStore`], the *rewriteable* block device used
-//! by the conventional file system substrate (`clio-fs`), with in-memory and
-//! file-backed implementations.
+//! by the conventional file system substrate (`clio-fs`), over the same two
+//! media.
 
 pub mod fault;
-pub mod file;
-pub mod mem;
+mod medium;
 pub mod mirror;
 pub mod ram_tail;
 pub mod stats;
 pub mod store;
 pub mod traits;
+pub mod worm;
 
 pub use fault::{CrashSwitch, FaultPlan, FaultyDevice};
-pub use file::FileWormDevice;
-pub use mem::MemWormDevice;
 pub use mirror::MirroredDevice;
 pub use ram_tail::RamTailDevice;
 pub use stats::{DeviceStats, InstrumentedDevice};
 pub use store::{BlockStore, FileBlockStore, MemBlockStore};
 pub use traits::{LogDevice, SharedDevice};
+pub use worm::{FileWormDevice, MemWormDevice, WormDevice};

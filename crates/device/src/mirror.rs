@@ -110,32 +110,7 @@ impl LogDevice for MirroredDevice {
     }
 
     fn append_block(&self, expected: BlockNo, data: &[u8]) -> Result<()> {
-        check_len(self.block_size(), data.len())?;
-        // All replicas receive the append; the first hard failure aborts
-        // (the already-written replicas simply run ahead, which
-        // `query_end`'s min() masks until the append is retried).
-        let mut accepted = false;
-        let mut ahead_end = None;
-        for r in &self.replicas {
-            match r.append_block(expected, data) {
-                Ok(()) => accepted = true,
-                // A replica that already has this block (from a previous
-                // partially-failed attempt) is fine — same data, same slot.
-                Err(ClioError::NotAppendOnly { end, .. }) if end > expected => {
-                    ahead_end = Some(end);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        if !accepted {
-            // No replica was missing the block: this is a genuine attempt
-            // to rewrite written storage, not a catch-up retry.
-            return Err(ClioError::NotAppendOnly {
-                attempted: expected,
-                end: ahead_end.unwrap_or(expected),
-            });
-        }
-        Ok(())
+        self.append_blocks(expected, &[data])
     }
 
     fn append_blocks(&self, expected: BlockNo, blocks: &[&[u8]]) -> Result<()> {
@@ -146,6 +121,9 @@ impl LogDevice for MirroredDevice {
             check_len(self.block_size(), b.len())?;
         }
         let n = blocks.len() as u64;
+        // All replicas receive the append; the first hard failure aborts
+        // (the already-written replicas simply run ahead, which
+        // `query_end`'s min() masks until the append is retried).
         let mut accepted = false;
         let mut ahead_end = None;
         for r in &self.replicas {
@@ -168,6 +146,8 @@ impl LogDevice for MirroredDevice {
             }
         }
         if !accepted {
+            // No replica was missing a block: this is a genuine attempt to
+            // rewrite written storage, not a catch-up retry.
             return Err(ClioError::NotAppendOnly {
                 attempted: expected,
                 end: ahead_end.unwrap_or(expected),
@@ -238,7 +218,7 @@ mod tests {
     use std::sync::Arc;
 
     use super::*;
-    use crate::mem::MemWormDevice;
+    use crate::MemWormDevice;
 
     fn mirror(width: usize) -> (Vec<Arc<MemWormDevice>>, MirroredDevice) {
         let raw: Vec<Arc<MemWormDevice>> = (0..width)

@@ -27,7 +27,7 @@ use clio_testkit::sync::{Mutex, MutexGuard};
 
 use clio_types::{BlockNo, ClioError, Result, INVALIDATED_BYTE};
 
-use crate::traits::{check_len, LogDevice, SharedDevice};
+use crate::traits::{check_len, locate_end, LogDevice, SharedDevice};
 
 /// A log device with a rewriteable, non-volatile tail block.
 ///
@@ -83,14 +83,6 @@ impl RamTailDevice {
                 },
                 "device.ram_tail",
             ),
-        }
-    }
-
-    /// The underlying device's append point (first block not burned to WORM).
-    fn inner_end(&self) -> Result<BlockNo> {
-        match self.inner.query_end() {
-            Some(e) => Ok(e),
-            None => Ok(crate::traits::locate_end(&*self.inner)?.0),
         }
     }
 
@@ -231,36 +223,7 @@ impl LogDevice for RamTailDevice {
     }
 
     fn append_block(&self, expected: BlockNo, data: &[u8]) -> Result<()> {
-        check_len(self.block_size(), data.len())?;
-        let mut g = self.settled_for_write()?;
-        match &g.tail {
-            // Sealing the staged block: the append burns the *new* (final)
-            // contents through to WORM and retires the buffer — but only
-            // once the burn verifiably landed (see module docs: torn
-            // burns).
-            Some(t) if t.block == expected => match self.inner.append_block(expected, data) {
-                Ok(()) => {
-                    g.tail = None;
-                    Ok(())
-                }
-                Err(e) => {
-                    self.settle_failed_burn(&mut g, data.to_vec());
-                    Err(e)
-                }
-            },
-            // Appending past a staged block (e.g. after a crash recovered
-            // the staged tail as-is): flush the buffer to WORM first, then
-            // append — the battery-backed RAM drains to the medium.
-            Some(t) if t.block.next() == expected => {
-                self.drain_staged(&mut g)?;
-                self.inner.append_block(expected, data)
-            }
-            Some(t) => Err(ClioError::NotAppendOnly {
-                attempted: expected,
-                end: t.block.next(),
-            }),
-            None => self.inner.append_block(expected, data),
-        }
+        self.append_blocks(expected, &[data])
     }
 
     fn append_blocks(&self, expected: BlockNo, blocks: &[&[u8]]) -> Result<()> {
@@ -274,9 +237,10 @@ impl LogDevice for RamTailDevice {
         match &g.tail {
             // The batch starts at the staged block: its first element is the
             // sealed (final) contents of the tail, so burn the whole batch
-            // through and retire the buffer. On failure the buffer is kept
-            // unless the intended first block verifiably landed; a slot
-            // torn with garbage orphans the image instead (module docs).
+            // through and retire the buffer — but only once the burn
+            // verifiably landed. On failure the buffer is kept unless the
+            // intended first block did land; a slot torn with garbage
+            // orphans the image instead (module docs: torn burns).
             Some(t) if t.block == expected => {
                 let r = self.inner.append_blocks(expected, blocks);
                 match &r {
@@ -285,8 +249,9 @@ impl LogDevice for RamTailDevice {
                 }
                 r
             }
-            // Appending past a staged block: drain the battery-backed RAM
-            // to the medium first, then write the batch.
+            // Appending past a staged block (e.g. after a crash recovered
+            // the staged tail as-is): drain the battery-backed RAM to the
+            // medium first, then write the batch.
             Some(t) if t.block.next() == expected => {
                 self.drain_staged(&mut g)?;
                 self.inner.append_blocks(expected, blocks)
@@ -346,7 +311,8 @@ impl LogDevice for RamTailDevice {
                 self.drain_staged(&mut g)?;
             }
         }
-        let end = self.inner_end()?;
+        // The first block not burned to WORM.
+        let (end, _) = locate_end(&*self.inner)?;
         if block != end {
             return Err(ClioError::NotAppendOnly {
                 attempted: block,
@@ -374,7 +340,7 @@ mod tests {
     use std::sync::Arc;
 
     use super::*;
-    use crate::mem::MemWormDevice;
+    use crate::MemWormDevice;
 
     fn device() -> (Arc<MemWormDevice>, RamTailDevice) {
         let worm = Arc::new(MemWormDevice::new(32, 16));
@@ -461,7 +427,7 @@ mod seal_tests {
     use std::sync::Arc;
 
     use super::*;
-    use crate::mem::MemWormDevice;
+    use crate::MemWormDevice;
 
     /// The whole-system simulator's first counterexample (seed 1 of the
     /// initial storm): a forced append staged block N in battery RAM;

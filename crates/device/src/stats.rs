@@ -301,7 +301,7 @@ impl LogDevice for InstrumentedDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mem::MemWormDevice;
+    use crate::MemWormDevice;
 
     fn instrumented() -> (InstrumentedDevice, Arc<DeviceStats>) {
         let stats = DeviceStats::new(&MetricsRegistry::new());

@@ -13,57 +13,8 @@ use clio_testkit::sync::Mutex;
 
 use clio_types::{BlockNo, ClioError, Result};
 
-/// The one place in the device layer allowed to touch raw host-file
-/// primitives.
-///
-/// Everything position- or extent-changing (`OpenOptions`, `seek`,
-/// `set_len`, positioned writes) funnels through these helpers so the
-/// write-once discipline of the devices built on top can be audited in
-/// one screen of code; the `worm-writes` rule in `clio-lint` rejects
-/// those primitives anywhere else under `crates/device/src`.
-pub(crate) mod raw {
-    use std::fs::{File, OpenOptions};
-    use std::io::{self, Read, Seek, SeekFrom, Write};
-    use std::path::Path;
-
-    /// Opens `path` read-write, creating or truncating it.
-    pub(crate) fn create_rw(path: &Path) -> io::Result<File> {
-        OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(path)
-    }
-
-    /// Opens an existing `path` read-write.
-    pub(crate) fn open_rw(path: &Path) -> io::Result<File> {
-        OpenOptions::new().read(true).write(true).open(path)
-    }
-
-    /// Extends (or shrinks) the file to exactly `len` bytes.
-    pub(crate) fn set_extent(file: &File, len: u64) -> io::Result<()> {
-        file.set_len(len)
-    }
-
-    /// Reads exactly `buf.len()` bytes at absolute offset `off`.
-    pub(crate) fn read_at(file: &mut File, off: u64, buf: &mut [u8]) -> io::Result<()> {
-        file.seek(SeekFrom::Start(off))?;
-        file.read_exact(buf)
-    }
-
-    /// Writes all of `data` at absolute offset `off`.
-    pub(crate) fn write_at(file: &mut File, off: u64, data: &[u8]) -> io::Result<()> {
-        file.seek(SeekFrom::Start(off))?;
-        file.write_all(data)
-    }
-
-    /// Appends all of `data` at the file's current end.
-    pub(crate) fn append_at_end(file: &mut File, data: &[u8]) -> io::Result<()> {
-        file.seek(SeekFrom::End(0))?;
-        file.write_all(data)
-    }
-}
+use crate::medium::{self, Medium};
+use crate::traits::check_len;
 
 /// A rewriteable, block-oriented storage device (a conventional disk).
 pub trait BlockStore: Send + Sync {
@@ -107,66 +58,28 @@ impl<T: BlockStore + ?Sized> BlockStore for std::sync::Arc<T> {
     }
 }
 
-/// An in-memory rewriteable block store.
-pub struct MemBlockStore {
+/// A rewriteable block store over one of the two media: the bounds and
+/// buffer-length check, and nothing else, stands between a caller and any
+/// block.
+pub struct Store<M> {
     block_size: usize,
     capacity: u64,
-    data: Mutex<Vec<u8>>,
+    medium: Mutex<M>,
 }
+
+/// An in-memory rewriteable block store.
+pub type MemBlockStore = Store<Vec<u8>>;
+
+/// A host-file-backed rewriteable block store.
+pub type FileBlockStore = Store<File>;
 
 impl MemBlockStore {
     /// Creates a zero-filled store of `capacity` blocks.
     #[must_use]
     pub fn new(block_size: usize, capacity: u64) -> MemBlockStore {
-        MemBlockStore {
-            block_size,
-            capacity,
-            data: Mutex::with_class(vec![0; block_size * capacity as usize], "device.store.mem"),
-        }
+        let medium = vec![0; block_size * capacity as usize];
+        Self::over(medium, "device.store.mem", block_size, capacity)
     }
-
-    fn check(&self, block: BlockNo, len: usize) -> Result<usize> {
-        if block.0 >= self.capacity {
-            return Err(ClioError::OutOfRange(block));
-        }
-        if len != self.block_size {
-            return Err(ClioError::Internal(format!(
-                "buffer of {len} bytes does not match block size {}",
-                self.block_size
-            )));
-        }
-        Ok(block.0 as usize * self.block_size)
-    }
-}
-
-impl BlockStore for MemBlockStore {
-    fn block_size(&self) -> usize {
-        self.block_size
-    }
-
-    fn capacity_blocks(&self) -> u64 {
-        self.capacity
-    }
-
-    fn read_block(&self, block: BlockNo, buf: &mut [u8]) -> Result<()> {
-        let off = self.check(block, buf.len())?;
-        buf.copy_from_slice(&self.data.lock()[off..off + self.block_size]);
-        Ok(())
-    }
-
-    fn write_block(&self, block: BlockNo, data: &[u8]) -> Result<()> {
-        lockdep::assert_no_locks_held("MemBlockStore::write_block");
-        let off = self.check(block, data.len())?;
-        self.data.lock()[off..off + self.block_size].copy_from_slice(data);
-        Ok(())
-    }
-}
-
-/// A host-file-backed rewriteable block store.
-pub struct FileBlockStore {
-    block_size: usize,
-    capacity: u64,
-    file: Mutex<File>,
 }
 
 impl FileBlockStore {
@@ -176,13 +89,9 @@ impl FileBlockStore {
         block_size: usize,
         capacity: u64,
     ) -> Result<FileBlockStore> {
-        let file = raw::create_rw(path.as_ref())?;
-        raw::set_extent(&file, block_size as u64 * capacity)?;
-        Ok(FileBlockStore {
-            block_size,
-            capacity,
-            file: Mutex::with_class(file, "device.store.file"),
-        })
+        let file = medium::create_rw(path.as_ref())?;
+        medium::set_extent(&file, block_size as u64 * capacity)?;
+        Ok(Self::over(file, "device.store.file", block_size, capacity))
     }
 
     /// Opens an existing store file.
@@ -191,29 +100,31 @@ impl FileBlockStore {
         block_size: usize,
         capacity: u64,
     ) -> Result<FileBlockStore> {
-        let file = raw::open_rw(path.as_ref())?;
-        Ok(FileBlockStore {
+        let file = medium::open_rw(path.as_ref())?;
+        Ok(Self::over(file, "device.store.file", block_size, capacity))
+    }
+}
+
+impl<M> Store<M> {
+    fn over(medium: M, lock_class: &'static str, block_size: usize, capacity: u64) -> Store<M> {
+        Store {
             block_size,
             capacity,
-            file: Mutex::with_class(file, "device.store.file"),
-        })
+            medium: Mutex::with_class(medium, lock_class),
+        }
     }
 
+    /// The byte offset of `block`, for a buffer of `len` bytes.
     fn check(&self, block: BlockNo, len: usize) -> Result<u64> {
         if block.0 >= self.capacity {
             return Err(ClioError::OutOfRange(block));
         }
-        if len != self.block_size {
-            return Err(ClioError::Internal(format!(
-                "buffer of {len} bytes does not match block size {}",
-                self.block_size
-            )));
-        }
+        check_len(self.block_size, len)?;
         Ok(block.0 * self.block_size as u64)
     }
 }
 
-impl BlockStore for FileBlockStore {
+impl<M: Medium> BlockStore for Store<M> {
     fn block_size(&self) -> usize {
         self.block_size
     }
@@ -224,20 +135,20 @@ impl BlockStore for FileBlockStore {
 
     fn read_block(&self, block: BlockNo, buf: &mut [u8]) -> Result<()> {
         let off = self.check(block, buf.len())?;
-        raw::read_at(&mut self.file.lock(), off, buf)?;
+        self.medium.lock().read_at(off, buf)?;
         Ok(())
     }
 
     fn write_block(&self, block: BlockNo, data: &[u8]) -> Result<()> {
-        lockdep::assert_no_locks_held("FileBlockStore::write_block");
+        lockdep::assert_no_locks_held("Store::write_block");
         let off = self.check(block, data.len())?;
-        raw::write_at(&mut self.file.lock(), off, data)?;
+        self.medium.lock().write_at(off, data)?;
         Ok(())
     }
 
     fn sync(&self) -> Result<()> {
-        lockdep::assert_no_locks_held("FileBlockStore::sync");
-        self.file.lock().sync_data()?;
+        lockdep::assert_no_locks_held("Store::sync");
+        self.medium.lock().sync()?;
         Ok(())
     }
 }

@@ -143,7 +143,7 @@ pub(crate) fn check_len(dev_block_size: usize, len: usize) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mem::MemWormDevice;
+    use crate::MemWormDevice;
 
     #[test]
     fn locate_end_with_query() {

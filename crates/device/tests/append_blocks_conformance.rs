@@ -1,5 +1,6 @@
 //! Byte-for-byte conformance of every `append_blocks` implementation with
-//! a loop of `append_block`, driven by the shared schedules in
+//! a loop of `append_block`, and of every `append_block` with a one-block
+//! `append_blocks`, driven by the shared schedules in
 //! `clio_testkit::devcheck`, plus targeted tests for the behaviours that
 //! only exist on the vectored path (mid-batch tears, replica catch-up,
 //! batch accounting, staged-tail sealing).
@@ -13,7 +14,9 @@ use clio_device::{
     MemWormDevice, MirroredDevice, RamTailDevice, SharedDevice,
 };
 use clio_obs::MetricsRegistry;
-use clio_testkit::devcheck::{check_batch_append_conformance, BatchDevice};
+use clio_testkit::devcheck::{
+    block_image, check_batch_append_conformance, check_single_is_one_block_batch, BatchDevice,
+};
 use clio_types::{BlockNo, ClioError, Result};
 
 const BLOCK: usize = 32;
@@ -38,10 +41,7 @@ fn adapt(dev: SharedDevice) -> BatchDevice {
                 .map(|()| buf)
                 .map_err(|e| e.to_string())
         }),
-        end: Box::new(move || match d4.query_end() {
-            Some(e) => e.0,
-            None => locate_end(&*d4).expect("locate end").0 .0,
-        }),
+        end: Box::new(move || locate_end(&*d4).expect("locate end").0 .0),
     }
 }
 
@@ -100,21 +100,24 @@ fn mem_device_conforms() {
     });
 }
 
-#[test]
-fn file_device_conforms() {
-    let mut paths = Vec::new();
-    {
-        let paths = std::cell::RefCell::new(&mut paths);
-        check_batch_append_conformance(BLOCK, || {
-            let p = tmp_path();
-            let dev = FileWormDevice::create(&p, BLOCK, CAPACITY).expect("create device file");
-            paths.borrow_mut().push(p);
-            adapt(Arc::new(dev))
-        });
-    }
-    for p in paths {
+/// Runs `check` with a maker of fresh file devices of `capacity` blocks,
+/// then removes the files they were made on.
+fn with_file_devices(capacity: u64, check: impl FnOnce(&dyn Fn() -> BatchDevice)) {
+    let paths = std::cell::RefCell::new(Vec::new());
+    check(&|| {
+        let p = tmp_path();
+        let dev = FileWormDevice::create(&p, BLOCK, capacity).expect("create device file");
+        paths.borrow_mut().push(p);
+        adapt(Arc::new(dev))
+    });
+    for p in paths.into_inner() {
         let _ = std::fs::remove_file(p);
     }
+}
+
+#[test]
+fn file_device_conforms() {
+    with_file_devices(CAPACITY, |mk| check_batch_append_conformance(BLOCK, mk));
 }
 
 #[test]
@@ -151,6 +154,70 @@ fn instrumented_device_conforms() {
     check_batch_append_conformance(BLOCK, || {
         adapt(Arc::new(InstrumentedDevice::new(
             Arc::new(MemWormDevice::new(BLOCK, CAPACITY)),
+            DeviceStats::new(&MetricsRegistry::new()),
+        )))
+    });
+}
+
+/// Few enough blocks that a check can fill the device to `VolumeFull`.
+const SMALL: u64 = 12;
+
+fn small_mem() -> Arc<MemWormDevice> {
+    Arc::new(MemWormDevice::new(BLOCK, SMALL))
+}
+
+#[test]
+fn single_is_a_one_block_batch_on_both_media() {
+    check_single_is_one_block_batch(BLOCK, 0, SMALL, || adapt(small_mem()));
+    with_file_devices(SMALL, |mk| {
+        check_single_is_one_block_batch(BLOCK, 0, SMALL, mk);
+    });
+}
+
+#[test]
+fn single_is_a_one_block_batch_on_a_mirror() {
+    // Replicas in step, then one replica a block ahead (a previous attempt
+    // reached only it), so the first append is a catch-up.
+    for ahead in [false, true] {
+        check_single_is_one_block_batch(BLOCK, 0, SMALL, || {
+            let (a, b) = (small_mem(), small_mem());
+            if ahead {
+                a.append_block(BlockNo(0), &block_image(BLOCK, 0)).unwrap();
+            }
+            adapt(Arc::new(MirroredDevice::new(vec![
+                a as SharedDevice,
+                b as SharedDevice,
+            ])))
+        });
+    }
+}
+
+#[test]
+fn single_is_a_one_block_batch_on_a_ram_tail() {
+    // No tail; a staged tail that the first append seals; a staged tail
+    // that the first append goes past, draining it.
+    for (staged, first) in [(false, 0), (true, 0), (true, 1)] {
+        check_single_is_one_block_batch(BLOCK, first, SMALL, || {
+            let dev = RamTailDevice::new(small_mem());
+            if staged {
+                dev.rewrite_tail(BlockNo(0), &[0x7A; BLOCK]).unwrap();
+            }
+            adapt(Arc::new(dev))
+        });
+    }
+}
+
+#[test]
+fn single_is_a_one_block_batch_through_both_wrappers() {
+    check_single_is_one_block_batch(BLOCK, 0, SMALL, || {
+        adapt(Arc::new(FaultyDevice::new(
+            small_mem(),
+            FaultPlan::default(),
+        )))
+    });
+    check_single_is_one_block_batch(BLOCK, 0, SMALL, || {
+        adapt(Arc::new(InstrumentedDevice::new(
+            small_mem(),
             DeviceStats::new(&MetricsRegistry::new()),
         )))
     });

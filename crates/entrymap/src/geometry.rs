@@ -1,5 +1,7 @@
 //! Entrymap tree arithmetic.
 
+use clio_types::MAX_FANOUT;
+
 /// Fixed geometry of an entrymap tree: the degree `N` (paper §2.1).
 ///
 /// Level-`l` groups partition the data blocks into runs of `N^l`; the map
@@ -16,11 +18,14 @@ impl Geometry {
     ///
     /// # Panics
     ///
-    /// Panics unless `2 <= fanout <= 1024`; the degree is fixed at volume
+    /// Panics unless `2 <= fanout <= `[`MAX_FANOUT`]; the degree is fixed at volume
     /// creation and an out-of-range value is a configuration bug.
     #[must_use]
     pub fn new(fanout: usize) -> Geometry {
-        assert!((2..=1024).contains(&fanout), "unsupported fanout {fanout}");
+        assert!(
+            (2..=MAX_FANOUT).contains(&fanout),
+            "unsupported fanout {fanout}"
+        );
         Geometry {
             fanout: fanout as u64,
         }

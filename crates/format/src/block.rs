@@ -24,7 +24,7 @@
 use std::sync::Arc;
 
 use clio_types::crc::crc32;
-use clio_types::{ClioError, Result, Timestamp, INVALIDATED_BYTE, MIN_BLOCK_SIZE};
+use clio_types::{ClioError, Result, Timestamp, INVALIDATED_BYTE, MAX_BLOCK_SIZE, MIN_BLOCK_SIZE};
 
 use crate::header::{EntryHeader, FragKind};
 
@@ -114,13 +114,13 @@ impl BlockBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if `block_size` is below [`MIN_BLOCK_SIZE`] or above 64 KiB
-    /// (the size index stores 16-bit sizes); geometry is fixed at volume
-    /// creation, so a bad size is a configuration bug.
+    /// Panics if `block_size` is below [`MIN_BLOCK_SIZE`] or above
+    /// [`MAX_BLOCK_SIZE`]; geometry is fixed at volume creation, so a bad
+    /// size is a configuration bug.
     #[must_use]
     pub fn new(block_size: usize, first_ts: Timestamp) -> BlockBuilder {
         assert!(
-            (MIN_BLOCK_SIZE..=65536).contains(&block_size),
+            (MIN_BLOCK_SIZE..=MAX_BLOCK_SIZE).contains(&block_size),
             "unsupported block size {block_size}"
         );
         BlockBuilder {

@@ -9,7 +9,7 @@
 
 use clio_types::crc::crc32;
 use clio_types::{
-    ClioError, Result, Timestamp, VolumeId, VolumeSeqId, DEFAULT_FANOUT, MIN_BLOCK_SIZE,
+    ClioError, Result, Timestamp, VolumeId, VolumeSeqId, DEFAULT_FANOUT, MAX_FANOUT, MIN_BLOCK_SIZE,
 };
 
 /// Magic number identifying a Clio volume label.
@@ -122,8 +122,8 @@ impl VolumeLabel {
                 "label block size disagrees with image",
             ));
         }
-        if fanout < 2 {
-            return Err(ClioError::BadRecord("fanout below 2"));
+        if !(2..=MAX_FANOUT).contains(&usize::from(fanout)) {
+            return Err(ClioError::BadRecord("fanout outside 2..=1024"));
         }
         let created = Timestamp(u64::from_le_bytes(bytes[39..47].try_into().expect("8")));
         Ok(VolumeLabel {
@@ -185,5 +185,30 @@ mod tests {
         let img = label.encode(1024);
         // Truncated to half: CRC is elsewhere, magic still present.
         assert!(VolumeLabel::decode(&img[..512]).is_err());
+    }
+
+    /// A well-formed label from elsewhere must not reach `Geometry::new`
+    /// with a degree it panics on: above the range used to pass.
+    #[test]
+    fn regression_decode_rejects_a_fanout_no_tree_can_have() {
+        let mut label = VolumeLabel::first(VolumeId(7), VolumeSeqId(9), 256, Timestamp(5));
+        for (fanout, ok) in [
+            (0, false),
+            (1, false),
+            (2, true),
+            (1024, true),
+            (1025, false),
+        ] {
+            label.fanout = fanout;
+            let got = VolumeLabel::decode(&label.encode(256));
+            if ok {
+                assert_eq!(got.unwrap().fanout, fanout);
+            } else {
+                assert!(
+                    matches!(got, Err(ClioError::BadRecord(_))),
+                    "{fanout}: {got:?}"
+                );
+            }
+        }
     }
 }

@@ -24,7 +24,7 @@
 //!   approved timing modules; product code uses `clio_obs::clock::now()`
 //!   (observability) or `clio_types::time::Clock` (semantic time).
 //! - `worm-writes` — inside `crates/device`, raw file primitives
-//!   (`OpenOptions`, seeks, `set_len`, …) are confined to `store.rs`,
+//!   (`OpenOptions`, seeks, `set_len`, …) are confined to `medium.rs`,
 //!   the audited write surface of the write-once storage model.
 //! - `no-env-config` — `std::env::var*` only in `crates/testkit`,
 //!   `crates/bench`, `crates/lint` and the root `src/bin`: library

@@ -1,12 +1,13 @@
 //! `worm-writes`: the device layer models write-once storage, and the
 //! paper's whole integrity story (§2.3: a log file's committed prefix is
 //! immutable) rests on every byte reaching the platter through one
-//! audited surface. That surface is `store::raw` in
-//! `crates/device/src/store.rs`. Anywhere else under `crates/device/src`,
-//! raw file primitives — `OpenOptions`, `File::create`, seeks,
-//! `set_len`, `fs::write` — are rejected, so a future device can't
-//! quietly grow an unaudited rewrite path. Test modules are exempt
-//! (crash tests deliberately corrupt files).
+//! audited surface. That surface is the host-file medium in
+//! `crates/device/src/medium.rs`, which has no rule of its own and sits
+//! under the one `WormDevice` that does. Anywhere else under
+//! `crates/device/src`, raw file primitives — `OpenOptions`,
+//! `File::create`, seeks, `set_len`, `fs::write` — are rejected, so a
+//! future device can't quietly grow an unaudited rewrite path. Test
+//! modules are exempt (crash tests deliberately corrupt files).
 
 use crate::lexer::{match_path, Kind};
 use crate::{Diag, SourceFile};
@@ -15,9 +16,9 @@ use crate::{Diag, SourceFile};
 pub const NAME: &str = "worm-writes";
 
 const SCOPE: &str = "crates/device/src/";
-const SURFACE: &str = "crates/device/src/store.rs";
+const SURFACE: &str = "crates/device/src/medium.rs";
 
-/// Flags raw file primitives in device code outside `store.rs`.
+/// Flags raw file primitives in device code outside `medium.rs`.
 pub fn check(sf: &SourceFile, out: &mut Vec<Diag>) {
     if !sf.rel.starts_with(SCOPE) || sf.rel == SURFACE {
         return;
@@ -47,7 +48,7 @@ pub fn check(sf: &SourceFile, out: &mut Vec<Diag>) {
                 rule: NAME,
                 msg: format!(
                     "raw file primitive `{what}` in the device layer — route it \
-                     through store::raw in store.rs, the audited WORM write surface"
+                     through the file medium in medium.rs, the audited WORM write surface"
                 ),
             });
         }

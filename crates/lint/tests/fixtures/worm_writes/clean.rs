@@ -1,7 +1,9 @@
 //! Fixture: device code that plays by the rules — all raw access goes
 //! through the audited surface. `OpenOptions` in this comment is prose.
-use crate::store::raw;
+use crate::medium::{self, Medium};
 
-fn f(file: &mut std::fs::File, buf: &[u8]) -> std::io::Result<u64> {
-    raw::append_at_end(file, buf)
+fn f(path: &std::path::Path, buf: &[u8]) -> std::io::Result<u64> {
+    let mut file = medium::open_rw(path)?;
+    file.append(0, &[buf])?;
+    file.extent()
 }

@@ -12,11 +12,19 @@ pub const DEFAULT_BLOCK_SIZE: usize = 1024;
 /// amount of entry data.
 pub const MIN_BLOCK_SIZE: usize = 128;
 
+/// Maximum block size the block format supports: the size index stores
+/// 16-bit sizes.
+pub const MAX_BLOCK_SIZE: usize = 1 << 16;
+
 /// Default degree (fan-out) `N` of the entrymap search tree.
 ///
 /// The paper concludes (§3.3.1, §3.4) that N in the range 16–32 provides
 /// excellent read performance without excessive initialization cost.
 pub const DEFAULT_FANOUT: usize = 16;
+
+/// Largest entrymap degree a volume may be created or mounted with (the
+/// least is 2, the smallest tree that is a tree).
+pub const MAX_FANOUT: usize = 1024;
 
 /// Maximum number of distinct log files per volume sequence.
 ///

@@ -228,11 +228,9 @@ impl Volume {
         let landed = match &r {
             Ok(()) => images.len() as u64,
             Err(_) => {
-                let dev_end = match self.device.query_end() {
-                    Some(e) => e.0,
-                    None => locate_end(&*self.device)?.0 .0,
-                };
+                let (dev_end, _) = locate_end(&*self.device)?;
                 dev_end
+                    .0
                     .saturating_sub(first_db + 1)
                     .min(images.len() as u64)
             }

@@ -50,5 +50,17 @@ fn dump_workflow_on_a_demo_volume() {
     let (ok, out) = cliodump(&["label", "/nonexistent/volume"]);
     assert!(!ok && out.contains("cliodump:"), "missing file: {out}");
 
+    // A torn final write costs one block, not the volume (§2.3.1): the
+    // image still mounts, every whole block reads, and inspecting it
+    // changes nothing.
+    let mut image = std::fs::read(vol).unwrap();
+    image.extend_from_slice(&[0xEE; 200]);
+    std::fs::write(vol, &image).unwrap();
+    let (ok, out) = cliodump(&["verify", vol]);
+    assert!(ok && out.contains("0 corrupt"), "verify, torn tail: {out}");
+    let (ok, out) = cliodump(&["cat", "/mail/smith", vol]);
+    assert!(ok && out.contains("message 0"), "cat, torn tail: {out}");
+    assert_eq!(std::fs::read(vol).unwrap(), image, "cliodump wrote to it");
+
     std::fs::remove_file(vol).unwrap();
 }
