@@ -4,8 +4,8 @@
 //! Every [`crate::LogService`] owns a [`ServiceObs`]: one
 //! [`MetricsRegistry`] into which the device layer, the block cache, the
 //! space accountant and the service's own op histograms all register, plus
-//! a [`TraceRing`] recording one event per logical operation. The service
-//! exposes the whole thing via [`crate::LogService::metrics_text`] /
+//! a [`TraceRing`] recording the span tree of each logical operation. The
+//! service exposes the whole thing via [`crate::LogService::metrics_text`] /
 //! [`crate::LogService::metrics_json`] / [`crate::LogService::trace_dump`],
 //! and over the client/server channel via the `Stats` request.
 
@@ -15,6 +15,7 @@ use std::time::Duration;
 
 use clio_device::{DeviceStats, InstrumentedDevice, SharedDevice};
 use clio_entrymap::LocateStats;
+use clio_obs::clock::Reading;
 use clio_obs::{Counter, Gauge, Histogram, MetricsRegistry, SpanGuard, TraceRing};
 use clio_testkit::sync::Mutex;
 use clio_types::{LogFileId, Result};
@@ -155,10 +156,18 @@ impl ServiceObs {
 
     /// Opens a causal span in the service's trace ring. The span becomes a
     /// child of whatever span is already open on the calling thread, and
-    /// records itself when dropped.
+    /// records itself when closed or dropped.
     #[must_use]
     pub fn span(&self, name: &'static str) -> SpanGuard<'_> {
         self.trace.span(name)
+    }
+
+    /// Opens a span at `at`, a reading the caller already took: the
+    /// start of the latency the span's [`SpanGuard::close`] returns, or
+    /// the boundary it shares with the phase before.
+    #[must_use]
+    pub fn span_at(&self, name: &'static str, at: Reading) -> SpanGuard<'_> {
+        self.trace.span_at(name, at)
     }
 
     /// The per-log metric series for `id`, created on first touch.
@@ -258,34 +267,20 @@ impl ServiceObs {
         }
     }
 
-    /// Records one entrymap locate search from its [`LocateStats`].
-    pub fn note_locate(&self, target: Option<LogFileId>, stats: &LocateStats, dur: Duration) {
+    /// Records one entrymap locate search from its [`LocateStats`]; the
+    /// trace side is the caller's `locate` span.
+    pub fn note_locate(&self, stats: &LocateStats, dur: Duration) {
         self.locates.inc();
         self.locate_memo_hits.add(stats.memo_hits);
         self.locate_latency.record_duration(dur);
         self.locate_blocks.record(stats.blocks_read);
         self.locate_depth.record(stats.max_level);
-        self.trace.record(
-            "locate",
-            target.map(|id| u64::from(id.0)),
-            stats.blocks_read,
-            dur,
-            "ok",
-        );
     }
 
-    /// Records a `create_log` span.
-    pub fn note_create(&self, id: Option<LogFileId>, dur: Duration, ok: bool) {
-        if ok {
-            self.creates.inc();
-        }
-        self.trace.record(
-            "create_log",
-            id.map(|i| u64::from(i.0)),
-            0,
-            dur,
-            if ok { "ok" } else { "error" },
-        );
+    /// Counts a successful `create_log`; the trace side is the caller's
+    /// `create_log` span.
+    pub fn note_create(&self) {
+        self.creates.inc();
     }
 
     /// Counts one republication of the read snapshot (an op republishes
@@ -392,7 +387,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn spans_feed_counters_histograms_and_trace() {
+    fn notes_feed_counters_and_histograms() {
         let obs = ServiceObs::new(16);
         obs.note_append(LogFileId(8), Duration::from_micros(10), true);
         obs.note_append(LogFileId(8), Duration::from_micros(5), false);
@@ -404,7 +399,7 @@ mod tests {
             fallbacks: 0,
             max_level: 2,
         };
-        obs.note_locate(Some(LogFileId(8)), &stats, Duration::from_micros(7));
+        obs.note_locate(&stats, Duration::from_micros(7));
         let text = clio_obs::expo::render_prometheus(obs.registry());
         assert!(text.contains("clio_core_appends_total 1"));
         assert!(text.contains("clio_core_append_errors_total 1"));
@@ -416,8 +411,6 @@ mod tests {
         assert!(text.contains("clio_log_appends_total{log=\"8\"} 1"));
         assert!(text.contains("clio_log_reads_total{log=\"8\"} 1"));
         assert!(text.contains("clio_log_append_latency_ns_count{log=\"8\"} 1"));
-        let dump = obs.trace().dump();
-        assert!(dump.contains("locate"));
     }
 
     #[test]

@@ -289,11 +289,19 @@ impl<'v> VolSource<'v> {
             scan.maps_vol = self.vol_idx;
         }
         let mut loc = Locator::new(self, self.pending).with_memo(&mut scan.maps, self.final_end());
-        let t = self.obs.map(|_| clio_obs::clock::now());
-        let hop = search(&mut loc)?;
-        if let (Some(obs), Some(t)) = (self.obs, t) {
-            obs.note_locate(ids.first().copied(), &loc.stats, t.elapsed());
-        }
+        let hop = match self.obs {
+            None => search(&mut loc)?,
+            Some(obs) => {
+                let mut span = obs.span_at("locate", clio_obs::clock::read());
+                if let Some(id) = ids.first() {
+                    span.set_target(u64::from(id.0));
+                }
+                let hop = search(&mut loc).inspect_err(|_| span.fail("error"))?;
+                span.attr("blocks", loc.stats.blocks_read);
+                obs.note_locate(&loc.stats, span.close());
+                hop
+            }
+        };
         Ok(hop.map(|db| (db, loc.take_block())))
     }
 
@@ -566,8 +574,7 @@ impl Shard {
         target: impl FnOnce(&T) -> Option<LogFileId>,
         op: impl FnOnce() -> (Result<T>, u64),
     ) -> Result<T> {
-        let start = clio_obs::clock::now();
-        let mut span = self.obs.span("read");
+        let mut span = self.obs.span_at("read", clio_obs::clock::read());
         let (r, device_loads) = op();
         let target = r.as_ref().ok().and_then(target);
         if let Some(id) = target {
@@ -577,8 +584,7 @@ impl Shard {
         if r.is_err() {
             span.fail("error");
         }
-        drop(span);
-        self.obs.note_read(target, start.elapsed(), r.is_ok());
+        self.obs.note_read(target, span.close(), r.is_ok());
         r
     }
 

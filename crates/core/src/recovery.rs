@@ -85,9 +85,9 @@ impl LogService {
         cfg: ServiceConfig,
         clock: Arc<dyn Clock>,
     ) -> Result<(LogService, RecoveryReport)> {
-        let recover_start = clio_obs::clock::now();
+        let recover_start = clio_obs::clock::read();
         let obs = crate::obs::ServiceObs::new(cfg.trace_events);
-        let mut recover_span = obs.span("recover");
+        let mut recover_span = obs.span_at("recover", recover_start);
         let devices: Vec<SharedDevice> = devices
             .into_iter()
             .map(|d| obs.instrument_device(d))
@@ -96,7 +96,7 @@ impl LogService {
 
         // Step 1: regroup the devices into their shards' volume sequences
         // by label, then mount each sequence (which locates written ends).
-        let locate_span = obs.span("end_locate");
+        let locate_span = obs.span_at("end_locate", recover_start);
         let mut groups: BTreeMap<u64, Vec<SharedDevice>> = BTreeMap::new();
         for dev in devices {
             let mut buf = vec![0u8; dev.block_size()];
@@ -118,8 +118,8 @@ impl LogService {
                 (i as u32) << DEVICE_ID_SHIFT,
             )?));
         }
-        drop(locate_span);
-        let end_locate_us = elapsed_us(recover_start);
+        let located = clio_obs::clock::read();
+        let end_locate_us = phase_us(locate_span.close_at(located));
         // Geometry is defined by the volume labels, not the passed config.
         cfg.block_size = seqs[0].block_size();
         cfg.fanout = seqs[0].fanout();
@@ -133,8 +133,7 @@ impl LogService {
 
         // Step 2: rebuild entrymap pending state per volume of every
         // shard, invalidating corrupt blocks as they are discovered.
-        let rebuild_start = clio_obs::clock::now();
-        let rebuild_span = obs.span("rebuild");
+        let rebuild_span = obs.span_at("rebuild", located);
         // Recovery's device loads belong to no read operation.
         let loads = Cell::new(0);
         let mut shard_pendings: Vec<Vec<PendingMaps>> = Vec::with_capacity(seqs.len());
@@ -156,8 +155,8 @@ impl LogService {
             }
             shard_pendings.push(pendings);
         }
-        drop(rebuild_span);
-        report.rebuild_us = elapsed_us(rebuild_start);
+        let rebuilt = clio_obs::clock::read();
+        report.rebuild_us = phase_us(rebuild_span.close_at(rebuilt));
 
         // Step 3: read the catalog log file on the catalog shard (the only
         // durable catalog log), newest volume first, back to the first
@@ -166,8 +165,7 @@ impl LogService {
         // (a volume switch buffers it; it is durable with the volume's
         // first commit): such a volume holds no catalog record at all, and
         // its predecessor's checkpoint and records are the catalog.
-        let catalog_start = clio_obs::clock::now();
-        let catalog_span = obs.span("catalog");
+        let catalog_span = obs.span_at("catalog", rebuilt);
         let mut replay: Vec<CatalogRecord> = Vec::new();
         for v in (0..seqs[0].volume_count()).rev() {
             let vol = seqs[0].volume(v)?;
@@ -193,8 +191,7 @@ impl LogService {
             catalog.apply(rec)?;
         }
         report.catalog_records = replay.len() as u64;
-        drop(catalog_span);
-        report.catalog_us = elapsed_us(catalog_start);
+        report.catalog_us = phase_us(catalog_span.close());
 
         // Join: assemble every shard — the catalog shard with the replayed
         // full catalog, the others with their slice of it (their own
@@ -236,24 +233,21 @@ impl LogService {
             shards.push(shard);
         }
 
-        // Phases are floored to 1µs each; keep `sum of phases <= total`
-        // invariant even when the clock granularity swallows a phase.
-        report.total_us = elapsed_us(recover_start)
-            .max(report.end_locate_us + report.rebuild_us + report.catalog_us);
         recover_span.attr("volumes", u64::from(report.volumes));
         recover_span.attr("shards", shards.len() as u64);
         recover_span.attr("blocks_read", report.rebuild_blocks_read);
-        drop(recover_span);
+        // Phases are floored to 1µs each; keep `sum of phases <= total`
+        // invariant even when the clock granularity swallows a phase.
+        report.total_us = phase_us(recover_span.close())
+            .max(report.end_locate_us + report.rebuild_us + report.catalog_us);
         obs.publish_recovery(&report);
         let svc = LogService { shards, cfg, obs };
         Ok((svc, report))
     }
 }
 
-/// Microseconds since `start`, at least 1 so phase timings are visibly
+/// A phase's duration in µs, at least 1 so phase timings are visibly
 /// populated even when a phase completes within the clock granularity.
-fn elapsed_us(start: std::time::Instant) -> u64 {
-    u64::try_from(start.elapsed().as_micros())
-        .unwrap_or(u64::MAX)
-        .max(1)
+fn phase_us(d: std::time::Duration) -> u64 {
+    u64::try_from(d.as_micros()).unwrap_or(u64::MAX).max(1)
 }

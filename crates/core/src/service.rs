@@ -15,7 +15,9 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
+use std::time::Duration;
 
+use clio_obs::clock::{self, Reading};
 use clio_obs::{Gauge, SpanGuard};
 use clio_testkit::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use clio_testkit::sync::{ArcCell, Condvar, Mutex};
@@ -742,19 +744,15 @@ impl Shard {
     /// Appends `data` as one entry of log file `id` on this shard.
     pub(crate) fn append(&self, id: LogFileId, data: &[u8], opts: AppendOpts) -> Result<Receipt> {
         let arrival = Arrival::announce(&self.pshard.arriving, opts.durability);
-        let mut span = self.obs.span("append");
+        let start = clock::read();
+        let mut span = self.obs.span_at("append", start);
         span.set_target(u64::from(id.0));
         span.attr("bytes", data.len() as u64);
         span.attr("shard", u64::from(self.idx));
-        let start = clio_obs::clock::now();
-        let r = self.stage_and_commit(&mut span, arrival, 1, |st| {
+        let (r, latency) = self.stage_and_commit(span, start, arrival, 1, |st| {
             self.append_locked(st, id, data, opts)
         });
-        if r.is_err() {
-            span.fail("error");
-        }
-        drop(span);
-        self.obs.note_append(id, start.elapsed(), r.is_ok());
+        self.obs.note_append(id, latency, r.is_ok());
         if r.is_ok() {
             self.pshard.appends.inc();
         }
@@ -768,20 +766,29 @@ impl Shard {
     /// that staged cleanly leaves write and republish to its leader).
     /// `arrival` is the caller's announcement, `Some` exactly when the
     /// append is forced; it is withdrawn under the lock, staged or failed.
-    /// `span` (the caller's root span) gets a `blocks` attribute: the
-    /// blocks this call itself wrote to the device, staging or leading.
+    /// `span` is the caller's root span, opened at `start`. It gets a
+    /// `blocks` attribute (the blocks this call itself wrote to the
+    /// device, staging or leading) and is closed here; the returned
+    /// duration is the call's latency, from `start` to that close.
+    ///
+    /// Phases share the readings at their boundaries: a forced append's
+    /// `stage` child opens at `start`, its `commit_gate` opens where
+    /// `stage` closes, and the gate closes with the root. A buffered
+    /// append only stages, so it records no `stage` child: its root is
+    /// that phase, and it reads the clock twice.
     fn stage_and_commit<T>(
         &self,
-        span: &mut SpanGuard<'_>,
+        mut span: SpanGuard<'_>,
+        start: Reading,
         arrival: Option<Arrival<'_>>,
         entries: u64,
         stage: impl FnOnce(&mut State) -> Result<T>,
-    ) -> Result<T> {
+    ) -> (Result<T>, Duration) {
         let forced = arrival.is_some();
+        // Opened before the lock guard: the stage span covers lock
+        // acquisition and records only after the lock is released.
+        let mut phase = forced.then(|| self.obs.span_at("stage", start));
         let (r, my_seq, mut blocks) = {
-            // Declared before the lock guard: the stage span covers lock
-            // acquisition and records only after the lock is released.
-            let _stage = self.obs.span("stage");
             let mut st = self.state.lock();
             let before = st.device_blocks;
             let r = stage(&mut st);
@@ -801,13 +808,21 @@ impl Shard {
             (r, st.forced_seq, st.device_blocks - before)
         };
         let r = r.and_then(|out| {
-            if forced {
-                self.commit_wait(my_seq, &mut blocks)?;
+            if let Some(stage) = phase.take() {
+                let gate = phase.insert(stage.then("commit_gate"));
+                self.commit_wait(my_seq, gate, &mut blocks)?;
             }
             Ok(out)
         });
         span.attr("blocks", blocks);
-        r
+        if r.is_err() {
+            span.fail("error");
+        }
+        let end = clock::read();
+        if let Some(phase) = phase {
+            phase.close_at(end);
+        }
+        (r, span.close_at(end))
     }
 
     /// Leader/follower commit. Blocks until every forced append staged at
@@ -818,12 +833,18 @@ impl Shard {
     /// watermark to the staging sequence it observed, and releases all
     /// followers it covered. A lone forced appender polls nothing and wakes
     /// no one.
-    fn commit_wait(&self, my_seq: u64, blocks: &mut u64) -> Result<()> {
-        // One commit_gate span per forced append, leader or follower: its
-        // duration is the full time spent waiting for durability, and its
-        // role and wait attributes say which side of the gate this thread
-        // took and what the wait cost it.
-        let mut gate_span = self.obs.span("commit_gate");
+    ///
+    /// `gate_span` is this append's `commit_gate` span, one per forced
+    /// append, leader or follower: its duration is the full time spent
+    /// waiting for durability, and the role and wait attributes set here
+    /// say which side of the gate this thread took and what the wait cost
+    /// it. The caller closes it.
+    fn commit_wait(
+        &self,
+        my_seq: u64,
+        gate_span: &mut SpanGuard<'_>,
+        blocks: &mut u64,
+    ) -> Result<()> {
         gate_span.attr("shard", u64::from(self.idx));
         let gate = &self.commit;
         let covered = || gate.committed.load(Ordering::Acquire) >= my_seq;
@@ -1008,12 +1029,13 @@ impl Shard {
             return Ok(Vec::new());
         }
         let arrival = Arrival::announce(&self.pshard.arriving, opts.durability);
-        let mut span = self.obs.span("append_batch");
+        let start = clock::read();
+        let mut span = self.obs.span_at("append_batch", start);
         span.attr("entries", items.len() as u64);
         span.attr("shard", u64::from(self.idx));
-        let start = clio_obs::clock::now();
         let mut noted: Vec<LogFileId> = Vec::with_capacity(items.len());
-        let r = self.stage_and_commit(&mut span, arrival, items.len() as u64, |st| {
+        let entries = items.len() as u64;
+        let (r, latency) = self.stage_and_commit(span, start, arrival, entries, |st| {
             let mut receipts = Vec::with_capacity(items.len());
             for (path, data) in items {
                 let id = st.catalog.resolve(path)?;
@@ -1023,12 +1045,10 @@ impl Shard {
             Ok(receipts)
         });
         for id in &noted {
-            self.obs.note_append(*id, start.elapsed(), r.is_ok());
+            self.obs.note_append(*id, latency, r.is_ok());
         }
         if r.is_ok() {
             self.pshard.appends.add(noted.len() as u64);
-        } else {
-            span.fail("error");
         }
         r
     }
@@ -1224,10 +1244,15 @@ impl LogService {
     /// is a sublog of its parent (§2.1). The creation is durably logged on
     /// the catalog shard, then propagated to the routed shard's slice.
     pub fn create_log(&self, path: &str) -> Result<LogFileId> {
-        let start = clio_obs::clock::now();
+        let mut span = self.obs.span("create_log");
         let r = self.create_log_inner(path);
-        self.obs
-            .note_create(r.as_ref().ok().copied(), start.elapsed(), r.is_ok());
+        match &r {
+            Ok(id) => {
+                span.set_target(u64::from(id.0));
+                self.obs.note_create();
+            }
+            Err(_) => span.fail("error"),
+        }
         r
     }
 

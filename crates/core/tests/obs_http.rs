@@ -72,9 +72,9 @@ fn forced_append_span_tree_is_served_over_http() {
         Response::Created(_) => {}
         other => panic!("create failed: {other:?}"),
     }
-    let t0 = clio_obs::clock::now_us();
+    let t0 = clio_obs::clock::read();
     client.append_sync("/t", b"traced payload").expect("append");
-    let e2e_us = clio_obs::clock::now_us() - t0;
+    let e2e_us = clio_obs::clock::read().us() - t0.us();
 
     let (head, body) = get(addr, "/trace");
     assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");

@@ -2,6 +2,7 @@
 //! through appends, reads, a cold-start locate and a crash recovery must
 //! leave a registry whose exposition shows every layer's activity.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use clio_core::service::{AppendOpts, LogService};
@@ -511,7 +512,6 @@ fn read_span_blocks_are_per_op_under_concurrent_readers() {
 
     let reg = svc.metrics().clone();
     let device_before = counter(&reg, "clio_device_reads_total");
-    let first_seq = svc.obs().trace().total_recorded();
     let done = std::sync::atomic::AtomicBool::new(false);
     std::thread::scope(|s| {
         s.spawn(|| {
@@ -535,7 +535,7 @@ fn read_span_blocks_are_per_op_under_concurrent_readers() {
         .trace()
         .snapshot()
         .into_iter()
-        .filter(|s| s.seq >= first_seq && s.name == "read")
+        .filter(|s| s.name == "read")
         .collect();
     let of = |log: clio_types::LogFileId| {
         let id = Some(u64::from(log.0));
@@ -591,7 +591,6 @@ fn append_span_blocks_are_per_op_beside_a_reader() {
 
     let reg = svc.metrics().clone();
     let device_reads_before = counter(&reg, "clio_device_reads_total");
-    let first_seq = svc.obs().trace().total_recorded();
     let done = std::sync::atomic::AtomicBool::new(false);
     std::thread::scope(|s| {
         s.spawn(|| {
@@ -623,7 +622,7 @@ fn append_span_blocks_are_per_op_beside_a_reader() {
         .trace()
         .snapshot()
         .into_iter()
-        .filter(|s| s.seq >= first_seq && s.name == "append")
+        .filter(|s| s.name == "append")
         .collect();
     let of = |log: clio_types::LogFileId| {
         let id = Some(u64::from(log.0));
@@ -638,6 +637,124 @@ fn append_span_blocks_are_per_op_beside_a_reader() {
     for s in of(buffered_log) {
         assert_eq!(blocks_attr(s), 0, "a buffered append wrote nothing");
     }
+}
+
+/// A clock source for the current thread that counts how often it is
+/// consulted — once per clock reading — and always answers `at`.
+fn counting_clock(at: u64) -> (Arc<AtomicU64>, clio_obs::clock::VirtualClockGuard) {
+    let reads = Arc::new(AtomicU64::new(0));
+    let counter = reads.clone();
+    let guard = clio_obs::clock::install_virtual_us(Arc::new(move || {
+        counter.fetch_add(1, Ordering::Relaxed);
+        at
+    }));
+    (reads, guard)
+}
+
+/// The clock budget, counted rather than timed: one reading per phase
+/// boundary, shared by the spans that meet there and by the latency the
+/// operation's histogram records. A buffered append that stays in the
+/// open block and a `read_entry` the cache answers each read the clock
+/// exactly twice; a lone forced append pays one more boundary (stage →
+/// commit gate) plus its leader's seal, device write and publish.
+#[test]
+fn clock_budget_is_one_reading_per_phase_boundary() {
+    let svc = LogService::create(
+        VolumeSeqId(7),
+        Arc::new(MemDevicePool::new(256, 4096)),
+        ServiceConfig::small(),
+        clock(),
+    )
+    .unwrap();
+    let log = svc.create_log("/budget").unwrap();
+    let sealed = svc
+        .append(log, &payload(0), AppendOpts::forced())
+        .unwrap()
+        .addr;
+    assert!(svc.read_entry(sealed).is_ok(), "warm the cache");
+    let reg = svc.metrics().clone();
+    let (reads, _guard) = counting_clock(5);
+    let spent = |op: &dyn Fn()| {
+        let before = reads.load(Ordering::Relaxed);
+        op();
+        reads.load(Ordering::Relaxed) - before
+    };
+
+    let blocks_before = svc.volumes().active().data_end();
+    let buffered = spent(&|| {
+        svc.append(log, b"stays in the open block", AppendOpts::standard())
+            .unwrap();
+    });
+    assert_eq!(svc.volumes().active().data_end(), blocks_before);
+    assert_eq!(buffered, 2, "buffered append");
+
+    let hits = counter(&reg, "clio_cache_hits_total");
+    let read = spent(&|| {
+        svc.read_entry(sealed).unwrap();
+    });
+    assert_eq!(counter(&reg, "clio_cache_hits_total"), hits + 1);
+    assert_eq!(read, 2, "cache-hit read_entry");
+
+    let forced = spent(&|| {
+        svc.append(log, b"forced", AppendOpts::forced()).unwrap();
+    });
+    assert_eq!(
+        forced, 9,
+        "lone forced append: 3 boundaries + seal, device write, publish"
+    );
+}
+
+/// Regression: spans measured with a host timer were stitched onto a
+/// possibly virtual "now" (`start = now - host duration`), so under the
+/// simulator's clock a `create_log` span started host microseconds before
+/// its own virtual time and a `locate` could start before the `read` it
+/// belongs to. Every span now opens and closes at clock readings, so
+/// with the virtual clock frozen at V every span sits exactly at V.
+#[test]
+fn regression_virtual_clock_spans_carry_virtual_time() {
+    const V: u64 = 7_000_000;
+    let svc = LogService::create(
+        VolumeSeqId(8),
+        Arc::new(MemDevicePool::new(256, 4096)),
+        ServiceConfig {
+            trace_events: 1 << 12,
+            ..ServiceConfig::small()
+        },
+        clock(),
+    )
+    .unwrap();
+    let _frozen = clio_obs::clock::install_virtual_us(Arc::new(|| V));
+    svc.create_log("/sparse").unwrap();
+    svc.create_log("/busy").unwrap();
+    for i in 0..400 {
+        let path = if i % 50 == 0 { "/sparse" } else { "/busy" };
+        svc.append_path(path, &payload(i), AppendOpts::standard())
+            .unwrap();
+    }
+    svc.flush().unwrap();
+    svc.cache().clear();
+    let mut cur = svc.cursor("/sparse").unwrap();
+    assert_eq!(cur.collect_remaining().unwrap().len(), 8);
+
+    let spans = svc.obs().trace().snapshot();
+    let create = spans
+        .iter()
+        .find(|s| s.name == "create_log")
+        .expect("create_log span");
+    assert_eq!((create.start_us, create.dur_us), (V, 0), "{create:?}");
+    let mut locates = 0;
+    for s in spans.iter().filter(|s| s.name == "locate") {
+        let read = spans
+            .iter()
+            .find(|r| r.name == "read" && r.trace == s.trace && r.parent.is_none())
+            .expect("a locate belongs to a read");
+        assert!(
+            read.start_us <= s.start_us && s.start_us + s.dur_us <= read.start_us + read.dur_us,
+            "locate {s:?} outside its read {read:?}"
+        );
+        locates += 1;
+    }
+    assert!(locates > 0, "the sparse scan located");
 }
 
 /// One line per series of `reg`, sorted by identity: the identity alone

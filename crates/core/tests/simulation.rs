@@ -33,7 +33,7 @@ use clio_device::{CrashSwitch, FaultPlan, FaultyDevice, RamTailDevice, SharedDev
 use clio_testkit::rng::splitmix64;
 use clio_testkit::sim::{
     check_history, check_history_with_shards, Addr, EventKind, History, LogScan, Op, Outcome,
-    Scheduler, SimClock, SYSTEM,
+    Scheduler, SimClock, Violation, SYSTEM,
 };
 use clio_types::{Clock, EntryAddr, SeqNo, Timestamp, VolumeSeqId};
 use clio_volume::{MemDevicePool, RecordingPool};
@@ -570,16 +570,32 @@ fn storm_width() -> u64 {
 
 fn check_seed(seed: u64) {
     for verify in [false, true] {
-        let (history, shards) = run_sim(seed, verify);
+        let (history, trace, shards) = run_sim_traced(seed, verify);
         if let Err(v) = check_history_with_shards(&history, &shards) {
-            panic!(
-                "simulation (verify_appends: {verify}) violated the log model: {v}\n\
-                 history tail:\n{}\n\
-                 reproduce with: CLIO_PROP_SEED={seed}",
-                tail(&history.render(), 30)
-            );
+            panic!("{}", failure_report(seed, verify, &v, &history, &trace));
         }
     }
+}
+
+/// What a failing seed prints: the violation, the tail of the history,
+/// the flight recorder's header and newest spans (virtual time, so they
+/// line up with the history), and the replay line.
+fn failure_report(
+    seed: u64,
+    verify: bool,
+    violation: &Violation,
+    history: &History,
+    trace: &str,
+) -> String {
+    let (header, spans) = trace.split_once('\n').unwrap_or((trace, ""));
+    format!(
+        "simulation (verify_appends: {verify}) violated the log model: {violation}\n\
+         history tail:\n{}\n\
+         {header} (newest lines):\n{}\n\
+         reproduce with: CLIO_PROP_SEED={seed}",
+        tail(&history.render(), 30),
+        tail(spans, 40)
+    )
 }
 
 fn tail(rendered: &str, lines: usize) -> String {
@@ -628,9 +644,10 @@ fn sim_replays_byte_identically() {
 /// Span tracing rides along without perturbing the simulation: with the
 /// default trace ring enabled and the sim clock installed as the span
 /// time source, the history still replays byte-identically, and the
-/// surviving span trees have the same shape run to run. (Span durations
-/// are stripped before comparing: `note_locate`-style spans measure with
-/// a host timer, so only their structure is deterministic.)
+/// surviving span trees have the same shape run to run. (Span timings
+/// are stripped before comparing, so this checks structure alone; since
+/// every span opens and closes at virtual readings, the timings replay
+/// too.)
 #[test]
 fn sim_replays_byte_identically_with_tracing() {
     fn strip_timings(dump: &str) -> String {
@@ -676,7 +693,7 @@ fn sim_replays_byte_identically_with_tracing() {
 #[test]
 fn sim_broken_double_is_caught_and_replays() {
     let sabotage = |seed: u64| -> (String, String) {
-        let (mut h, shards) = run_sim(seed, false);
+        let (mut h, trace, shards) = run_sim_traced(seed, false);
         // Drop the last surviving entry from the first recovery scan —
         // the kind of bug recovery exists to rule out. The last recovered
         // value is durable (forced or sealed+scanned), so the checker
@@ -698,6 +715,11 @@ fn sim_broken_double_is_caught_and_replays() {
             "unexpected rule {}",
             v.rule
         );
+        // What the failing seed would print carries its forensics.
+        let report = failure_report(seed, false, &v, &h, &trace);
+        for needle in ["history tail:", "trace ring:", "append", "CLIO_PROP_SEED=7"] {
+            assert!(report.contains(needle), "no {needle:?} in:\n{report}");
+        }
         (v.to_string(), h.render())
     };
     let (v1, h1) = sabotage(7);

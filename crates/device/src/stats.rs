@@ -9,8 +9,10 @@
 //! each op kind feeds a wall-clock latency [`Histogram`].
 
 use std::sync::{Arc, OnceLock};
+use std::time::Duration;
 
-use clio_obs::{Counter, Histogram, MetricsRegistry, TraceRing};
+use clio_obs::clock::{self, Reading};
+use clio_obs::{Counter, Histogram, MetricsRegistry, SpanGuard, TraceRing};
 use clio_testkit::sync::atomic::{AtomicI64, Ordering};
 use clio_types::{BlockNo, Result};
 
@@ -104,10 +106,10 @@ impl DeviceStats {
         let _ = self.trace.set(ring);
     }
 
-    /// Opens a `device_write` span when a trace ring is attached.
-    fn write_span(&self, blocks: u64) -> Option<clio_obs::SpanGuard<'_>> {
-        let ring = self.trace.get()?;
-        let mut span = ring.span("device_write");
+    /// Opens a `device_write` span at `start` when a trace ring is
+    /// attached.
+    fn write_span(&self, start: Reading, blocks: u64) -> Option<SpanGuard<'_>> {
+        let mut span = self.trace.get()?.span_at("device_write", start);
         span.attr("blocks", blocks);
         Some(span)
     }
@@ -145,6 +147,16 @@ impl DeviceStats {
     }
 }
 
+/// Closes a device write's span, if any, at the one reading that also
+/// ends its latency; returns that latency.
+fn close(span: Option<SpanGuard<'_>>, start: Reading) -> Duration {
+    let end = clock::read();
+    if let Some(span) = span {
+        span.close_at(end);
+    }
+    end.since(start)
+}
+
 /// A [`LogDevice`] wrapper that records operation counts, error counts and
 /// per-op latency in a shared [`DeviceStats`].
 pub struct InstrumentedDevice {
@@ -180,10 +192,12 @@ impl LogDevice for InstrumentedDevice {
     }
 
     fn is_written(&self, block: BlockNo) -> Result<bool> {
-        let start = clio_obs::clock::now();
+        let start = clock::read();
         let r = self.inner.is_written(block);
         if r.is_ok() {
-            self.stats.probe_latency_ns.record_duration(start.elapsed());
+            self.stats
+                .probe_latency_ns
+                .record_duration(clock::read().since(start));
             self.stats.end_probes.inc();
             self.stats.touch(block);
         } else {
@@ -193,13 +207,13 @@ impl LogDevice for InstrumentedDevice {
     }
 
     fn append_block(&self, expected: BlockNo, data: &[u8]) -> Result<()> {
-        let mut span = self.stats.write_span(1);
-        let start = clio_obs::clock::now();
+        let start = clock::read();
+        let mut span = self.stats.write_span(start, 1);
         match self.inner.append_block(expected, data) {
             Ok(()) => {
                 self.stats
                     .append_latency_ns
-                    .record_duration(start.elapsed());
+                    .record_duration(close(span, start));
                 self.stats.appends.inc();
                 self.stats.touch(expected);
                 Ok(())
@@ -219,13 +233,13 @@ impl LogDevice for InstrumentedDevice {
             return Ok(());
         }
         let n = blocks.len() as u64;
-        let mut span = self.stats.write_span(n);
-        let start = clio_obs::clock::now();
+        let start = clock::read();
+        let mut span = self.stats.write_span(start, n);
         match self.inner.append_blocks(expected, blocks) {
             Ok(()) => {
                 self.stats
                     .append_batch_latency_ns
-                    .record_duration(start.elapsed());
+                    .record_duration(close(span, start));
                 self.stats.append_batch_blocks.record(n);
                 self.stats.batch_appends.inc();
                 self.stats.appends.add(n);
@@ -246,10 +260,12 @@ impl LogDevice for InstrumentedDevice {
     }
 
     fn read_block(&self, block: BlockNo, buf: &mut [u8]) -> Result<()> {
-        let start = clio_obs::clock::now();
+        let start = clock::read();
         match self.inner.read_block(block, buf) {
             Ok(()) => {
-                self.stats.read_latency_ns.record_duration(start.elapsed());
+                self.stats
+                    .read_latency_ns
+                    .record_duration(clock::read().since(start));
                 self.stats.reads.inc();
                 self.stats.touch(block);
                 Ok(())

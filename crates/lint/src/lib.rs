@@ -21,8 +21,9 @@
 //!   `clio_testkit::sync::atomic`, whose ordering annotations the
 //!   concurrency model checker validates.
 //! - `no-wallclock` — `Instant::now()` / `SystemTime::now()` only in the
-//!   approved timing modules; product code uses `clio_obs::clock::now()`
-//!   (observability) or `clio_types::time::Clock` (semantic time).
+//!   approved timing modules (in `clio-obs`, only `clock.rs`); product
+//!   code uses the one reading function, `clio_obs::clock::read()`
+//!   (latencies and spans), or `clio_types::time::Clock` (semantic time).
 //! - `worm-writes` — inside `crates/device`, raw file primitives
 //!   (`OpenOptions`, seeks, `set_len`, …) are confined to `medium.rs`,
 //!   the audited write surface of the write-once storage model.

@@ -1,9 +1,10 @@
 //! `no-wallclock`: determinism policy. Test schedules and recovery
 //! results must be replayable, so product code never reads the host
-//! clock directly. Latency spans come from `clio_obs::clock::now()`;
-//! semantic timestamps come from `clio_types::time::Clock`, which tests
-//! replace with a logical clock. Only the approved timing modules may
-//! call `Instant::now()` / `SystemTime::now()` themselves.
+//! clock directly. Latencies and span timestamps come from the one
+//! reading function, `clio_obs::clock::read()`; semantic timestamps come
+//! from `clio_types::time::Clock`, which tests replace with a logical
+//! clock. Only the approved timing modules may call `Instant::now()` /
+//! `SystemTime::now()` themselves.
 
 use crate::lexer::match_path;
 use crate::{Diag, SourceFile};
@@ -12,8 +13,10 @@ use crate::{Diag, SourceFile};
 pub const NAME: &str = "no-wallclock";
 
 /// Where direct host-clock reads are the point:
-/// - `crates/obs/src/` — `clio_obs::clock` is the sanctioned funnel, and
-///   trace timestamps are observability;
+/// - `crates/obs/src/clock.rs` — `clio_obs::clock::read()` is the
+///   sanctioned funnel: one reading per phase boundary, shared by spans
+///   and latency histograms, and overridable with virtual time (the rest
+///   of `clio-obs` reads the clock through it too);
 /// - `crates/bench/` — benchmark drivers measure wall time;
 /// - `crates/testkit/src/bench.rs` — the in-tree bench timer;
 /// - `crates/testkit/src/check.rs` — the model checker reports wall
@@ -26,7 +29,7 @@ pub const NAME: &str = "no-wallclock";
 /// whole-system simulator derive every instant from seeded state, and a
 /// stray host-clock read there would silently break seed replay.
 const APPROVED: &[&str] = &[
-    "crates/obs/src/",
+    "crates/obs/src/clock.rs",
     "crates/bench/",
     "crates/testkit/src/bench.rs",
     "crates/testkit/src/check.rs",
@@ -48,8 +51,8 @@ pub fn check(sf: &SourceFile, out: &mut Vec<Diag>) {
                     line: toks[i].line,
                     rule: NAME,
                     msg: format!(
-                        "host clock read `{root}::now()` — use clio_obs::clock::now() \
-                         for latency spans or clio_types::time::Clock for semantic time"
+                        "host clock read `{root}::now()` — use clio_obs::clock::read() \
+                         for latencies and spans or clio_types::time::Clock for semantic time"
                     ),
                 });
             }

@@ -123,6 +123,12 @@ fn wallclock_flags_clock_reads_outside_approved_modules() {
     assert!(diags.iter().any(|d| d.msg.contains("Instant::now")));
     // The same source is fine where measuring wall time is the point.
     assert!(lint("crates/bench/src/bin/x.rs", bad, wallclock::check).is_empty());
+    // In clio-obs, only the clock module itself: the recorder and the
+    // histograms take readings from it like everyone else.
+    assert!(lint("crates/obs/src/clock.rs", bad, wallclock::check).is_empty());
+    let diags = lint("crates/obs/src/trace.rs", bad, wallclock::check);
+    assert_eq!(diags.len(), 3, "{diags:?}");
+    assert!(diags[0].msg.contains("clio_obs::clock::read()"));
     // The simulator is NOT exempt: virtual time must come from seeded
     // state, never the host clock, or seed replay silently breaks.
     assert_eq!(

@@ -2,11 +2,14 @@
 //!
 //! A [`Histogram`] is an array of 65 atomic bucket counters: bucket 0
 //! counts the value 0, bucket `i` (1 ≤ i ≤ 64) counts values in
-//! `[2^(i-1), 2^i)`. Recording is four relaxed atomic updates — bucket,
-//! sum, min, max; the sample count is the bucket total, derived when a
-//! snapshot is taken — cheap enough for the device read/append hot paths,
-//! and quantiles are estimated from the bucket boundaries, so a reported
-//! `p99` is an upper bound within a factor of two of the true value. That
+//! `[2^(i-1), 2^i)`. Recording is two relaxed atomic adds — bucket and
+//! sum — plus a relaxed load each of min and max, which are updated only
+//! when the sample would move them (rarely, once a distribution has
+//! settled); the sample count is the bucket total, derived when a
+//! snapshot is taken. That is cheap enough for the device read/append hot
+//! paths. Quantiles are estimated from the bucket boundaries, so a
+//! reported `p99` is an upper bound within a factor of two of the true
+//! value. That
 //! resolution is plenty for the paper's evaluation, where interesting
 //! effects (cache hit vs. optical seek) differ by orders of magnitude.
 
@@ -68,8 +71,16 @@ impl Histogram {
     pub fn record(&self, v: u64) {
         self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
-        self.min.fetch_min(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
+        // `fetch_min`/`fetch_max` are compare-exchange loops; skip them
+        // when a load shows the sample would not move the bound. A racing
+        // recorder can only tighten the bound further, so the skip never
+        // loses an extreme.
+        if v < self.min.load(Ordering::Relaxed) {
+            self.min.fetch_min(v, Ordering::Relaxed);
+        }
+        if v > self.max.load(Ordering::Relaxed) {
+            self.max.fetch_max(v, Ordering::Relaxed);
+        }
     }
 
     /// Records a [`std::time::Duration`] in nanoseconds (saturating).

@@ -10,10 +10,12 @@
 //!   handed out by the registry or created by the component and adopted;
 //! - [`Histogram`]: lock-free log₂-bucketed latency/size distributions with
 //!   `p50/p90/p99/max` quantile estimates, snapshot and merge;
-//! - [`TraceRing`]: a fixed-capacity ring of causally linked [`Span`]s
-//!   (trace id, parent id, per-phase timestamps, key/value attributes)
-//!   with per-trace tree rendering, a crash-readable flight-recorder text
-//!   dump, and a JSON form for the `/trace` endpoint;
+//! - [`TraceRing`]: a flight recorder keeping the newest causally linked
+//!   [`Span`]s of each recording thread (trace id, parent id, per-phase
+//!   timestamps, key/value attributes) with per-trace tree rendering, a
+//!   crash-readable text dump, and a JSON form for the `/trace` endpoint;
+//! - [`clock`]: the one host-clock reading, shared by the spans and the
+//!   latency histograms of a phase boundary;
 //! - [`expo`]: exposition of a registry in a Prometheus-style text format
 //!   and in JSON, including per-series labels (`name{log="3"}`);
 //! - [`http`]: a std-only HTTP/1.1 observability endpoint

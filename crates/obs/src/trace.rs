@@ -1,4 +1,4 @@
-//! Causal span tracing: a fixed-capacity flight recorder of [`Span`]s.
+//! Causal span tracing: a bounded flight recorder of [`Span`]s.
 //!
 //! Every logical operation (append, read, locate, recover, …) opens a
 //! *root* span; the phases it passes through (stage, seal, commit-gate
@@ -7,31 +7,56 @@
 //! tracks the span currently open on each thread, so a phase started
 //! anywhere inside an operation attaches to that operation without
 //! threading handles through every call. Finished spans land in a
-//! [`TraceRing`], a bounded overwrite-oldest buffer that can render the
-//! surviving spans as per-trace trees ([`TraceRing::dump`] — the "flight
-//! recorder" view, intended for printing from a failing test or crash
-//! handler) or as a JSON document ([`TraceRing::trace_json`] — the ops
-//! plane's `GET /trace` body).
+//! [`TraceRing`], which keeps the newest spans of each recording thread
+//! and can render the survivors as per-trace trees ([`TraceRing::dump`] —
+//! the "flight recorder" view, intended for printing from a failing test
+//! or crash handler) or as a JSON document ([`TraceRing::trace_json`] —
+//! the ops plane's `GET /trace` body).
 //!
-//! Timestamps come from [`crate::clock::now_us`], so a simulator that
-//! installs a virtual time source gets byte-identical span trees for the
-//! same seed.
+//! Spans open and close at [`crate::clock::Reading`]s: one reading per
+//! phase boundary, shared by the span that closes there, the span that
+//! opens there, and the latency the operation's histogram records (the
+//! value [`SpanGuard::close`] returns). A simulator that installs a
+//! virtual time source gets byte-identical span trees for the same seed.
 //!
 //! # Recording cost
 //!
-//! Every operation of every thread records here, so recording must not
-//! make threads wait for — or clean up after — one another. A recorder
-//! claims a sequence number with one `fetch_add` and locks only the slot
-//! that number maps to; attributes are stored inline in the span
-//! ([`Attrs`]), so recording allocates nothing and overwriting a slot
-//! frees nothing another thread allocated.
+//! Every operation of every thread records here, so recording touches
+//! nothing another recording thread writes. Each thread records into a
+//! buffer of its own — `capacity` spans, overwrite-oldest — under a lock
+//! only that thread and a snapshot ever take. Span ids come from the
+//! thread's own block of 1 024 ids; the shared block counter and the
+//! ring's buffer list are touched once per block and once per thread.
+//! Attributes are stored inline in the span ([`Attrs`]), so recording
+//! allocates nothing once the buffer is full. A thread that exits leaves
+//! its buffer to the next thread that starts recording, so memory is
+//! bounded by the number of live recording threads, each holding at most
+//! `capacity` spans.
+//!
+//! # Order
+//!
+//! A snapshot merges the buffers: within a buffer, spans keep the order
+//! they were recorded in; across buffers, the span that closed first
+//! (`start_us + dur_us`) comes first, ties broken by the buffer's index —
+//! the order in which threads first recorded into the ring. A buffer
+//! handed to a new thread keeps its index and its record numbering.
+
+use std::cell::RefCell;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::sync::{Arc, Weak};
+use std::time::Duration;
 
 use clio_testkit::sync::atomic::{AtomicU64, Ordering};
-use std::cell::RefCell;
-
 use clio_testkit::sync::Mutex;
 
+use crate::clock::{self, Reading};
 use crate::json::Value;
+
+/// Span ids a thread takes from its ring at a time: block `b` holds ids
+/// `1 + b * ID_BLOCK` onwards. A single-threaded run therefore numbers
+/// its spans 1, 2, 3, … exactly as a single ring would.
+const ID_BLOCK: u64 = 1024;
 
 /// A key/value span attribute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,7 +79,8 @@ impl std::fmt::Display for AttrValue {
 /// One finished span: a named phase of one traced operation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Span {
-    /// Monotonic record sequence number (global across the ring's life).
+    /// Record number within the thread buffer that holds the span
+    /// (counting on across the buffer's successive threads).
     pub seq: u64,
     /// The trace this span belongs to (the root span's id).
     pub trace: u64,
@@ -66,7 +92,7 @@ pub struct Span {
     pub name: &'static str,
     /// The log file (or other target) the span acted on, if any.
     pub target: Option<u64>,
-    /// Start, µs (virtual or host — see [`crate::clock::now_us`]).
+    /// Start, µs (virtual or host — see [`crate::clock::Reading::us`]).
     pub start_us: u64,
     /// Duration, µs.
     pub dur_us: u64,
@@ -145,23 +171,177 @@ impl Span {
     }
 }
 
-thread_local! {
-    /// The stack of spans currently open on this thread, as
-    /// `(trace, span id)`. The top is the parent of the next span opened.
-    static OPEN: RefCell<Vec<(u64, u64)>> = const { RefCell::new(Vec::new()) };
+/// One recording thread's spans: the newest `capacity` of them, and how
+/// many were ever recorded here.
+#[derive(Default)]
+struct Held {
+    spans: Vec<Span>,
+    recorded: u64,
 }
 
-/// A bounded, overwrite-oldest buffer of finished [`Span`]s.
-///
-/// Record number `seq` lives in slot `seq % capacity` until record
-/// `seq + capacity` replaces it. Each slot has its own lock, held for one
-/// span-sized copy, so two recorders contend only when they are a whole
-/// lap apart on the same slot.
+impl Held {
+    /// Stores `span` as record number `recorded`, over the oldest once
+    /// the buffer is full.
+    fn push(&mut self, mut span: Span, capacity: usize) {
+        span.seq = self.recorded;
+        if self.spans.len() < capacity {
+            self.spans.push(span);
+        } else {
+            let slot = (self.recorded % capacity as u64) as usize;
+            self.spans[slot] = span;
+        }
+        self.recorded += 1;
+    }
+
+    /// The held spans, oldest first.
+    fn in_record_order(&self) -> Vec<Span> {
+        let oldest = match self.spans.len() {
+            0 => 0,
+            n => (self.recorded % n as u64) as usize,
+        };
+        let (newer, older) = self.spans.split_at(oldest);
+        older.iter().chain(newer).cloned().collect()
+    }
+}
+
+/// A recording thread's buffer. Only its thread writes it; a snapshot
+/// reads it under the same lock. Its position in the ring's buffer list
+/// is the thread id of the merge order. Aligned so that no other
+/// thread's buffer shares its cache lines.
+#[repr(align(128))]
+struct ThreadBuf {
+    held: Mutex<Held>,
+}
+
+/// What a [`TraceRing`] shares with the threads recording into it.
+struct Shared {
+    /// Spans kept per thread; 0 disables recording.
+    capacity: usize,
+    /// Every buffer handed out, in the order threads first recorded.
+    buffers: Mutex<Vec<Arc<ThreadBuf>>>,
+    /// The next unclaimed block of span ids.
+    next_block: AtomicU64,
+}
+
+impl Shared {
+    /// A buffer for a thread that starts recording: one whose thread has
+    /// exited (only this list still holds it), else a new one.
+    fn adopt_buffer(&self) -> Arc<ThreadBuf> {
+        let mut buffers = self.buffers.lock();
+        if let Some(orphan) = buffers.iter().find(|b| Arc::strong_count(b) == 1) {
+            return orphan.clone();
+        }
+        let buf = Arc::new(ThreadBuf {
+            held: Mutex::with_class(Held::default(), "obs.trace_buffer"),
+        });
+        buffers.push(buf.clone());
+        buf
+    }
+
+    /// Every buffer's spans in record order, by buffer index.
+    fn collect(&self) -> Vec<Vec<Span>> {
+        let buffers = self.buffers.lock();
+        buffers
+            .iter()
+            .map(|b| b.held.lock().in_record_order())
+            .collect()
+    }
+
+    /// Spans held and spans ever recorded, over all buffers.
+    fn counts(&self) -> (usize, u64) {
+        let buffers = self.buffers.lock();
+        buffers.iter().fold((0, 0), |(held, recorded), b| {
+            let b = b.held.lock();
+            (held + b.spans.len(), recorded + b.recorded)
+        })
+    }
+}
+
+impl Drop for Shared {
+    /// Frees every buffer's spans with the ring. A live thread that
+    /// recorded here still holds its (now empty) buffer until it next
+    /// joins a ring, and that should not cost it a buffer's worth of
+    /// memory or the time to free it.
+    fn drop(&mut self) {
+        for b in self.buffers.get_mut().iter() {
+            b.held.lock().spans = Vec::new();
+        }
+    }
+}
+
+/// This thread's part in one ring.
+struct Membership {
+    ring: Weak<Shared>,
+    buf: Arc<ThreadBuf>,
+    /// What is left of the thread's current block of span ids.
+    ids: std::ops::Range<u64>,
+}
+
+impl Membership {
+    fn next_id(&mut self, shared: &Shared) -> u64 {
+        if let Some(id) = self.ids.next() {
+            return id;
+        }
+        // Relaxed: the counter only hands out disjoint blocks.
+        let first = 1 + shared.next_block.fetch_add(1, Ordering::Relaxed) * ID_BLOCK;
+        self.ids = first + 1..first + ID_BLOCK;
+        first
+    }
+}
+
+/// The per-thread recording state: the open-span stack and this thread's
+/// buffer in each ring it records into.
+struct Recorder {
+    /// The spans currently open on this thread, as `(trace, span id)`.
+    /// The top is the parent of the next span opened.
+    open: Vec<(u64, u64)>,
+    rings: Vec<Membership>,
+}
+
+impl Recorder {
+    /// This thread's membership of `shared`, joining it on first use.
+    fn member(&mut self, shared: &Arc<Shared>) -> &mut Membership {
+        let me = Arc::as_ptr(shared);
+        let at = match self.rings.iter().position(|m| m.ring.as_ptr() == me) {
+            Some(at) => at,
+            None => {
+                // Forget rings that are gone (their buffers with them).
+                self.rings.retain(|m| m.ring.strong_count() > 0);
+                self.rings.push(Membership {
+                    ring: Arc::downgrade(shared),
+                    buf: shared.adopt_buffer(),
+                    ids: 0..0,
+                });
+                self.rings.len() - 1
+            }
+        };
+        &mut self.rings[at]
+    }
+
+    /// Stores a finished span in this thread's buffer of `shared`.
+    fn store(&mut self, shared: &Arc<Shared>, span: Span) {
+        self.member(shared)
+            .buf
+            .held
+            .lock()
+            .push(span, shared.capacity);
+    }
+}
+
+thread_local! {
+    static RECORDER: RefCell<Recorder> = const {
+        RefCell::new(Recorder {
+            open: Vec::new(),
+            rings: Vec::new(),
+        })
+    };
+}
+
+/// A bounded flight recorder of finished [`Span`]s: the newest
+/// `capacity` spans of each recording thread (see the module docs for
+/// the recording cost and the merge order).
 pub struct TraceRing {
-    slots: Box<[Mutex<Option<Span>>]>,
-    /// The next record sequence number; also the total ever recorded.
-    next_seq: AtomicU64,
-    next_id: AtomicU64,
+    shared: Arc<Shared>,
 }
 
 impl std::fmt::Debug for TraceRing {
@@ -173,130 +353,118 @@ impl std::fmt::Debug for TraceRing {
 }
 
 impl TraceRing {
-    /// A ring holding at most `capacity` spans. A capacity of 0 disables
-    /// recording entirely (every span is a cheap no-op).
+    /// A recorder keeping at most `capacity` spans per recording thread.
+    /// A capacity of 0 disables recording entirely (every span is a cheap
+    /// no-op).
     #[must_use]
     pub fn new(capacity: usize) -> TraceRing {
         TraceRing {
-            slots: (0..capacity)
-                .map(|_| Mutex::with_class(None, "obs.trace_slot"))
-                .collect(),
-            next_seq: AtomicU64::new(0),
-            next_id: AtomicU64::new(1),
-        }
-    }
-
-    /// Opens a span named `name`. If another span is open on this thread,
-    /// the new span becomes its child (same trace); otherwise it roots a
-    /// fresh trace. The span is recorded when the guard drops (or
-    /// [`SpanGuard::finish`]es).
-    #[must_use]
-    pub fn span<'a>(&'a self, name: &'static str) -> SpanGuard<'a> {
-        if self.slots.is_empty() {
-            return SpanGuard {
-                ring: self,
-                span: None,
-            };
-        }
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let parent = OPEN.with(|s| s.borrow().last().copied());
-        let (trace, parent) = match parent {
-            Some((trace, pid)) => (trace, Some(pid)),
-            None => (id, None),
-        };
-        OPEN.with(|s| s.borrow_mut().push((trace, id)));
-        SpanGuard {
-            ring: self,
-            span: Some(Span {
-                seq: 0,
-                trace,
-                id,
-                parent,
-                name,
-                target: None,
-                start_us: crate::clock::now_us(),
-                dur_us: 0,
-                outcome: "ok",
-                attrs: Attrs::new(),
+            shared: Arc::new(Shared {
+                capacity,
+                buffers: Mutex::with_class(Vec::new(), "obs.trace_buffers"),
+                next_block: AtomicU64::new(0),
             }),
         }
     }
 
-    /// Records a pre-built completed span verbatim (only `seq` is
-    /// assigned). Used by tests needing deterministic contents and by
-    /// [`TraceRing::record`]; live tracing goes through [`TraceRing::span`].
-    pub fn record_span(&self, mut span: Span) {
-        if self.slots.is_empty() {
-            return;
+    /// Opens a span named `name` at a fresh clock reading (no reading
+    /// at all while recording is disabled). If another span is open on
+    /// this thread, the new span becomes its child (same trace);
+    /// otherwise it roots a fresh trace. The span is recorded when the
+    /// guard closes or drops.
+    #[must_use]
+    pub fn span(&self, name: &'static str) -> SpanGuard<'_> {
+        if self.shared.capacity == 0 {
+            return SpanGuard {
+                ring: self,
+                span: None,
+                opened: None,
+            };
         }
-        // Relaxed: the number only picks a slot and orders records; the
-        // span itself is published by the slot's lock.
-        span.seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        let mut slot = self.slots[(span.seq % self.slots.len() as u64) as usize].lock();
-        // A recorder descheduled between its claim and this lock for a
-        // whole lap finds a newer record already here; it must lose.
-        if slot.as_ref().is_none_or(|held| held.seq < span.seq) {
-            *slot = Some(span);
+        self.span_at(name, clock::read())
+    }
+
+    /// Opens a span named `name` at `at`, a reading the caller already
+    /// took (the boundary it shares with the phase before, or the start
+    /// of a latency it measures). Parentage as for [`TraceRing::span`].
+    #[must_use]
+    pub fn span_at(&self, name: &'static str, at: Reading) -> SpanGuard<'_> {
+        let span = if self.shared.capacity == 0 {
+            None
+        } else {
+            RECORDER
+                .try_with(|r| {
+                    let r = &mut *r.borrow_mut();
+                    let id = r.member(&self.shared).next_id(&self.shared);
+                    let (trace, parent) = match r.open.last() {
+                        Some(&(trace, pid)) => (trace, Some(pid)),
+                        None => (id, None),
+                    };
+                    r.open.push((trace, id));
+                    Span {
+                        seq: 0,
+                        trace,
+                        id,
+                        parent,
+                        name,
+                        target: None,
+                        start_us: at.us(),
+                        dur_us: 0,
+                        outcome: "ok",
+                        attrs: Attrs::new(),
+                    }
+                })
+                .ok()
+        };
+        SpanGuard {
+            ring: self,
+            span,
+            opened: Some(at),
         }
     }
 
-    /// Records one already-measured operation as a completed span:
-    /// a child of the span currently open on this thread, or a
-    /// single-span trace of its own. (The pre-span `TraceRing` API,
-    /// still the right shape for ops measured with an explicit timer.)
-    pub fn record(
-        &self,
-        op: &'static str,
-        target: Option<u64>,
-        blocks: u64,
-        dur: std::time::Duration,
-        outcome: &'static str,
-    ) {
-        if self.slots.is_empty() {
+    /// Records a pre-built completed span verbatim into this thread's
+    /// buffer (only `seq` is assigned). Used by tests needing
+    /// deterministic contents; live tracing goes through
+    /// [`TraceRing::span`].
+    pub fn record_span(&self, span: Span) {
+        if self.shared.capacity == 0 {
             return;
         }
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let (trace, parent) = match OPEN.with(|s| s.borrow().last().copied()) {
-            Some((trace, pid)) => (trace, Some(pid)),
-            None => (id, None),
-        };
-        let dur_us = u64::try_from(dur.as_micros()).unwrap_or(u64::MAX);
-        let mut attrs = Attrs::new();
-        if blocks > 0 {
-            attrs.push("blocks", AttrValue::U64(blocks));
-        }
-        self.record_span(Span {
-            seq: 0,
-            trace,
-            id,
-            parent,
-            name: op,
-            target,
-            start_us: crate::clock::now_us().saturating_sub(dur_us),
-            dur_us,
-            outcome,
-            attrs,
+        let _ = RECORDER.try_with(|r| r.borrow_mut().store(&self.shared, span));
+    }
+
+    /// Pops `span` off this thread's open stack, closes it at `at` and
+    /// stores it.
+    fn close_span(&self, mut span: Span, at: Reading) {
+        span.dur_us = at.us().saturating_sub(span.start_us);
+        let _ = RECORDER.try_with(|r| {
+            let r = &mut *r.borrow_mut();
+            // Pop our own entry; tolerate (but do not mask) unbalanced
+            // closes by searching from the top.
+            if let Some(pos) = r.open.iter().rposition(|&(_, id)| id == span.id) {
+                r.open.truncate(pos);
+            }
+            r.store(&self.shared, span);
         });
     }
 
-    /// The surviving spans, oldest first (strictly increasing `seq`).
-    /// Taken slot by slot, so while recorders are running it is a
-    /// consistent copy of each span but not one instant of the whole ring:
-    /// a record claimed but not yet stored is simply absent.
+    /// The surviving spans in the merge order of the module docs. Taken
+    /// buffer by buffer, so while recorders are running it holds a
+    /// consistent prefix of each thread's records but not one instant of
+    /// the whole ring.
     #[must_use]
     pub fn snapshot(&self) -> Vec<Span> {
-        let mut out: Vec<Span> = self.slots.iter().filter_map(|s| s.lock().clone()).collect();
-        out.sort_unstable_by_key(|s| s.seq);
-        out
+        merge(self.shared.collect())
     }
 
-    /// Number of spans currently held.
+    /// Number of spans currently held, over all threads.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.total_recorded().min(self.capacity() as u64) as usize
+        self.shared.counts().0
     }
 
-    /// Whether no spans have been recorded (or capacity is 0).
+    /// Whether no spans are held (always, when capacity is 0).
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
@@ -305,13 +473,13 @@ impl TraceRing {
     /// Total spans ever recorded, including overwritten ones.
     #[must_use]
     pub fn total_recorded(&self) -> u64 {
-        self.next_seq.load(Ordering::Relaxed)
+        self.shared.counts().1
     }
 
-    /// Maximum spans held.
+    /// Maximum spans held per recording thread.
     #[must_use]
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.shared.capacity
     }
 
     /// The surviving spans grouped into trees, one per trace, ordered by
@@ -327,9 +495,9 @@ impl TraceRing {
     #[must_use]
     pub fn dump(&self) -> String {
         let spans = self.snapshot();
-        let held = spans.len();
         let mut out = format!(
-            "trace ring: {held} span(s) held, {} recorded, capacity {}\n",
+            "trace ring: {} span(s) held, {} recorded, capacity {}\n",
+            spans.len(),
             self.total_recorded(),
             self.capacity()
         );
@@ -361,6 +529,30 @@ impl TraceRing {
             ),
         )])
     }
+}
+
+/// Merges per-buffer record-order lists (indexed by buffer) into the
+/// order of the module docs: each list keeps its own order; across lists
+/// the earliest closing span goes first, ties to the lower index.
+fn merge(buffers: Vec<Vec<Span>>) -> Vec<Span> {
+    let closed = |s: &Span| s.start_us.saturating_add(s.dur_us);
+    let mut out = Vec::with_capacity(buffers.iter().map(Vec::len).sum());
+    let mut lists: Vec<_> = buffers
+        .into_iter()
+        .map(|b| b.into_iter().peekable())
+        .collect();
+    let mut heads: BinaryHeap<Reverse<(u64, usize)>> = lists
+        .iter_mut()
+        .enumerate()
+        .filter_map(|(i, l)| Some(Reverse((closed(l.peek()?), i))))
+        .collect();
+    while let Some(Reverse((_, i))) = heads.pop() {
+        out.extend(lists[i].next());
+        if let Some(next) = lists[i].peek() {
+            heads.push(Reverse((closed(next), i)));
+        }
+    }
+    out
 }
 
 /// One span and the children recorded under it.
@@ -495,16 +687,19 @@ fn node_json(node: &SpanNode) -> Value {
     Value::obj(fields)
 }
 
-/// An open span; records itself into the ring when dropped (or
-/// explicitly [`SpanGuard::finish`]ed). Guards must drop in LIFO order on
-/// a thread — the natural consequence of scoping them to the phase they
-/// measure.
+/// An open span; records itself into the ring when closed or dropped.
+/// Guards must close in LIFO order on a thread — the natural consequence
+/// of scoping them to the phase they measure.
 pub struct SpanGuard<'a> {
     ring: &'a TraceRing,
+    /// The span being built; `None` while recording is disabled.
     span: Option<Span>,
+    /// The reading the span opened at; `None` only for a disabled span
+    /// opened by [`TraceRing::span`], which took no reading.
+    opened: Option<Reading>,
 }
 
-impl SpanGuard<'_> {
+impl<'a> SpanGuard<'a> {
     /// Attaches a numeric attribute.
     pub fn attr(&mut self, key: &'static str, value: u64) {
         if let Some(s) = &mut self.span {
@@ -539,32 +734,75 @@ impl SpanGuard<'_> {
         self.span.as_ref().map(|s| s.id)
     }
 
-    /// Closes and records the span now (equivalent to dropping it).
-    pub fn finish(self) {}
+    /// Closes the span at a fresh reading and returns the host time
+    /// since it opened — the operation's latency. A disabled span opened
+    /// by [`TraceRing::span`] reads no clock and returns zero.
+    pub fn close(self) -> Duration {
+        match self.opened {
+            Some(_) => self.close_at(clock::read()),
+            None => Duration::ZERO,
+        }
+    }
+
+    /// Closes the span at `at`, a reading the caller shares with the
+    /// next phase, and returns the host time since it opened.
+    pub fn close_at(mut self, at: Reading) -> Duration {
+        if let Some(span) = self.span.take() {
+            self.ring.close_span(span, at);
+        }
+        self.opened
+            .map_or(Duration::ZERO, |opened| at.since(opened))
+    }
+
+    /// Closes this phase and opens the next, `name`, at one shared
+    /// reading — no reading at all while recording is disabled.
+    #[must_use]
+    pub fn then(mut self, name: &'static str) -> SpanGuard<'a> {
+        let ring = self.ring;
+        match self.span.take() {
+            Some(span) => {
+                let at = clock::read();
+                ring.close_span(span, at);
+                ring.span_at(name, at)
+            }
+            None => SpanGuard {
+                ring,
+                span: None,
+                opened: None,
+            },
+        }
+    }
 }
 
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
-        let Some(mut span) = self.span.take() else {
-            return;
-        };
-        span.dur_us = crate::clock::now_us().saturating_sub(span.start_us);
-        OPEN.with(|s| {
-            let mut stack = s.borrow_mut();
-            // Pop our own entry; tolerate (but do not mask) unbalanced
-            // drops by searching from the top.
-            if let Some(pos) = stack.iter().rposition(|&(_, id)| id == span.id) {
-                stack.truncate(pos);
-            }
-        });
-        self.ring.record_span(span);
+        if let Some(span) = self.span.take() {
+            self.ring.close_span(span, clock::read());
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
+
+    /// A completed single-span trace, as tests record it.
+    fn flat(name: &'static str, target: u64, blocks: u64, outcome: &'static str) -> Span {
+        let mut attrs = Attrs::new();
+        attrs.push("blocks", AttrValue::U64(blocks));
+        Span {
+            seq: 0,
+            trace: target,
+            id: target,
+            parent: None,
+            name,
+            target: Some(target),
+            start_us: 0,
+            dur_us: 10,
+            outcome,
+            attrs,
+        }
+    }
 
     #[test]
     fn spans_nest_into_one_trace() {
@@ -608,17 +846,17 @@ mod tests {
     #[test]
     fn sibling_roots_make_separate_traces() {
         let ring = TraceRing::new(8);
-        ring.span("read").finish();
-        ring.span("read").finish();
+        ring.span("read").close();
+        ring.span("read").close();
         let trees = ring.traces();
         assert_eq!(trees.len(), 2);
     }
 
     #[test]
-    fn record_compat_wraps_and_orders() {
+    fn a_thread_numbers_its_spans_from_one_and_keeps_the_newest() {
         let ring = TraceRing::new(3);
         for i in 0..5u64 {
-            ring.record("append", Some(i), i, Duration::from_micros(10), "ok");
+            ring.record_span(flat("append", i, i, "ok"));
         }
         assert_eq!(ring.len(), 3);
         assert_eq!(ring.total_recorded(), 5);
@@ -626,16 +864,41 @@ mod tests {
         let seqs: Vec<u64> = spans.iter().map(|s| s.seq).collect();
         assert_eq!(seqs, vec![2, 3, 4]);
         assert_eq!(spans[0].target, Some(2));
+        // Live spans take ids from the thread's block: 1, 2, 3, …
+        let ring = TraceRing::new(8);
+        let ids: Vec<Option<u64>> = (0..3).map(|_| ring.span("read").id()).collect();
+        assert_eq!(ids, vec![Some(1), Some(2), Some(3)]);
+    }
+
+    #[test]
+    fn spans_share_the_readings_they_are_given() {
+        let _v = clock::install_virtual_us(Arc::new(|| 50));
+        let ring = TraceRing::new(8);
+        let at = clock::read();
+        let root = ring.span_at("append", at);
+        let stage = ring.span_at("stage", at);
+        let boundary = clock::read();
+        stage.close_at(boundary);
+        let gate = ring.span_at("commit_gate", boundary);
+        assert!(gate.close_at(boundary) == Duration::ZERO);
+        assert!(root.close_at(boundary) == boundary.since(at));
+        let spans = ring.snapshot();
+        assert_eq!(spans.len(), 3);
+        assert!(spans.iter().all(|s| s.start_us == 50 && s.dur_us == 0));
     }
 
     #[test]
     fn zero_capacity_is_a_noop() {
         let ring = TraceRing::new(0);
-        ring.record("read", None, 1, Duration::ZERO, "ok");
+        ring.record_span(flat("read", 1, 1, "ok"));
         {
             let mut g = ring.span("append");
             g.attr("bytes", 10);
+            assert_eq!(g.close(), Duration::ZERO, "no reading was taken");
         }
+        // A disabled span opened at a reading still measures its latency.
+        let at = clock::read();
+        let _ = ring.span_at("read", at).close();
         assert!(ring.is_empty());
         assert_eq!(ring.total_recorded(), 0);
         assert!(ring.dump().contains("0 span(s)"));
@@ -644,8 +907,8 @@ mod tests {
     #[test]
     fn dump_mentions_every_surviving_span() {
         let ring = TraceRing::new(8);
-        ring.record("locate", Some(7), 3, Duration::from_micros(42), "ok");
-        ring.record("append", None, 1, Duration::from_micros(5), "io_error");
+        ring.record_span(flat("locate", 7, 3, "ok"));
+        ring.record_span(flat("append", 8, 1, "io_error"));
         let dump = ring.dump();
         assert!(dump.contains("locate"));
         assert!(dump.contains("log:7"));
@@ -659,10 +922,10 @@ mod tests {
         let ring = TraceRing::new(2);
         {
             let _root = ring.span("append");
-            ring.span("stage").finish();
-            ring.span("seal").finish();
-            // Root records last; capacity 2 keeps {seal, append} only —
-            // wait: stage is overwritten, seal's parent (append) survives.
+            ring.span("stage").close();
+            ring.span("seal").close();
+            // Root records last; capacity 2 keeps {seal, append} only:
+            // stage is overwritten, seal's parent (append) survives.
         }
         let trees = ring.traces();
         assert_eq!(trees.len(), 1);
@@ -681,5 +944,22 @@ mod tests {
             g.fail("io_error");
         }
         assert_eq!(ring.snapshot()[0].outcome, "io_error");
+    }
+
+    #[test]
+    fn merge_keeps_thread_order_and_interleaves_by_closing_time() {
+        let at = |end: u64, id: u64| Span {
+            dur_us: end,
+            ..flat("read", id, 0, "ok")
+        };
+        // Thread 1's second span closed "before" its first (a clock that
+        // went backwards); it still follows it.
+        let merged = merge(vec![
+            vec![at(10, 1), at(30, 2)],
+            vec![at(20, 3), at(5, 4)],
+            vec![at(10, 5)],
+        ]);
+        let ids: Vec<u64> = merged.iter().map(|s| s.id).collect();
+        assert_eq!(ids, vec![1, 5, 3, 4, 2]);
     }
 }

@@ -1,7 +1,9 @@
 //! TraceRing integration tests: concurrent record/snapshot safety,
-//! wraparound behaviour, and the golden `GET /trace` JSON shape.
+//! per-thread wraparound, buffer reuse after a thread exits, and the
+//! golden `GET /trace` JSON shape.
 
-use std::sync::Arc;
+use std::collections::BTreeMap;
+use std::sync::{Arc, Barrier};
 
 use clio_obs::{AttrValue, Attrs, Span, TraceRing};
 
@@ -29,66 +31,106 @@ fn fixed_span(
     }
 }
 
-/// Writers hammer the ring from several threads while a reader snapshots
-/// and renders concurrently: no lost records, no panics, and every
-/// surviving span is intact.
+/// Writer `w`'s spans carry `target == w` and an `i` attribute counting
+/// its records, so a snapshot shows whose each span is and where it
+/// belongs in that thread's record order.
+fn tag(span: &mut Span, w: u64, i: u64) {
+    span.target = Some(w);
+    span.attrs.push("i", AttrValue::U64(i));
+}
+
+fn attr_i(span: &Span) -> u64 {
+    span.attrs
+        .iter()
+        .find_map(|&(k, v)| match v {
+            AttrValue::U64(i) if k == "i" => Some(i),
+            _ => None,
+        })
+        .expect("every recorded span is tagged")
+}
+
+/// What a snapshot taken at any moment must show of each writer (spans
+/// grouped by target): its spans intact and in record order — record
+/// numbers and `i` tags both consecutive, so nothing torn, duplicated or
+/// reordered — and at most `capacity` of them. Returns each writer's
+/// `(seq, i)` pairs.
+fn per_writer(snap: &[Span], capacity: usize) -> BTreeMap<u64, Vec<(u64, u64)>> {
+    let mut writers: BTreeMap<u64, Vec<(u64, u64)>> = BTreeMap::new();
+    for s in snap {
+        assert!(matches!(s.name, "append" | "stage" | "read"), "{s:?}");
+        let w = s.target.expect("every recorded span has a writer");
+        writers.entry(w).or_default().push((s.seq, attr_i(s)));
+    }
+    for (w, spans) in &writers {
+        assert!(spans.len() <= capacity, "writer {w}: {spans:?}");
+        for pair in spans.windows(2) {
+            assert_eq!(pair[1].0, pair[0].0 + 1, "writer {w}: {spans:?}");
+            assert_eq!(pair[1].1, pair[0].1 + 1, "writer {w}: {spans:?}");
+        }
+    }
+    writers
+}
+
+/// Records writer `w`'s records `0..each`: one, then (once every writer
+/// holds a buffer, so none adopts another's) the rest. Even records go
+/// through a guard with a child, odd ones are prebuilt.
+fn write_tagged(ring: &TraceRing, w: u64, each: u64, registered: &Barrier) {
+    let mut i = 0;
+    let record = |i: &mut u64| {
+        if i.is_multiple_of(2) {
+            let mut root = ring.span("append");
+            root.set_target(w);
+            root.attr("i", *i + 1);
+            let mut child = ring.span("stage");
+            child.set_target(w);
+            child.attr("i", *i);
+            drop(child);
+            *i += 2;
+        } else {
+            let mut span = fixed_span(w, w, None, "read", 1, 1);
+            tag(&mut span, w, *i);
+            ring.record_span(span);
+            *i += 1;
+        }
+    };
+    record(&mut i);
+    registered.wait();
+    while i < each {
+        record(&mut i);
+    }
+}
+
+/// Writers record from several threads while a reader snapshots and
+/// renders concurrently: every snapshot shows each thread's spans
+/// intact and in record order, and once they stop, each thread's newest
+/// `capacity` spans are exactly what survives.
 #[test]
 fn concurrent_recording_and_snapshotting_is_safe() {
-    const WRITERS: usize = 4;
-    const PER_WRITER: usize = 500;
-    let ring = Arc::new(TraceRing::new(64));
-    let mut handles = Vec::new();
-    for w in 0..WRITERS {
-        let ring = ring.clone();
-        handles.push(std::thread::spawn(move || {
-            for i in 0..PER_WRITER {
-                // Alternate the guard path and the prebuilt path.
-                if i % 2 == 0 {
-                    let mut g = ring.span("append");
-                    g.attr("bytes", i as u64);
-                    let _child = ring.span("stage");
-                } else {
-                    ring.record_span(fixed_span(
-                        (w * PER_WRITER + i) as u64,
-                        (w * PER_WRITER + i) as u64,
-                        None,
-                        "read",
-                        1,
-                        1,
-                    ));
-                }
-            }
-        }));
-    }
-    let reader = {
-        let ring = ring.clone();
-        std::thread::spawn(move || {
-            let mut snapshots = 0u64;
-            while ring.total_recorded() < (WRITERS * PER_WRITER) as u64 / 2 {
+    const WRITERS: u64 = 4;
+    const EACH: u64 = 750;
+    const CAPACITY: usize = 64;
+    let ring = TraceRing::new(CAPACITY);
+    let registered = Barrier::new(WRITERS as usize);
+    std::thread::scope(|s| {
+        for w in 0..WRITERS {
+            let (ring, registered) = (&ring, &registered);
+            s.spawn(move || write_tagged(ring, w, EACH, registered));
+        }
+        s.spawn(|| {
+            while ring.total_recorded() < WRITERS * EACH / 2 {
                 let snap = ring.snapshot();
-                assert!(snap.len() <= ring.capacity());
-                for s in &snap {
-                    assert!(matches!(s.name, "append" | "stage" | "read"));
-                }
+                assert!(snap.len() <= WRITERS as usize * CAPACITY);
+                per_writer(&snap, CAPACITY);
                 let _ = ring.dump();
                 let _ = ring.trace_json().encode();
-                snapshots += 1;
             }
-            snapshots
-        })
-    };
-    for h in handles {
-        h.join().expect("writer");
-    }
-    reader.join().expect("reader");
-    // Guard path records two spans per even i, prebuilt one per odd i.
-    let expected = (WRITERS * PER_WRITER / 2 * 2 + WRITERS * PER_WRITER / 2) as u64;
-    assert_eq!(ring.total_recorded(), expected);
-    assert_eq!(ring.len(), 64);
-    // Seq numbers in a snapshot are strictly increasing (oldest first).
-    let snap = ring.snapshot();
-    for pair in snap.windows(2) {
-        assert!(pair[0].seq < pair[1].seq);
+        });
+    });
+    assert_eq!(ring.total_recorded(), WRITERS * EACH);
+    assert_eq!(ring.len(), WRITERS as usize * CAPACITY);
+    let newest: Vec<(u64, u64)> = (EACH - CAPACITY as u64..EACH).map(|n| (n, n)).collect();
+    for (w, spans) in per_writer(&ring.snapshot(), CAPACITY) {
+        assert_eq!(spans, newest, "writer {w}");
     }
 }
 
@@ -103,7 +145,7 @@ fn wraparound_keeps_the_newest_spans_and_tolerates_evicted_parents() {
         // Each phase records on scope exit; 6 finished phases + the root
         // overflow capacity 4 well before the root itself records.
         for _ in 0..6 {
-            ring.span("stage").finish();
+            ring.span("stage").close();
         }
     }
     assert_eq!(ring.len(), 4);
@@ -176,7 +218,7 @@ fn parentage_is_thread_local() {
         handles.push(std::thread::spawn(move || {
             let _root = ring.span("append");
             barrier.wait(); // both roots open at once
-            ring.span("stage").finish();
+            ring.span("stage").close();
         }));
     }
     for h in handles {
@@ -192,75 +234,113 @@ fn parentage_is_thread_local() {
     }
 }
 
-/// Records `count` prebuilt spans tagged `base..base + count` in `id`.
-fn record_tagged(ring: &TraceRing, base: u64, count: u64) {
-    for i in base..base + count {
-        ring.record_span(fixed_span(i, i, None, "read", 1, 1));
+/// Records writer `w`'s `count` prebuilt spans, ids `w * count ..`.
+fn record_tagged(ring: &TraceRing, w: u64, count: u64) {
+    for i in 0..count {
+        let mut span = fixed_span(w * count + i, w * count + i, None, "read", 1, 1);
+        tag(&mut span, w, i);
+        ring.record_span(span);
     }
 }
 
-/// While the ring has room nothing is lost, whatever the interleaving:
-/// every recorder's every span is there, each under its own `seq`.
+/// While each thread's buffer has room nothing is lost, whatever the
+/// interleaving — even when a recorder that finished early hands its
+/// buffer to one that starts late: every span is there, once, each
+/// recorder's in its program order.
 #[test]
 fn concurrent_recorders_lose_nothing_below_capacity() {
     const RECORDERS: u64 = 4;
     const EACH: u64 = 200;
     let ring = TraceRing::new((RECORDERS * EACH) as usize);
     std::thread::scope(|s| {
-        for r in 0..RECORDERS {
+        for w in 0..RECORDERS {
             let ring = &ring;
-            s.spawn(move || record_tagged(ring, r * EACH, EACH));
+            s.spawn(move || record_tagged(ring, w, EACH));
         }
     });
     let snap = ring.snapshot();
     assert_eq!(ring.total_recorded(), RECORDERS * EACH);
     assert_eq!(snap.len() as u64, RECORDERS * EACH);
     assert_eq!(ring.len() as u64, RECORDERS * EACH);
-    let seqs: Vec<u64> = snap.iter().map(|s| s.seq).collect();
-    assert_eq!(seqs, (0..RECORDERS * EACH).collect::<Vec<_>>());
     let mut ids: Vec<u64> = snap.iter().map(|s| s.id).collect();
     ids.sort_unstable();
     assert_eq!(ids, (0..RECORDERS * EACH).collect::<Vec<_>>());
-    // Each recorder's own spans keep their program order.
-    for r in 0..RECORDERS {
-        let mine: Vec<u64> = snap
-            .iter()
-            .map(|s| s.id)
-            .filter(|id| id / EACH == r)
-            .collect();
-        assert!(mine.windows(2).all(|w| w[0] < w[1]), "recorder {r}");
+    for (w, spans) in per_writer(&snap, (RECORDERS * EACH) as usize) {
+        let tags: Vec<u64> = spans.iter().map(|&(_, i)| i).collect();
+        assert_eq!(tags, (0..EACH).collect::<Vec<_>>(), "recorder {w}");
     }
 }
 
-/// Past capacity the ring keeps exactly the newest `capacity` records —
-/// the last `capacity` sequence numbers, no gaps, no stragglers — under
-/// concurrent recorders too.
+/// Past capacity each thread keeps exactly its newest `capacity`
+/// records — no gaps, no stragglers — while concurrent snapshots see
+/// every thread's spans consecutive and never more than its capacity.
 #[test]
 fn concurrent_recorders_keep_the_newest_capacity_across_a_wrap() {
     const RECORDERS: u64 = 4;
     const EACH: u64 = 2500;
     const CAPACITY: u64 = 64;
     let ring = TraceRing::new(CAPACITY as usize);
+    let registered = Barrier::new(RECORDERS as usize);
     std::thread::scope(|s| {
-        for r in 0..RECORDERS {
-            let ring = &ring;
-            s.spawn(move || record_tagged(ring, r * EACH, EACH));
+        for w in 0..RECORDERS {
+            let (ring, registered) = (&ring, &registered);
+            s.spawn(move || {
+                record_tagged(ring, w, 1);
+                registered.wait();
+                for i in 1..EACH {
+                    let mut span = fixed_span(w * EACH + i, w * EACH + i, None, "read", 1, 1);
+                    tag(&mut span, w, i);
+                    ring.record_span(span);
+                }
+            });
         }
-        // A concurrent snapshot is strictly increasing in `seq` and never
-        // larger than the ring.
         s.spawn(|| {
             while ring.total_recorded() < RECORDERS * EACH {
                 let snap = ring.snapshot();
-                assert!(snap.len() as u64 <= CAPACITY);
-                assert!(snap.windows(2).all(|w| w[0].seq < w[1].seq));
+                assert!(snap.len() as u64 <= RECORDERS * CAPACITY);
+                per_writer(&snap, CAPACITY as usize);
             }
         });
     });
-    let total = RECORDERS * EACH;
-    assert_eq!(ring.total_recorded(), total);
-    assert_eq!(ring.len() as u64, CAPACITY);
-    let seqs: Vec<u64> = ring.snapshot().iter().map(|s| s.seq).collect();
-    assert_eq!(seqs, (total - CAPACITY..total).collect::<Vec<_>>());
+    assert_eq!(ring.total_recorded(), RECORDERS * EACH);
+    assert_eq!(ring.len() as u64, RECORDERS * CAPACITY);
+    let newest: Vec<(u64, u64)> = (EACH - CAPACITY..EACH).map(|n| (n, n)).collect();
+    for (w, spans) in per_writer(&ring.snapshot(), CAPACITY as usize) {
+        assert_eq!(spans, newest, "recorder {w}");
+    }
+}
+
+/// A thread that exits leaves its buffer to the next thread that starts
+/// recording: the newcomer's records follow the survivors in the same
+/// numbering, overwrite only the oldest, and bring back nothing already
+/// overwritten — and a stream of short-lived threads holds one buffer.
+#[test]
+fn a_dead_threads_buffer_is_reused_without_losing_or_reviving_spans() {
+    let ring = TraceRing::new(8);
+    // Joined, not just scoped: a join returns once the thread is gone,
+    // thread-locals included.
+    let run = |w: u64, count: u64| {
+        std::thread::scope(|s| {
+            let t = s.spawn(|| record_tagged(&ring, w, count));
+            t.join().expect("recorder");
+        });
+    };
+    run(1, 5);
+    run(2, 6);
+    let survivors: Vec<(Option<u64>, u64, u64)> = ring
+        .snapshot()
+        .iter()
+        .map(|s| (s.target, s.seq, attr_i(s)))
+        .collect();
+    let mut want = vec![(Some(1), 3, 3), (Some(1), 4, 4)];
+    want.extend((0..6).map(|i| (Some(2), 5 + i, i)));
+    assert_eq!(survivors, want);
+    assert_eq!(ring.total_recorded(), 11);
+    for w in 3..23 {
+        run(w, 3);
+    }
+    assert_eq!(ring.total_recorded(), 71);
+    assert_eq!(ring.len(), 8, "one buffer served every thread");
 }
 
 /// A span carrying as many attributes as a span can hold renders in the

@@ -83,7 +83,9 @@ CLIO_SIM_SEEDS=25 cargo test -q --release --offline -p clio-core --test simulati
 
 # Concurrency model checking: the six protocol models (commit gate,
 # ArcCell publish, single-flight, sealed-queue drain, shared open block,
-# trace-ring slot claim) plus the canary suite under the larger release budget (2,000 DFS + 2,000 random
+# the trace ring's per-thread buffers: registration, recording beside a
+# snapshot, and an exited thread's buffer passing to the next) plus the
+# canary suite under the larger release budget (2,000 DFS + 2,000 random
 # schedules per model). A failure prints both access sites and a
 # CLIO_CHECK_REPLAY=<seed>:<index> line that re-runs the exact schedule.
 # (The 1,000-schedule debug budget already ran in the workspace pass.)
