@@ -1,5 +1,6 @@
 //! Microbenchmarks for the hot paths: block building/scanning, entrymap
-//! emission and search, the append path, and the block cache.
+//! emission and search, the append and point-read paths, and the block
+//! cache.
 //!
 //! Runs on `clio_testkit::bench` (`harness = false`); tune with
 //! `CLIO_BENCH_SAMPLES`, `CLIO_BENCH_SAMPLE_MS`, `CLIO_BENCH_WARMUP_MS`.
@@ -157,10 +158,13 @@ fn bench_service(c: &mut Bench) {
     drop(svc);
     // Read path over a prebuilt log.
     let svc = mk();
-    for i in 0..5_000u32 {
-        svc.append_path("/bench", &i.to_le_bytes(), AppendOpts::standard())
-            .expect("append");
-    }
+    let receipts: Vec<_> = (0..5_000u32)
+        .map(|i| {
+            svc.append_path("/bench", &i.to_le_bytes(), AppendOpts::standard())
+                .expect("append")
+                .addr
+        })
+        .collect();
     svc.flush().expect("flush");
     c.bench("service/cursor_scan_5k", || {
         let mut cur = svc.cursor("/bench").expect("cursor");
@@ -169,6 +173,22 @@ fn bench_service(c: &mut Bench) {
             n += e.data.len() as u64;
         }
         black_box(n)
+    });
+    // A point read the block cache serves (the log's blocks all fit it):
+    // the cached block is handed over verified, no CRC.
+    let mut k = 0usize;
+    c.bench("service/read_entry_hit", || {
+        k = (k + 7) % receipts.len();
+        black_box(svc.read_entry(receipts[k]).expect("read_entry"))
+    });
+    // A point read of the open block, unchanged since the last read: the
+    // image the block keeps is served as it is, no `finish()`, no CRC.
+    let open = svc
+        .append_path("/bench", b"open", AppendOpts::standard())
+        .expect("append")
+        .addr;
+    c.bench("service/read_entry_open_block", || {
+        black_box(svc.read_entry(open).expect("read_entry"))
     });
     drop(svc);
     // A sparse scan: 64 top-level logs of 8 sublogs each, 60 000 skewed

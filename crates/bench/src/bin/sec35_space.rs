@@ -16,8 +16,7 @@ use clio_bench::table;
 use clio_core::service::{AppendOpts, LogService};
 use clio_core::ServiceConfig;
 use clio_costmodel::LoginWorkload;
-use clio_entrymap::BlockSource as _;
-use clio_format::{BlockView, EntrymapRecord};
+use clio_format::EntrymapRecord;
 use clio_types::{LogFileId, ManualClock, Timestamp, VolumeSeqId};
 use clio_volume::MemDevicePool;
 
@@ -59,15 +58,13 @@ fn main() {
     let r = svc.report();
     // Measure `a` (log files per entrymap entry) straight off the device.
     let vol = svc.volumes().volume(0).expect("volume 0");
-    let src = DevScan { vol };
     let mut recs = 0u64;
     let mut files = 0u64;
-    for db in 0..src.data_end() {
-        let img = src.read(db).expect("read block");
-        let Ok(view) = BlockView::parse(&img) else {
+    for db in 0..vol.data_end() {
+        let Ok(block) = vol.read_data_block(db) else {
             continue;
         };
-        for e in view.entries() {
+        for e in block.view().entries() {
             let Ok(e) = e else { break };
             if e.header.id == LogFileId::ENTRYMAP {
                 if let Ok(rec) = EntrymapRecord::decode(e.payload) {
@@ -145,23 +142,4 @@ fn main() {
     report.table("quantities", &["quantity", "measured", "paper"], &rows);
     report.note("Paper's conclusion holds if o_e is far below h.");
     report.emit();
-}
-
-/// Raw volume scanner.
-struct DevScan {
-    vol: std::sync::Arc<clio_volume::Volume>,
-}
-
-impl clio_entrymap::BlockSource for DevScan {
-    fn fanout(&self) -> usize {
-        16
-    }
-
-    fn data_end(&self) -> u64 {
-        self.vol.data_end()
-    }
-
-    fn read(&self, db: u64) -> clio_types::Result<std::sync::Arc<Vec<u8>>> {
-        self.vol.read_data_block(db)
-    }
 }

@@ -74,7 +74,7 @@ fn trace_hit_ratios(report: &mut Report) {
     let trace = TraceWorkload::new(17).trace(4_000);
     let mut rows = Vec::new();
     for cache_kib in [64usize, 256, 1024, 4096, 16384] {
-        let cache = BlockCache::new(cache_kib);
+        let cache: BlockCache = BlockCache::new(cache_kib);
         let mut accesses = 0u64;
         for ev in &trace {
             match ev {

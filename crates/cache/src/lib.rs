@@ -9,6 +9,15 @@
 //! write-through on append: there are no dirty pages and no write-back
 //! machinery. Hit/miss statistics feed the Table 1 and §4 cache analyses.
 //!
+//! The cache is generic over what it holds for a block. The log service
+//! holds *verified* blocks (`clio_format::ParsedBlock`): a block is
+//! CRC-checked once, inside the single-flight loader that fills it from
+//! the medium (a load that fails its check caches nothing), or was made by
+//! the block builder and written through. Because the medium is
+//! write-once, the verdict never goes stale, so a hit is served without
+//! checking anything again. The default block type, raw image bytes,
+//! serves caches that only model hit ratios.
+//!
 //! Immutability also makes the cache embarrassingly shardable: a block
 //! image never changes after insertion, so the only mutable state is
 //! recency, which is private to each shard. [`BlockCache::with_shards`]
@@ -125,19 +134,19 @@ impl std::fmt::Display for CacheSnapshot {
     }
 }
 
-struct Entry {
-    data: Arc<Vec<u8>>,
+struct Entry<B> {
+    data: B,
     tick: u64,
 }
 
-struct Lru {
-    map: HashMap<CacheKey, Entry>,
+struct Lru<B> {
+    map: HashMap<CacheKey, Entry<B>>,
     by_tick: std::collections::BTreeMap<u64, CacheKey>,
     next_tick: u64,
 }
 
-impl Lru {
-    fn empty() -> Lru {
+impl<B> Lru<B> {
+    fn empty() -> Lru<B> {
         Lru {
             map: HashMap::new(),
             by_tick: std::collections::BTreeMap::new(),
@@ -157,29 +166,30 @@ impl Lru {
 }
 
 /// One LRU shard: a slice of the capacity with its own lock and counters.
-struct Shard {
-    inner: Mutex<Lru>,
+struct Shard<B> {
+    inner: Mutex<Lru<B>>,
     capacity: usize,
     counters: Counters,
 }
 
 /// The state of one in-flight `get_or_load` for a key.
-enum FlightState {
+enum FlightState<B> {
     /// The leader is still loading.
     Pending,
     /// The leader finished: `Some` with the block, `None` if the load
     /// failed (waiters retry, becoming leaders themselves).
-    Done(Option<Arc<Vec<u8>>>),
+    Done(Option<B>),
 }
 
 /// A single-flight rendezvous: losers of the leader race park here.
-struct Flight {
-    state: Mutex<FlightState>,
+struct Flight<B> {
+    state: Mutex<FlightState<B>>,
     cv: Condvar,
 }
 
-/// A fixed-capacity LRU cache of immutable block images, sharded for
-/// concurrent readers.
+/// A fixed-capacity LRU cache of immutable blocks, sharded for concurrent
+/// readers. `B` is what is held per block: raw image bytes by default, a
+/// verified `clio_format::ParsedBlock` in the log service.
 ///
 /// # Examples
 ///
@@ -194,19 +204,19 @@ struct Flight {
 /// assert!(cache.get(CacheKey::new(0, BlockNo(9))).is_none());
 /// assert_eq!(cache.stats().hits, 1);
 /// ```
-pub struct BlockCache {
-    shards: Box<[Shard]>,
+pub struct BlockCache<B = Arc<Vec<u8>>> {
+    shards: Box<[Shard<B>]>,
     /// `shards.len() - 1`; shard count is always a power of two.
     mask: u64,
     capacity: usize,
     duplicate_loads: Arc<Counter>,
-    inflight: Mutex<HashMap<CacheKey, Arc<Flight>>>,
+    inflight: Mutex<HashMap<CacheKey, Arc<Flight<B>>>>,
     /// When attached, single-flight loads record `cache_load` /
     /// `cache_wait` spans, nesting under the reading operation's span.
     trace: OnceLock<Arc<TraceRing>>,
 }
 
-impl BlockCache {
+impl<B: Clone> BlockCache<B> {
     /// Creates a single-shard cache holding at most `capacity_blocks`
     /// blocks — exact global LRU, the reproducible-experiment mode.
     ///
@@ -215,7 +225,7 @@ impl BlockCache {
     /// Panics if `capacity_blocks` is zero — a cacheless configuration
     /// should bypass the cache, not construct a degenerate one.
     #[must_use]
-    pub fn new(capacity_blocks: usize) -> BlockCache {
+    pub fn new(capacity_blocks: usize) -> BlockCache<B> {
         BlockCache::with_shards(capacity_blocks, 1)
     }
 
@@ -227,7 +237,7 @@ impl BlockCache {
     ///
     /// Panics if `capacity_blocks` or `shards` is zero.
     #[must_use]
-    pub fn with_shards(capacity_blocks: usize, shards: usize) -> BlockCache {
+    pub fn with_shards(capacity_blocks: usize, shards: usize) -> BlockCache<B> {
         assert!(capacity_blocks > 0, "cache capacity must be positive");
         assert!(shards > 0, "shard count must be positive");
         let mut n = shards.next_power_of_two();
@@ -236,7 +246,7 @@ impl BlockCache {
         }
         let base = capacity_blocks / n;
         let rem = capacity_blocks % n;
-        let shards: Vec<Shard> = (0..n)
+        let shards: Vec<Shard<B>> = (0..n)
             .map(|i| Shard {
                 inner: Mutex::with_class(Lru::empty(), "cache.shard"),
                 capacity: base + usize::from(i < rem),
@@ -264,7 +274,7 @@ impl BlockCache {
         Some(self.trace.get()?.span(name))
     }
 
-    fn shard(&self, key: CacheKey) -> &Shard {
+    fn shard(&self, key: CacheKey) -> &Shard<B> {
         &self.shards[(key.shard_hash() & self.mask) as usize]
     }
 
@@ -295,7 +305,7 @@ impl BlockCache {
 
     /// Looks up a block, updating recency and hit/miss counters.
     #[must_use]
-    pub fn get(&self, key: CacheKey) -> Option<Arc<Vec<u8>>> {
+    pub fn get(&self, key: CacheKey) -> Option<B> {
         let shard = self.shard(key);
         let mut g = shard.inner.lock();
         if let Some(e) = g.map.get(&key) {
@@ -311,7 +321,7 @@ impl BlockCache {
 
     /// Inserts (or replaces) a block, evicting the shard's least recently
     /// used block if the shard is full.
-    pub fn put(&self, key: CacheKey, data: Arc<Vec<u8>>) {
+    pub fn put(&self, key: CacheKey, data: B) {
         let shard = self.shard(key);
         let mut g = shard.inner.lock();
         let tick = g.next_tick;
@@ -334,16 +344,17 @@ impl BlockCache {
         }
     }
 
-    /// Looks up a block, loading and inserting it on a miss.
+    /// Looks up a block, loading and inserting it on a miss; a load that
+    /// fails inserts nothing and returns its error.
     ///
     /// Concurrent misses on the same key are coalesced (single-flight):
     /// one caller runs `load`, the rest wait and share its block. The
     /// avoided loads are counted in [`CacheSnapshot::duplicate_loads`].
     /// If the leader's load fails, each waiter retries — one of them
     /// becomes the new leader.
-    pub fn get_or_load<F>(&self, key: CacheKey, load: F) -> Result<Arc<Vec<u8>>>
+    pub fn get_or_load<F>(&self, key: CacheKey, load: F) -> Result<B>
     where
-        F: FnMut() -> Result<Vec<u8>>,
+        F: FnMut() -> Result<B>,
     {
         let mut load = load;
         loop {
@@ -373,8 +384,7 @@ impl BlockCache {
                     }
                 }
                 drop(span);
-                // The loader's buffer becomes the cached block: no copy.
-                let loaded = loaded.map(Arc::new);
+                // The loader's block becomes the cached block: no copy.
                 if let Ok(data) = &loaded {
                     self.put(key, data.clone());
                 }
@@ -535,7 +545,7 @@ mod tests {
             let v = c
                 .get_or_load(key(7), || {
                     loads += 1;
-                    Ok(vec![7u8; 4])
+                    Ok(Arc::new(vec![7u8; 4]))
                 })
                 .unwrap();
             assert_eq!(v[0], 7);
@@ -547,7 +557,7 @@ mod tests {
 
     #[test]
     fn load_errors_propagate_and_cache_nothing() {
-        let c = BlockCache::new(4);
+        let c: BlockCache = BlockCache::new(4);
         let r = c.get_or_load(key(9), || Err(clio_types::ClioError::VolumeFull));
         assert!(r.is_err());
         assert_eq!(c.len(), 0);
@@ -622,17 +632,19 @@ mod tests {
 
     #[test]
     fn shard_count_rounds_and_clamps() {
-        assert_eq!(BlockCache::with_shards(64, 8).shard_count(), 8);
-        assert_eq!(BlockCache::with_shards(64, 5).shard_count(), 8);
+        let shards =
+            |capacity, shards| BlockCache::<u8>::with_shards(capacity, shards).shard_count();
+        assert_eq!(shards(64, 8), 8);
+        assert_eq!(shards(64, 5), 8);
         // Too few blocks for 8 shards: clamp so every shard holds >= 1.
-        assert_eq!(BlockCache::with_shards(4, 8).shard_count(), 4);
-        assert_eq!(BlockCache::with_shards(1, 8).shard_count(), 1);
-        assert_eq!(BlockCache::new(16).shard_count(), 1);
+        assert_eq!(shards(4, 8), 4);
+        assert_eq!(shards(1, 8), 1);
+        assert_eq!(BlockCache::<u8>::new(16).shard_count(), 1);
     }
 
     #[test]
     fn sharded_capacity_is_partitioned_exactly() {
-        let c = BlockCache::with_shards(13, 4);
+        let c: BlockCache = BlockCache::with_shards(13, 4);
         let total: usize = c.shards.iter().map(|s| s.capacity).sum();
         assert_eq!(total, 13);
         assert!(c.shards.iter().all(|s| s.capacity >= 3));
@@ -697,7 +709,7 @@ mod tests {
     #[test]
     fn single_flight_coalesces_concurrent_misses() {
         use std::sync::mpsc;
-        let c = Arc::new(BlockCache::with_shards(16, 4));
+        let c: Arc<BlockCache> = Arc::new(BlockCache::with_shards(16, 4));
         let (loading_tx, loading_rx) = mpsc::channel();
         let (release_tx, release_rx) = mpsc::channel::<()>();
         let c1 = c.clone();
@@ -705,7 +717,7 @@ mod tests {
             c1.get_or_load(key(3), || {
                 loading_tx.send(()).unwrap();
                 release_rx.recv().unwrap();
-                Ok(vec![42u8; 4])
+                Ok(Arc::new(vec![42u8; 4]))
             })
             .unwrap()
         });
@@ -728,18 +740,18 @@ mod tests {
         assert_eq!(s.inserts, 1, "the block was loaded and inserted once");
     }
 
-    /// A miss moves the loader's buffer into the cache: the block the
+    /// A miss moves the loader's block into the cache: the block the
     /// caller gets, and the one later hits get, is that allocation. (The
     /// failed-load side of the same code is the retry test below.)
     #[test]
     fn a_miss_caches_the_loaders_buffer_without_copying() {
-        let c = BlockCache::with_shards(16, 4);
+        let c: BlockCache = BlockCache::with_shards(16, 4);
         let mut loaded_at = std::ptr::null();
         let got = c
             .get_or_load(key(4), || {
                 let block = vec![9u8; 1024];
                 loaded_at = block.as_ptr();
-                Ok(block)
+                Ok(Arc::new(block))
             })
             .unwrap();
         assert_eq!(got.as_ptr(), loaded_at, "the miss copied the block");
@@ -749,7 +761,7 @@ mod tests {
     #[test]
     fn single_flight_failed_leader_lets_waiter_retry() {
         use std::sync::mpsc;
-        let c = Arc::new(BlockCache::with_shards(16, 4));
+        let c: Arc<BlockCache> = Arc::new(BlockCache::with_shards(16, 4));
         let (loading_tx, loading_rx) = mpsc::channel();
         let (release_tx, release_rx) = mpsc::channel::<()>();
         let c1 = c.clone();
@@ -762,7 +774,8 @@ mod tests {
         });
         loading_rx.recv().unwrap();
         let c2 = c.clone();
-        let waiter = std::thread::spawn(move || c2.get_or_load(key(5), || Ok(vec![7u8; 4])));
+        let waiter =
+            std::thread::spawn(move || c2.get_or_load(key(5), || Ok(Arc::new(vec![7u8; 4]))));
         while c.stats().duplicate_loads == 0 {
             std::thread::yield_now();
         }
@@ -775,12 +788,14 @@ mod tests {
 
     #[test]
     fn attached_trace_records_load_spans_under_parent() {
-        let c = BlockCache::new(4);
+        let c: BlockCache = BlockCache::new(4);
         let ring = Arc::new(TraceRing::new(8));
         c.attach_trace(ring.clone());
         {
             let _read = ring.span("read");
-            let _ = c.get_or_load(key(2), || Ok(vec![2u8; 4])).unwrap();
+            let _ = c
+                .get_or_load(key(2), || Ok(Arc::new(vec![2u8; 4])))
+                .unwrap();
         }
         let spans = ring.snapshot();
         let load = spans

@@ -306,7 +306,7 @@ impl ServiceObs {
     /// Adopts the shared block cache's counters into the registry and, when
     /// tracing is enabled, hooks the cache's single-flight loads into the
     /// trace ring.
-    pub fn attach_cache(&self, cache: &Arc<clio_cache::BlockCache>) {
+    pub fn attach_cache(&self, cache: &Arc<clio_cache::BlockCache<clio_format::ParsedBlock>>) {
         cache.register_into(&self.registry);
         if self.trace.capacity() > 0 {
             cache.attach_trace(self.trace.clone());

@@ -20,23 +20,34 @@
 //! pinned open block grow, and refresh on crossing a snapshot's watermark
 //! (reaching the end), which is what lets cursors tail a growing log.
 //!
-//! # One verification per block visit
+//! # One verification per fill
 //!
-//! Every block image is CRC-checked before any entry of it is served, and
-//! a step through a scan parses the block it stands in once: the entry is
-//! reassembled from that parse, not looked up again by address. A cursor
-//! additionally carries the verified block its last entry came from (a
-//! [`ParsedBlock`], which only the check itself can construct), so the
-//! next entry of the same block costs a walk over its slots — no cache
-//! lookup, no CRC. It may carry only a block whose placement and content
-//! are final: any block of a sealed volume, or an active-volume block
-//! with `db + 1 < active_data_end` of the pinned snapshot. The open block
+//! A block is CRC-checked once, where its bytes enter memory from a
+//! medium, and never again while memory holds it: the medium is
+//! write-once, so a block that passed its check stays good (§2.3.2's
+//! garbage detector judges the medium, not memory). Memory holds blocks
+//! only as [`ParsedBlock`]s, which nothing but the check and the block
+//! builder constructs. The open block's image and the sealed queue's
+//! blocks were made by the builder that computed their CRC; the block
+//! cache is filled by write-through of those, or by a device load checked
+//! inside the cache's single-flight loader — a load that fails its check
+//! is not cached and answers with its verdict. [`VolSource`] serves all
+//! three as held ([`BlockSource::verified`]), so a read that never leaves
+//! memory checks nothing and a miss pays exactly one CRC.
+//!
+//! A step through a scan uses the block it stands in once: the entry is
+//! reassembled from it, not looked up again by address. A cursor
+//! additionally carries the block its last entry came from, so the next
+//! entry of the same block costs a walk over its slots — no cache lookup.
+//! It may carry only a block whose placement and content are final: any
+//! block of a sealed volume, or an active-volume block with
+//! `db + 1 < active_data_end` of the pinned snapshot. The open block
 //! grows, a block sealed in memory can still be displaced by append
 //! verification, and the last device block may be a rewriteable RAM tail
-//! (§2.3.1); those are read afresh on every call.
+//! (§2.3.1); those are fetched afresh on every call.
 //!
 //! The same holds across the hop from one block to the next. The entrymap
-//! search that names the next block has read and verified it to answer,
+//! search that names the next block has fetched it to answer,
 //! and hands it over ([`Locator::take_block`]): the scan serves from that
 //! block within the call, and carries it further only if it is final. And
 //! the maps the search read on the way — complete, on the device, in final
@@ -220,12 +231,12 @@ impl<'v> VolSource<'v> {
     /// (a torn tail recovery burned, then unrelated entries) carry no such
     /// stamp, and the invalidated block itself is the answer.
     fn fetch(&self, db: u64) -> Result<(u64, ParsedBlock)> {
-        match ParsedBlock::parse(self.read(db)?) {
+        match self.verified(db)? {
             Ok(block) => Ok((db, block)),
             Err(ClioError::InvalidatedBlock(_)) => {
                 let window = db + u64::from(MAX_SEAL_ATTEMPTS);
                 for cand in db + 1..window.min(self.data_end()) {
-                    if let Ok(moved) = ParsedBlock::parse(self.read(cand)?) {
+                    if let Ok(moved) = self.verified(cand)? {
                         if u64::from(moved.view().flags().displaced_by) == cand - db {
                             return Ok((cand, moved));
                         }
@@ -375,14 +386,28 @@ impl BlockSource for VolSource<'_> {
         }
     }
 
+    /// Nothing in the reader asks for raw bytes. Memory never holds a
+    /// block that failed its check, so such a block's bytes come from the
+    /// medium.
     fn read(&self, db: u64) -> Result<Arc<Vec<u8>>> {
+        match self.verified(db)? {
+            Ok(block) => Ok(block.image().clone()),
+            Err(_) => self.vol.read_data_block_direct(db).map(Arc::new),
+        }
+    }
+
+    /// The open block, a queued block and a cached block are served as
+    /// they are held, unchecked: each was verified where it entered
+    /// memory — by the builder that made it, or by the one check of the
+    /// cache fill that read it off the medium.
+    fn verified(&self, db: u64) -> Result<Result<ParsedBlock>> {
         if let Some((odb, blk)) = self.open {
             if odb == db {
-                return Ok(blk.image());
+                return Ok(Ok(blk.image()));
             }
         }
-        if let Some(img) = self.queued.and_then(|q| q.get(db)) {
-            return Ok(img.clone());
+        if let Some(block) = self.queued.and_then(|q| q.get(db)) {
+            return Ok(Ok(block.clone()));
         }
         self.vol.read_data_block_counted(db, self.device_loads)
     }
@@ -424,9 +449,9 @@ fn reassemble(
                     "fragments of entry {addr} missing past block {at}"
                 )));
             }
-            let ci = src.read(at)?;
-            match BlockView::parse(&ci) {
-                Ok(v) => {
+            match src.verified(at)? {
+                Ok(block) => {
+                    let v = block.view();
                     let mut found = false;
                     let mut maps_only = v.count() > 0;
                     for e in v.entries() {

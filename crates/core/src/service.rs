@@ -25,7 +25,7 @@ use clio_testkit::sync::{ArcCell, Condvar, Mutex};
 use clio_cache::BlockCache;
 use clio_entrymap::{EntrymapWriter, Geometry, PendingMaps};
 use clio_format::records::{CatalogRecord, PERM_APPEND};
-use clio_format::{BlockBuilder, EntryForm, EntryHeader, PushOutcome};
+use clio_format::{BlockBuilder, EntryForm, EntryHeader, ParsedBlock, PushOutcome};
 use clio_types::{ClioError, Clock, EntryAddr, LogFileId, Result, SeqNo, Timestamp, VolumeSeqId};
 use clio_volume::{DevicePool, Volume, VolumeSequence};
 
@@ -158,8 +158,9 @@ pub struct Receipt {
 ///
 /// The appender (holding the shard's state lock) pushes records into it;
 /// a reader that needs the block materialises the finished, CRC-carrying
-/// image itself and caches it here, keyed by the generation it was taken
-/// at, so an append costs neither a `finish()` nor a snapshot publish.
+/// image itself — a [`ParsedBlock`], verified by the builder that computed
+/// its CRC — and caches it here, keyed by the generation it was taken at,
+/// so an append costs neither a `finish()` nor a snapshot publish.
 /// Records are only ever added, so a pinned [`ReadView`]'s open block only
 /// grows; once the block seals, the final image stays cached and pinned
 /// views keep reading it.
@@ -182,8 +183,8 @@ struct OpenInner {
     builder: Arc<BlockBuilder>,
     /// Bumped by every mutation of `builder`; keys `image`.
     gen: u64,
-    /// The finished image of `builder` as of generation `.0`.
-    image: Option<(u64, Arc<Vec<u8>>)>,
+    /// The finished block of `builder` as of generation `.0`.
+    image: Option<(u64, ParsedBlock)>,
 }
 
 impl SharedOpenBlock {
@@ -237,14 +238,15 @@ impl SharedOpenBlock {
         g.gen += 1;
     }
 
-    /// The exact device image of the records pushed so far.
+    /// The exact device image of the records pushed so far, as a block
+    /// the builder verified: nobody checks its CRC again.
     ///
     /// Served from the cache when nothing was pushed since it was taken;
     /// otherwise the builder is referenced under the lock, finished (zero
     /// fill, index, CRC) outside it, and the image installed unless the
     /// block moved on meanwhile.
     #[must_use]
-    pub fn image(&self) -> Arc<Vec<u8>> {
+    pub fn image(&self) -> ParsedBlock {
         let (gen, builder) = {
             let g = self.inner.lock();
             if let Some((cached, img)) = &g.image {
@@ -254,7 +256,7 @@ impl SharedOpenBlock {
             }
             (g.gen, g.builder.clone())
         };
-        let img = Arc::new(builder.finish());
+        let img = builder.finish_parsed();
         // Released before relocking so the next push mutates in place.
         drop(builder);
         let mut g = self.inner.lock();
@@ -292,9 +294,9 @@ pub(crate) struct OpenBlock {
 pub(crate) struct SealedQueue {
     /// The data block `images[0]` will occupy (meaningless when empty).
     pub first_db: u64,
-    /// Finished block images for the contiguous run of data blocks from
+    /// Finished blocks for the contiguous run of data blocks from
     /// `first_db`, which starts at the active volume's device end.
-    pub images: Vec<Arc<Vec<u8>>>,
+    pub images: Vec<ParsedBlock>,
 }
 
 impl SealedQueue {
@@ -304,13 +306,13 @@ impl SealedQueue {
     }
 
     /// The queued image of data block `db`, if it is in the queue.
-    pub(crate) fn get(&self, db: u64) -> Option<&Arc<Vec<u8>>> {
+    pub(crate) fn get(&self, db: u64) -> Option<&ParsedBlock> {
         self.images
             .get(usize::try_from(db.checked_sub(self.first_db)?).ok()?)
     }
 
     /// This queue plus one more sealed block at its end.
-    pub(crate) fn with_pushed(&self, db: u64, image: Arc<Vec<u8>>) -> SealedQueue {
+    pub(crate) fn with_pushed(&self, db: u64, image: ParsedBlock) -> SealedQueue {
         debug_assert!(
             self.end_db().is_none_or(|end| end == db),
             "gap in the sealed queue"
@@ -1231,7 +1233,7 @@ impl LogService {
 
     /// The shared block cache (exposed for cache-behaviour experiments).
     #[must_use]
-    pub fn cache(&self) -> Arc<BlockCache> {
+    pub fn cache(&self) -> Arc<BlockCache<ParsedBlock>> {
         self.shards[0].seq.cache().clone()
     }
 

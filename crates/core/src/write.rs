@@ -7,7 +7,7 @@ use std::sync::Arc;
 use clio_entrymap::Geometry;
 use clio_format::records::BadBlockRecord;
 use clio_format::{
-    stamp_displaced, BlockBuilder, BlockFlags, EntryForm, EntryHeader, EntrymapRecord, FragKind,
+    BlockBuilder, BlockFlags, EntryForm, EntryHeader, EntrymapRecord, FragKind, ParsedBlock,
     PushOutcome, TRAILER_SIZE,
 };
 use clio_types::{BlockNo, ClioError, LogFileId, Result};
@@ -328,14 +328,16 @@ impl Shard {
     /// stamped with how far it has moved so a reader of the old address
     /// knows it. `db` follows the block; an error leaves it at an unburned
     /// address, where the caller reopens the block for a later seal.
-    fn write_verified(&self, st: &mut State, db: &mut u64, image: &Arc<Vec<u8>>) -> Result<()> {
+    fn write_verified(&self, st: &mut State, db: &mut u64, image: &ParsedBlock) -> Result<()> {
         debug_assert_eq!(st.sealed_queue.images.len(), 1, "verified seals drain");
         let vol = st.active.clone();
         let mut image = image.clone();
         for moved in 1..=MAX_SEAL_ATTEMPTS {
             // A failed write burned nothing: the block keeps its address.
             self.write_sealed_queue(st)?;
-            let read_back = vol.read_data_block_direct(*db).map(|back| back == *image);
+            let read_back = vol
+                .read_data_block_direct(*db)
+                .map(|back| back == **image.image());
             if matches!(read_back, Ok(true)) {
                 return Ok(());
             }
@@ -351,7 +353,7 @@ impl Shard {
                 return Err(ClioError::VolumeFull);
             }
             if moved < MAX_SEAL_ATTEMPTS {
-                stamp_displaced(Arc::make_mut(&mut image).as_mut_slice(), moved as u8);
+                image = image.displaced(moved as u8);
                 st.sealed_queue = Arc::new(SealedQueue {
                     first_db: *db,
                     images: vec![image.clone()],
@@ -423,7 +425,7 @@ impl Shard {
             let mut tail_stage = None;
             if let Some(ob) = st.open.as_ref() {
                 if st.active.supports_tail_rewrite() {
-                    tail_stage = Some((ob.db, ob.shared.image().to_vec()));
+                    tail_stage = Some((ob.db, ob.shared.image()));
                 } else if ob.shared.count() > 0 {
                     ob.shared.mark_sealed_early();
                     self.seal_open(st)?;

@@ -15,7 +15,7 @@
 use std::sync::Arc;
 
 use clio_core::service::SharedOpenBlock;
-use clio_format::{BlockBuilder, BlockView, EntryForm, EntryHeader, PushOutcome};
+use clio_format::{BlockBuilder, BlockView, EntryForm, EntryHeader, ParsedBlock, PushOutcome};
 use clio_testkit::check::{schedule_target, spawn, Checker};
 use clio_testkit::sync::atomic::{AtomicU64, Ordering};
 use clio_testkit::sync::ArcCell;
@@ -50,7 +50,7 @@ fn reference(n: u16) -> Vec<u8> {
 /// the one image the appender's seal put there).
 struct View {
     open: Arc<SharedOpenBlock>,
-    queued: Option<Arc<Vec<u8>>>,
+    queued: Option<ParsedBlock>,
 }
 
 fn appender(view: &ArcCell<View>, pushed: &AtomicU64) {
@@ -62,7 +62,7 @@ fn appender(view: &ArcCell<View>, pushed: &AtomicU64) {
     // Seal: the final image goes to the queue and stays cached in the
     // block; the republished view has a fresh open block.
     let sealed = blk.image();
-    assert_eq!(*sealed, reference(PUSHES));
+    assert_eq!(**sealed.image(), reference(PUSHES));
     view.set(Arc::new(View {
         open: Arc::new(SharedOpenBlock::new(builder())),
         queued: Some(sealed),
@@ -79,17 +79,21 @@ fn reader(view: &ArcCell<View>, pushed: &AtomicU64) {
     for _ in 0..2 {
         let floor = pushed.load(Ordering::Acquire);
         let img = pinned.open.image();
-        let n = BlockView::parse(&img)
+        let n = BlockView::parse(img.image())
             .expect("a materialised image carries a valid CRC")
             .count();
         assert!(u64::from(n) >= floor, "a returned push is invisible");
         assert!(n >= last, "a pinned open block shrank");
-        assert_eq!(*img, reference(n), "torn or reordered image at count {n}");
+        assert_eq!(
+            **img.image(),
+            reference(n),
+            "torn or reordered image at count {n}"
+        );
         last = n;
     }
     if let Some(sealed) = &view.get().queued {
         assert!(
-            Arc::ptr_eq(&pinned.open.image(), sealed),
+            Arc::ptr_eq(pinned.open.image().image(), sealed.image()),
             "a view pinned before the seal reads another image than the queue's"
         );
     }
@@ -114,10 +118,10 @@ fn open_block_pushes_are_atomic_and_the_sealed_image_is_shared() {
         r2.join().expect("reader 2");
         let end = view.get();
         assert_eq!(
-            **end.queued.as_ref().expect("the seal was published"),
+            **end.queued.as_ref().expect("the seal was published").image(),
             reference(PUSHES)
         );
-        assert_eq!(*end.open.image(), reference(0));
+        assert_eq!(**end.open.image().image(), reference(0));
     });
     println!("model open-block-publish: {r}");
     assert!(r.dfs_complete || r.distinct >= schedule_target(), "{r}");

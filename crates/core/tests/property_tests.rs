@@ -622,14 +622,14 @@ fn materialised_open_block_images_equal_eager_finish() {
                 assert_eq!(out, eager.push(&header, payload));
                 if *read || matches!(out, PushOutcome::NoSpace { .. }) {
                     let img = shared.image();
-                    let view = BlockView::parse(&img).expect("image carries a valid CRC");
+                    let view = BlockView::parse(img.image()).expect("image carries a valid CRC");
                     assert_eq!(view.count(), eager.count());
-                    assert_eq!(*img, eager.finish());
+                    assert_eq!(**img.image(), eager.finish());
                     // An unchanged block is served from the cache.
-                    assert!(Arc::ptr_eq(&img, &shared.image()));
+                    assert!(Arc::ptr_eq(img.image(), shared.image().image()));
                 }
             }
-            assert_eq!(*shared.image(), eager.finish());
+            assert_eq!(**shared.image().image(), eager.finish());
         },
     );
 }

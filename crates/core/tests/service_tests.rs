@@ -1161,13 +1161,13 @@ fn regression_entries_locatable_while_boundary_block_open() {
 /// that cross a block of nothing but entrymap records: a block whose last
 /// record is a first fragment, followed by a maps-only block.
 fn chains_across_maps_only_blocks(svc: &LogService) -> Vec<LogFileId> {
-    use clio_format::{BlockView, FragKind};
+    use clio_format::FragKind;
 
     let vol = svc.volumes().active();
     let records = |db: u64| -> Vec<(LogFileId, FragKind)> {
-        let img = vol.read_data_block(db).unwrap();
-        let blk = BlockView::parse(&img).unwrap();
-        blk.entries()
+        let blk = vol.read_data_block(db).unwrap();
+        blk.view()
+            .entries()
             .map(|e| e.unwrap().header)
             .map(|h| (h.id, h.frag))
             .collect()

@@ -11,7 +11,7 @@
 
 use clio_types::{LogFileId, Result};
 
-use clio_format::{BlockView, EntrymapRecordView};
+use clio_format::EntrymapRecordView;
 
 use crate::geometry::Geometry;
 use crate::source::BlockSource;
@@ -48,13 +48,12 @@ pub(crate) fn read_map<S: BlockSource>(
     let mut piece_blocks = 0;
     while cand < limit {
         *blocks_read += 1;
-        let img = src.read(cand)?;
         // Invalidated or corrupt: the map may be displaced into the next
         // uncorrupted block (§2.3.2).
-        if let Ok(view) = BlockView::parse(&img) {
+        if let Ok(block) = src.verified(cand)? {
             let mut found_here = false;
             let mut continued_here = false;
-            for e in view.entries() {
+            for e in block.view().entries() {
                 let Ok(e) = e else { break };
                 if e.header.id != LogFileId::ENTRYMAP {
                     continue;

@@ -135,7 +135,7 @@ impl<'a, S: BlockSource> Locator<'a, S> {
     /// Unreadable blocks count as empty — their data is lost (§2.3.2).
     pub fn block_contains(&mut self, db: u64, ids: &[LogFileId]) -> Result<bool> {
         self.stats.blocks_read += 1;
-        let Ok(block) = ParsedBlock::parse(self.src.read(db)?) else {
+        let Ok(block) = self.src.verified(db)? else {
             return Ok(false);
         };
         let hit = block

@@ -9,16 +9,13 @@
 
 use clio_types::{LogFileId, Result};
 
-use clio_format::BlockView;
-
 use crate::source::BlockSource;
 
 fn contains<S: BlockSource>(src: &S, db: u64, ids: &[LogFileId]) -> Result<bool> {
-    let img = src.read(db)?;
-    let Ok(view) = BlockView::parse(&img) else {
+    let Ok(block) = src.verified(db)? else {
         return Ok(false);
     };
-    for e in view.entries() {
+    for e in block.view().entries() {
         let Ok(e) = e else { break };
         if ids.contains(&e.header.id) {
             return Ok(true);

@@ -9,9 +9,7 @@
 //! level-`i` map — in total up to `N·log_N b` block examinations, about
 //! half that on average (Figure 4).
 
-use clio_types::{LogFileId, Result, SmallBitmap};
-
-use clio_format::BlockView;
+use clio_types::{ClioError, LogFileId, Result, SmallBitmap};
 
 use crate::chain;
 use crate::geometry::Geometry;
@@ -71,10 +69,9 @@ pub fn rebuild_pending_with_findings<S: BlockSource>(
     for db in geo.group_start(1, g1)..end {
         stats.blocks_read += 1;
         seen.insert(db);
-        let img = src.read(db)?;
-        let view = match BlockView::parse(&img) {
-            Ok(v) => v,
-            Err(clio_types::ClioError::InvalidatedBlock(_)) => {
+        let block = match src.verified(db)? {
+            Ok(block) => block,
+            Err(ClioError::InvalidatedBlock(_)) => {
                 findings.invalidated.push(db);
                 continue;
             }
@@ -83,7 +80,7 @@ pub fn rebuild_pending_with_findings<S: BlockSource>(
                 continue; // unreadable blocks contribute nothing
             }
         };
-        for e in view.entries() {
+        for e in block.view().entries() {
             let Ok(e) = e else { break };
             if e.header.id.is_entrymapped() {
                 pending.set_bit(1, e.header.id, (db % n) as usize);
@@ -143,11 +140,10 @@ fn scan_ids<S: BlockSource>(
     let mut ids = std::collections::BTreeSet::new();
     for db in start..stop {
         stats.blocks_read += 1;
-        let img = src.read(db)?;
-        let Ok(view) = BlockView::parse(&img) else {
+        let Ok(block) = src.verified(db)? else {
             continue;
         };
-        for e in view.entries() {
+        for e in block.view().entries() {
             let Ok(e) = e else { break };
             if e.header.id.is_entrymapped() {
                 ids.insert(e.header.id);

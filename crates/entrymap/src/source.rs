@@ -2,6 +2,7 @@
 
 use std::sync::Arc;
 
+use clio_format::ParsedBlock;
 use clio_types::Result;
 
 /// Random read access to the written data blocks of a log volume.
@@ -10,6 +11,11 @@ use clio_types::Result;
 /// implemented in tests by simple in-memory vectors. Blocks are addressed in
 /// data-block coordinates (label excluded), and the written region is the
 /// prefix `[0, data_end)`.
+///
+/// The searches in this crate look at blocks only through
+/// [`BlockSource::verified`]: a source decides where a block's CRC is
+/// checked, and a source that holds verified blocks serves them without
+/// checking again.
 pub trait BlockSource {
     /// The entrymap degree `N` in effect for this volume.
     fn fanout(&self) -> usize;
@@ -24,6 +30,20 @@ pub trait BlockSource {
     /// job. The `Arc` lets cache-backed sources hand out their cached
     /// image without copying.
     fn read(&self, db: u64) -> Result<Arc<Vec<u8>>>;
+
+    /// Data block `db` as a verified block. The outer error is the source
+    /// failing to read it, and propagates; the inner result is the
+    /// block's §2.3.2 verdict — invalidated or corrupt — exactly as
+    /// [`ParsedBlock::parse`] gives it, for the caller to classify.
+    ///
+    /// By default every call checks [`BlockSource::read`]'s image. A
+    /// source that holds blocks already verified where they entered memory
+    /// — built in memory, or checked once when read off the medium —
+    /// hands them out as they are: the medium is write-once, so a block
+    /// that passed its check stays good for as long as it is held.
+    fn verified(&self, db: u64) -> Result<Result<ParsedBlock>> {
+        Ok(ParsedBlock::parse(self.read(db)?))
+    }
 }
 
 impl<T: BlockSource + ?Sized> BlockSource for &T {
@@ -37,6 +57,10 @@ impl<T: BlockSource + ?Sized> BlockSource for &T {
 
     fn read(&self, db: u64) -> Result<Arc<Vec<u8>>> {
         (**self).read(db)
+    }
+
+    fn verified(&self, db: u64) -> Result<Result<ParsedBlock>> {
+        (**self).verified(db)
     }
 }
 

@@ -16,8 +16,6 @@
 
 use clio_types::{Result, Timestamp};
 
-use clio_format::BlockView;
-
 use crate::geometry::Geometry;
 use crate::source::BlockSource;
 
@@ -40,9 +38,8 @@ fn probe<S: BlockSource>(
 ) -> Result<Option<(u64, Timestamp)>> {
     loop {
         stats.blocks_read += 1;
-        let img = src.read(db)?;
-        if let Ok(view) = BlockView::parse(&img) {
-            return Ok(Some((db, view.first_ts())));
+        if let Ok(block) = src.verified(db)? {
+            return Ok(Some((db, block.view().first_ts())));
         }
         if db == lo {
             return Ok(None);

@@ -194,6 +194,21 @@ impl BlockBuilder {
         PushOutcome::Written(slot)
     }
 
+    /// The finished image as a verified block. The CRC was just computed
+    /// over exactly these bytes, so it is not checked again: this and
+    /// [`ParsedBlock::parse`] are the only sources of a [`ParsedBlock`]
+    /// (a [`ParsedBlock::displaced`] re-stamp derives from one).
+    #[must_use]
+    pub fn finish_parsed(&self) -> ParsedBlock {
+        ParsedBlock {
+            image: Arc::new(self.finish()),
+            count: self.count(),
+            // Through the byte, as a reader decodes it.
+            flags: BlockFlags::from_byte(self.flags.to_byte()),
+            first_ts: self.first_ts,
+        }
+    }
+
     /// Serializes the block to its exact device image.
     pub fn finish(&self) -> Vec<u8> {
         let mut out = vec![0u8; self.block_size];
@@ -223,7 +238,7 @@ impl BlockBuilder {
 ///
 /// Panics if `by` exceeds [`BlockFlags::MAX_DISPLACED`] or `image` is
 /// shorter than a trailer — both are writer bugs.
-pub fn stamp_displaced(image: &mut [u8], by: u8) {
+fn stamp_displaced(image: &mut [u8], by: u8) {
     assert!(by <= BlockFlags::MAX_DISPLACED, "displacement {by} too far");
     let n = image.len();
     let mut flags = BlockFlags::from_byte(image[n - TRAILER_SIZE + 3]);
@@ -427,13 +442,16 @@ impl<'a> BlockView<'a> {
 /// version, CRC and index geometry — together with the trailer fields
 /// that check decoded.
 ///
-/// [`ParsedBlock::parse`] is the only constructor, so holding one *is* the
-/// proof that the image was verified: a reader that keeps it can hand out
-/// [`BlockView`]s of the same bytes any number of times without checking
-/// them again. The image is immutable behind its `Arc`; what a holder must
-/// still decide for itself is whether the *address* it read the image from
-/// can come to hold different bytes.
-#[derive(Debug, Clone)]
+/// Only [`ParsedBlock::parse`] — the check — and the builder
+/// ([`BlockBuilder::finish_parsed`], and [`ParsedBlock::displaced`] of a
+/// block so obtained), which computed the CRC over exactly these bytes,
+/// construct one; nothing trusts bytes from elsewhere. So holding one *is*
+/// the proof that the image was verified: a reader that keeps it can hand
+/// out [`BlockView`]s of the same bytes any number of times without
+/// checking them again. The image is immutable behind its `Arc`; what a
+/// holder must still decide for itself is whether the *address* it read
+/// the image from can come to hold different bytes.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParsedBlock {
     image: Arc<Vec<u8>>,
     count: u16,
@@ -465,6 +483,35 @@ impl ParsedBlock {
             bytes: &self.image,
             count: self.count,
             flags: self.flags,
+            first_ts: self.first_ts,
+        }
+    }
+
+    /// The verified image, exactly the bytes a device holds for it.
+    #[must_use]
+    pub fn image(&self) -> &Arc<Vec<u8>> {
+        &self.image
+    }
+
+    /// This block re-stamped as landing `by` block addresses past the one
+    /// it was built for (see [`BlockFlags::displaced_by`]): a new image
+    /// whose flags byte and CRC the stamp rewrote, so it is verified by
+    /// construction like the one it came from.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `by` exceeds [`BlockFlags::MAX_DISPLACED`] — a writer bug.
+    #[must_use]
+    pub fn displaced(&self, by: u8) -> ParsedBlock {
+        let mut image = self.image.as_ref().clone();
+        stamp_displaced(&mut image, by);
+        ParsedBlock {
+            image: Arc::new(image),
+            count: self.count,
+            flags: BlockFlags {
+                displaced_by: by,
+                ..self.flags
+            },
             first_ts: self.first_ts,
         }
     }
@@ -620,14 +667,16 @@ mod tests {
         let mut b = BlockBuilder::new(128, Timestamp(9));
         b.flags_mut().sealed_early = true;
         b.push(&hdr(8), b"moved");
-        let mut img = b.finish();
-        stamp_displaced(&mut img, 5);
-        let v = BlockView::parse(&img).expect("CRC covers the new flags");
+        let moved = b.finish_parsed().displaced(5);
+        let v = BlockView::parse(moved.image()).expect("CRC covers the new flags");
         assert_eq!(v.flags().displaced_by, 5);
         assert!(v.flags().sealed_early);
         assert_eq!(v.entry(0).unwrap().payload, b"moved");
-        stamp_displaced(&mut img, 0);
-        assert_eq!(img, b.finish(), "stamping back restores the image");
+        assert_eq!(
+            **moved.displaced(0).image(),
+            b.finish(),
+            "stamping back restores the image"
+        );
     }
 
     #[test]
@@ -751,6 +800,38 @@ mod properties {
                     assert_eq!(&e.header, h);
                     assert_eq!(e.payload, &p[..]);
                 }
+            },
+        );
+    }
+
+    /// The builder's verified block, and a displaced re-stamp of it, are
+    /// what the checker makes of the same bytes — image, count, flags and
+    /// first timestamp — for any contents, size and flags.
+    #[test]
+    fn trusted_constructors_agree_with_the_checker() {
+        let g = pair(
+            &pair(
+                &vec_of(&pair(&arb_header(), &bytes(0..120)), 0..20),
+                &usizes(MIN_BLOCK_SIZE..2049),
+            ),
+            &pair(&any_u64(), &pair(&u8s(0..4), &u8s(0..8))),
+        );
+        check(
+            "trusted_constructors_agree_with_the_checker",
+            256,
+            &g,
+            |((entries, size), (first_ts, (flag_bits, by)))| {
+                let mut b = BlockBuilder::new(*size, Timestamp(*first_ts));
+                b.flags_mut().has_entrymap = flag_bits & 1 != 0;
+                b.flags_mut().sealed_early = flag_bits & 2 != 0;
+                for (h, p) in entries {
+                    let _ = b.push(h, p);
+                }
+                let built = b.finish_parsed();
+                assert_eq!(built, ParsedBlock::parse(Arc::new(b.finish())).unwrap());
+                let moved = built.displaced(*by);
+                assert_eq!(moved, ParsedBlock::parse(moved.image().clone()).unwrap());
+                assert_eq!(moved.view().flags().displaced_by, *by);
             },
         );
     }

@@ -28,8 +28,7 @@ pub mod records;
 pub mod volume_label;
 
 pub use block::{
-    stamp_displaced, BlockBuilder, BlockFlags, BlockView, EntryRef, ParsedBlock, PushOutcome,
-    TRAILER_SIZE,
+    BlockBuilder, BlockFlags, BlockView, EntryRef, ParsedBlock, PushOutcome, TRAILER_SIZE,
 };
 pub use entrymap_rec::{EntrymapRecord, EntrymapRecordView};
 pub use header::{EntryForm, EntryHeader, FragKind};

@@ -34,7 +34,10 @@
 //! - `one-log-reader` — inside `crates/core/src`, `BlockView::parse`,
 //!   `ParsedBlock::parse` and `impl BlockSource` are confined to
 //!   `read.rs`: recovery and everything else read log entries through
-//!   the one reader, so a reader fix cannot miss a private copy.
+//!   the one reader, so a reader fix cannot miss a private copy. Inside
+//!   `crates/entrymap/src` the two parses are confined to `source.rs`:
+//!   searches take blocks through `BlockSource::verified`, so a block
+//!   memory holds verified is not checked again.
 //! - `one-map-reader` — inside `crates/entrymap/src` and
 //!   `crates/core/src`, `EntrymapRecord::decode` and
 //!   `EntrymapRecordView::parse` are confined to `entrymap/src/chain.rs`:

@@ -5,8 +5,16 @@
 //! catalog record whose chain crossed an entrymap-overflow block for torn,
 //! and recovery came back without log files it had acknowledged. The
 //! catalog log file is an ordinary log file (§2.2); whatever reads it goes
-//! through `read.rs`. Test modules are exempt (tests inspect block layouts
-//! on purpose).
+//! through `read.rs`.
+//!
+//! The entrymap searches (`clio-entrymap`) look at blocks only through
+//! `BlockSource::verified`, whose provided default in `source.rs` is the
+//! one place there that checks a block: a source decides where a block's
+//! CRC is checked, and one that holds verified blocks — the service's open
+//! block, sealed queue and cache — serves them without a second check. A
+//! search that parses an image itself checks it again on every visit.
+//!
+//! Test modules are exempt (tests inspect block layouts on purpose).
 
 use crate::lexer::{match_path, Kind};
 use crate::{Diag, SourceFile};
@@ -14,13 +22,18 @@ use crate::{Diag, SourceFile};
 /// Rule name used in diagnostics.
 pub const NAME: &str = "one-log-reader";
 
-const SCOPE: &str = "crates/core/src/";
+const CORE: &str = "crates/core/src/";
 const READER: &str = "crates/core/src/read.rs";
+const ENTRYMAP: &str = "crates/entrymap/src/";
+const SOURCE: &str = "crates/entrymap/src/source.rs";
 
 /// Flags `BlockView::parse`, `ParsedBlock::parse` and `impl BlockSource
-/// for` in `clio-core` outside `read.rs`.
+/// for` in `clio-core` outside `read.rs`, and the two parses in
+/// `clio-entrymap` outside `source.rs`.
 pub fn check(sf: &SourceFile, out: &mut Vec<Diag>) {
-    if !sf.rel.starts_with(SCOPE) || sf.rel == READER {
+    let core = sf.rel.starts_with(CORE) && sf.rel != READER;
+    let entrymap = sf.rel.starts_with(ENTRYMAP) && sf.rel != SOURCE;
+    if !core && !entrymap {
         return;
     }
     let toks = &sf.toks;
@@ -36,19 +49,27 @@ pub fn check(sf: &SourceFile, out: &mut Vec<Diag>) {
             "BlockView::parse"
         } else if match_path(toks, i, &["ParsedBlock", "parse"]) {
             "ParsedBlock::parse"
-        } else if is_ident(i, "BlockSource") && is_ident(i + 1, "for") {
+        } else if core && is_ident(i, "BlockSource") && is_ident(i + 1, "for") {
             "impl BlockSource"
         } else {
             continue;
+        };
+        let msg = if core {
+            format!(
+                "`{found}` outside read.rs — a second log reader; build a \
+                 `VolSource` and read entries through it instead"
+            )
+        } else {
+            format!(
+                "`{found}` outside source.rs — a search checking blocks \
+                 itself; take them through `BlockSource::verified` instead"
+            )
         };
         out.push(Diag {
             rel: sf.rel.clone(),
             line: toks[i].line,
             rule: NAME,
-            msg: format!(
-                "`{found}` outside read.rs — a second log reader; build a \
-                 `VolSource` and read entries through it instead"
-            ),
+            msg,
         });
     }
 }

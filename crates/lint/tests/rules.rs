@@ -209,16 +209,41 @@ fn one_log_reader_flags_block_parsing_and_sources_outside_read_rs() {
     assert!(diags
         .iter()
         .all(|d| d.line > 0 && d.rule == "one-log-reader"));
-    // The reader itself is the one home; so is anything outside clio-core
-    // (the entrymap searches, cliodump, the experiment harness).
+    // The reader itself is the one home; so is `BlockSource`'s provided
+    // check, and anything outside clio-core and clio-entrymap (cliodump,
+    // the experiment harness).
     for home in [
         "crates/core/src/read.rs",
-        "crates/entrymap/src/locate.rs",
+        "crates/entrymap/src/source.rs",
         "crates/core/tests/service_tests.rs",
         "src/bin/cliodump.rs",
     ] {
         assert!(lint(home, bad, one_log_reader::check).is_empty(), "{home}");
     }
+}
+
+#[test]
+fn one_log_reader_flags_entrymap_searches_that_check_blocks_themselves() {
+    let search = include_str!("fixtures/one_log_reader/search.rs");
+    for scope in [
+        "crates/entrymap/src/locate.rs",
+        "crates/entrymap/src/naive.rs",
+    ] {
+        let diags = lint(scope, search, one_log_reader::check);
+        // The two parses; not `verified`, not an `impl BlockSource` (a
+        // source is where a block's check belongs), not the test module.
+        let lines: Vec<u32> = diags.iter().map(|d| d.line).collect();
+        assert_eq!(lines, vec![6, 13], "{scope}: {diags:?}");
+        assert!(diags
+            .iter()
+            .all(|d| d.rule == "one-log-reader" && d.msg.contains("BlockSource::verified")));
+    }
+    assert!(lint(
+        "crates/entrymap/src/source.rs",
+        search,
+        one_log_reader::check
+    )
+    .is_empty());
 }
 
 #[test]

@@ -7,6 +7,7 @@ use clio_testkit::sync::RwLock;
 
 use clio_cache::BlockCache;
 use clio_device::SharedDevice;
+use clio_format::ParsedBlock;
 use clio_types::{ClioError, Result, Timestamp, VolumeId, VolumeSeqId};
 
 use crate::pool::DevicePool;
@@ -20,7 +21,7 @@ use crate::volume::Volume;
 /// the *active* volume (the last) is the only writable one.
 pub struct VolumeSequence {
     seq: VolumeSeqId,
-    cache: Arc<BlockCache>,
+    cache: Arc<BlockCache<ParsedBlock>>,
     pool: Arc<dyn DevicePool>,
     volumes: RwLock<Vec<Arc<Volume>>>,
     base_device_id: u32,
@@ -44,7 +45,7 @@ impl VolumeSequence {
     /// between sequences and any co-resident conventional file systems.
     pub fn create(
         seq: VolumeSeqId,
-        cache: Arc<BlockCache>,
+        cache: Arc<BlockCache<ParsedBlock>>,
         pool: Arc<dyn DevicePool>,
         base_device_id: u32,
         block_size: usize,
@@ -71,7 +72,7 @@ impl VolumeSequence {
     /// links, and uniform geometry.
     pub fn open(
         devices: Vec<SharedDevice>,
-        cache: Arc<BlockCache>,
+        cache: Arc<BlockCache<ParsedBlock>>,
         pool: Arc<dyn DevicePool>,
         base_device_id: u32,
     ) -> Result<VolumeSequence> {
@@ -132,7 +133,7 @@ impl VolumeSequence {
 
     /// The shared block cache.
     #[must_use]
-    pub fn cache(&self) -> &Arc<BlockCache> {
+    pub fn cache(&self) -> &Arc<BlockCache<ParsedBlock>> {
         &self.cache
     }
 
@@ -306,7 +307,10 @@ mod tests {
             s.extend(Timestamp(2)).unwrap();
             s.extend(Timestamp(3)).unwrap();
             s.active()
-                .append_data_blocks(0, &[Arc::new(vec![1u8; 256])])
+                .append_data_blocks(
+                    0,
+                    &[clio_format::BlockBuilder::new(256, Timestamp(4)).finish_parsed()],
+                )
                 .unwrap();
             devices = out.lock().clone();
         }

@@ -9,7 +9,7 @@ use clio_types::{BlockNo, ClioError, Result, Timestamp, VolumeId, VolumeSeqId};
 use clio_cache::{BlockCache, CacheKey, DeviceId};
 use clio_device::traits::locate_end;
 use clio_device::SharedDevice;
-use clio_format::VolumeLabel;
+use clio_format::{ParsedBlock, VolumeLabel};
 
 /// A mounted log volume.
 ///
@@ -17,11 +17,13 @@ use clio_format::VolumeLabel;
 /// from 0 and live at device block `db + 1`. All reads go through the
 /// shared [`BlockCache`]; appends write through the cache so recently
 /// written data is hot (§3.3: reads of recent data "are likely to be
-/// satisfied from the file server's in-memory cache").
+/// satisfied from the file server's in-memory cache"). The cache holds
+/// verified blocks: a block read off the medium is CRC-checked once, as it
+/// fills the cache, and a written-through block was made by the builder.
 pub struct Volume {
     device: SharedDevice,
     device_id: DeviceId,
-    cache: Arc<BlockCache>,
+    cache: Arc<BlockCache<ParsedBlock>>,
     label: VolumeLabel,
     /// Number of *data* blocks written (device end minus the label block).
     data_end: AtomicU64,
@@ -38,7 +40,7 @@ impl Volume {
     pub fn format(
         device: SharedDevice,
         device_id: DeviceId,
-        cache: Arc<BlockCache>,
+        cache: Arc<BlockCache<ParsedBlock>>,
         label: VolumeLabel,
     ) -> Result<Volume> {
         if device.block_size() != label.block_size as usize {
@@ -50,7 +52,6 @@ impl Volume {
         }
         let image = label.encode(device.block_size());
         device.append_block(BlockNo(0), &image)?;
-        cache.put(CacheKey::new(device_id, BlockNo(0)), Arc::new(image));
         Ok(Volume {
             device,
             device_id,
@@ -68,7 +69,7 @@ impl Volume {
     pub fn open(
         device: SharedDevice,
         device_id: DeviceId,
-        cache: Arc<BlockCache>,
+        cache: Arc<BlockCache<ParsedBlock>>,
     ) -> Result<Volume> {
         let mut label_img = vec![0u8; device.block_size()];
         device.read_block(BlockNo(0), &mut label_img)?;
@@ -79,7 +80,6 @@ impl Volume {
                 "formatted volume lost its label".into(),
             ));
         }
-        cache.put(CacheKey::new(device_id, BlockNo(0)), Arc::new(label_img));
         Ok(Volume {
             device,
             device_id,
@@ -159,33 +159,46 @@ impl Volume {
         }
     }
 
-    /// Reads data block `db` through the cache.
-    pub fn read_data_block(&self, db: u64) -> Result<Arc<Vec<u8>>> {
-        self.read_data_block_counted(db, &Cell::new(0))
+    /// Reads and verifies data block `db` through the cache. A block that
+    /// fails its check is an error like the medium not answering; the
+    /// reader, which must tell the two apart, uses
+    /// [`Volume::read_data_block_counted`].
+    pub fn read_data_block(&self, db: u64) -> Result<ParsedBlock> {
+        self.read_data_block_counted(db, &Cell::new(0))?
     }
 
-    /// [`Volume::read_data_block`], adding one to `device_loads` when this
-    /// very call went to the medium (a cache miss it led) — so a caller can
-    /// attribute device reads to its own operation, not to whoever else is
-    /// reading the same devices.
+    /// Reads and verifies data block `db` through the cache, adding one to
+    /// `device_loads` when this very call went to the medium (a cache miss
+    /// it led) — so a caller can attribute device reads to its own
+    /// operation, not to whoever else is reading the same devices. The
+    /// outer error is the medium not answering (unwritten, offline, I/O);
+    /// the inner result is the block's §2.3.2 verdict — invalidated or
+    /// corrupt — exactly as [`ParsedBlock::parse`] gives it.
     pub fn read_data_block_counted(
         &self,
         db: u64,
         device_loads: &Cell<u64>,
-    ) -> Result<Arc<Vec<u8>>> {
+    ) -> Result<Result<ParsedBlock>> {
         if db >= self.data_end() {
             return Err(ClioError::UnwrittenBlock(BlockNo(db + 1)));
         }
-        // The online check lives in the loader: a cache hit serves even an
-        // offline volume (like a RAM copy of an archived disk); only an
-        // actual device read needs the medium.
-        self.cache.get_or_load(self.key(db), || {
+        // The fill is the one CRC check a block read off the medium gets;
+        // a block that fails it is not cached, and its verdict is this
+        // read's answer. The online check lives in the loader: a cache hit
+        // serves even an offline volume (like a RAM copy of an archived
+        // disk); only an actual device read needs the medium.
+        let mut failed_check = false;
+        let loaded = self.cache.get_or_load(self.key(db), || {
             self.check_online()?;
             device_loads.set(device_loads.get() + 1);
             let mut buf = vec![0u8; self.device.block_size()];
             self.device.read_block(BlockNo(db + 1), &mut buf)?;
-            Ok(buf)
-        })
+            ParsedBlock::parse(Arc::new(buf)).inspect_err(|_| failed_check = true)
+        });
+        match loaded {
+            Err(verdict) if failed_check => Ok(Err(verdict)),
+            r => r.map(Ok),
+        }
     }
 
     /// Reads data block `db` straight from the device, bypassing the
@@ -202,7 +215,8 @@ impl Volume {
     }
 
     /// Appends a run of data blocks starting at `first_db` in one vectored
-    /// device write, write-through.
+    /// device write, write-through: the cache takes the verified blocks
+    /// themselves.
     ///
     /// `first_db` must be the current end, or — when the device stages its
     /// tail in rewriteable RAM — the staged tail block itself, in which
@@ -212,7 +226,7 @@ impl Volume {
     /// and caches exactly the blocks that landed, so the caller can tell
     /// how far the write got from `data_end()` and recovery sees a
     /// consistent medium.
-    pub fn append_data_blocks(&self, first_db: u64, images: &[Arc<Vec<u8>>]) -> Result<()> {
+    pub fn append_data_blocks(&self, first_db: u64, images: &[ParsedBlock]) -> Result<()> {
         if images.is_empty() {
             return Ok(());
         }
@@ -223,7 +237,7 @@ impl Volume {
                 end: BlockNo(end + 1),
             });
         }
-        let refs: Vec<&[u8]> = images.iter().map(|i| i.as_slice()).collect();
+        let refs: Vec<&[u8]> = images.iter().map(|i| i.image().as_slice()).collect();
         let r = self.device.append_blocks(BlockNo(first_db + 1), &refs);
         let landed = match &r {
             Ok(()) => images.len() as u64,
@@ -247,9 +261,9 @@ impl Volume {
     /// RAM tail only). `db` may be the block at the current end (opening
     /// the tail) or the last written one (if it is still in the tail
     /// buffer); the device enforces the exact rule.
-    pub fn rewrite_tail_data(&self, db: u64, image: Vec<u8>) -> Result<()> {
-        self.device.rewrite_tail(BlockNo(db + 1), &image)?;
-        self.cache.put(self.key(db), Arc::new(image));
+    pub fn rewrite_tail_data(&self, db: u64, image: ParsedBlock) -> Result<()> {
+        self.device.rewrite_tail(BlockNo(db + 1), image.image())?;
+        self.cache.put(self.key(db), image);
         let end = self.data_end();
         if db >= end {
             self.data_end.store(db + 1, Ordering::Release);
@@ -258,11 +272,13 @@ impl Volume {
     }
 
     /// Burns data block `db` to all 1s (§2.3.2) and drops it from the
-    /// cache.
+    /// cache whatever the device answers: a block is burned because the
+    /// medium does not hold what was written through, and after a failed
+    /// burn the next read must find out what it does hold.
     pub fn invalidate_data_block(&self, db: u64) -> Result<()> {
-        self.device.invalidate_block(BlockNo(db + 1))?;
+        let burned = self.device.invalidate_block(BlockNo(db + 1));
         self.cache.invalidate(self.key(db));
-        Ok(())
+        burned
     }
 
     /// Flushes the device.
@@ -291,6 +307,8 @@ impl Volume {
 #[cfg(test)]
 mod tests {
     use clio_device::MemWormDevice;
+    use clio_format::{BlockBuilder, EntryForm, EntryHeader};
+    use clio_types::LogFileId;
 
     use super::*;
 
@@ -301,9 +319,22 @@ mod tests {
         Volume::format(dev, 0, cache, label).unwrap()
     }
 
-    /// Appends one block of `fill` bytes at `db`.
-    fn put(v: &Volume, db: u64, fill: u8) -> Result<()> {
-        v.append_data_blocks(db, &[Arc::new(vec![fill; 256])])
+    /// A one-entry block whose first timestamp is `tag`.
+    fn block(tag: u8) -> ParsedBlock {
+        let mut b = BlockBuilder::new(256, Timestamp(u64::from(tag)));
+        let header = EntryHeader::new(LogFileId(8), EntryForm::Minimal, None, None);
+        b.push(&header, &[tag; 16]);
+        b.finish_parsed()
+    }
+
+    /// The tag of the verified block at `db`.
+    fn tag(v: &Volume, db: u64) -> u8 {
+        v.read_data_block(db).unwrap().view().first_ts().0 as u8
+    }
+
+    /// Appends one block tagged `tag` at `db`.
+    fn put(v: &Volume, db: u64, tag: u8) -> Result<()> {
+        v.append_data_blocks(db, &[block(tag)])
     }
 
     #[test]
@@ -320,7 +351,7 @@ mod tests {
         let v = fresh(10);
         put(&v, 0, 7).unwrap();
         put(&v, 1, 8).unwrap();
-        assert_eq!(v.read_data_block(1).unwrap()[0], 8);
+        assert_eq!(tag(&v, 1), 8);
         assert_eq!(v.data_end(), 2);
         // Out-of-order appends are rejected.
         assert!(put(&v, 5, 0).is_err());
@@ -342,7 +373,7 @@ mod tests {
         assert_eq!(v.data_end(), 2);
         assert!(v.end_probes() > 0);
         assert_eq!(v.label().volume, VolumeId(1));
-        assert_eq!(v.read_data_block(0).unwrap()[0], 1);
+        assert_eq!(tag(&v, 0), 1);
     }
 
     #[test]
@@ -367,17 +398,47 @@ mod tests {
     fn invalidate_drops_cache() {
         let v = fresh(10);
         put(&v, 0, 9).unwrap();
-        assert_eq!(v.read_data_block(0).unwrap()[0], 9);
+        assert_eq!(tag(&v, 0), 9);
         v.invalidate_data_block(0).unwrap();
-        let back = v.read_data_block(0).unwrap();
-        assert!(back.iter().all(|&b| b == 0xFF));
+        assert!(matches!(
+            v.read_data_block(0),
+            Err(ClioError::InvalidatedBlock(_))
+        ));
+    }
+
+    /// Under append verification a block that reads back garbled is
+    /// burned. A burn that failed used to return before the cache dropped
+    /// the written-through image, so reads went on serving a block the
+    /// medium does not hold.
+    #[test]
+    fn regression_failed_burn_drops_the_cached_image() {
+        use clio_device::{CrashSwitch, FaultPlan, FaultyDevice};
+        let sw = CrashSwitch::new(27);
+        let raw: SharedDevice = Arc::new(MemWormDevice::new(256, 16));
+        let faulty = Arc::new(FaultyDevice::with_switch(
+            raw,
+            FaultPlan::default(),
+            sw.clone(),
+        ));
+        let cache = Arc::new(BlockCache::new(64));
+        let label = Volume::first_label(VolumeId(1), VolumeSeqId(2), 256, 16, Timestamp(0));
+        let v = Volume::format(faulty.clone(), 0, cache, label).unwrap();
+        faulty.corrupt_next_append();
+        put(&v, 0, 5).unwrap();
+        sw.arm(1, false);
+        assert!(v.invalidate_data_block(0).is_err(), "the burn must fail");
+        sw.clear();
+        assert!(
+            matches!(v.read_data_block(0), Err(ClioError::CorruptBlock(_))),
+            "the read must report the garbage on the medium, not the written-through image"
+        );
     }
 
     #[test]
     fn batch_append_writes_through_and_advances_end() {
         let v = fresh(10);
         put(&v, 0, 1).unwrap();
-        let images: Vec<Arc<Vec<u8>>> = (2u8..5).map(|i| Arc::new(vec![i; 256])).collect();
+        let images: Vec<ParsedBlock> = (2u8..5).map(block).collect();
         v.append_data_blocks(1, &images).unwrap();
         assert_eq!(v.data_end(), 4);
         for (i, img) in images.iter().enumerate() {
@@ -399,18 +460,18 @@ mod tests {
         let cache = Arc::new(BlockCache::new(64));
         let label = Volume::first_label(VolumeId(1), VolumeSeqId(2), 256, 16, Timestamp(0));
         let v = Volume::format(faulty.clone(), 0, cache, label).unwrap();
-        let images: Vec<Arc<Vec<u8>>> = (1u8..5).map(|i| Arc::new(vec![i; 256])).collect();
+        let images: Vec<ParsedBlock> = (1u8..5).map(block).collect();
         faulty.tear_next_batch_after(2);
         assert!(v.append_data_blocks(0, &images).is_err());
         // Two of the four blocks landed; the volume noticed.
         assert_eq!(v.data_end(), 2);
-        assert_eq!(v.read_data_block(0).unwrap()[0], 1);
-        assert_eq!(v.read_data_block(1).unwrap()[0], 2);
+        assert_eq!(tag(&v, 0), 1);
+        assert_eq!(tag(&v, 1), 2);
         assert!(v.read_data_block(2).is_err());
         // The write can be resumed where the tear left off.
         v.append_data_blocks(2, &images[2..]).unwrap();
         assert_eq!(v.data_end(), 4);
-        assert_eq!(v.read_data_block(3).unwrap()[0], 4);
+        assert_eq!(tag(&v, 3), 4);
     }
 
     #[test]
@@ -422,12 +483,12 @@ mod tests {
         let label = Volume::first_label(VolumeId(1), VolumeSeqId(2), 256, 16, Timestamp(0));
         let v = Volume::format(dev, 0, cache, label).unwrap();
         assert!(v.supports_tail_rewrite());
-        v.rewrite_tail_data(0, vec![1u8; 256]).unwrap();
-        v.rewrite_tail_data(0, vec![2u8; 256]).unwrap();
+        v.rewrite_tail_data(0, block(1)).unwrap();
+        v.rewrite_tail_data(0, block(2)).unwrap();
         assert_eq!(v.data_end(), 1);
-        assert_eq!(v.read_data_block(0).unwrap()[0], 2);
+        assert_eq!(tag(&v, 0), 2);
         // Sealing via append retires the tail.
         put(&v, 0, 3).unwrap();
-        assert_eq!(v.read_data_block(0).unwrap()[0], 3);
+        assert_eq!(tag(&v, 0), 3);
     }
 }
