@@ -78,18 +78,6 @@ struct Counters {
     resident: Arc<Gauge>,
 }
 
-impl Counters {
-    fn snapshot(&self) -> CacheSnapshot {
-        CacheSnapshot {
-            hits: self.hits.get(),
-            misses: self.misses.get(),
-            inserts: self.inserts.get(),
-            evictions: self.evictions.get(),
-            duplicate_loads: 0,
-        }
-    }
-}
-
 /// A point-in-time copy of the cache counters: a view derived from the
 /// per-shard handles, not a second set of counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -438,20 +426,13 @@ impl<B: Clone> BlockCache<B> {
             duplicate_loads: self.duplicate_loads.get(),
             ..CacheSnapshot::default()
         };
-        for i in 0..self.shards.len() {
-            let shard = self.shard_stats(i);
-            s.hits += shard.hits;
-            s.misses += shard.misses;
-            s.inserts += shard.inserts;
-            s.evictions += shard.evictions;
+        for c in self.shards.iter().map(|shard| &shard.counters) {
+            s.hits += c.hits.get();
+            s.misses += c.misses.get();
+            s.inserts += c.inserts.get();
+            s.evictions += c.evictions.get();
         }
         s
-    }
-
-    /// The statistics of one shard (for contention analysis).
-    #[must_use]
-    pub fn shard_stats(&self, index: usize) -> CacheSnapshot {
-        self.shards[index].counters.snapshot()
     }
 
     /// Has `reg` adopt the cache's handles under the `clio_cache_*`
@@ -677,7 +658,7 @@ mod tests {
         assert!(c.len() <= 32, "len {} over capacity", c.len());
         assert!(c.len() >= 4, "every shard should retain something");
         // Per-shard stats sum to the totals.
-        let total: u64 = (0..c.shard_count()).map(|i| c.shard_stats(i).inserts).sum();
+        let total: u64 = c.shards.iter().map(|s| s.counters.inserts.get()).sum();
         assert_eq!(total, c.stats().inserts);
     }
 

@@ -68,12 +68,6 @@ impl Catalog {
         self.files.get(&id).ok_or(ClioError::UnknownLogFileId(id))
     }
 
-    /// Whether `id` exists.
-    #[must_use]
-    pub fn exists(&self, id: LogFileId) -> bool {
-        self.files.contains_key(&id)
-    }
-
     /// All client log files, in id order.
     pub fn client_files(&self) -> impl Iterator<Item = &LogFileAttrs> {
         self.files.values().filter(|a| !a.id.is_reserved())
@@ -192,6 +186,28 @@ impl Catalog {
         }))
     }
 
+    /// Validates renaming `id` to `name` (its place in the hierarchy is
+    /// unchanged), returning the catalog record to be logged;
+    /// [`Catalog::apply`] repeats the checks on replay.
+    pub fn prepare_rename(&self, id: LogFileId, name: &str) -> Result<CatalogRecord> {
+        self.check_rename(id, name)?;
+        Ok(CatalogRecord::Rename {
+            id,
+            name: name.to_owned(),
+        })
+    }
+
+    /// `id` exists, `name` is a valid component, and no sibling of `id`
+    /// already has it.
+    fn check_rename(&self, id: LogFileId, name: &str) -> Result<()> {
+        let parent = self.attrs(id)?.parent;
+        Self::check_name(name, name)?;
+        if self.children(parent).any(|s| s.name == name && s.id != id) {
+            return Err(ClioError::LogFileExists(name.to_owned()));
+        }
+        Ok(())
+    }
+
     /// Applies a catalog record (both on the live path and during replay).
     pub fn apply(&mut self, rec: &CatalogRecord) -> Result<()> {
         match rec {
@@ -214,14 +230,7 @@ impl Catalog {
                 Ok(())
             }
             CatalogRecord::Rename { id, name } => {
-                Self::check_name(name, name)?;
-                let parent = self.attrs(*id)?.parent;
-                if self
-                    .children(parent)
-                    .any(|s| s.name == *name && s.id != *id)
-                {
-                    return Err(ClioError::LogFileExists(name.clone()));
-                }
+                self.check_rename(*id, name)?;
                 let a = self
                     .files
                     .get_mut(id)
@@ -271,21 +280,6 @@ impl Catalog {
         }
     }
 
-    /// The sub-catalog shard `shard` maintains: the reserved service files
-    /// plus every client file routing to it. Whole top-level subtrees
-    /// route together, so the slice is closed under parents.
-    #[must_use]
-    pub fn slice(&self, shard: usize, mask: usize) -> Catalog {
-        let mut out = Catalog::new();
-        for a in self.client_files() {
-            if self.route(a.id, mask) == shard {
-                out.files.insert(a.id, a.clone());
-            }
-        }
-        out.next_id = self.next_id;
-        out
-    }
-
     /// A checkpoint record capturing all client log files, written at the
     /// start of each successor volume so recovery never needs predecessor
     /// volumes to rebuild the catalog.
@@ -315,8 +309,8 @@ mod tests {
     #[test]
     fn fresh_catalog_has_service_files() {
         let cat = Catalog::new();
-        assert!(cat.exists(LogFileId::ENTRYMAP));
-        assert!(cat.exists(LogFileId::CATALOG));
+        assert!(cat.attrs(LogFileId::ENTRYMAP).is_ok());
+        assert!(cat.attrs(LogFileId::CATALOG).is_ok());
         assert_eq!(cat.next_id(), FIRST_CLIENT_LOGFILE_ID);
         assert_eq!(cat.client_files().count(), 0);
     }
@@ -396,6 +390,32 @@ mod tests {
     }
 
     #[test]
+    fn prepare_rename_validates_without_applying() {
+        let mut cat = Catalog::new();
+        let mail = create(&mut cat, LogFileId::VOLUME_SEQUENCE, "mail");
+        let _news = create(&mut cat, LogFileId::VOLUME_SEQUENCE, "news");
+        let before = cat.clone();
+        assert!(matches!(
+            cat.prepare_rename(mail, "news"),
+            Err(ClioError::LogFileExists(_))
+        ));
+        assert!(matches!(
+            cat.prepare_rename(mail, ".hidden"),
+            Err(ClioError::BadPath(_))
+        ));
+        assert!(matches!(
+            cat.prepare_rename(LogFileId(99), "post"),
+            Err(ClioError::UnknownLogFileId(_))
+        ));
+        // Renaming to its own name is no clash.
+        assert!(cat.prepare_rename(mail, "mail").is_ok());
+        let rec = cat.prepare_rename(mail, "post").unwrap();
+        assert_eq!(cat, before, "prepare changes nothing");
+        cat.apply(&rec).unwrap();
+        assert_eq!(cat.resolve("/post").unwrap(), mail);
+    }
+
+    #[test]
     fn checkpoint_round_trips_state() {
         let mut cat = Catalog::new();
         let mail = create(&mut cat, LogFileId::VOLUME_SEQUENCE, "mail");
@@ -436,14 +456,6 @@ mod tests {
         // Reserved files and single-shard mode pin to shard 0.
         assert_eq!(cat.route(LogFileId::CATALOG, mask), 0);
         assert_eq!(cat.route(news, 0), 0);
-        // Slices partition the client files and keep subtrees whole.
-        let s0 = cat.slice(cat.route(mail, mask), mask);
-        assert!(s0.exists(mail) && s0.exists(smith) && s0.exists(deep));
-        assert!(!s0.exists(news));
-        assert_eq!(s0.next_id(), cat.next_id());
-        let s2 = cat.slice(cat.route(news, mask), mask);
-        assert!(s2.exists(news) && !s2.exists(mail));
-        assert!(s2.exists(LogFileId::CATALOG));
     }
 
     #[test]

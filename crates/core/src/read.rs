@@ -785,37 +785,34 @@ impl LogService {
         Ok(e)
     }
 
-    /// The id closure (log file + sublogs) for a path, from the catalog
-    /// shard's snapshot, with the read-permission check applied.
-    fn closure_of(&self, path: &str) -> Result<Vec<LogFileId>> {
-        let view = self.shards[0].read_view();
-        let id = view.catalog.resolve(path)?;
-        let attrs = view.catalog.attrs(id)?;
-        if attrs.perms & clio_format::records::PERM_READ == 0 {
+    /// The id closure (log file + sublogs) of `path`, partitioned by shard
+    /// (ascending shard order), with the read-permission check applied —
+    /// all from one catalog snapshot. A path below a top-level log file
+    /// always lands in exactly one part.
+    fn closure_parts(&self, path: &str) -> Result<Vec<(u32, Vec<LogFileId>)>> {
+        let view = self.catalog_view();
+        let cat = view.catalog();
+        let id = cat.resolve(path)?;
+        if cat.attrs(id)?.perms & clio_format::records::PERM_READ == 0 {
             return Err(ClioError::PermissionDenied(path.to_owned()));
         }
-        Ok(view.catalog.closure(id))
-    }
-
-    /// Partitions a closure by shard (ascending shard order). A path below
-    /// a top-level log file always lands in exactly one group.
-    fn parts_for(&self, ids: Vec<LogFileId>) -> Vec<(u32, Vec<LogFileId>)> {
-        let view = self.shards[0].read_view();
         let mask = self.route_mask();
         let mut groups: std::collections::BTreeMap<u32, Vec<LogFileId>> =
             std::collections::BTreeMap::new();
-        for id in ids {
-            let shard = view.catalog.route(id, mask) as u32;
-            groups.entry(shard).or_default().push(id);
+        for id in cat.closure(id) {
+            groups
+                .entry(cat.route(id, mask) as u32)
+                .or_default()
+                .push(id);
         }
-        groups.into_iter().collect()
+        Ok(groups.into_iter().collect())
     }
 
     /// A cursor over `path` (and all its sublogs) positioned before the
     /// first entry.
     pub fn cursor(&self, path: &str) -> Result<LogCursor<'_>> {
         let parts = self
-            .parts_for(self.closure_of(path)?)
+            .closure_parts(path)?
             .into_iter()
             .map(|(shard, ids)| (shard, self.shards[shard as usize].cursor_ids(ids)))
             .collect::<Vec<_>>();
@@ -825,7 +822,7 @@ impl LogService {
     /// A cursor positioned after the last entry (for backward reading).
     pub fn cursor_from_end(&self, path: &str) -> Result<LogCursor<'_>> {
         let parts = self
-            .parts_for(self.closure_of(path)?)
+            .closure_parts(path)?
             .into_iter()
             .map(|(shard, ids)| (shard, self.shards[shard as usize].cursor_ids_from_end(ids)))
             .collect::<Vec<_>>();
@@ -837,7 +834,7 @@ impl LogService {
     /// after `ts`, `prev()` yields those before it (§2).
     pub fn cursor_from_time(&self, path: &str, ts: Timestamp) -> Result<LogCursor<'_>> {
         let mut parts = Vec::new();
-        for (shard, ids) in self.parts_for(self.closure_of(path)?) {
+        for (shard, ids) in self.closure_parts(path)? {
             parts.push((
                 shard,
                 self.shards[shard as usize].cursor_ids_from_time(ids, ts)?,
@@ -859,7 +856,7 @@ impl LogService {
         let limit = approx_ts.saturating_add_micros(UNIQUE_ID_SKEW_US);
         // Search every shard of the closure: the window is per shard, so a
         // miss on one shard must not end the search on the others.
-        for (shard, ids) in self.parts_for(self.closure_of(path)?) {
+        for (shard, ids) in self.closure_parts(path)? {
             let mut cur = self.shards[shard as usize].cursor_ids_from_time(ids, from)?;
             while let Some(mut e) = cur.next()? {
                 if e.effective_ts() > limit {

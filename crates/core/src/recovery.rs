@@ -23,10 +23,9 @@
 //! sequence's id, and the service created shard `i` on sequence `base + i`,
 //! so grouping by sequence id and sorting ascending reproduces the shard
 //! layout with no external metadata. Steps 1 and 2 then run per shard.
-//! Step 3 runs only on shard 0 — the catalog shard holds the only durable
-//! catalog log (slices are applied, never logged, on the other shards) —
-//! and each non-zero shard's catalog slice is re-derived from the replayed
-//! full catalog. The per-shard findings are joined into one
+//! Step 3 runs only on shard 0, the catalog shard: it holds the service's
+//! one catalog and the only catalog log, and the other shards hold no
+//! catalog at all. The per-shard findings are joined into one
 //! [`RecoveryReport`] with shard-globalized volume indexes.
 
 use std::cell::Cell;
@@ -193,17 +192,11 @@ impl LogService {
         report.catalog_records = replay.len() as u64;
         report.catalog_us = phase_us(catalog_span.close());
 
-        // Join: assemble every shard — the catalog shard with the replayed
-        // full catalog, the others with their slice of it (their own
-        // catalog logs hold only checkpoints of older slices).
-        let mask = seqs.len() - 1;
+        // Join: assemble every shard. The first, the catalog shard, takes
+        // the replayed catalog.
+        let mut catalog = Some(catalog);
         let mut shards: Vec<Arc<Shard>> = Vec::with_capacity(seqs.len());
         for (idx, seq) in seqs.iter().enumerate() {
-            let shard_catalog = if idx == 0 {
-                catalog.clone()
-            } else {
-                catalog.slice(idx, mask)
-            };
             let mut pendings = std::mem::take(&mut shard_pendings[idx]);
             let active_pending = pendings.pop();
             let shard = Arc::new(Shard::assemble(
@@ -213,7 +206,7 @@ impl LogService {
                 clock.clone(),
                 obs.clone(),
                 ShardSeed {
-                    catalog: shard_catalog,
+                    catalog: catalog.take(),
                     sealed_pendings: pendings,
                     active_pending,
                 },

@@ -49,7 +49,8 @@ impl Shard {
     }
 
     /// Finishes the active volume and continues on a fresh successor
-    /// (§2.1), carrying the catalog forward as a checkpoint.
+    /// (§2.1); the catalog shard carries the catalog forward as a
+    /// checkpoint.
     pub(crate) fn switch_volume(&self, st: &mut State) -> Result<()> {
         if st.open.is_some() {
             self.seal_open(st)?;
@@ -71,11 +72,14 @@ impl Shard {
         // in its preserved pending state, not on the new volume.
         st.carryover.clear();
         self.open_block_at(st)?;
-        // Each successor volume starts with a catalog checkpoint so that
-        // recovery is self-contained per volume.
-        let rec = st.catalog.checkpoint();
-        let header = EntryHeader::new(LogFileId::CATALOG, EntryForm::Timestamped, Some(now), None);
-        self.push_record(st, header, &rec.encode(), false)?;
+        // Each successor volume of the catalog shard starts with a catalog
+        // checkpoint, so recovery never reads back past the newest one.
+        if let Some(cat) = &st.catalog {
+            let rec = cat.checkpoint();
+            let header =
+                EntryHeader::new(LogFileId::CATALOG, EntryForm::Timestamped, Some(now), None);
+            self.push_record(st, header, &rec.encode(), false)?;
+        }
         Ok(())
     }
 

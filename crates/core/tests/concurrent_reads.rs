@@ -147,15 +147,20 @@ fn readers_race_a_live_writer() {
     let all = cur.collect_remaining().unwrap();
     assert_eq!(all.len() as u64, ENTRIES);
 
-    // Sharded cache bookkeeping: per-shard counters sum to the totals, and
-    // residency never exceeds capacity.
+    // Sharded cache bookkeeping: the per-shard stripes the registry serves
+    // sum to the totals, and residency never exceeds capacity.
     let cache = svc.cache();
+    assert!(cache.shard_count() > 1, "the stripes need a sharded cache");
     let totals = cache.stats();
+    let reg = svc.metrics();
     let (mut hits, mut misses) = (0, 0);
     for s in 0..cache.shard_count() {
-        let st = cache.shard_stats(s);
-        hits += st.hits;
-        misses += st.misses;
+        hits += reg
+            .counter(&format!("clio_cache_shard{s}_hits_total"))
+            .get();
+        misses += reg
+            .counter(&format!("clio_cache_shard{s}_misses_total"))
+            .get();
     }
     assert_eq!(hits, totals.hits);
     assert_eq!(misses, totals.misses);

@@ -170,12 +170,6 @@ impl InstrumentedDevice {
     pub fn new(inner: SharedDevice, stats: Arc<DeviceStats>) -> InstrumentedDevice {
         InstrumentedDevice { inner, stats }
     }
-
-    /// The shared counters.
-    #[must_use]
-    pub fn stats(&self) -> Arc<DeviceStats> {
-        self.stats.clone()
-    }
 }
 
 impl LogDevice for InstrumentedDevice {

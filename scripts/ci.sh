@@ -68,6 +68,16 @@ run cargo test -q --release --offline -p clio-core --test concurrent_appends
 # so the full tear sweep stays fast.
 run cargo test -q --release --offline -p clio-core --test recovery_torn_tail
 
+# The catalog round trip: random create/seal/rename/set-perms histories
+# at 1 and 4 shards, crashed and recovered, must come back as the same
+# catalog, with every log appendable exactly when its attributes allow.
+# Shard 0 holds the only catalog, so this is what guards that no shard
+# needs one of its own. Run released at 200 cases (the workspace pass ran
+# the default 16).
+echo "==> CLIO_PROP_CASES=200 cargo test -q --release --offline -p clio-core --test property_tests -- --exact recovered_catalog_equals_the_pre_crash_catalog"
+CLIO_PROP_CASES=200 cargo test -q --release --offline -p clio-core --test property_tests \
+    -- --exact recovered_catalog_equals_the_pre_crash_catalog
+
 # Deterministic whole-system simulation storm: the checked-in corpus of
 # seeds that once failed (crates/core/tests/sim_seeds.txt) and then 25
 # fresh seeds of multi-client virtual-time interleaving with seeded

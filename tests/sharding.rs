@@ -159,6 +159,104 @@ fn crash_recovery_joins_all_shards_into_one_report() {
     }
 }
 
+/// A log file is appendable on its shard as soon as `resolve` finds it:
+/// every shard checks appends against the catalog snapshot the operation
+/// resolved with, so there is no window in which the routed shard has not
+/// heard of a log the catalog already names.
+#[test]
+fn regression_a_resolved_log_is_appendable_on_every_shard() {
+    const CREATES: usize = 600;
+    let svc =
+        Arc::new(LogService::create(VolumeSeqId(25), pool(512, 1 << 14), cfg(), clock()).unwrap());
+    let creator = {
+        let svc = svc.clone();
+        std::thread::spawn(move || {
+            for i in 0..CREATES {
+                svc.create_log(&format!("/r{i}")).unwrap();
+            }
+        })
+    };
+    let mut shards = std::collections::BTreeSet::new();
+    for i in 0..CREATES {
+        let path = format!("/r{i}");
+        let id = loop {
+            match svc.resolve(&path) {
+                Ok(id) => break id,
+                Err(_) => std::hint::spin_loop(),
+            }
+        };
+        shards.insert(svc.shard_of(id));
+        if let Err(e) = svc.append(id, b"first", AppendOpts::standard()) {
+            panic!("{path} resolved but its append failed: {e}");
+        }
+    }
+    creator.join().unwrap();
+    assert_eq!(shards.len(), SHARDS, "the logs must land on every shard");
+}
+
+/// Only the catalog shard logs the catalog: when the other shards switch
+/// volume they write no catalog checkpoint (nothing would read it), and
+/// the catalog shard opens each successor volume with exactly one.
+#[test]
+fn non_catalog_shards_write_no_catalog_record() {
+    use clio::format::records::CatalogRecord;
+    use clio::format::{BlockView, VolumeLabel};
+    use clio::types::{BlockNo, LogFileId};
+
+    const BASE: u64 = 26;
+    let pool = pool(512, 48);
+    let svc = LogService::create(VolumeSeqId(BASE), pool.clone(), cfg(), clock()).unwrap();
+    for t in 0..LOGS {
+        svc.create_log(&path(t)).unwrap();
+    }
+    for i in 0..150 {
+        for t in 0..LOGS {
+            let mut payload = format!("{t}/{i} ").into_bytes();
+            payload.resize(100, b'v');
+            svc.append_path(&path(t), &payload, AppendOpts::standard())
+                .unwrap();
+        }
+    }
+    svc.flush().unwrap();
+
+    // Per shard, per volume index: (catalog entries, checkpoints).
+    let mut found = std::collections::BTreeMap::new();
+    for dev in pool.devices() {
+        let mut buf = vec![0u8; dev.block_size()];
+        dev.read_block(BlockNo(0), &mut buf).unwrap();
+        let label = VolumeLabel::decode(&buf).unwrap();
+        let shard = label.sequence.0 - BASE;
+        let counts: &mut (u32, u32) = found.entry((shard, label.volume_index)).or_default();
+        let end = dev.query_end().map_or(0, |b| b.0);
+        for b in 1..end {
+            dev.read_block(BlockNo(b), &mut buf).unwrap();
+            for e in BlockView::parse(&buf).unwrap().entries() {
+                let e = e.unwrap();
+                if e.header.id == LogFileId::CATALOG {
+                    counts.0 += 1;
+                    if let Ok(CatalogRecord::Checkpoint { .. }) = CatalogRecord::decode(e.payload) {
+                        counts.1 += 1;
+                    }
+                }
+            }
+        }
+    }
+    for shard in 0..SHARDS as u64 {
+        let volumes = found.keys().filter(|(s, _)| *s == shard).count();
+        assert!(volumes >= 2, "shard {shard} never switched volume");
+    }
+    for (&(shard, volume), &(records, checkpoints)) in &found {
+        if shard == 0 {
+            let expect = u32::from(volume > 0);
+            assert_eq!(checkpoints, expect, "shard 0 volume {volume}");
+        } else {
+            assert_eq!(records, 0, "shard {shard} volume {volume} logs the catalog");
+        }
+    }
+    // Shard 0's first volume holds the creations themselves.
+    assert_eq!(found[&(0, 0)].0, LOGS as u32);
+}
+
 #[test]
 fn single_shard_config_stays_legacy_shaped() {
     // shards=1 must behave exactly like the pre-sharding service: local
