@@ -170,24 +170,31 @@ impl ServiceObs {
         self.trace.span_at(name, at)
     }
 
-    /// The per-log metric series for `id`, created on first touch.
+    /// The per-log metric series for `id`, created on first touch. Fetched
+    /// before the slot's `get_or_init`, not inside it: the registry's lock
+    /// is a model-checker scheduling point, and a thread blocked in a
+    /// `OnceLock` waits where the checker cannot see it. Racing first
+    /// touches fetch the same series, so the one that loses loses nothing.
     fn per_log(&self, id: LogFileId) -> &PerLog {
         let page = self.per_log[usize::from(id.0 >> 8)]
             .get_or_init(|| (0..256).map(|_| OnceLock::new()).collect());
-        page[usize::from(id.0 & 0xFF)].get_or_init(|| {
-            let label = id.0.to_string();
-            let labels: &[(&str, &str)] = &[("log", &label)];
-            PerLog {
-                appends: self.registry.counter_with("clio_log_appends_total", labels),
-                reads: self.registry.counter_with("clio_log_reads_total", labels),
-                append_ns: self
-                    .registry
-                    .histogram_with("clio_log_append_latency_ns", labels),
-                read_ns: self
-                    .registry
-                    .histogram_with("clio_log_read_latency_ns", labels),
-            }
-        })
+        let slot = &page[usize::from(id.0 & 0xFF)];
+        if let Some(series) = slot.get() {
+            return series;
+        }
+        let label = id.0.to_string();
+        let labels: &[(&str, &str)] = &[("log", &label)];
+        let series = PerLog {
+            appends: self.registry.counter_with("clio_log_appends_total", labels),
+            reads: self.registry.counter_with("clio_log_reads_total", labels),
+            append_ns: self
+                .registry
+                .histogram_with("clio_log_append_latency_ns", labels),
+            read_ns: self
+                .registry
+                .histogram_with("clio_log_read_latency_ns", labels),
+        };
+        slot.get_or_init(|| series)
     }
 
     /// The per-shard metric series for append domain `idx`, created on

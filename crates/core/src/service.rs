@@ -492,7 +492,11 @@ const GATE_POLL_BUDGET: u32 = 320;
 /// single-core host the thread being waited for gets to run.
 const GATE_SPIN_POLLS: u32 = 256;
 
+/// One poll's pause, and a model-checker scheduling point: the `arriving`
+/// gauge a leader polls is bookkeeping the checker does not schedule
+/// around, so without one the appender it waits for could never run.
 fn gate_pause(polls: u32) {
+    clio_testkit::check::yield_point();
     if polls < GATE_SPIN_POLLS {
         std::hint::spin_loop();
     } else {

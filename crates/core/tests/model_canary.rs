@@ -1,16 +1,18 @@
 //! Model-checker canaries: prove the checker still *catches* bugs.
 //!
-//! The four `model_*` suites assert protocols are race-free; a checker
-//! that silently stopped detecting races would keep them green. These
-//! tests pin the detection side: an injected unsynchronized counter must
-//! be flagged with both access sites, and a failure found by the seeded
-//! random walk must replay byte-identically from the printed
-//! `CLIO_CHECK_REPLAY=<seed>:<index>` line.
+//! `check_service.rs` and the `model_*` suites assert that protocols are
+//! race-free and lose no wake-up; a checker that silently stopped
+//! detecting either would keep them green. These tests pin the detection
+//! side: an injected unsynchronized counter must be flagged with both
+//! access sites, a condvar wait nobody notifies must be a deadlock, and a
+//! failure found by the seeded random walk must replay byte-identically
+//! from the printed `CLIO_CHECK_REPLAY=<seed>:<index>` line.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use clio_testkit::check::{spawn, Checker, RaceCell};
+use clio_testkit::sync::{Condvar, Mutex};
 
 /// Two threads bump a shared counter with no synchronization at all.
 fn injected_race() {
@@ -57,4 +59,32 @@ fn random_walk_failures_replay_byte_identically() {
         index.parse().expect("index parses"),
     ));
     assert_eq!(first, again, "replay must be byte-identical");
+}
+
+#[test]
+fn a_wait_nobody_notifies_is_a_deadlock() {
+    // The setter flips the flag and never notifies: a waiter that read it
+    // false first sleeps for good.
+    let err = catch_unwind(AssertUnwindSafe(|| {
+        Checker::new("lost-wakeup").check(|| {
+            let pair = Arc::new((Mutex::new(false), Condvar::new()));
+            let p2 = pair.clone();
+            let t = spawn(move || {
+                let mut g = p2.0.lock();
+                while !*g {
+                    g = p2.1.wait(g);
+                }
+            });
+            *pair.0.lock() = true;
+            let _ = t.join();
+        })
+    }));
+    let msg = *err
+        .expect_err("the lost wake-up must be found")
+        .downcast::<String>()
+        .unwrap();
+    assert!(
+        msg.contains("deadlock") && msg.contains("waiting on a Condvar"),
+        "{msg}"
+    );
 }

@@ -13,33 +13,35 @@
 //! resolution is plenty for the paper's evaluation, where interesting
 //! effects (cache hit vs. optical seek) differ by orders of magnitude.
 
-use clio_testkit::sync::atomic::{AtomicU64, Ordering};
+use clio_testkit::sync::atomic::RelaxedU64;
 
 /// Bucket 0 holds zeros; buckets 1..=64 hold `[2^(i-1), 2^i)`.
 pub const BUCKETS: usize = 65;
 
 /// A concurrent log₂-bucketed histogram of `u64` samples.
 ///
-/// All updates use relaxed atomics: a [`Histogram::snapshot`] taken while
-/// recorders are active may be off by in-flight samples (sum, min/max
+/// All updates use relaxed bookkeeping atomics, which are not model-checker
+/// scheduling points: a sample is a host-time latency, and the min/max skip
+/// must not make a schedule depend on it. A [`Histogram::snapshot`] taken
+/// while recorders are active may be off by in-flight samples (sum, min/max
 /// and the buckets can each lag independently), but it never blocks, never
 /// sees torn per-counter values, and its `count` always equals its own
 /// bucket total.
 #[derive(Debug)]
 pub struct Histogram {
-    buckets: [AtomicU64; BUCKETS],
-    sum: AtomicU64,
-    min: AtomicU64,
-    max: AtomicU64,
+    buckets: [RelaxedU64; BUCKETS],
+    sum: RelaxedU64,
+    min: RelaxedU64,
+    max: RelaxedU64,
 }
 
 impl Default for Histogram {
     fn default() -> Histogram {
         Histogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            sum: AtomicU64::new(0),
-            min: AtomicU64::new(u64::MAX),
-            max: AtomicU64::new(0),
+            buckets: std::array::from_fn(|_| RelaxedU64::new(0)),
+            sum: RelaxedU64::new(0),
+            min: RelaxedU64::new(u64::MAX),
+            max: RelaxedU64::new(0),
         }
     }
 }
@@ -69,17 +71,17 @@ impl Histogram {
 
     /// Records one sample.
     pub fn record(&self, v: u64) {
-        self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
+        self.buckets[bucket_of(v)].fetch_add(1);
+        self.sum.fetch_add(v);
         // `fetch_min`/`fetch_max` are compare-exchange loops; skip them
         // when a load shows the sample would not move the bound. A racing
         // recorder can only tighten the bound further, so the skip never
         // loses an extreme.
-        if v < self.min.load(Ordering::Relaxed) {
-            self.min.fetch_min(v, Ordering::Relaxed);
+        if v < self.min.load() {
+            self.min.fetch_min(v);
         }
-        if v > self.max.load(Ordering::Relaxed) {
-            self.max.fetch_max(v, Ordering::Relaxed);
+        if v > self.max.load() {
+            self.max.fetch_max(v);
         }
     }
 
@@ -91,7 +93,7 @@ impl Histogram {
     /// Sum of all samples so far (wrapping on overflow).
     #[must_use]
     pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
+        self.sum.load()
     }
 
     /// Copies the current state.
@@ -99,14 +101,14 @@ impl Histogram {
     pub fn snapshot(&self) -> HistSnapshot {
         let mut buckets = [0u64; BUCKETS];
         for (b, a) in buckets.iter_mut().zip(&self.buckets) {
-            *b = a.load(Ordering::Relaxed);
+            *b = a.load();
         }
         HistSnapshot {
             buckets,
             count: buckets.iter().sum(),
             sum: self.sum(),
-            min: self.min.load(Ordering::Relaxed),
-            max: self.max.load(Ordering::Relaxed),
+            min: self.min.load(),
+            max: self.max.load(),
         }
     }
 }

@@ -11,14 +11,14 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use clio_testkit::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use clio_testkit::sync::atomic::{RelaxedI64, RelaxedU64};
 use clio_testkit::sync::Mutex;
 
 use crate::hist::{HistSnapshot, Histogram};
 
-/// A monotonically increasing atomic counter.
+/// A monotonically increasing atomic counter (bookkeeping: see `RelaxedU64`).
 #[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
+pub struct Counter(RelaxedU64);
 
 impl Counter {
     /// Adds 1.
@@ -28,35 +28,35 @@ impl Counter {
 
     /// Adds `n`.
     pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
+        self.0.fetch_add(n);
     }
 
     /// Current value.
     #[must_use]
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
+        self.0.load()
     }
 }
 
-/// An atomic gauge (a value that can go up and down).
+/// An atomic gauge (a value that can go up and down; bookkeeping).
 #[derive(Debug, Default)]
-pub struct Gauge(AtomicI64);
+pub struct Gauge(RelaxedI64);
 
 impl Gauge {
     /// Sets the value.
     pub fn set(&self, v: i64) {
-        self.0.store(v, Ordering::Relaxed);
+        self.0.store(v);
     }
 
     /// Adds `n` (may be negative).
     pub fn add(&self, n: i64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
+        self.0.fetch_add(n);
     }
 
     /// Current value.
     #[must_use]
     pub fn get(&self) -> i64 {
-        self.0.load(Ordering::Relaxed)
+        self.0.load()
     }
 }
 

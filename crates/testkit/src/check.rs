@@ -237,6 +237,18 @@ fn blocked_desc(b: Block) -> String {
     }
 }
 
+/// Tears the calling model thread down once its schedule has stopped. A
+/// thread already unwinding (a `Drop` reached a scheduling point) gets its
+/// guard back instead — a second panic would abort the process and lose
+/// the failure report — and runs on unscheduled: the real locks decide.
+fn abort(st: StGuard<'_>) -> StGuard<'_> {
+    if std::thread::panicking() {
+        return st;
+    }
+    drop(st);
+    panic::panic_any(Abort)
+}
+
 impl Sched {
     fn st(&self) -> StGuard<'_> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
@@ -342,8 +354,7 @@ impl Sched {
     fn park<'a>(&'a self, mut st: StGuard<'a>, my: usize) -> StGuard<'a> {
         loop {
             if st.aborting {
-                drop(st);
-                panic::panic_any(Abort);
+                return abort(st);
             }
             if st.running == my {
                 return st;
@@ -354,12 +365,12 @@ impl Sched {
 
     /// A scheduling point: decide who runs next, then wait for our turn.
     fn yield_and_park<'a>(&'a self, mut st: StGuard<'a>, my: usize) -> StGuard<'a> {
+        if st.aborting {
+            return abort(st);
+        }
         match self.choose(&mut st, my) {
             Choice::Chosen => self.park(st, my),
-            Choice::Stop => {
-                drop(st);
-                panic::panic_any(Abort);
-            }
+            Choice::Stop => abort(st),
         }
     }
 
@@ -377,6 +388,9 @@ impl Sched {
         st.threads[my].at = site;
         let mut st = self.yield_and_park(st, my);
         loop {
+            if st.aborting {
+                return;
+            }
             let l = st.locks.entry(addr).or_default();
             let free = l.writer.is_none() && (!excl || l.readers == 0);
             if free {
@@ -398,6 +412,9 @@ impl Sched {
         let mut st = self.st();
         st.threads[my].at = site;
         let mut st = self.yield_and_park(st, my);
+        if st.aborting {
+            return false;
+        }
         let l = st.locks.entry(addr).or_default();
         let free = l.writer.is_none() && (!excl || l.readers == 0);
         if free {
@@ -517,8 +534,8 @@ impl Sched {
         }
         if let Some(msg) = race {
             self.fail(&mut st, msg);
-            drop(st);
-            panic::panic_any(Abort);
+            drop(abort(st));
+            return;
         }
         let epoch = st.threads[my].clock.tick(my);
         let cell = st
@@ -562,7 +579,7 @@ impl Sched {
         st.threads[my].at = site;
         let mut st = self.yield_and_park(st, my);
         loop {
-            if st.threads[child].block == Block::Finished {
+            if st.aborting || st.threads[child].block == Block::Finished {
                 let cc = st.threads[child].clock.clone();
                 st.threads[my].clock.join(&cc);
                 return;
@@ -676,6 +693,17 @@ pub(crate) fn condvar_notify(cv_addr: usize, all: bool) -> bool {
     true
 }
 
+/// A bare scheduling point, for a polling loop whose condition the checker
+/// does not see (a [`crate::sync::atomic::RelaxedI64`] gauge, say): without
+/// one, the thread it waits for could never run. Outside a checked run it
+/// is one relaxed load.
+#[track_caller]
+pub fn yield_point() {
+    if let Some((s, my)) = current() {
+        s.yield_at(my, Location::caller());
+    }
+}
+
 /// An atomic access with the given acquire/release effect.
 #[track_caller]
 pub(crate) fn atomic_access(addr: usize, acq: bool, rel: bool) {
@@ -748,7 +776,7 @@ impl<T: Clone> RaceCell<T> {
 }
 
 /// Cell state is keyed by address, and a model may free a cell and then
-/// allocate a fresh one at the reused address (the single-flight model
+/// allocate a fresh one at the reused address (a single-flight cache
 /// does: a second miss wave's `Flight` can land on the first wave's
 /// freed allocation). The two objects have disjoint lifetimes — the
 /// allocator's free/alloc pair orders them — so the dead cell's access
@@ -1260,7 +1288,7 @@ mod tests {
 
     #[test]
     fn regression_address_reuse_does_not_alias_a_dead_cells_history() {
-        // Found by the single-flight model: its second miss wave
+        // Found by a single-flight model: its second miss wave
         // allocated a fresh Flight on the first wave's freed address,
         // and the dead cell's recorded accesses produced a false race
         // against the new cell. On schedules where t1 runs to its park
@@ -1453,6 +1481,37 @@ mod tests {
         });
         assert!(msg.contains("observed the store"), "{msg}");
         assert!(msg.contains("replay:"), "{msg}");
+    }
+
+    #[test]
+    fn a_drop_that_locks_while_unwinding_keeps_the_failure_report() {
+        /// Takes a lock on its way out, as a product guard's `Drop` can.
+        struct LocksOnDrop(Arc<Mutex<u32>>);
+        impl Drop for LocksOnDrop {
+            fn drop(&mut self) {
+                *self.0.lock() += 1;
+            }
+        }
+        // t1 holds the guard and spins until the schedule stops; t0 fails
+        // once t1 holds it, so t1 unwinds through the guard's lock.
+        let msg = check_fails(
+            Checker::new("unwind").dfs_budget(0).random_schedules(8),
+            || {
+                let held = Arc::new(AtomicU64::new(0));
+                let (h2, m) = (held.clone(), Arc::new(Mutex::new(0)));
+                let _t = spawn(move || {
+                    let _g = LocksOnDrop(m);
+                    h2.store(1, O::Release);
+                    while h2.load(O::Acquire) < 2 {}
+                });
+                while held.load(O::Acquire) == 0 {}
+                panic!("the original failure");
+            },
+        );
+        assert!(
+            msg.contains("thread t0 panicked: the original failure"),
+            "{msg}"
+        );
     }
 
     // A minimal always-racy model for the replay tests (non-capturing,

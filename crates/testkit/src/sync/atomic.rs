@@ -210,6 +210,78 @@ atomic_int!(
     i64
 );
 
+// The exception: bookkeeping atomics for counters that order nothing, with
+// a Relaxed-only API and no scheduling point. A Relaxed access adds no
+// happens-before edge, so the checker loses nothing by not scheduling
+// around it, and an operation's scheduling points stop depending on the
+// values it counts. A loop that polls one while waiting for another thread
+// yields through `check::yield_point`.
+macro_rules! relaxed_int {
+    ($(#[$doc:meta])* $name:ident, $std:ident, $prim:ty) => {
+        $(#[$doc])*
+        #[repr(transparent)]
+        #[derive(Default)]
+        pub struct $name {
+            inner: std::sync::atomic::$std,
+        }
+
+        impl $name {
+            /// Creates a new atomic with the given initial value.
+            pub const fn new(v: $prim) -> $name {
+                $name {
+                    inner: std::sync::atomic::$std::new(v),
+                }
+            }
+
+            /// Loads the value.
+            pub fn load(&self) -> $prim {
+                self.inner.load(Ordering::Relaxed)
+            }
+
+            /// Stores `v`.
+            pub fn store(&self, v: $prim) {
+                self.inner.store(v, Ordering::Relaxed)
+            }
+
+            /// Adds `v` (wrapping), returning the previous value.
+            pub fn fetch_add(&self, v: $prim) -> $prim {
+                self.inner.fetch_add(v, Ordering::Relaxed)
+            }
+
+            /// Stores the minimum of the value and `v`.
+            pub fn fetch_min(&self, v: $prim) -> $prim {
+                self.inner.fetch_min(v, Ordering::Relaxed)
+            }
+
+            /// Stores the maximum of the value and `v`.
+            pub fn fetch_max(&self, v: $prim) -> $prim {
+                self.inner.fetch_max(v, Ordering::Relaxed)
+            }
+        }
+
+        impl std::fmt::Debug for $name {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                self.load().fmt(f)
+            }
+        }
+    };
+}
+
+relaxed_int!(
+    /// A Relaxed-only `u64` that is never a model-checker scheduling
+    /// point: for counters that order nothing.
+    RelaxedU64,
+    AtomicU64,
+    u64
+);
+relaxed_int!(
+    /// A Relaxed-only `i64` that is never a model-checker scheduling
+    /// point: for gauges that order nothing.
+    RelaxedI64,
+    AtomicI64,
+    i64
+);
+
 /// An instrumented [`std::sync::atomic::AtomicBool`].
 #[repr(transparent)]
 #[derive(Default)]

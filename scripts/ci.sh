@@ -91,18 +91,22 @@ CLIO_PROP_CASES=200 cargo test -q --release --offline -p clio-core --test proper
 echo "==> CLIO_SIM_SEEDS=25 cargo test -q --release --offline -p clio-core --test simulation"
 CLIO_SIM_SEEDS=25 cargo test -q --release --offline -p clio-core --test simulation
 
-# Concurrency model checking: the six protocol models (commit gate,
-# ArcCell publish, single-flight, sealed-queue drain, shared open block,
-# the trace ring's per-thread buffers: registration, recording beside a
-# snapshot, and an exited thread's buffer passing to the next) plus the
-# canary suite under the larger release budget (2,000 DFS + 2,000 random
-# schedules per model). A failure prints both access sites and a
+# Concurrency model checking. check_service runs the real LogService under
+# the checker: two forced appenders beside a reader (group commit:
+# released => durable, no lost wake-up), an appender sealing beside a
+# cursor scan (read snapshots, sealed-queue drain), and two readers missing
+# on one block beside a sealing appender (single-flight fill). Beside it,
+# the suites that drive one real object (ArcCell publish, the shared open
+# block, the trace ring's per-thread buffers: registration, recording
+# beside a snapshot, and an exited thread's buffer passing to the next)
+# and the canary suite, under the larger release budget (2,000 schedules
+# per exploration phase). A failure prints both access sites and a
 # CLIO_CHECK_REPLAY=<seed>:<index> line that re-runs the exact schedule.
-# (The 1,000-schedule debug budget already ran in the workspace pass.)
-echo "==> CLIO_MODEL_CHECK=1 cargo test -q --release --offline -p clio-core --test model_*"
+# (The 1,000-schedule debug budget already ran in the workspace pass, and
+# check_service ran again under lockdep.)
+echo "==> CLIO_MODEL_CHECK=1 cargo test -q --release --offline -p clio-core --test check_service --test model_*"
 CLIO_MODEL_CHECK=1 cargo test -q --release --offline -p clio-core \
-    --test model_commit_gate --test model_arccell_publish \
-    --test model_single_flight --test model_sealed_queue \
+    --test check_service --test model_arccell_publish \
     --test model_open_block_publish --test model_canary
 echo "==> CLIO_MODEL_CHECK=1 cargo test -q --release --offline -p clio-obs --test model_trace_ring"
 CLIO_MODEL_CHECK=1 cargo test -q --release --offline -p clio-obs --test model_trace_ring
