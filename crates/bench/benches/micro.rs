@@ -191,6 +191,26 @@ fn bench_service(c: &mut Bench) {
         black_box(svc.read_entry(open).expect("read_entry"))
     });
     drop(svc);
+    // A point read the cache misses: 20 000 forced 200-B appends, one
+    // block each, against a 1 024-block cache, read at uniform receipts
+    // (hit ratio about 5 %). A miss pays the device read, the one CRC
+    // check and the cache fill with its eviction.
+    let svc = mk();
+    let receipts: Vec<_> = (0..20_000u32)
+        .map(|i| {
+            let mut entry = [0u8; 200];
+            entry[..4].copy_from_slice(&i.to_le_bytes());
+            svc.append_path("/bench", &entry, AppendOpts::forced())
+                .expect("append")
+                .addr
+        })
+        .collect();
+    let mut rng = StdRng::seed_from_u64(22);
+    c.bench("service/read_entry_miss", || {
+        let at = receipts[rng.gen_range(0..receipts.len())];
+        black_box(svc.read_entry(at).expect("read_entry"))
+    });
+    drop(svc);
     // A sparse scan: 64 top-level logs of 8 sublogs each, 60 000 skewed
     // appends, and one pass over the rarest sublog per iteration.
     let svc = mk();
@@ -235,6 +255,12 @@ fn bench_cache(c: &mut Bench) {
     c.bench("cache/put_evict", || {
         j += 1;
         cache.put(CacheKey::new(0, BlockNo(j)), data.clone());
+    });
+    // A `get_or_load` miss on a full cache: the single-flight mark, the
+    // loader (a pointer copy here) and the fill with its eviction.
+    c.bench("cache/miss_fill", || {
+        j += 1;
+        black_box(cache.get_or_load(CacheKey::new(0, BlockNo(j)), || Ok(data.clone())))
     });
 }
 

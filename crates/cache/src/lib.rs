@@ -23,6 +23,9 @@
 //! recency, which is private to each shard. [`BlockCache::with_shards`]
 //! splits the key space over N power-of-two LRU shards with per-shard
 //! locks so concurrent readers touching different blocks never contend.
+//! Single flight lives in the shard too: a miss marks its key loading
+//! under the shard lock, loads with no lock held, and fills under it
+//! again, so a miss shares no lock or word with misses in other shards.
 //! [`BlockCache::new`] keeps the single-shard (exact global LRU)
 //! behaviour for cache-behaviour experiments that must stay reproducible.
 
@@ -127,10 +130,17 @@ struct Entry<B> {
     tick: u64,
 }
 
+/// One shard's state, all under its lock.
 struct Lru<B> {
     map: HashMap<CacheKey, Entry<B>>,
     by_tick: std::collections::BTreeMap<u64, CacheKey>,
     next_tick: u64,
+    /// Keys a miss is loading right now, with no lock held (single
+    /// flight). As many as there are threads missing in this shard, so a
+    /// scan beats hashing.
+    loading: Vec<CacheKey>,
+    /// Misses parked on [`Shard::filled`] until a load of theirs ends.
+    waiters: usize,
 }
 
 impl<B> Lru<B> {
@@ -139,16 +149,8 @@ impl<B> Lru<B> {
             map: HashMap::new(),
             by_tick: std::collections::BTreeMap::new(),
             next_tick: 0,
-        }
-    }
-
-    fn touch(&mut self, key: CacheKey) {
-        let tick = self.next_tick;
-        self.next_tick += 1;
-        if let Some(e) = self.map.get_mut(&key) {
-            self.by_tick.remove(&e.tick);
-            e.tick = tick;
-            self.by_tick.insert(tick, key);
+            loading: Vec::new(),
+            waiters: 0,
         }
     }
 }
@@ -156,23 +158,50 @@ impl<B> Lru<B> {
 /// One LRU shard: a slice of the capacity with its own lock and counters.
 struct Shard<B> {
     inner: Mutex<Lru<B>>,
+    /// Notified when a load ends while a miss waits on it.
+    filled: Condvar,
     capacity: usize,
     counters: Counters,
 }
 
-/// The state of one in-flight `get_or_load` for a key.
-enum FlightState<B> {
-    /// The leader is still loading.
-    Pending,
-    /// The leader finished: `Some` with the block, `None` if the load
-    /// failed (waiters retry, becoming leaders themselves).
-    Done(Option<B>),
-}
+impl<B: Clone> Shard<B> {
+    /// Looks `key` up under the shard lock, updating recency and the
+    /// hit/miss counters.
+    fn lookup(&self, lru: &mut Lru<B>, key: CacheKey) -> Option<B> {
+        let Some(e) = lru.map.get_mut(&key) else {
+            self.counters.misses.inc();
+            return None;
+        };
+        lru.by_tick.remove(&e.tick);
+        e.tick = lru.next_tick;
+        lru.next_tick += 1;
+        lru.by_tick.insert(e.tick, key);
+        self.counters.hits.inc();
+        Some(e.data.clone())
+    }
 
-/// A single-flight rendezvous: losers of the leader race park here.
-struct Flight<B> {
-    state: Mutex<FlightState<B>>,
-    cv: Condvar,
+    /// Inserts (or replaces) `key` as the most recent block under the
+    /// shard lock, evicting least recently used blocks past capacity.
+    fn insert(&self, lru: &mut Lru<B>, key: CacheKey, data: B) {
+        let tick = lru.next_tick;
+        lru.next_tick += 1;
+        if let Some(old) = lru.map.insert(key, Entry { data, tick }) {
+            lru.by_tick.remove(&old.tick);
+        } else {
+            self.counters.resident.add(1);
+        }
+        lru.by_tick.insert(tick, key);
+        self.counters.inserts.inc();
+        while lru.map.len() > self.capacity {
+            let Some((&t, &victim)) = lru.by_tick.iter().next() else {
+                break;
+            };
+            lru.by_tick.remove(&t);
+            lru.map.remove(&victim);
+            self.counters.resident.add(-1);
+            self.counters.evictions.inc();
+        }
+    }
 }
 
 /// A fixed-capacity LRU cache of immutable blocks, sharded for concurrent
@@ -198,7 +227,6 @@ pub struct BlockCache<B = Arc<Vec<u8>>> {
     mask: u64,
     capacity: usize,
     duplicate_loads: Arc<Counter>,
-    inflight: Mutex<HashMap<CacheKey, Arc<Flight<B>>>>,
     /// When attached, single-flight loads record `cache_load` /
     /// `cache_wait` spans, nesting under the reading operation's span.
     trace: OnceLock<Arc<TraceRing>>,
@@ -237,6 +265,7 @@ impl<B: Clone> BlockCache<B> {
         let shards: Vec<Shard<B>> = (0..n)
             .map(|i| Shard {
                 inner: Mutex::with_class(Lru::empty(), "cache.shard"),
+                filled: Condvar::new(),
                 capacity: base + usize::from(i < rem),
                 counters: Counters::default(),
             })
@@ -246,7 +275,6 @@ impl<B: Clone> BlockCache<B> {
             mask: (n - 1) as u64,
             capacity: capacity_blocks,
             duplicate_loads: Arc::default(),
-            inflight: Mutex::with_class(HashMap::new(), "cache.inflight"),
             trace: OnceLock::new(),
         }
     }
@@ -296,105 +324,73 @@ impl<B: Clone> BlockCache<B> {
     pub fn get(&self, key: CacheKey) -> Option<B> {
         let shard = self.shard(key);
         let mut g = shard.inner.lock();
-        if let Some(e) = g.map.get(&key) {
-            let data = e.data.clone();
-            g.touch(key);
-            shard.counters.hits.inc();
-            Some(data)
-        } else {
-            shard.counters.misses.inc();
-            None
-        }
+        shard.lookup(&mut g, key)
     }
 
     /// Inserts (or replaces) a block, evicting the shard's least recently
     /// used block if the shard is full.
     pub fn put(&self, key: CacheKey, data: B) {
         let shard = self.shard(key);
-        let mut g = shard.inner.lock();
-        let tick = g.next_tick;
-        g.next_tick += 1;
-        if let Some(old) = g.map.insert(key, Entry { data, tick }) {
-            g.by_tick.remove(&old.tick);
-        } else {
-            shard.counters.resident.add(1);
-        }
-        g.by_tick.insert(tick, key);
-        shard.counters.inserts.inc();
-        while g.map.len() > shard.capacity {
-            let Some((&t, &victim)) = g.by_tick.iter().next() else {
-                break;
-            };
-            g.by_tick.remove(&t);
-            g.map.remove(&victim);
-            shard.counters.resident.add(-1);
-            shard.counters.evictions.inc();
-        }
+        shard.insert(&mut shard.inner.lock(), key, data);
     }
 
     /// Looks up a block, loading and inserting it on a miss; a load that
     /// fails inserts nothing and returns its error.
     ///
-    /// Concurrent misses on the same key are coalesced (single-flight):
-    /// one caller runs `load`, the rest wait and share its block. The
-    /// avoided loads are counted in [`CacheSnapshot::duplicate_loads`].
-    /// If the leader's load fails, each waiter retries — one of them
-    /// becomes the new leader.
-    pub fn get_or_load<F>(&self, key: CacheKey, load: F) -> Result<B>
+    /// Concurrent misses on the same key are coalesced (single flight):
+    /// the miss that finds the key absent marks it loading in the same
+    /// shard-lock hold, runs `load` with no lock held, and fills the entry
+    /// and clears the mark in one more hold. A miss that finds the mark
+    /// waits and shares the filled block; the avoided loads are counted
+    /// in [`CacheSnapshot::duplicate_loads`]. If the load fails (or its
+    /// block is evicted before a waiter wakes), each waiter retries — one
+    /// of them becomes the next loader.
+    pub fn get_or_load<F>(&self, key: CacheKey, mut load: F) -> Result<B>
     where
         F: FnMut() -> Result<B>,
     {
-        let mut load = load;
+        let shard = self.shard(key);
         loop {
-            if let Some(hit) = self.get(key) {
+            let mut g = shard.inner.lock();
+            if let Some(hit) = shard.lookup(&mut g, key) {
                 return Ok(hit);
             }
-            let (flight, leader) = {
-                let mut g = self.inflight.lock();
-                match g.get(&key) {
-                    Some(f) => (f.clone(), false),
-                    None => {
-                        let f = Arc::new(Flight {
-                            state: Mutex::with_class(FlightState::Pending, "cache.flight"),
-                            cv: Condvar::new(),
-                        });
-                        g.insert(key, f.clone());
-                        (f, true)
-                    }
-                }
-            };
-            if leader {
+            if !g.loading.contains(&key) {
+                g.loading.push(key);
+                drop(g);
                 let mut span = self.load_span("cache_load");
                 let loaded = load();
-                if loaded.is_err() {
-                    if let Some(s) = &mut span {
-                        s.fail("load_error");
-                    }
+                if let (Some(s), Err(_)) = (&mut span, &loaded) {
+                    s.fail("load_error");
                 }
                 drop(span);
+                let mut g = shard.inner.lock();
                 // The loader's block becomes the cached block: no copy.
                 if let Ok(data) = &loaded {
-                    self.put(key, data.clone());
+                    shard.insert(&mut g, key, data.clone());
                 }
-                self.inflight.lock().remove(&key);
-                *flight.state.lock() = FlightState::Done(loaded.as_ref().ok().cloned());
-                flight.cv.notify_all();
+                g.loading.retain(|k| *k != key);
+                let waiting = g.waiters > 0;
+                drop(g);
+                if waiting {
+                    shard.filled.notify_all();
+                }
                 return loaded;
             }
-            // Loser: without single-flight this would have been a second
-            // load of the same block. The span drops after `g` releases
-            // the flight lock (reverse declaration order), so the ring
-            // mutex is only ever taken with no other lock held here.
+            // Another miss is loading the block. Count ourselves as its
+            // waiter in the hold that saw the mark, so the fill notifies;
+            // the span drops after `g` (reverse declaration order), so it
+            // opens and closes with no lock held.
+            g.waiters += 1;
+            drop(g);
             self.duplicate_loads.inc();
             let _span = self.load_span("cache_wait");
-            let g = flight
-                .cv
-                .wait_while(flight.state.lock(), |s| matches!(s, FlightState::Pending));
-            match &*g {
-                FlightState::Done(Some(data)) => return Ok(data.clone()),
-                // Leader failed; retry (and possibly lead) ourselves.
-                FlightState::Done(None) => continue,
-                FlightState::Pending => unreachable!("wait_while guarantees Done"),
+            let mut g = shard
+                .filled
+                .wait_while(shard.inner.lock(), |l| l.loading.contains(&key));
+            g.waiters -= 1;
+            if let Some(e) = g.map.get(&key) {
+                return Ok(e.data.clone());
             }
         }
     }
@@ -719,6 +715,34 @@ mod tests {
         let s = c.stats();
         assert_eq!(s.duplicate_loads, 1, "exactly one avoided load");
         assert_eq!(s.inserts, 1, "the block was loaded and inserted once");
+    }
+
+    /// A load runs with no lock held: while one is blocked inside its
+    /// loader, a miss on another key of the same (only) shard loads,
+    /// fills and returns, and a hit on a third key is served.
+    #[test]
+    fn a_blocked_load_does_not_hold_its_shard() {
+        use std::sync::mpsc;
+        let c: Arc<BlockCache> = Arc::new(BlockCache::new(4));
+        c.put(key(9), data(9));
+        let (loading_tx, loading_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let c1 = c.clone();
+        let blocked = std::thread::spawn(move || {
+            c1.get_or_load(key(1), || {
+                loading_tx.send(()).unwrap();
+                release_rx.recv().unwrap();
+                Ok(data(1))
+            })
+            .unwrap()
+        });
+        loading_rx.recv().unwrap();
+        assert_eq!(c.get_or_load(key(2), || Ok(data(2))).unwrap()[0], 2);
+        assert_eq!(c.get(key(9)).unwrap()[0], 9);
+        release_tx.send(()).unwrap();
+        assert_eq!(blocked.join().unwrap()[0], 1);
+        let s = c.stats();
+        assert_eq!((s.inserts, s.duplicate_loads), (3, 0));
     }
 
     /// A miss moves the loader's block into the cache: the block the

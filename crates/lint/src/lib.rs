@@ -43,6 +43,9 @@
 //!   `EntrymapRecordView::parse` are confined to `entrymap/src/chain.rs`:
 //!   the locator and the rebuild walk a map's displaced/`continued`
 //!   record chain with the same function, window and termination rule.
+//! - `unsafe-only-in` — `unsafe` under `crates/*/src` only inside the
+//!   functions its allow-list names, each with its reason (today one:
+//!   the CRC32 carry-less-multiply fold in `crates/types/src/crc.rs`).
 //! - `unwrap-ratchet` — per-crate counts of `.unwrap()` and undocumented
 //!   `.expect(...)` in library code, compared against the committed
 //!   baseline in `lint/ratchet.toml`, which may only go down.
@@ -146,7 +149,7 @@ pub(crate) fn matching(toks: &[Tok], open: usize, open_s: &str, close_s: &str) -
 /// Index of the last token of the item starting at `start` (after its
 /// attributes): either the `;` ending a declaration or the `}` closing
 /// the first top-level brace body.
-fn item_end(toks: &[Tok], start: usize) -> usize {
+pub(crate) fn item_end(toks: &[Tok], start: usize) -> usize {
     let mut depth = 0usize;
     let mut i = start;
     while i < toks.len() {

@@ -8,6 +8,7 @@ pub mod one_map_reader;
 pub mod raw_atomics;
 pub mod raw_locks;
 pub mod registry_deps;
+pub mod unsafe_only_in;
 pub mod unwrap_ratchet;
 pub mod wallclock;
 pub mod worm_writes;
@@ -25,4 +26,5 @@ pub fn check_source(sf: &SourceFile, out: &mut Vec<Diag>) {
     env_config::check(sf, out);
     one_log_reader::check(sf, out);
     one_map_reader::check(sf, out);
+    unsafe_only_in::check(sf, out);
 }

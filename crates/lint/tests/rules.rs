@@ -8,7 +8,7 @@ use std::collections::BTreeMap;
 
 use clio_lint::rules::{
     env_config, one_log_reader, one_map_reader, raw_atomics, raw_locks, registry_deps,
-    unwrap_ratchet, wallclock, worm_writes,
+    unsafe_only_in, unwrap_ratchet, wallclock, worm_writes,
 };
 use clio_lint::{Diag, SourceFile};
 
@@ -440,4 +440,48 @@ fn shipped_tree_is_clean() {
             .join("\n")
     );
     assert!(report.rust_files > 100, "walker missed most of the tree");
+}
+
+#[test]
+fn unsafe_only_in_allows_only_the_named_functions() {
+    let bad = include_str!("fixtures/unsafe_only_in/bad.rs");
+    let lines = |rel: &str| -> Vec<u32> {
+        let diags = lint(rel, bad, unsafe_only_in::check);
+        assert!(
+            diags.iter().all(|d| d.rule == "unsafe-only-in"),
+            "{diags:?}"
+        );
+        diags.iter().map(|d| d.line).collect()
+    };
+    // In the file that owns `fold`: the unsafe fn, impl and trait, the
+    // block in `not_fold` and the one in the test module; nothing inside
+    // `fold` (its nested `unsafe fn` and the block that calls it).
+    assert_eq!(lines("crates/types/src/crc.rs"), vec![5, 10, 11, 23, 29]);
+    // The same function anywhere else is not on the list.
+    assert_eq!(lines("crates/core/src/read.rs").len(), 7);
+    assert_eq!(lines("crates/types/src/lib.rs").len(), 7);
+    // Outside crates/*/src the rule does not look.
+    assert!(lines("crates/types/tests/crc.rs").is_empty());
+    assert!(lines("perf/src/alloc.rs").is_empty());
+}
+
+#[test]
+fn unsafe_only_in_ignores_comments_strings_and_longer_identifiers() {
+    let diags = lint(
+        "crates/core/src/read.rs",
+        include_str!("fixtures/unsafe_only_in/clean.rs"),
+        unsafe_only_in::check,
+    );
+    assert!(diags.is_empty(), "{diags:?}");
+}
+
+#[test]
+fn unsafe_only_in_lists_each_function_with_its_reason() {
+    for (file, name, reason) in unsafe_only_in::ALLOWED {
+        assert!(
+            file.starts_with("crates/") && file.contains("/src/"),
+            "{file}"
+        );
+        assert!(!name.is_empty() && reason.len() > 40, "{file}::{name}");
+    }
 }

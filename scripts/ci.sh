@@ -28,7 +28,8 @@ fi
 # Workspace policy rules: retired registry deps, raw std locks and raw
 # std atomics, host clock reads, environment reads in library code, the
 # device-layer WORM write surface, the one log reader in clio-core, the
-# one entrymap record reader (clio-entrymap's chain.rs), and the unwrap
+# one entrymap record reader (clio-entrymap's chain.rs), `unsafe` only in
+# the functions its allow-list names (the CRC32 fold), and the unwrap
 # ratchet.
 # clio-lint lexes real token streams, so comments and strings don't trip
 # it the way they tripped the old grep.
