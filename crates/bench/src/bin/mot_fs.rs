@@ -1,147 +1,6 @@
-//! §1 motivation: standard file systems vs log files on large, continually
-//! growing files.
-//!
-//! Two claims are measured against our own conventional substrates:
-//!
-//! 1. "In indirect block file systems (such as Unix), blocks at the tail
-//!    end of such files become increasingly expensive to read and write."
-//!    — measured as device accesses to append/read one tail block as the
-//!    file grows through direct → single-indirect → double-indirect.
-//! 2. "In extent-based file systems, such files use up many extents" —
-//!    measured as extent counts for slowly growing files interleaved with
-//!    other allocation.
-//!
-//! The log file comparison point: an append is one (amortized) sequential
-//! block write with no per-append metadata access, at any size.
+//! The `mot_fs` harness, [`clio_bench::harness::mot_fs`]: its text on
+//! stdout; `--json` also writes `BENCH_mot_fs.json`.
 
-use std::sync::Arc;
-
-use clio_bench::report::Report;
-use clio_bench::table;
-use clio_core::service::{AppendOpts, LogService};
-use clio_core::ServiceConfig;
-use clio_device::MemBlockStore;
-use clio_fs::{ExtentFs, FileSystem};
-use clio_types::{ManualClock, Timestamp, VolumeSeqId};
-use clio_volume::MemDevicePool;
-
-fn main() {
-    let mut report = Report::new(
-        "mot_fs",
-        "§1 motivation — standard file systems vs log files on growing files",
-    );
-    indirect_block_costs(&mut report);
-    extent_fragmentation(&mut report);
-    log_file_comparison(&mut report);
-    report.emit();
-}
-
-fn indirect_block_costs(report: &mut Report) {
-    let bs = 512usize;
-    let fs = FileSystem::mkfs(MemBlockStore::new(bs, 20_000), 64).expect("mkfs");
-    let ino = fs.create("/grow").expect("create");
-    let block = vec![0xA5u8; bs];
-    let mut rows = Vec::new();
-    // Grow the file one block at a time; sample access costs at sizes that
-    // cross the indirection boundaries (512 B blocks: direct ≤ 10 blocks,
-    // single ≤ 74, double beyond).
-    let samples = [5u64, 9, 40, 74, 200, 1000, 4000];
-    let mut size = 0u64;
-    for &target in &samples {
-        while size < target {
-            fs.append(ino, &block).expect("append");
-            size += 1;
-        }
-        fs.reset_counters();
-        fs.append(ino, &block).expect("append");
-        size += 1;
-        let ap = fs.counters();
-        fs.reset_counters();
-        let mut buf = vec![0u8; bs];
-        fs.read_at(ino, (size - 1) * bs as u64, &mut buf)
-            .expect("tail read");
-        let rd = fs.counters();
-        rows.push(vec![
-            format!("{size}"),
-            format!("{}", fs.indirection_depth(size - 1)),
-            format!("{}", ap.total()),
-            format!("{}", rd.total()),
-        ]);
-    }
-    println!("§1(a) — indirect-block FS: device accesses per tail operation as a file grows (512 B blocks)\n");
-    let header = [
-        "file blocks",
-        "indirection",
-        "append accesses",
-        "tail-read accesses",
-    ];
-    print!("{}", table::render(&header, &rows));
-    report.table("indirect_block_fs", &header, &rows);
-    println!();
-}
-
-fn extent_fragmentation(report: &mut Report) {
-    // Four slowly growing files interleaved — the §1 log-file scenario.
-    let mut fs = ExtentFs::new(1 << 20);
-    let files: Vec<u32> = (0..4).map(|_| fs.create()).collect();
-    let mut rows = Vec::new();
-    for round in 1..=5u32 {
-        for _ in 0..200 {
-            for &f in &files {
-                fs.append(f, 1).expect("extent append");
-            }
-        }
-        let f0 = files[0];
-        rows.push(vec![
-            format!("{}", round * 200),
-            format!("{}", fs.extent_count(f0).expect("extents")),
-            format!("{}", fs.sequential_read_seeks(f0).expect("seeks")),
-        ]);
-    }
-    println!("§1(b) — extent-based FS: fragmentation of one of four interleaved growing files\n");
-    let header = ["appends per file", "extents", "seeks for sequential read"];
-    print!("{}", table::render(&header, &rows));
-    report.table("extent_fs", &header, &rows);
-    println!();
-}
-
-fn log_file_comparison(report: &mut Report) {
-    // The same growth pattern as §1(a), as a log file: count device
-    // appends per entry (always amortized-one, no metadata).
-    let cfg = ServiceConfig {
-        block_size: 512,
-        shards: 1,
-        ..ServiceConfig::default()
-    };
-    let svc = LogService::create(
-        VolumeSeqId(1),
-        Arc::new(MemDevicePool::new(512, 1 << 20)),
-        cfg,
-        Arc::new(ManualClock::starting_at(Timestamp::from_secs(1))),
-    )
-    .expect("service");
-    svc.create_log("/grow").expect("create");
-    let payload = vec![0xA5u8; 400];
-    for _ in 0..4000 {
-        svc.append_path("/grow", &payload, AppendOpts::standard())
-            .expect("append");
-    }
-    svc.flush().expect("flush");
-    let r = svc.report();
-    println!("§1(c) — the same growth as a Clio log file (400 B entries, 512 B blocks):");
-    println!(
-        "  4000 appends consumed {} sequential blocks; {:.3} device writes per entry, 0 metadata reads, at any size.",
-        r.blocks_sealed,
-        r.blocks_sealed as f64 / 4000.0
-    );
-    // The one-line Display of the service's own space accounting.
-    println!("  {r}");
-    report.scalar("log_file_appends", 4000u64);
-    report.scalar("log_file_blocks_sealed", r.blocks_sealed);
-    report.scalar("device_writes_per_entry", r.blocks_sealed as f64 / 4000.0);
-    report.note("(a) grows with file size, (b) grows with interleaving, (c) stays flat.");
-    println!(
-        "\nThe paper's motivation holds if (a) grows with file size, (b) grows with interleaving,"
-    );
-    println!("and (c) stays flat.");
+fn main() -> std::io::Result<()> {
+    clio_bench::harness::main(clio_bench::harness::mot_fs::run)
 }

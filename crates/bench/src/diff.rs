@@ -336,7 +336,7 @@ mod tests {
 
     #[test]
     fn self_diff_of_a_live_report_is_clean() {
-        let mut r = Report::from_args("demo", "t", Vec::new());
+        let mut r = Report::new("demo", "t", &[]);
         r.scalar("x", 5u64);
         r.table("t", &["a"], &[vec!["1.0".into()]]);
         let out = self_diff(&r, &DiffOptions::default());

@@ -1,7 +1,8 @@
 //! Shared infrastructure for the evaluation harness.
 //!
-//! One binary per table/figure of the paper lives in `src/bin/`; see
-//! DESIGN.md's per-experiment index. The pieces here are shared:
+//! Each table/figure of the paper has a module in [`harness`] and a
+//! binary of the same name in `src/bin/`; see DESIGN.md's per-experiment
+//! index. The pieces the harnesses share:
 //!
 //! - [`synth::SyntheticSource`]: a [`clio_entrymap::BlockSource`] that
 //!   *generates* block images on demand for a given entry placement, so
@@ -14,6 +15,7 @@
 //!   reports (the `bench_diff` binary).
 
 pub mod diff;
+pub mod harness;
 pub mod report;
 pub mod synth;
 pub mod table;

@@ -19,6 +19,8 @@
 //! so the JSON is a faithful record of the printed run, not a second
 //! computation that could drift.
 
+use std::io::{self, Write};
+
 use clio_obs::json::Value;
 
 /// Collects one binary's results and emits them as `BENCH_<name>.json`
@@ -33,16 +35,11 @@ pub struct Report {
 }
 
 impl Report {
-    /// Creates a report for the binary `name`, reading `--json` from the
-    /// process arguments.
+    /// Creates a report for the harness `name`, run with the command-line
+    /// arguments `args` (only `--json` matters here).
     #[must_use]
-    pub fn new(name: &str, title: &str) -> Report {
-        Report::from_args(name, title, std::env::args().skip(1))
-    }
-
-    /// As [`Report::new`], but with explicit arguments (for tests).
-    pub fn from_args(name: &str, title: &str, args: impl IntoIterator<Item = String>) -> Report {
-        let json = args.into_iter().any(|a| a == "--json");
+    pub fn new(name: &str, title: &str, args: &[String]) -> Report {
+        let json = args.iter().any(|a| a == "--json");
         Report {
             name: name.to_owned(),
             title: title.to_owned(),
@@ -104,18 +101,19 @@ impl Report {
         ])
     }
 
-    /// Writes `BENCH_<name>.json` to the current directory if `--json` was
-    /// requested; a no-op otherwise. Panics on I/O failure — in a harness,
-    /// silently losing the requested output is worse than dying.
-    pub fn emit(&self) {
+    /// Writes `BENCH_<name>.json` to the current directory and says so on
+    /// `out` if `--json` was requested; a no-op otherwise. Panics if the
+    /// file cannot be written — in a harness, silently losing the
+    /// requested output is worse than dying.
+    pub fn emit(&self, out: &mut impl Write) -> io::Result<()> {
         if !self.json {
-            return;
+            return Ok(());
         }
         let path = format!("BENCH_{}.json", self.name);
         let mut body = self.to_json().encode_pretty();
         body.push('\n');
         std::fs::write(&path, body).unwrap_or_else(|e| panic!("write {path}: {e}"));
-        println!("\n[--json] wrote {path}");
+        writeln!(out, "\n[--json] wrote {path}")
     }
 }
 
@@ -125,15 +123,15 @@ mod tests {
 
     #[test]
     fn flag_detection() {
-        let on = Report::from_args("x", "t", vec!["--json".to_owned()]);
+        let on = Report::new("x", "t", &["--json".to_owned()]);
         assert!(on.json_enabled());
-        let off = Report::from_args("x", "t", Vec::new());
+        let off = Report::new("x", "t", &[]);
         assert!(!off.json_enabled());
     }
 
     #[test]
     fn json_round_trips_through_the_decoder() {
-        let mut r = Report::from_args("demo", "a demo", vec!["--json".to_owned()]);
+        let mut r = Report::new("demo", "a demo", &["--json".to_owned()]);
         r.scalar("fanout", 16u64);
         r.scalar("ratio", 0.5f64);
         r.table(
