@@ -18,7 +18,7 @@ use clio_core::server::LogServer;
 use clio_core::service::LogService;
 use clio_core::ServiceConfig;
 use clio_costmodel::CostModel;
-use clio_types::{Timestamp, VolumeSeqId};
+use clio_types::{ManualClock, Timestamp, VolumeSeqId};
 use clio_volume::MemDevicePool;
 
 use crate::report::Report;
@@ -27,9 +27,7 @@ use crate::table;
 pub fn run(out: &mut impl Write, args: &[String]) -> io::Result<Report> {
     let mut report = Report::new("sec32_write", "§3.2 — synchronous log write cost", args);
     let model = CostModel::default();
-    let clock = Arc::new(clio_costmodel::CostClock::starting_at(
-        Timestamp::from_secs(1),
-    ));
+    let clock = Arc::new(ManualClock::starting_at(Timestamp::from_secs(1)));
     let svc = LogService::create(
         VolumeSeqId(1),
         Arc::new(MemDevicePool::new(1024, 1 << 20)),

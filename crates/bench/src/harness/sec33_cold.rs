@@ -5,19 +5,18 @@
 //! search tree nor the log data itself can be expected to be cached. A
 //! read of this type is expected to cost several hundred milliseconds."
 //!
-//! Here the whole service runs on a [`clio_costmodel::TimedDevice`]: every
-//! physical access pays the optical-disk seek/transfer costs on a virtual
-//! clock, so the number below is *measured* by driving the real read path
-//! cold, not computed from a formula.
+//! Here the whole service runs on a [`clio_costmodel::LatencyDevice`]:
+//! every physical access pays the optical-disk seek/transfer costs on a
+//! virtual clock, so the number below is *measured* by driving the real
+//! read path cold, not computed from a formula.
 
 use std::io::{self, Write};
 use std::sync::Arc;
 
 use clio_core::service::{AppendOpts, LogService};
 use clio_core::ServiceConfig;
-use clio_costmodel::{CostClock, CostModel, TimedDevice};
-use clio_device::SharedDevice;
-use clio_types::{Timestamp, VolumeSeqId};
+use clio_costmodel::{CostModel, LatencyDevice};
+use clio_types::{ManualClock, Timestamp, VolumeSeqId};
 use clio_volume::{MemDevicePool, RecordingPool};
 
 use crate::report::Report;
@@ -30,11 +29,11 @@ pub fn run(out: &mut impl Write, args: &[String]) -> io::Result<Report> {
         args,
     );
     let model = CostModel::default();
-    let clock = Arc::new(CostClock::starting_at(Timestamp::from_secs(1)));
+    let clock = Arc::new(ManualClock::starting_at(Timestamp::from_secs(1)));
     let timed_clock = clock.clone();
     let pool = Arc::new(RecordingPool::wrapping(
         Arc::new(MemDevicePool::new(1024, 1 << 20)),
-        move |base| Arc::new(TimedDevice::new(base, timed_clock.clone(), model)) as SharedDevice,
+        move |base| Arc::new(LatencyDevice::new(base, model, Some(timed_clock.clone()))),
     ));
     let svc = LogService::create(
         VolumeSeqId(1),
@@ -62,11 +61,11 @@ pub fn run(out: &mut impl Write, args: &[String]) -> io::Result<Report> {
             svc.cache().clear();
         }
         let before = svc.cache().stats();
-        let t0 = Timestamp(clock.elapsed_since(Timestamp::ZERO));
+        let t0 = clock.now_us();
         let mut cur = svc.cursor_from_end("/needle").expect("cursor");
         let hit = cur.prev().expect("prev").expect("needle exists");
         assert_eq!(hit.data, b"distant entry");
-        let elapsed_us = clock.elapsed_since(Timestamp::ZERO) - t0.0;
+        let elapsed_us = clock.now_us() - t0;
         let s = svc.cache().stats();
         rows.push(vec![
             label.to_owned(),

@@ -1,20 +1,23 @@
 //! Real-thread tests of the commit gate: forced appends that are known to
-//! be arriving ride the leader's write, and a contended shard loses
-//! nothing. (That a follower behind a slow commit parks, is woken and is
-//! durable is model-checked on the real service in `check_service.rs`.)
+//! be arriving ride the leader's write, a follower behind a slow device
+//! parks instead of spinning, and a contended shard loses nothing. (That
+//! a parked follower is woken and durable in every interleaving is
+//! model-checked on the real service in `check_service.rs`.)
 //!
 //! The interleavings are forced, not hoped for: the appenders are started
 //! while the test holds every state lock (`while_append_locked`), and the
-//! `arriving` gauge says when they have all announced themselves. No
-//! sleeps. Where the scheduler can still take a thread away at the wrong
-//! moment, the assertion is the protocol's contract — "they shared the
-//! write, or the leader's bounded wait ran out and said so" — not the
-//! lucky outcome.
+//! `arriving` gauge says when they have all announced themselves. The one
+//! slow write is a host-paced `LatencyDevice`, tens of milliseconds
+//! against a poll budget of tens of microseconds. Where the scheduler can
+//! still take a thread away at the wrong moment, the assertion is the
+//! protocol's contract — "they shared the write, or the leader's bounded
+//! wait ran out and said so" — not the lucky outcome.
 
 use std::sync::Arc;
 
 use clio_core::service::{AppendOpts, LogService, Receipt};
 use clio_core::ServiceConfig;
+use clio_costmodel::{CostModel, LatencyDevice};
 use clio_obs::MetricValue;
 use clio_types::{ManualClock, Timestamp, VolumeSeqId};
 use clio_volume::{DevicePool, MemDevicePool, RecordingPool};
@@ -98,6 +101,49 @@ fn announced_arrivals_share_the_leaders_write() {
         let block = receipts[0].addr.block;
         assert!(receipts.iter().all(|r| r.addr.block == block));
     }
+    for (r, p) in receipts.iter().zip(PAYLOADS) {
+        assert_eq!(svc.read_entry(r.addr).unwrap().data, p);
+    }
+}
+
+#[test]
+fn a_follower_behind_a_slow_write_parks() {
+    const PAYLOADS: [&[u8]; 2] = [b"first", b"second"];
+    // Every device access holds its caller for at least 20 ms of host
+    // time, so the leader's write outlasts a follower's poll budget
+    // (about 25 µs) by three orders of magnitude.
+    let model = CostModel {
+        optical_seek_us: 0,
+        optical_transfer_us: 20_000,
+        ..CostModel::default()
+    };
+    let pool = Arc::new(RecordingPool::wrapping(
+        Arc::new(MemDevicePool::new(256, 4096)),
+        move |inner| Arc::new(LatencyDevice::new(inner, model, None)),
+    ));
+    let svc = service(pool.clone());
+    svc.create_log("/txn").unwrap();
+
+    // A leader is inside the device write, under the state lock. The other
+    // appender either staged in time — then it is at the gate behind a
+    // commit that outlasts its polling, and must park — or the leader's
+    // wait for it ran out and it has yet to stage.
+    let receipts = release_together(&svc, &PAYLOADS);
+
+    println!(
+        "behind a slow write: {} parked, {} released polling, {} timed-out arrival wait(s)",
+        metric(&svc, PARKED),
+        metric(&svc, POLLED),
+        metric(&svc, TIMEOUTS)
+    );
+    if metric(&svc, TIMEOUTS) == 0 {
+        assert_eq!(metric(&svc, PARKED), 1, "the follower parked");
+        assert_eq!(metric(&svc, POLLED), 0, "nobody was released polling");
+    }
+    // Both entries are durable: they survive the service.
+    drop(svc);
+    let (svc, _) =
+        LogService::recover(pool.devices(), pool, ServiceConfig::small(), clock()).unwrap();
     for (r, p) in receipts.iter().zip(PAYLOADS) {
         assert_eq!(svc.read_entry(r.addr).unwrap().data, p);
     }

@@ -1,10 +1,10 @@
 //! Deterministic whole-system simulation of the log service.
 //!
-//! A seeded virtual-time scheduler (`clio_testkit::sim`) interleaves
-//! several simulated clients against a *real* `LogService` stacked on the
-//! fault/crash device. Every source of nondeterminism — scheduling order,
-//! workload choices, crash points, torn-tail garbage — derives from one
-//! `u64` seed, so any failure replays exactly:
+//! A seeded virtual-time scheduler (`clio_costmodel::Scheduler`)
+//! interleaves several simulated clients against a *real* `LogService`
+//! stacked on the fault/crash device. Every source of nondeterminism —
+//! scheduling order, workload choices, crash points, torn-tail garbage —
+//! derives from one `u64` seed, so any failure replays exactly:
 //!
 //! ```text
 //! CLIO_PROP_SEED=<seed> cargo test -p clio-core --test simulation
@@ -28,14 +28,14 @@ use std::sync::Arc;
 
 use clio_core::service::{AppendOpts, LogService};
 use clio_core::ServiceConfig;
-use clio_costmodel::CostModel;
+use clio_costmodel::{CostModel, Scheduler};
 use clio_device::{CrashSwitch, FaultPlan, FaultyDevice, RamTailDevice, SharedDevice};
 use clio_testkit::rng::splitmix64;
 use clio_testkit::sim::{
     check_history, check_history_with_shards, Addr, EventKind, History, LogScan, Op, Outcome,
-    Scheduler, SimClock, Violation, SYSTEM,
+    Violation, SYSTEM,
 };
-use clio_types::{Clock, EntryAddr, SeqNo, Timestamp, VolumeSeqId};
+use clio_types::{EntryAddr, ManualClock, SeqNo, Timestamp, VolumeSeqId};
 use clio_volume::{MemDevicePool, RecordingPool};
 
 const CLIENTS: usize = 4;
@@ -58,16 +58,6 @@ fn shard_map(svc: &LogService) -> std::collections::BTreeMap<u32, u32> {
             (log as u32, svc.shard_of(id))
         })
         .collect()
-}
-
-/// Bridges the testkit's virtual clock to the service's semantic clock:
-/// every timestamp consumes one unique virtual microsecond.
-struct SimServiceClock(Arc<SimClock>);
-
-impl Clock for SimServiceClock {
-    fn now(&self) -> Timestamp {
-        Timestamp(self.0.tick())
-    }
 }
 
 fn encode_payload(value: u64, len: usize) -> Vec<u8> {
@@ -450,14 +440,15 @@ fn run_sim_traced(
     let plan_seed = splitmix64(&mut s);
     let ram_tail = splitmix64(&mut s) & 1 == 1;
 
-    let clock = Arc::new(SimClock::starting_at(1_000_000));
-    // Trace spans read the sim's virtual time instead of the host clock;
-    // the guard restores the host source when the run ends.
+    // One virtual clock: the scheduler advances it, the service stamps
+    // entries with it (each stamp consumes one unique microsecond), and
+    // trace spans read it instead of the host clock; the guard restores
+    // the host source when the run ends.
+    let clock = Arc::new(ManualClock::starting_at(Timestamp(1_000_000)));
     let _vclock = {
         let c = clock.clone();
         clio_obs::clock::install_virtual_us(Arc::new(move || c.now_us()))
     };
-    let svc_clock: Arc<dyn Clock> = Arc::new(SimServiceClock(clock.clone()));
     let sw = CrashSwitch::new(fault_seed);
     let inner = Arc::new(MemDevicePool::new(512, 96));
     let sw_pool = sw.clone();
@@ -493,11 +484,11 @@ fn run_sim_traced(
         ..ServiceConfig::default()
     };
 
-    let mut sched = Scheduler::new(sched_seed, CLIENTS, clock);
+    let mut sched = Scheduler::new(sched_seed, CLIENTS, clock.clone());
     let cost = CostModel::default();
     let mut drv = Driver::new();
 
-    let mut svc = LogService::create(VolumeSeqId(6), pool.clone(), cfg.clone(), svc_clock.clone())
+    let mut svc = LogService::create(VolumeSeqId(6), pool.clone(), cfg.clone(), clock.clone())
         .expect("create service");
     for path in LOG_PATHS {
         svc.create_log(path).expect("create log");
@@ -537,7 +528,7 @@ fn run_sim_traced(
         drop(svc);
         sw.clear();
         let (recovered, _report) =
-            LogService::recover(pool.devices(), pool.clone(), cfg.clone(), svc_clock.clone())
+            LogService::recover(pool.devices(), pool.clone(), cfg.clone(), clock.clone())
                 .expect("recover");
         svc = recovered;
         let scans = scan_all(&svc);

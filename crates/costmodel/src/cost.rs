@@ -1,8 +1,5 @@
 //! The paper's measured per-operation costs (§3.2, §3.3.2, §4).
 
-use clio_testkit::sync::atomic::{AtomicU64, Ordering};
-use clio_types::{Clock, Timestamp};
-
 /// Per-operation latencies in microseconds, defaulted to the paper's
 /// measurements on a Sun-3 running the V-System.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -111,44 +108,6 @@ impl CostModel {
     }
 }
 
-/// A virtual clock that advances by *charged* model time: benchmarks charge
-/// per-operation costs and read the total as the modelled latency. Also
-/// usable as the service's [`Clock`], making entry timestamps advance with
-/// modelled time.
-#[derive(Debug, Default)]
-pub struct CostClock {
-    now_us: AtomicU64,
-}
-
-impl CostClock {
-    /// A clock starting at `start`.
-    #[must_use]
-    pub fn starting_at(start: Timestamp) -> CostClock {
-        CostClock {
-            now_us: AtomicU64::new(start.0),
-        }
-    }
-
-    /// Charges `us` microseconds of modelled time.
-    pub fn charge(&self, us: u64) {
-        self.now_us.fetch_add(us, Ordering::Relaxed);
-    }
-
-    /// Total modelled time elapsed.
-    #[must_use]
-    pub fn elapsed_since(&self, t0: Timestamp) -> u64 {
-        self.now_us.load(Ordering::Relaxed).saturating_sub(t0.0)
-    }
-}
-
-impl Clock for CostClock {
-    fn now(&self) -> Timestamp {
-        // Reading the clock costs nothing; ticking by 1 keeps timestamps
-        // unique, which the unique-id machinery relies on.
-        Timestamp(self.now_us.fetch_add(1, Ordering::Relaxed))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,15 +147,5 @@ mod tests {
         let h_ram_lo = h_disk * (f - 0.05);
         assert!(m.hbfs_ram_read_us(h_ram_hi) < m.hbfs_disk_read_us(h_disk));
         assert!(m.hbfs_ram_read_us(h_ram_lo) > m.hbfs_disk_read_us(h_disk));
-    }
-
-    #[test]
-    fn cost_clock_charges() {
-        let c = CostClock::starting_at(Timestamp(100));
-        let t0 = Timestamp(100);
-        c.charge(500);
-        let t = c.now();
-        assert!(t >= Timestamp(600));
-        assert!(c.elapsed_since(t0) >= 500);
     }
 }

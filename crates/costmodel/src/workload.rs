@@ -105,6 +105,9 @@ pub struct MailWorkload {
     pub n_boxes: usize,
 }
 
+/// Body-size scales a delivery draws from, uniformly.
+const MAIL_SCALES: [usize; 7] = [80, 80, 200, 200, 600, 2000, 8000];
+
 impl MailWorkload {
     /// A seeded generator over `n_boxes` mailboxes.
     #[must_use]
@@ -122,9 +125,7 @@ impl MailWorkload {
                 let to = self.rng.gen_range(0..self.n_boxes);
                 let subject = format!("message {i}");
                 // Sizes cluster small with a heavy tail, like real mail.
-                let scale: usize = *[80, 80, 200, 200, 600, 2000, 8000]
-                    .get(self.rng.gen_range(0..7usize))
-                    .expect("non-empty");
+                let scale = MAIL_SCALES[self.rng.gen_range(0..7usize)];
                 let len = self.rng.gen_range(scale / 2..=scale);
                 let mut body =
                     format!("From: gen\nTo: user{to}\nSubject: {subject}\n\n").into_bytes();

@@ -20,8 +20,10 @@ pub const NAME: &str = "no-raw-std-atomics";
 
 /// Paths where raw atomics are legitimate: the wrappers themselves (the
 /// model checker's own scheduler state is necessarily raw), and
-/// `ManualClock`'s tick — `clio-types` is the root of the crate graph
-/// and depends on nothing, `clio-testkit` included.
+/// `ManualClock`, the one virtual clock — `clio-types` is the root of the
+/// crate graph and depends on nothing, `clio-testkit` included. Giving it
+/// that edge would rewrite `perf/Cargo.lock`, which the benchmark builds
+/// from as committed.
 const ALLOWED_PREFIXES: &[&str] = &["crates/testkit/src/", "crates/types/src/time.rs"];
 
 /// Flags `std::sync::atomic`, as a path or inside a grouped

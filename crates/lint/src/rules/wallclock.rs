@@ -4,7 +4,9 @@
 //! reading function, `clio_obs::clock::read()`; semantic timestamps come
 //! from `clio_types::time::Clock`, which tests replace with a logical
 //! clock. Only the approved timing modules may call `Instant::now()` /
-//! `SystemTime::now()` themselves.
+//! `SystemTime::now()` themselves. Spending host time is policed the same
+//! way: `thread::sleep` only in `clio_obs::clock::hold`, which a
+//! host-paced latency device calls, and in the benchmark drivers.
 
 use crate::lexer::match_path;
 use crate::{Diag, SourceFile};
@@ -25,9 +27,10 @@ pub const NAME: &str = "no-wallclock";
 /// - `crates/types/src/time.rs` — `SystemClock`, the one production
 ///   implementation of the semantic `Clock` trait.
 ///
-/// `crates/costmodel/` is deliberately NOT approved: the cost models and the
-/// whole-system simulator derive every instant from seeded state, and a
-/// stray host-clock read there would silently break seed replay.
+/// `crates/costmodel/` is deliberately NOT approved: the cost table, the
+/// latency device and the simulation scheduler derive every instant from
+/// seeded state, and a stray host-clock read there would silently break
+/// seed replay.
 const APPROVED: &[&str] = &[
     "crates/obs/src/clock.rs",
     "crates/bench/",
@@ -36,26 +39,40 @@ const APPROVED: &[&str] = &[
     "crates/types/src/time.rs",
 ];
 
+/// Where sleeping is the point: `clio_obs::clock::hold`'s body, and
+/// benchmark drivers.
+const SLEEP_APPROVED: &[&str] = &["crates/obs/src/clock.rs", "crates/bench/"];
+
 /// Flags `Instant::now()` and `SystemTime::now()` outside the approved
-/// modules (test code included: deterministic tests are the point).
+/// modules, and `thread::sleep` outside its own (test code included:
+/// deterministic tests are the point).
 pub fn check(sf: &SourceFile, out: &mut Vec<Diag>) {
-    if APPROVED.iter().any(|p| sf.rel.starts_with(p)) {
-        return;
-    }
+    let approved = |list: &[&str]| list.iter().any(|p| sf.rel.starts_with(p));
+    let (reads, sleeps) = (!approved(APPROVED), !approved(SLEEP_APPROVED));
     let toks = &sf.toks;
     for i in 0..toks.len() {
+        let mut flag = |msg: String| {
+            out.push(Diag {
+                rel: sf.rel.clone(),
+                line: toks[i].line,
+                rule: NAME,
+                msg,
+            });
+        };
         for root in ["Instant", "SystemTime"] {
-            if match_path(toks, i, &[root, "now"]) {
-                out.push(Diag {
-                    rel: sf.rel.clone(),
-                    line: toks[i].line,
-                    rule: NAME,
-                    msg: format!(
-                        "host clock read `{root}::now()` — use clio_obs::clock::read() \
-                         for latencies and spans or clio_types::time::Clock for semantic time"
-                    ),
-                });
+            if reads && match_path(toks, i, &[root, "now"]) {
+                flag(format!(
+                    "host clock read `{root}::now()` — use clio_obs::clock::read() \
+                     for latencies and spans or clio_types::time::Clock for semantic time"
+                ));
             }
+        }
+        if sleeps && match_path(toks, i, &["thread", "sleep"]) {
+            flag(
+                "host sleep `thread::sleep` — spend modelled time with clio_obs::clock::hold \
+                  (a host-paced clio_costmodel::LatencyDevice)"
+                    .to_string(),
+            );
         }
     }
 }

@@ -24,6 +24,11 @@
 //! drops, so a simulation's spans carry virtual microseconds while
 //! concurrent real-time tests are unaffected. The host instant, and so
 //! every latency histogram, stays host time.
+//!
+//! The other direction — spending host time — also has one function
+//! here, [`hold`], the workspace's one sanctioned sleep (`no-wallclock`
+//! flags `thread::sleep` elsewhere): a latency device paced by the host
+//! clock holds its caller through it.
 
 use std::cell::RefCell;
 use std::sync::{Arc, OnceLock};
@@ -102,6 +107,11 @@ pub fn install_virtual_us(source: Arc<dyn Fn() -> u64>) -> VirtualClockGuard {
     VirtualClockGuard { _private: () }
 }
 
+/// Holds the calling thread for `us` microseconds of host time.
+pub fn hold(us: u64) {
+    std::thread::sleep(Duration::from_micros(us));
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,7 +153,7 @@ mod tests {
     fn host_durations_ignore_the_virtual_source() {
         let _g = install_virtual_us(Arc::new(|| 42));
         let a = read();
-        std::thread::sleep(Duration::from_millis(2));
+        hold(2_000);
         let b = read();
         assert_eq!((a.us(), b.us()), (42, 42));
         assert!(b.since(a) >= Duration::from_millis(2));

@@ -23,11 +23,10 @@
 //!   explicit named regression cases.
 //! * [`bench`] — a wall-clock micro-benchmark timer:
 //!   warmup, fixed-duration samples, median-of-samples reporting.
-//! * [`sim`] — deterministic whole-system simulation: a seeded
-//!   virtual-time scheduler over simulated clients, an operation-history
-//!   recorder, and a linearizability checker specialized to the log
-//!   model. One `u64` seed reproduces an entire multi-client,
-//!   multi-crash run.
+//! * [`sim`] — deterministic whole-system simulation: an
+//!   operation-history recorder and a linearizability checker specialized
+//!   to the log model (the seeded scheduler is `clio_costmodel`'s). One
+//!   `u64` seed reproduces an entire multi-client, multi-crash run.
 //! * [`check`] — a loom-lite concurrency model checker: a cooperative
 //!   scheduler explores thread interleavings of small protocol models
 //!   (bounded-preemption DFS + seeded random walk with byte-identical

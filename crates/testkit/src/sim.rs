@@ -1,18 +1,17 @@
-//! Deterministic whole-system simulation: a virtual-time scheduler, an
-//! operation-history recorder, and a linearizability checker specialized
-//! to the log-file model.
+//! Deterministic whole-system simulation: an operation-history recorder
+//! and a linearizability checker specialized to the log-file model.
 //!
-//! This is the FoundationDB-style composition point for everything the
-//! testkit already provides: all nondeterminism — which client runs next,
-//! when a crash fires, what a torn tail contains — is drawn from one
-//! seeded [`crate::rng::StdRng`] stream, so a whole multi-client,
-//! multi-crash run is a pure function of a printed `u64` seed and
-//! `CLIO_PROP_SEED=<n>` replays any failure byte-identically.
+//! The simulator itself is `crates/core/tests/simulation.rs`: it drives
+//! the real `LogService` under `clio_costmodel::Scheduler`, which draws
+//! all nondeterminism — which client runs next, when a crash fires, what
+//! a torn tail contains — from one seeded [`crate::rng::StdRng`] stream,
+//! so a whole multi-client, multi-crash run is a pure function of a
+//! printed `u64` seed and `CLIO_PROP_SEED=<n>` replays any failure
+//! byte-identically.
 //!
-//! The pieces are deliberately service-agnostic (plain integers for log
-//! ids, values, and addresses) so this module sits at the bottom of the
-//! dependency graph; the driver that wires them to the real `LogService`
-//! lives in `crates/core/tests/simulation.rs`.
+//! The pieces here are deliberately service-agnostic (plain integers for
+//! log ids, values, and addresses) so this module sits at the bottom of
+//! the dependency graph.
 //!
 //! # Model
 //!
@@ -40,133 +39,6 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use crate::rng::StdRng;
-
-// ---------------------------------------------------------------------
-// Virtual time.
-// ---------------------------------------------------------------------
-
-/// The simulation's virtual clock, in microseconds. Shared (via `Arc`)
-/// between the scheduler and whatever the system under test uses as its
-/// semantic clock, so entry timestamps advance with simulated time and
-/// never touch the host clock (`clio-lint`'s `no-wallclock` rule keeps it
-/// that way).
-#[derive(Debug, Default)]
-pub struct SimClock {
-    us: AtomicU64,
-}
-
-impl SimClock {
-    /// A clock starting at `start_us` virtual microseconds.
-    #[must_use]
-    pub fn starting_at(start_us: u64) -> SimClock {
-        SimClock {
-            us: AtomicU64::new(start_us),
-        }
-    }
-
-    /// The current virtual time.
-    #[must_use]
-    pub fn now_us(&self) -> u64 {
-        self.us.load(Ordering::Relaxed)
-    }
-
-    /// Advances virtual time to at least `us` (never backwards).
-    pub fn advance_to(&self, us: u64) {
-        self.us.fetch_max(us, Ordering::Relaxed);
-    }
-
-    /// Consumes one unique microsecond tick and returns the new time —
-    /// the hook for a semantic `Clock` implementation that needs strictly
-    /// increasing timestamps.
-    pub fn tick(&self) -> u64 {
-        self.us.fetch_add(1, Ordering::Relaxed) + 1
-    }
-}
-
-// ---------------------------------------------------------------------
-// Scheduler.
-// ---------------------------------------------------------------------
-
-/// A seeded virtual-time scheduler over N simulated clients.
-///
-/// Each client is either *runnable* or *blocked until* some virtual time
-/// (set by [`Scheduler::charge`] when its last operation's modelled cost
-/// is known). [`Scheduler::pick`] advances the clock to the earliest wake
-/// time and chooses uniformly at random — from the seeded stream — among
-/// every runnable client, which is where interleaving diversity comes
-/// from.
-pub struct Scheduler {
-    clock: Arc<SimClock>,
-    rng: StdRng,
-    wake: Vec<u64>,
-}
-
-impl Scheduler {
-    /// A scheduler for `clients` clients whose entire interleaving is a
-    /// function of `seed`.
-    #[must_use]
-    pub fn new(seed: u64, clients: usize, clock: Arc<SimClock>) -> Scheduler {
-        assert!(clients > 0, "scheduler needs at least one client");
-        let now = clock.now_us();
-        Scheduler {
-            clock,
-            rng: StdRng::seed_from_u64(seed),
-            wake: vec![now; clients],
-        }
-    }
-
-    /// Number of clients being scheduled.
-    #[must_use]
-    pub fn clients(&self) -> usize {
-        self.wake.len()
-    }
-
-    /// The shared virtual clock.
-    #[must_use]
-    pub fn clock(&self) -> &Arc<SimClock> {
-        &self.clock
-    }
-
-    /// The current virtual time.
-    #[must_use]
-    pub fn now_us(&self) -> u64 {
-        self.clock.now_us()
-    }
-
-    /// The scheduler's seeded randomness stream (also used by drivers for
-    /// workload choices, so one seed covers everything).
-    pub fn rng(&mut self) -> &mut StdRng {
-        &mut self.rng
-    }
-
-    /// Picks the next client to run: advances virtual time to the
-    /// earliest wake point and chooses uniformly among all clients
-    /// runnable at that time.
-    pub fn pick(&mut self) -> u32 {
-        let earliest = self
-            .wake
-            .iter()
-            .copied()
-            .min()
-            .expect("invariant: scheduler has at least one client");
-        self.clock.advance_to(earliest);
-        let now = self.clock.now_us();
-        let eligible: Vec<u32> = (0..self.wake.len() as u32)
-            .filter(|&c| self.wake[c as usize] <= now)
-            .collect();
-        eligible[self.rng.gen_range(0..eligible.len())]
-    }
-
-    /// Charges `client` `us` microseconds of modelled operation (and
-    /// think) time: it becomes runnable again at `now + us`.
-    pub fn charge(&mut self, client: u32, us: u64) {
-        self.wake[client as usize] = self.clock.now_us().saturating_add(us);
-    }
-}
 
 // ---------------------------------------------------------------------
 // History.
@@ -827,54 +699,6 @@ mod tests {
                 result: Ok(Outcome::Receipt { addr, ts: value }),
             },
         );
-    }
-
-    // -- scheduler ----------------------------------------------------
-
-    #[test]
-    fn scheduler_is_deterministic_per_seed() {
-        let run = |seed| {
-            let clock = Arc::new(SimClock::starting_at(0));
-            let mut s = Scheduler::new(seed, 4, clock);
-            let mut picks = Vec::new();
-            for step in 0..200u64 {
-                let c = s.pick();
-                picks.push(c);
-                s.charge(c, 10 + step % 7);
-            }
-            picks
-        };
-        assert_eq!(run(1), run(1));
-        assert_ne!(run(1), run(2));
-    }
-
-    #[test]
-    fn scheduler_advances_time_and_runs_everyone() {
-        let clock = Arc::new(SimClock::starting_at(100));
-        let mut s = Scheduler::new(9, 3, clock);
-        let mut seen = [false; 3];
-        let mut last = 0;
-        for _ in 0..60 {
-            let c = s.pick();
-            seen[c as usize] = true;
-            assert!(s.now_us() >= last, "virtual time went backwards");
-            last = s.now_us();
-            s.charge(c, 50);
-        }
-        assert!(seen.iter().all(|&x| x), "some client never ran: {seen:?}");
-        assert!(s.now_us() > 100, "clock never advanced");
-    }
-
-    #[test]
-    fn sim_clock_ticks_are_unique_and_monotone() {
-        let c = SimClock::starting_at(5);
-        let t1 = c.tick();
-        let t2 = c.tick();
-        assert!(t1 > 5 && t2 > t1);
-        c.advance_to(1000);
-        assert!(c.tick() > 1000);
-        c.advance_to(10); // never backwards
-        assert!(c.now_us() > 1000);
     }
 
     // -- checker: valid histories pass --------------------------------

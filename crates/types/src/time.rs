@@ -103,8 +103,12 @@ impl Clock for SystemClock {
     }
 }
 
-/// A manually advanced clock for tests: every call to [`Clock::now`]
-/// returns a strictly increasing timestamp (`base + ticks`).
+/// The workspace's one virtual clock, in microseconds: the service's
+/// semantic clock in tests, the modelled time a latency device charges,
+/// and the time a simulation's scheduler advances. Every call to
+/// [`Clock::now`] returns a strictly increasing timestamp (the current
+/// time, then one tick), so timestamps stay unique; [`ManualClock::now_us`]
+/// reads without ticking.
 #[derive(Debug, Default)]
 pub struct ManualClock {
     next: std::sync::atomic::AtomicU64,
@@ -119,10 +123,22 @@ impl ManualClock {
         }
     }
 
+    /// The current time in microseconds, without ticking.
+    #[must_use]
+    pub fn now_us(&self) -> u64 {
+        self.next.load(std::sync::atomic::Ordering::Relaxed)
+    }
+
     /// Jumps the clock forward by `us` microseconds.
     pub fn advance(&self, us: u64) {
         self.next
             .fetch_add(us, std::sync::atomic::Ordering::Relaxed);
+    }
+
+    /// Moves the clock to at least `us` (never backwards).
+    pub fn advance_to(&self, us: u64) {
+        self.next
+            .fetch_max(us, std::sync::atomic::Ordering::Relaxed);
     }
 }
 
@@ -170,8 +186,23 @@ mod tests {
         let a = c.now();
         let b = c.now();
         assert!(b > a);
+        assert_eq!((a, b), (Timestamp(100), Timestamp(101)));
+        assert_eq!(c.now_us(), 102, "now_us reads without ticking");
+        assert_eq!(c.now_us(), 102);
         c.advance(50);
         assert!(c.now() >= Timestamp(152));
+        // Charged time reads back.
+        let t0 = c.now_us();
+        c.advance(500);
+        assert!(c.now() >= Timestamp(t0 + 500));
+        assert!(c.now_us() - t0 >= 500);
+        // advance_to moves forward only; ticks stay unique past it.
+        c.advance_to(1_000);
+        let t1 = c.now();
+        let t2 = c.now();
+        assert!(t1 >= Timestamp(1_000) && t2 > t1);
+        c.advance_to(10);
+        assert!(c.now_us() > 1_000, "advance_to never goes backwards");
     }
 
     #[test]
