@@ -3,26 +3,35 @@
 //!
 //! Every [`crate::LogService`] owns a [`ServiceObs`]: one
 //! [`MetricsRegistry`] into which the device layer, the block cache, the
-//! space accountant and the service's own op histograms all register, plus
-//! a [`TraceRing`] recording the span tree of each logical operation. The
-//! service exposes the whole thing via [`crate::LogService::metrics_text`] /
+//! shards' space accounting and the service's own op histograms all
+//! register, plus a [`TraceRing`] recording the span tree of each logical
+//! operation. Each event is counted in one place, and a coarser series is
+//! the sum of finer stripes: an append in its log's series, which the
+//! shard and service totals sum; a commit in its shard's. The service
+//! exposes the whole thing via [`crate::LogService::metrics_text`] /
 //! [`crate::LogService::metrics_json`] / [`crate::LogService::trace_dump`],
 //! and over the client/server channel via the `Stats` request.
 
-use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use clio_device::{DeviceStats, InstrumentedDevice, SharedDevice};
 use clio_entrymap::LocateStats;
 use clio_obs::clock::Reading;
-use clio_obs::{Counter, Gauge, Histogram, MetricsRegistry, SpanGuard, TraceRing};
-use clio_testkit::sync::Mutex;
+use clio_obs::{Counter, Gauge, Histogram, MetricsRegistry, Series, SpanGuard, TraceRing};
 use clio_types::{LogFileId, Result};
 use clio_volume::DevicePool;
 
 use crate::recovery::RecoveryReport;
-use crate::stats::SpaceReport;
+use crate::stats::Space;
+
+/// Service totals read as the sum of per-log or per-shard stripes.
+const APPENDS_TOTAL: &str = "clio_core_appends_total";
+const APPEND_LATENCY: &str = "clio_core_append_latency_ns";
+const COMMITS_TOTAL: &str = "clio_core_group_commit_batches_total";
+const COMMIT_BLOCKS: &str = "clio_core_group_commit_batch_blocks";
+/// Per-shard appends: the sum of the shard's logs' append counters.
+const SHARD_APPENDS: &str = "clio_shard_appends_total";
 
 /// Per-log-file metric series (labeled `{log="<id>"}` in the registry):
 /// groundwork for sharding, where per-log traffic shapes placement.
@@ -37,11 +46,8 @@ struct PerLog {
 type PerLogPage = Box<[OnceLock<PerLog>]>;
 
 /// Per-shard metric series (labeled `{shard="<i>"}`): one set per append
-/// domain, cached in the owning shard so the hot path never takes the
-/// lazy-creation map lock.
+/// domain, held by the shard.
 pub(crate) struct PerShard {
-    /// Successful appends routed to this shard.
-    pub appends: Arc<Counter>,
     /// Commit batches this shard's gate wrote.
     pub commits: Arc<Counter>,
     /// Times a forced appender on this shard became the commit leader.
@@ -64,6 +70,8 @@ pub(crate) struct PerShard {
     /// (`clio_core_shard<i>_sealed_queue_blocks`); set at seal and drain,
     /// never per append.
     pub sealed_queue_blocks: Arc<Gauge>,
+    /// This shard's §3.5 space accounting (stripes of `clio_space_*`).
+    pub space: Space,
 }
 
 /// The observability state of one service instance.
@@ -75,22 +83,17 @@ pub struct ServiceObs {
     /// byte a series), so the per-op lookup is two loads — no lock, and no
     /// reference count shared between a log's appender and its readers.
     per_log: Box<[OnceLock<PerLogPage>]>,
-    /// Per-shard series, created lazily at shard construction.
-    per_shard: Mutex<BTreeMap<u32, Arc<PerShard>>>,
     /// Counters shared by every device the service touches (the volume
     /// sequence wraps each pool device in an [`InstrumentedDevice`]).
     pub device_stats: Arc<DeviceStats>,
-    /// Wall-clock latency of `append` calls, ns.
-    pub append_latency: Arc<Histogram>,
     /// Wall-clock latency of `read_entry` calls, ns.
-    pub read_latency: Arc<Histogram>,
+    read_latency: Arc<Histogram>,
     /// Wall-clock latency of entrymap locate searches, ns.
-    pub locate_latency: Arc<Histogram>,
+    locate_latency: Arc<Histogram>,
     /// Blocks read per locate search.
-    pub locate_blocks: Arc<Histogram>,
+    locate_blocks: Arc<Histogram>,
     /// Tree-descent depth (highest level climbed) per locate search.
-    pub locate_depth: Arc<Histogram>,
-    appends: Arc<Counter>,
+    locate_depth: Arc<Histogram>,
     append_errors: Arc<Counter>,
     reads: Arc<Counter>,
     read_errors: Arc<Counter>,
@@ -100,34 +103,34 @@ pub struct ServiceObs {
     locate_memo_hits: Arc<Counter>,
     creates: Arc<Counter>,
     view_publishes: Arc<Counter>,
-    group_commit_batches: Arc<Counter>,
     forced_writes_saved: Arc<Counter>,
-    /// Blocks written per group-commit batch (log2 buckets).
-    pub group_commit_batch_blocks: Arc<Histogram>,
 }
 
 impl ServiceObs {
     /// Builds the registry, registers the shared device counters, and sizes
     /// the trace ring to `trace_events`.
     #[must_use]
-    pub fn new(trace_events: usize) -> Arc<ServiceObs> {
+    pub(crate) fn new(trace_events: usize) -> Arc<ServiceObs> {
         let registry = Arc::new(MetricsRegistry::new());
         let device_stats = DeviceStats::new(&registry);
         let trace = Arc::new(TraceRing::new(trace_events));
         if trace.capacity() > 0 {
             device_stats.attach_trace(trace.clone());
         }
+        // Totals of stripes, registered now so they read 0 before the
+        // first stripe arrives.
+        let _ = registry.counter(APPENDS_TOTAL);
+        let _ = registry.histogram(APPEND_LATENCY);
+        let _ = registry.counter(COMMITS_TOTAL);
+        let _ = registry.histogram(COMMIT_BLOCKS);
         Arc::new(ServiceObs {
             trace,
             per_log: (0..256).map(|_| OnceLock::new()).collect(),
-            per_shard: Mutex::new(BTreeMap::new()),
             device_stats,
-            append_latency: registry.histogram("clio_core_append_latency_ns"),
             read_latency: registry.histogram("clio_core_read_latency_ns"),
             locate_latency: registry.histogram("clio_core_locate_latency_ns"),
             locate_blocks: registry.histogram("clio_core_locate_blocks"),
             locate_depth: registry.histogram("clio_core_locate_depth"),
-            appends: registry.counter("clio_core_appends_total"),
             append_errors: registry.counter("clio_core_append_errors_total"),
             reads: registry.counter("clio_core_reads_total"),
             read_errors: registry.counter("clio_core_read_errors_total"),
@@ -135,9 +138,7 @@ impl ServiceObs {
             locate_memo_hits: registry.counter("clio_core_locate_memo_hits_total"),
             creates: registry.counter("clio_core_creates_total"),
             view_publishes: registry.counter("clio_core_view_publishes_total"),
-            group_commit_batches: registry.counter("clio_core_group_commit_batches_total"),
             forced_writes_saved: registry.counter("clio_core_forced_writes_saved_total"),
-            group_commit_batch_blocks: registry.histogram("clio_core_group_commit_batch_blocks"),
             registry,
         })
     }
@@ -170,87 +171,71 @@ impl ServiceObs {
         self.trace.span_at(name, at)
     }
 
-    /// The per-log metric series for `id`, created on first touch. Fetched
-    /// before the slot's `get_or_init`, not inside it: the registry's lock
-    /// is a model-checker scheduling point, and a thread blocked in a
+    /// The per-log metric series for `id`, created on first touch by shard
+    /// `shard`, which holds the log's entries (a reserved log has entries
+    /// on every shard, but its series only count reads). Fetched before
+    /// the slot's `get_or_init`, not inside it: the registry's lock is a
+    /// model-checker scheduling point, and a thread blocked in a
     /// `OnceLock` waits where the checker cannot see it. Racing first
-    /// touches fetch the same series, so the one that loses loses nothing.
-    fn per_log(&self, id: LogFileId) -> &PerLog {
+    /// touches fetch the same series, and the registry adopts it into its
+    /// totals once, in the hold that creates it.
+    fn per_log(&self, shard: u32, id: LogFileId) -> &PerLog {
         let page = self.per_log[usize::from(id.0 >> 8)]
             .get_or_init(|| (0..256).map(|_| OnceLock::new()).collect());
         let slot = &page[usize::from(id.0 & 0xFF)];
         if let Some(series) = slot.get() {
             return series;
         }
-        let label = id.0.to_string();
+        let (label, shard) = (id.0.to_string(), shard.to_string());
         let labels: &[(&str, &str)] = &[("log", &label)];
+        let appends: &[Series] = &[(APPENDS_TOTAL, &[]), (SHARD_APPENDS, &[("shard", &shard)])];
+        let latency: &[Series] = &[(APPEND_LATENCY, &[])];
+        let reg = &self.registry;
         let series = PerLog {
-            appends: self.registry.counter_with("clio_log_appends_total", labels),
-            reads: self.registry.counter_with("clio_log_reads_total", labels),
-            append_ns: self
-                .registry
-                .histogram_with("clio_log_append_latency_ns", labels),
-            read_ns: self
-                .registry
-                .histogram_with("clio_log_read_latency_ns", labels),
+            appends: reg.counter_with("clio_log_appends_total", labels, appends),
+            reads: reg.counter_with("clio_log_reads_total", labels, &[]),
+            append_ns: reg.histogram_with("clio_log_append_latency_ns", labels, latency),
+            read_ns: reg.histogram_with("clio_log_read_latency_ns", labels, &[]),
         };
         slot.get_or_init(|| series)
     }
 
-    /// The per-shard metric series for append domain `idx`, created on
-    /// first touch. Shards fetch this once at construction and cache the
-    /// `Arc`, so the map mutex stays off the append path.
-    pub(crate) fn per_shard(&self, idx: u32) -> Arc<PerShard> {
-        let mut map = self.per_shard.lock();
-        map.entry(idx)
-            .or_insert_with(|| {
-                let label = idx.to_string();
-                let labels: &[(&str, &str)] = &[("shard", &label)];
-                Arc::new(PerShard {
-                    appends: self
-                        .registry
-                        .counter_with("clio_shard_appends_total", labels),
-                    commits: self
-                        .registry
-                        .counter_with("clio_shard_commits_total", labels),
-                    leader_elections: self
-                        .registry
-                        .counter_with("clio_shard_leader_elections_total", labels),
-                    commit_batch_blocks: self
-                        .registry
-                        .histogram_with("clio_shard_commit_batch_blocks", labels),
-                    followers_polled: self
-                        .registry
-                        .counter_with("clio_shard_followers_polled_total", labels),
-                    followers_parked: self
-                        .registry
-                        .counter_with("clio_shard_followers_parked_total", labels),
-                    arrival_waits: self
-                        .registry
-                        .counter_with("clio_shard_arrival_waits_total", labels),
-                    arrival_timeouts: self
-                        .registry
-                        .counter_with("clio_shard_arrival_timeouts_total", labels),
-                    arriving: self
-                        .registry
-                        .gauge(&format!("clio_core_shard{idx}_arriving")),
-                    sealed_queue_blocks: self
-                        .registry
-                        .gauge(&format!("clio_core_shard{idx}_sealed_queue_blocks")),
-                })
-            })
-            .clone()
+    /// The metric series of append domain `idx`, made once, when the
+    /// shard is: its space counters join the `clio_space_*` totals here.
+    pub(crate) fn per_shard(&self, idx: u32) -> PerShard {
+        let label = idx.to_string();
+        let labels: &[(&str, &str)] = &[("shard", &label)];
+        let reg = &self.registry;
+        let counter = |name: &str| reg.counter_with(name, labels, &[]);
+        // The sum of this shard's logs' stripes; registered now so a shard
+        // with no appends reads 0.
+        let _ = counter(SHARD_APPENDS);
+        PerShard {
+            commits: reg.counter_with("clio_shard_commits_total", labels, &[(COMMITS_TOTAL, &[])]),
+            leader_elections: counter("clio_shard_leader_elections_total"),
+            commit_batch_blocks: reg.histogram_with(
+                "clio_shard_commit_batch_blocks",
+                labels,
+                &[(COMMIT_BLOCKS, &[])],
+            ),
+            followers_polled: counter("clio_shard_followers_polled_total"),
+            followers_parked: counter("clio_shard_followers_parked_total"),
+            arrival_waits: counter("clio_shard_arrival_waits_total"),
+            arrival_timeouts: counter("clio_shard_arrival_timeouts_total"),
+            arriving: reg.gauge(&format!("clio_core_shard{idx}_arriving")),
+            sealed_queue_blocks: reg.gauge(&format!("clio_core_shard{idx}_sealed_queue_blocks")),
+            space: Space::adopted_by(reg),
+        }
     }
 
-    /// Records an `append`'s latency and counters (service-wide and
-    /// per-log). The trace side is the caller's root `append` span — see
+    /// Records an `append` to log `id` on shard `shard`: its latency and
+    /// count in the log's series, which the shard and service totals sum.
+    /// The trace side is the caller's root `append` span — see
     /// [`crate::LogService::append`] — so phases nest under one tree
     /// instead of landing as a second flat event.
-    pub fn note_append(&self, id: LogFileId, dur: Duration, ok: bool) {
+    pub(crate) fn note_append(&self, shard: u32, id: LogFileId, dur: Duration, ok: bool) {
         if ok {
-            self.appends.inc();
-            self.append_latency.record_duration(dur);
-            let per_log = self.per_log(id);
+            let per_log = self.per_log(shard, id);
             per_log.appends.inc();
             per_log.append_ns.record_duration(dur);
         } else {
@@ -258,14 +243,14 @@ impl ServiceObs {
         }
     }
 
-    /// Records a `read_entry`'s latency and counters; the trace side is
-    /// the caller's root `read` span.
-    pub fn note_read(&self, target: Option<LogFileId>, dur: Duration, ok: bool) {
+    /// Records a `read_entry` on shard `shard`: its latency and counters;
+    /// the trace side is the caller's root `read` span.
+    pub(crate) fn note_read(&self, shard: u32, target: Option<LogFileId>, dur: Duration, ok: bool) {
         if ok {
             self.reads.inc();
             self.read_latency.record_duration(dur);
             if let Some(id) = target {
-                let per_log = self.per_log(id);
+                let per_log = self.per_log(shard, id);
                 per_log.reads.inc();
                 per_log.read_ns.record_duration(dur);
             }
@@ -276,7 +261,7 @@ impl ServiceObs {
 
     /// Records one entrymap locate search from its [`LocateStats`]; the
     /// trace side is the caller's `locate` span.
-    pub fn note_locate(&self, stats: &LocateStats, dur: Duration) {
+    pub(crate) fn note_locate(&self, stats: &LocateStats, dur: Duration) {
         self.locates.inc();
         self.locate_memo_hits.add(stats.memo_hits);
         self.locate_latency.record_duration(dur);
@@ -286,24 +271,21 @@ impl ServiceObs {
 
     /// Counts a successful `create_log`; the trace side is the caller's
     /// `create_log` span.
-    pub fn note_create(&self) {
+    pub(crate) fn note_create(&self) {
         self.creates.inc();
     }
 
     /// Counts one republication of the read snapshot (an op republishes
     /// only when the snapshot would differ, so this tracks snapshot churn).
-    pub fn note_view_publish(&self) {
+    pub(crate) fn note_view_publish(&self) {
         self.view_publishes.inc();
     }
 
-    /// Records one group-commit batch: how many blocks it wrote, how many
-    /// staged forced appends it covered, and how many physical device
-    /// writes it took. "Writes saved" is the forced appends covered beyond
-    /// the device writes the batch actually issued (a lone forced append
-    /// commits with one write, saving nothing).
-    pub fn note_group_commit(&self, blocks: u64, forced_covered: u64, device_writes: u64) {
-        self.group_commit_batches.inc();
-        self.group_commit_batch_blocks.record(blocks);
+    /// Counts the device writes a group commit saved: the forced appends
+    /// it covered beyond the writes it issued (a lone forced append commits
+    /// with one write, saving nothing). The batch itself is counted in its
+    /// shard's series.
+    pub(crate) fn note_writes_saved(&self, forced_covered: u64, device_writes: u64) {
         let saved = forced_covered.saturating_sub(device_writes.max(1));
         if saved > 0 {
             self.forced_writes_saved.add(saved);
@@ -313,33 +295,19 @@ impl ServiceObs {
     /// Adopts the shared block cache's counters into the registry and, when
     /// tracing is enabled, hooks the cache's single-flight loads into the
     /// trace ring.
-    pub fn attach_cache(&self, cache: &Arc<clio_cache::BlockCache<clio_format::ParsedBlock>>) {
+    pub(crate) fn attach_cache(
+        &self,
+        cache: &Arc<clio_cache::BlockCache<clio_format::ParsedBlock>>,
+    ) {
         cache.register_into(&self.registry);
         if self.trace.capacity() > 0 {
             cache.attach_trace(self.trace.clone());
         }
     }
 
-    /// Publishes the space-overhead report as gauges (called at exposition
-    /// time — `SpaceStats` lives inside the service's state lock, so it is
-    /// sampled rather than registered).
-    pub fn publish_space(&self, r: &SpaceReport) {
-        let set = |name: &str, v: u64| {
-            self.registry
-                .gauge(name)
-                .set(i64::try_from(v).unwrap_or(i64::MAX));
-        };
-        set("clio_space_entries", r.entries);
-        set("clio_space_client_bytes", r.client_bytes);
-        set("clio_space_device_bytes", r.device_bytes);
-        set("clio_space_blocks_sealed", r.blocks_sealed);
-        set("clio_space_padding_bytes", r.padding_bytes);
-        set("clio_space_entrymap_entries", r.entrymap_entries);
-    }
-
     /// Publishes the per-phase recovery timings and totals as gauges, and
     /// traces one `recover` event.
-    pub fn publish_recovery(&self, r: &RecoveryReport) {
+    pub(crate) fn publish_recovery(&self, r: &RecoveryReport) {
         let set = |name: &str, v: u64| {
             self.registry
                 .gauge(name)
@@ -357,7 +325,7 @@ impl ServiceObs {
 
     /// Wraps a device so its ops land in this service's shared counters.
     #[must_use]
-    pub fn instrument_device(&self, dev: SharedDevice) -> SharedDevice {
+    pub(crate) fn instrument_device(&self, dev: SharedDevice) -> SharedDevice {
         Arc::new(InstrumentedDevice::new(dev, self.device_stats.clone()))
     }
 }
@@ -366,7 +334,7 @@ impl ServiceObs {
 /// [`InstrumentedDevice`] that shares the service's [`DeviceStats`]. It
 /// sits *outside* any recording pool the caller supplied, so crash/recover
 /// tests still get the raw (non-volatile) devices back from their pool.
-pub struct InstrumentingPool {
+pub(crate) struct InstrumentingPool {
     inner: Arc<dyn DevicePool>,
     obs: Arc<ServiceObs>,
 }
@@ -374,7 +342,7 @@ pub struct InstrumentingPool {
 impl InstrumentingPool {
     /// Wraps `inner` so new devices report into `obs`.
     #[must_use]
-    pub fn new(inner: Arc<dyn DevicePool>, obs: Arc<ServiceObs>) -> InstrumentingPool {
+    pub(crate) fn new(inner: Arc<dyn DevicePool>, obs: Arc<ServiceObs>) -> InstrumentingPool {
         InstrumentingPool { inner, obs }
     }
 }
@@ -396,9 +364,9 @@ mod tests {
     #[test]
     fn notes_feed_counters_and_histograms() {
         let obs = ServiceObs::new(16);
-        obs.note_append(LogFileId(8), Duration::from_micros(10), true);
-        obs.note_append(LogFileId(8), Duration::from_micros(5), false);
-        obs.note_read(Some(LogFileId(8)), Duration::from_micros(3), true);
+        obs.note_append(0, LogFileId(8), Duration::from_micros(10), true);
+        obs.note_append(0, LogFileId(8), Duration::from_micros(5), false);
+        obs.note_read(0, Some(LogFileId(8)), Duration::from_micros(3), true);
         let stats = LocateStats {
             blocks_read: 4,
             map_entries_examined: 3,
@@ -418,6 +386,9 @@ mod tests {
         assert!(text.contains("clio_log_appends_total{log=\"8\"} 1"));
         assert!(text.contains("clio_log_reads_total{log=\"8\"} 1"));
         assert!(text.contains("clio_log_append_latency_ns_count{log=\"8\"} 1"));
+        // The totals are the sums of the per-log stripes.
+        assert!(text.contains("clio_shard_appends_total{shard=\"0\"} 1"));
+        assert!(text.contains("clio_core_append_latency_ns_count 1"));
     }
 
     #[test]

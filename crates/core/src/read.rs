@@ -609,7 +609,8 @@ impl Shard {
         if r.is_err() {
             span.fail("error");
         }
-        self.obs.note_read(target, span.close(), r.is_ok());
+        self.obs
+            .note_read(self.idx, target, span.close(), r.is_ok());
         r
     }
 

@@ -180,8 +180,8 @@ pub struct LogServer {
 }
 
 /// Serves the observability endpoint from the live service: metrics and
-/// traces are snapshotted per request (all lock-free or short-lock reads),
-/// and every scrape counts itself in the registry it is scraping.
+/// traces are snapshotted per request (lock-free or short-lock reads, no
+/// state lock), and every scrape counts itself in the registry it scrapes.
 struct ServiceObsProvider {
     svc: Arc<LogService>,
     scrapes: Arc<Counter>,

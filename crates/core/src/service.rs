@@ -34,7 +34,7 @@ use clio_volume::{DevicePool, Volume, VolumeSequence};
 use crate::catalog::Catalog;
 use crate::config::ServiceConfig;
 use crate::obs::{InstrumentingPool, PerShard, ServiceObs};
-use crate::stats::{SpaceReport, SpaceStats};
+use crate::stats::SpaceReport;
 
 /// Bits of an `EntryAddr`'s 32-bit volume coordinate carrying the
 /// per-shard volume index; the high bits carry the shard. Shard 0
@@ -376,7 +376,6 @@ pub(crate) struct State {
     pub carryover: Vec<clio_format::EntrymapRecord>,
     /// Invalidated blocks awaiting a bad-block log record.
     pub pending_badblocks: Vec<u64>,
-    pub stats: SpaceStats,
     /// Blocks sealed in memory, awaiting a vectored write; at most
     /// `MAX_BATCH_BLOCKS` deep (with append verification, empty outside a
     /// seal). Shared into snapshots; replaced, never mutated.
@@ -542,8 +541,8 @@ pub(crate) struct Shard {
     pub(crate) clock: Arc<dyn Clock>,
     pub(crate) cfg: ServiceConfig,
     pub(crate) obs: Arc<ServiceObs>,
-    /// Cached per-shard metric series (counter map lock paid once here).
-    pub(crate) pshard: Arc<PerShard>,
+    /// This shard's metric series.
+    pub(crate) pshard: PerShard,
     pub(crate) state: Mutex<State>,
     /// The current read snapshot; reads `get` it and never lock `state`.
     pub(crate) view: ArcCell<ReadView>,
@@ -642,7 +641,6 @@ impl Shard {
                     pending_snap: Some(pending_snap),
                     carryover: Vec::new(),
                     pending_badblocks: Vec::new(),
-                    stats: SpaceStats::default(),
                     sealed_queue: Arc::default(),
                     staged_forced: 0,
                     forced_seq: 0,
@@ -754,10 +752,7 @@ impl Shard {
         let (r, latency) = self.stage_and_commit(span, start, arrival, 1, move |st| {
             self.append_locked(st, snap.catalog(), id, data, opts)
         });
-        self.obs.note_append(id, latency, r.is_ok());
-        if r.is_ok() {
-            self.pshard.appends.inc();
-        }
+        self.obs.note_append(self.idx, id, latency, r.is_ok());
         r
     }
 
@@ -984,7 +979,7 @@ impl Shard {
             matches!(form, EntryForm::Timestamped | EntryForm::Full).then_some(now),
             opts.seqno,
         );
-        let (vol_idx, db, slot) = self.push_record(st, header, data, true)?;
+        let (vol_idx, db, slot) = self.push_record(st, header, data)?;
         let addr = EntryAddr::new(vol_idx, clio_types::BlockNo(db), slot);
         self.drain_badblocks(st)?;
         Ok(Receipt {
@@ -1050,24 +1045,16 @@ impl Shard {
             Ok(receipts)
         });
         for &(id, _) in &items[..tried] {
-            self.obs.note_append(id, latency, r.is_ok());
-        }
-        if r.is_ok() {
-            self.pshard.appends.add(entries);
+            self.obs.note_append(self.idx, id, latency, r.is_ok());
         }
         r
-    }
-
-    /// A clone of this shard's space accounting (merged by the router).
-    pub(crate) fn space_stats(&self) -> SpaceStats {
-        self.state.lock().stats.clone()
     }
 
     /// Writes a catalog record durably (forced, timestamped).
     fn append_catalog_record(&self, st: &mut State, rec: &CatalogRecord) -> Result<()> {
         let now = self.clock.now();
         let header = EntryHeader::new(LogFileId::CATALOG, EntryForm::Timestamped, Some(now), None);
-        self.push_record(st, header, &rec.encode(), false)?;
+        self.push_record(st, header, &rec.encode())?;
         // Committed directly under the state lock (not through the gate):
         // catalog changes are rare and already serialized with any commit
         // leader by the lock itself.
@@ -1438,14 +1425,11 @@ impl LogService {
             .collect())
     }
 
-    /// The space-overhead report (§3.5), merged across shards.
+    /// The space-overhead report (§3.5), summed across shards; it reads
+    /// the shards' counters and takes no lock.
     #[must_use]
     pub fn report(&self) -> SpaceReport {
-        let mut stats = SpaceStats::default();
-        for s in &self.shards {
-            stats.merge(&s.space_stats());
-        }
-        stats.report()
+        SpaceReport::of(self.shards.iter().map(|s| &s.pshard.space))
     }
 
     // ------------------------------------------------------------------
@@ -1467,17 +1451,15 @@ impl LogService {
     }
 
     /// The full registry rendered in the Prometheus-style text format.
-    /// Space gauges are refreshed from the live accounting first.
+    /// Takes the registry's lock and no shard's state lock.
     #[must_use]
     pub fn metrics_text(&self) -> String {
-        self.obs.publish_space(&self.report());
         clio_obs::expo::render_prometheus(self.obs.registry())
     }
 
     /// The full registry rendered as pretty-printed JSON.
     #[must_use]
     pub fn metrics_json(&self) -> String {
-        self.obs.publish_space(&self.report());
         clio_obs::expo::render_json(self.obs.registry())
     }
 

@@ -6,96 +6,77 @@
 //! header cost. The service counts every byte it writes so the §3.5 harness
 //! can report measured values of all these quantities.
 
+use std::sync::Arc;
+
+use clio_obs::{Counter, MetricsRegistry};
 use clio_types::LogFileId;
 
-/// Running space accounting for a service instance (session-scoped; it is
-/// not persisted and restarts from zero after recovery).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SpaceStats {
-    /// Total client entries appended.
-    pub entries: u64,
-    /// Total client payload bytes.
-    pub client_bytes: u64,
-    /// Total header + index-slot bytes for client entries.
-    pub header_bytes: u64,
-    /// Entrymap log entries written.
-    pub entrymap_entries: u64,
-    /// Bytes of entrymap records (payload + header + index slots).
-    pub entrymap_bytes: u64,
-    /// Bytes of catalog records.
-    pub catalog_bytes: u64,
-    /// Bytes of bad-block records.
-    pub badblock_bytes: u64,
+/// One shard's space accounting (session-scoped: it is not persisted and
+/// restarts from zero after recovery). Each field is this shard's stripe
+/// of the `clio_space_*` series of the same name: written under the
+/// shard's state lock, read by a scrape or [`SpaceReport::of`] without it.
+pub(crate) struct Space {
+    /// Client entries, their payload bytes, and their header + index-slot
+    /// bytes.
+    entries: Arc<Counter>,
+    client_bytes: Arc<Counter>,
+    header_bytes: Arc<Counter>,
+    /// Entrymap log entries, and their bytes (payload + header + index
+    /// slots).
+    entrymap_entries: Arc<Counter>,
+    entrymap_bytes: Arc<Counter>,
     /// Data blocks sealed onto the medium.
-    pub blocks_sealed: u64,
+    blocks_sealed: Arc<Counter>,
     /// Bytes left unused in sealed blocks (internal fragmentation; grows
     /// with forced writes on pure WORM devices, §2.3.1).
-    pub padding_bytes: u64,
-    /// Fixed per-block trailer bytes.
-    pub trailer_bytes: u64,
+    padding_bytes: Arc<Counter>,
+    /// Every byte above plus catalog and bad-block records and block
+    /// trailers: what the shard consumed on the device.
+    device_bytes: Arc<Counter>,
 }
 
-impl SpaceStats {
-    pub(crate) fn note_client_entry(&mut self, payload: usize, overhead: usize) {
-        self.entries += 1;
-        self.client_bytes += payload as u64;
-        self.header_bytes += overhead as u64;
-    }
-
-    pub(crate) fn note_service_entry(&mut self, id: LogFileId, total_bytes: usize) {
-        match id {
-            LogFileId::ENTRYMAP => {
-                self.entrymap_entries += 1;
-                self.entrymap_bytes += total_bytes as u64;
-            }
-            LogFileId::CATALOG => self.catalog_bytes += total_bytes as u64,
-            LogFileId::BAD_BLOCK => self.badblock_bytes += total_bytes as u64,
-            _ => {}
+impl Space {
+    /// Fresh counters, adopted by `reg` as stripes of `clio_space_*`.
+    pub(crate) fn adopted_by(reg: &MetricsRegistry) -> Space {
+        let stripe = |name: &str| {
+            let c = Arc::new(Counter::default());
+            reg.adopt(name, c.clone());
+            c
+        };
+        Space {
+            entries: stripe("clio_space_entries"),
+            client_bytes: stripe("clio_space_client_bytes"),
+            header_bytes: stripe("clio_space_header_bytes"),
+            entrymap_entries: stripe("clio_space_entrymap_entries"),
+            entrymap_bytes: stripe("clio_space_entrymap_bytes"),
+            blocks_sealed: stripe("clio_space_blocks_sealed"),
+            padding_bytes: stripe("clio_space_padding_bytes"),
+            device_bytes: stripe("clio_space_device_bytes"),
         }
     }
 
-    pub(crate) fn note_sealed_block(&mut self, padding: usize, trailer: usize) {
-        self.blocks_sealed += 1;
-        self.padding_bytes += padding as u64;
-        self.trailer_bytes += trailer as u64;
-    }
-
-    /// Folds another accounting into this one — how the sharded service
-    /// derives whole-service totals from its per-shard accountants.
-    pub fn merge(&mut self, other: &SpaceStats) {
-        self.entries += other.entries;
-        self.client_bytes += other.client_bytes;
-        self.header_bytes += other.header_bytes;
-        self.entrymap_entries += other.entrymap_entries;
-        self.entrymap_bytes += other.entrymap_bytes;
-        self.catalog_bytes += other.catalog_bytes;
-        self.badblock_bytes += other.badblock_bytes;
-        self.blocks_sealed += other.blocks_sealed;
-        self.padding_bytes += other.padding_bytes;
-        self.trailer_bytes += other.trailer_bytes;
-    }
-
-    /// Derives the §3.5 report.
-    #[must_use]
-    pub fn report(&self) -> SpaceReport {
-        let entries = self.entries.max(1) as f64;
-        SpaceReport {
-            entries: self.entries,
-            client_bytes: self.client_bytes,
-            avg_entry_size: self.client_bytes as f64 / entries,
-            avg_header_overhead: self.header_bytes as f64 / entries,
-            avg_entrymap_overhead: self.entrymap_bytes as f64 / entries,
-            entrymap_entries: self.entrymap_entries,
-            blocks_sealed: self.blocks_sealed,
-            padding_bytes: self.padding_bytes,
-            device_bytes: self.client_bytes
-                + self.header_bytes
-                + self.entrymap_bytes
-                + self.catalog_bytes
-                + self.badblock_bytes
-                + self.padding_bytes
-                + self.trailer_bytes,
+    /// Counts one record of log `id`: `payload` bytes plus `overhead`
+    /// bytes of headers and index slots.
+    pub(crate) fn note_entry(&self, id: LogFileId, payload: usize, overhead: usize) {
+        let bytes = (payload + overhead) as u64;
+        if !id.is_reserved() {
+            self.entries.inc();
+            self.client_bytes.add(payload as u64);
+            self.header_bytes.add(overhead as u64);
+        } else if id == LogFileId::ENTRYMAP {
+            self.entrymap_entries.inc();
+            self.entrymap_bytes.add(bytes);
+        } else if id != LogFileId::CATALOG && id != LogFileId::BAD_BLOCK {
+            return;
         }
+        self.device_bytes.add(bytes);
+    }
+
+    /// Counts one sealed block and its unused and trailer bytes.
+    pub(crate) fn note_sealed_block(&self, padding: usize, trailer: usize) {
+        self.blocks_sealed.inc();
+        self.padding_bytes.add(padding as u64);
+        self.device_bytes.add((padding + trailer) as u64);
     }
 }
 
@@ -123,6 +104,25 @@ pub struct SpaceReport {
 }
 
 impl SpaceReport {
+    /// The report over `shards`' accounting.
+    pub(crate) fn of<'a>(shards: impl Iterator<Item = &'a Space> + Clone) -> SpaceReport {
+        let sum = |field: fn(&Space) -> &Counter| shards.clone().map(|s| field(s).get()).sum();
+        let entries: u64 = sum(|s| &s.entries);
+        let client_bytes: u64 = sum(|s| &s.client_bytes);
+        let per_entry = |bytes: u64| bytes as f64 / entries.max(1) as f64;
+        SpaceReport {
+            entries,
+            client_bytes,
+            avg_entry_size: per_entry(client_bytes),
+            avg_header_overhead: per_entry(sum(|s| &s.header_bytes)),
+            avg_entrymap_overhead: per_entry(sum(|s| &s.entrymap_bytes)),
+            entrymap_entries: sum(|s| &s.entrymap_entries),
+            blocks_sealed: sum(|s| &s.blocks_sealed),
+            padding_bytes: sum(|s| &s.padding_bytes),
+            device_bytes: sum(|s| &s.device_bytes),
+        }
+    }
+
     /// Header overhead as a percentage of total entry bytes — the paper's
     /// `400/(d+4)` percent for a `d`-byte entry with the minimal header,
     /// "less than 10% for entries with more than 36 bytes of client data"
@@ -160,12 +160,19 @@ impl std::fmt::Display for SpaceReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clio_obs::MetricValue;
+
+    const CLIENT: LogFileId = LogFileId(8);
+
+    fn space() -> Space {
+        Space::adopted_by(&MetricsRegistry::new())
+    }
 
     #[test]
     fn display_is_one_line() {
-        let mut s = SpaceStats::default();
-        s.note_client_entry(50, 4);
-        let line = format!("{}", s.report());
+        let s = space();
+        s.note_entry(CLIENT, 50, 4);
+        let line = format!("{}", SpaceReport::of(std::iter::once(&s)));
         assert!(line.contains("entries=1"));
         assert!(line.contains("client_bytes=50"));
         assert!(!line.contains('\n'));
@@ -173,18 +180,16 @@ mod tests {
 
     #[test]
     fn accounting_sums() {
-        let mut s = SpaceStats::default();
-        s.note_client_entry(50, 4);
-        s.note_client_entry(30, 12);
-        s.note_client_entry(20, 4);
-        assert_eq!(s.entries, 3);
-        assert_eq!(s.client_bytes, 100);
-        assert_eq!(s.header_bytes, 20);
-        s.note_service_entry(LogFileId::ENTRYMAP, 40);
-        s.note_service_entry(LogFileId::CATALOG, 25);
+        let s = space();
+        s.note_entry(CLIENT, 50, 4);
+        s.note_entry(CLIENT, 30, 12);
+        s.note_entry(CLIENT, 20, 4);
+        s.note_entry(LogFileId::ENTRYMAP, 36, 4);
+        s.note_entry(LogFileId::CATALOG, 21, 4);
         s.note_sealed_block(100, 18);
-        let r = s.report();
+        let r = SpaceReport::of(std::iter::once(&s));
         assert_eq!(r.entries, 3);
+        assert_eq!(r.client_bytes, 100);
         assert!((r.avg_entry_size - 100.0 / 3.0).abs() < 1e-9);
         assert!((r.avg_entrymap_overhead - 40.0 / 3.0).abs() < 1e-9);
         assert_eq!(r.device_bytes, 100 + 20 + 40 + 25 + 100 + 18);
@@ -194,39 +199,55 @@ mod tests {
     #[test]
     fn paper_header_overhead_example() {
         // §2.2: 4-byte overhead on 36 bytes of data is under 10%.
-        let mut s = SpaceStats::default();
+        let s = space();
         for _ in 0..100 {
-            s.note_client_entry(37, 4);
+            s.note_entry(CLIENT, 37, 4);
         }
-        assert!(s.report().header_overhead_pct() < 10.0 + 1e-9);
+        assert!(SpaceReport::of(std::iter::once(&s)).header_overhead_pct() < 10.0 + 1e-9);
     }
 
     #[test]
-    fn merge_sums_every_field() {
-        let mut a = SpaceStats::default();
-        a.note_client_entry(50, 4);
-        a.note_service_entry(LogFileId::ENTRYMAP, 40);
+    fn report_and_series_sum_every_shard() {
+        let reg = MetricsRegistry::new();
+        let (a, b) = (Space::adopted_by(&reg), Space::adopted_by(&reg));
+        a.note_entry(CLIENT, 50, 4);
+        a.note_entry(LogFileId::ENTRYMAP, 36, 4);
         a.note_sealed_block(10, 18);
-        let mut b = SpaceStats::default();
-        b.note_client_entry(30, 4);
-        b.note_client_entry(20, 4);
-        b.note_service_entry(LogFileId::CATALOG, 25);
+        b.note_entry(CLIENT, 30, 4);
+        b.note_entry(CLIENT, 20, 4);
+        b.note_entry(LogFileId::BAD_BLOCK, 21, 4);
         b.note_sealed_block(5, 18);
-        let mut m = a.clone();
-        m.merge(&b);
-        assert_eq!(m.entries, 3);
-        assert_eq!(m.client_bytes, 100);
-        assert_eq!(m.header_bytes, 12);
-        assert_eq!(m.blocks_sealed, 2);
+        let of = |shards: &[&Space]| SpaceReport::of(shards.iter().copied());
+        let (ra, rb, both) = (of(&[&a]), of(&[&b]), of(&[&a, &b]));
+        assert_eq!(both.entries, 3);
+        assert_eq!(both.client_bytes, 100);
+        assert_eq!(both.blocks_sealed, 2);
+        assert_eq!(both.padding_bytes, 15);
+        assert_eq!(both.device_bytes, ra.device_bytes + rb.device_bytes);
+        assert!((both.avg_header_overhead - 4.0).abs() < 1e-9);
+        let series = |name: &str| {
+            reg.gather()
+                .into_iter()
+                .find(|s| s.name == name)
+                .map(|s| s.value)
+        };
         assert_eq!(
-            m.report().device_bytes,
-            a.report().device_bytes + b.report().device_bytes
+            series("clio_space_device_bytes"),
+            Some(MetricValue::Counter(both.device_bytes))
+        );
+        assert_eq!(
+            series("clio_space_header_bytes"),
+            Some(MetricValue::Counter(12))
+        );
+        assert_eq!(
+            series("clio_space_entrymap_bytes"),
+            Some(MetricValue::Counter(40))
         );
     }
 
     #[test]
     fn empty_report_is_sane() {
-        let r = SpaceStats::default().report();
+        let r = SpaceReport::of(std::iter::once(&space()));
         assert_eq!(r.entries, 0);
         assert_eq!(r.header_overhead_pct(), 0.0);
     }

@@ -13,7 +13,7 @@ use clio_format::{
 use clio_types::{BlockNo, ClioError, LogFileId, Result};
 
 use crate::service::{OpenBlock, SealedQueue, SealedVolume, Shard, SharedOpenBlock, State};
-use crate::stats::SpaceStats;
+use crate::stats::Space;
 
 /// Bound on the writes one seal spends on a block that keeps reading back
 /// corrupt (a dying device, not transient corruption). A block is thus
@@ -78,7 +78,7 @@ impl Shard {
             let rec = cat.checkpoint();
             let header =
                 EntryHeader::new(LogFileId::CATALOG, EntryForm::Timestamped, Some(now), None);
-            self.push_record(st, header, &rec.encode(), false)?;
+            self.push_record(st, header, &rec.encode())?;
         }
         Ok(())
     }
@@ -114,7 +114,7 @@ impl Shard {
             let mut ids = BTreeSet::new();
             let mut overflow: Vec<EntrymapRecord> = Vec::new();
             for rec in records {
-                push_map_record(&mut builder, rec, &mut overflow, &mut st.stats)?;
+                push_map_record(&mut builder, rec, &mut overflow, &self.pshard.space)?;
             }
             if builder.count() > 0 {
                 builder.flags_mut().has_entrymap = true;
@@ -163,7 +163,6 @@ impl Shard {
         st: &mut State,
         header: EntryHeader,
         payload: &[u8],
-        is_client: bool,
     ) -> Result<(u32, u64, u16)> {
         if payload.len() > u32::MAX as usize {
             return Err(ClioError::EntryTooLarge {
@@ -174,6 +173,7 @@ impl Shard {
         self.ensure_open(st)?;
         self.ensure_volume_room(st, header.encoded_len() + payload.len() + 16)?;
         let vol_idx = st.active_index;
+        let space = &self.pshard.space;
 
         // Fast path: the whole record fits the open block.
         {
@@ -183,13 +183,8 @@ impl Shard {
                 .expect("invariant: ensure_open left an open block in state");
             if let PushOutcome::Written(slot) = ob.shared.push(&header, payload) {
                 ob.ids.insert(header.id);
-                account(
-                    &mut st.stats,
-                    &header,
-                    payload.len(),
-                    header.encoded_len() + 2,
-                    is_client,
-                );
+                let overhead = header.encoded_len() + 2;
+                space.note_entry(header.id, payload.len(), overhead);
                 return Ok((vol_idx, ob.db, slot));
             }
         }
@@ -263,7 +258,7 @@ impl Shard {
             // Block exhausted: seal it and continue in the next.
             self.seal_open(st)?;
         }
-        account(&mut st.stats, &header, payload.len(), overhead, is_client);
+        space.note_entry(header.id, payload.len(), overhead);
         let (db, slot) =
             first.expect("invariant: a non-empty entry always writes at least one fragment");
         Ok((vol_idx, db, slot))
@@ -314,7 +309,7 @@ impl Shard {
             }
         }
         st.emap.note_block(ob.db, ob.ids.iter().copied());
-        st.stats.note_sealed_block(padding, TRAILER_SIZE);
+        self.pshard.space.note_sealed_block(padding, TRAILER_SIZE);
         // Bound the queue: a full batch goes out now, as the same vectored
         // write a later flush or commit would have issued for it.
         let depth = st.sealed_queue.images.len();
@@ -370,13 +365,13 @@ impl Shard {
     }
 
     /// Drains the sealed queue onto the active volume in vectored writes of
-    /// at most [`MAX_BATCH_BLOCKS`] blocks each. Returns `(device_writes,
-    /// blocks_written)`. On a device error the unwritten suffix (as
+    /// at most [`MAX_BATCH_BLOCKS`] blocks each. Returns the device writes
+    /// it issued. On a device error the unwritten suffix (as
     /// resynchronised from the device end) is re-queued, so a later commit
     /// or flush retries it.
-    pub(crate) fn write_sealed_queue(&self, st: &mut State) -> Result<(u64, u64)> {
+    pub(crate) fn write_sealed_queue(&self, st: &mut State) -> Result<u64> {
         if st.sealed_queue.images.is_empty() {
-            return Ok((0, 0));
+            return Ok(0);
         }
         let r = self.write_sealed_queue_inner(st);
         self.pshard
@@ -385,7 +380,7 @@ impl Shard {
         r
     }
 
-    fn write_sealed_queue_inner(&self, st: &mut State) -> Result<(u64, u64)> {
+    fn write_sealed_queue_inner(&self, st: &mut State) -> Result<u64> {
         let vol = &*st.active;
         let queue = std::mem::take(&mut st.sealed_queue);
         let mut writes = 0u64;
@@ -413,18 +408,20 @@ impl Shard {
             written += chunk.len();
             st.device_blocks += chunk.len() as u64;
         }
-        Ok((writes, written as u64))
+        Ok(writes)
     }
 
     /// The commit stage of the pipeline (state lock held): makes everything
     /// buffered durable. The partial block is staged to the device's
     /// battery-backed RAM tail where there is one, otherwise (unless empty)
     /// sealed early with internal fragmentation (§2.3.1); the sealed queue
-    /// is drained in batched writes and the batch metrics recorded. On
+    /// is drained in batched writes and the batch metrics recorded: every
+    /// block the commit handed the device, the staged tail included. On
     /// error the covered forced count is restored so a retrying leader
     /// accounts for the same appends.
     pub(crate) fn commit_locked(&self, st: &mut State) -> Result<()> {
         let covered = std::mem::take(&mut st.staged_forced);
+        let before = st.device_blocks;
         let r = (|| {
             let mut tail_stage = None;
             if let Some(ob) = st.open.as_ref() {
@@ -438,16 +435,18 @@ impl Shard {
             // Queue first, tail second: the tail rewrite targets the block
             // right after the queued ones, and the device only accepts a
             // tail at its write-once end.
-            let (mut writes, blocks) = self.write_sealed_queue(st)?;
+            let mut writes = self.write_sealed_queue(st)?;
             if let Some((db, img)) = tail_stage {
                 st.active.rewrite_tail_data(db, img)?;
                 writes += 1;
                 st.device_blocks += 1;
             }
             if writes > 0 || covered > 0 {
-                self.obs.note_group_commit(blocks, covered, writes);
                 self.pshard.commits.inc();
-                self.pshard.commit_batch_blocks.record(blocks);
+                self.pshard
+                    .commit_batch_blocks
+                    .record(st.device_blocks - before);
+                self.obs.note_writes_saved(covered, writes);
             }
             Ok(())
         })();
@@ -468,24 +467,9 @@ impl Shard {
             }
             let rec = BadBlockRecord { block: BlockNo(db) };
             let header = EntryHeader::new(LogFileId::BAD_BLOCK, EntryForm::Minimal, None, None);
-            self.push_record(st, header, &rec.encode(), false)?;
+            self.push_record(st, header, &rec.encode())?;
         }
         Ok(())
-    }
-}
-
-/// Updates accounting for one record.
-fn account(
-    stats: &mut SpaceStats,
-    header: &EntryHeader,
-    payload: usize,
-    overhead: usize,
-    is_client: bool,
-) {
-    if is_client {
-        stats.note_client_entry(payload, overhead);
-    } else {
-        stats.note_service_entry(header.id, payload + overhead);
     }
 }
 
@@ -496,7 +480,7 @@ fn push_map_record(
     builder: &mut BlockBuilder,
     rec: EntrymapRecord,
     overflow: &mut Vec<EntrymapRecord>,
-    stats: &mut SpaceStats,
+    space: &Space,
 ) -> Result<()> {
     let per = EntrymapRecord::per_map_len(rec.bits);
     let base = EntrymapRecord::HEADER_LEN;
@@ -518,7 +502,7 @@ fn push_map_record(
     let payload = chunk.encode();
     match builder.push(&header, &payload) {
         PushOutcome::Written(_) => {
-            stats.note_service_entry(LogFileId::ENTRYMAP, payload.len() + 4);
+            space.note_entry(LogFileId::ENTRYMAP, payload.len(), 4);
         }
         PushOutcome::NoSpace { .. } => {
             return Err(ClioError::Internal(

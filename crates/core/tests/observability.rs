@@ -110,12 +110,12 @@ fn one_service_lifetime_populates_every_layer() {
     // The locate-depth histogram saw real tree descents.
     assert!(histogram(&reg, "clio_core_locate_depth").count > 0);
 
-    // Text exposition carries all of it; space gauges are refreshed.
+    // Text exposition carries all of it, space counters included.
     let text = svc.metrics_text();
     assert!(text.contains("# TYPE clio_device_appends_total counter"));
     assert!(text.contains("clio_core_append_latency_ns_bucket"));
     assert!(text.contains("clio_space_entries"));
-    assert!(gauge(&reg, "clio_space_entries") == 60);
+    assert_eq!(counter(&reg, "clio_space_entries"), 60);
 
     // The op trace saw appends, reads and locates.
     let dump = svc.trace_dump();
@@ -825,8 +825,14 @@ fn metrics_surface_is_pinned() {
     actual.push_str(&surface("recovered", svc.metrics()));
 
     let pinned = include_str!("metrics_surface.txt");
+    // Each line names its series, so the diff shows the moved lines only.
     assert!(
         actual == pinned,
-        "the /metrics surface moved.\n--- actual ---\n{actual}--- pinned ---\n{pinned}"
+        "the /metrics surface moved (-pinned +now):\n{}",
+        clio_testkit::diff::line_diff(pinned, &actual)
+            .lines()
+            .filter(|l| !l.starts_with(' '))
+            .collect::<Vec<_>>()
+            .join("\n")
     );
 }

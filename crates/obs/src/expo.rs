@@ -177,11 +177,11 @@ mod tests {
     #[test]
     fn labeled_series_share_one_type_line() {
         let reg = MetricsRegistry::new();
-        reg.counter_with("clio_log_appends_total", &[("log", "1")])
+        reg.counter_with("clio_log_appends_total", &[("log", "1")], &[])
             .add(3);
-        reg.counter_with("clio_log_appends_total", &[("log", "2")])
+        reg.counter_with("clio_log_appends_total", &[("log", "2")], &[])
             .add(4);
-        let h = reg.histogram_with("clio_log_append_ns", &[("log", "1")]);
+        let h = reg.histogram_with("clio_log_append_ns", &[("log", "1")], &[]);
         h.record(100);
         h.record(300);
         let text = render_prometheus(&reg);

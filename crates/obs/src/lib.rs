@@ -39,5 +39,5 @@ pub mod trace;
 
 pub use hist::{HistSnapshot, Histogram};
 pub use http::{ObsHttpServer, ObsProvider};
-pub use registry::{Counter, Gauge, Handle, MetricValue, MetricsRegistry, Sample};
+pub use registry::{Counter, Gauge, Handle, MetricValue, MetricsRegistry, Sample, Series};
 pub use trace::{AttrValue, Attrs, Span, SpanGuard, SpanNode, TraceRing, TraceTree};

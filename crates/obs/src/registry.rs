@@ -6,8 +6,11 @@
 //! when it is built without a registry in reach, creates them itself and
 //! has a registry [`adopt`](MetricsRegistry::adopt) them later. Either way
 //! the registry reads the very words the component writes: there is no
-//! second copy to keep in step and nothing to poll.
+//! second copy to keep in step and nothing to poll. A total over finer
+//! series (per shard, per log) is not counted again: it reads as the sum
+//! of their handles, its *stripes*.
 
+use std::collections::btree_map::Entry::{Occupied, Vacant};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -101,11 +104,11 @@ impl Handle {
 }
 
 /// One series: the label set it was created with and the handles behind
-/// it, all of one kind — the one it was created with and, for a component
-/// that counts per shard, one more *stripe* per further shard (the series
-/// reads as their sum). The map key is the full series identity
-/// (`name{k="v",...}`), so differently labeled series of one family are
-/// distinct entries that sort together.
+/// it, all of one kind — the one it was created with and one more
+/// *stripe* per further shard or finer series it sums (it reads as their
+/// sum). The map key is the full series identity (`name{k="v",...}`), so
+/// differently labeled series of one family are distinct entries that
+/// sort together.
 struct Entry {
     labels: Vec<(String, String)>,
     first: Handle,
@@ -113,6 +116,14 @@ struct Entry {
 }
 
 impl Entry {
+    fn new(labels: Vec<(String, String)>, first: Handle) -> Entry {
+        Entry {
+            labels,
+            first,
+            more: Vec::new(),
+        }
+    }
+
     fn read(&self) -> MetricValue {
         self.more
             .iter()
@@ -213,11 +224,33 @@ pub struct MetricsRegistry {
     metrics: Mutex<BTreeMap<String, Entry>>,
 }
 
+/// A series named by family and labels, as a total a stripe joins.
+pub type Series<'a> = (&'a str, &'a [(&'a str, &'a str)]);
+
 fn owned_labels(labels: &[(&str, &str)]) -> Vec<(String, String)> {
     labels
         .iter()
         .map(|(k, v)| ((*k).to_owned(), (*v).to_owned()))
         .collect()
+}
+
+/// Adds `handle` as a stripe of series `name{labels…}`, creating the
+/// series around it if absent.
+fn add_stripe(m: &mut BTreeMap<String, Entry>, (name, labels): Series<'_>, handle: Handle) {
+    let labels = owned_labels(labels);
+    match m.entry(identity(name, &labels)) {
+        Vacant(slot) => {
+            slot.insert(Entry::new(labels, handle));
+        }
+        Occupied(mut series) => {
+            let series = series.get_mut();
+            assert!(
+                std::mem::discriminant(&series.first) == std::mem::discriminant(&handle),
+                "metric {name} adopted as two kinds"
+            );
+            series.more.push(handle);
+        }
+    }
 }
 
 impl MetricsRegistry {
@@ -228,16 +261,25 @@ impl MetricsRegistry {
     }
 
     /// The first handle of series `name{labels…}`: `fresh()` if the series
-    /// did not exist.
-    fn get_or_create(&self, name: &str, labels: &[(&str, &str)], fresh: fn() -> Handle) -> Handle {
+    /// did not exist, which is then also a stripe of each of `totals`, all
+    /// in one lock hold, so racing first touches adopt it once.
+    fn get_or_create(
+        &self,
+        name: &str,
+        labels: &[(&str, &str)],
+        fresh: fn() -> Handle,
+        totals: &[Series<'_>],
+    ) -> Handle {
         let labels = owned_labels(labels);
         let mut m = self.metrics.lock();
-        let entry = m.entry(identity(name, &labels)).or_insert_with(|| Entry {
-            labels,
-            first: fresh(),
-            more: Vec::new(),
-        });
-        entry.first.clone()
+        let handle = match m.entry(identity(name, &labels)) {
+            Occupied(series) => return series.get().first.clone(),
+            Vacant(slot) => slot.insert(Entry::new(labels, fresh())).first.clone(),
+        };
+        for &total in totals {
+            add_stripe(&mut m, total, handle.clone());
+        }
+        handle
     }
 
     /// The counter named `name`, creating it if absent.
@@ -247,17 +289,24 @@ impl MetricsRegistry {
     /// that is a wiring bug, not a runtime condition.
     #[must_use]
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        self.counter_with(name, &[])
+        self.counter_with(name, &[], &[])
     }
 
     /// The counter series `name{labels…}`, creating it if absent. Series
     /// of one family with different label values are independent counters.
+    /// A series this call creates is also a stripe of each of `totals`,
+    /// which read as the sum of their stripes.
     ///
     /// # Panics
-    /// Panics if the series is already registered as a different kind.
+    /// Panics if the series, or a total, is registered as a different kind.
     #[must_use]
-    pub fn counter_with(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Counter> {
-        match self.get_or_create(name, labels, || Handle::Counter(Arc::default())) {
+    pub fn counter_with(
+        &self,
+        name: &str,
+        labels: &[(&str, &str)],
+        totals: &[Series<'_>],
+    ) -> Arc<Counter> {
+        match self.get_or_create(name, labels, || Handle::Counter(Arc::default()), totals) {
             Handle::Counter(c) => c,
             _ => panic!("metric {name} is not a counter"),
         }
@@ -269,7 +318,7 @@ impl MetricsRegistry {
     /// Panics if `name` is already registered as a different metric kind.
     #[must_use]
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        match self.get_or_create(name, &[], || Handle::Gauge(Arc::default())) {
+        match self.get_or_create(name, &[], || Handle::Gauge(Arc::default()), &[]) {
             Handle::Gauge(g) => g,
             _ => panic!("metric {name} is not a gauge"),
         }
@@ -281,16 +330,22 @@ impl MetricsRegistry {
     /// Panics if `name` is already registered as a different metric kind.
     #[must_use]
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        self.histogram_with(name, &[])
+        self.histogram_with(name, &[], &[])
     }
 
-    /// The histogram series `name{labels…}`, creating it if absent.
+    /// The histogram series `name{labels…}`, creating it if absent; a
+    /// series this call creates is also a stripe of each of `totals`.
     ///
     /// # Panics
-    /// Panics if the series is already registered as a different kind.
+    /// Panics if the series, or a total, is registered as a different kind.
     #[must_use]
-    pub fn histogram_with(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Histogram> {
-        match self.get_or_create(name, labels, || Handle::Histogram(Arc::default())) {
+    pub fn histogram_with(
+        &self,
+        name: &str,
+        labels: &[(&str, &str)],
+        totals: &[Series<'_>],
+    ) -> Arc<Histogram> {
+        match self.get_or_create(name, labels, || Handle::Histogram(Arc::default()), totals) {
             Handle::Histogram(h) => h,
             _ => panic!("metric {name} is not a histogram"),
         }
@@ -306,25 +361,7 @@ impl MetricsRegistry {
     /// # Panics
     /// Panics if `name` already holds handles of a different kind.
     pub fn adopt(&self, name: &str, handle: impl Into<Handle>) {
-        use std::collections::btree_map::Entry::{Occupied, Vacant};
-        let handle = handle.into();
-        match self.metrics.lock().entry(name.to_owned()) {
-            Vacant(slot) => {
-                slot.insert(Entry {
-                    labels: Vec::new(),
-                    first: handle,
-                    more: Vec::new(),
-                });
-            }
-            Occupied(mut series) => {
-                let series = series.get_mut();
-                assert!(
-                    std::mem::discriminant(&series.first) == std::mem::discriminant(&handle),
-                    "metric {name} adopted as two kinds"
-                );
-                series.more.push(handle);
-            }
-        }
+        add_stripe(&mut self.metrics.lock(), (name, &[]), handle.into());
     }
 
     /// Reads every metric, sorted by series identity (labeled series of
@@ -342,18 +379,6 @@ impl MetricsRegistry {
                 value: entry.read(),
             })
             .collect()
-    }
-
-    /// Number of registered metrics.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.metrics.lock().len()
-    }
-
-    /// Whether the registry is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -408,6 +433,38 @@ mod tests {
     }
 
     #[test]
+    fn a_series_created_in_totals_is_adopted_once() {
+        let reg = MetricsRegistry::new();
+        let shard: &[(&str, &str)] = &[("shard", "1")];
+        let totals: &[Series<'_>] = &[("clio_test_total", &[]), ("clio_test_shard_total", shard)];
+        let a = reg.counter_with("clio_test_log_total", &[("log", "8")], totals);
+        // A second touch returns the same series and adopts nothing.
+        let again = reg.counter_with("clio_test_log_total", &[("log", "8")], totals);
+        assert!(Arc::ptr_eq(&a, &again));
+        let b = reg.counter_with("clio_test_log_total", &[("log", "9")], totals);
+        a.add(3);
+        b.add(4);
+        let h = reg.histogram_with(
+            "clio_test_log_ns",
+            &[("log", "8")],
+            &[("clio_test_ns", &[])],
+        );
+        h.record(5);
+        let value = |id: &str| reg.gather().into_iter().find(|s| s.identity() == id);
+        assert_eq!(
+            value("clio_test_total").map(|s| s.value),
+            Some(MetricValue::Counter(7))
+        );
+        let by_shard = value("clio_test_shard_total{shard=\"1\"}").expect("labeled total");
+        assert_eq!(by_shard.labels, vec![("shard".to_owned(), "1".to_owned())]);
+        assert_eq!(by_shard.value, MetricValue::Counter(7));
+        let Some(MetricValue::Histogram(ns)) = value("clio_test_ns").map(|s| s.value) else {
+            panic!("expected a histogram total");
+        };
+        assert_eq!((ns.count, ns.sum), (1, 5));
+    }
+
+    #[test]
     #[should_panic(expected = "adopted as two kinds")]
     fn adopting_a_second_kind_panics() {
         let reg = MetricsRegistry::new();
@@ -441,17 +498,17 @@ mod tests {
     #[test]
     fn labeled_series_are_independent_and_identified() {
         let reg = MetricsRegistry::new();
-        reg.counter_with("clio_log_appends_total", &[("log", "1")])
+        reg.counter_with("clio_log_appends_total", &[("log", "1")], &[])
             .add(2);
-        reg.counter_with("clio_log_appends_total", &[("log", "2")])
+        reg.counter_with("clio_log_appends_total", &[("log", "2")], &[])
             .add(5);
         // Re-asking with the same labels returns the same series.
         assert_eq!(
-            reg.counter_with("clio_log_appends_total", &[("log", "1")])
+            reg.counter_with("clio_log_appends_total", &[("log", "1")], &[])
                 .get(),
             2
         );
-        reg.histogram_with("clio_log_append_ns", &[("log", "1")])
+        reg.histogram_with("clio_log_append_ns", &[("log", "1")], &[])
             .record(100);
         let samples = reg.gather();
         assert_eq!(samples.len(), 3);

@@ -34,13 +34,14 @@
 //!   reports data races with both access sites. [`sync`] and
 //!   [`sync::atomic`] are its instrumentation surface.
 //!
-//! It also hosts shared cross-crate test harnesses, currently
-//! [`devcheck`] — byte-for-byte conformance schedules for vectored
-//! device appends (`LogDevice::append_blocks`).
+//! It also hosts shared cross-crate test harnesses: [`devcheck`]
+//! (conformance schedules for `LogDevice::append_blocks`) and [`diff`]
+//! (the line diff a pinned-text test prints when its text moves).
 
 pub mod bench;
 pub mod check;
 pub mod devcheck;
+pub mod diff;
 pub mod lockdep;
 pub mod prop;
 pub mod rng;
