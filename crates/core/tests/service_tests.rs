@@ -1305,7 +1305,7 @@ fn publish_is_flat_in_queue_depth() {
     let sealed_before = svc.report().blocks_sealed;
     let dev = svc.obs().device_stats.clone();
     let (batches_before, batch_blocks_before, appends_before) = (
-        dev.batch_appends.get(),
+        dev.append_batch_blocks.snapshot().count,
         dev.append_batch_blocks.sum(),
         dev.appends.get(),
     );
@@ -1328,7 +1328,7 @@ fn publish_is_flat_in_queue_depth() {
     );
     // Everything that reached the device went as full-batch vectored
     // writes; the rest is still queued or open.
-    let writes = dev.batch_appends.get() - batches_before;
+    let writes = dev.append_batch_blocks.snapshot().count - batches_before;
     assert_eq!(writes, sealed / batch);
     assert_eq!(
         dev.append_batch_blocks.sum() - batch_blocks_before,

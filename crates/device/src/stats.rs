@@ -54,17 +54,15 @@ pub struct DeviceStats {
     pub seek_distance: Arc<Counter>,
     /// Position of the last access; -1 means "no access yet".
     last_pos: AtomicI64,
-    /// Vectored `append_blocks` batches issued (each is one physical device
-    /// write regardless of how many blocks it carries).
-    pub batch_appends: Arc<Counter>,
     /// Wall-clock latency of successful block reads, in nanoseconds.
     pub read_latency_ns: Arc<Histogram>,
     /// Wall-clock latency of successful block appends, in nanoseconds.
     pub append_latency_ns: Arc<Histogram>,
     /// Wall-clock latency of `is_written` probes, in nanoseconds.
     pub probe_latency_ns: Arc<Histogram>,
-    /// Blocks per successful vectored batch (its sum is the blocks written
-    /// through batches, which `appends` counts too).
+    /// Blocks per successful vectored batch: its count is the batches
+    /// issued (each one physical device write), its sum the blocks
+    /// written through them, which `appends` counts too.
     pub append_batch_blocks: Arc<Histogram>,
     /// Wall-clock latency of successful vectored batches, in nanoseconds.
     pub append_batch_latency_ns: Arc<Histogram>,
@@ -90,7 +88,6 @@ impl DeviceStats {
             seeks: reg.counter("clio_device_seeks_total"),
             seek_distance: reg.counter("clio_device_seek_distance_blocks"),
             last_pos: AtomicI64::new(-1),
-            batch_appends: reg.counter("clio_device_batch_appends_total"),
             read_latency_ns: reg.histogram("clio_device_read_latency_ns"),
             append_latency_ns: reg.histogram("clio_device_append_latency_ns"),
             probe_latency_ns: reg.histogram("clio_device_probe_latency_ns"),
@@ -133,7 +130,7 @@ impl DeviceStats {
     /// logical appends by the delta of this.
     #[must_use]
     pub fn write_ops(&self) -> u64 {
-        self.appends.get() - self.append_batch_blocks.sum() + self.batch_appends.get()
+        self.append_latency_ns.snapshot().count + self.append_batch_blocks.snapshot().count
     }
 
     /// Total failed operations of any kind.
@@ -235,7 +232,6 @@ impl LogDevice for InstrumentedDevice {
                     .append_batch_latency_ns
                     .record_duration(close(span, start));
                 self.stats.append_batch_blocks.record(n);
-                self.stats.batch_appends.inc();
                 self.stats.appends.add(n);
                 self.stats.touch(expected);
                 self.stats

@@ -57,12 +57,14 @@ pub fn check(sf: &SourceFile, out: &mut Vec<Diag>) {
 }
 
 fn push(sf: &SourceFile, line: u32, name: &str, out: &mut Vec<Diag>) {
+    // The kit has no reader-writer lock: a `RwLock` becomes a `Mutex`.
+    let kit = if name == "RwLock" { "Mutex" } else { name };
     out.push(Diag {
         rel: sf.rel.clone(),
         line,
         rule: NAME,
         msg: format!(
-            "raw std::sync::{name} — use clio_testkit::sync::{name} so the lock \
+            "raw std::sync::{name} — use clio_testkit::sync::{kit} so the lock \
              is poison-transparent and visible to lockdep"
         ),
     });

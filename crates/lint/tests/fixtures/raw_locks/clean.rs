@@ -3,14 +3,13 @@
 use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, OnceLock};
 
-use clio_testkit::sync::{Condvar, Mutex, RwLock};
+use clio_testkit::sync::{Condvar, Mutex};
 
 fn f() {
     let _ = (
         Arc::new(AtomicU64::new(0)),
         OnceLock::<u32>::new(),
         Mutex::new(0),
-        RwLock::new(0),
         Condvar::new(),
     );
     let s = "std::sync::RwLock in a string";

@@ -103,6 +103,16 @@ fn raw_locks_flags_plain_and_grouped_imports() {
         .collect();
     hit.sort_unstable();
     assert_eq!(hit, vec!["Condvar", "Mutex", "Mutex", "RwLock"]);
+    // The kit has no RwLock: its advice names the kit's Mutex.
+    let rw = diags
+        .iter()
+        .find(|d| d.msg.contains("std::sync::RwLock"))
+        .expect("the RwLock import is flagged");
+    assert!(
+        rw.msg.contains("use clio_testkit::sync::Mutex "),
+        "{}",
+        rw.msg
+    );
 }
 
 #[test]

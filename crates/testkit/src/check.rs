@@ -14,15 +14,15 @@
 //!   schedules replay byte-identically from the printed
 //!   `CLIO_CHECK_REPLAY=<seed>:<index>` line (the `CLIO_PROP_SEED`
 //!   convention);
-//! * a vector-clock checker ([`crate::vclock`]) maintains happens-before
+//! * a vector-clock checker maintains happens-before
 //!   across lock release→acquire, atomic `Release`→`Acquire`, and
 //!   spawn/join edges, and fails the schedule with **both** access sites
 //!   when two accesses to a [`RaceCell`] conflict without an ordering
 //!   edge;
 //! * a schedule where every unfinished thread is blocked fails as a
 //!   deadlock (this is how lost condvar wakeups surface: in a checked
-//!   run `notify_one`/`notify_all` wake only threads already waiting,
-//!   exactly the real semantics).
+//!   run `notify_all` wakes only threads already waiting, exactly the
+//!   real semantics).
 //!
 //! Instrumentation is inert outside a checked run: one relaxed atomic
 //! load on the fast path, and only threads created by [`spawn`] inside a
@@ -117,40 +117,24 @@ type Site = &'static Location<'static>;
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Block {
     Runnable,
-    /// Waiting for a lock (`excl`: writer side of an `RwLock`, or a
-    /// `Mutex`, vs. the reader side).
-    Lock {
-        addr: usize,
-        excl: bool,
-    },
-    /// Waiting on a condvar; `timeout` waiters stay schedulable (picking
-    /// one wakes it as a timeout).
-    Cv {
-        cv: usize,
-        timeout: bool,
-    },
+    /// Waiting for the lock at this address.
+    Lock(usize),
+    /// Waiting on the condvar at this address.
+    Cv(usize),
     Join(usize),
     Finished,
-}
-
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Wake {
-    Notified,
-    TimedOut,
 }
 
 struct ThreadState {
     block: Block,
     clock: VClock,
-    wake: Option<Wake>,
     /// Last scheduling-point site, for deadlock reports.
     at: Site,
 }
 
 #[derive(Default)]
 struct LockSt {
-    writer: Option<usize>,
-    readers: u32,
+    holder: Option<usize>,
     clock: VClock,
 }
 
@@ -223,15 +207,8 @@ enum Choice {
 fn blocked_desc(b: Block) -> String {
     match b {
         Block::Runnable => "runnable".to_string(),
-        Block::Lock { excl: true, .. } => "blocked acquiring a lock (exclusive)".to_string(),
-        Block::Lock { excl: false, .. } => "blocked acquiring a lock (shared)".to_string(),
-        Block::Cv { timeout, .. } => {
-            if timeout {
-                "waiting on a Condvar (with timeout)".to_string()
-            } else {
-                "waiting on a Condvar".to_string()
-            }
-        }
+        Block::Lock(_) => "blocked acquiring a lock".to_string(),
+        Block::Cv(_) => "waiting on a Condvar".to_string(),
         Block::Join(t) => format!("joining thread t{t}"),
         Block::Finished => "finished".to_string(),
     }
@@ -275,14 +252,13 @@ impl Sched {
             self.fail(st, msg);
             return Choice::Stop;
         }
-        let schedulable = |b: Block| matches!(b, Block::Runnable | Block::Cv { timeout: true, .. });
         let prev_runnable = st.threads[my].block == Block::Runnable;
         let mut cands: Vec<u8> = Vec::with_capacity(st.threads.len());
         if prev_runnable {
             cands.push(my as u8);
         }
         for (tid, t) in st.threads.iter().enumerate() {
-            if (tid != my || !prev_runnable) && schedulable(t.block) {
+            if (tid != my || !prev_runnable) && t.block == Block::Runnable {
                 cands.push(tid as u8);
             }
         }
@@ -338,11 +314,6 @@ impl Sched {
         if prev_runnable && next != my {
             st.preemptions += 1;
         }
-        // Picking a timed condvar waiter wakes it as a timeout.
-        if let Block::Cv { .. } = st.threads[next].block {
-            st.threads[next].block = Block::Runnable;
-            st.threads[next].wake = Some(Wake::TimedOut);
-        }
         st.running = next;
         if next != my {
             self.cv.notify_all();
@@ -383,7 +354,11 @@ impl Sched {
 
     // -- locks --------------------------------------------------------------
 
-    fn lock_acquire(&self, my: usize, addr: usize, excl: bool, site: Site) {
+    // Both stay out of line: `mutex_lock`/`mutex_unlock` run on every
+    // product lock, and outside a checked run they must stay one load and
+    // a return, with no register spills for a model path that never runs.
+    #[inline(never)]
+    fn lock_acquire(&self, my: usize, addr: usize, site: Site) {
         let mut st = self.st();
         st.threads[my].at = site;
         let mut st = self.yield_and_park(st, my);
@@ -392,60 +367,29 @@ impl Sched {
                 return;
             }
             let l = st.locks.entry(addr).or_default();
-            let free = l.writer.is_none() && (!excl || l.readers == 0);
-            if free {
-                if excl {
-                    l.writer = Some(my);
-                } else {
-                    l.readers += 1;
-                }
+            if l.holder.is_none() {
+                l.holder = Some(my);
                 let lc = l.clock.clone();
                 st.threads[my].clock.join(&lc);
                 return;
             }
-            st.threads[my].block = Block::Lock { addr, excl };
+            st.threads[my].block = Block::Lock(addr);
             st = self.yield_and_park(st, my);
         }
     }
 
-    fn lock_try_acquire(&self, my: usize, addr: usize, excl: bool, site: Site) -> bool {
-        let mut st = self.st();
-        st.threads[my].at = site;
-        let mut st = self.yield_and_park(st, my);
-        if st.aborting {
-            return false;
-        }
-        let l = st.locks.entry(addr).or_default();
-        let free = l.writer.is_none() && (!excl || l.readers == 0);
-        if free {
-            if excl {
-                l.writer = Some(my);
-            } else {
-                l.readers += 1;
-            }
-            let lc = l.clock.clone();
-            st.threads[my].clock.join(&lc);
-        }
-        free
-    }
-
-    fn lock_release(&self, my: usize, addr: usize, excl: bool) {
+    #[inline(never)]
+    fn lock_release(&self, my: usize, addr: usize) {
         let mut st = self.st();
         let tc = st.threads[my].clock.clone();
         if let Some(l) = st.locks.get_mut(&addr) {
             l.clock.join(&tc);
-            if excl {
-                l.writer = None;
-            } else {
-                l.readers = l.readers.saturating_sub(1);
-            }
+            l.holder = None;
         }
         st.threads[my].clock.tick(my);
         for t in st.threads.iter_mut() {
-            if let Block::Lock { addr: a, .. } = t.block {
-                if a == addr {
-                    t.block = Block::Runnable;
-                }
+            if t.block == Block::Lock(addr) {
+                t.block = Block::Runnable;
             }
         }
     }
@@ -454,36 +398,24 @@ impl Sched {
 
     /// Blocks on `cv_addr`; the caller has already released the mutex
     /// (with no scheduling point in between, so release+wait is atomic
-    /// exactly like the real condvar). Returns whether the wait woke as
-    /// a timeout.
-    fn cv_wait(&self, my: usize, cv_addr: usize, timeout: bool, site: Site) -> bool {
+    /// exactly like the real condvar).
+    fn cv_wait(&self, my: usize, cv_addr: usize, site: Site) {
         let mut st = self.st();
         st.threads[my].at = site;
-        st.threads[my].wake = None;
-        st.threads[my].block = Block::Cv {
-            cv: cv_addr,
-            timeout,
-        };
-        let st = self.yield_and_park(st, my);
-        st.threads[my].wake == Some(Wake::TimedOut)
+        st.threads[my].block = Block::Cv(cv_addr);
+        drop(self.yield_and_park(st, my));
     }
 
-    fn cv_notify(&self, my: usize, cv_addr: usize, all: bool, site: Site) {
+    /// Wakes every thread waiting on `cv_addr`. Lost wakeups are modeled
+    /// faithfully: a thread not yet waiting stays blocked, and an
+    /// all-blocked schedule fails as deadlock.
+    fn cv_notify(&self, my: usize, cv_addr: usize, site: Site) {
         let mut st = self.st();
         st.threads[my].at = site;
         let mut st = self.yield_and_park(st, my);
-        // Deterministic pick: wake waiters in ascending-tid order. Lost
-        // wakeups are modeled faithfully — a thread not yet waiting
-        // stays blocked, and an all-blocked schedule fails as deadlock.
         for t in st.threads.iter_mut() {
-            if let Block::Cv { cv, .. } = t.block {
-                if cv == cv_addr {
-                    t.block = Block::Runnable;
-                    t.wake = Some(Wake::Notified);
-                    if !all {
-                        break;
-                    }
-                }
+            if t.block == Block::Cv(cv_addr) {
+                t.block = Block::Runnable;
             }
         }
     }
@@ -567,7 +499,6 @@ impl Sched {
         st.threads.push(ThreadState {
             block: Block::Runnable,
             clock,
-            wake: None,
             at: site,
         });
         st.live += 1;
@@ -635,61 +566,34 @@ pub(crate) fn mutex_lock(addr: usize) -> bool {
     let Some((s, my)) = current() else {
         return false;
     };
-    s.lock_acquire(my, addr, true, Location::caller());
+    s.lock_acquire(my, addr, Location::caller());
     true
-}
-
-#[track_caller]
-pub(crate) fn mutex_try_lock(addr: usize) -> Option<bool> {
-    let (s, my) = current()?;
-    Some(s.lock_try_acquire(my, addr, true, Location::caller()))
 }
 
 pub(crate) fn mutex_unlock(addr: usize) {
     if let Some((s, my)) = current() {
-        s.lock_release(my, addr, true);
-    }
-}
-
-#[track_caller]
-pub(crate) fn rw_lock(addr: usize, excl: bool) -> bool {
-    let Some((s, my)) = current() else {
-        return false;
-    };
-    s.lock_acquire(my, addr, excl, Location::caller());
-    true
-}
-
-#[track_caller]
-pub(crate) fn rw_try_lock(addr: usize, excl: bool) -> Option<bool> {
-    let (s, my) = current()?;
-    Some(s.lock_try_acquire(my, addr, excl, Location::caller()))
-}
-
-pub(crate) fn rw_unlock(addr: usize, excl: bool) {
-    if let Some((s, my)) = current() {
-        s.lock_release(my, addr, excl);
+        s.lock_release(my, addr);
     }
 }
 
 /// Model-level condvar wait; the caller must have dropped the mutex
 /// guard immediately before (no scheduling point runs in between).
-/// Returns whether the wait timed out. Only call when [`is_model`].
+/// Only call when [`is_model`].
 #[track_caller]
-pub(crate) fn condvar_wait(cv_addr: usize, timeout: bool) -> bool {
-    let Some((s, my)) = current() else {
-        return false;
-    };
-    s.cv_wait(my, cv_addr, timeout, Location::caller())
+pub(crate) fn condvar_wait(cv_addr: usize) {
+    if let Some((s, my)) = current() {
+        s.cv_wait(my, cv_addr, Location::caller());
+    }
 }
 
-/// Returns true when the notify was handled at model level.
+/// Wakes every model thread waiting on `cv_addr`; returns true when the
+/// notify was handled at model level.
 #[track_caller]
-pub(crate) fn condvar_notify(cv_addr: usize, all: bool) -> bool {
+pub(crate) fn condvar_notify(cv_addr: usize) -> bool {
     let Some((s, my)) = current() else {
         return false;
     };
-    s.cv_notify(my, cv_addr, all, Location::caller());
+    s.cv_notify(my, cv_addr, Location::caller());
     true
 }
 
@@ -1203,7 +1107,6 @@ fn run_one(plan: Plan, model: &Arc<dyn Fn() + Send + Sync>, max_steps: usize) ->
             threads: vec![ThreadState {
                 block: Block::Runnable,
                 clock: VClock::new(),
-                wake: None,
                 at: Location::caller(),
             }],
             running: 0,
@@ -1398,34 +1301,7 @@ mod tests {
     }
 
     #[test]
-    fn timed_waiters_stay_schedulable() {
-        // Same lost wakeup as above, but with wait_timeout: the
-        // scheduler may time the waiter out, so no schedule deadlocks.
-        let r = small("timed-wait").check(|| {
-            let pair = Arc::new((Mutex::new(false), Condvar::new()));
-            let p2 = pair.clone();
-            let t = spawn(move || {
-                let (m, cv) = &*p2;
-                let mut g = m.lock();
-                while !*g {
-                    let (g2, timed_out) = cv.wait_timeout(g, Duration::from_millis(1));
-                    g = g2;
-                    if timed_out {
-                        return;
-                    }
-                }
-            });
-            {
-                let mut g = pair.0.lock();
-                *g = true;
-            }
-            t.join().expect("invariant: model thread returns");
-        });
-        assert!(r.schedules >= 1, "{r}");
-    }
-
-    #[test]
-    fn notify_one_handshake_completes() {
+    fn notify_all_handshake_completes() {
         let r = small("handshake").check(|| {
             let pair = Arc::new((Mutex::new(false), Condvar::new()));
             let p2 = pair.clone();
@@ -1433,7 +1309,7 @@ mod tests {
                 let (m, cv) = &*p2;
                 let mut g = m.lock();
                 *g = true;
-                cv.notify_one();
+                cv.notify_all();
             });
             {
                 let (m, cv) = &*pair;

@@ -8,10 +8,10 @@
 //! if anyone can re-run them hermetically. This crate supplies the four
 //! things the workspace previously pulled from crates.io:
 //!
-//! * [`sync`] — API-compatible, poison-transparent wrappers over
-//!   [`std::sync`]'s `Mutex`/`RwLock`/`Condvar` (the guard-returning subset
-//!   the workspace used: `lock()`/`read()`/`write()` return guards
-//!   directly, never a `Result`), instrumented for lock-order validation.
+//! * [`sync`] — poison-transparent wrappers over [`std::sync`]'s
+//!   `Mutex`/`Condvar` (the guard-returning subset the workspace uses:
+//!   `lock()` returns the guard directly, never a `Result`), instrumented
+//!   for lock-order validation.
 //! * [`lockdep`] — the validator behind those wrappers: lock classes,
 //!   a per-thread held stack, and a global acquisition-order graph with
 //!   cycle detection, enabled by `CLIO_LOCKDEP=1`.
@@ -30,7 +30,7 @@
 //! * [`check`] — a loom-lite concurrency model checker: a cooperative
 //!   scheduler explores thread interleavings of small protocol models
 //!   (bounded-preemption DFS + seeded random walk with byte-identical
-//!   replay), while a vector-clock ([`vclock`]) happens-before checker
+//!   replay), while a vector-clock happens-before checker
 //!   reports data races with both access sites. [`sync`] and
 //!   [`sync::atomic`] are its instrumentation surface.
 //!
@@ -47,4 +47,4 @@ pub mod prop;
 pub mod rng;
 pub mod sim;
 pub mod sync;
-pub mod vclock;
+mod vclock;

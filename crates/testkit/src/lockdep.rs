@@ -21,8 +21,7 @@
 //! Two refinements keep the graph honest for this workspace:
 //!
 //! * Edges between the *same* class are ignored. Shard pools create many
-//!   locks at one site on purpose (one class), and `RwLock` readers may
-//!   legitimately nest shared acquisitions.
+//!   locks at one site on purpose (one class).
 //! * Classes can be marked *io-safe* (`with_class_io`): the device layer
 //!   calls [`assert_no_locks_held`] before every blocking write, and
 //!   only locks of classes *not* marked io-safe trip that assert. The
@@ -75,7 +74,7 @@ pub fn force_enable() {
     MODE.store(MODE_ON, Ordering::Relaxed);
 }
 
-/// Per-lock metadata embedded in every `sync::Mutex` / `sync::RwLock`.
+/// Per-lock metadata embedded in every `sync::Mutex`.
 ///
 /// The class id is resolved lazily on first tracked acquisition and
 /// cached (`0` = unresolved, else `class + 1`), so lock construction
@@ -223,19 +222,6 @@ pub(crate) fn on_acquire(meta: &LockMeta, at: &'static Location<'static>) -> Hel
     }
     let class = class_of(meta);
     push_with_edges(class, at);
-    Held { class: Some(class) }
-}
-
-/// Record a successful *try*-acquisition. Trylocks never block, so they
-/// cannot complete a deadlock cycle and contribute no ordering edges;
-/// the lock still lands on the held stack so [`assert_no_locks_held`]
-/// and later edges from this thread see it.
-pub(crate) fn on_acquire_try(meta: &LockMeta, at: &'static Location<'static>) -> Held {
-    if !enabled() {
-        return Held::none();
-    }
-    let class = class_of(meta);
-    HELD.with(|h| h.borrow_mut().push(HeldEntry { class, at }));
     Held { class: Some(class) }
 }
 

@@ -16,12 +16,11 @@
 //! default keyed to its creation site (so the N cache shards built in
 //! one loop share one class), or named explicitly:
 //!
-//! * [`Mutex::with_class`] / [`RwLock::with_class`] — a named class,
-//!   *strict*: holding it across blocking device I/O trips
-//!   [`crate::lockdep::assert_no_locks_held`].
-//! * [`Mutex::with_class_io`] / [`RwLock::with_class_io`] — a named
-//!   class that is allowed to span device writes (e.g. the append-state
-//!   mutex the group-commit leader holds while committing).
+//! * [`Mutex::with_class`] — a named class, *strict*: holding it across
+//!   blocking device I/O trips [`crate::lockdep::assert_no_locks_held`].
+//! * [`Mutex::with_class_io`] — a named class that is allowed to span
+//!   device writes (e.g. the append-state mutex the group-commit leader
+//!   holds while committing).
 //!
 //! Tracking is entirely inert unless `CLIO_LOCKDEP=1` is set; see the
 //! [`crate::lockdep`] module docs.
@@ -130,41 +129,6 @@ impl<T: ?Sized> Mutex<T> {
         }
     }
 
-    /// Acquires the lock only if it is free right now.
-    #[track_caller]
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        let addr = obj_addr(self);
-        if let Some(acquired) = check::mutex_try_lock(addr) {
-            if !acquired {
-                return None;
-            }
-            let inner = match self.inner.try_lock() {
-                Ok(g) => g,
-                Err(TryLockError::Poisoned(p)) => p.into_inner(),
-                Err(TryLockError::WouldBlock) => {
-                    unreachable!("invariant: a model-granted lock is free among model threads")
-                }
-            };
-            return Some(MutexGuard {
-                inner: Some(inner),
-                dep: lockdep::on_acquire_try(&self.meta, Location::caller()),
-                owner: self,
-                chk: Some(addr),
-            });
-        }
-        let inner = match self.inner.try_lock() {
-            Ok(g) => g,
-            Err(TryLockError::Poisoned(p)) => p.into_inner(),
-            Err(TryLockError::WouldBlock) => return None,
-        };
-        Some(MutexGuard {
-            inner: Some(inner),
-            dep: lockdep::on_acquire_try(&self.meta, Location::caller()),
-            owner: self,
-            chk: None,
-        })
-    }
-
     /// Mutable access without locking (requires exclusive ownership).
     pub fn get_mut(&mut self) -> &mut T {
         self.inner
@@ -182,10 +146,14 @@ impl<T: Default> Default for Mutex<T> {
 
 impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.try_lock() {
-            Some(g) => f.debug_struct("Mutex").field("data", &&*g).finish(),
-            None => f.write_str("Mutex { <locked> }"),
-        }
+        // The std lock directly: printing is neither a model scheduling
+        // point nor a lockdep acquisition.
+        let g = match self.inner.try_lock() {
+            Ok(g) => g,
+            Err(TryLockError::Poisoned(p)) => p.into_inner(),
+            Err(TryLockError::WouldBlock) => return f.write_str("Mutex { <locked> }"),
+        };
+        f.debug_struct("Mutex").field("data", &&*g).finish()
     }
 }
 
@@ -222,203 +190,6 @@ impl<T: ?Sized> std::ops::DerefMut for MutexGuard<'_, T> {
 impl<T: ?Sized + fmt::Debug> fmt::Debug for MutexGuard<'_, T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         (**self).fmt(f)
-    }
-}
-
-/// A reader-writer lock whose `read()`/`write()` return guards directly.
-pub struct RwLock<T: ?Sized> {
-    meta: LockMeta,
-    inner: std::sync::RwLock<T>,
-}
-
-/// Shared-access RAII guard for [`RwLock`].
-pub struct RwLockReadGuard<'a, T: ?Sized> {
-    inner: std::sync::RwLockReadGuard<'a, T>,
-    dep: lockdep::Held,
-    chk: Option<usize>,
-}
-
-/// Exclusive-access RAII guard for [`RwLock`].
-pub struct RwLockWriteGuard<'a, T: ?Sized> {
-    inner: std::sync::RwLockWriteGuard<'a, T>,
-    dep: lockdep::Held,
-    chk: Option<usize>,
-}
-
-impl<T> RwLock<T> {
-    /// Creates a new unlocked lock. Its lockdep class is this call site.
-    #[track_caller]
-    pub const fn new(value: T) -> RwLock<T> {
-        RwLock {
-            meta: LockMeta::new(Location::caller(), None, false),
-            inner: std::sync::RwLock::new(value),
-        }
-    }
-
-    /// Creates a lock in the named lockdep class (strict; see
-    /// [`Mutex::with_class`]).
-    #[track_caller]
-    pub const fn with_class(value: T, class: &'static str) -> RwLock<T> {
-        RwLock {
-            meta: LockMeta::new(Location::caller(), Some(class), false),
-            inner: std::sync::RwLock::new(value),
-        }
-    }
-
-    /// Creates a lock in the named lockdep class, marked as safe to
-    /// hold across blocking device I/O.
-    #[track_caller]
-    pub const fn with_class_io(value: T, class: &'static str) -> RwLock<T> {
-        RwLock {
-            meta: LockMeta::new(Location::caller(), Some(class), true),
-            inner: std::sync::RwLock::new(value),
-        }
-    }
-
-    /// Consumes the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.inner
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquires shared access, blocking until available.
-    #[track_caller]
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        let dep = lockdep::on_acquire(&self.meta, Location::caller());
-        let addr = obj_addr(self);
-        let chk = check::rw_lock(addr, false).then_some(addr);
-        RwLockReadGuard {
-            inner: self
-                .inner
-                .read()
-                .unwrap_or_else(std::sync::PoisonError::into_inner),
-            dep,
-            chk,
-        }
-    }
-
-    /// Acquires exclusive access, blocking until available.
-    #[track_caller]
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        let dep = lockdep::on_acquire(&self.meta, Location::caller());
-        let addr = obj_addr(self);
-        let chk = check::rw_lock(addr, true).then_some(addr);
-        RwLockWriteGuard {
-            inner: self
-                .inner
-                .write()
-                .unwrap_or_else(std::sync::PoisonError::into_inner),
-            dep,
-            chk,
-        }
-    }
-
-    /// Acquires shared access only if no writer holds the lock.
-    #[track_caller]
-    pub fn try_read(&self) -> Option<RwLockReadGuard<'_, T>> {
-        let addr = obj_addr(self);
-        let chk = match check::rw_try_lock(addr, false) {
-            Some(false) => return None,
-            Some(true) => Some(addr),
-            None => None,
-        };
-        let inner = match self.inner.try_read() {
-            Ok(g) => g,
-            Err(TryLockError::Poisoned(p)) => p.into_inner(),
-            Err(TryLockError::WouldBlock) => return None,
-        };
-        Some(RwLockReadGuard {
-            inner,
-            dep: lockdep::on_acquire_try(&self.meta, Location::caller()),
-            chk,
-        })
-    }
-
-    /// Acquires exclusive access only if the lock is free right now.
-    #[track_caller]
-    pub fn try_write(&self) -> Option<RwLockWriteGuard<'_, T>> {
-        let addr = obj_addr(self);
-        let chk = match check::rw_try_lock(addr, true) {
-            Some(false) => return None,
-            Some(true) => Some(addr),
-            None => None,
-        };
-        let inner = match self.inner.try_write() {
-            Ok(g) => g,
-            Err(TryLockError::Poisoned(p)) => p.into_inner(),
-            Err(TryLockError::WouldBlock) => return None,
-        };
-        Some(RwLockWriteGuard {
-            inner,
-            dep: lockdep::on_acquire_try(&self.meta, Location::caller()),
-            chk,
-        })
-    }
-
-    /// Mutable access without locking (requires exclusive ownership).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner
-            .get_mut()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-}
-
-impl<T: Default> Default for RwLock<T> {
-    #[track_caller]
-    fn default() -> RwLock<T> {
-        RwLock::new(T::default())
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for RwLock<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.try_read() {
-            Some(g) => f.debug_struct("RwLock").field("data", &&*g).finish(),
-            None => f.write_str("RwLock { <locked> }"),
-        }
-    }
-}
-
-impl<T: ?Sized> Drop for RwLockReadGuard<'_, T> {
-    fn drop(&mut self) {
-        // Model release before the field drop frees the std lock: safe,
-        // because no other model thread runs until this one yields.
-        if let Some(addr) = self.chk.take() {
-            check::rw_unlock(addr, false);
-        }
-        lockdep::on_release(&mut self.dep);
-    }
-}
-
-impl<T: ?Sized> Drop for RwLockWriteGuard<'_, T> {
-    fn drop(&mut self) {
-        if let Some(addr) = self.chk.take() {
-            check::rw_unlock(addr, true);
-        }
-        lockdep::on_release(&mut self.dep);
-    }
-}
-
-impl<T: ?Sized> std::ops::Deref for RwLockReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T: ?Sized> std::ops::Deref for RwLockWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T: ?Sized> std::ops::DerefMut for RwLockWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.inner
     }
 }
 
@@ -494,7 +265,7 @@ impl Condvar {
         if check::is_model() {
             let owner = guard.owner;
             drop(guard);
-            check::condvar_wait(obj_addr(self), false);
+            check::condvar_wait(obj_addr(self));
             return owner.lock();
         }
         let at = Location::caller();
@@ -540,42 +311,6 @@ impl Condvar {
         }
     }
 
-    /// Blocks until notified or `dur` elapses; returns the guard and
-    /// whether the wait timed out.
-    ///
-    /// Under a model run the duration is ignored: a timed waiter simply
-    /// stays schedulable, and the scheduler explores both the notified
-    /// and the timed-out wakeup.
-    #[track_caller]
-    pub fn wait_timeout<'a, T>(
-        &self,
-        mut guard: MutexGuard<'a, T>,
-        dur: std::time::Duration,
-    ) -> (MutexGuard<'a, T>, bool) {
-        if check::is_model() {
-            let owner = guard.owner;
-            drop(guard);
-            let timed_out = check::condvar_wait(obj_addr(self), true);
-            return (owner.lock(), timed_out);
-        }
-        let at = Location::caller();
-        let owner = guard.owner;
-        let (inner, class) = Self::part(&mut guard);
-        let (inner, timeout) = self
-            .inner
-            .wait_timeout(inner, dur)
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        (
-            MutexGuard {
-                inner: Some(inner),
-                dep: lockdep::on_wait_reacquire(class, at),
-                owner,
-                chk: None,
-            },
-            timeout.timed_out(),
-        )
-    }
-
     /// Takes the std guard out of `guard` and pops its lockdep tracking:
     /// while blocked in `wait` the thread does not hold the mutex.
     fn part<'a, T>(guard: &mut MutexGuard<'a, T>) -> (std::sync::MutexGuard<'a, T>, Option<u32>) {
@@ -587,19 +322,10 @@ impl Condvar {
         (inner, class)
     }
 
-    /// Wakes one waiter.
-    #[track_caller]
-    pub fn notify_one(&self) {
-        if check::condvar_notify(obj_addr(self), false) {
-            return;
-        }
-        self.inner.notify_one();
-    }
-
     /// Wakes every waiter.
     #[track_caller]
     pub fn notify_all(&self) {
-        if check::condvar_notify(obj_addr(self), true) {
+        if check::condvar_notify(obj_addr(self)) {
             return;
         }
         self.inner.notify_all();
@@ -618,19 +344,6 @@ mod tests {
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
         assert_eq!(m.into_inner(), 2);
-    }
-
-    #[test]
-    fn rwlock_many_readers_one_writer() {
-        let l = RwLock::new(vec![1, 2]);
-        {
-            let a = l.read();
-            let b = l.read();
-            assert_eq!(a.len() + b.len(), 4);
-            assert!(l.try_write().is_none());
-        }
-        l.write().push(3);
-        assert_eq!(*l.read(), vec![1, 2, 3]);
     }
 
     #[test]
@@ -677,7 +390,7 @@ mod tests {
         impl Drop for Snap {
             fn drop(&mut self) {
                 if let Some(cell) = self.cell.get() {
-                    let free = cell.inner.try_lock().is_some();
+                    let free = cell.inner.inner.try_lock().is_ok();
                     self.cell_was_free.store(free, Ordering::SeqCst);
                 }
             }
@@ -708,7 +421,7 @@ mod tests {
         let t = std::thread::spawn(move || {
             let (m, cv) = &*pair2;
             *m.lock() = true;
-            cv.notify_one();
+            cv.notify_all();
         });
         let (m, cv) = &*pair;
         let g = cv.wait_while(m.lock(), |ready| !*ready);

@@ -1,13 +1,14 @@
 //! Atomic wrappers instrumented for the [`crate::check`] model checker.
 //!
-//! Drop-in replacements for the `std::sync::atomic` integer/bool types
-//! with the same explicit-[`Ordering`] APIs. Outside a checked run each
-//! operation is the std operation plus one relaxed load; under a model
-//! run each access is a scheduling point, and the declared ordering
-//! feeds the vector-clock race detector exactly as the memory model
-//! prescribes: `Release` (and stronger) stores publish the writer's
-//! clock to the atomic, `Acquire` (and stronger) loads join it —
-//! `Relaxed` accesses synchronize nothing, so data "published" over a
+//! Replacements for the `std::sync::atomic` integer/bool types with the
+//! same explicit-[`Ordering`] APIs, limited to the operations the
+//! workspace calls (load, store, swap, and fetch add/max/min). Outside a
+//! checked run each operation is the std operation plus one relaxed
+//! load; under a model run each access is a scheduling point, and the
+//! declared ordering feeds the vector-clock race detector exactly as the
+//! memory model prescribes: `Release` (and stronger) stores publish the
+//! writer's clock to the atomic, `Acquire` (and stronger) loads join it
+//! — `Relaxed` accesses synchronize nothing, so data "published" over a
 //! relaxed flag stays racy and is reported.
 //!
 //! The `no-raw-std-atomics` lint rule forbids direct `std::sync::atomic`
@@ -81,27 +82,6 @@ macro_rules! atomic_int {
                 self.inner.fetch_add(v, order)
             }
 
-            /// Subtracts `v`, returning the previous value.
-            #[track_caller]
-            pub fn fetch_sub(&self, v: $prim, order: Ordering) -> $prim {
-                self.rmw(order);
-                self.inner.fetch_sub(v, order)
-            }
-
-            /// Bitwise-ands with `v`, returning the previous value.
-            #[track_caller]
-            pub fn fetch_and(&self, v: $prim, order: Ordering) -> $prim {
-                self.rmw(order);
-                self.inner.fetch_and(v, order)
-            }
-
-            /// Bitwise-ors with `v`, returning the previous value.
-            #[track_caller]
-            pub fn fetch_or(&self, v: $prim, order: Ordering) -> $prim {
-                self.rmw(order);
-                self.inner.fetch_or(v, order)
-            }
-
             /// Stores the maximum of the value and `v`, returning the
             /// previous value.
             #[track_caller]
@@ -116,38 +96,6 @@ macro_rules! atomic_int {
             pub fn fetch_min(&self, v: $prim, order: Ordering) -> $prim {
                 self.rmw(order);
                 self.inner.fetch_min(v, order)
-            }
-
-            /// Compare-and-exchange; see
-            /// [`std::sync::atomic::AtomicUsize::compare_exchange`].
-            ///
-            /// Model note: treated as a read-modify-write at `success`
-            /// ordering whether or not it succeeds (a conservative
-            /// over-approximation of the failure ordering).
-            #[track_caller]
-            pub fn compare_exchange(
-                &self,
-                current: $prim,
-                new: $prim,
-                success: Ordering,
-                failure: Ordering,
-            ) -> Result<$prim, $prim> {
-                self.rmw(success);
-                self.inner.compare_exchange(current, new, success, failure)
-            }
-
-            /// Weak compare-and-exchange (may spuriously fail); same
-            /// model note as [`Self::compare_exchange`].
-            #[track_caller]
-            pub fn compare_exchange_weak(
-                &self,
-                current: $prim,
-                new: $prim,
-                success: Ordering,
-                failure: Ordering,
-            ) -> Result<$prim, $prim> {
-                self.rmw(success);
-                self.inner.compare_exchange_weak(current, new, success, failure)
             }
 
             /// Mutable access without atomics (requires exclusive
@@ -318,34 +266,6 @@ impl AtomicBool {
         self.inner.swap(v, order)
     }
 
-    /// Bitwise-ands with `v`, returning the previous value.
-    #[track_caller]
-    pub fn fetch_and(&self, v: bool, order: Ordering) -> bool {
-        self.rmw(order);
-        self.inner.fetch_and(v, order)
-    }
-
-    /// Bitwise-ors with `v`, returning the previous value.
-    #[track_caller]
-    pub fn fetch_or(&self, v: bool, order: Ordering) -> bool {
-        self.rmw(order);
-        self.inner.fetch_or(v, order)
-    }
-
-    /// Compare-and-exchange; same model note as
-    /// [`AtomicU64::compare_exchange`].
-    #[track_caller]
-    pub fn compare_exchange(
-        &self,
-        current: bool,
-        new: bool,
-        success: Ordering,
-        failure: Ordering,
-    ) -> Result<bool, bool> {
-        self.rmw(success);
-        self.inner.compare_exchange(current, new, success, failure)
-    }
-
     /// Mutable access without atomics (requires exclusive ownership).
     pub fn get_mut(&mut self) -> &mut bool {
         self.inner.get_mut()
@@ -384,19 +304,10 @@ mod tests {
         assert_eq!(GLOBAL.load(Ordering::Relaxed), 7);
         let a = AtomicU64::new(1);
         assert_eq!(a.fetch_add(2, Ordering::Relaxed), 1);
-        assert_eq!(a.fetch_sub(1, Ordering::AcqRel), 3);
-        assert_eq!(a.swap(10, Ordering::SeqCst), 2);
+        assert_eq!(a.swap(10, Ordering::SeqCst), 3);
         assert_eq!(a.fetch_max(4, Ordering::Relaxed), 10);
         assert_eq!(a.fetch_min(4, Ordering::Relaxed), 10);
         assert_eq!(a.load(Ordering::Acquire), 4);
-        assert_eq!(
-            a.compare_exchange(4, 9, Ordering::AcqRel, Ordering::Acquire),
-            Ok(4)
-        );
-        assert_eq!(
-            a.compare_exchange(4, 9, Ordering::AcqRel, Ordering::Acquire),
-            Err(9)
-        );
         let mut a = a;
         *a.get_mut() = 5;
         assert_eq!(a.into_inner(), 5);
@@ -411,13 +322,8 @@ mod tests {
     fn bool_ops_behave_like_std() {
         let b = AtomicBool::new(false);
         assert!(!b.swap(true, Ordering::AcqRel));
-        assert!(b.fetch_and(false, Ordering::Relaxed));
-        assert!(!b.fetch_or(true, Ordering::Release));
-        assert!(b.load(Ordering::Acquire));
-        assert_eq!(
-            b.compare_exchange(true, false, Ordering::SeqCst, Ordering::SeqCst),
-            Ok(true)
-        );
+        b.store(false, Ordering::Release);
+        assert!(!b.load(Ordering::Acquire));
         let mut b = b;
         *b.get_mut() = true;
         assert!(b.into_inner());

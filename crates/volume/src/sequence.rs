@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use clio_testkit::sync::atomic::{AtomicU32, Ordering};
-use clio_testkit::sync::RwLock;
+use clio_testkit::sync::Mutex;
 
 use clio_cache::BlockCache;
 use clio_device::SharedDevice;
@@ -23,7 +23,7 @@ pub struct VolumeSequence {
     seq: VolumeSeqId,
     cache: Arc<BlockCache<ParsedBlock>>,
     pool: Arc<dyn DevicePool>,
-    volumes: RwLock<Vec<Arc<Volume>>>,
+    volumes: Mutex<Vec<Arc<Volume>>>,
     base_device_id: u32,
     next_device_id: AtomicU32,
 }
@@ -60,8 +60,8 @@ impl VolumeSequence {
             cache,
             pool,
             // io class: extend() formats the next device while holding
-            // the write guard so the chain stays contiguous.
-            volumes: RwLock::with_class_io(vec![Arc::new(v)], "volume.volumes"),
+            // the lock so the chain stays contiguous.
+            volumes: Mutex::with_class_io(vec![Arc::new(v)], "volume.volumes"),
             base_device_id,
             next_device_id: AtomicU32::new(base_device_id + 1),
         })
@@ -119,7 +119,7 @@ impl VolumeSequence {
             seq,
             cache,
             pool,
-            volumes: RwLock::with_class_io(vols, "volume.volumes"),
+            volumes: Mutex::with_class_io(vols, "volume.volumes"),
             base_device_id,
             next_device_id: AtomicU32::new(base_device_id + count),
         })
@@ -140,25 +140,25 @@ impl VolumeSequence {
     /// Block size of every volume in the sequence.
     #[must_use]
     pub fn block_size(&self) -> usize {
-        self.volumes.read()[0].label().block_size as usize
+        self.volumes.lock()[0].label().block_size as usize
     }
 
     /// Entrymap degree of the sequence.
     #[must_use]
     pub fn fanout(&self) -> u16 {
-        self.volumes.read()[0].label().fanout
+        self.volumes.lock()[0].label().fanout
     }
 
     /// Number of mounted volumes.
     #[must_use]
     pub fn volume_count(&self) -> u32 {
-        self.volumes.read().len() as u32
+        self.volumes.lock().len() as u32
     }
 
     /// The volume at `index`.
     pub fn volume(&self, index: u32) -> Result<Arc<Volume>> {
         self.volumes
-            .read()
+            .lock()
             .get(index as usize)
             .cloned()
             .ok_or_else(|| ClioError::NotFound(format!("volume index {index}")))
@@ -168,7 +168,7 @@ impl VolumeSequence {
     #[must_use]
     pub fn active(&self) -> Arc<Volume> {
         self.volumes
-            .read()
+            .lock()
             .last()
             .expect("invariant: create/open seed volume 0 and extend only appends")
             .clone()
@@ -178,7 +178,7 @@ impl VolumeSequence {
     /// off-line and "made available on demand"). The newest volume must
     /// stay mounted — it is the read/write head of the sequence.
     pub fn set_offline(&self, index: u32) -> Result<()> {
-        let g = self.volumes.read();
+        let g = self.volumes.lock();
         if index as usize + 1 == g.len() {
             return Err(ClioError::Internal(
                 "the active volume cannot be taken offline".into(),
@@ -193,7 +193,7 @@ impl VolumeSequence {
 
     /// Remounts the volume at `index`.
     pub fn bring_online(&self, index: u32) -> Result<()> {
-        let g = self.volumes.read();
+        let g = self.volumes.lock();
         let v = g
             .get(index as usize)
             .ok_or_else(|| ClioError::NotFound(format!("volume index {index}")))?;
@@ -204,7 +204,7 @@ impl VolumeSequence {
     /// Loads and formats a successor volume (§2.1), returning it.
     pub fn extend(&self, now: Timestamp) -> Result<Arc<Volume>> {
         let device = self.pool.next_device()?;
-        let mut g = self.volumes.write();
+        let mut g = self.volumes.lock();
         let last = g
             .last()
             .expect("invariant: create/open seed volume 0 and extend only appends");
