@@ -309,4 +309,5 @@ fn main() {
     bench_service(&mut c);
     bench_cache(&mut c);
     bench_sync(&mut c);
+    clio_testkit::bench::sync_hooks(&mut c);
 }

@@ -32,7 +32,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
-use clio_obs::{Counter, Gauge, MetricsRegistry, TraceRing};
+use clio_obs::{Collector, Counter, Gauge, MetricSource, MetricsRegistry, TraceRing};
 use clio_testkit::sync::{Condvar, Mutex};
 
 use clio_types::{BlockNo, Result};
@@ -69,7 +69,7 @@ impl CacheKey {
 
 /// One shard's statistics handles (shared-cache totals are their sums).
 /// The cache creates them — its constructors take no registry — and
-/// [`BlockCache::register_into`] has a registry adopt them.
+/// [`BlockCache::register_into`] registers the cache as their reader.
 #[derive(Debug, Default)]
 struct Counters {
     hits: Arc<Counter>,
@@ -430,38 +430,40 @@ impl<B: Clone> BlockCache<B> {
         }
         s
     }
+}
 
-    /// Has `reg` adopt the cache's handles under the `clio_cache_*`
-    /// namespace: each total is the sum of its per-shard stripes, and a
-    /// cache of more than one shard also serves the stripes themselves
+impl<B: Send + Sync + 'static> BlockCache<B> {
+    /// Registers this cache with `reg` as the source of the `clio_cache_*`
+    /// series: each total is the sum of its per-shard stripes, and a cache
+    /// of more than one shard also serves the stripes themselves
     /// (`clio_cache_shard<i>_*`).
-    pub fn register_into(&self, reg: &MetricsRegistry) {
-        for (i, shard) in self.shards.iter().enumerate() {
-            let c = &shard.counters;
-            reg.adopt("clio_cache_hits_total", c.hits.clone());
-            reg.adopt("clio_cache_misses_total", c.misses.clone());
-            reg.adopt("clio_cache_inserts_total", c.inserts.clone());
-            reg.adopt("clio_cache_evictions_total", c.evictions.clone());
-            reg.adopt("clio_cache_resident_blocks", c.resident.clone());
+    pub fn register_into(self: &Arc<Self>, reg: &MetricsRegistry) {
+        reg.register(self.clone());
+    }
+}
+
+impl<B: Send + Sync> MetricSource for BlockCache<B> {
+    fn collect(&self, out: &mut Collector) {
+        for (i, c) in self.shards.iter().map(|s| &s.counters).enumerate() {
+            out.counter("clio_cache_hits_total", &[], c.hits.get());
+            out.counter("clio_cache_misses_total", &[], c.misses.get());
+            out.counter("clio_cache_inserts_total", &[], c.inserts.get());
+            out.counter("clio_cache_evictions_total", &[], c.evictions.get());
+            out.gauge("clio_cache_resident_blocks", &[], c.resident.get());
             if self.shards.len() > 1 {
-                reg.adopt(&format!("clio_cache_shard{i}_hits_total"), c.hits.clone());
-                reg.adopt(
-                    &format!("clio_cache_shard{i}_misses_total"),
-                    c.misses.clone(),
-                );
-                reg.adopt(
-                    &format!("clio_cache_shard{i}_resident_blocks"),
-                    c.resident.clone(),
-                );
+                let name = |what: &str| format!("clio_cache_shard{i}_{what}");
+                out.counter(&name("hits_total"), &[], c.hits.get());
+                out.counter(&name("misses_total"), &[], c.misses.get());
+                out.gauge(&name("resident_blocks"), &[], c.resident.get());
             }
         }
-        reg.adopt(
+        out.counter(
             "clio_cache_duplicate_loads_total",
-            self.duplicate_loads.clone(),
+            &[],
+            self.duplicate_loads.get(),
         );
-        reg.gauge("clio_cache_capacity_blocks")
-            .set(self.capacity as i64);
-        reg.gauge("clio_cache_shards").set(self.shards.len() as i64);
+        out.gauge("clio_cache_capacity_blocks", &[], self.capacity as i64);
+        out.gauge("clio_cache_shards", &[], self.shards.len() as i64);
     }
 }
 

@@ -2,12 +2,13 @@
 //! instrumented device plumbing.
 //!
 //! Every [`crate::LogService`] owns a [`ServiceObs`]: one
-//! [`MetricsRegistry`] into which the device layer, the block cache, the
-//! shards' space accounting and the service's own op histograms all
-//! register, plus a [`TraceRing`] recording the span tree of each logical
-//! operation. Each event is counted in one place, and a coarser series is
-//! the sum of finer stripes: an append in its log's series, which the
-//! shard and service totals sum; a commit in its shard's. The service
+//! [`MetricsRegistry`] with which the device layer, the block cache, each
+//! shard (its commit series and space accounting) and the service's own op
+//! series each register once, as one source, plus a [`TraceRing`]
+//! recording the span tree of each logical operation. Each event is
+//! counted in one place, and a coarser series is the sum of finer stripes:
+//! an append in its log's series, which the shard and service totals sum;
+//! a commit in its shard's. The service
 //! exposes the whole thing via [`crate::LogService::metrics_text`] /
 //! [`crate::LogService::metrics_json`] / [`crate::LogService::trace_dump`],
 //! and over the client/server channel via the `Stats` request.
@@ -18,7 +19,10 @@ use std::time::Duration;
 use clio_device::{DeviceStats, InstrumentedDevice, SharedDevice};
 use clio_entrymap::LocateStats;
 use clio_obs::clock::Reading;
-use clio_obs::{Counter, Gauge, Histogram, MetricsRegistry, Series, SpanGuard, TraceRing};
+use clio_obs::{
+    Collector, Counter, Gauge, HistSnapshot, Histogram, MetricSource, MetricsRegistry, SpanGuard,
+    TraceRing,
+};
 use clio_types::{LogFileId, Result};
 use clio_volume::DevicePool;
 
@@ -33,20 +37,37 @@ const COMMIT_BLOCKS: &str = "clio_core_group_commit_batch_blocks";
 /// Per-shard appends: the sum of the shard's logs' append counters.
 const SHARD_APPENDS: &str = "clio_shard_appends_total";
 
-/// Per-log-file metric series (labeled `{log="<id>"}` in the registry):
+/// Per-log-file metric series (labeled `{log="<id>"}` at scrape):
 /// groundwork for sharding, where per-log traffic shapes placement.
 struct PerLog {
     appends: Arc<Counter>,
     reads: Arc<Counter>,
     append_ns: Arc<Histogram>,
     read_ns: Arc<Histogram>,
+    /// The shard that first touched the log: its appends join that
+    /// shard's total.
+    shard: u32,
 }
 
 /// The series of the 256 log ids sharing a high byte.
 type PerLogPage = Box<[OnceLock<PerLog>]>;
 
+/// Per-log-file series, created lazily at first touch of each log id: a
+/// two-level table over the 16-bit id (high byte picks a page, low byte a
+/// series), so the per-op lookup is two loads — no lock, and no reference
+/// count shared between a log's appender and its readers.
+struct PerLogTable([OnceLock<PerLogPage>; 256]);
+
+impl Default for PerLogTable {
+    fn default() -> PerLogTable {
+        PerLogTable(std::array::from_fn(|_| OnceLock::new()))
+    }
+}
+
 /// Per-shard metric series (labeled `{shard="<i>"}`): one set per append
-/// domain, held by the shard.
+/// domain, held by the shard; a clone, which shares the handles, is the
+/// shard's registered source.
+#[derive(Clone, Default)]
 pub(crate) struct PerShard {
     /// Commit batches this shard's gate wrote.
     pub commits: Arc<Counter>,
@@ -74,18 +95,14 @@ pub(crate) struct PerShard {
     pub space: Space,
 }
 
-/// The observability state of one service instance.
-pub struct ServiceObs {
-    registry: Arc<MetricsRegistry>,
-    trace: Arc<TraceRing>,
-    /// Per-log-file series, created lazily at first touch of each log id:
-    /// a two-level table over the 16-bit id (high byte picks a page, low
-    /// byte a series), so the per-op lookup is two loads — no lock, and no
-    /// reference count shared between a log's appender and its readers.
-    per_log: Box<[OnceLock<PerLogPage>]>,
-    /// Counters shared by every device the service touches (the volume
-    /// sequence wraps each pool device in an [`InstrumentedDevice`]).
-    pub device_stats: Arc<DeviceStats>,
+/// The service's own series: one registered source, which a clone of the
+/// handles the service counts with makes.
+#[derive(Clone, Default)]
+struct CoreSeries {
+    per_log: Arc<PerLogTable>,
+    /// The report of the recovery that built the service, if one did:
+    /// what the `clio_recovery_*` gauges read.
+    recovery: Arc<OnceLock<RecoveryReport>>,
     /// Wall-clock latency of `read_entry` calls, ns.
     read_latency: Arc<Histogram>,
     /// Wall-clock latency of entrymap locate searches, ns.
@@ -106,9 +123,19 @@ pub struct ServiceObs {
     forced_writes_saved: Arc<Counter>,
 }
 
+/// The observability state of one service instance.
+pub struct ServiceObs {
+    registry: Arc<MetricsRegistry>,
+    trace: Arc<TraceRing>,
+    /// Counters shared by every device the service touches (the volume
+    /// sequence wraps each pool device in an [`InstrumentedDevice`]).
+    pub device_stats: Arc<DeviceStats>,
+    core: CoreSeries,
+}
+
 impl ServiceObs {
-    /// Builds the registry, registers the shared device counters, and sizes
-    /// the trace ring to `trace_events`.
+    /// Builds the registry, registers the shared device counters and the
+    /// service's own series, and sizes the trace ring to `trace_events`.
     #[must_use]
     pub(crate) fn new(trace_events: usize) -> Arc<ServiceObs> {
         let registry = Arc::new(MetricsRegistry::new());
@@ -117,29 +144,13 @@ impl ServiceObs {
         if trace.capacity() > 0 {
             device_stats.attach_trace(trace.clone());
         }
-        // Totals of stripes, registered now so they read 0 before the
-        // first stripe arrives.
-        let _ = registry.counter(APPENDS_TOTAL);
-        let _ = registry.histogram(APPEND_LATENCY);
-        let _ = registry.counter(COMMITS_TOTAL);
-        let _ = registry.histogram(COMMIT_BLOCKS);
+        let core = CoreSeries::default();
+        registry.register(Arc::new(core.clone()));
         Arc::new(ServiceObs {
-            trace,
-            per_log: (0..256).map(|_| OnceLock::new()).collect(),
-            device_stats,
-            read_latency: registry.histogram("clio_core_read_latency_ns"),
-            locate_latency: registry.histogram("clio_core_locate_latency_ns"),
-            locate_blocks: registry.histogram("clio_core_locate_blocks"),
-            locate_depth: registry.histogram("clio_core_locate_depth"),
-            append_errors: registry.counter("clio_core_append_errors_total"),
-            reads: registry.counter("clio_core_reads_total"),
-            read_errors: registry.counter("clio_core_read_errors_total"),
-            locates: registry.counter("clio_core_locates_total"),
-            locate_memo_hits: registry.counter("clio_core_locate_memo_hits_total"),
-            creates: registry.counter("clio_core_creates_total"),
-            view_publishes: registry.counter("clio_core_view_publishes_total"),
-            forced_writes_saved: registry.counter("clio_core_forced_writes_saved_total"),
             registry,
+            trace,
+            device_stats,
+            core,
         })
     }
 
@@ -173,59 +184,33 @@ impl ServiceObs {
 
     /// The per-log metric series for `id`, created on first touch by shard
     /// `shard`, which holds the log's entries (a reserved log has entries
-    /// on every shard, but its series only count reads). Fetched before
-    /// the slot's `get_or_init`, not inside it: the registry's lock is a
-    /// model-checker scheduling point, and a thread blocked in a
-    /// `OnceLock` waits where the checker cannot see it. Racing first
-    /// touches fetch the same series, and the registry adopts it into its
-    /// totals once, in the hold that creates it.
+    /// on every shard, but its series only count reads). Making them
+    /// allocates and touches no lock, so a racing first touch waits in the
+    /// `OnceLock` for no scheduling point the model checker cannot see.
+    /// The appender's handles are allocated first and the readers' last,
+    /// with the histograms' cold ends between, so the two sides of a log
+    /// never write one cache line.
     fn per_log(&self, shard: u32, id: LogFileId) -> &PerLog {
-        let page = self.per_log[usize::from(id.0 >> 8)]
+        let page = self.core.per_log.0[usize::from(id.0 >> 8)]
             .get_or_init(|| (0..256).map(|_| OnceLock::new()).collect());
-        let slot = &page[usize::from(id.0 & 0xFF)];
-        if let Some(series) = slot.get() {
-            return series;
-        }
-        let (label, shard) = (id.0.to_string(), shard.to_string());
-        let labels: &[(&str, &str)] = &[("log", &label)];
-        let appends: &[Series] = &[(APPENDS_TOTAL, &[]), (SHARD_APPENDS, &[("shard", &shard)])];
-        let latency: &[Series] = &[(APPEND_LATENCY, &[])];
-        let reg = &self.registry;
-        let series = PerLog {
-            appends: reg.counter_with("clio_log_appends_total", labels, appends),
-            reads: reg.counter_with("clio_log_reads_total", labels, &[]),
-            append_ns: reg.histogram_with("clio_log_append_latency_ns", labels, latency),
-            read_ns: reg.histogram_with("clio_log_read_latency_ns", labels, &[]),
-        };
-        slot.get_or_init(|| series)
+        page[usize::from(id.0 & 0xFF)].get_or_init(|| PerLog {
+            appends: Arc::default(),
+            append_ns: Arc::default(),
+            read_ns: Arc::default(),
+            reads: Arc::default(),
+            shard,
+        })
     }
 
-    /// The metric series of append domain `idx`, made once, when the
-    /// shard is: its space counters join the `clio_space_*` totals here.
+    /// The metric series of append domain `idx`, made and registered
+    /// once, when the shard is.
     pub(crate) fn per_shard(&self, idx: u32) -> PerShard {
-        let label = idx.to_string();
-        let labels: &[(&str, &str)] = &[("shard", &label)];
-        let reg = &self.registry;
-        let counter = |name: &str| reg.counter_with(name, labels, &[]);
-        // The sum of this shard's logs' stripes; registered now so a shard
-        // with no appends reads 0.
-        let _ = counter(SHARD_APPENDS);
-        PerShard {
-            commits: reg.counter_with("clio_shard_commits_total", labels, &[(COMMITS_TOTAL, &[])]),
-            leader_elections: counter("clio_shard_leader_elections_total"),
-            commit_batch_blocks: reg.histogram_with(
-                "clio_shard_commit_batch_blocks",
-                labels,
-                &[(COMMIT_BLOCKS, &[])],
-            ),
-            followers_polled: counter("clio_shard_followers_polled_total"),
-            followers_parked: counter("clio_shard_followers_parked_total"),
-            arrival_waits: counter("clio_shard_arrival_waits_total"),
-            arrival_timeouts: counter("clio_shard_arrival_timeouts_total"),
-            arriving: reg.gauge(&format!("clio_core_shard{idx}_arriving")),
-            sealed_queue_blocks: reg.gauge(&format!("clio_core_shard{idx}_sealed_queue_blocks")),
-            space: Space::adopted_by(reg),
-        }
+        let series = PerShard::default();
+        self.registry.register(Arc::new(ShardSeries {
+            idx,
+            series: series.clone(),
+        }));
+        series
     }
 
     /// Records an `append` to log `id` on shard `shard`: its latency and
@@ -239,7 +224,7 @@ impl ServiceObs {
             per_log.appends.inc();
             per_log.append_ns.record_duration(dur);
         } else {
-            self.append_errors.inc();
+            self.core.append_errors.inc();
         }
     }
 
@@ -247,38 +232,38 @@ impl ServiceObs {
     /// the trace side is the caller's root `read` span.
     pub(crate) fn note_read(&self, shard: u32, target: Option<LogFileId>, dur: Duration, ok: bool) {
         if ok {
-            self.reads.inc();
-            self.read_latency.record_duration(dur);
+            self.core.reads.inc();
+            self.core.read_latency.record_duration(dur);
             if let Some(id) = target {
                 let per_log = self.per_log(shard, id);
                 per_log.reads.inc();
                 per_log.read_ns.record_duration(dur);
             }
         } else {
-            self.read_errors.inc();
+            self.core.read_errors.inc();
         }
     }
 
     /// Records one entrymap locate search from its [`LocateStats`]; the
     /// trace side is the caller's `locate` span.
     pub(crate) fn note_locate(&self, stats: &LocateStats, dur: Duration) {
-        self.locates.inc();
-        self.locate_memo_hits.add(stats.memo_hits);
-        self.locate_latency.record_duration(dur);
-        self.locate_blocks.record(stats.blocks_read);
-        self.locate_depth.record(stats.max_level);
+        self.core.locates.inc();
+        self.core.locate_memo_hits.add(stats.memo_hits);
+        self.core.locate_latency.record_duration(dur);
+        self.core.locate_blocks.record(stats.blocks_read);
+        self.core.locate_depth.record(stats.max_level);
     }
 
     /// Counts a successful `create_log`; the trace side is the caller's
     /// `create_log` span.
     pub(crate) fn note_create(&self) {
-        self.creates.inc();
+        self.core.creates.inc();
     }
 
     /// Counts one republication of the read snapshot (an op republishes
     /// only when the snapshot would differ, so this tracks snapshot churn).
     pub(crate) fn note_view_publish(&self) {
-        self.view_publishes.inc();
+        self.core.view_publishes.inc();
     }
 
     /// Counts the device writes a group commit saved: the forced appends
@@ -288,13 +273,12 @@ impl ServiceObs {
     pub(crate) fn note_writes_saved(&self, forced_covered: u64, device_writes: u64) {
         let saved = forced_covered.saturating_sub(device_writes.max(1));
         if saved > 0 {
-            self.forced_writes_saved.add(saved);
+            self.core.forced_writes_saved.add(saved);
         }
     }
 
-    /// Adopts the shared block cache's counters into the registry and, when
-    /// tracing is enabled, hooks the cache's single-flight loads into the
-    /// trace ring.
+    /// Registers the shared block cache's counters and, when tracing is
+    /// enabled, hooks the cache's single-flight loads into the trace ring.
     pub(crate) fn attach_cache(
         &self,
         cache: &Arc<clio_cache::BlockCache<clio_format::ParsedBlock>>,
@@ -305,28 +289,122 @@ impl ServiceObs {
         }
     }
 
-    /// Publishes the per-phase recovery timings and totals as gauges, and
-    /// traces one `recover` event.
+    /// Keeps the recovery's report, which the `clio_recovery_*` gauges
+    /// read from then on.
     pub(crate) fn publish_recovery(&self, r: &RecoveryReport) {
-        let set = |name: &str, v: u64| {
-            self.registry
-                .gauge(name)
-                .set(i64::try_from(v).unwrap_or(i64::MAX));
-        };
-        set("clio_recovery_volumes", u64::from(r.volumes));
-        set("clio_recovery_end_probes_total", r.end_probes);
-        set("clio_recovery_rebuild_blocks_read", r.rebuild_blocks_read);
-        set("clio_recovery_catalog_records", r.catalog_records);
-        set("clio_recovery_end_locate_us", r.end_locate_us);
-        set("clio_recovery_rebuild_us", r.rebuild_us);
-        set("clio_recovery_catalog_us", r.catalog_us);
-        set("clio_recovery_total_us", r.total_us);
+        let _ = self.core.recovery.set(r.clone());
     }
 
     /// Wraps a device so its ops land in this service's shared counters.
     #[must_use]
     pub(crate) fn instrument_device(&self, dev: SharedDevice) -> SharedDevice {
         Arc::new(InstrumentedDevice::new(dev, self.device_stats.clone()))
+    }
+}
+
+impl MetricSource for CoreSeries {
+    fn collect(&self, out: &mut Collector) {
+        for (name, c) in [
+            ("clio_core_append_errors_total", &self.append_errors),
+            ("clio_core_reads_total", &self.reads),
+            ("clio_core_read_errors_total", &self.read_errors),
+            ("clio_core_locates_total", &self.locates),
+            ("clio_core_locate_memo_hits_total", &self.locate_memo_hits),
+            ("clio_core_creates_total", &self.creates),
+            ("clio_core_view_publishes_total", &self.view_publishes),
+            (
+                "clio_core_forced_writes_saved_total",
+                &self.forced_writes_saved,
+            ),
+        ] {
+            out.counter(name, &[], c.get());
+        }
+        for (name, h) in [
+            ("clio_core_read_latency_ns", &self.read_latency),
+            ("clio_core_locate_latency_ns", &self.locate_latency),
+            ("clio_core_locate_blocks", &self.locate_blocks),
+            ("clio_core_locate_depth", &self.locate_depth),
+        ] {
+            out.histogram(name, &[], &h.snapshot());
+        }
+        // The totals of stripes read 0 before the first stripe arrives.
+        out.counter(APPENDS_TOTAL, &[], 0);
+        out.histogram(APPEND_LATENCY, &[], &HistSnapshot::default());
+        out.counter(COMMITS_TOTAL, &[], 0);
+        out.histogram(COMMIT_BLOCKS, &[], &HistSnapshot::default());
+        for (hi, page) in self.per_log.0.iter().enumerate() {
+            let Some(page) = page.get() else { continue };
+            for (lo, log) in page.iter().enumerate() {
+                let Some(log) = log.get() else { continue };
+                let (id, shard) = (((hi << 8) | lo).to_string(), log.shard.to_string());
+                let labels: &[(&str, &str)] = &[("log", &id)];
+                let appends = log.appends.get();
+                out.counter("clio_log_appends_total", labels, appends);
+                out.counter(APPENDS_TOTAL, &[], appends);
+                out.counter(SHARD_APPENDS, &[("shard", &shard)], appends);
+                out.counter("clio_log_reads_total", labels, log.reads.get());
+                let append_ns = log.append_ns.snapshot();
+                out.histogram("clio_log_append_latency_ns", labels, &append_ns);
+                out.histogram(APPEND_LATENCY, &[], &append_ns);
+                out.histogram("clio_log_read_latency_ns", labels, &log.read_ns.snapshot());
+            }
+        }
+        let Some(r) = self.recovery.get() else { return };
+        for (name, v) in [
+            ("clio_recovery_volumes", u64::from(r.volumes)),
+            ("clio_recovery_end_probes_total", r.end_probes),
+            ("clio_recovery_rebuild_blocks_read", r.rebuild_blocks_read),
+            ("clio_recovery_catalog_records", r.catalog_records),
+            ("clio_recovery_end_locate_us", r.end_locate_us),
+            ("clio_recovery_rebuild_us", r.rebuild_us),
+            ("clio_recovery_catalog_us", r.catalog_us),
+            ("clio_recovery_total_us", r.total_us),
+        ] {
+            out.gauge(name, &[], i64::try_from(v).unwrap_or(i64::MAX));
+        }
+    }
+}
+
+/// One shard's registered source: its series, and the index that labels
+/// them.
+struct ShardSeries {
+    idx: u32,
+    series: PerShard,
+}
+
+impl MetricSource for ShardSeries {
+    fn collect(&self, out: &mut Collector) {
+        let (idx, s) = (self.idx, &self.series);
+        let label = idx.to_string();
+        let shard: &[(&str, &str)] = &[("shard", &label)];
+        for (name, c) in [
+            ("clio_shard_commits_total", &s.commits),
+            ("clio_shard_leader_elections_total", &s.leader_elections),
+            ("clio_shard_followers_polled_total", &s.followers_polled),
+            ("clio_shard_followers_parked_total", &s.followers_parked),
+            ("clio_shard_arrival_waits_total", &s.arrival_waits),
+            ("clio_shard_arrival_timeouts_total", &s.arrival_timeouts),
+        ] {
+            out.counter(name, shard, c.get());
+        }
+        out.counter(COMMITS_TOTAL, &[], s.commits.get());
+        // The sum of this shard's logs' stripes: 0 before any append.
+        out.counter(SHARD_APPENDS, shard, 0);
+        let batch = s.commit_batch_blocks.snapshot();
+        out.histogram("clio_shard_commit_batch_blocks", shard, &batch);
+        out.histogram(COMMIT_BLOCKS, &[], &batch);
+        let queue = s.sealed_queue_blocks.get();
+        out.gauge(
+            &format!("clio_core_shard{idx}_arriving"),
+            &[],
+            s.arriving.get(),
+        );
+        out.gauge(
+            &format!("clio_core_shard{idx}_sealed_queue_blocks"),
+            &[],
+            queue,
+        );
+        s.space.collect(out);
     }
 }
 

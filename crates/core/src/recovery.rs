@@ -48,9 +48,10 @@ use crate::service::{
 };
 
 /// What recovery did, for reporting and the Figure 4 harness. Joined
-/// across shards: counters and phase timings are sums, volume indexes in
-/// `invalidated` are shard-globalized (shard in the high bits, like
-/// `EntryAddr`).
+/// across shards: counters are sums, volume indexes in `invalidated` are
+/// shard-globalized (shard in the high bits, like `EntryAddr`). The five
+/// phase timings meet at shared clock readings, so they add up to
+/// `total_us`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// Volumes mounted, across all shards.
@@ -63,14 +64,19 @@ pub struct RecoveryReport {
     pub invalidated: Vec<(u32, u64)>,
     /// Catalog records replayed (§3.4 step 3; catalog shard only).
     pub catalog_records: u64,
-    /// Wall-clock µs spent mounting volumes and locating written ends
-    /// (§3.4 step 1).
+    /// Wall-clock µs spent before the medium is read: the service's
+    /// observability, device instrumentation, and the block cache.
+    pub setup_us: u64,
+    /// Wall-clock µs spent reading volume labels, mounting volumes and
+    /// locating written ends (§3.4 step 1).
     pub end_locate_us: u64,
     /// Wall-clock µs spent rebuilding entrymap pending state (step 2).
     pub rebuild_us: u64,
     /// Wall-clock µs spent collecting and replaying the catalog (step 3).
     pub catalog_us: u64,
-    /// Wall-clock µs for the whole recovery, phases included.
+    /// Wall-clock µs spent assembling the shards around what was rebuilt.
+    pub assemble_us: u64,
+    /// Wall-clock µs for the whole recovery: the sum of the five phases.
     pub total_us: u64,
 }
 
@@ -85,17 +91,27 @@ impl LogService {
         clock: Arc<dyn Clock>,
     ) -> Result<(LogService, RecoveryReport)> {
         let recover_start = clio_obs::clock::read();
+        // The shard count is read back from the media; every other field
+        // is checked before the cache is sized from it.
+        let mut cfg = cfg;
+        cfg.shards = 1;
+        cfg.validate()?;
         let obs = crate::obs::ServiceObs::new(cfg.trace_events);
         let mut recover_span = obs.span_at("recover", recover_start);
+        let setup_span = obs.span_at("setup", recover_start);
         let devices: Vec<SharedDevice> = devices
             .into_iter()
             .map(|d| obs.instrument_device(d))
             .collect();
         let pool = Arc::new(crate::obs::InstrumentingPool::new(pool, obs.clone()));
+        let cache = Arc::new(BlockCache::with_shards(cfg.cache_blocks, cfg.cache_shards));
+        obs.attach_cache(&cache);
+        let set_up = clio_obs::clock::read();
+        let setup_us = phase_us(setup_span.close_at(set_up));
 
         // Step 1: regroup the devices into their shards' volume sequences
         // by label, then mount each sequence (which locates written ends).
-        let locate_span = obs.span_at("end_locate", recover_start);
+        let locate_span = obs.span_at("end_locate", set_up);
         let mut groups: BTreeMap<u64, Vec<SharedDevice>> = BTreeMap::new();
         for dev in devices {
             let mut buf = vec![0u8; dev.block_size()];
@@ -103,11 +119,8 @@ impl LogService {
             let label = VolumeLabel::decode(&buf)?;
             groups.entry(label.sequence.0).or_default().push(dev);
         }
-        let mut cfg = cfg;
         cfg.shards = groups.len().max(1);
         cfg.validate()?;
-        let cache = Arc::new(BlockCache::with_shards(cfg.cache_blocks, cfg.cache_shards));
-        obs.attach_cache(&cache);
         let mut seqs: Vec<Arc<VolumeSequence>> = Vec::with_capacity(groups.len());
         for (i, devs) in groups.into_values().enumerate() {
             seqs.push(Arc::new(VolumeSequence::open(
@@ -126,6 +139,7 @@ impl LogService {
 
         let mut report = RecoveryReport {
             volumes: seqs.iter().map(|s| s.volume_count()).sum(),
+            setup_us,
             end_locate_us,
             ..RecoveryReport::default()
         };
@@ -190,10 +204,12 @@ impl LogService {
             catalog.apply(rec)?;
         }
         report.catalog_records = replay.len() as u64;
-        report.catalog_us = phase_us(catalog_span.close());
+        let replayed = clio_obs::clock::read();
+        report.catalog_us = phase_us(catalog_span.close_at(replayed));
 
         // Join: assemble every shard. The first, the catalog shard, takes
         // the replayed catalog.
+        let assemble_span = obs.span_at("assemble", replayed);
         let mut catalog = Some(catalog);
         let mut shards: Vec<Arc<Shard>> = Vec::with_capacity(seqs.len());
         for (idx, seq) in seqs.iter().enumerate() {
@@ -226,13 +242,20 @@ impl LogService {
             shards.push(shard);
         }
 
+        let assembled = clio_obs::clock::read();
+        report.assemble_us = phase_us(assemble_span.close_at(assembled));
+
         recover_span.attr("volumes", u64::from(report.volumes));
         recover_span.attr("shards", shards.len() as u64);
         recover_span.attr("blocks_read", report.rebuild_blocks_read);
         // Phases are floored to 1µs each; keep `sum of phases <= total`
         // invariant even when the clock granularity swallows a phase.
-        report.total_us = phase_us(recover_span.close())
-            .max(report.end_locate_us + report.rebuild_us + report.catalog_us);
+        let phases = report.setup_us
+            + report.end_locate_us
+            + report.rebuild_us
+            + report.catalog_us
+            + report.assemble_us;
+        report.total_us = phase_us(recover_span.close_at(assembled)).max(phases);
         obs.publish_recovery(&report);
         let svc = LogService { shards, cfg, obs };
         Ok((svc, report))

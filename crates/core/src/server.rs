@@ -15,7 +15,7 @@ use std::thread::JoinHandle;
 
 use std::sync::mpsc::{channel, Sender};
 
-use clio_obs::{Counter, ObsHttpServer, ObsProvider};
+use clio_obs::{Collector, Counter, MetricSource, ObsHttpServer, ObsProvider};
 use clio_types::{ClioError, LogFileId, Result, SeqNo, Timestamp};
 
 use crate::read::Entry;
@@ -184,20 +184,30 @@ pub struct LogServer {
 /// state lock), and every scrape counts itself in the registry it scrapes.
 struct ServiceObsProvider {
     svc: Arc<LogService>,
-    scrapes: Arc<Counter>,
+    scrapes: Arc<Scrapes>,
+}
+
+/// The endpoint's scrape count, `clio_http_scrapes_total`.
+#[derive(Default)]
+struct Scrapes(Counter);
+
+impl MetricSource for Scrapes {
+    fn collect(&self, out: &mut Collector) {
+        out.counter("clio_http_scrapes_total", &[], self.0.get());
+    }
 }
 
 impl ObsProvider for ServiceObsProvider {
     fn metrics_text(&self) -> String {
-        self.scrapes.inc();
+        self.scrapes.0.inc();
         self.svc.metrics_text()
     }
     fn metrics_json(&self) -> String {
-        self.scrapes.inc();
+        self.scrapes.0.inc();
         self.svc.metrics_json()
     }
     fn trace_json(&self) -> String {
-        self.scrapes.inc();
+        self.scrapes.0.inc();
         self.svc.trace_json()
     }
 }
@@ -212,9 +222,11 @@ impl LogServer {
         let http_addr = svc.cfg.http_addr.clone();
         let svc = Arc::new(svc);
         let http = http_addr.and_then(|bind| {
+            let scrapes = Arc::new(Scrapes::default());
+            svc.obs.registry().register(scrapes.clone());
             let provider = Arc::new(ServiceObsProvider {
                 svc: svc.clone(),
-                scrapes: svc.obs.registry().counter("clio_http_scrapes_total"),
+                scrapes,
             });
             match ObsHttpServer::start(&bind, provider) {
                 Ok(server) => Some(server),

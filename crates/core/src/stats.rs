@@ -8,13 +8,14 @@
 
 use std::sync::Arc;
 
-use clio_obs::{Counter, MetricsRegistry};
+use clio_obs::{Collector, Counter};
 use clio_types::LogFileId;
 
 /// One shard's space accounting (session-scoped: it is not persisted and
 /// restarts from zero after recovery). Each field is this shard's stripe
 /// of the `clio_space_*` series of the same name: written under the
 /// shard's state lock, read by a scrape or [`SpaceReport::of`] without it.
+#[derive(Default, Clone)]
 pub(crate) struct Space {
     /// Client entries, their payload bytes, and their header + index-slot
     /// bytes.
@@ -36,22 +37,19 @@ pub(crate) struct Space {
 }
 
 impl Space {
-    /// Fresh counters, adopted by `reg` as stripes of `clio_space_*`.
-    pub(crate) fn adopted_by(reg: &MetricsRegistry) -> Space {
-        let stripe = |name: &str| {
-            let c = Arc::new(Counter::default());
-            reg.adopt(name, c.clone());
-            c
-        };
-        Space {
-            entries: stripe("clio_space_entries"),
-            client_bytes: stripe("clio_space_client_bytes"),
-            header_bytes: stripe("clio_space_header_bytes"),
-            entrymap_entries: stripe("clio_space_entrymap_entries"),
-            entrymap_bytes: stripe("clio_space_entrymap_bytes"),
-            blocks_sealed: stripe("clio_space_blocks_sealed"),
-            padding_bytes: stripe("clio_space_padding_bytes"),
-            device_bytes: stripe("clio_space_device_bytes"),
+    /// Emits this shard's stripe of each `clio_space_*` series.
+    pub(crate) fn collect(&self, out: &mut Collector) {
+        for (name, c) in [
+            ("clio_space_entries", &self.entries),
+            ("clio_space_client_bytes", &self.client_bytes),
+            ("clio_space_header_bytes", &self.header_bytes),
+            ("clio_space_entrymap_entries", &self.entrymap_entries),
+            ("clio_space_entrymap_bytes", &self.entrymap_bytes),
+            ("clio_space_blocks_sealed", &self.blocks_sealed),
+            ("clio_space_padding_bytes", &self.padding_bytes),
+            ("clio_space_device_bytes", &self.device_bytes),
+        ] {
+            out.counter(name, &[], c.get());
         }
     }
 
@@ -160,12 +158,18 @@ impl std::fmt::Display for SpaceReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clio_obs::MetricValue;
+    use clio_obs::{MetricSource, MetricValue, MetricsRegistry};
 
     const CLIENT: LogFileId = LogFileId(8);
 
     fn space() -> Space {
-        Space::adopted_by(&MetricsRegistry::new())
+        Space::default()
+    }
+
+    impl MetricSource for Space {
+        fn collect(&self, out: &mut Collector) {
+            Space::collect(self, out);
+        }
     }
 
     #[test]
@@ -209,7 +213,9 @@ mod tests {
     #[test]
     fn report_and_series_sum_every_shard() {
         let reg = MetricsRegistry::new();
-        let (a, b) = (Space::adopted_by(&reg), Space::adopted_by(&reg));
+        let (a, b) = (space(), space());
+        reg.register(Arc::new(a.clone()));
+        reg.register(Arc::new(b.clone()));
         a.note_entry(CLIENT, 50, 4);
         a.note_entry(LogFileId::ENTRYMAP, 36, 4);
         a.note_sealed_block(10, 18);

@@ -38,6 +38,18 @@ fn payload(i: u64) -> Vec<u8> {
     p
 }
 
+/// The value of the unlabeled counter `name`.
+fn counter(svc: &LogService, name: &str) -> u64 {
+    svc.metrics()
+        .gather()
+        .into_iter()
+        .find_map(|s| match s.value {
+            clio_obs::MetricValue::Counter(v) if s.name == name => Some(v),
+            _ => None,
+        })
+        .unwrap_or_else(|| panic!("no counter named {name}"))
+}
+
 fn check_payload(data: &[u8]) {
     let i = u64::from_le_bytes(data[..8].try_into().unwrap());
     let expect = payload(i);
@@ -152,15 +164,10 @@ fn readers_race_a_live_writer() {
     let cache = svc.cache();
     assert!(cache.shard_count() > 1, "the stripes need a sharded cache");
     let totals = cache.stats();
-    let reg = svc.metrics();
     let (mut hits, mut misses) = (0, 0);
     for s in 0..cache.shard_count() {
-        hits += reg
-            .counter(&format!("clio_cache_shard{s}_hits_total"))
-            .get();
-        misses += reg
-            .counter(&format!("clio_cache_shard{s}_misses_total"))
-            .get();
+        hits += counter(&svc, &format!("clio_cache_shard{s}_hits_total"));
+        misses += counter(&svc, &format!("clio_cache_shard{s}_misses_total"));
     }
     assert_eq!(hits, totals.hits);
     assert_eq!(misses, totals.misses);
@@ -184,8 +191,8 @@ fn readers_hammer_the_open_block_while_the_writer_fills_and_seals_it() {
         Arc::new(Mutex::new(Vec::with_capacity(ENTRIES as usize)));
     let done = Arc::new(AtomicBool::new(false));
     let start = Arc::new(std::sync::Barrier::new(READERS + 1));
-    let publishes = svc.metrics().counter("clio_core_view_publishes_total");
-    let publishes_before = publishes.get();
+    let publishes = || counter(&svc, "clio_core_view_publishes_total");
+    let publishes_before = publishes();
     let sealed_before = svc.report().blocks_sealed;
 
     let readers: Vec<_> = (0..READERS)
@@ -238,7 +245,7 @@ fn readers_hammer_the_open_block_while_the_writer_fills_and_seals_it() {
 
     let sealed = svc.report().blocks_sealed - sealed_before;
     assert!(sealed > 100, "the writer must fill and seal many blocks");
-    let published = publishes.get() - publishes_before;
+    let published = publishes() - publishes_before;
     assert!(
         published <= sealed + 2,
         "{published} publishes for {sealed} sealed blocks: readers were served by republishing"

@@ -126,8 +126,21 @@ fn one_service_lifetime_populates_every_layer() {
     // Crash: recover from the raw devices and check the recovery metrics.
     drop(svc);
     let (svc, report) = LogService::recover(pool.devices(), pool.clone(), cfg, clock).unwrap();
-    assert!(report.end_locate_us >= 1 && report.rebuild_us >= 1 && report.catalog_us >= 1);
-    assert!(report.end_locate_us + report.rebuild_us + report.catalog_us <= report.total_us);
+    let phases = [
+        report.setup_us,
+        report.end_locate_us,
+        report.rebuild_us,
+        report.catalog_us,
+        report.assemble_us,
+    ];
+    assert!(phases.iter().all(|&us| us >= 1), "{report:?}");
+    // The phases meet at shared readings, so they sum to the total, up to
+    // the sub-µs part each phase truncates or floors.
+    let sum: u64 = phases.iter().sum();
+    assert!(
+        sum <= report.total_us && report.total_us <= sum + 5,
+        "{report:?}"
+    );
 
     let reg = svc.metrics().clone();
     assert_eq!(gauge(&reg, "clio_recovery_volumes"), 1);
@@ -656,12 +669,15 @@ fn counting_clock(at: u64) -> (Arc<AtomicU64>, clio_obs::clock::VirtualClockGuar
 /// operation's histogram records. A buffered append that stays in the
 /// open block and a `read_entry` the cache answers each read the clock
 /// exactly twice; a lone forced append pays one more boundary (stage →
-/// commit gate) plus its leader's seal, device write and publish.
+/// commit gate) plus its leader's seal, device write and publish. A
+/// recovery reads it at its six phase boundaries, beside the two
+/// readings of each device read and probe.
 #[test]
 fn clock_budget_is_one_reading_per_phase_boundary() {
+    let pool = Arc::new(RecordingPool::new(Arc::new(MemDevicePool::new(256, 4096))));
     let svc = LogService::create(
         VolumeSeqId(7),
-        Arc::new(MemDevicePool::new(256, 4096)),
+        pool.clone(),
         ServiceConfig::small(),
         clock(),
     )
@@ -701,6 +717,24 @@ fn clock_budget_is_one_reading_per_phase_boundary() {
     assert_eq!(
         forced, 9,
         "lone forced append: 3 boundaries + seal, device write, publish"
+    );
+
+    drop(svc);
+    let before = reads.load(Ordering::Relaxed);
+    // Untraced, so the cache's load spans read no clock.
+    let untraced = ServiceConfig {
+        trace_events: 0,
+        ..ServiceConfig::small()
+    };
+    let (svc, report) =
+        LogService::recover(pool.devices(), pool.clone(), untraced, clock()).unwrap();
+    let recover = reads.load(Ordering::Relaxed) - before;
+    let reg = svc.metrics();
+    let device_ops = counter(reg, "clio_device_reads_total") + report.end_probes;
+    assert_eq!(
+        recover,
+        6 + 2 * device_ops,
+        "recover: 6 phase boundaries + 2 per device read or probe"
     );
 }
 

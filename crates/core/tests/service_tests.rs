@@ -1299,9 +1299,9 @@ fn publish_is_flat_in_queue_depth() {
     )
     .unwrap();
     let id = svc.create_log("/audit").unwrap();
-    let publishes = svc.metrics().counter("clio_core_view_publishes_total");
-    let queue_depth = svc.metrics().gauge("clio_core_shard0_sealed_queue_blocks");
-    let publishes_before = publishes.get();
+    let publishes = || metric(&svc, "clio_core_view_publishes_total") as u64;
+    let queue_depth = || metric(&svc, "clio_core_shard0_sealed_queue_blocks");
+    let publishes_before = publishes();
     let sealed_before = svc.report().blocks_sealed;
     let dev = svc.obs().device_stats.clone();
     let (batches_before, batch_blocks_before, appends_before) = (
@@ -1316,12 +1316,12 @@ fn publish_is_flat_in_queue_depth() {
         let r = svc.append(id, &payload, AppendOpts::standard()).unwrap();
         // Readable no later than the receipt, with nothing flushed.
         assert_eq!(svc.read_entry(r.addr).unwrap().data, payload);
-        assert!(queue_depth.get() < batch as i64, "queue over a full batch");
+        assert!(queue_depth() < batch as i64, "queue over a full batch");
     }
 
     let sealed = svc.report().blocks_sealed - sealed_before;
     assert!(sealed > 20 * batch, "the run must span many drains");
-    let published = publishes.get() - publishes_before;
+    let published = publishes() - publishes_before;
     assert!(
         published <= sealed + 2,
         "{published} publishes for {sealed} sealed blocks"
@@ -1335,7 +1335,7 @@ fn publish_is_flat_in_queue_depth() {
         writes * batch
     );
     assert_eq!(dev.appends.get() - appends_before, writes * batch);
-    assert_eq!(queue_depth.get() as u64, sealed % batch);
+    assert_eq!(queue_depth() as u64, sealed % batch);
 }
 
 /// A device error during the full-batch drain: the append that triggered
@@ -1352,7 +1352,7 @@ fn failed_threshold_drain_keeps_the_suffix_queued() {
     )
     .unwrap();
     let id = svc.create_log("/d").unwrap();
-    let queue_depth = svc.metrics().gauge("clio_core_shard0_sealed_queue_blocks");
+    let queue_depth = || metric(&svc, "clio_core_shard0_sealed_queue_blocks");
     let payload = |i: u32| {
         let mut p = i.to_le_bytes().to_vec();
         p.resize(60, b'd');
@@ -1363,7 +1363,7 @@ fn failed_threshold_drain_keeps_the_suffix_queued() {
     // next seal triggers lands two blocks and fails.
     let mut acked = Vec::new();
     let mut i = 0u32;
-    while queue_depth.get() < MAX_BATCH_BLOCKS as i64 - 1 {
+    while queue_depth() < MAX_BATCH_BLOCKS as i64 - 1 {
         acked.push(svc.append(id, &payload(i), AppendOpts::standard()).unwrap());
         i += 1;
     }
@@ -1379,7 +1379,7 @@ fn failed_threshold_drain_keeps_the_suffix_queued() {
     assert!(matches!(err, ClioError::Io(_)), "{err:?}");
     assert_eq!(svc.volumes().active().data_end(), data_end + 2);
     assert_eq!(
-        queue_depth.get(),
+        queue_depth(),
         MAX_BATCH_BLOCKS as i64 - 2,
         "the unwritten suffix stays queued"
     );
@@ -1395,7 +1395,7 @@ fn failed_threshold_drain_keeps_the_suffix_queued() {
         );
     }
     svc.flush().unwrap();
-    assert_eq!(queue_depth.get(), 0);
+    assert_eq!(queue_depth(), 0);
     assert_eq!(
         svc.volumes().active().data_end(),
         svc.report().blocks_sealed,
@@ -1521,18 +1521,24 @@ fn regression_cursor_never_holds_open_or_queued_block() {
     }
 }
 
-/// Entrymap maps this service's cursors were answered from memory, not
-/// from a block (`clio_core_locate_memo_hits_total`).
-fn memo_hits(svc: &LogService) -> u64 {
+/// The value of the unlabeled counter or gauge `name`.
+fn metric(svc: &LogService, name: &str) -> i64 {
     svc.metrics()
         .gather()
         .into_iter()
-        .find(|s| s.name == "clio_core_locate_memo_hits_total")
+        .find(|s| s.name == name)
         .map(|s| match s.value {
-            clio_obs::MetricValue::Counter(v) => v,
-            _ => panic!("not a counter"),
+            clio_obs::MetricValue::Counter(v) => v as i64,
+            clio_obs::MetricValue::Gauge(v) => v,
+            clio_obs::MetricValue::Histogram(_) => panic!("{name} is a histogram"),
         })
-        .expect("the service registers its memo-hit counter")
+        .unwrap_or_else(|| panic!("no metric named {name}"))
+}
+
+/// Entrymap maps this service's cursors were answered from memory, not
+/// from a block (`clio_core_locate_memo_hits_total`).
+fn memo_hits(svc: &LogService) -> u64 {
+    metric(svc, "clio_core_locate_memo_hits_total") as u64
 }
 
 /// The previous entry's sequence number, if there is one.

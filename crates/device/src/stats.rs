@@ -12,15 +12,17 @@ use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use clio_obs::clock::{self, Reading};
-use clio_obs::{Counter, Histogram, MetricsRegistry, SpanGuard, TraceRing};
+use clio_obs::{
+    Collector, Counter, Histogram, MetricSource, MetricsRegistry, SpanGuard, TraceRing,
+};
 use clio_testkit::sync::atomic::{AtomicI64, Ordering};
 use clio_types::{BlockNo, Result};
 
 use crate::traits::{LogDevice, SharedDevice};
 
 /// Shared operation counters for one device set: the `clio_device_*`
-/// series of the registry they were taken from.
-#[derive(Debug)]
+/// series of the registry it registered with.
+#[derive(Debug, Default)]
 pub struct DeviceStats {
     /// When attached, device writes (single-block and vectored) record
     /// `device_write` spans here, nesting under whatever operation span is
@@ -52,8 +54,8 @@ pub struct DeviceStats {
     pub seeks: Arc<Counter>,
     /// Sum of absolute seek distances in blocks.
     pub seek_distance: Arc<Counter>,
-    /// Position of the last access; -1 means "no access yet".
-    last_pos: AtomicI64,
+    /// One past the position of the last access; 0 means "no access yet".
+    last_end: AtomicI64,
     /// Wall-clock latency of successful block reads, in nanoseconds.
     pub read_latency_ns: Arc<Histogram>,
     /// Wall-clock latency of successful block appends, in nanoseconds.
@@ -69,31 +71,13 @@ pub struct DeviceStats {
 }
 
 impl DeviceStats {
-    /// Takes the `clio_device_*` counters and latency histograms from
-    /// `reg`, creating them zeroed if this is their first use.
+    /// Fresh counters and latency histograms, registered with `reg` as
+    /// one source of the `clio_device_*` series.
     #[must_use]
     pub fn new(reg: &MetricsRegistry) -> Arc<DeviceStats> {
-        Arc::new(DeviceStats {
-            trace: OnceLock::new(),
-            reads: reg.counter("clio_device_reads_total"),
-            appends: reg.counter("clio_device_appends_total"),
-            invalidations: reg.counter("clio_device_invalidations_total"),
-            tail_rewrites: reg.counter("clio_device_tail_rewrites_total"),
-            end_probes: reg.counter("clio_device_end_probes_total"),
-            read_errors: reg.counter("clio_device_read_errors_total"),
-            append_errors: reg.counter("clio_device_append_errors_total"),
-            invalidate_errors: reg.counter("clio_device_invalidate_errors_total"),
-            tail_rewrite_errors: reg.counter("clio_device_tail_rewrite_errors_total"),
-            probe_errors: reg.counter("clio_device_probe_errors_total"),
-            seeks: reg.counter("clio_device_seeks_total"),
-            seek_distance: reg.counter("clio_device_seek_distance_blocks"),
-            last_pos: AtomicI64::new(-1),
-            read_latency_ns: reg.histogram("clio_device_read_latency_ns"),
-            append_latency_ns: reg.histogram("clio_device_append_latency_ns"),
-            probe_latency_ns: reg.histogram("clio_device_probe_latency_ns"),
-            append_batch_blocks: reg.histogram("clio_device_append_batch_blocks"),
-            append_batch_latency_ns: reg.histogram("clio_device_append_batch_latency_ns"),
-        })
+        let stats = Arc::<DeviceStats>::default();
+        reg.register(stats.clone());
+        stats
     }
 
     /// Attaches the service's trace ring so device writes record
@@ -113,9 +97,9 @@ impl DeviceStats {
 
     fn touch(&self, block: BlockNo) {
         let pos = block.0 as i64;
-        let prev = self.last_pos.swap(pos, Ordering::Relaxed);
-        if prev >= 0 {
-            let dist = (pos - prev).unsigned_abs();
+        let prev_end = self.last_end.swap(pos + 1, Ordering::Relaxed);
+        if prev_end > 0 {
+            let dist = (pos - (prev_end - 1)).unsigned_abs();
             // Sequential (same or next block) accesses do not seek.
             if dist > 1 {
                 self.seeks.inc();
@@ -141,6 +125,45 @@ impl DeviceStats {
             + self.invalidate_errors.get()
             + self.tail_rewrite_errors.get()
             + self.probe_errors.get()
+    }
+}
+
+impl MetricSource for DeviceStats {
+    fn collect(&self, out: &mut Collector) {
+        for (name, c) in [
+            ("clio_device_reads_total", &self.reads),
+            ("clio_device_appends_total", &self.appends),
+            ("clio_device_invalidations_total", &self.invalidations),
+            ("clio_device_tail_rewrites_total", &self.tail_rewrites),
+            ("clio_device_end_probes_total", &self.end_probes),
+            ("clio_device_read_errors_total", &self.read_errors),
+            ("clio_device_append_errors_total", &self.append_errors),
+            (
+                "clio_device_invalidate_errors_total",
+                &self.invalidate_errors,
+            ),
+            (
+                "clio_device_tail_rewrite_errors_total",
+                &self.tail_rewrite_errors,
+            ),
+            ("clio_device_probe_errors_total", &self.probe_errors),
+            ("clio_device_seeks_total", &self.seeks),
+            ("clio_device_seek_distance_blocks", &self.seek_distance),
+        ] {
+            out.counter(name, &[], c.get());
+        }
+        for (name, h) in [
+            ("clio_device_read_latency_ns", &self.read_latency_ns),
+            ("clio_device_append_latency_ns", &self.append_latency_ns),
+            ("clio_device_probe_latency_ns", &self.probe_latency_ns),
+            ("clio_device_append_batch_blocks", &self.append_batch_blocks),
+            (
+                "clio_device_append_batch_latency_ns",
+                &self.append_batch_latency_ns,
+            ),
+        ] {
+            out.histogram(name, &[], &h.snapshot());
+        }
     }
 }
 
@@ -235,8 +258,8 @@ impl LogDevice for InstrumentedDevice {
                 self.stats.appends.add(n);
                 self.stats.touch(expected);
                 self.stats
-                    .last_pos
-                    .store((expected.0 + n - 1) as i64, Ordering::Relaxed);
+                    .last_end
+                    .store((expected.0 + n) as i64, Ordering::Relaxed);
                 Ok(())
             }
             Err(e) => {

@@ -127,14 +127,23 @@ mod tests {
     use super::*;
     use crate::json;
 
+    struct Demo;
+
+    impl crate::MetricSource for Demo {
+        fn collect(&self, out: &mut crate::Collector) {
+            out.counter("clio_demo_reads_total", &[], 12);
+            out.gauge("clio_demo_open", &[], 2);
+            let h = crate::Histogram::new();
+            for v in [100u64, 200, 400, 100_000] {
+                h.record(v);
+            }
+            out.histogram("clio_demo_latency_ns", &[], &h.snapshot());
+        }
+    }
+
     fn demo_registry() -> MetricsRegistry {
         let reg = MetricsRegistry::new();
-        reg.counter("clio_demo_reads_total").add(12);
-        reg.gauge("clio_demo_open").set(2);
-        let h = reg.histogram("clio_demo_latency_ns");
-        for v in [100u64, 200, 400, 100_000] {
-            h.record(v);
-        }
+        reg.register(std::sync::Arc::new(Demo));
         reg
     }
 
@@ -174,16 +183,23 @@ mod tests {
         assert_eq!(to_json(&reg), Value::Obj(vec![]));
     }
 
+    struct Logs;
+
+    impl crate::MetricSource for Logs {
+        fn collect(&self, out: &mut crate::Collector) {
+            out.counter("clio_log_appends_total", &[("log", "1")], 3);
+            out.counter("clio_log_appends_total", &[("log", "2")], 4);
+            let h = crate::Histogram::new();
+            h.record(100);
+            h.record(300);
+            out.histogram("clio_log_append_ns", &[("log", "1")], &h.snapshot());
+        }
+    }
+
     #[test]
     fn labeled_series_share_one_type_line() {
         let reg = MetricsRegistry::new();
-        reg.counter_with("clio_log_appends_total", &[("log", "1")], &[])
-            .add(3);
-        reg.counter_with("clio_log_appends_total", &[("log", "2")], &[])
-            .add(4);
-        let h = reg.histogram_with("clio_log_append_ns", &[("log", "1")], &[]);
-        h.record(100);
-        h.record(300);
+        reg.register(std::sync::Arc::new(Logs));
         let text = render_prometheus(&reg);
         assert_eq!(
             text.matches("# TYPE clio_log_appends_total counter")

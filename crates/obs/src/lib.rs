@@ -5,9 +5,9 @@
 //! operations and their modelled costs (§3, Table 1, Figs. 2–4). This crate
 //! is the substrate that lets every layer report those counts uniformly:
 //!
-//! - [`MetricsRegistry`]: a named registry of atomic [`Counter`]s,
-//!   [`Gauge`]s and [`Histogram`]s — the handles a component counts with,
-//!   handed out by the registry or created by the component and adopted;
+//! - [`MetricsRegistry`]: the registry of [`MetricSource`]s, each a
+//!   component that counts with its own atomic [`Counter`]s, [`Gauge`]s
+//!   and [`Histogram`]s and names them only when a scrape reads them;
 //! - [`Histogram`]: lock-free log₂-bucketed latency/size distributions with
 //!   `p50/p90/p99/max` quantile estimates, snapshot and merge;
 //! - [`TraceRing`]: a flight recorder keeping the newest causally linked
@@ -39,5 +39,5 @@ pub mod trace;
 
 pub use hist::{HistSnapshot, Histogram};
 pub use http::{ObsHttpServer, ObsProvider};
-pub use registry::{Counter, Gauge, Handle, MetricValue, MetricsRegistry, Sample, Series};
+pub use registry::{Collector, Counter, Gauge, MetricSource, MetricValue, MetricsRegistry, Sample};
 pub use trace::{AttrValue, Attrs, Span, SpanGuard, SpanNode, TraceRing, TraceTree};

@@ -1,23 +1,21 @@
 //! The metrics registry: named counters, gauges and histograms.
 //!
 //! A component counts by holding handles (`Arc<Counter>`, `Arc<Gauge>`,
-//! `Arc<Histogram>`) and updating them on its hot path. It either asks the
-//! registry for them (`counter`, `gauge`, `histogram` — get-or-create) or,
-//! when it is built without a registry in reach, creates them itself and
-//! has a registry [`adopt`](MetricsRegistry::adopt) them later. Either way
-//! the registry reads the very words the component writes: there is no
-//! second copy to keep in step and nothing to poll. A total over finer
-//! series (per shard, per log) is not counted again: it reads as the sum
-//! of their handles, its *stripes*.
+//! `Arc<Histogram>`) and updating them on its hot path. It registers once,
+//! as one [`MetricSource`] that reads those same handles in place when a
+//! scrape asks: there is no second copy to keep in step, nothing to poll,
+//! and no per-series registration. A scrape ([`MetricsRegistry::gather`])
+//! names every series then, and sums the samples that share an identity,
+//! so a total over finer series (per shard, per log) is not counted again:
+//! each stripe emits it, and it reads as their sum.
 
-use std::collections::btree_map::Entry::{Occupied, Vacant};
-use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 use clio_testkit::sync::atomic::{RelaxedI64, RelaxedU64};
 use clio_testkit::sync::Mutex;
 
-use crate::hist::{HistSnapshot, Histogram};
+use crate::hist::HistSnapshot;
 
 /// A monotonically increasing atomic counter (bookkeeping: see `RelaxedU64`).
 #[derive(Debug, Default)]
@@ -63,97 +61,24 @@ impl Gauge {
     }
 }
 
-/// A metric handle of any of the three kinds (what
-/// [`MetricsRegistry::adopt`] takes; `Arc<Counter>` etc. convert into it).
-#[derive(Debug, Clone)]
-pub enum Handle {
-    /// A counter.
-    Counter(Arc<Counter>),
-    /// A gauge.
-    Gauge(Arc<Gauge>),
-    /// A histogram.
-    Histogram(Arc<Histogram>),
+/// A component's metrics, registered once and read in place at scrape.
+pub trait MetricSource: Send + Sync {
+    /// Emits the current value of every series the component serves.
+    fn collect(&self, out: &mut Collector);
 }
 
-impl From<Arc<Counter>> for Handle {
-    fn from(c: Arc<Counter>) -> Handle {
-        Handle::Counter(c)
-    }
-}
-
-impl From<Arc<Gauge>> for Handle {
-    fn from(g: Arc<Gauge>) -> Handle {
-        Handle::Gauge(g)
-    }
-}
-
-impl From<Arc<Histogram>> for Handle {
-    fn from(h: Arc<Histogram>) -> Handle {
-        Handle::Histogram(h)
-    }
-}
-
-impl Handle {
-    fn read(&self) -> MetricValue {
-        match self {
-            Handle::Counter(c) => MetricValue::Counter(c.get()),
-            Handle::Gauge(g) => MetricValue::Gauge(g.get()),
-            Handle::Histogram(h) => MetricValue::Histogram(Box::new(h.snapshot())),
-        }
-    }
-}
-
-/// One series: the label set it was created with and the handles behind
-/// it, all of one kind — the one it was created with and one more
-/// *stripe* per further shard or finer series it sums (it reads as their
-/// sum). The map key is the full series identity (`name{k="v",...}`), so
-/// differently labeled series of one family are distinct entries that
-/// sort together.
-struct Entry {
-    labels: Vec<(String, String)>,
-    first: Handle,
-    more: Vec<Handle>,
-}
-
-impl Entry {
-    fn new(labels: Vec<(String, String)>, first: Handle) -> Entry {
-        Entry {
-            labels,
-            first,
-            more: Vec::new(),
-        }
-    }
-
-    fn read(&self) -> MetricValue {
-        self.more
-            .iter()
-            .map(Handle::read)
-            .fold(self.first.read(), |a, b| match (a, b) {
-                (MetricValue::Counter(x), MetricValue::Counter(y)) => MetricValue::Counter(x + y),
-                (MetricValue::Gauge(x), MetricValue::Gauge(y)) => MetricValue::Gauge(x + y),
-                (MetricValue::Histogram(mut x), MetricValue::Histogram(y)) => {
-                    x.merge(&y);
-                    MetricValue::Histogram(x)
-                }
-                _ => unreachable!("invariant: the stripes of a series are of one kind"),
-            })
-    }
-}
-
-/// Renders `{k="v",...}` with Prometheus escaping, or `""` when empty.
-#[must_use]
-pub fn label_suffix(labels: &[(String, String)]) -> String {
+fn push_labels<K: AsRef<str>, V: AsRef<str>>(out: &mut String, labels: &[(K, V)]) {
     if labels.is_empty() {
-        return String::new();
+        return;
     }
-    let mut out = String::from("{");
+    out.push('{');
     for (i, (k, v)) in labels.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(k);
+        out.push_str(k.as_ref());
         out.push_str("=\"");
-        for c in v.chars() {
+        for c in v.as_ref().chars() {
             match c {
                 '\\' => out.push_str("\\\\"),
                 '"' => out.push_str("\\\""),
@@ -164,12 +89,19 @@ pub fn label_suffix(labels: &[(String, String)]) -> String {
         out.push('"');
     }
     out.push('}');
+}
+
+/// Renders `{k="v",...}` with Prometheus escaping, or `""` when empty.
+#[must_use]
+pub fn label_suffix(labels: &[(String, String)]) -> String {
+    let mut out = String::new();
+    push_labels(&mut out, labels);
     out
 }
 
-fn identity(name: &str, labels: &[(String, String)]) -> String {
+fn identity<K: AsRef<str>, V: AsRef<str>>(name: &str, labels: &[(K, V)]) -> String {
     let mut id = name.to_owned();
-    id.push_str(&label_suffix(labels));
+    push_labels(&mut id, labels);
     id
 }
 
@@ -206,51 +138,153 @@ impl Sample {
     }
 }
 
-/// A registry of named metrics.
+/// What one scrape gathers into. Each emission is appended to a few
+/// growing buffers rather than given allocations of its own; at the end
+/// of the scrape they are sorted by identity, and the emissions that
+/// share one are summed. A scrape of a service with many logs thus
+/// allocates per series it serves, as a registry of series would, and
+/// leaves no trail of small short-lived allocations among the service's.
+#[derive(Default)]
+pub struct Collector {
+    /// Each emission's identity, followed by its raw label keys and values.
+    text: String,
+    emitted: Vec<Emitted>,
+    /// Spans of `text` holding each emitted label's key and value.
+    labels: Vec<(Range<usize>, Range<usize>)>,
+    hists: Vec<HistSnapshot>,
+}
+
+/// One emission: spans of the collector's buffers, and its value.
+struct Emitted {
+    /// The identity, `name{k="v",...}`, in `text`; the name is its prefix.
+    id: Range<usize>,
+    name_len: usize,
+    /// Its label pairs, in `labels`.
+    labels: Range<usize>,
+    value: Emission,
+}
+
+enum Emission {
+    Counter(u64),
+    Gauge(i64),
+    /// An index into `hists`.
+    Histogram(usize),
+}
+
+fn clash(name: &str) -> ! {
+    panic!("metric {name} emitted as two kinds")
+}
+
+impl Collector {
+    fn emit(&mut self, name: &str, labels: &[(&str, &str)], value: Emission) {
+        let start = self.text.len();
+        self.text.push_str(name);
+        push_labels(&mut self.text, labels);
+        let id = start..self.text.len();
+        let first_label = self.labels.len();
+        for (k, v) in labels {
+            let k_at = self.text.len();
+            self.text.push_str(k);
+            let v_at = self.text.len();
+            self.text.push_str(v);
+            self.labels.push((k_at..v_at, v_at..self.text.len()));
+        }
+        self.emitted.push(Emitted {
+            id,
+            name_len: name.len(),
+            labels: first_label..self.labels.len(),
+            value,
+        });
+    }
+
+    /// Adds `v` to counter `name{labels…}`.
+    pub fn counter(&mut self, name: &str, labels: &[(&str, &str)], v: u64) {
+        self.emit(name, labels, Emission::Counter(v));
+    }
+
+    /// Adds `v` to gauge `name{labels…}`.
+    pub fn gauge(&mut self, name: &str, labels: &[(&str, &str)], v: i64) {
+        self.emit(name, labels, Emission::Gauge(v));
+    }
+
+    /// Merges `h` into histogram `name{labels…}`.
+    pub fn histogram(&mut self, name: &str, labels: &[(&str, &str)], h: &HistSnapshot) {
+        self.hists.push(*h);
+        self.emit(name, labels, Emission::Histogram(self.hists.len() - 1));
+    }
+
+    /// The gathered samples, sorted by identity, one per identity: the
+    /// sum of that identity's emissions.
+    ///
+    /// # Panics
+    /// Panics if two emissions of one identity disagree on its kind.
+    #[must_use]
+    fn finish(mut self) -> Vec<Sample> {
+        let text = self.text.as_str();
+        let id = |e: &Emitted| &text[e.id.clone()];
+        self.emitted.sort_by(|a, b| id(a).cmp(id(b)));
+        let runs = self.emitted.chunk_by(|a, b| id(a) == id(b));
+        let mut samples = Vec::with_capacity(runs.clone().count());
+        for run in runs {
+            let first = &run[0];
+            let name = &text[first.id.start..first.id.start + first.name_len];
+            let mut value = match first.value {
+                Emission::Counter(_) => MetricValue::Counter(0),
+                Emission::Gauge(_) => MetricValue::Gauge(0),
+                Emission::Histogram(_) => MetricValue::Histogram(Box::default()),
+            };
+            for e in run {
+                match (&mut value, &e.value) {
+                    (MetricValue::Counter(x), Emission::Counter(v)) => *x += v,
+                    (MetricValue::Gauge(x), Emission::Gauge(v)) => *x += v,
+                    (MetricValue::Histogram(x), Emission::Histogram(i)) => {
+                        x.merge(&self.hists[*i]);
+                    }
+                    _ => clash(name),
+                }
+            }
+            samples.push(Sample {
+                name: name.to_owned(),
+                labels: self.labels[first.labels.clone()]
+                    .iter()
+                    .map(|(k, v)| (text[k.clone()].to_owned(), text[v.clone()].to_owned()))
+                    .collect(),
+                value,
+            });
+        }
+        samples
+    }
+}
+
+/// A registry of metric sources.
 ///
 /// # Examples
 ///
 /// ```
-/// use clio_obs::MetricsRegistry;
+/// use std::sync::Arc;
+/// use clio_obs::{Collector, Counter, MetricSource, MetricsRegistry};
+///
+/// #[derive(Default)]
+/// struct Demo {
+///     ops: Counter,
+/// }
+///
+/// impl MetricSource for Demo {
+///     fn collect(&self, out: &mut Collector) {
+///         out.counter("clio_demo_ops_total", &[], self.ops.get());
+///     }
+/// }
 ///
 /// let reg = MetricsRegistry::new();
-/// reg.counter("clio_demo_ops_total").add(3);
-/// reg.histogram("clio_demo_latency_ns").record(1500);
+/// let demo = Arc::new(Demo::default());
+/// reg.register(demo.clone());
+/// demo.ops.add(3);
 /// let text = clio_obs::expo::render_prometheus(&reg);
 /// assert!(text.contains("clio_demo_ops_total 3"));
 /// ```
 #[derive(Default)]
 pub struct MetricsRegistry {
-    metrics: Mutex<BTreeMap<String, Entry>>,
-}
-
-/// A series named by family and labels, as a total a stripe joins.
-pub type Series<'a> = (&'a str, &'a [(&'a str, &'a str)]);
-
-fn owned_labels(labels: &[(&str, &str)]) -> Vec<(String, String)> {
-    labels
-        .iter()
-        .map(|(k, v)| ((*k).to_owned(), (*v).to_owned()))
-        .collect()
-}
-
-/// Adds `handle` as a stripe of series `name{labels…}`, creating the
-/// series around it if absent.
-fn add_stripe(m: &mut BTreeMap<String, Entry>, (name, labels): Series<'_>, handle: Handle) {
-    let labels = owned_labels(labels);
-    match m.entry(identity(name, &labels)) {
-        Vacant(slot) => {
-            slot.insert(Entry::new(labels, handle));
-        }
-        Occupied(mut series) => {
-            let series = series.get_mut();
-            assert!(
-                std::mem::discriminant(&series.first) == std::mem::discriminant(&handle),
-                "metric {name} adopted as two kinds"
-            );
-            series.more.push(handle);
-        }
-    }
+    sources: Mutex<Vec<Arc<dyn MetricSource>>>,
 }
 
 impl MetricsRegistry {
@@ -260,267 +294,188 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    /// The first handle of series `name{labels…}`: `fresh()` if the series
-    /// did not exist, which is then also a stripe of each of `totals`, all
-    /// in one lock hold, so racing first touches adopt it once.
-    fn get_or_create(
-        &self,
-        name: &str,
-        labels: &[(&str, &str)],
-        fresh: fn() -> Handle,
-        totals: &[Series<'_>],
-    ) -> Handle {
-        let labels = owned_labels(labels);
-        let mut m = self.metrics.lock();
-        let handle = match m.entry(identity(name, &labels)) {
-            Occupied(series) => return series.get().first.clone(),
-            Vacant(slot) => slot.insert(Entry::new(labels, fresh())).first.clone(),
-        };
-        for &total in totals {
-            add_stripe(&mut m, total, handle.clone());
-        }
-        handle
+    /// Registers `source`: every later [`gather`](Self::gather) reads it.
+    pub fn register(&self, source: Arc<dyn MetricSource>) {
+        self.sources.lock().push(source);
     }
 
-    /// The counter named `name`, creating it if absent.
-    ///
-    /// # Panics
-    /// Panics if `name` is already registered as a different metric kind —
-    /// that is a wiring bug, not a runtime condition.
+    /// Sources registered so far: the registry's share of a service's
+    /// fixed cost, one per component.
     #[must_use]
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
-        self.counter_with(name, &[], &[])
-    }
-
-    /// The counter series `name{labels…}`, creating it if absent. Series
-    /// of one family with different label values are independent counters.
-    /// A series this call creates is also a stripe of each of `totals`,
-    /// which read as the sum of their stripes.
-    ///
-    /// # Panics
-    /// Panics if the series, or a total, is registered as a different kind.
-    #[must_use]
-    pub fn counter_with(
-        &self,
-        name: &str,
-        labels: &[(&str, &str)],
-        totals: &[Series<'_>],
-    ) -> Arc<Counter> {
-        match self.get_or_create(name, labels, || Handle::Counter(Arc::default()), totals) {
-            Handle::Counter(c) => c,
-            _ => panic!("metric {name} is not a counter"),
-        }
-    }
-
-    /// The gauge named `name`, creating it if absent.
-    ///
-    /// # Panics
-    /// Panics if `name` is already registered as a different metric kind.
-    #[must_use]
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        match self.get_or_create(name, &[], || Handle::Gauge(Arc::default()), &[]) {
-            Handle::Gauge(g) => g,
-            _ => panic!("metric {name} is not a gauge"),
-        }
-    }
-
-    /// The histogram named `name`, creating it if absent.
-    ///
-    /// # Panics
-    /// Panics if `name` is already registered as a different metric kind.
-    #[must_use]
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        self.histogram_with(name, &[], &[])
-    }
-
-    /// The histogram series `name{labels…}`, creating it if absent; a
-    /// series this call creates is also a stripe of each of `totals`.
-    ///
-    /// # Panics
-    /// Panics if the series, or a total, is registered as a different kind.
-    #[must_use]
-    pub fn histogram_with(
-        &self,
-        name: &str,
-        labels: &[(&str, &str)],
-        totals: &[Series<'_>],
-    ) -> Arc<Histogram> {
-        match self.get_or_create(name, labels, || Handle::Histogram(Arc::default()), totals) {
-            Handle::Histogram(h) => h,
-            _ => panic!("metric {name} is not a histogram"),
-        }
-    }
-
-    /// Adopts a handle its component created itself (a component built
-    /// with no registry in reach, like the block cache) as series `name`.
-    /// Adopting under a name that already has handles adds a stripe: the
-    /// series reads as the sum of its handles, which is how a component
-    /// that counts per shard serves its total without a second counter on
-    /// the hot path.
-    ///
-    /// # Panics
-    /// Panics if `name` already holds handles of a different kind.
-    pub fn adopt(&self, name: &str, handle: impl Into<Handle>) {
-        add_stripe(&mut self.metrics.lock(), (name, &[]), handle.into());
+    pub fn registrations(&self) -> usize {
+        self.sources.lock().len()
     }
 
     /// Reads every metric, sorted by series identity (labeled series of
-    /// one family sort together, after the unlabeled series if any).
+    /// one family sort together, after the unlabeled series if any). The
+    /// sources are read outside the registry's lock.
+    ///
+    /// # Panics
+    /// Panics if two emitters of one identity disagree on its kind.
     #[must_use]
     pub fn gather(&self) -> Vec<Sample> {
-        let m = self.metrics.lock();
-        m.iter()
-            .map(|(key, entry)| Sample {
-                name: match key.find('{') {
-                    Some(brace) => key[..brace].to_owned(),
-                    None => key.clone(),
-                },
-                labels: entry.labels.clone(),
-                value: entry.read(),
-            })
-            .collect()
+        let sources = self.sources.lock().clone();
+        let mut out = Collector::default();
+        for source in &sources {
+            source.collect(&mut out);
+        }
+        out.finish()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hist::Histogram;
+
+    /// A test component: one handle of each kind.
+    #[derive(Default)]
+    struct Part {
+        ops: Counter,
+        depth: Gauge,
+        ns: Histogram,
+    }
+
+    impl MetricSource for Part {
+        fn collect(&self, out: &mut Collector) {
+            out.counter("clio_test_ops_total", &[], self.ops.get());
+            out.gauge("clio_test_depth", &[], self.depth.get());
+            out.histogram("clio_test_ns", &[], &self.ns.snapshot());
+        }
+    }
+
+    fn value(reg: &MetricsRegistry, id: &str) -> Option<MetricValue> {
+        reg.gather()
+            .into_iter()
+            .find(|s| s.identity() == id)
+            .map(|s| s.value)
+    }
 
     #[test]
     fn counters_and_gauges_round_trip() {
         let reg = MetricsRegistry::new();
-        let c = reg.counter("clio_test_ops_total");
-        c.inc();
-        c.add(4);
-        reg.gauge("clio_test_depth").set(-3);
-        // Re-asking by name returns the same underlying atomic.
-        assert_eq!(reg.counter("clio_test_ops_total").get(), 5);
+        let part = Arc::new(Part::default());
+        reg.register(part.clone());
+        part.ops.inc();
+        part.ops.add(4);
+        part.depth.set(-3);
         let samples = reg.gather();
-        assert_eq!(samples.len(), 2);
+        assert_eq!(samples.len(), 3);
         assert_eq!(samples[0].name, "clio_test_depth");
         assert_eq!(samples[0].value, MetricValue::Gauge(-3));
-        assert_eq!(samples[1].value, MetricValue::Counter(5));
-    }
-
-    #[test]
-    fn adopted_handles_are_read_in_place_and_stripes_sum() {
-        let reg = MetricsRegistry::new();
-        let stripes = [Arc::new(Counter::default()), Arc::new(Counter::default())];
-        for (i, c) in stripes.iter().enumerate() {
-            reg.adopt(&format!("clio_test_shard{i}_total"), c.clone());
-            reg.adopt("clio_test_total", c.clone());
-        }
-        let depth = Arc::new(Gauge::default());
-        reg.adopt("clio_test_depth", depth.clone());
-        stripes[0].add(7);
-        stripes[1].add(2);
-        depth.set(-4);
-        let value = |name: &str| {
-            let samples = reg.gather();
-            samples
-                .iter()
-                .find(|s| s.name == name)
-                .map(|s| s.value.clone())
-        };
+        assert_eq!(samples[2].value, MetricValue::Counter(5));
+        // The source reads its handles in place: a later event shows.
+        part.ops.inc();
         assert_eq!(
-            value("clio_test_shard0_total"),
-            Some(MetricValue::Counter(7))
+            value(&reg, "clio_test_ops_total"),
+            Some(MetricValue::Counter(6))
         );
-        assert_eq!(value("clio_test_total"), Some(MetricValue::Counter(9)));
-        assert_eq!(value("clio_test_depth"), Some(MetricValue::Gauge(-4)));
-        stripes[1].inc();
-        assert_eq!(value("clio_test_total"), Some(MetricValue::Counter(10)));
-    }
-
-    #[test]
-    fn a_series_created_in_totals_is_adopted_once() {
-        let reg = MetricsRegistry::new();
-        let shard: &[(&str, &str)] = &[("shard", "1")];
-        let totals: &[Series<'_>] = &[("clio_test_total", &[]), ("clio_test_shard_total", shard)];
-        let a = reg.counter_with("clio_test_log_total", &[("log", "8")], totals);
-        // A second touch returns the same series and adopts nothing.
-        let again = reg.counter_with("clio_test_log_total", &[("log", "8")], totals);
-        assert!(Arc::ptr_eq(&a, &again));
-        let b = reg.counter_with("clio_test_log_total", &[("log", "9")], totals);
-        a.add(3);
-        b.add(4);
-        let h = reg.histogram_with(
-            "clio_test_log_ns",
-            &[("log", "8")],
-            &[("clio_test_ns", &[])],
-        );
-        h.record(5);
-        let value = |id: &str| reg.gather().into_iter().find(|s| s.identity() == id);
-        assert_eq!(
-            value("clio_test_total").map(|s| s.value),
-            Some(MetricValue::Counter(7))
-        );
-        let by_shard = value("clio_test_shard_total{shard=\"1\"}").expect("labeled total");
-        assert_eq!(by_shard.labels, vec![("shard".to_owned(), "1".to_owned())]);
-        assert_eq!(by_shard.value, MetricValue::Counter(7));
-        let Some(MetricValue::Histogram(ns)) = value("clio_test_ns").map(|s| s.value) else {
-            panic!("expected a histogram total");
-        };
-        assert_eq!((ns.count, ns.sum), (1, 5));
-    }
-
-    #[test]
-    #[should_panic(expected = "adopted as two kinds")]
-    fn adopting_a_second_kind_panics() {
-        let reg = MetricsRegistry::new();
-        reg.adopt("clio_test_x", Arc::new(Counter::default()));
-        reg.adopt("clio_test_x", Arc::new(Gauge::default()));
     }
 
     #[test]
     fn histograms_register_and_gather() {
         let reg = MetricsRegistry::new();
-        reg.histogram("clio_test_latency_ns").record(100);
-        let external = Arc::new(Histogram::new());
-        external.record(9);
-        reg.adopt("clio_test_ext_ns", external);
-        let samples = reg.gather();
-        assert_eq!(samples.len(), 2);
-        let MetricValue::Histogram(h) = &samples[0].value else {
+        let part = Arc::new(Part::default());
+        reg.register(part.clone());
+        part.ns.record(100);
+        let Some(MetricValue::Histogram(h)) = value(&reg, "clio_test_ns") else {
             panic!("expected histogram");
         };
-        assert_eq!(h.count, 1);
+        assert_eq!((h.count, h.sum), (1, 100));
     }
 
     #[test]
-    #[should_panic(expected = "is not a counter")]
-    fn kind_mismatch_panics() {
+    fn equal_identities_from_two_sources_sum() {
         let reg = MetricsRegistry::new();
-        let _ = reg.gauge("clio_test_x");
-        let _ = reg.counter("clio_test_x");
+        let (a, b) = (Arc::new(Part::default()), Arc::new(Part::default()));
+        reg.register(a.clone());
+        reg.register(b.clone());
+        a.ops.add(7);
+        b.ops.add(2);
+        a.depth.set(-4);
+        b.depth.set(1);
+        a.ns.record(5);
+        b.ns.record(9);
+        assert_eq!(
+            value(&reg, "clio_test_ops_total"),
+            Some(MetricValue::Counter(9))
+        );
+        assert_eq!(value(&reg, "clio_test_depth"), Some(MetricValue::Gauge(-3)));
+        let Some(MetricValue::Histogram(ns)) = value(&reg, "clio_test_ns") else {
+            panic!("expected a histogram");
+        };
+        assert_eq!((ns.count, ns.sum, ns.min, ns.max), (2, 14, 5, 9));
+        assert_eq!(reg.registrations(), 2);
     }
 
+    #[test]
+    fn a_source_registered_before_any_event_reads_zero() {
+        let reg = MetricsRegistry::new();
+        reg.register(Arc::new(Part::default()));
+        assert_eq!(
+            value(&reg, "clio_test_ops_total"),
+            Some(MetricValue::Counter(0))
+        );
+        assert_eq!(value(&reg, "clio_test_depth"), Some(MetricValue::Gauge(0)));
+        let Some(MetricValue::Histogram(ns)) = value(&reg, "clio_test_ns") else {
+            panic!("expected a histogram");
+        };
+        assert!(ns.is_empty());
+    }
+
+    /// Emits labeled series out of order, and one total they share.
+    struct Logs;
+
+    impl MetricSource for Logs {
+        fn collect(&self, out: &mut Collector) {
+            for (log, n) in [("9", 9), ("10", 10), ("8", 8)] {
+                out.counter("clio_log_appends_total", &[("log", log)], n);
+                out.counter("clio_log_appends_total", &[], n);
+            }
+            out.counter("clio_log_appends_total_x", &[], 1);
+        }
+    }
+
+    /// Sorted by identity: the family's unlabeled total first, then a
+    /// family that shares its prefix, then the labeled series.
     #[test]
     fn labeled_series_are_independent_and_identified() {
         let reg = MetricsRegistry::new();
-        reg.counter_with("clio_log_appends_total", &[("log", "1")], &[])
-            .add(2);
-        reg.counter_with("clio_log_appends_total", &[("log", "2")], &[])
-            .add(5);
-        // Re-asking with the same labels returns the same series.
+        reg.register(Arc::new(Logs));
+        let ids: Vec<String> = reg.gather().iter().map(Sample::identity).collect();
         assert_eq!(
-            reg.counter_with("clio_log_appends_total", &[("log", "1")], &[])
-                .get(),
-            2
+            ids,
+            [
+                "clio_log_appends_total",
+                "clio_log_appends_total_x",
+                "clio_log_appends_total{log=\"10\"}",
+                "clio_log_appends_total{log=\"8\"}",
+                "clio_log_appends_total{log=\"9\"}",
+            ]
         );
-        reg.histogram_with("clio_log_append_ns", &[("log", "1")], &[])
-            .record(100);
         let samples = reg.gather();
-        assert_eq!(samples.len(), 3);
-        let appends: Vec<&Sample> = samples
-            .iter()
-            .filter(|s| s.name == "clio_log_appends_total")
-            .collect();
-        assert_eq!(appends.len(), 2);
-        assert_eq!(appends[0].labels, vec![("log".to_owned(), "1".to_owned())]);
-        assert_eq!(appends[0].identity(), "clio_log_appends_total{log=\"1\"}");
-        assert_eq!(appends[0].value, MetricValue::Counter(2));
-        assert_eq!(appends[1].value, MetricValue::Counter(5));
+        assert_eq!(samples[0].value, MetricValue::Counter(27));
+        assert_eq!(samples[3].name, "clio_log_appends_total");
+        assert_eq!(samples[3].labels, vec![("log".to_owned(), "8".to_owned())]);
+        assert_eq!(samples[3].value, MetricValue::Counter(8));
+        assert_eq!(samples[4].value, MetricValue::Counter(9));
+    }
+
+    struct GaugeOps;
+
+    impl MetricSource for GaugeOps {
+        fn collect(&self, out: &mut Collector) {
+            out.gauge("clio_test_ops_total", &[], 1);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "emitted as two kinds")]
+    fn kind_mismatch_panics() {
+        let reg = MetricsRegistry::new();
+        reg.register(Arc::new(Part::default()));
+        reg.register(Arc::new(GaugeOps));
+        let _ = reg.gather();
     }
 
     #[test]
@@ -528,5 +483,14 @@ mod tests {
         let labels = vec![("k".to_owned(), "a\"b\\c\n".to_owned())];
         assert_eq!(label_suffix(&labels), "{k=\"a\\\"b\\\\c\\n\"}");
         assert_eq!(label_suffix(&[]), "");
+        let mut out = Collector::default();
+        out.counter("clio_test_total", &[("k", "a\"b\\c\n")], 1);
+        let samples = out.finish();
+        let ids: Vec<String> = samples.iter().map(Sample::identity).collect();
+        assert_eq!(ids, ["clio_test_total{k=\"a\\\"b\\\\c\\n\"}"]);
+        assert_eq!(
+            samples[0].labels,
+            [("k".to_owned(), "a\"b\\c\n".to_owned())]
+        );
     }
 }

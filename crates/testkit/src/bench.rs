@@ -122,6 +122,45 @@ impl Bench {
     }
 }
 
+/// Times the kit's instrumented atomics and mutex beside the std types
+/// they wrap (`sync/*_kit` and `sync/*_std` rows). Outside a checked run
+/// each hook is one relaxed load and a branch, so each pair should time
+/// alike.
+pub fn sync_hooks(c: &mut Bench) {
+    use std::sync::atomic::Ordering;
+    let (kit, bare) = (
+        crate::sync::atomic::AtomicU64::new(0),
+        std::sync::atomic::AtomicU64::new(0),
+    );
+    c.bench("sync/atomic_load_kit", || {
+        black_box(&kit).load(Ordering::Acquire)
+    });
+    c.bench("sync/atomic_load_std", || {
+        black_box(&bare).load(Ordering::Acquire)
+    });
+    c.bench("sync/atomic_store_kit", || {
+        black_box(&kit).store(1, Ordering::Release)
+    });
+    c.bench("sync/atomic_store_std", || {
+        black_box(&bare).store(1, Ordering::Release)
+    });
+    c.bench("sync/atomic_fetch_add_kit", || {
+        black_box(&kit).fetch_add(1, Ordering::AcqRel)
+    });
+    c.bench("sync/atomic_fetch_add_std", || {
+        black_box(&bare).fetch_add(1, Ordering::AcqRel)
+    });
+    let (kit, bare) = (crate::sync::Mutex::new(0u64), std::sync::Mutex::new(0u64));
+    c.bench("sync/mutex_lock_unlock_kit", || {
+        *black_box(&kit).lock() += 1
+    });
+    c.bench("sync/mutex_lock_unlock_std", || {
+        *black_box(&bare)
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner) += 1;
+    });
+}
+
 /// Formats nanoseconds with an adaptive unit (`ns`, `µs`, `ms`, `s`).
 #[must_use]
 pub fn fmt_ns(ns: f64) -> String {

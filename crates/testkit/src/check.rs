@@ -64,10 +64,19 @@ struct ThreadCtx {
     tid: usize,
 }
 
+/// Whether any checked run is live: the one relaxed load and branch a
+/// hook pays outside a checked run. Every hook below tests it inline and
+/// leaves the rest to a `#[cold]`, out-of-line model path, so the fast
+/// path spills no register and sets up no frame for a path it never runs.
+#[inline(always)]
+fn active() -> bool {
+    ACTIVE.load(Ordering::Relaxed) != 0
+}
+
 /// The scheduler and model-thread id of the current thread, if it is a
 /// model thread of a live checked run.
 fn current() -> Option<(Arc<Sched>, usize)> {
-    if ACTIVE.load(Ordering::Relaxed) == 0 {
+    if !active() {
         return None;
     }
     CTX.try_with(|c| c.borrow().as_ref().map(|t| (t.sched.clone(), t.tid)))
@@ -75,9 +84,18 @@ fn current() -> Option<(Arc<Sched>, usize)> {
         .flatten()
 }
 
+/// The model path of a hook, run only inside a checked run: `f` on the
+/// current thread's scheduler, or `None` when this is not a model thread.
+#[cold]
+#[inline(never)]
+fn model<R>(f: impl FnOnce(&Sched, usize) -> R) -> Option<R> {
+    current().map(|(s, my)| f(&s, my))
+}
+
 /// Whether the current thread is a model thread of a live checked run.
+#[inline]
 pub(crate) fn is_model() -> bool {
-    current().is_some()
+    active() && model(|_, _| ()).is_some()
 }
 
 /// Quiet panic payload used to tear a model thread down after the
@@ -301,6 +319,11 @@ impl Sched {
                     0
                 }
             }
+            // A lone candidate is no choice: drawing for it would make
+            // every later choice depend on how many such points came
+            // before, so a scheduling point added to single-threaded
+            // setup would re-deal the whole schedule.
+            Plan::Random { .. } if cands.len() == 1 => 0,
             Plan::Random { rng } => (rng.next_u64() % cands.len() as u64) as usize,
         };
         let next = cands[idx] as usize;
@@ -354,10 +377,6 @@ impl Sched {
 
     // -- locks --------------------------------------------------------------
 
-    // Both stay out of line: `mutex_lock`/`mutex_unlock` run on every
-    // product lock, and outside a checked run they must stay one load and
-    // a return, with no register spills for a model path that never runs.
-    #[inline(never)]
     fn lock_acquire(&self, my: usize, addr: usize, site: Site) {
         let mut st = self.st();
         st.threads[my].at = site;
@@ -378,7 +397,6 @@ impl Sched {
         }
     }
 
-    #[inline(never)]
     fn lock_release(&self, my: usize, addr: usize) {
         let mut st = self.st();
         let tc = st.threads[my].clock.clone();
@@ -561,18 +579,17 @@ fn race_msg(created: Site, k1: &str, prior: &Access, k2: &str, tid: usize, site:
 // ---------------------------------------------------------------------------
 // Instrumentation hooks (called from crate::sync and crate::sync::atomic).
 
+#[inline]
 #[track_caller]
 pub(crate) fn mutex_lock(addr: usize) -> bool {
-    let Some((s, my)) = current() else {
-        return false;
-    };
-    s.lock_acquire(my, addr, Location::caller());
-    true
+    let site = Location::caller();
+    active() && model(move |s, my| s.lock_acquire(my, addr, site)).is_some()
 }
 
+#[inline]
 pub(crate) fn mutex_unlock(addr: usize) {
-    if let Some((s, my)) = current() {
-        s.lock_release(my, addr);
+    if active() {
+        model(move |s, my| s.lock_release(my, addr));
     }
 }
 
@@ -581,38 +598,39 @@ pub(crate) fn mutex_unlock(addr: usize) {
 /// Only call when [`is_model`].
 #[track_caller]
 pub(crate) fn condvar_wait(cv_addr: usize) {
-    if let Some((s, my)) = current() {
-        s.cv_wait(my, cv_addr, Location::caller());
-    }
+    let site = Location::caller();
+    model(move |s, my| s.cv_wait(my, cv_addr, site));
 }
 
 /// Wakes every model thread waiting on `cv_addr`; returns true when the
 /// notify was handled at model level.
+#[inline]
 #[track_caller]
 pub(crate) fn condvar_notify(cv_addr: usize) -> bool {
-    let Some((s, my)) = current() else {
-        return false;
-    };
-    s.cv_notify(my, cv_addr, Location::caller());
-    true
+    let site = Location::caller();
+    active() && model(move |s, my| s.cv_notify(my, cv_addr, site)).is_some()
 }
 
 /// A bare scheduling point, for a polling loop whose condition the checker
 /// does not see (a [`crate::sync::atomic::RelaxedI64`] gauge, say): without
 /// one, the thread it waits for could never run. Outside a checked run it
 /// is one relaxed load.
+#[inline]
 #[track_caller]
 pub fn yield_point() {
-    if let Some((s, my)) = current() {
-        s.yield_at(my, Location::caller());
+    if active() {
+        let site = Location::caller();
+        model(move |s, my| s.yield_at(my, site));
     }
 }
 
 /// An atomic access with the given acquire/release effect.
+#[inline]
 #[track_caller]
 pub(crate) fn atomic_access(addr: usize, acq: bool, rel: bool) {
-    if let Some((s, my)) = current() {
-        s.atomic_op(my, addr, acq, rel, Location::caller());
+    if active() {
+        let site = Location::caller();
+        model(move |s, my| s.atomic_op(my, addr, acq, rel, site));
     }
 }
 
@@ -1163,6 +1181,45 @@ mod tests {
 
     fn small(name: &'static str) -> Checker {
         Checker::new(name).dfs_budget(300).random_schedules(100)
+    }
+
+    /// The order in which two threads' steps ran under random schedule
+    /// `index` of seed 7, with `setup` extra scheduling points before
+    /// the first spawn.
+    fn interleaving(setup: usize, index: u64) -> Vec<u8> {
+        let order = Arc::new(StdMutex::new(Vec::new()));
+        let log = order.clone();
+        Checker::new("choices").replay(7, index).check(move || {
+            for _ in 0..setup {
+                yield_point();
+            }
+            let mine = log.clone();
+            let t = spawn(move || {
+                for _ in 0..4 {
+                    yield_point();
+                    mine.lock().unwrap().push(1);
+                }
+            });
+            for _ in 0..4 {
+                yield_point();
+                log.lock().unwrap().push(0);
+            }
+            t.join().expect("invariant: model thread returns");
+        });
+        let steps = order.lock().unwrap().clone();
+        steps
+    }
+
+    #[test]
+    fn one_candidate_points_leave_the_choices_unchanged() {
+        let base: Vec<Vec<u8>> = (0..16).map(|i| interleaving(0, i)).collect();
+        assert!(
+            base.iter().any(|o| o != &base[0]),
+            "the schedules must differ for the comparison to mean anything"
+        );
+        for (i, order) in base.iter().enumerate() {
+            assert_eq!(&interleaving(3, i as u64), order, "schedule {i}");
+        }
     }
 
     #[test]

@@ -70,6 +70,11 @@ fi
 run cargo test -q --release --offline -p clio-core --test concurrent_reads
 run cargo test -q --release --offline -p clio-core --test concurrent_appends
 
+# The cost ledger: start-up counts (allocations, registrations, device
+# reads, recovery counts) pinned in cost_ledger.txt. Run released too: the
+# tier-1 pass ran it in debug, and the counts must not depend on the build.
+run cargo test -q --release --offline -p clio-core --test cost_ledger
+
 # Torn-batch crash recovery: the group-commit vectored write torn at
 # every prefix length must recover to a consistent prefix. Run released
 # so the full tear sweep stays fast.
