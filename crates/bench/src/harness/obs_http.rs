@@ -76,7 +76,7 @@ pub fn run(out: &mut impl Write, args: &[String]) -> io::Result<Report> {
     let scrapes_per_route: usize = if quick { 25 } else { 400 };
     let appenders: usize = 2;
 
-    let cfg = ServiceConfig::default().with_http_addr("127.0.0.1:0");
+    let cfg = ServiceConfig::default();
     let svc = LogService::create(
         VolumeSeqId(1),
         Arc::new(MemDevicePool::new(cfg.block_size, 1 << 16)),
@@ -88,7 +88,7 @@ pub fn run(out: &mut impl Write, args: &[String]) -> io::Result<Report> {
         svc.create_log(&format!("/obs{t}"))
             .unwrap_or_else(|e| die(format!("create log /obs{t}: {e:?}")));
     }
-    let server = LogServer::spawn(svc);
+    let server = LogServer::spawn(svc, Some("127.0.0.1:0"));
     let addr = server
         .http_addr()
         .unwrap_or_else(|| die("endpoint failed to bind 127.0.0.1:0".to_owned()));

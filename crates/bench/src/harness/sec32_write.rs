@@ -36,7 +36,7 @@ pub fn run(out: &mut impl Write, args: &[String]) -> io::Result<Report> {
     )
     .expect("fresh in-memory service");
     svc.create_log("/bench").expect("create log");
-    let server = LogServer::spawn(svc);
+    let server = LogServer::spawn(svc, None);
     let client = server.client();
 
     let rounds = 2_000u64;

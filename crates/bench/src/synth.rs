@@ -133,9 +133,76 @@ impl BlockSource for SyntheticSource {
 
 #[cfg(test)]
 mod tests {
+    use clio_entrymap::harness::build_log;
     use clio_entrymap::{naive, Locator};
+    use clio_format::BlockView;
+    use clio_testkit::rng::StdRng;
 
     use super::*;
+
+    /// The entrymap records block `db` of `src` carries, in order.
+    fn records_of(src: &impl BlockSource, db: u64) -> Vec<EntrymapRecord> {
+        let image = src.read(db).expect("in-memory read");
+        let view = BlockView::parse(&image).expect("built blocks parse");
+        view.entries()
+            .map(|e| e.expect("built entries parse"))
+            .filter(|e| e.header.id == LogFileId::ENTRYMAP)
+            .map(|e| EntrymapRecord::decode(e.payload).expect("built records decode"))
+            .collect()
+    }
+
+    /// The Figure 3, Table 1, Figure 4 and locator-ablation harnesses read
+    /// this source as if the entrymap writer had produced it. Over seeded
+    /// placements, every block carries the records the live writer emits
+    /// for the same placement, and the pending state answers every
+    /// `union_for` query as the writer's does. The states are compared by
+    /// their answers, not by `==`: the rebuilt one may hold an empty top
+    /// level the writer never opened.
+    #[test]
+    fn synthetic_log_is_the_log_the_writer_produces() {
+        let mut rng = StdRng::seed_from_u64(0x5E17);
+        for n in [2usize, 4, 16] {
+            let geo = Geometry::new(n);
+            let most = (n as u64).pow(3) + 7;
+            for case in 0..24 {
+                let total = if case == 0 {
+                    most
+                } else {
+                    rng.gen_range(1..=most)
+                };
+                let density = [0.02, 0.2, 0.6, 1.0][case % 4];
+                let placed: BTreeSet<u64> = (0..total).filter(|_| rng.gen_bool(density)).collect();
+                let plan: Vec<Vec<u16>> = (0..total)
+                    .map(|db| {
+                        if placed.contains(&db) {
+                            vec![SYNTH_FILE.0]
+                        } else {
+                            vec![]
+                        }
+                    })
+                    .collect();
+                let (built, live) = build_log(n, 512, &plan);
+                let synth = SyntheticSource::new(n, 512, total, placed);
+                for db in 0..total {
+                    assert_eq!(
+                        records_of(&synth, db),
+                        records_of(&built, db),
+                        "N={n}, {total} blocks: block {db}"
+                    );
+                }
+                let pending = synth.pending();
+                for level in 1..=geo.levels_for(total) + 1 {
+                    for group in 0..=total / geo.period(level) + 1 {
+                        assert_eq!(
+                            pending.union_for(level, group, &[SYNTH_FILE]),
+                            live.union_for(level, group, &[SYNTH_FILE]),
+                            "N={n}, {total} blocks: level {level}, group {group}"
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn matches_locator_semantics() {

@@ -127,5 +127,6 @@ mod report_decodes {
         group_commit["--quick"],
         obs_http["--quick"],
         multi_shard["--quick"],
+        sec32_write[],
     );
 }

@@ -43,12 +43,6 @@ pub struct ServiceConfig {
     /// never contend; `1` restores the single-domain behaviour the paper
     /// experiments measure. The catalog log lives on shard 0.
     pub shards: usize,
-    /// Bind address for the std-only HTTP observability endpoint
-    /// (`/metrics`, `/metrics.json`, `/trace`, `/health`), e.g.
-    /// `"127.0.0.1:0"` for an ephemeral port. `None` (the default) runs
-    /// no endpoint. Only [`crate::LogServer`] honours this; a bare
-    /// [`crate::LogService`] never opens sockets.
-    pub http_addr: Option<String>,
 }
 
 impl Default for ServiceConfig {
@@ -62,7 +56,6 @@ impl Default for ServiceConfig {
             trace_events: 512,
             group_commit: true,
             shards: 4,
-            http_addr: None,
         }
     }
 }
@@ -134,14 +127,6 @@ impl ServiceConfig {
         self.verify_appends = true;
         self
     }
-
-    /// Sets the HTTP observability bind address (see
-    /// [`ServiceConfig::http_addr`]).
-    #[must_use]
-    pub fn with_http_addr(mut self, addr: &str) -> ServiceConfig {
-        self.http_addr = Some(addr.to_string());
-        self
-    }
 }
 
 #[cfg(test)]
@@ -158,13 +143,6 @@ mod tests {
         assert_eq!(c.shards, 4);
         assert_eq!(ServiceConfig::small().shards, 1);
         assert_eq!(ServiceConfig::small().with_shards(8).shards, 8);
-        assert!(c.http_addr.is_none());
-        assert_eq!(
-            ServiceConfig::small()
-                .with_http_addr("127.0.0.1:0")
-                .http_addr,
-            Some("127.0.0.1:0".to_string())
-        );
         assert!(
             ServiceConfig::small()
                 .with_verified_appends()

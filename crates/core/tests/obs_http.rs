@@ -7,7 +7,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 
-use clio_core::server::{LogServer, Request, Response};
+use clio_core::server::LogServer;
 use clio_core::service::LogService;
 use clio_core::ServiceConfig;
 use clio_obs::json::{self, Value};
@@ -16,9 +16,7 @@ use clio_volume::MemDevicePool;
 
 fn spawn_server() -> LogServer {
     // Two append domains, so the per-shard series carry both labels.
-    let cfg = ServiceConfig::small()
-        .with_shards(2)
-        .with_http_addr("127.0.0.1:0");
+    let cfg = ServiceConfig::small().with_shards(2);
     let svc = LogService::create(
         VolumeSeqId(9),
         Arc::new(MemDevicePool::new(256, 4096)),
@@ -26,7 +24,7 @@ fn spawn_server() -> LogServer {
         Arc::new(ManualClock::starting_at(Timestamp::from_secs(1))),
     )
     .expect("create service");
-    LogServer::spawn(svc)
+    LogServer::spawn(svc, Some("127.0.0.1:0"))
 }
 
 /// One HTTP GET over a raw TcpStream; returns (head, body).
@@ -66,12 +64,7 @@ fn forced_append_span_tree_is_served_over_http() {
     let addr = server.http_addr().expect("endpoint is configured");
     let client = server.client();
 
-    match client.call(Request::CreateLog {
-        path: "/t".to_owned(),
-    }) {
-        Response::Created(_) => {}
-        other => panic!("create failed: {other:?}"),
-    }
+    client.call(|s| s.create_log("/t")).expect("create failed");
     let t0 = clio_obs::clock::read();
     client.append_sync("/t", b"traced payload").expect("append");
     let e2e_us = clio_obs::clock::read().us() - t0.us();
@@ -153,22 +146,12 @@ fn metrics_exposition_is_valid_prometheus_with_per_log_labels() {
     let addr = server.http_addr().expect("endpoint is configured");
     let client = server.client();
 
-    let id = match client.call(Request::CreateLog {
-        path: "/t".to_owned(),
-    }) {
-        Response::Created(id) => id,
-        other => panic!("create failed: {other:?}"),
-    };
+    let id = client.call(|s| s.create_log("/t")).expect("create failed");
     client.append_sync("/t", b"one").expect("append");
     client.append_sync("/t", b"two").expect("append");
     // A second top-level log: consecutive ids route to the *other* of
     // the two append domains, so both shard labels carry appends.
-    let id2 = match client.call(Request::CreateLog {
-        path: "/u".to_owned(),
-    }) {
-        Response::Created(id) => id,
-        other => panic!("create failed: {other:?}"),
-    };
+    let id2 = client.call(|s| s.create_log("/u")).expect("create failed");
     client.append_sync("/u", b"three").expect("append");
 
     let (head, body) = get(addr, "/metrics");
@@ -263,6 +246,6 @@ fn health_and_absence() {
         Arc::new(ManualClock::starting_at(Timestamp::from_secs(1))),
     )
     .expect("create service");
-    let server = LogServer::spawn(svc);
-    assert!(server.http_addr().is_none(), "no knob, no socket");
+    let server = LogServer::spawn(svc, None);
+    assert!(server.http_addr().is_none(), "no address, no socket");
 }

@@ -189,15 +189,15 @@ fn server_answers_stats_requests() {
     )
     .unwrap();
     svc.create_log("/s").unwrap();
-    let server = clio_core::server::LogServer::spawn(svc);
+    let server = clio_core::server::LogServer::spawn(svc, None);
     let client = server.client();
     client.append_sync("/s", b"one entry").unwrap();
 
-    let text = client.stats_text().unwrap();
+    let text = client.call(|s| Ok(s.metrics_text())).unwrap();
     assert!(text.contains("clio_device_appends_total"));
     assert!(text.contains("# TYPE"));
 
-    let json = client.stats_json().unwrap();
+    let json = client.call(|s| Ok(s.metrics_json())).unwrap();
     let v = clio_obs::json::parse(&json).expect("stats JSON parses");
     assert!(
         v.get("clio_core_appends_total")

@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use clio_core::service::{AppendOpts, LogService};
 use clio_core::ServiceConfig;
-use clio_device::{FaultPlan, FaultyDevice, SharedDevice};
+use clio_device::{FaultyDevice, SharedDevice};
 use clio_testkit::prop::{any_u64, bools, check, pair, triple, u16s, vec_of};
 use clio_testkit::rng::StdRng;
 use clio_testkit::sync::Mutex;
@@ -27,7 +27,7 @@ fn faulty_pool(block_size: usize, capacity: u64) -> (Arc<RecordingPool>, FaultHa
     let pool = Arc::new(RecordingPool::wrapping(
         Arc::new(MemDevicePool::new(block_size, capacity)),
         move |dev: SharedDevice| {
-            let f = Arc::new(FaultyDevice::new(dev, FaultPlan::default()));
+            let f = Arc::new(FaultyDevice::new(dev));
             h.lock().push(f.clone());
             f
         },

@@ -2,10 +2,12 @@
 
 use std::sync::Arc;
 
+use clio_core::read::Entry;
+use clio_core::server::{ClioClient, LogServer};
 use clio_core::service::{AppendOpts, Durability, LogService};
 use clio_core::write::MAX_BATCH_BLOCKS;
 use clio_core::{LogCursor, ServiceConfig, Uio, UioSeek};
-use clio_device::{FaultPlan, FaultyDevice, MemWormDevice, RamTailDevice, SharedDevice};
+use clio_device::{FaultyDevice, MemWormDevice, RamTailDevice, SharedDevice};
 use clio_types::{ClioError, LogFileId, ManualClock, SeqNo, Timestamp, VolumeSeqId};
 use clio_volume::{DevicePool, MemDevicePool, RecordingPool};
 
@@ -492,7 +494,7 @@ impl FaultyPool {
 impl DevicePool for FaultyPool {
     fn next_device(&self) -> clio_types::Result<SharedDevice> {
         let base: SharedDevice = Arc::new(MemWormDevice::new(256, 4096));
-        let faulty = Arc::new(FaultyDevice::new(base, FaultPlan::default()));
+        let faulty = Arc::new(FaultyDevice::new(base));
         *self.0.lock() = Some(faulty.clone());
         Ok(faulty)
     }
@@ -795,39 +797,54 @@ fn uio_round_trip_and_time_seek() {
     assert!(f.uio_seek(UioSeek::Offset(3)).is_err());
 }
 
+/// Up to `max` entries of `path` at or after `from`, in one round trip.
+fn remote_read_from(
+    client: &ClioClient,
+    path: &'static str,
+    from: Timestamp,
+    max: usize,
+) -> clio_types::Result<Vec<Entry>> {
+    client.call(move |s| {
+        let mut cur = s.cursor_from_time(path, from)?;
+        let mut out = Vec::new();
+        while out.len() < max {
+            match cur.next()? {
+                Some(e) => out.push(e),
+                None => break,
+            }
+        }
+        Ok(out)
+    })
+}
+
 #[test]
 fn server_boundary_round_trip() {
-    use clio_core::server::{LogServer, Request};
-    let svc = small_service();
-    let server = LogServer::spawn(svc);
+    let server = LogServer::spawn(small_service(), None);
     let client = server.client();
 
-    match client.call(Request::CreateLog {
-        path: "/remote".into(),
-    }) {
-        clio_core::server::Response::Created(_) => {}
-        other => panic!("create failed: {other:?}"),
-    }
+    client
+        .call(|s| s.create_log("/remote"))
+        .expect("create failed");
     for i in 0..10u32 {
         client
             .append_sync("/remote", format!("m{i}").as_bytes())
             .unwrap();
     }
-    let entries = client
-        .call(Request::ReadFrom {
-            path: "/remote".into(),
-            from: Timestamp::ZERO,
-            max: 100,
-        })
-        .entries()
-        .unwrap();
+    let entries = remote_read_from(&client, "/remote", Timestamp::ZERO, 100).unwrap();
     assert_eq!(entries.len(), 10);
+    // The newest 3, newest first.
     let last = client
-        .call(Request::ReadLast {
-            path: "/remote".into(),
-            max: 3,
+        .call(|s| {
+            let mut cur = s.cursor_from_end("/remote")?;
+            let mut out = Vec::new();
+            while out.len() < 3 {
+                match cur.prev()? {
+                    Some(e) => out.push(e),
+                    None => break,
+                }
+            }
+            Ok(out)
         })
-        .entries()
         .unwrap();
     assert_eq!(last.len(), 3);
     assert_eq!(last[0].data, b"m9");
@@ -837,14 +854,12 @@ fn server_boundary_round_trip() {
 
 #[test]
 fn server_append_batch_is_one_round_trip() {
-    use clio_core::server::{LogServer, Request, Response};
-    let server = LogServer::spawn(small_service());
+    let server = LogServer::spawn(small_service(), None);
     let client = server.client();
     for path in ["/a", "/b"] {
-        match client.call(Request::CreateLog { path: path.into() }) {
-            Response::Created(_) => {}
-            other => panic!("create failed: {other:?}"),
-        }
+        client
+            .call(move |s| s.create_log(path))
+            .expect("create failed");
     }
     let before = server.ipc_round_trips();
     let items: Vec<(String, Vec<u8>)> = (0..6u32)
@@ -853,7 +868,9 @@ fn server_append_batch_is_one_round_trip() {
             (path.to_owned(), format!("batch{i}").into_bytes())
         })
         .collect();
-    let receipts = client.append_batch(items.clone(), true).unwrap();
+    let receipts = client
+        .call(move |s| s.append_batch(&items, AppendOpts::forced()))
+        .unwrap();
     assert_eq!(receipts.len(), 6);
     assert_eq!(
         server.ipc_round_trips(),
@@ -861,19 +878,13 @@ fn server_append_batch_is_one_round_trip() {
         "a whole batch costs exactly one IPC round trip"
     );
     // Every receipt resolves to its payload, in order.
-    let entries = client
-        .call(Request::ReadFrom {
-            path: "/a".into(),
-            from: Timestamp::ZERO,
-            max: 10,
-        })
-        .entries()
-        .unwrap();
+    let entries = remote_read_from(&client, "/a", Timestamp::ZERO, 10).unwrap();
     assert_eq!(entries.len(), 3);
     assert_eq!(entries[0].data, b"batch0");
     assert_eq!(entries[2].data, b"batch4");
     // An unknown path fails the whole call without a panic.
-    let bad = client.append_batch(vec![("/nope".into(), b"x".to_vec())], false);
+    let bad =
+        client.call(|s| s.append_batch(&[("/nope".into(), b"x".to_vec())], AppendOpts::standard()));
     assert!(bad.is_err());
     server.shutdown();
 }
@@ -1074,51 +1085,30 @@ fn append_batch_with_an_unknown_path_stages_nothing() {
 
 #[test]
 fn server_admin_requests() {
-    use clio_core::server::{LogServer, Request, Response};
     use clio_format::records::PERM_READ;
-    let server = LogServer::spawn(small_service());
+    let server = LogServer::spawn(small_service(), None);
     let client = server.client();
-    client.call(Request::CreateLog {
-        path: "/adm".into(),
-    });
+    client
+        .call(|s| s.create_log("/adm"))
+        .expect("create failed");
     client.append_sync("/adm", b"one").unwrap();
 
     // Stat reflects catalog attributes.
-    match client.call(Request::Stat {
-        path: "/adm".into(),
-    }) {
-        Response::Attrs(a) => {
-            assert_eq!(a.name, "adm");
-            assert!(!a.sealed);
-        }
-        other => panic!("stat failed: {other:?}"),
-    }
+    let stat = || client.call(|s| s.resolve("/adm").and_then(|id| s.attrs(id)));
+    let a = stat().expect("stat failed");
+    assert_eq!(a.name, "adm");
+    assert!(!a.sealed);
     // SetPerms to read-only, then appends fail through the boundary.
-    match client.call(Request::SetPerms {
-        path: "/adm".into(),
-        perms: PERM_READ,
-    }) {
-        Response::Done => {}
-        other => panic!("setperms failed: {other:?}"),
-    }
+    let set_perms =
+        |perms| client.call(move |s| s.resolve("/adm").and_then(|id| s.set_perms(id, perms)));
+    set_perms(PERM_READ).expect("setperms failed");
     assert!(client.append_sync("/adm", b"two").is_err());
     // Seal is visible via Stat.
-    client.call(Request::SetPerms {
-        path: "/adm".into(),
-        perms: 3,
-    });
-    match client.call(Request::Seal {
-        path: "/adm".into(),
-    }) {
-        Response::Done => {}
-        other => panic!("seal failed: {other:?}"),
-    }
-    match client.call(Request::Stat {
-        path: "/adm".into(),
-    }) {
-        Response::Attrs(a) => assert!(a.sealed),
-        other => panic!("stat failed: {other:?}"),
-    }
+    set_perms(3).expect("setperms failed");
+    client
+        .call(|s| s.resolve("/adm").and_then(|id| s.seal_log(id)))
+        .expect("seal failed");
+    assert!(stat().expect("stat failed").sealed);
     assert!(client.append_sync("/adm", b"three").is_err());
     server.shutdown();
 }

@@ -29,7 +29,7 @@ use std::sync::Arc;
 use clio_core::service::{AppendOpts, LogService};
 use clio_core::ServiceConfig;
 use clio_costmodel::{CostModel, Scheduler};
-use clio_device::{CrashSwitch, FaultPlan, FaultyDevice, RamTailDevice, SharedDevice};
+use clio_device::{CrashSwitch, FaultyDevice, RamTailDevice, SharedDevice};
 use clio_testkit::rng::splitmix64;
 use clio_testkit::sim::{
     check_history, check_history_with_shards, Addr, EventKind, History, LogScan, Op, Outcome,
@@ -455,18 +455,11 @@ fn run_sim_traced(
     let faulty: FaultyDevices = Arc::default();
     let faulty_pool = faulty.clone();
     let pool = Arc::new(RecordingPool::wrapping(inner, move |base| {
-        // Corruption probabilities stay 0: mid-log garbage is a medium
-        // defect, not a crash artifact, and would (correctly) break the
-        // prefix model. Crash-point torn tails come from the switch; the
-        // verifying configuration garbles data appends through `faulty`.
-        let faulty = Arc::new(FaultyDevice::with_switch(
-            base,
-            FaultPlan {
-                seed: plan_seed,
-                ..FaultPlan::default()
-            },
-            sw_pool.clone(),
-        ));
+        // Crash-point torn tails come from the switch; the verifying
+        // configuration garbles data appends through `faulty`. Nothing
+        // else writes garbage: mid-log garbage is a medium defect, not a
+        // crash artifact, and would (correctly) break the prefix model.
+        let faulty = Arc::new(FaultyDevice::with_switch(base, plan_seed, sw_pool.clone()));
         faulty_pool.lock().push(faulty.clone());
         let faulty = faulty as SharedDevice;
         if ram_tail {

@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use clio_core::service::{AppendOpts, LogService};
 use clio_core::ServiceConfig;
-use clio_device::{FaultPlan, FaultyDevice, MemWormDevice, SharedDevice};
+use clio_device::{FaultyDevice, MemWormDevice, SharedDevice};
 use clio_obs::MetricValue;
 use clio_types::{BlockNo, ClioError, ManualClock, Timestamp, VolumeSeqId};
 use clio_volume::DevicePool;
@@ -27,7 +27,7 @@ impl FaultyPool {
 impl DevicePool for FaultyPool {
     fn next_device(&self) -> clio_types::Result<SharedDevice> {
         let base: SharedDevice = Arc::new(MemWormDevice::new(256, 4096));
-        let faulty = Arc::new(FaultyDevice::new(base, FaultPlan::default()));
+        let faulty = Arc::new(FaultyDevice::new(base));
         *self.0.lock() = Some(faulty.clone());
         Ok(faulty)
     }

@@ -4,8 +4,8 @@
 //! volume may be written over a long period of time, during which hardware
 //! and software failures may occur. A failure may cause a portion of the log
 //! volume to be written with garbage." [`FaultyDevice`] wraps a device and
-//! injects exactly those failures, deterministically (seeded), so the
-//! recovery paths in `clio-core` can be tested and benchmarked.
+//! injects exactly those failures when a test asks for them, with seeded
+//! garbage bytes, so the recovery paths in `clio-core` can be tested.
 
 use std::sync::Arc;
 
@@ -149,58 +149,14 @@ impl CrashSwitch {
     }
 }
 
-/// What to inject, and how often.
-#[derive(Debug, Clone)]
-pub struct FaultPlan {
-    /// Probability that an appended block is written as garbage instead of
-    /// the intended data (random bytes; trailer CRC will not verify).
-    pub garbage_append_prob: f64,
-    /// Probability that an appended block suffers a burst of flipped bits
-    /// (simulating a marginal write that later fails its CRC).
-    pub bitrot_append_prob: f64,
-    /// Number of bit-bursts per bit-rotted block.
-    pub bitrot_bursts: usize,
-    /// RNG seed, so failures are reproducible.
-    pub seed: u64,
-}
+/// Seed of a [`FaultyDevice`] made by [`FaultyDevice::new`].
+const DEFAULT_SEED: u64 = 0x0C11_0F17;
 
-impl Default for FaultPlan {
-    fn default() -> Self {
-        FaultPlan {
-            garbage_append_prob: 0.0,
-            bitrot_append_prob: 0.0,
-            bitrot_bursts: 3,
-            seed: 0x0C11_0F17,
-        }
-    }
-}
-
-impl FaultPlan {
-    /// A plan that corrupts roughly `prob` of appends with garbage.
-    #[must_use]
-    pub fn garbage(prob: f64, seed: u64) -> FaultPlan {
-        FaultPlan {
-            garbage_append_prob: prob,
-            seed,
-            ..FaultPlan::default()
-        }
-    }
-
-    /// A plan that bit-rots roughly `prob` of appends.
-    #[must_use]
-    pub fn bitrot(prob: f64, seed: u64) -> FaultPlan {
-        FaultPlan {
-            bitrot_append_prob: prob,
-            seed,
-            ..FaultPlan::default()
-        }
-    }
-}
-
-/// A [`LogDevice`] wrapper that corrupts writes according to a [`FaultPlan`].
+/// A [`LogDevice`] wrapper that injects the faults a test asks for:
+/// garbage appends, a torn batch, and (through a [`CrashSwitch`]) a crash.
 pub struct FaultyDevice {
     inner: SharedDevice,
-    plan: FaultPlan,
+    /// Source of garbage-block bytes; seeded so corruptions replay exactly.
     rng: Mutex<StdRng>,
     corrupted: Mutex<Vec<BlockNo>>,
     /// Countdown trigger: corrupt exactly this many of the next appends.
@@ -213,14 +169,16 @@ pub struct FaultyDevice {
 }
 
 impl FaultyDevice {
-    /// Wraps `inner` with the given plan.
+    /// Wraps `inner`; it injects nothing until a test asks.
     #[must_use]
-    pub fn new(inner: SharedDevice, plan: FaultPlan) -> FaultyDevice {
-        let rng = StdRng::seed_from_u64(plan.seed);
+    pub fn new(inner: SharedDevice) -> FaultyDevice {
+        FaultyDevice::seeded(inner, DEFAULT_SEED)
+    }
+
+    fn seeded(inner: SharedDevice, seed: u64) -> FaultyDevice {
         FaultyDevice {
             inner,
-            plan,
-            rng: Mutex::new(rng),
+            rng: Mutex::new(StdRng::seed_from_u64(seed)),
             corrupted: Mutex::new(Vec::new()),
             force_next: Mutex::new(0),
             tear_after: Mutex::new(None),
@@ -228,22 +186,17 @@ impl FaultyDevice {
         }
     }
 
-    /// Wraps `inner` with the given plan and a shared [`CrashSwitch`] —
-    /// how a simulated server's whole device set crashes at one seeded
-    /// point mid-run.
+    /// Wraps `inner` with garbage bytes drawn from `seed` and a shared
+    /// [`CrashSwitch`] — how a simulated server's whole device set crashes
+    /// at one seeded point mid-run.
     #[must_use]
-    pub fn with_switch(
-        inner: SharedDevice,
-        plan: FaultPlan,
-        switch: Arc<CrashSwitch>,
-    ) -> FaultyDevice {
-        let mut dev = FaultyDevice::new(inner, plan);
+    pub fn with_switch(inner: SharedDevice, seed: u64, switch: Arc<CrashSwitch>) -> FaultyDevice {
+        let mut dev = FaultyDevice::seeded(inner, seed);
         dev.switch = Some(switch);
         dev
     }
 
-    /// Forces the next append to be written as garbage, regardless of the
-    /// plan's probabilities. Useful for targeted tests.
+    /// Forces the next append to be written as garbage.
     pub fn corrupt_next_append(&self) {
         self.corrupt_next_appends(1);
     }
@@ -312,33 +265,19 @@ impl LogDevice for FaultyDevice {
                 }
             }
         }
-        let mut rng = self.rng.lock();
         let forced = {
             let mut left = self.force_next.lock();
             let forced = *left > 0;
             *left = left.saturating_sub(1);
             forced
         };
-        if forced || rng.gen_bool(self.plan.garbage_append_prob.clamp(0.0, 1.0)) {
+        if forced {
             let mut garbage = vec![0u8; data.len()];
-            rng.fill(&mut garbage[..]);
-            drop(rng);
+            self.rng.lock().fill(&mut garbage[..]);
             self.inner.append_block(expected, &garbage)?;
             self.corrupted.lock().push(expected);
             return Ok(());
         }
-        if rng.gen_bool(self.plan.bitrot_append_prob.clamp(0.0, 1.0)) {
-            let mut rotted = data.to_vec();
-            for _ in 0..self.plan.bitrot_bursts.max(1) {
-                let at = rng.gen_range(0..rotted.len());
-                rotted[at] ^= 1 << rng.gen_range(0..8u32);
-            }
-            drop(rng);
-            self.inner.append_block(expected, &rotted)?;
-            self.corrupted.lock().push(expected);
-            return Ok(());
-        }
-        drop(rng);
         self.inner.append_block(expected, data)
     }
 
@@ -346,8 +285,8 @@ impl LogDevice for FaultyDevice {
         let tear = self.tear_after.lock().take();
         let n = blocks.len();
         let stop = tear.map_or(n, |k| k.min(n));
-        // Per-block so the plan's per-append faults stay live inside
-        // batches (and so a tear leaves exactly `stop` blocks written).
+        // Per-block so a forced corruption or a crash can land inside a
+        // batch (and so a tear leaves exactly `stop` blocks written).
         let mut at = expected;
         for b in &blocks[..stop] {
             self.append_block(at, b)?;
@@ -415,7 +354,7 @@ mod tests {
 
     #[test]
     fn forced_corruption_garbles_exactly_one_block() {
-        let dev = FaultyDevice::new(Arc::new(MemWormDevice::new(64, 16)), FaultPlan::default());
+        let dev = FaultyDevice::new(Arc::new(MemWormDevice::new(64, 16)));
         let data = vec![0xAB; 64];
         dev.append_block(BlockNo(0), &data).unwrap();
         dev.corrupt_next_append();
@@ -433,35 +372,27 @@ mod tests {
     }
 
     #[test]
-    fn garbage_plan_is_deterministic_for_a_seed() {
-        let run = |seed| {
-            let dev = FaultyDevice::new(
-                Arc::new(MemWormDevice::new(64, 256)),
-                FaultPlan::garbage(0.25, seed),
+    fn forced_garbage_is_deterministic_for_a_seed() {
+        let garbage = |seed| {
+            let dev = FaultyDevice::with_switch(
+                Arc::new(MemWormDevice::new(64, 16)),
+                seed,
+                CrashSwitch::new(0),
             );
-            let data = vec![0x55; 64];
-            for i in 0..200 {
-                dev.append_block(BlockNo(i), &data).unwrap();
-            }
-            dev.corrupted_blocks()
+            dev.corrupt_next_append();
+            dev.append_block(BlockNo(0), &[0x55; 64]).unwrap();
+            let mut buf = vec![0u8; 64];
+            dev.read_block(BlockNo(0), &mut buf).unwrap();
+            buf
         };
-        let a = run(7);
-        let b = run(7);
-        let c = run(8);
-        assert_eq!(a, b);
-        assert_ne!(a, c);
-        // Roughly a quarter of appends corrupted.
-        assert!(a.len() > 20 && a.len() < 90, "corrupted {} blocks", a.len());
+        assert_eq!(garbage(7), garbage(7));
+        assert_ne!(garbage(7), garbage(8));
     }
 
     #[test]
     fn crash_switch_fires_after_n_write_ops() {
         let sw = CrashSwitch::new(1);
-        let dev = FaultyDevice::with_switch(
-            Arc::new(MemWormDevice::new(64, 16)),
-            FaultPlan::default(),
-            sw.clone(),
-        );
+        let dev = FaultyDevice::with_switch(Arc::new(MemWormDevice::new(64, 16)), 0, sw.clone());
         let data = vec![0xCD; 64];
         sw.arm(3, false);
         dev.append_block(BlockNo(0), &data).unwrap();
@@ -486,11 +417,7 @@ mod tests {
     #[test]
     fn crash_switch_garbage_tail_lands_then_fails() {
         let sw = CrashSwitch::new(44);
-        let dev = FaultyDevice::with_switch(
-            Arc::new(MemWormDevice::new(64, 16)),
-            FaultPlan::default(),
-            sw.clone(),
-        );
+        let dev = FaultyDevice::with_switch(Arc::new(MemWormDevice::new(64, 16)), 0, sw.clone());
         let data = vec![0xEE; 64];
         dev.append_block(BlockNo(0), &data).unwrap();
         sw.arm(1, true);
@@ -508,16 +435,8 @@ mod tests {
     #[test]
     fn crash_switch_is_shared_across_devices() {
         let sw = CrashSwitch::new(9);
-        let a = FaultyDevice::with_switch(
-            Arc::new(MemWormDevice::new(64, 16)),
-            FaultPlan::default(),
-            sw.clone(),
-        );
-        let b = FaultyDevice::with_switch(
-            Arc::new(MemWormDevice::new(64, 16)),
-            FaultPlan::default(),
-            sw.clone(),
-        );
+        let a = FaultyDevice::with_switch(Arc::new(MemWormDevice::new(64, 16)), 0, sw.clone());
+        let b = FaultyDevice::with_switch(Arc::new(MemWormDevice::new(64, 16)), 0, sw.clone());
         let data = vec![0x11; 64];
         sw.arm(2, false);
         a.append_block(BlockNo(0), &data).unwrap();
@@ -530,11 +449,7 @@ mod tests {
     #[test]
     fn crash_switch_counts_tail_rewrites_and_invalidations() {
         let sw = CrashSwitch::new(3);
-        let dev = FaultyDevice::with_switch(
-            Arc::new(MemWormDevice::new(64, 16)),
-            FaultPlan::default(),
-            sw.clone(),
-        );
+        let dev = FaultyDevice::with_switch(Arc::new(MemWormDevice::new(64, 16)), 0, sw.clone());
         let data = vec![0x77; 64];
         dev.append_block(BlockNo(0), &data).unwrap();
         sw.arm(1, true);
@@ -546,19 +461,5 @@ mod tests {
         let mut buf = vec![0u8; 64];
         dev.read_block(BlockNo(0), &mut buf).unwrap();
         assert_eq!(buf, data);
-    }
-
-    #[test]
-    fn bitrot_changes_but_resembles_data() {
-        let dev = FaultyDevice::new(
-            Arc::new(MemWormDevice::new(64, 16)),
-            FaultPlan::bitrot(1.0, 3),
-        );
-        let data = vec![0x00; 64];
-        dev.append_block(BlockNo(0), &data).unwrap();
-        let mut buf = vec![0u8; 64];
-        dev.read_block(BlockNo(0), &mut buf).unwrap();
-        let flipped: u32 = buf.iter().map(|b| b.count_ones()).sum();
-        assert!((1..=3 * 8).contains(&flipped), "{flipped} bits flipped");
     }
 }

@@ -33,7 +33,7 @@ pub mod store;
 pub mod traits;
 pub mod worm;
 
-pub use fault::{CrashSwitch, FaultPlan, FaultyDevice};
+pub use fault::{CrashSwitch, FaultyDevice};
 pub use mirror::MirroredDevice;
 pub use ram_tail::RamTailDevice;
 pub use stats::{DeviceStats, InstrumentedDevice};

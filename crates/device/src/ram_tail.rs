@@ -440,15 +440,11 @@ mod seal_tests {
     /// keep shadowing the unusable slot.
     #[test]
     fn regression_torn_seal_burn_keeps_staged_image() {
-        use crate::fault::{CrashSwitch, FaultPlan, FaultyDevice};
+        use crate::fault::{CrashSwitch, FaultyDevice};
 
         let worm = Arc::new(MemWormDevice::new(32, 16));
         let sw = CrashSwitch::new(0xBAD_B02);
-        let faulty = Arc::new(FaultyDevice::with_switch(
-            worm.clone(),
-            FaultPlan::default(),
-            sw.clone(),
-        ));
+        let faulty = Arc::new(FaultyDevice::with_switch(worm.clone(), 0, sw.clone()));
         let dev = RamTailDevice::new(faulty);
 
         // Forced data staged in the battery-backed tail.
@@ -484,15 +480,11 @@ mod seal_tests {
     /// not orphaned — so a recovered server can still burn it properly.
     #[test]
     fn clean_crash_during_seal_keeps_image_staged() {
-        use crate::fault::{CrashSwitch, FaultPlan, FaultyDevice};
+        use crate::fault::{CrashSwitch, FaultyDevice};
 
         let worm = Arc::new(MemWormDevice::new(32, 16));
         let sw = CrashSwitch::new(0xBAD_B03);
-        let faulty = Arc::new(FaultyDevice::with_switch(
-            worm.clone(),
-            FaultPlan::default(),
-            sw.clone(),
-        ));
+        let faulty = Arc::new(FaultyDevice::with_switch(worm.clone(), 0, sw.clone()));
         let dev = RamTailDevice::new(faulty);
 
         let staged = vec![0xA0; 32];
@@ -519,16 +511,12 @@ mod seal_tests {
     /// recovery lost an acknowledged entry from the middle of the log.
     #[test]
     fn regression_ram_tail_torn_batch_keeps_sealed_block() {
-        use crate::fault::{CrashSwitch, FaultPlan, FaultyDevice};
+        use crate::fault::{CrashSwitch, FaultyDevice};
 
         for garbage_tail in [false, true] {
             let worm = Arc::new(MemWormDevice::new(32, 16));
             let sw = CrashSwitch::new(794);
-            let faulty = Arc::new(FaultyDevice::with_switch(
-                worm.clone(),
-                FaultPlan::default(),
-                sw.clone(),
-            ));
+            let faulty = Arc::new(FaultyDevice::with_switch(worm.clone(), 0, sw.clone()));
             let dev = RamTailDevice::new(faulty);
 
             let staged = vec![0xC0; 32];

@@ -10,8 +10,8 @@ use std::sync::Arc;
 
 use clio_device::traits::locate_end;
 use clio_device::{
-    DeviceStats, FaultPlan, FaultyDevice, FileWormDevice, InstrumentedDevice, LogDevice,
-    MemWormDevice, MirroredDevice, RamTailDevice, SharedDevice,
+    DeviceStats, FaultyDevice, FileWormDevice, InstrumentedDevice, LogDevice, MemWormDevice,
+    MirroredDevice, RamTailDevice, SharedDevice,
 };
 use clio_obs::MetricsRegistry;
 use clio_testkit::devcheck::{
@@ -142,10 +142,9 @@ fn mirror_device_conforms() {
 #[test]
 fn fault_device_with_quiet_plan_conforms() {
     check_batch_append_conformance(BLOCK, || {
-        adapt(Arc::new(FaultyDevice::new(
-            Arc::new(MemWormDevice::new(BLOCK, CAPACITY)),
-            FaultPlan::default(),
-        )))
+        adapt(Arc::new(FaultyDevice::new(Arc::new(MemWormDevice::new(
+            BLOCK, CAPACITY,
+        )))))
     });
 }
 
@@ -210,10 +209,7 @@ fn single_is_a_one_block_batch_on_a_ram_tail() {
 #[test]
 fn single_is_a_one_block_batch_through_both_wrappers() {
     check_single_is_one_block_batch(BLOCK, 0, SMALL, || {
-        adapt(Arc::new(FaultyDevice::new(
-            small_mem(),
-            FaultPlan::default(),
-        )))
+        adapt(Arc::new(FaultyDevice::new(small_mem())))
     });
     check_single_is_one_block_batch(BLOCK, 0, SMALL, || {
         adapt(Arc::new(InstrumentedDevice::new(
@@ -226,10 +222,7 @@ fn single_is_a_one_block_batch_through_both_wrappers() {
 #[test]
 fn fault_tear_leaves_exactly_k_blocks() {
     for k in 0..=4usize {
-        let dev = FaultyDevice::new(
-            Arc::new(MemWormDevice::new(BLOCK, CAPACITY)),
-            FaultPlan::default(),
-        );
+        let dev = FaultyDevice::new(Arc::new(MemWormDevice::new(BLOCK, CAPACITY)));
         let images: Vec<Vec<u8>> = (0..4u8).map(|i| vec![i + 1; BLOCK]).collect();
         let refs: Vec<&[u8]> = images.iter().map(Vec::as_slice).collect();
         dev.tear_next_batch_after(k);

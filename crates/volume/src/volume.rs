@@ -412,14 +412,10 @@ mod tests {
     /// medium does not hold.
     #[test]
     fn regression_failed_burn_drops_the_cached_image() {
-        use clio_device::{CrashSwitch, FaultPlan, FaultyDevice};
+        use clio_device::{CrashSwitch, FaultyDevice};
         let sw = CrashSwitch::new(27);
         let raw: SharedDevice = Arc::new(MemWormDevice::new(256, 16));
-        let faulty = Arc::new(FaultyDevice::with_switch(
-            raw,
-            FaultPlan::default(),
-            sw.clone(),
-        ));
+        let faulty = Arc::new(FaultyDevice::with_switch(raw, 0, sw.clone()));
         let cache = Arc::new(BlockCache::new(64));
         let label = Volume::first_label(VolumeId(1), VolumeSeqId(2), 256, 16, Timestamp(0));
         let v = Volume::format(faulty.clone(), 0, cache, label).unwrap();
@@ -454,9 +450,9 @@ mod tests {
 
     #[test]
     fn torn_batch_resyncs_end_from_the_device() {
-        use clio_device::{FaultPlan, FaultyDevice};
+        use clio_device::FaultyDevice;
         let raw = Arc::new(MemWormDevice::new(256, 16));
-        let faulty = Arc::new(FaultyDevice::new(raw, FaultPlan::default()));
+        let faulty = Arc::new(FaultyDevice::new(raw));
         let cache = Arc::new(BlockCache::new(64));
         let label = Volume::first_label(VolumeId(1), VolumeSeqId(2), 256, 16, Timestamp(0));
         let v = Volume::format(faulty.clone(), 0, cache, label).unwrap();

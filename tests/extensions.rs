@@ -7,7 +7,7 @@ use std::sync::Arc;
 use clio::core::service::{AppendOpts, LogService};
 use clio::core::ServiceConfig;
 use clio::device::{
-    FaultPlan, FaultyDevice, LogDevice, MemBlockStore, MemWormDevice, MirroredDevice, SharedDevice,
+    FaultyDevice, LogDevice, MemBlockStore, MemWormDevice, MirroredDevice, SharedDevice,
 };
 use clio::fs::FileSystem;
 use clio::history::AtomicFiles;
@@ -130,10 +130,7 @@ fn displaced_entrymap_entries_remain_findable() {
     }
     impl DevicePool for FaultyPool {
         fn next_device(&self) -> clio::types::Result<SharedDevice> {
-            let f = Arc::new(FaultyDevice::new(
-                Arc::new(MemWormDevice::new(512, 8192)),
-                FaultPlan::default(),
-            ));
+            let f = Arc::new(FaultyDevice::new(Arc::new(MemWormDevice::new(512, 8192))));
             *self.faulty.lock() = Some(f.clone());
             Ok(f)
         }
