@@ -2,8 +2,8 @@
 //! emission and search, the append and point-read paths, and the block
 //! cache.
 //!
-//! Runs on `clio_testkit::bench` (`harness = false`); tune with
-//! `CLIO_BENCH_SAMPLES`, `CLIO_BENCH_SAMPLE_MS`, `CLIO_BENCH_WARMUP_MS`.
+//! Runs on `clio_testkit::bench` (`harness = false`), which warms each
+//! path up for 200 ms and reports the median of 20 samples of 50 ms.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -303,7 +303,7 @@ fn bench_sync(c: &mut Bench) {
 }
 
 fn main() {
-    let mut c = Bench::from_env();
+    let mut c = Bench::new();
     bench_block_format(&mut c);
     bench_entrymap(&mut c);
     bench_service(&mut c);

@@ -1,5 +1,4 @@
-//! The `abl_fanout` harness, [`clio_bench::harness::abl_fanout`]: its text on
-//! stdout; `--json` also writes `BENCH_abl_fanout.json`.
+//! The `abl_fanout` harness, [`clio_bench::harness::abl_fanout`]: its text on stdout.
 
 fn main() -> std::io::Result<()> {
     clio_bench::harness::main(clio_bench::harness::abl_fanout::run)

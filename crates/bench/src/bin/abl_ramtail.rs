@@ -1,5 +1,4 @@
-//! The `abl_ramtail` harness, [`clio_bench::harness::abl_ramtail`]: its text on
-//! stdout; `--json` also writes `BENCH_abl_ramtail.json`.
+//! The `abl_ramtail` harness, [`clio_bench::harness::abl_ramtail`]: its text on stdout.
 
 fn main() -> std::io::Result<()> {
     clio_bench::harness::main(clio_bench::harness::abl_ramtail::run)

@@ -6,7 +6,7 @@ use std::process::Command;
 fn main() {
     let me = std::env::current_exe().expect("own path");
     let dir = me.parent().expect("bin directory").to_path_buf();
-    // Forward our arguments (notably `--json`) to every harness.
+    // Forward our arguments to every harness.
     let args: Vec<String> = std::env::args().skip(1).collect();
     let bins = [
         "fig2_tree",

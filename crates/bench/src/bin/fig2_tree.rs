@@ -1,5 +1,4 @@
-//! The `fig2_tree` harness, [`clio_bench::harness::fig2_tree`]: its text on
-//! stdout; `--json` also writes `BENCH_fig2_tree.json`.
+//! The `fig2_tree` harness, [`clio_bench::harness::fig2_tree`]: its text on stdout.
 
 fn main() -> std::io::Result<()> {
     clio_bench::harness::main(clio_bench::harness::fig2_tree::run)

@@ -1,5 +1,4 @@
-//! The `multi_shard` harness, [`clio_bench::harness::multi_shard`]: its text on
-//! stdout; `--json` also writes `BENCH_multi_shard.json`.
+//! The `multi_shard` harness, [`clio_bench::harness::multi_shard`]: its text on stdout.
 
 fn main() -> std::io::Result<()> {
     clio_bench::harness::main(clio_bench::harness::multi_shard::run)

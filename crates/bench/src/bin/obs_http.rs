@@ -1,5 +1,4 @@
-//! The `obs_http` harness, [`clio_bench::harness::obs_http`]: its text on
-//! stdout; `--json` also writes `BENCH_obs_http.json`.
+//! The `obs_http` harness, [`clio_bench::harness::obs_http`]: its text on stdout.
 
 fn main() -> std::io::Result<()> {
     clio_bench::harness::main(clio_bench::harness::obs_http::run)

@@ -16,15 +16,9 @@ use clio_costmodel::LoginWorkload;
 use clio_types::{ManualClock, Timestamp, VolumeSeqId};
 use clio_volume::{MemDevicePool, RecordingPool};
 
-use crate::report::Report;
 use crate::table;
 
-pub fn run(out: &mut impl Write, args: &[String]) -> io::Result<Report> {
-    let mut report = Report::new(
-        "abl_fanout",
-        "§6 ablation — the N time–space trade-off",
-        args,
-    );
+pub fn run(out: &mut impl Write, _args: &[String]) -> io::Result<()> {
     let mut rows = Vec::new();
     for n in [4u16, 8, 16, 32, 64] {
         let cfg = ServiceConfig {
@@ -96,8 +90,6 @@ pub fn run(out: &mut impl Write, args: &[String]) -> io::Result<Report> {
         "recovery reads",
     ];
     write!(out, "{}", table::render(&header, &rows))?;
-    report.table("tradeoff", &header, &rows);
-    report.note("Search cost and entrymap bytes fall with N; recovery cost rises — hence N=16–32.");
     writeln!(
         out,
         "\nBoth search cost and per-entry entrymap bytes fall with N (the §3.5 formula"
@@ -115,6 +107,5 @@ pub fn run(out: &mut impl Write, args: &[String]) -> io::Result<Report> {
         "settles on N = 16–32 (§3.4): past that, lookups barely improve while every"
     )?;
     writeln!(out, "reboot pays N·log_N(b)/2 block reads.")?;
-    report.emit(out)?;
-    Ok(report)
+    Ok(())
 }

@@ -21,16 +21,10 @@ use std::io::{self, Write};
 use clio_entrymap::binary_tree::BinaryTreeIndex;
 use clio_entrymap::{theory, Locator};
 
-use crate::report::Report;
 use crate::synth::{SyntheticSource, SYNTH_FILE};
 use crate::table;
 
-pub fn run(out: &mut impl Write, args: &[String]) -> io::Result<Report> {
-    let mut report = Report::new(
-        "abl_locators",
-        "§5.1 ablation — entrymap vs binary tree vs naive scan",
-        args,
-    );
+pub fn run(out: &mut impl Write, _args: &[String]) -> io::Result<()> {
     let total: u64 = 1 << 21;
     let stride = 16u64;
     let mut rows = Vec::new();
@@ -93,10 +87,5 @@ pub fn run(out: &mut impl Write, args: &[String]) -> io::Result<Report> {
         out,
         "column throughout — with N=16, 2·log_16 d = 0.5·log2 d."
     )?;
-    report.scalar("volume_blocks", total);
-    report.scalar("entry_stride_blocks", stride);
-    report.table("locator_reads", &header, &rows);
-    report.note("Claim holds if the entrymap column stays below the binary-tree column.");
-    report.emit(out)?;
-    Ok(report)
+    Ok(())
 }

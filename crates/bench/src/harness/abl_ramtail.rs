@@ -21,7 +21,6 @@ use clio_device::{RamTailDevice, SharedDevice};
 use clio_types::{ManualClock, Timestamp, VolumeSeqId};
 use clio_volume::{DevicePool, MemDevicePool, RecordingPool};
 
-use crate::report::Report;
 use crate::table;
 
 fn run_txns(ram_tail: bool, txns: usize) -> (u64, u64, u64) {
@@ -55,12 +54,7 @@ fn run_txns(ram_tail: bool, txns: usize) -> (u64, u64, u64) {
     (r.blocks_sealed, r.padding_bytes, r.device_bytes)
 }
 
-pub fn run(out: &mut impl Write, args: &[String]) -> io::Result<Report> {
-    let mut report = Report::new(
-        "abl_ramtail",
-        "§2.3.1 ablation — forced writes: pure write-once vs battery-backed RAM tail",
-        args,
-    );
+pub fn run(out: &mut impl Write, _args: &[String]) -> io::Result<()> {
     let txns = 500;
     let (worm_blocks, worm_pad, worm_bytes) = run_txns(false, txns);
     let (ram_blocks, ram_pad, ram_bytes) = run_txns(true, txns);
@@ -92,14 +86,5 @@ pub fn run(out: &mut impl Write, args: &[String]) -> io::Result<Report> {
         "{:.1}x fewer sealed blocks for identical durability.",
         worm_blocks as f64 / ram_blocks.max(1) as f64
     )?;
-    report.scalar("transactions", txns as u64);
-    report.scalar("device_bytes_saving_pct", saving);
-    report.scalar(
-        "sealed_block_ratio",
-        worm_blocks as f64 / ram_blocks.max(1) as f64,
-    );
-    report.table("fragmentation", &header, &rows);
-    report.note("RAM-tail staging eliminates the early-seal fragmentation of forced writes.");
-    report.emit(out)?;
-    Ok(report)
+    Ok(())
 }

@@ -10,9 +10,8 @@
 //! readers share only (a) the published snapshot `Arc` and (b) the cache's
 //! per-shard mutexes.
 //!
-//! Flags: `--json` writes `BENCH_conc_read.json`; `--quick` shrinks the
-//! workload for CI smoke runs; `--shards=1` restores the single global
-//! LRU (the contention baseline).
+//! Flags: `--quick` shrinks the workload for CI smoke runs; `--shards=1`
+//! restores the single global LRU (the contention baseline).
 
 use std::io::{self, Write};
 use std::sync::{Arc, Barrier};
@@ -24,7 +23,6 @@ use clio_testkit::sync::atomic::{AtomicU64, Ordering};
 use clio_types::{EntryAddr, ManualClock, Timestamp, VolumeSeqId};
 use clio_volume::MemDevicePool;
 
-use crate::report::Report;
 use crate::table;
 
 /// One thread's share of the workload: point reads with a splitmix-walked
@@ -86,17 +84,12 @@ fn run_threads(
     (total_reads.load(Ordering::Relaxed), secs)
 }
 
-pub fn run(out: &mut impl Write, args: &[String]) -> io::Result<Report> {
+pub fn run(out: &mut impl Write, args: &[String]) -> io::Result<()> {
     let quick = args.iter().any(|a| a == "--quick");
     let shards = args
         .iter()
         .find_map(|a| a.strip_prefix("--shards=").and_then(|v| v.parse().ok()))
         .unwrap_or(8usize);
-    let mut report = Report::new(
-        "conc_read",
-        "Concurrent read scaling — immutable snapshots + sharded block cache",
-        args,
-    );
 
     let entries: u64 = if quick { 800 } else { 4_000 };
     let ops: u64 = if quick { 4_000 } else { 40_000 };
@@ -156,7 +149,7 @@ pub fn run(out: &mut impl Write, args: &[String]) -> io::Result<Report> {
 
     let mut rows = Vec::new();
     let mut base_rps = 0.0f64;
-    let mut rps_by_threads = Vec::new();
+    let mut four = 0.0f64;
     for &t in thread_counts {
         let (reads, secs) = run_threads(&svc, &addrs, t, ops);
         let rps = reads as f64 / secs;
@@ -164,7 +157,9 @@ pub fn run(out: &mut impl Write, args: &[String]) -> io::Result<Report> {
             base_rps = rps;
         }
         let speedup = if base_rps > 0.0 { rps / base_rps } else { 0.0 };
-        rps_by_threads.push((t, rps, speedup));
+        if t == 4 {
+            four = speedup;
+        }
         rows.push(vec![
             format!("{t}"),
             format!("{reads}"),
@@ -195,38 +190,9 @@ pub fn run(out: &mut impl Write, args: &[String]) -> io::Result<Report> {
         stats.duplicate_loads,
     )?;
 
-    report.scalar("entries", entries);
-    report.scalar("ops_per_thread", ops);
-    report.scalar("host_cores", cores as u64);
-    report.scalar("cache_shards", cache.shard_count() as u64);
-    report.scalar("cache_hits", stats.hits);
-    report.scalar("cache_misses", stats.misses);
-    report.scalar("duplicate_loads", stats.duplicate_loads);
-    for (t, rps, speedup) in &rps_by_threads {
-        report.scalar(&format!("reads_per_sec_{t}t"), *rps);
-        report.scalar(&format!("speedup_{t}t"), *speedup);
-    }
-    report.table("scaling", &header, &rows);
-    report.note(
-        "Reads run against immutable published snapshots and never take the append \
-         mutex; the block cache is sharded, so warm reads contend only on per-shard LRU locks.",
-    );
-    report.note(
-        "Speedup is bounded by host_cores: on a multi-core host 4 threads should reach \
-         >=2x the single-thread rate; on a single core the signal is the flat line — \
-         aggregate throughput holding steady at 8 threads means no lock convoy serializes \
-         readers beyond the CPU limit.",
-    );
-    report.emit(out)?;
-
-    let four = rps_by_threads
-        .iter()
-        .find(|(t, _, _)| *t == 4)
-        .map(|(_, _, s)| *s)
-        .unwrap_or(0.0);
     writeln!(
         out,
         "\n4-thread speedup over 1 thread: {four:.2}x (lock-free snapshot reads, sharded LRU)"
     )?;
-    Ok(report)
+    Ok(())
 }

@@ -10,14 +10,7 @@ use std::io::{self, Write};
 use clio_entrymap::{EntrymapWriter, Geometry};
 use clio_types::LogFileId;
 
-use crate::report::Report;
-
-pub fn run(out: &mut impl Write, args: &[String]) -> io::Result<Report> {
-    let mut report = Report::new(
-        "fig2_tree",
-        "Figure 2 — entrymap search tree for N = 4",
-        args,
-    );
+pub fn run(out: &mut impl Write, _args: &[String]) -> io::Result<()> {
     let n = 4usize;
     let file = LogFileId(8);
     // Five marked blocks within the first 16, as in the figure.
@@ -77,14 +70,5 @@ pub fn run(out: &mut impl Write, args: &[String]) -> io::Result<Report> {
         "\nThe level-2 bitmap (written at block 16) marks level-1 groups 0, 1 and 3 — the"
     )?;
     writeln!(out, "shape of the tree in the paper's Figure 2.")?;
-    report.scalar("fanout", n);
-    report.scalar("marked_blocks", marked.len());
-    report.table(
-        "entrymap_entries",
-        &["level", "written_at", "covers_from", "covers_to", "bitmap"],
-        &rows,
-    );
-    report.note("The level-2 bitmap marks level-1 groups 0, 1 and 3 — the paper's Figure 2 shape.");
-    report.emit(out)?;
-    Ok(report)
+    Ok(())
 }

@@ -11,16 +11,10 @@ use std::io::{self, Write};
 
 use clio_entrymap::{theory, Locator};
 
-use crate::report::Report;
 use crate::synth::{SyntheticSource, SYNTH_FILE};
 use crate::table;
 
-pub fn run(out: &mut impl Write, args: &[String]) -> io::Result<Report> {
-    let mut report = Report::new(
-        "fig3_locate",
-        "Figure 3 — entrymap entries examined to locate an entry d blocks away (no caching)",
-        args,
-    );
+pub fn run(out: &mut impl Write, _args: &[String]) -> io::Result<()> {
     let fanouts = [4usize, 8, 16, 64, 128];
     let distances: [u64; 8] = [
         10, 100, 1_000, 10_000, 100_000, 1_000_000, 5_000_000, 10_000_000,
@@ -65,9 +59,5 @@ pub fn run(out: &mut impl Write, args: &[String]) -> io::Result<Report> {
         out,
         "\nPaper's observation holds if N>16 helps little: cost shrinks only ~1/log N with N."
     )?;
-    report.table("entries_examined", &header_refs, &rows);
-    report
-        .note("Theory column is 2·log_N d; measured on the real locator over a synthetic volume.");
-    report.emit(out)?;
-    Ok(report)
+    Ok(())
 }

@@ -12,16 +12,10 @@ use std::io::{self, Write};
 
 use clio_entrymap::{rebuild_pending, theory};
 
-use crate::report::Report;
 use crate::synth::SyntheticSource;
 use crate::table;
 
-pub fn run(out: &mut impl Write, args: &[String]) -> io::Result<Report> {
-    let mut report = Report::new(
-        "fig4_init",
-        "Figure 4 — blocks examined to reconstruct entrymap information at initialization",
-        args,
-    );
+pub fn run(out: &mut impl Write, _args: &[String]) -> io::Result<()> {
     let fanouts = [4usize, 8, 16, 64, 128];
     let sizes: [u64; 5] = [100, 1_000, 10_000, 100_000, 1_000_000];
     let phases = 16u64;
@@ -63,9 +57,5 @@ pub fn run(out: &mut impl Write, args: &[String]) -> io::Result<Report> {
         "\nPaper's observation holds if cost *increases* with N (opposite of Figure 3),"
     )?;
     writeln!(out, "keeping the N = 16–32 sweet spot (§3.4).")?;
-    report.scalar("phases_averaged", phases);
-    report.table("rebuild_reads", &header_refs, &rows);
-    report.note("Theory column is (N·log_N b)/2; cost increases with N — Figure 3's flip side.");
-    report.emit(out)?;
-    Ok(report)
+    Ok(())
 }

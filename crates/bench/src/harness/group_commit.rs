@@ -13,9 +13,9 @@
 //! writes, so with two or more cores the ratio approaches the thread
 //! count the cores can overlap.
 //!
-//! Flags: `--json` writes `BENCH_group_commit.json`; `--quick` shrinks
-//! the workload for CI smoke runs (too short for the scheduler to spread
-//! the threads over the cores: its ratios say nothing).
+//! Flags: `--quick` shrinks the workload for CI smoke runs (too short for
+//! the scheduler to spread the threads over the cores: its ratios say
+//! nothing).
 
 use std::io::{self, Write};
 use std::sync::{Arc, Barrier};
@@ -27,7 +27,6 @@ use clio_obs::{MetricValue, MetricsRegistry};
 use clio_types::{ManualClock, Timestamp, VolumeSeqId};
 use clio_volume::MemDevicePool;
 
-use crate::report::Report;
 use crate::table;
 
 fn counter(reg: &MetricsRegistry, name: &str) -> u64 {
@@ -108,13 +107,8 @@ fn run_round(threads: usize, ops: u64) -> RoundResult {
     }
 }
 
-pub fn run(out: &mut impl Write, args: &[String]) -> io::Result<Report> {
+pub fn run(out: &mut impl Write, args: &[String]) -> io::Result<()> {
     let quick = args.iter().any(|a| a == "--quick");
-    let mut report = Report::new(
-        "group_commit",
-        "Group commit — forced appends coalesced into vectored device writes",
-        args,
-    );
 
     // Long enough that a round outlasts thread placement: a round of a few
     // milliseconds often ends before the threads run on different cores.
@@ -159,10 +153,6 @@ pub fn run(out: &mut impl Write, args: &[String]) -> io::Result<Report> {
             ratio_4t = ratio;
             saved_4t = r.writes_saved;
         }
-        // The `_group` suffix is kept so `bench_diff` lines up with reports
-        // from when there was a second mode to tell apart.
-        report.scalar(&format!("appends_per_device_write_{t}t_group"), ratio);
-        report.scalar(&format!("forced_writes_saved_{t}t_group"), r.writes_saved);
         rows.push(vec![
             format!("{t}"),
             format!("{}", r.appends),
@@ -175,21 +165,10 @@ pub fn run(out: &mut impl Write, args: &[String]) -> io::Result<Report> {
     }
     write!(out, "{}", table::render(&header, &rows))?;
 
-    report.scalar("ops_per_thread", ops);
-    report.scalar("host_cores", cores as u64);
-    report.table("coalescing", &header, &rows);
-    report.note(
-        "appends/write is the headline: a lone appender leads every commit itself and \
-         pays one device write per forced append (the 1-thread baseline); concurrent \
-         forced appenders share one vectored write, so the ratio grows with the \
-         number of appenders the host's cores let overlap (host_cores).",
-    );
-    report.emit(out)?;
-
     writeln!(
         out,
         "\n4-thread appends per device write: {ratio_4t:.2} ({saved_4t} forced writes \
          saved) vs {ratio_1t:.2} for a lone appender"
     )?;
-    Ok(report)
+    Ok(())
 }

@@ -1,15 +1,11 @@
 //! The table/figure harnesses, one module each.
 //!
-//! Each module's `run(out, args)` prints the harness's text to `out` and
-//! returns its [`Report`]; with `--json` in `args` it also writes
-//! `BENCH_<name>.json` to the current directory. The binary of the same
-//! name in `src/bin/` is [`main`] over that function, so the binary's
-//! stdout and the text `tests/golden.rs` checks against
+//! Each module's `run(out, args)` prints the harness's text to `out`. The
+//! binary of the same name in `src/bin/` is [`main`] over that function,
+//! so the binary's stdout and the text `tests/golden.rs` checks against
 //! `golden/<name>.txt` are the same bytes.
 
 use std::io;
-
-use crate::report::Report;
 
 pub mod abl_fanout;
 pub mod abl_locators;
@@ -32,8 +28,8 @@ pub mod table1_read;
 /// arguments as its flags.
 pub fn main<F>(run: F) -> io::Result<()>
 where
-    F: FnOnce(&mut io::StdoutLock<'static>, &[String]) -> io::Result<Report>,
+    F: FnOnce(&mut io::StdoutLock<'static>, &[String]) -> io::Result<()>,
 {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    run(&mut io::stdout().lock(), &args).map(drop)
+    run(&mut io::stdout().lock(), &args)
 }

@@ -24,23 +24,15 @@ use clio_fs::{ExtentFs, FileSystem};
 use clio_types::{ManualClock, Timestamp, VolumeSeqId};
 use clio_volume::MemDevicePool;
 
-use crate::report::Report;
 use crate::table;
 
-pub fn run(out: &mut impl Write, args: &[String]) -> io::Result<Report> {
-    let mut report = Report::new(
-        "mot_fs",
-        "§1 motivation — standard file systems vs log files on growing files",
-        args,
-    );
-    indirect_block_costs(out, &mut report)?;
-    extent_fragmentation(out, &mut report)?;
-    log_file_comparison(out, &mut report)?;
-    report.emit(out)?;
-    Ok(report)
+pub fn run(out: &mut impl Write, _args: &[String]) -> io::Result<()> {
+    indirect_block_costs(out)?;
+    extent_fragmentation(out)?;
+    log_file_comparison(out)
 }
 
-fn indirect_block_costs(out: &mut impl Write, report: &mut Report) -> io::Result<()> {
+fn indirect_block_costs(out: &mut impl Write) -> io::Result<()> {
     let bs = 512usize;
     let fs = FileSystem::mkfs(MemBlockStore::new(bs, 20_000), 64).expect("mkfs");
     let ino = fs.create("/grow").expect("create");
@@ -80,12 +72,11 @@ fn indirect_block_costs(out: &mut impl Write, report: &mut Report) -> io::Result
         "tail-read accesses",
     ];
     write!(out, "{}", table::render(&header, &rows))?;
-    report.table("indirect_block_fs", &header, &rows);
     writeln!(out)?;
     Ok(())
 }
 
-fn extent_fragmentation(out: &mut impl Write, report: &mut Report) -> io::Result<()> {
+fn extent_fragmentation(out: &mut impl Write) -> io::Result<()> {
     // Four slowly growing files interleaved — the §1 log-file scenario.
     let mut fs = ExtentFs::new(1 << 20);
     let files: Vec<u32> = (0..4).map(|_| fs.create()).collect();
@@ -109,12 +100,11 @@ fn extent_fragmentation(out: &mut impl Write, report: &mut Report) -> io::Result
     )?;
     let header = ["appends per file", "extents", "seeks for sequential read"];
     write!(out, "{}", table::render(&header, &rows))?;
-    report.table("extent_fs", &header, &rows);
     writeln!(out)?;
     Ok(())
 }
 
-fn log_file_comparison(out: &mut impl Write, report: &mut Report) -> io::Result<()> {
+fn log_file_comparison(out: &mut impl Write) -> io::Result<()> {
     // The same growth pattern as §1(a), as a log file: count device
     // appends per entry (always amortized-one, no metadata).
     let cfg = ServiceConfig {
@@ -148,10 +138,6 @@ fn log_file_comparison(out: &mut impl Write, report: &mut Report) -> io::Result<
     )?;
     // The one-line Display of the service's own space accounting.
     writeln!(out, "  {r}")?;
-    report.scalar("log_file_appends", 4000u64);
-    report.scalar("log_file_blocks_sealed", r.blocks_sealed);
-    report.scalar("device_writes_per_entry", r.blocks_sealed as f64 / 4000.0);
-    report.note("(a) grows with file size, (b) grows with interleaving, (c) stays flat.");
     writeln!(
         out,
         "\nThe paper's motivation holds if (a) grows with file size, (b) grows with interleaving,"

@@ -9,8 +9,7 @@
 //! TCP connect, request, full body — per route, over a plain
 //! `std::net::TcpStream` exactly like a scraper would.
 //!
-//! Flags: `--json` writes `BENCH_obs_http.json`; `--quick` shrinks the
-//! workload for CI smoke runs.
+//! Flags: `--quick` shrinks the workload for CI smoke runs.
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -24,7 +23,6 @@ use clio_testkit::sync::atomic::{AtomicBool, Ordering};
 use clio_types::{ManualClock, Timestamp, VolumeSeqId};
 use clio_volume::MemDevicePool;
 
-use crate::report::Report;
 use crate::table;
 
 /// Stops the run on a fatal harness error (a panic, so a test that runs
@@ -65,13 +63,8 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
     sorted[idx]
 }
 
-pub fn run(out: &mut impl Write, args: &[String]) -> io::Result<Report> {
+pub fn run(out: &mut impl Write, args: &[String]) -> io::Result<()> {
     let quick = args.iter().any(|a| a == "--quick");
-    let mut report = Report::new(
-        "obs_http",
-        "Ops plane — scrape latency of the HTTP observability endpoint under append load",
-        args,
-    );
 
     let scrapes_per_route: usize = if quick { 25 } else { 400 };
     let appenders: usize = 2;
@@ -137,10 +130,6 @@ pub fn run(out: &mut impl Write, args: &[String]) -> io::Result<Report> {
         let max = *lat
             .last()
             .expect("invariant: the loop above pushed scrapes_per_route >= 1 latencies");
-        let key = route.trim_start_matches('/').replace('.', "_");
-        report.scalar(&format!("{key}_p50_us"), p50);
-        report.scalar(&format!("{key}_p99_us"), p99);
-        report.scalar(&format!("{key}_body_bytes"), body as u64);
         rows.push(vec![
             route.to_owned(),
             format!("{p50}"),
@@ -164,16 +153,6 @@ pub fn run(out: &mut impl Write, args: &[String]) -> io::Result<Report> {
         "\nbackground forced appends completed during the run: {appends}"
     )?;
 
-    report.scalar("scrapes_per_route", scrapes_per_route as u64);
-    report.scalar("background_appends", appends);
-    report.table("scrape_latency", &header, &rows);
-    report.note(
-        "Scrape latency includes TCP connect + a full registry/trace snapshot; it should \
-         sit well under a millisecond-scale scrape interval and never block appenders \
-         (the endpoint takes only leaf locks).",
-    );
-    report.emit(out)?;
-
     server.shutdown();
-    Ok(report)
+    Ok(())
 }

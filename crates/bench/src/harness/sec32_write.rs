@@ -21,11 +21,9 @@ use clio_costmodel::CostModel;
 use clio_types::{ManualClock, Timestamp, VolumeSeqId};
 use clio_volume::MemDevicePool;
 
-use crate::report::Report;
 use crate::table;
 
-pub fn run(out: &mut impl Write, args: &[String]) -> io::Result<Report> {
-    let mut report = Report::new("sec32_write", "§3.2 — synchronous log write cost", args);
+pub fn run(out: &mut impl Write, _args: &[String]) -> io::Result<()> {
     let model = CostModel::default();
     let clock = Arc::new(ManualClock::starting_at(Timestamp::from_secs(1)));
     let svc = LogService::create(
@@ -64,11 +62,6 @@ pub fn run(out: &mut impl Write, args: &[String]) -> io::Result<Report> {
     )?;
     let header = ["write", "payload B", "modelled 1987 ms", "measured 2026 µs"];
     write!(out, "{}", table::render(&header, &rows))?;
-    report.scalar("rounds", rounds);
-    report.scalar("ipc_local_us", model.ipc_local_us);
-    report.scalar("timestamp_gen_us", model.timestamp_gen_us);
-    report.scalar("entrymap_note_us", model.entrymap_note_us);
-    report.table("write_cost", &header, &rows);
     writeln!(
         out,
         "\nModelled decomposition (paper's measured components):"
@@ -103,8 +96,6 @@ pub fn run(out: &mut impl Write, args: &[String]) -> io::Result<Report> {
         "\nActual IPC round trips observed: {}",
         server.ipc_round_trips()
     )?;
-    report.scalar("ipc_round_trips", server.ipc_round_trips());
-    report.emit(out)?;
     server.shutdown();
-    Ok(report)
+    Ok(())
 }

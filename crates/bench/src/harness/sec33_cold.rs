@@ -19,15 +19,9 @@ use clio_costmodel::{CostModel, LatencyDevice};
 use clio_types::{ManualClock, Timestamp, VolumeSeqId};
 use clio_volume::{MemDevicePool, RecordingPool};
 
-use crate::report::Report;
 use crate::table;
 
-pub fn run(out: &mut impl Write, args: &[String]) -> io::Result<Report> {
-    let mut report = Report::new(
-        "sec33_cold",
-        "§3.3.2 — cost of an uncached distant read, measured end-to-end",
-        args,
-    );
+pub fn run(out: &mut impl Write, _args: &[String]) -> io::Result<()> {
     let model = CostModel::default();
     let clock = Arc::new(ManualClock::starting_at(Timestamp::from_secs(1)));
     let timed_clock = clock.clone();
@@ -100,11 +94,5 @@ pub fn run(out: &mut impl Write, args: &[String]) -> io::Result<Report> {
         "the repeat costs (near) nothing — \"the cost of a log read operation is"
     )?;
     writeln!(out, "determined primarily by the number of cache misses\".")?;
-    report.scalar("distance_blocks", distance);
-    report.scalar("optical_seek_us", model.optical_seek_us);
-    report.scalar("optical_transfer_us", model.optical_transfer_us);
-    report.table("cold_vs_warm", &header, &rows);
-    report.note("Read cost is determined primarily by the number of cache misses (§3.3.2).");
-    report.emit(out)?;
-    Ok(report)
+    Ok(())
 }

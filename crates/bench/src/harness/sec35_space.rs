@@ -19,15 +19,9 @@ use clio_format::EntrymapRecord;
 use clio_types::{LogFileId, ManualClock, Timestamp, VolumeSeqId};
 use clio_volume::MemDevicePool;
 
-use crate::report::Report;
 use crate::table;
 
-pub fn run(out: &mut impl Write, args: &[String]) -> io::Result<Report> {
-    let mut report = Report::new(
-        "sec35_space",
-        "§3.5 — space overhead on the login/logout audit workload",
-        args,
-    );
+pub fn run(out: &mut impl Write, _args: &[String]) -> io::Result<()> {
     let cfg = ServiceConfig::default().with_shards(1); // 1 KiB, N = 16
     let n = cfg.fanout as f64;
     let block_size = cfg.block_size as f64;
@@ -137,15 +131,5 @@ pub fn run(out: &mut impl Write, args: &[String]) -> io::Result<Report> {
         "Paper's conclusion holds if o_e ≪ h: measured o_e/h = {:.3}",
         o_e / h
     )?;
-    report.scalar("entries", r.entries);
-    report.scalar("avg_entry_size", d);
-    report.scalar("files_per_entrymap_entry", a);
-    report.scalar("avg_header_overhead", h);
-    report.scalar("entrymap_overhead_per_entry", o_e);
-    report.scalar("paper_bound", bound);
-    report.scalar("device_bytes", r.device_bytes);
-    report.table("quantities", &["quantity", "measured", "paper"], &rows);
-    report.note("Paper's conclusion holds if o_e is far below h.");
-    report.emit(out)?;
-    Ok(report)
+    Ok(())
 }

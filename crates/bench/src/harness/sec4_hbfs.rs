@@ -19,22 +19,14 @@ use clio_costmodel::workload::{TraceEvent, TraceWorkload};
 use clio_costmodel::CostModel;
 use clio_types::BlockNo;
 
-use crate::report::Report;
 use crate::table;
 
-pub fn run(out: &mut impl Write, args: &[String]) -> io::Result<Report> {
-    let mut report = Report::new(
-        "sec4_hbfs",
-        "§4/§4.1 — history-based storage model cache economics",
-        args,
-    );
-    crossover(out, &mut report)?;
-    trace_hit_ratios(out, &mut report)?;
-    report.emit(out)?;
-    Ok(report)
+pub fn run(out: &mut impl Write, _args: &[String]) -> io::Result<()> {
+    crossover(out)?;
+    trace_hit_ratios(out)
 }
 
-fn crossover(out: &mut impl Write, report: &mut Report) -> io::Result<()> {
+fn crossover(out: &mut impl Write) -> io::Result<()> {
     let m = CostModel::default();
     let h_disk = 0.9;
     let frac = m.hbfs_crossover_fraction(h_disk);
@@ -74,19 +66,16 @@ fn crossover(out: &mut impl Write, report: &mut Report) -> io::Result<()> {
         "\nAnalytic crossover: RAM wins above {:.1}% of the disk cache's hit ratio (paper: 70%).\n",
         100.0 * frac
     )?;
-    report.scalar("crossover_fraction", frac);
-    report.table("ram_vs_disk", &header, &rows);
     Ok(())
 }
 
-fn trace_hit_ratios(out: &mut impl Write, report: &mut Report) -> io::Result<()> {
+fn trace_hit_ratios(out: &mut impl Write) -> io::Result<()> {
     // Model each file as a handful of 1 KiB blocks; run the trace's reads
     // through an LRU of varying capacity and measure hit ratios.
     let trace = TraceWorkload::new(17).trace(4_000);
     let mut rows = Vec::new();
     for cache_kib in [64usize, 256, 1024, 4096, 16384] {
         let cache: BlockCache = BlockCache::new(cache_kib);
-        let mut accesses = 0u64;
         for ev in &trace {
             match ev {
                 TraceEvent::Create { .. } | TraceEvent::Delete { .. } => {}
@@ -102,7 +91,6 @@ fn trace_hit_ratios(out: &mut impl Write, report: &mut Report) -> io::Result<()>
                 }
                 TraceEvent::Read { file, bytes } => {
                     for blk in 0..bytes.div_ceil(1024) {
-                        accesses += 1;
                         let key = CacheKey::new(0, BlockNo(file * 1024 + blk));
                         if cache.get(key).is_none() {
                             cache.put(key, std::sync::Arc::new(vec![]));
@@ -120,7 +108,6 @@ fn trace_hit_ratios(out: &mut impl Write, report: &mut Report) -> io::Result<()>
             format!("{:.1}%", 100.0 * (1.0 - hit)),
             format!("{:.1}", m.hbfs_ram_read_us(hit) / 1000.0),
         ]);
-        let _ = accesses;
     }
     writeln!(
         out,
@@ -137,7 +124,5 @@ fn trace_hit_ratios(out: &mut impl Write, report: &mut Report) -> io::Result<()>
         out,
         "\nFeasibility holds if the miss ratio falls under ~10% at moderate cache sizes (§4.1)."
     )?;
-    report.table("trace_hit_ratios", &header, &rows);
-    report.note("Feasibility holds if the miss ratio falls under ~10% at moderate cache sizes.");
     Ok(())
 }

@@ -17,16 +17,10 @@ use std::io::{self, Write};
 use clio_costmodel::CostModel;
 use clio_entrymap::Locator;
 
-use crate::report::Report;
 use crate::synth::{SyntheticSource, SYNTH_FILE};
 use crate::table;
 
-pub fn run(out: &mut impl Write, args: &[String]) -> io::Result<Report> {
-    let mut report = Report::new(
-        "table1_read",
-        "Table 1 — measured cost of a log entry read vs search distance (complete caching, N=16)",
-        args,
-    );
+pub fn run(out: &mut impl Write, _args: &[String]) -> io::Result<()> {
     let n: u64 = 16;
     let model = CostModel::default();
     let paper = [
@@ -91,11 +85,6 @@ pub fn run(out: &mut impl Write, args: &[String]) -> io::Result<Report> {
         "cold (ms)",
     ];
     write!(out, "{}", table::render(&header, &rows))?;
-    report.scalar("fanout", n);
-    report.scalar("ipc_local_us", model.ipc_local_us);
-    report.scalar("cached_block_us", model.cached_block_us);
-    report.table("read_cost", &header, &rows);
-    report.note("Cold column is §3.3.2's uncached case — an optical seek per block read.");
     writeln!(
         out,
         "\nShape check: each extra level of the search tree adds ~2 cached-block reads (~1.2 ms),"
@@ -108,6 +97,5 @@ pub fn run(out: &mut impl Write, args: &[String]) -> io::Result<Report> {
         out,
         "uncached case — ~155 ms per block, 'several hundred milliseconds' per distant read."
     )?;
-    report.emit(out)?;
-    Ok(report)
+    Ok(())
 }

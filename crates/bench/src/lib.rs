@@ -8,14 +8,8 @@
 //!   *generates* block images on demand for a given entry placement, so
 //!   Figure 3's 10⁷-block distances can be measured without materializing
 //!   gigabytes;
-//! - [`table`]: plain-text table printing for the harness output;
-//! - [`report`]: the `--json` machine-readable output every binary emits
-//!   alongside its text tables;
-//! - [`diff`]: regression comparison between two `BENCH_<name>.json`
-//!   reports (the `bench_diff` binary).
+//! - [`table`]: plain-text table printing for the harness output.
 
-pub mod diff;
 pub mod harness;
-pub mod report;
 pub mod synth;
 pub mod table;

@@ -11,7 +11,8 @@
 //! a commit in its shard's. The service
 //! exposes the whole thing via [`crate::LogService::metrics_text`] /
 //! [`crate::LogService::metrics_json`] / [`crate::LogService::trace_dump`],
-//! and over the client/server channel via the `Stats` request.
+//! which a client reaches over the server boundary through
+//! [`crate::server::ClioClient::call`].
 
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -37,8 +38,8 @@ const COMMIT_BLOCKS: &str = "clio_core_group_commit_batch_blocks";
 /// Per-shard appends: the sum of the shard's logs' append counters.
 const SHARD_APPENDS: &str = "clio_shard_appends_total";
 
-/// Per-log-file metric series (labeled `{log="<id>"}` at scrape):
-/// groundwork for sharding, where per-log traffic shapes placement.
+/// Per-log-file metric series (labeled `{log="<id>"}` at scrape), the
+/// stripes the service and shard append totals sum.
 struct PerLog {
     appends: Arc<Counter>,
     reads: Arc<Counter>,
@@ -355,9 +356,11 @@ impl MetricSource for CoreSeries {
             ("clio_recovery_end_probes_total", r.end_probes),
             ("clio_recovery_rebuild_blocks_read", r.rebuild_blocks_read),
             ("clio_recovery_catalog_records", r.catalog_records),
+            ("clio_recovery_setup_us", r.setup_us),
             ("clio_recovery_end_locate_us", r.end_locate_us),
             ("clio_recovery_rebuild_us", r.rebuild_us),
             ("clio_recovery_catalog_us", r.catalog_us),
+            ("clio_recovery_assemble_us", r.assemble_us),
             ("clio_recovery_total_us", r.total_us),
         ] {
             out.gauge(name, &[], i64::try_from(v).unwrap_or(i64::MAX));

@@ -146,6 +146,17 @@ fn one_service_lifetime_populates_every_layer() {
     assert_eq!(gauge(&reg, "clio_recovery_volumes"), 1);
     assert!(gauge(&reg, "clio_recovery_rebuild_blocks_read") >= 0);
     assert!(gauge(&reg, "clio_recovery_total_us") >= 1);
+    // Each phase reaches /metrics as the report measured it, so the
+    // exported phases sum to the exported total as the report's do.
+    for (name, us) in [
+        ("clio_recovery_setup_us", report.setup_us),
+        ("clio_recovery_end_locate_us", report.end_locate_us),
+        ("clio_recovery_rebuild_us", report.rebuild_us),
+        ("clio_recovery_catalog_us", report.catalog_us),
+        ("clio_recovery_assemble_us", report.assemble_us),
+    ] {
+        assert_eq!(gauge(&reg, name), i64::try_from(us).unwrap(), "{name}");
+    }
     assert_eq!(
         gauge(&reg, "clio_recovery_catalog_records"),
         i64::try_from(report.catalog_records).unwrap()

@@ -1,11 +1,12 @@
 //! A minimal in-tree JSON encoder/decoder.
 //!
-//! The workspace is std-only by policy, so the bench `--json` output and
-//! its CI validation cannot use serde. This module implements just enough
-//! of RFC 8259 for that job: the full value model, string escaping
-//! (including `\uXXXX` decode), and a recursive-descent parser with
-//! useful error positions. Objects preserve insertion order (they are a
-//! `Vec` of pairs, not a map) so emitted files diff cleanly.
+//! The workspace is std-only by policy, so the `/metrics.json` and
+//! `/trace` bodies, and the tests that read them back, cannot use serde.
+//! This module implements just enough of RFC 8259 for that job: the full
+//! value model, string escaping (including `\uXXXX` decode), and a
+//! recursive-descent parser with useful error positions. Objects preserve
+//! insertion order (they are a `Vec` of pairs, not a map), so a body
+//! lists its series in the order the registry gathered them.
 
 use std::fmt::Write as _;
 
@@ -35,13 +36,6 @@ impl Value {
         Value::Obj(pairs.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
     }
 
-    /// Builds a [`Value::Int`] from an unsigned count, falling back to
-    /// [`Value::Float`] for the (astronomical) counts beyond `i64::MAX`.
-    #[must_use]
-    pub fn uint(n: u64) -> Value {
-        i64::try_from(n).map_or(Value::Float(n as f64), Value::Int)
-    }
-
     /// Looks up a key in an object; `None` for non-objects or missing keys.
     #[must_use]
     pub fn get(&self, key: &str) -> Option<&Value> {
@@ -56,16 +50,6 @@ impl Value {
     pub fn as_i64(&self) -> Option<i64> {
         match self {
             Value::Int(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The numeric value of an `Int` or `Float`.
-    #[must_use]
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Int(n) => Some(*n as f64),
-            Value::Float(x) => Some(*x),
             _ => None,
         }
     }
@@ -161,51 +145,9 @@ impl Value {
     }
 }
 
-impl From<bool> for Value {
-    fn from(b: bool) -> Value {
-        Value::Bool(b)
-    }
-}
-
-impl From<i64> for Value {
-    fn from(n: i64) -> Value {
-        Value::Int(n)
-    }
-}
-
-impl From<u64> for Value {
-    fn from(n: u64) -> Value {
-        Value::uint(n)
-    }
-}
-
-impl From<u32> for Value {
-    fn from(n: u32) -> Value {
-        Value::Int(i64::from(n))
-    }
-}
-
-impl From<usize> for Value {
-    fn from(n: usize) -> Value {
-        Value::uint(n as u64)
-    }
-}
-
-impl From<f64> for Value {
-    fn from(x: f64) -> Value {
-        Value::Float(x)
-    }
-}
-
 impl From<&str> for Value {
     fn from(s: &str) -> Value {
         Value::Str(s.to_owned())
-    }
-}
-
-impl From<String> for Value {
-    fn from(s: String) -> Value {
-        Value::Str(s)
     }
 }
 
@@ -552,6 +494,6 @@ mod tests {
         assert_eq!(v.get("b").and_then(Value::as_arr).map(|a| a.len()), Some(1));
         assert_eq!(v.get("c").and_then(Value::as_str), Some("x"));
         assert_eq!(v.get("missing"), None);
-        assert_eq!(v.get("b").unwrap().as_arr().unwrap()[0].as_f64(), Some(2.5));
+        assert_eq!(v.get("b").unwrap().as_arr().unwrap()[0], Value::Float(2.5));
     }
 }

@@ -21,8 +21,8 @@
 //! - [`http`]: a std-only HTTP/1.1 observability endpoint
 //!   (`/metrics`, `/metrics.json`, `/trace`, `/health`);
 //! - [`json`]: a minimal in-tree JSON encoder/decoder (the workspace is
-//!   std-only by policy — see DESIGN.md — so the bench `--json` output and
-//!   its CI validation both use this).
+//!   std-only by policy — see DESIGN.md — so the `/metrics.json` and
+//!   `/trace` bodies and the tests that parse them use this).
 //!
 //! Metric naming scheme: `clio_<layer>_<what>[_total|_ns|_us|_bytes]`,
 //! e.g. `clio_device_reads_total`, `clio_cache_hits_total`,

@@ -7,9 +7,8 @@
 //! over per-sample means are robust against scheduler noise, which is the
 //! dominant error source for in-memory micro-benchmarks like ours.
 //!
-//! Environment knobs: `CLIO_BENCH_SAMPLES` (default 20),
-//! `CLIO_BENCH_SAMPLE_MS` (default 50), `CLIO_BENCH_WARMUP_MS`
-//! (default 200).
+//! Every run samples the same way: a 200 ms warm-up, then 20 samples of
+//! 50 ms each.
 
 use std::time::{Duration, Instant};
 
@@ -43,24 +42,19 @@ pub struct Bench {
 
 impl Default for Bench {
     fn default() -> Bench {
-        Bench::from_env()
+        Bench::new()
     }
 }
 
 impl Bench {
-    /// A harness configured from the environment (or defaults).
+    /// A harness with the standard sampling: 200 ms of warm-up, then 20
+    /// samples of 50 ms.
     #[must_use]
-    pub fn from_env() -> Bench {
-        let env = |name: &str, default: u64| -> u64 {
-            std::env::var(name)
-                .ok()
-                .and_then(|v| v.trim().parse().ok())
-                .unwrap_or(default)
-        };
+    pub fn new() -> Bench {
         Bench {
-            samples: env("CLIO_BENCH_SAMPLES", 20).max(1) as usize,
-            sample_time: Duration::from_millis(env("CLIO_BENCH_SAMPLE_MS", 50).max(1)),
-            warmup: Duration::from_millis(env("CLIO_BENCH_WARMUP_MS", 200)),
+            samples: 20,
+            sample_time: Duration::from_millis(50),
+            warmup: Duration::from_millis(200),
             results: Vec::new(),
         }
     }
